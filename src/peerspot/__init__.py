@@ -52,12 +52,10 @@ from .strategies import (
     BeliefMode,
     Effort,
     MixedStrategy,
-    Report,
     Strategy,
     StrategyProfile,
     enumerate_pure_strategies,
     low_identity_strategy,
-    realize_report,
     truthful_strategy,
 )
 from .mechanisms import (

@@ -1,10 +1,13 @@
-"""Exact per-object expected rewards for a focal agent against a symmetric base profile.
+"""Exact per-object expected rewards of deviant strategies against symmetric base profiles.
 
 Everything here integrates over the per-object joint law: quality ~ prior,
 one shared low draw, independent high draws per agent given quality.  Reports
 are deterministic functions of each agent's observed signal, so conditioning
 on (quality, low draw) makes all agents' reports independent, and every
 mechanism reduces to small tensor contractions over label indices.
+
+Each evaluator returns the whole (deviants x bases) block of a list of
+deviants against a list of bases; what loops remain run over label indices.
 
 Multi-object mechanisms are evaluated in their many-object limit, where
 empirical report frequencies concentrate on population values: the
@@ -21,10 +24,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded, NonBinaryLabelSpace
-from .scoring import NEGATIVE_SENTINEL, ScoringRule
+from .errors import EnumerationBudgetExceeded, LogOfZero, NonBinaryLabelSpace
+from .scoring import NEGATIVE_SENTINEL
 from .signals import DEFAULT_ENUMERATION_BUDGET, Environment
-from .strategies import Effort, Strategy, belief_table
+from .strategies import BeliefMode, Effort, Strategy, belief_table, peer_report_posterior
 
 SUPPORT_ATOL = 1e-12
 
@@ -44,21 +47,23 @@ def observation_law(env: Environment, effort: Effort) -> np.ndarray:
     return law
 
 
-def map_onehot(strategy: Strategy, k: int) -> np.ndarray:
-    onehot = np.zeros((k, k))
-    onehot[np.arange(k), strategy.map_array()] = 1.0
-    return onehot
+def _efforts(strategies: list) -> np.ndarray:
+    """Position of each strategy's effort in ``Effort`` order (full effort is 0)."""
+    return np.array([0 if s.is_full_effort else 1 for s in strategies])
 
 
-def report_law(env: Environment, strategy: Strategy) -> np.ndarray:
-    """P(report | quality, low draw), shape (k, k, k)."""
-    k = len(env.q_space)
-    obs = observation_law(env, strategy.effort)
-    return np.einsum("qlo,or->qlr", obs, map_onehot(strategy, k))
+def _maps(strategies: list) -> np.ndarray:
+    return np.array([s.report_map for s in strategies], dtype=int)
 
 
-def report_marginal(env: Environment, strategy: Strategy) -> np.ndarray:
-    return np.einsum("ql,qlr->r", outer_weights(env), report_law(env, strategy))
+def report_laws(env: Environment, strategies: list) -> np.ndarray:
+    """P(report | quality, low draw) per strategy, stacked: shape (len(strategies), k, k, k)."""
+    observed = np.stack([observation_law(env, effort) for effort in Effort])[_efforts(strategies)]
+    maps, rows = _maps(strategies), np.arange(len(strategies))
+    laws = np.zeros_like(observed)
+    for o in range(maps.shape[1]):
+        laws[rows, :, :, maps[:, o]] += observed[:, :, :, o]
+    return laws
 
 
 def pair_obs_law(env: Environment, effort_a: Effort, effort_b: Effort) -> np.ndarray:
@@ -81,61 +86,73 @@ def triple_obs_law(env: Environment, effort_a: Effort, effort_b: Effort, effort_
     return np.einsum("ql,qla,qlb,qlc->abc", w, oa, ob, oc)
 
 
-def _belief_vectors(env: Environment, strategy: Strategy, base: Strategy) -> np.ndarray:
-    """Belief vector per observed value, honoring the strategy's belief mode."""
-    return belief_table(env, strategy, base)
+def _agreement(w: np.ndarray, rd: np.ndarray, rg: np.ndarray) -> np.ndarray:
+    """Probability that deviant and base report the same label, shape (D, G)."""
+    return np.einsum("ql,dqlr,gqlr->dg", w, rd, rg)
 
 
-def _score_rows(rule: ScoringRule, beliefs: np.ndarray) -> np.ndarray:
-    """score_rows[o, r] = score of the belief held after observation o when outcome r realizes."""
-    return rule.score_table(beliefs)
+def _beliefs(env: Environment, rule, bases: list, deviants: list) -> tuple:
+    """Stacked belief tables (one row per observed value) and their scores at each outcome.
+
+    Posterior beliefs depend only on the holder's effort and the base, so 2 * len(bases)
+    tables serve all posterior-mode deviants.  Base g holds ``beliefs[base_rows[g]]`` and
+    deviant d holds ``beliefs[dev_rows[d, g]]`` against it.
+    """
+    n_bases = len(bases)
+    tables = [peer_report_posterior(env, effort, base) for effort in Effort for base in bases]
+
+    def rows(strategy: Strategy) -> np.ndarray:
+        if strategy.belief_mode is BeliefMode.POSTERIOR:
+            return (0 if strategy.is_full_effort else n_bases) + np.arange(n_bases)
+        tables.append(belief_table(env, strategy, strategy))
+        return np.full(n_bases, len(tables) - 1)
+
+    dev_rows = np.array([rows(d) for d in deviants])
+    base_rows = np.array([rows(b)[g] for g, b in enumerate(bases)])
+    beliefs = np.stack(tables)
+    scores = rule.score_table(beliefs.reshape(-1, beliefs.shape[-1])).reshape(beliefs.shape)
+    return beliefs, scores, base_rows, dev_rows
 
 
 # ---------------------------------------------------------------------------
-# Per-mechanism evaluators.  Each returns E[z(deviant, base)] per object.
+# Batched evaluators.  Each returns E[z(deviant, base)] per object, shape
+# (len(deviants), len(bases)).
 # ---------------------------------------------------------------------------
 
 
-def value_output_agreement(env: Environment, base: Strategy, deviant: Strategy) -> float:
-    w = outer_weights(env)
-    return float(np.einsum("ql,qlr,qlr->", w, report_law(env, deviant), report_law(env, base)))
+def output_agreement(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
+    return _agreement(outer_weights(env), report_laws(env, deviants), report_laws(env, bases))
 
 
-def value_peer_truth_serum(
-    env: Environment, base: Strategy, deviant: Strategy, alpha: float, beta: float
-) -> float:
+def peer_truth_serum(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
     """Per-object frequency limit: agreement on label r pays beta / freq(r), and the
     realized frequency concentrates on the base profile's conditional report mass,
     so each supported label contributes exactly the deviant's mass on it."""
+    support = (report_laws(env, bases) > SUPPORT_ATOL).astype(float)
+    hit = _agreement(outer_weights(env), report_laws(env, deviants), support)
+    return spec.alpha + spec.beta * hit
+
+
+def correlated_agreement(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
     w = outer_weights(env)
-    support = (report_law(env, base) > SUPPORT_ATOL).astype(float)
-    hit = float(np.einsum("ql,qlr,qlr->", w, report_law(env, deviant), support))
-    return alpha + beta * hit
+    rd, rg = report_laws(env, deviants), report_laws(env, bases)
+    cross = np.einsum("ql,dqlr->dr", w, rd) @ np.einsum("ql,gqlr->gr", w, rg).T
+    return _agreement(w, rd, rg) - cross
 
 
-def value_correlated_agreement(env: Environment, base: Strategy, deviant: Strategy) -> float:
-    agree = value_output_agreement(env, base, deviant)
-    cross = float(report_marginal(env, deviant) @ report_marginal(env, base))
-    return agree - cross
-
-
-def value_sqrt_scaled_agreement(
-    env: Environment, base: Strategy, deviant: Strategy, scale: float
-) -> float:
+def sqrt_scaled_agreement(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
     """Many-object limit: the frequency statistic for label s converges to
     sqrt(pairwise base agreement mass on s); degenerate labels (mass 0 or 1) pay zero."""
     w = outer_weights(env)
-    rg = report_law(env, base)
-    rd = report_law(env, deviant)
-    pair_mass = np.einsum("ql,qls,qls->s", w, rg, rg)
-    agree_mass = np.einsum("ql,qls,qls->s", w, rd, rg)
+    rd, rg = report_laws(env, deviants), report_laws(env, bases)
+    pair_mass = np.einsum("ql,gqls,gqls->gs", w, rg, rg)
+    agree_mass = np.einsum("ql,dqls,gqls->dgs", w, rd, rg)
     live = (pair_mass > SUPPORT_ATOL) & (pair_mass < 1.0 - SUPPORT_ATOL)
-    if not live.any():
-        return 0.0
-    return float(scale * np.sum(agree_mass[live] / np.sqrt(pair_mass[live])))
+    ratio = agree_mass / np.sqrt(np.where(live, pair_mass, 1.0))
+    return spec.scale * np.where(live, ratio, 0.0).sum(axis=2)
 
 
-def value_double_mixed_agreement(env: Environment, base: Strategy, deviant: Strategy) -> float:
+def double_mixed_agreement(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
     """Many-object limit of the double-mixed sampling mechanism.
 
     The cross-object sample is double mixed with limiting probability one iff
@@ -145,98 +162,98 @@ def value_double_mixed_agreement(env: Environment, base: Strategy, deviant: Stra
     report, i.e. draws from the base pair-conditional law.
     """
     w = outer_weights(env)
-    rg = report_law(env, base)
-    rd = report_law(env, deviant)
-    marg_g = np.einsum("ql,qlr->r", w, rg)
-    if np.min(marg_g) <= SUPPORT_ATOL:
-        return 0.0
-    pair_g = np.einsum("ql,qlv,qlx->vx", w, rg, rg)
-    cond = pair_g / marg_g[:, None]  # cond[v, x] = P(second base report = x | first = v)
-    joint_dg = np.einsum("ql,qlv,qly->vy", w, rd, rg)  # deviant report v, same-object peer y
-    marg_d = joint_dg.sum(axis=1)
-    match_peer = float(np.einsum("vy,vy->", joint_dg, cond))
-    match_refs = float(marg_d @ np.einsum("vx,vx->v", cond, cond))
-    return 0.5 + match_peer - 0.5 * match_refs
+    rd, rg = report_laws(env, deviants), report_laws(env, bases)
+    marg_g = np.einsum("ql,gqlr->gr", w, rg)
+    mixed = marg_g.min(axis=1) > SUPPORT_ATOL
+    pair_g = np.einsum("ql,gqlv,gqlx->gvx", w, rg, rg)
+    # cond[g, v, x] = P(second base report = x | first = v)
+    cond = pair_g / np.where(mixed[:, None], marg_g, 1.0)[:, :, None]
+    joint = np.einsum("ql,dqlv,gqly->dgvy", w, rd, rg)  # deviant report v, same-object peer y
+    match_peer = np.einsum("dgvy,gvy->dg", joint, cond)
+    match_refs = np.einsum("dgv,gv->dg", joint.sum(axis=3), np.einsum("gvx,gvx->gv", cond, cond))
+    return np.where(mixed[None, :], 0.5 + match_peer - 0.5 * match_refs, 0.0)
 
 
-def value_robust_bts(
-    env: Environment, base: Strategy, deviant: Strategy, rule: ScoringRule
-) -> float:
+def robust_bts(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
     k = len(env.q_space)
     if k != 2:
         raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
-    obs3 = triple_obs_law(env, deviant.effort, base.effort, base.effort)
-    beliefs_base = _belief_vectors(env, base, base)
-    beliefs_dev = _belief_vectors(env, deviant, base)
-    score_dev = _score_rows(rule, beliefs_dev)
-    base_map = base.map_array()
-    dev_map = deviant.map_array()
-    total = 0.0
+    beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
+    triple = np.array([[triple_obs_law(env, a, b, b) for b in Effort] for a in Effort])
+    ed, eg = _efforts(deviants)[:, None], _efforts(bases)[None, :]
+    dmap, gmap = _maps(deviants), _maps(bases)
+    # The shadow belief moves base g's belief after observation oj towards the
+    # focal report ri: shadow_scores[g, oj, ri, outcome].
+    p_one = beliefs[base_rows, :, 1]
+    delta = np.minimum(p_one, 1.0 - p_one)
+    shadow_one = np.stack([p_one - delta, p_one + delta], axis=-1)
+    shadow = np.stack([1.0 - shadow_one, shadow_one], axis=-1)
+    shadow_scores = spec.rule.score_table(shadow.reshape(-1, k)).reshape(shadow.shape)
+    g = np.arange(len(bases))
+    total = np.zeros((len(deviants), len(bases)))
     for oi in range(k):
-        ri = dev_map[oi]
+        ri = dmap[:, oi, None]
         for oj in range(k):
-            p_one = beliefs_base[oj][1]
-            delta = min(p_one, 1.0 - p_one)
-            shadow_one = p_one + delta if ri == 1 else p_one - delta
-            shadow = np.array([1.0 - shadow_one, shadow_one])
-            shadow_scores = rule.score_table(shadow[None, :])[0]
             for ok in range(k):
-                rk = base_map[ok]
-                total += obs3[oi, oj, ok] * (shadow_scores[rk] + score_dev[oi, rk])
-    return float(total)
+                rk = gmap[None, :, ok]
+                both = shadow_scores[g, oj, ri, rk] + scores[dev_rows, oi, rk]
+                total = total + triple[ed, eg, oi, oj, ok] * both
+    return total
 
 
-def value_multi_valued_robust_bts(
-    env: Environment, base: Strategy, deviant: Strategy, rule: ScoringRule
-) -> float:
+def multi_valued_robust_bts(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
     k = len(env.q_space)
-    pair = pair_obs_law(env, deviant.effort, base.effort)
-    beliefs_base = _belief_vectors(env, base, base)
-    score_dev = _score_rows(rule, _belief_vectors(env, deviant, base))
-    base_map = base.map_array()
-    dev_map = deviant.map_array()
-    total = 0.0
+    beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
+    pair = np.array([[pair_obs_law(env, a, b) for b in Effort] for a in Effort])
+    ed, eg = _efforts(deviants)[:, None], _efforts(bases)[None, :]
+    dmap, gmap = _maps(deviants), _maps(bases)
+    total = np.zeros((len(deviants), len(bases)))
     for oi in range(k):
-        ri = dev_map[oi]
+        ri = dmap[:, oi, None]
         for oj in range(k):
-            rj = base_map[oj]
-            if ri == rj:
-                bj = beliefs_base[oj][ri]
-                match = 1.0 / bj if bj > 0.0 else NEGATIVE_SENTINEL
-            else:
-                match = 0.0
-            total += pair[oi, oj] * (match + score_dev[oi, rj])
-    return float(total)
+            rj = gmap[None, :, oj]
+            bj = beliefs[base_rows, oj, ri]
+            with np.errstate(divide="ignore"):
+                match = np.where(bj > 0.0, 1.0 / bj, NEGATIVE_SENTINEL)
+            match = np.where(ri == rj, match, 0.0)
+            total = total + pair[ed, eg, oi, oj] * (match + scores[dev_rows, oi, rj])
+    return total
 
 
-def value_divergence_bts(
-    env: Environment, base: Strategy, deviant: Strategy, rule: ScoringRule, theta: float
-) -> float:
-    from .scoring import divergence
-
+def divergence_bts(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
     k = len(env.q_space)
-    pair = pair_obs_law(env, deviant.effort, base.effort)
-    beliefs_base = _belief_vectors(env, base, base)
-    beliefs_dev = _belief_vectors(env, deviant, base)
-    score_dev = _score_rows(rule, beliefs_dev)
-    base_map = base.map_array()
-    dev_map = deviant.map_array()
-    total = 0.0
+    beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
+    pair = np.array([[pair_obs_law(env, a, b) for b in Effort] for a in Effort])
+    ed, eg = _efforts(deviants)[:, None], _efforts(bases)[None, :]
+    dmap, gmap = _maps(deviants), _maps(bases)
+    total = np.zeros((len(deviants), len(bases)))
     for oi in range(k):
-        ri = dev_map[oi]
+        ri = dmap[:, oi, None]
+        held, support = beliefs[dev_rows, oi], beliefs[dev_rows, oi] > 0.0
         for oj in range(k):
-            rj = base_map[oj]
-            penalty = 0.0
-            if ri == rj and divergence(rule, beliefs_dev[oi], beliefs_base[oj]) > theta:
-                penalty = 1.0
-            total += pair[oi, oj] * (score_dev[oi, rj] - penalty)
-    return float(total)
+            rj = gmap[None, :, oj]
+            # divergence D(held || peer) = E_{s~held}[score(held, s) - score(peer, s)]
+            peer_scores = scores[base_rows, oj][None]
+            if np.any((ri == rj)[..., None] & support & (peer_scores == NEGATIVE_SENTINEL)):
+                raise LogOfZero("log score undefined: divergence from a belief with zero predicted mass")
+            gap = np.where(support, held * (scores[dev_rows, oi] - peer_scores), 0.0).sum(axis=2)
+            penalty = ((ri == rj) & (gap > spec.theta)).astype(float)
+            total = total + pair[ed, eg, oi, oj] * (scores[dev_rows, oi, rj] - penalty)
+    return total
 
 
-def _peer_multisets(env: Environment, base: Strategy, n_peers: int, budget: int):
-    """Yield (counts per observed value, probability per quality) over peer observation multisets."""
+def _peer_multisets(env: Environment, base_effort: Effort, n_peers: int, budget: int) -> tuple:
+    """Peer observation multisets under a base effort, with their joint weights.
+
+    Returns (counts, weights): counts[m, v] is the number of peers observing
+    value v in multiset m, and weights[m, e, o] the probability of multiset m
+    jointly with the holder observing o under effort e (``Effort`` order).
+    """
     k = len(env.q_space)
-    if base.is_full_effort:
+    w = outer_weights(env)
+    laws = [observation_law(env, effort) for effort in Effort]
+    counts, weights = [], []
+    if base_effort is Effort.FULL:
         n_multisets = math.comb(n_peers + k - 1, k - 1)
         if n_multisets * (k**3) > budget:
             raise EnumerationBudgetExceeded(
@@ -245,26 +262,28 @@ def _peer_multisets(env: Environment, base: Strategy, n_peers: int, budget: int)
         high = env.high_channel.matrix()
         log_fact = [math.lgamma(i + 1) for i in range(n_peers + 1)]
         for combo in combinations_with_replacement(range(k), n_peers):
-            counts = np.bincount(combo, minlength=k)
-            coef = math.exp(log_fact[n_peers] - sum(log_fact[c] for c in counts))
-            prob_q = coef * np.prod(high**counts, axis=1)  # (k_q,)
-            yield counts, prob_q
+            c = np.bincount(combo, minlength=k)
+            coef = math.exp(log_fact[n_peers] - sum(log_fact[n] for n in c))
+            prob_q = coef * np.prod(high**c, axis=1)  # (k_q,)
+            counts.append(c)
+            weights.append(
+                [[float((prob_q[:, None] * w * law[:, :, o]).sum()) for o in range(k)] for law in laws]
+            )
     else:
         # All peers observe the shared low draw; the multiset is determined by it.
         for low_value in range(k):
-            counts = np.zeros(k, dtype=int)
-            counts[low_value] = n_peers
-            yield counts, ("low", low_value)
+            c = np.zeros(k, dtype=int)
+            c[low_value] = n_peers
+            counts.append(c)
+            weights.append(
+                [[float(w[:, low_value] @ law[:, low_value, o]) for o in range(k)] for law in laws]
+            )
+    return np.array(counts), np.array(weights)
 
 
-def value_minimum_truth_serum(
-    env: Environment,
-    base: Strategy,
-    deviant: Strategy,
-    rule: ScoringRule,
-    aggregation: str = "mean",
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> float:
+def minimum_truth_serum(
+    spec, env: Environment, bases: list, deviants: list, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> np.ndarray:
     """Belief scores against all peers, capped by the same-report proxy belief score.
 
     Peer reports enter only through their observation multiset, so full-effort
@@ -272,35 +291,39 @@ def value_minimum_truth_serum(
     """
     k = len(env.q_space)
     n_peers = env.n_agents - 1
-    w = outer_weights(env)
-    obs_dev = observation_law(env, deviant.effort)
-    beliefs_base = _belief_vectors(env, base, base)
-    beliefs_dev = _belief_vectors(env, deviant, base)
-    score_dev = _score_rows(rule, beliefs_dev)
-    base_map = base.map_array()
-    dev_map = deviant.map_array()
-    scale = 1.0 if aggregation == "mean" else float(n_peers)
+    scale = 1.0 if spec.mts_aggregation == "mean" else float(n_peers)
+    beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
+    ed, dmap, gmap = _efforts(deviants), _maps(deviants), _maps(bases)
+    total = np.zeros((len(deviants), len(bases)))
+    for effort in Effort:
+        cols = np.array([g for g, b in enumerate(bases) if b.effort is effort], dtype=int)
+        if cols.size == 0:
+            continue
+        counts, weights = _peer_multisets(env, effort, n_peers, budget)
+        maps = gmap[cols]
+        base_beliefs = beliefs[base_rows[cols]]
+        own_scores = [scores[dev_rows[:, cols], oi] for oi in range(k)]
+        # reports[g, r, o]: base g reports r after observing o
+        reports = maps[:, None, :] == np.arange(k)[None, :, None]
+        block = np.zeros((len(deviants), cols.size))
+        for c, weight in zip(counts, weights):
+            same = reports * c  # same[g, r, o]: peers that observe o and report r
+            report_counts = same.sum(axis=2)
+            peer_freq = report_counts / n_peers
+            every_label = report_counts.min(axis=1) >= 1
+            # Proxy belief for own report r: mean belief of the peers reporting r.
+            with np.errstate(invalid="ignore", divide="ignore"):
+                proxy = (same @ base_beliefs) / report_counts[:, :, None]
+                proxy_scores = spec.rule.score_table(proxy.reshape(-1, k)).reshape(proxy.shape)
+            mean_proxy = np.einsum("gx,grx->gr", peer_freq, proxy_scores)
+            for oi in range(k):
+                mean_own = np.einsum("gx,dgx->dg", peer_freq, own_scores[oi])
+                capped = mean_proxy[:, dmap[:, oi]].T
+                reward = np.where(every_label & (capped < mean_own), capped, mean_own)
+                block = block + weight[ed, oi][:, None] * reward * scale
+        total[:, cols] = block
+    return total
 
-    total = 0.0
-    for counts, prob_q in _peer_multisets(env, base, n_peers, budget):
-        report_counts = np.zeros(k)
-        np.add.at(report_counts, base_map, counts)
-        peer_freq = report_counts / n_peers
-        delta = report_counts.min()
-        for oi in range(k):
-            ri = dev_map[oi]
-            mean_own = float(peer_freq @ score_dev[oi])
-            if delta < 1:
-                reward = mean_own
-            else:
-                same = counts * (base_map == ri)
-                proxy = (same @ beliefs_base) / same.sum()
-                mean_proxy = float(peer_freq @ rule.score_table(proxy[None, :])[0])
-                reward = min(mean_own, mean_proxy)
-            if isinstance(prob_q, tuple):
-                low_value = prob_q[1]
-                weight = float(w[:, low_value] @ obs_dev[:, low_value, oi])
-            else:
-                weight = float((prob_q[:, None] * w * obs_dev[:, :, oi]).sum())
-            total += weight * reward * scale
-    return float(total)
+
+def peer_insensitive(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
+    return np.full((len(deviants), len(bases)), float(spec.constant_reward))

@@ -83,7 +83,7 @@ class _Context:
         return True
 
     def table(self, mech: MechanismSpec, env: Environment):
-        key = (mech.kind, env.env_id)
+        key = (mech, env.env_id)
         if key not in self._tables:
             self._tables[key] = compute_payoff_table(mech, env)
         return self._tables[key]

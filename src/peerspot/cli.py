@@ -16,6 +16,7 @@ from .harness import (
     emit_csv,
     emit_json,
     emit_plotdata,
+    emit_report,
     example_config_path,
     load_config,
     run_experiment,
@@ -104,12 +105,9 @@ def _cmd_report(args) -> int:
     if not path.exists():
         print(f"rows file not found: {path}", file=sys.stderr)
         return 1
-    docs = json.loads(path.read_text())
-    rows = [ResultRow.from_json_dict(doc) for doc in docs]
+    rows = [ResultRow.from_json_dict(doc) for doc in json.loads(path.read_text())]
     try:
-        out = {"csv": emit_csv, "json": emit_json, "plotdata": emit_plotdata}[args.format](
-            rows, Path(args.out) / {"csv": "results.csv", "json": "results.json", "plotdata": "plotdata.json"}[args.format]
-        )
+        out = emit_report(rows, args.format, args.out)
     except PeerSpotError as exc:
         print(str(exc), file=sys.stderr)
         return 1

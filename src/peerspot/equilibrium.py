@@ -25,9 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded
-from .mechanisms import MechanismSpec, analytic_unchecked_value
+from .mechanisms import MechanismSpec, unchecked_block
 from .signals import Environment
-from .spotcheck import SpotGame, expected_spot_reward
+from .spotcheck import SpotGame, expected_spot_reward, expected_spot_rewards
 from .strategies import (
     Strategy,
     StrategyProfile,
@@ -98,12 +98,20 @@ class ThresholdReport:
 
 @dataclass
 class PayoffTable:
-    """Audit rewards and the unchecked deviant-vs-base reward matrix for all pure strategies."""
+    """Audit rewards and the unchecked deviant-vs-base reward matrix for all pure strategies,
+    with the indices of the truthful and the best no-effort strategy (neither depends on cost)."""
 
     strategies: list
     spot: np.ndarray  # (S,) expected audit reward per strategy
     unchecked: np.ndarray  # (S, S): [deviant, base]
     full_effort: np.ndarray  # (S,) 1.0 where the strategy invests effort
+    truthful: int = field(init=False)
+    best_no_effort: int = field(init=False)
+
+    def __post_init__(self):
+        k = len(self.strategies[0].report_map)
+        self.truthful = self.index_of(truthful_strategy(k))
+        self.best_no_effort = _best_no_effort_index(self.strategies, self.spot)
 
     def index_of(self, strategy: Strategy) -> int:
         return self.strategies.index(strategy)
@@ -129,12 +137,8 @@ class PayoffTable:
 def compute_payoff_table(mechanism: MechanismSpec, env: Environment) -> PayoffTable:
     """Exact payoff table over the full pure-strategy space (costs applied by the solvers)."""
     strategies = enumerate_pure_strategies(env.q_space)
-    spot = np.array([expected_spot_reward(env, s) for s in strategies])
-    n = len(strategies)
-    unchecked = np.empty((n, n))
-    for g, base in enumerate(strategies):
-        for d, dev in enumerate(strategies):
-            unchecked[d, g] = analytic_unchecked_value(mechanism, env, base, dev)
+    spot = expected_spot_rewards(env, strategies)
+    unchecked = unchecked_block(mechanism, env, strategies, strategies)
     full = np.array([1.0 if s.is_full_effort else 0.0 for s in strategies])
     return PayoffTable(strategies, spot, unchecked, full)
 
@@ -143,17 +147,29 @@ def _table_for(game: SpotGame, env: Environment, table: PayoffTable | None) -> P
     return table if table is not None else compute_payoff_table(game.mechanism, env)
 
 
+def _best_no_effort_index(strategies: list, spot) -> int:
+    """Best no-effort strategy by audit reward ``spot``: scanning in canonical order from the
+    identity map, a strategy replaces the best only when it beats it by more than DEFAULT_TOL."""
+    best = strategies.index(low_identity_strategy(len(strategies[0].report_map)))
+    for i in np.flatnonzero(np.asarray(spot) > spot[best] + DEFAULT_TOL):
+        if not strategies[i].is_full_effort and spot[i] > spot[best] + DEFAULT_TOL:
+            best = int(i)
+    return best
+
+
 def best_no_effort_strategy(env: Environment) -> Strategy:
     """No-effort strategy maximizing the expected audit reward; ties keep the identity map."""
-    best = low_identity_strategy(env.q_space)
-    best_value = expected_spot_reward(env, best)
-    for strategy in enumerate_pure_strategies(env.q_space):
-        if strategy.is_full_effort or strategy == best:
-            continue
-        value = expected_spot_reward(env, strategy)
-        if value > best_value + DEFAULT_TOL:
-            best, best_value = strategy, value
-    return best
+    strategies = enumerate_pure_strategies(env.q_space)
+    return strategies[_best_no_effort_index(strategies, expected_spot_rewards(env, strategies))]
+
+
+def audit_values(env: Environment, table: PayoffTable | None = None) -> tuple:
+    """Audit rewards of the truthful and the best no-effort strategy, read from
+    ``table`` (built for this environment at any cost) when one is given."""
+    if table is not None:
+        return float(table.spot[table.truthful]), float(table.spot[table.best_no_effort])
+    truthful = expected_spot_reward(env, truthful_strategy(env.q_space))
+    return truthful, expected_spot_reward(env, best_no_effort_strategy(env))
 
 
 def best_response(
@@ -244,12 +260,11 @@ def enumerate_symmetric_pure_equilibria(
 # ---------------------------------------------------------------------------
 
 
-def solve_p_ds(env: Environment, tol: float = DEFAULT_TOL):
+def solve_p_ds(env: Environment, tol: float = DEFAULT_TOL, table: PayoffTable | None = None):
     """Closed-form minimum audit probability making truthful effort dominant
     under a constant unchecked reward: cost / (audit value of truth - audit
     value of the best no-effort strategy)."""
-    truthful = expected_spot_reward(env, truthful_strategy(env.q_space))
-    lazy = expected_spot_reward(env, best_no_effort_strategy(env))
+    truthful, lazy = audit_values(env, table)
     gap = truthful - lazy
     if gap <= tol:
         return NOT_ACHIEVABLE
@@ -266,7 +281,7 @@ def solve_p_ds_bisection(env: Environment, tol: float = DEFAULT_TOL):
     p * spot(truth) - cost minus the best competing p * spot(s) - cost(s).
     """
     strategies = enumerate_pure_strategies(env.q_space)
-    spots = np.array([expected_spot_reward(env, s) for s in strategies])
+    spots = expected_spot_rewards(env, strategies)
     costs = np.array([env.effort_cost if s.is_full_effort else 0.0 for s in strategies])
     t = strategies.index(truthful_strategy(env.q_space))
 
@@ -306,8 +321,7 @@ def solve_p_el(
     boundary and bisection refines it.
     """
     table = _table_for(game, env, table)
-    gl = best_no_effort_strategy(env)
-    base_index = table.index_of(gl)
+    base_index = table.best_no_effort
 
     def max_gain(p: float) -> float:
         return float(table.gains(base_index, p, env.effort_cost).max())
@@ -342,8 +356,7 @@ def solve_p_ex(
     """Audit probability at which the truthful profile's utility overtakes the
     report-the-shared-draw profile's, solved from the affine indifference."""
     table = _table_for(game, env, table)
-    t = table.index_of(truthful_strategy(env.q_space))
-    g = table.index_of(best_no_effort_strategy(env))
+    t, g = table.truthful, table.best_no_effort
     cost = env.effort_cost
     z_tt = table.unchecked[t, t]
     z_gg = table.unchecked[g, g]
@@ -379,7 +392,7 @@ def solve_p_pareto(
     cost = env.effort_cost
     spot, z, full = table.spot, table.unchecked, table.full_effort
     diag = np.diag(z)
-    t = table.index_of(truthful_strategy(env.q_space))
+    t = table.truthful
 
     gains0 = (z - diag[None, :]) - cost * (full[:, None] - full[None, :])
     gains1 = (spot[:, None] - spot[None, :]) - cost * (full[:, None] - full[None, :])
@@ -413,12 +426,10 @@ def check_pareto_bound_condition(
     free = env.with_effort_cost(0.0)
     game = SpotGame(0.0, mechanism)
     table = _table_for(game, free, table)
-    gl = best_no_effort_strategy(free)
-    record = is_symmetric_equilibrium(game, free, gl, p=0.0, tol=tol, table=table)
+    t, g = table.truthful, table.best_no_effort
+    record = is_symmetric_equilibrium(game, free, table.strategies[g], p=0.0, tol=tol, table=table)
     if not record.certified:
         return False
-    t = table.index_of(truthful_strategy(env.q_space))
-    g = table.index_of(gl)
     return bool(table.unchecked[g, g] + tol >= table.unchecked[t, t])
 
 
@@ -431,7 +442,7 @@ def compute_thresholds(
 ) -> ThresholdReport:
     """All four thresholds plus the sufficient-condition flag for one game."""
     table = _table_for(game, env, table)
-    p_ds = solve_p_ds(env, tol=tol)
+    p_ds = solve_p_ds(env, tol=tol, table=table)
     p_el = solve_p_el(game, env, grid=grid, tol=tol, table=table)
     p_ex = solve_p_ex(game, env, tol=tol, table=table)
     p_pareto, certificates = solve_p_pareto(game, env, grid=grid, tol=tol, table=table)
@@ -482,13 +493,13 @@ def construct_dominated_environment(
                 env_id=f"{host.env_id}-low-from-{donor.env_id}",
             )
             table = compute_payoff_table(mechanism, composed)
-            gl = best_no_effort_strategy(composed)
+            gl = table.strategies[table.best_no_effort]
             record = is_symmetric_equilibrium(
                 game, composed, gl, p=0.0, tol=tol, table=table
             )
             if not record.certified:
                 continue
-            t = table.index_of(truthful_strategy(composed.q_space))
+            t = table.truthful
             truthful_utility = table.unchecked[t, t] - composed.effort_cost
             if record.utility > truthful_utility + tol:
                 return composed

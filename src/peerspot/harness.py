@@ -17,17 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import (
-    PayoffTable,
-    best_no_effort_strategy,
-    compute_payoff_table,
-    compute_thresholds,
-)
+from .equilibrium import PayoffTable, compute_payoff_table, compute_thresholds
 from .errors import ConfigError, PeerSpotError
 from .mechanisms import MechanismSpec
 from .signals import Channel, Distribution, Environment, LabelSpace
 from .spotcheck import SpotGame, check_worthwhile_effort
-from .strategies import truthful_strategy
 
 DEFAULT_EFFORT_COSTS = (0.0, 0.05, 0.1, 0.2)
 
@@ -253,10 +247,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), parse_constant=_finite_number, parse_float=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config did not parse as JSON: {exc}") from None
     return parse_config(doc)
+
+
+def _finite_number(token: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals are config errors."""
+    value = float(token)
+    if not np.isfinite(value):
+        raise ConfigError(f"config holds a non-finite number: {token}")
+    return value
 
 
 def example_config_path() -> Path:
@@ -264,16 +266,9 @@ def example_config_path() -> Path:
     return Path(__file__).parent / "configs" / "e1.json"
 
 
-def _row_for_triple(
-    env: Environment,
-    mechanism: MechanismSpec,
-    cost: float,
-    config: ExperimentConfig,
-    table: PayoffTable,
-) -> ResultRow:
-    env_at_cost = env.with_effort_cost(cost)
-    game = SpotGame(0.0, mechanism)
-    row = ResultRow(
+def _empty_row(env: Environment, mechanism: MechanismSpec, cost: float, config, exc=None) -> ResultRow:
+    """A row without results; a failed triple's row names the exception that ended it."""
+    return ResultRow(
         env_id=env.env_id,
         mechanism=mechanism.describe(),
         effort_cost=cost,
@@ -284,24 +279,35 @@ def _row_for_triple(
         worthwhile_effort=None,
         seed=config.seed,
         timestamp=time.time(),
+        error="" if exc is None else f"{type(exc).__name__}: {exc}",
     )
+
+
+def _row_for_triple(
+    env: Environment,
+    mechanism: MechanismSpec,
+    cost: float,
+    config: ExperimentConfig,
+    table: PayoffTable,
+) -> ResultRow:
+    row = _empty_row(env, mechanism, cost, config)
     try:
-        report = compute_thresholds(game, env_at_cost, grid=config.grid, table=table)
+        env_at_cost = env.with_effort_cost(cost)
+        report = compute_thresholds(SpotGame(0.0, mechanism), env_at_cost, grid=config.grid, table=table)
         row.thresholds = report.to_json_dict()
         row.pareto_bound_condition = report.pareto_bound_condition
-        t = table.index_of(truthful_strategy(env.q_space))
-        g = table.index_of(best_no_effort_strategy(env_at_cost))
+        t, g = table.truthful, table.best_no_effort
         row.utility_truthful_p0 = float(table.unchecked[t, t] - cost)
         row.utility_gl_p0 = float(table.unchecked[g, g])
-        row.worthwhile_effort = check_worthwhile_effort(env_at_cost)
+        row.worthwhile_effort = check_worthwhile_effort(env_at_cost, table)
         for p in config.p_values:
             utilities = table.utilities(p, cost)
             row.utilities_at_p[repr(float(p))] = {
                 "truthful": float(utilities[t]),
                 "best_no_effort": float(utilities[g]),
             }
-    except PeerSpotError as exc:
-        row.error = f"{type(exc).__name__}: {exc}"
+    except Exception as exc:
+        return _empty_row(env, mechanism, cost, config, exc)
     return row
 
 
@@ -309,8 +315,8 @@ def run_experiment(config: ExperimentConfig) -> list:
     """All (environment, mechanism, effort cost) rows, deterministically ordered.
 
     The payoff table for each (environment, mechanism) pair is cost-independent
-    and shared across the cost sweep.  A failing triple records its error and
-    leaves every other row intact.
+    and shared across the cost sweep.  Any exception in a table build or a
+    triple is recorded in the affected rows and leaves every other row intact.
     """
     rows = []
     costs = config.effort_costs or DEFAULT_EFFORT_COSTS
@@ -318,23 +324,8 @@ def run_experiment(config: ExperimentConfig) -> list:
         for mechanism in config.mechanisms:
             try:
                 table = compute_payoff_table(mechanism, env)
-            except PeerSpotError as exc:
-                for cost in costs:
-                    rows.append(
-                        ResultRow(
-                            env_id=env.env_id,
-                            mechanism=mechanism.describe(),
-                            effort_cost=cost,
-                            thresholds={},
-                            pareto_bound_condition=False,
-                            utility_truthful_p0=None,
-                            utility_gl_p0=None,
-                            worthwhile_effort=None,
-                            seed=config.seed,
-                            timestamp=time.time(),
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+            except Exception as exc:
+                rows.extend(_empty_row(env, mechanism, cost, config, exc) for cost in costs)
                 continue
             for cost in costs:
                 rows.append(_row_for_triple(env, mechanism, cost, config, table))

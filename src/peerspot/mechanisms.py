@@ -88,13 +88,15 @@ class MechanismSpec:
     def to_json_dict(self) -> dict:
         doc: dict = {"kind": self.kind.value}
         if self.kind is MechanismKind.PEER_TRUTH_SERUM:
-            doc.update(alpha=self.alpha, beta=self.beta)
+            doc.update(alpha=self.alpha, beta=self.beta, pts_frequency=self.pts_frequency)
         if self.kind is MechanismKind.SQRT_SCALED_AGREEMENT:
             doc["K"] = self.scale
         if self.kind is MechanismKind.DIVERGENCE_BTS:
             doc["theta"] = self.theta
         if self.kind is MechanismKind.PEER_INSENSITIVE:
             doc["W"] = self.constant_reward
+        if self.kind is MechanismKind.MINIMUM_TRUTH_SERUM:
+            doc["mts_aggregation"] = self.mts_aggregation
         if self.kind in BELIEF_BASED_KINDS:
             doc["rule"] = self.rule.name
         return doc
@@ -433,32 +435,31 @@ def expected_unchecked_utility(
         return _sampling.simulate_utilities(spec, env, profile, trials=trials, seed=seed)
 
 
+_EXACT = {
+    MechanismKind.OUTPUT_AGREEMENT: _exact.output_agreement,
+    MechanismKind.PEER_TRUTH_SERUM: _exact.peer_truth_serum,
+    MechanismKind.CORRELATED_AGREEMENT: _exact.correlated_agreement,
+    MechanismKind.SQRT_SCALED_AGREEMENT: _exact.sqrt_scaled_agreement,
+    MechanismKind.DOUBLE_MIXED_AGREEMENT: _exact.double_mixed_agreement,
+    MechanismKind.ROBUST_BTS: _exact.robust_bts,
+    MechanismKind.MULTI_VALUED_ROBUST_BTS: _exact.multi_valued_robust_bts,
+    MechanismKind.DIVERGENCE_BTS: _exact.divergence_bts,
+    MechanismKind.MINIMUM_TRUTH_SERUM: _exact.minimum_truth_serum,
+    MechanismKind.PEER_INSENSITIVE: _exact.peer_insensitive,
+}
+
+
+def unchecked_block(spec: MechanismSpec, env: Environment, bases: list, deviants: list) -> np.ndarray:
+    """Exact per-object E[z(deviant, base)], shape (len(deviants), len(bases)); limits for
+    multi-object kinds."""
+    return _EXACT[spec.kind](spec, env, bases, deviants)
+
+
 def analytic_unchecked_value(
     spec: MechanismSpec, env: Environment, base: Strategy, deviant: Strategy
 ) -> float:
-    """Exact per-object expectation E[z(deviant, base)]; limits for multi-object kinds."""
-    kind = spec.kind
-    if kind is MechanismKind.OUTPUT_AGREEMENT:
-        return _exact.value_output_agreement(env, base, deviant)
-    if kind is MechanismKind.PEER_TRUTH_SERUM:
-        return _exact.value_peer_truth_serum(env, base, deviant, spec.alpha, spec.beta)
-    if kind is MechanismKind.CORRELATED_AGREEMENT:
-        return _exact.value_correlated_agreement(env, base, deviant)
-    if kind is MechanismKind.SQRT_SCALED_AGREEMENT:
-        return _exact.value_sqrt_scaled_agreement(env, base, deviant, spec.scale)
-    if kind is MechanismKind.DOUBLE_MIXED_AGREEMENT:
-        return _exact.value_double_mixed_agreement(env, base, deviant)
-    if kind is MechanismKind.ROBUST_BTS:
-        return _exact.value_robust_bts(env, base, deviant, spec.rule)
-    if kind is MechanismKind.MULTI_VALUED_ROBUST_BTS:
-        return _exact.value_multi_valued_robust_bts(env, base, deviant, spec.rule)
-    if kind is MechanismKind.DIVERGENCE_BTS:
-        return _exact.value_divergence_bts(env, base, deviant, spec.rule, spec.theta)
-    if kind is MechanismKind.MINIMUM_TRUTH_SERUM:
-        return _exact.value_minimum_truth_serum(
-            env, base, deviant, spec.rule, spec.mts_aggregation
-        )
-    return spec.constant_reward
+    """Exact per-object expectation E[z(deviant, base)]: a one-cell :func:`unchecked_block`."""
+    return float(unchecked_block(spec, env, [base], [deviant])[0, 0])
 
 
 def simulate_utilities(
@@ -485,9 +486,5 @@ def mixture_unchecked_value(
     spec: MechanismSpec, env: Environment, base: Strategy, mixture
 ) -> float:
     """Deviant-side mixtures are affine in the component utilities."""
-    return float(
-        sum(
-            w * analytic_unchecked_value(spec, env, base, s)
-            for s, w in zip(mixture.components, mixture.weights)
-        )
-    )
+    values = unchecked_block(spec, env, [base], list(mixture.components))[:, 0]
+    return float(np.dot(mixture.weights, values))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -71,6 +72,8 @@ class Distribution:
                 f"distribution has {len(self.probs)} weights for {len(self.support)} labels"
             )
         arr = np.asarray(self.probs, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise InvalidDistribution(f"weights must be finite: {self.probs}")
         if np.any(arr < -PROB_ATOL) or np.any(arr > 1 + PROB_ATOL):
             raise InvalidDistribution(f"weights outside [0, 1]: {self.probs}")
         if abs(arr.sum() - 1.0) > PROB_ATOL:
@@ -166,6 +169,8 @@ class Environment:
         return self.q_space
 
     def with_effort_cost(self, cost: float) -> "Environment":
+        if not 0.0 <= float(cost) < math.inf:  # also rejects NaN
+            raise InvalidDistribution(f"effort_cost must be finite and nonnegative, got {cost}")
         return replace(self, effort_cost=float(cost))
 
     def to_json_dict(self) -> dict:
@@ -260,8 +265,8 @@ def validate_environment(env: Environment) -> None:
     ]:
         if channel.input_space != space or channel.output_space != space:
             raise ShapeMismatch(f"{name} must map the quality space to the label space")
-    if env.effort_cost < 0:
-        raise InvalidDistribution(f"effort_cost must be nonnegative, got {env.effort_cost}")
+    if not 0.0 <= env.effort_cost < math.inf:  # also rejects NaN
+        raise InvalidDistribution(f"effort_cost must be finite and nonnegative, got {env.effort_cost}")
     if env.n_agents < 3:
         raise TooFewAgents(f"n_agents must be at least 3, got {env.n_agents}")
     if env.n_objects < 1:

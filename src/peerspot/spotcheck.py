@@ -22,36 +22,30 @@ from .mechanisms import (
 )
 from .errors import ShapeMismatch
 from .signals import Environment
-from .strategies import Strategy, StrategyProfile, low_identity_strategy, truthful_strategy
+from .strategies import Strategy, StrategyProfile
 
 
 @dataclass(frozen=True)
 class SpotGame:
-    """Spot-check probability, the unchecked mechanism, and the audit reward form."""
+    """Spot-check probability and the unchecked mechanism; audits pay the paired-difference
+    agreement with trusted draws."""
 
     p: float
     mechanism: MechanismSpec
-    spot_kind: str = "dg"  # paired-difference agreement with trusted draws
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ShapeMismatch(f"spot-check probability must lie in [0, 1], got {self.p}")
-        if self.spot_kind != "dg":
-            raise ShapeMismatch(f"unknown spot reward form {self.spot_kind!r}")
 
     def with_p(self, p: float) -> "SpotGame":
         return replace(self, p=float(p))
 
     def to_json_dict(self) -> dict:
-        return {"p": self.p, "mechanism": self.mechanism.to_json_dict(), "spot": self.spot_kind}
+        return {"p": self.p, "mechanism": self.mechanism.to_json_dict()}
 
     @staticmethod
     def from_json_dict(doc: dict) -> "SpotGame":
-        return SpotGame(
-            p=float(doc.get("p", 0.0)),
-            mechanism=MechanismSpec.from_json_dict(doc["mechanism"]),
-            spot_kind=doc.get("spot", "dg"),
-        )
+        return SpotGame(p=float(doc.get("p", 0.0)), mechanism=MechanismSpec.from_json_dict(doc["mechanism"]))
 
 
 @dataclass(frozen=True)
@@ -67,23 +61,29 @@ def spot_reward(report, trusted_same, own_other_report, trusted_other) -> float:
     return float(report == trusted_same) - float(own_other_report == trusted_other)
 
 
-def expected_spot_reward(env: Environment, strategy: Strategy) -> float:
-    """Exact E[y] for one agent: joint report/trusted agreement minus the product of marginals."""
+def expected_spot_rewards(env: Environment, strategies: list) -> np.ndarray:
+    """Exact E[y] per strategy: joint report/trusted agreement minus the product of marginals."""
     w = _exact.outer_weights(env)
-    law = _exact.report_law(env, strategy)
-    trusted = env.trusted_channel.matrix()
-    joint = np.einsum("ql,qls,qt->st", w, law, trusted)
-    report_marg = joint.sum(axis=1)
-    trusted_marg = joint.sum(axis=0)
-    return float(np.trace(joint) - report_marg @ trusted_marg)
+    laws = _exact.report_laws(env, strategies)
+    joint = np.einsum("ql,nqls,qt->nst", w, laws, env.trusted_channel.matrix())
+    report_marg = joint.sum(axis=2)[:, None, :]
+    trusted_marg = joint.sum(axis=1)[:, :, None]
+    return np.trace(joint, axis1=1, axis2=2) - np.matmul(report_marg, trusted_marg)[:, 0, 0]
 
 
-def check_worthwhile_effort(env: Environment) -> bool:
-    """True iff the audited value of a truthful high signal beats the best no-effort audit value."""
-    from .equilibrium import best_no_effort_strategy
+def expected_spot_reward(env: Environment, strategy: Strategy) -> float:
+    """Exact E[y] for one agent."""
+    return float(expected_spot_rewards(env, [strategy])[0])
 
-    truthful = expected_spot_reward(env, truthful_strategy(env.q_space))
-    lazy = expected_spot_reward(env, best_no_effort_strategy(env))
+
+def check_worthwhile_effort(env: Environment, table=None) -> bool:
+    """True iff the audited value of a truthful high signal beats the best no-effort audit value.
+
+    A payoff table for the environment, when given, supplies both audit values.
+    """
+    from .equilibrium import audit_values
+
+    truthful, lazy = audit_values(env, table)
     return truthful - env.effort_cost > lazy
 
 
@@ -140,8 +140,3 @@ def realize_spot_outcome(
         inst.signal[agent, obj], inst.trusted[obj], inst.signal[agent, own_other], inst.trusted[cross]
     )
     return SpotOutcome(True, reward)
-
-
-def low_identity(env: Environment) -> Strategy:
-    """Convenience: the report-the-shared-draw strategy."""
-    return low_identity_strategy(env.q_space)

@@ -1,4 +1,4 @@
-"""Agent strategies: effort choice plus a report map, and realized signal/belief reports.
+"""Agent strategies: effort choice plus a report map, and the belief reports they induce.
 
 A pure strategy either invests full effort (observe the costly high-quality
 signal) or none (observe the shared low-quality signal), then reports a fixed
@@ -10,6 +10,7 @@ degenerate belief on its own report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded, ShapeMismatch
-from .signals import Distribution, Environment, LabelSpace
+from .signals import Environment, LabelSpace
 
 MAX_ENUMERABLE_LABELS = 6
 
@@ -108,8 +109,12 @@ def enumerate_pure_strategies(labels: LabelSpace | int) -> list:
         raise EnumerationBudgetExceeded(
             f"strategy enumeration supports at most {MAX_ENUMERABLE_LABELS} labels, got {k}"
         )
-    maps = _ordered_maps(k)
-    return [Strategy(effort, m) for effort in (Effort.FULL, Effort.NONE) for m in maps]
+    return list(_pure_strategies(k))
+
+
+@functools.lru_cache(maxsize=None)  # one entry per label count up to MAX_ENUMERABLE_LABELS
+def _pure_strategies(k: int) -> tuple:
+    return tuple(Strategy(effort, m) for effort in (Effort.FULL, Effort.NONE) for m in _ordered_maps(k))
 
 
 @dataclass(frozen=True)
@@ -152,14 +157,6 @@ class MixedStrategy:
         total = float(sum(self.weights))
         if abs(total - 1.0) > 1e-12 or any(w < 0 for w in self.weights):
             raise ShapeMismatch("mixture weights must be a probability vector")
-
-
-@dataclass(frozen=True)
-class Report:
-    """A realized signal report plus the accompanying belief report."""
-
-    signal_report: object
-    belief_report: Distribution
 
 
 def peer_report_posterior(env: Environment, observer_effort: Effort, base: Strategy) -> np.ndarray:
@@ -212,19 +209,3 @@ def belief_table(env: Environment, strategy: Strategy, base: Strategy) -> np.nda
     table = np.zeros((k, k))
     table[np.arange(k), strategy.map_array()] = 1.0
     return table
-
-
-def realize_report(
-    strategy: Strategy,
-    env: Environment,
-    realized_signals: tuple,
-    profile: StrategyProfile,
-) -> Report:
-    """Deterministic report for realized (high, low) signals under the given profile."""
-    s_high, s_low = realized_signals
-    labels = env.q_space
-    observed = labels.index(s_high if strategy.is_full_effort else s_low)
-    report_idx = strategy.apply(observed)
-    beliefs = belief_table(env, strategy, profile.base)
-    belief = Distribution.from_array(labels, beliefs[observed])
-    return Report(labels.labels[report_idx], belief)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from peerspot import (
     Channel,
@@ -8,6 +9,10 @@ from peerspot import (
     LabelSpace,
     reference_environment,
 )
+
+# Property tests draw from a fixed seed, so every run checks the same examples.
+settings.register_profile("seeded", derandomize=True, database=None, deadline=None)
+settings.load_profile("seeded")
 
 
 @pytest.fixture

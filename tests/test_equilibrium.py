@@ -61,6 +61,25 @@ class TestBestNoEffort:
             assert expected_spot_reward(e, Strategy(Effort.NONE, report_map)) <= value + 1e-12
 
 
+class TestPayoffTableIndices:
+    @pytest.mark.parametrize("labels", [2, 3])
+    def test_indices_match_the_strategies(self, labels):
+        rng = np.random.default_rng(labels)
+        for _ in range(4):
+            e = random_environment(rng, labels, correlated_low=True)
+            table = compute_payoff_table(PI, e)
+            assert table.strategies[table.truthful] == truthful_strategy(labels)
+            assert table.strategies[table.best_no_effort] == best_no_effort_strategy(e)
+
+    def test_a_better_no_effort_map_replaces_the_identity(self, env):
+        # A low channel that reports the opposite label makes the swap map best.
+        swapped = Channel.from_matrix(env.q_space, env.q_space, [[0.2, 0.8], [0.8, 0.2]])
+        flipped = replace(env, low_channel=swapped)
+        table = compute_payoff_table(PI, flipped)
+        assert table.strategies[table.best_no_effort] == Strategy(Effort.NONE, (1, 0))
+        assert best_no_effort_strategy(flipped) == Strategy(Effort.NONE, (1, 0))
+
+
 class TestBestResponse:
     def test_full_audit_forces_truth(self, env):
         game = SpotGame(1.0, PI)

@@ -79,6 +79,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_numbers_rejected(self, tmp_path, token):
+        text = json.dumps(tiny_config_doc()).replace('"effort_cost": 0.1', f'"effort_cost": {token}', 1)
+        assert token in text
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_config(path)
+
 
 class TestRunExperiment:
     def test_row_grid_and_values(self):
@@ -106,6 +115,32 @@ class TestRunExperiment:
         assert "NonBinaryLabelSpace" in by_mech["robust_bts"].error
         assert by_mech["output_agreement"].error == ""
         assert by_mech["output_agreement"].thresholds["p_ds"] > 0
+
+    def test_any_exception_is_recorded_in_its_rows(self, monkeypatch):
+        from peerspot import harness
+
+        build, solve = harness.compute_payoff_table, harness.compute_thresholds
+
+        def failing_build(mechanism, env):
+            if mechanism.kind.value == "peer_insensitive":
+                raise RuntimeError("table build failed")
+            return build(mechanism, env)
+
+        def failing_solve(game, env, **kwargs):
+            if env.effort_cost == 0.1:
+                raise MemoryError("solver ran out of memory")
+            return solve(game, env, **kwargs)
+
+        monkeypatch.setattr(harness, "compute_payoff_table", failing_build)
+        monkeypatch.setattr(harness, "compute_thresholds", failing_solve)
+        rows = run_experiment(parse_config(tiny_config_doc()))
+        errors = {(r.mechanism, r.effort_cost): r.error for r in rows}
+        assert errors[("peer_insensitive", 0.0)] == "RuntimeError: table build failed"
+        assert errors[("peer_insensitive", 0.1)] == "RuntimeError: table build failed"
+        assert errors[("output_agreement", 0.1)] == "MemoryError: solver ran out of memory"
+        assert errors[("output_agreement", 0.0)] == ""
+        failed = next(r for r in rows if r.mechanism == "output_agreement" and r.effort_cost == 0.1)
+        assert failed.thresholds == {} and failed.utility_truthful_p0 is None
 
     def test_deterministic_csv(self, tmp_path):
         config = parse_config(tiny_config_doc())

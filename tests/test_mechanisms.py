@@ -36,7 +36,7 @@ from peerspot.mechanisms import (
     reward_robust_bts,
     reward_sqrt_scaled_agreement,
 )
-from peerspot.scoring import NEGATIVE_SENTINEL
+from peerspot.scoring import LOGARITHMIC, NEGATIVE_SENTINEL
 
 from conftest import random_environment
 
@@ -443,6 +443,21 @@ class TestMechanismSpec:
         doc = spec.to_json_dict()
         assert doc["theta"] == 0.2 and doc["rule"] == "quadratic"
         assert MechanismSpec.from_json_dict(doc) == spec
+
+    NON_DEFAULT = {
+        MechanismKind.PEER_TRUTH_SERUM: dict(alpha=0.5, beta=2.0, pts_frequency="batch"),
+        MechanismKind.SQRT_SCALED_AGREEMENT: dict(scale=3.0),
+        MechanismKind.ROBUST_BTS: dict(rule=LOGARITHMIC),
+        MechanismKind.MULTI_VALUED_ROBUST_BTS: dict(rule=LOGARITHMIC),
+        MechanismKind.DIVERGENCE_BTS: dict(theta=0.5, rule=LOGARITHMIC),
+        MechanismKind.MINIMUM_TRUTH_SERUM: dict(mts_aggregation="sum", rule=LOGARITHMIC),
+        MechanismKind.PEER_INSENSITIVE: dict(constant_reward=2.5),
+    }
+
+    @pytest.mark.parametrize("kind", list(MechanismKind), ids=[k.value for k in MechanismKind])
+    def test_json_round_trip_keeps_non_default_parameters(self, kind):
+        spec = MechanismSpec(kind, **self.NON_DEFAULT.get(kind, {}))
+        assert MechanismSpec.from_json_dict(spec.to_json_dict()) == spec
 
     def test_mixture_is_affine(self, env):
         from peerspot.mechanisms import mixture_unchecked_value

@@ -68,6 +68,24 @@ class TestValidation:
         with pytest.raises(ShapeMismatch):
             LabelSpace.of((0, 0))
 
+    @pytest.mark.parametrize("weights", [(float("nan"), float("nan")), (float("inf"), 0.0)])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(InvalidDistribution):
+            Distribution(LabelSpace.of((0, 1)), weights)
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_effort_cost_fails_validation(self, env, cost):
+        from dataclasses import replace
+
+        with pytest.raises(InvalidDistribution):
+            validate_environment(replace(env, effort_cost=cost))
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -0.1])
+    def test_with_effort_cost_rejects_non_finite_and_negative(self, env, cost):
+        with pytest.raises(InvalidDistribution):
+            env.with_effort_cost(cost)
+        assert env.with_effort_cost(0.2).effort_cost == 0.2
+
 
 class TestJointDistribution:
     def test_single_agent_point_probability(self, env):

@@ -1,12 +1,14 @@
 """Strategy enumeration, report realization, and induced belief reports."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from peerspot import (
     BeliefMode,
+    Distribution,
     Effort,
     EnumerationBudgetExceeded,
     LabelSpace,
@@ -14,12 +16,29 @@ from peerspot import (
     StrategyProfile,
     enumerate_pure_strategies,
     low_identity_strategy,
-    realize_report,
     truthful_strategy,
 )
 from peerspot.strategies import belief_table
 
 from conftest import random_environment
+
+
+@dataclass(frozen=True)
+class Report:
+    """A realized signal report plus the accompanying belief report."""
+
+    signal_report: object
+    belief_report: Distribution
+
+
+def realize_report(strategy: Strategy, env, realized_signals: tuple, profile: StrategyProfile) -> Report:
+    """Deterministic report for realized (high, low) signals under the given profile."""
+    s_high, s_low = realized_signals
+    labels = env.q_space
+    observed = labels.index(s_high if strategy.is_full_effort else s_low)
+    beliefs = belief_table(env, strategy, profile.base)
+    belief = Distribution.from_array(labels, beliefs[observed])
+    return Report(labels.labels[strategy.apply(observed)], belief)
 
 
 def brute_belief(env, observer: Strategy, base: Strategy):
