@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded, LogOfZero, NonBinaryLabelSpace
+from .errors import EnumerationBudgetExceeded, NonBinaryLabelSpace
 from .scoring import NEGATIVE_SENTINEL
 from .signals import DEFAULT_ENUMERATION_BUDGET, Environment
 from .strategies import BeliefMode, Effort, Strategy, belief_table, peer_report_posterior
@@ -232,11 +232,11 @@ def divergence_bts(spec, env: Environment, bases: list, deviants: list) -> np.nd
         held, support = beliefs[dev_rows, oi], beliefs[dev_rows, oi] > 0.0
         for oj in range(k):
             rj = gmap[None, :, oj]
-            # divergence D(held || peer) = E_{s~held}[score(held, s) - score(peer, s)]
+            # divergence D(held || peer) = E_{s~held}[score(held, s) - score(peer, s)],
+            # unbounded where the log rule meets zero peer mass on the held support
             peer_scores = scores[base_rows, oj][None]
-            if np.any((ri == rj)[..., None] & support & (peer_scores == NEGATIVE_SENTINEL)):
-                raise LogOfZero("log score undefined: divergence from a belief with zero predicted mass")
             gap = np.where(support, held * (scores[dev_rows, oi] - peer_scores), 0.0).sum(axis=2)
+            gap[np.any(support & (peer_scores == NEGATIVE_SENTINEL), axis=2)] = np.inf
             penalty = ((ri == rj) & (gap > spec.theta)).astype(float)
             total = total + pair[ed, eg, oi, oj] * (scores[dev_rows, oi, rj] - penalty)
     return total

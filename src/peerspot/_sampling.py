@@ -1,8 +1,17 @@
 """Vectorized Monte-Carlo samplers for per-object mechanism rewards.
 
-Each sampler draws exactly the random quantities one reward realization
-touches (quality, shared low draw, the involved agents' observations) instead
-of materializing whole report matrices, so large trial counts stay cheap.
+Each sample simulates the scored object as it happens: its quality, the
+shared low draw and the observations of the agents whose reports the reward
+reads.  Correlated, sqrt-scaled and double-mixed agreement draw what the
+other objects contribute from its exact finite-sample law instead of
+simulating them one by one: objects are i.i.d., so label counts over a set of
+objects are multinomial, pair hits are binomial, and a report on an object
+whose first report is known follows the pair law conditioned on it.  Those
+laws are built here from the prior, the channels and each strategy's report
+map, independently of the exact engine in ``_expectations``, so the samplers
+stay its oracle.  The numbers of objects, agents and holdout samples enter
+exactly; nothing is a many-object limit.
+
 Draws stream from a single seeded generator in fixed-size chunks, which makes
 estimates bit-reproducible for a given seed regardless of trial count.
 """
@@ -57,6 +66,22 @@ def _latents(rng, env, size):
     return q, s_low
 
 
+def _label_counts(reports: np.ndarray, k: int) -> np.ndarray:
+    """Occurrences of each label in each row of ``reports``, shape (rows, k)."""
+    rows = reports.shape[0]
+    flat = (np.arange(rows)[:, None] * k + reports).ravel()
+    return np.bincount(flat, minlength=rows * k).reshape(rows, k)
+
+
+def _report_law(env: Environment, strategy: Strategy) -> np.ndarray:
+    """P(report | quality, low draw) of one agent playing ``strategy``, shape (k, k, k)."""
+    k = len(env.q_space)
+    onehot = np.eye(k)[strategy.map_array()]  # (observation, report)
+    if strategy.is_full_effort:
+        return np.broadcast_to((env.high_channel.matrix() @ onehot)[:, None, :], (k, k, k))
+    return np.broadcast_to(onehot[None, :, :], (k, k, k))
+
+
 class _Sampler:
     """Chunked reward sampler for one (mechanism, environment, profile) triple."""
 
@@ -71,6 +96,14 @@ class _Sampler:
         self.beliefs_base = belief_table(env, self.base, self.base)
         self.beliefs_focal = belief_table(env, self.focal, self.base)
         self.score_focal = spec.rule.score_table(self.beliefs_focal)  # (obs, outcome)
+        # Report laws on an object other than the scored one.
+        w = env.prior.as_array()[:, None] * env.low_channel.matrix()  # mass of (quality, low draw)
+        law_focal, law_base = _report_law(env, self.focal), _report_law(env, self.base)
+        # Rounding can lift a certain report's mass just above one, which numpy's samplers reject.
+        self.marginal_focal = np.minimum(np.einsum("ql,qlr->r", w, law_focal), 1.0)
+        self.marginal_base = np.minimum(np.einsum("ql,qlr->r", w, law_base), 1.0)
+        # pair_base[v, x]: two base agents on one object report v and x
+        self.pair_base = np.minimum(np.einsum("ql,qlv,qlx->vx", w, law_base, law_base), 1.0)
 
     # -- helpers ----------------------------------------------------------
 
@@ -120,11 +153,8 @@ class _Sampler:
                 peer_obs = np.repeat(s_low[:, None], n - 1, axis=1)
             peer_reports = self.base_map[peer_obs]
             r_peer = peer_reports[:, 0]  # exchangeable peers; first is a uniform choice
-            counts = np.zeros((size, self.k))
-            for c in range(n - 1):
-                np.add.at(counts, (np.arange(size), peer_reports[:, c]), 1.0)
-            np.add.at(counts, (np.arange(size), r_i), 1.0)
-            freq = counts[np.arange(size), r_peer] / n
+            counts = _label_counts(peer_reports, self.k)[np.arange(size), r_peer] + (r_i == r_peer)
+            freq = counts / n
             return spec.alpha + spec.beta * (r_i == r_peer) / freq
         # Batch frequency: full report pool over n agents and m objects per trial.
         m = env.n_objects
@@ -154,18 +184,10 @@ class _Sampler:
             self.focal_map[_observe(rng, env, self.focal, q0, s0)]
             == self.base_map[_observe(rng, env, self.base, q0, s0)]
         ).astype(float)
-        cross = np.zeros(size)
-        own_counts = np.zeros((size, self.k))
-        peer_counts = np.zeros((size, self.k))
-        for _ in range(half):
-            q, s_low = _latents(rng, env, size)
-            r = self.focal_map[_observe(rng, env, self.focal, q, s_low)]
-            np.add.at(own_counts, (np.arange(size), r), 1.0)
-        for _ in range(other):
-            q, s_low = _latents(rng, env, size)
-            r = self.base_map[_observe(rng, env, self.base, q, s_low)]
-            np.add.at(peer_counts, (np.arange(size), r), 1.0)
-        cross = (own_counts / half * peer_counts / other).sum(axis=1)
+        # The focal agent's reports on ``half`` objects and a peer's on the other ones.
+        own_counts = rng.multinomial(half, self.marginal_focal, size=size)
+        peer_counts = rng.multinomial(other, self.marginal_base, size=size)
+        cross = (own_counts * peer_counts).sum(axis=1) / (half * other)
         return agree - cross
 
     def _chunk_sqrt_scaled(self, rng, size):
@@ -176,16 +198,12 @@ class _Sampler:
         q0, s0 = _latents(rng, env, size)
         r_i = self.focal_map[_observe(rng, env, self.focal, q0, s0)]
         r_peer = self.base_map[_observe(rng, env, self.base, q0, s0)]
-        hit_counts = np.zeros(size)
         # Scored object contributes to the scorers' frequency statistic too.
         rk1 = self.base_map[_observe(rng, env, self.base, q0, s0)]
         rk2 = self.base_map[_observe(rng, env, self.base, q0, s0)]
-        hit_counts += (rk1 == r_peer) & (rk2 == r_peer)
-        for _ in range(m - 1):
-            q, s_low = _latents(rng, env, size)
-            a = self.base_map[_observe(rng, env, self.base, q, s_low)]
-            b = self.base_map[_observe(rng, env, self.base, q, s_low)]
-            hit_counts += (a == r_peer) & (b == r_peer)
+        # Each other object is a hit when two base reports on it both equal r_peer.
+        pair_hit = np.diag(self.pair_base)[r_peer]
+        hit_counts = ((rk1 == r_peer) & (rk2 == r_peer)) + rng.binomial(m - 1, pair_hit)
         f_hat = np.sqrt(hit_counts / m)
         live = (f_hat > 0.0) & (f_hat < 1.0)
         rewards = np.zeros(size)
@@ -203,33 +221,18 @@ class _Sampler:
         q0, s0 = _latents(rng, env, size)
         r_i = self.focal_map[_observe(rng, env, self.focal, q0, s0)]
         r_peer = self.base_map[_observe(rng, env, self.base, q0, s0)]
-        # Holdout objects: one sampled base report each, plus a fresh reference
-        # report from a different evaluator of the first two objects matching r_i.
-        qs = _draw_prior(rng, env, size * sample_size).reshape(size, sample_size)
-        sls = _draw_rows(rng, env.low_channel.matrix(), qs.ravel()).reshape(size, sample_size)
-        if self.base.is_full_effort:
-            obs = _draw_rows(rng, env.high_channel.matrix(), qs.ravel()).reshape(size, sample_size)
-        else:
-            obs = sls
-        sample_reports = self.base_map[obs]
-        counts = np.zeros((size, self.k), dtype=int)
-        for lab in range(self.k):
-            counts[:, lab] = (sample_reports == lab).sum(axis=1)
+        # Holdout objects: one sampled base report each.
+        counts = rng.multinomial(sample_size, self.marginal_base, size=size)
         double_mixed = counts.min(axis=1) >= 2
-        # First two matching positions; i.i.d. objects make this equivalent to
-        # a uniform choice among matches.
-        match = sample_reports == r_i[:, None]
-        first = match.argmax(axis=1)
-        match_wo_first = match.copy()
-        match_wo_first[np.arange(size), first] = False
-        second = match_wo_first.argmax(axis=1)
-        refs = []
-        for pos in (first, second):
-            qsel = qs[np.arange(size), pos]
-            slsel = sls[np.arange(size), pos]
-            ref_obs = _observe(rng, env, self.base, qsel, slsel)
-            refs.append(self.base_map[ref_obs])
-        rewards = 0.5 + (refs[0] == r_peer) - 0.5 * (refs[0] == refs[1])
+        # A reference is a second base report on a holdout object whose sampled
+        # report equals r_i.  The two references sit on distinct objects, so
+        # given r_i they are independent draws from P(second | first = r_i);
+        # rows of labels without mass are never double mixed and pay nothing.
+        mass = np.where(self.marginal_base > 0.0, self.marginal_base, 1.0)
+        second_given_first = self.pair_base / mass[:, None]
+        ref_1 = _draw_rows(rng, second_given_first, r_i)
+        ref_2 = _draw_rows(rng, second_given_first, r_i)
+        rewards = 0.5 + (ref_1 == r_peer) - 0.5 * (ref_1 == ref_2)
         rewards[~double_mixed] = 0.0
         return rewards
 
@@ -288,9 +291,7 @@ class _Sampler:
         else:
             peer_obs = np.repeat(s_low[:, None], n_peers, axis=1)
         peer_reports = self.base_map[peer_obs]
-        freq = np.zeros((size, self.k))
-        for c in range(n_peers):
-            np.add.at(freq, (np.arange(size), peer_reports[:, c]), 1.0 / n_peers)
+        freq = _label_counts(peer_reports, self.k) / n_peers
         mean_own = (freq * self.score_focal[obs_i]).sum(axis=1)
         delta = (freq > 0).sum(axis=1) == self.k  # every label reported at least once
         same_mask = peer_reports == r_i[:, None]

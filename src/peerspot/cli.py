@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(p_run)
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--grid", type=float, default=None, help="override the threshold grid")
-    p_run.add_argument("--trials", type=int, default=None, help="override Monte-Carlo trials")
     p_run.add_argument("--out", default=None, help="override the output directory")
 
     p_report = sub.add_parser("report", help="re-emit reports from a JSON row dump")
@@ -80,8 +79,6 @@ def _cmd_run(args) -> int:
         config.seed = args.seed
     if args.grid is not None:
         config.grid = args.grid
-    if args.trials is not None:
-        config.trials = args.trials
     if args.out is not None:
         config.output_dir = args.out
     try:

@@ -53,7 +53,6 @@ class ExperimentConfig:
     mechanisms: list
     effort_costs: tuple = DEFAULT_EFFORT_COSTS
     p_values: tuple = ()
-    trials: int = 10_000
     seed: int = 0
     grid: float = 1e-3
     output_dir: str = "results"
@@ -227,15 +226,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     sweeps = doc.get("sweeps", {})
     costs = tuple(float(c) for c in sweeps.get("effort_cost", DEFAULT_EFFORT_COSTS))
     p_values = tuple(float(p) for p in sweeps.get("p", ()))
-    trials = int(doc.get("trials", 10_000))
-    if trials < 1:
-        raise ConfigError("trials: must be at least 1")
     return ExperimentConfig(
         environments=environments,
         mechanisms=mechanisms,
         effort_costs=costs,
         p_values=p_values,
-        trials=trials,
         seed=int(doc.get("seed", 0)),
         grid=float(doc.get("grid", 1e-3)),
         output_dir=str(doc.get("output_dir", "results")),

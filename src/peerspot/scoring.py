@@ -103,12 +103,18 @@ def expected_score(rule: ScoringRule, truth: np.ndarray, belief: np.ndarray) -> 
 
 
 def divergence(rule: ScoringRule, b1: Distribution | np.ndarray, b2: Distribution | np.ndarray) -> float:
-    """Divergence D(b1 || b2) = E_{s~b1}[score(b1, s) - score(b2, s)]; zero iff b1 == b2."""
+    """Divergence D(b1 || b2) = E_{s~b1}[score(b1, s) - score(b2, s)]; zero iff b1 == b2.
+
+    Infinite when the log rule meets zero mass in ``b2`` on the support of ``b1``.
+    """
     a1 = b1.as_array() if isinstance(b1, Distribution) else np.asarray(b1, dtype=float)
     a2 = b2.as_array() if isinstance(b2, Distribution) else np.asarray(b2, dtype=float)
     if a1.shape != a2.shape:
         raise ShapeMismatch("divergence arguments must share a support")
-    return expected_score(rule, a1, a1) - expected_score(rule, a1, a2)
+    try:
+        return expected_score(rule, a1, a1) - expected_score(rule, a1, a2)
+    except LogOfZero:
+        return math.inf
 
 
 def check_symmetry(rule: ScoringRule, labels: LabelSpace | int, atol: float = 1e-12) -> bool:

@@ -83,6 +83,15 @@ def test_batched_table_matches_per_cell_oracle(env_id, spec):
     compare_with_oracle(spec, ORACLE_ENVS[env_id])
 
 
+def test_log_divergence_bts_table_builds():
+    """An unbounded log divergence exceeds theta instead of failing the table."""
+    spec = MechanismSpec(MechanismKind.DIVERGENCE_BTS, rule=LOGARITHMIC)
+    env = ORACLE_ENVS["e1"]
+    strategies = enumerate_pure_strategies(env.q_space)
+    batched = unchecked_block(spec, env, strategies, strategies)
+    np.testing.assert_allclose(batched, oracle_table(spec, env, strategies), rtol=0.0, atol=TOL)
+
+
 @pytest.mark.parametrize("spec", K3_SPECS, ids=[spec_id(s) for s in K3_SPECS])
 def test_single_cell_is_a_block_entry(spec):
     env = ORACLE_ENVS["acc-q3-s202-0"]

@@ -58,6 +58,10 @@ class TestDivergence:
             b = rng.dirichlet(np.ones(3))
             assert divergence(QUADRATIC, a, b) == pytest.approx(np.sum((a - b) ** 2), abs=1e-12)
 
+    def test_log_divergence_onto_zero_mass_is_infinite(self):
+        assert divergence(LOGARITHMIC, dist(0.5, 0.5), dist(1.0, 0.0)) == math.inf
+        assert divergence(LOGARITHMIC, dist(1.0, 0.0), dist(1.0, 0.0)) == 0.0
+
     def test_log_divergence_is_kl(self):
         got = divergence(LOGARITHMIC, dist(0.5, 0.5), dist(0.25, 0.75))
         expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
