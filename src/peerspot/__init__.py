@@ -16,9 +16,7 @@ from .errors import (
     EnumerationBudgetExceeded,
     InvalidDistribution,
     LogOfZero,
-    NoDisjointTaskSets,
     NonBinaryLabelSpace,
-    NoPeer,
     NotEnoughObjects,
     PeerSpotError,
     ShapeMismatch,
@@ -31,7 +29,6 @@ from .signals import (
     Environment,
     LabelSpace,
     binary_symmetric_environment,
-    joint_signal_distribution,
     posterior_peer_belief,
     reference_environment,
     signal_marginal,
@@ -51,7 +48,6 @@ from .scoring import (
 from .strategies import (
     BeliefMode,
     Effort,
-    MixedStrategy,
     Strategy,
     StrategyProfile,
     enumerate_pure_strategies,
@@ -61,21 +57,14 @@ from .strategies import (
 from .mechanisms import (
     MechanismKind,
     MechanismSpec,
-    RealizedInstance,
-    UtilityEstimate,
     all_mechanisms,
     analytic_unchecked_value,
-    expected_unchecked_utility,
-    realized_reward,
-    simulate_utilities,
 )
+from ._sampling import UtilityEstimate, simulate_utilities
 from .spotcheck import (
     SpotGame,
-    SpotOutcome,
     check_worthwhile_effort,
-    combined_expected_utility,
     expected_spot_reward,
-    spot_reward,
 )
 from .equilibrium import (
     NOT_ACHIEVABLE,
@@ -86,7 +75,6 @@ from .equilibrium import (
     PayoffTable,
     ThresholdReport,
     best_no_effort_strategy,
-    best_response,
     check_pareto_bound_condition,
     compute_payoff_table,
     compute_thresholds,

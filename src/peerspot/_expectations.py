@@ -26,10 +26,11 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded, NonBinaryLabelSpace
 from .scoring import NEGATIVE_SENTINEL
-from .signals import DEFAULT_ENUMERATION_BUDGET, Environment
+from .signals import Environment
 from .strategies import BeliefMode, Effort, Strategy, belief_table, peer_report_posterior
 
 SUPPORT_ATOL = 1e-12
+DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
 
 def outer_weights(env: Environment) -> np.ndarray:

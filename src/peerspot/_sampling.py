@@ -6,10 +6,13 @@ reads.  Correlated, sqrt-scaled and double-mixed agreement draw what the
 other objects contribute from its exact finite-sample law instead of
 simulating them one by one: objects are i.i.d., so label counts over a set of
 objects are multinomial, pair hits are binomial, and a report on an object
-whose first report is known follows the pair law conditioned on it.  Those
-laws are built here from the prior, the channels and each strategy's report
-map, independently of the exact engine in ``_expectations``, so the samplers
-stay its oracle.  The numbers of objects, agents and holdout samples enter
+whose first report is known follows the pair law conditioned on it.  Peer
+truth serum and minimum truth serum read the remaining peers on the scored
+object only through how many of them observe each label, which is
+multinomial given the quality under effort and a point mass at the shared
+draw without.  Those laws are built here from the prior, the channels and
+each strategy's report map, independently of the exact engine in
+``_expectations``, so the samplers stay its oracle.  The numbers of objects, agents and holdout samples enter
 exactly; nothing is a many-object limit.
 
 Draws stream from a single seeded generator in fixed-size chunks, which makes
@@ -18,10 +21,12 @@ estimates bit-reproducible for a given seed regardless of trial count.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import NonBinaryLabelSpace, NotEnoughObjects, ShapeMismatch, TooFewAgents
-from .mechanisms import MechanismKind, MechanismSpec, UtilityEstimate
+from .mechanisms import MechanismKind, MechanismSpec
 from .scoring import NEGATIVE_SENTINEL, divergence
 from .signals import Environment
 from .strategies import Strategy, StrategyProfile, belief_table
@@ -32,6 +37,15 @@ CHUNK = 20_000
 # enough that an all-labels-positive sample fails to be double mixed with
 # negligible probability.
 DOUBLE_MIXED_SAMPLES_PER_LABEL = 24
+
+
+@dataclass(frozen=True)
+class UtilityEstimate:
+    """Sample mean and its standard error of a per-object reward."""
+
+    value: float
+    stderr: float
+    samples: int
 
 
 def _draw_rows(rng: np.random.Generator, matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -64,13 +78,6 @@ def _latents(rng, env, size):
     q = _draw_prior(rng, env, size)
     s_low = _draw_rows(rng, env.low_channel.matrix(), q)
     return q, s_low
-
-
-def _label_counts(reports: np.ndarray, k: int) -> np.ndarray:
-    """Occurrences of each label in each row of ``reports``, shape (rows, k)."""
-    rows = reports.shape[0]
-    flat = (np.arange(rows)[:, None] * k + reports).ravel()
-    return np.bincount(flat, minlength=rows * k).reshape(rows, k)
 
 
 def _report_law(env: Environment, strategy: Strategy) -> np.ndarray:
@@ -113,6 +120,13 @@ class _Sampler:
         obs_p = _observe(rng, self.env, self.base, q, s_low)
         return q, s_low, obs_i, obs_p
 
+    def _peer_observation_counts(self, rng, q, s_low, peers: int) -> np.ndarray:
+        """How many of ``peers`` base-strategy agents observe each label, shape (samples, k):
+        multinomial given the quality under effort, all on the shared draw without."""
+        if self.base.is_full_effort:
+            return rng.multinomial(peers, self.env.high_channel.matrix()[q])
+        return peers * np.eye(self.k, dtype=int)[s_low]
+
     # -- per-kind chunk evaluators ----------------------------------------
 
     def chunk(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -141,34 +155,14 @@ class _Sampler:
     def _chunk_peer_truth_serum(self, rng, size):
         env, spec = self.env, self.spec
         n = env.n_agents
-        if spec.pts_frequency == "object":
-            q, s_low = _latents(rng, env, size)
-            obs_i = _observe(rng, env, self.focal, q, s_low)
-            r_i = self.focal_map[obs_i]
-            if self.base.is_full_effort:
-                peer_obs = np.stack(
-                    [_draw_rows(rng, env.high_channel.matrix(), q) for _ in range(n - 1)], axis=1
-                )
-            else:
-                peer_obs = np.repeat(s_low[:, None], n - 1, axis=1)
-            peer_reports = self.base_map[peer_obs]
-            r_peer = peer_reports[:, 0]  # exchangeable peers; first is a uniform choice
-            counts = _label_counts(peer_reports, self.k)[np.arange(size), r_peer] + (r_i == r_peer)
-            freq = counts / n
-            return spec.alpha + spec.beta * (r_i == r_peer) / freq
-        # Batch frequency: full report pool over n agents and m objects per trial.
-        m = env.n_objects
-        rewards = np.empty(size)
-        for t in range(size):
-            q, s_low = _latents(rng, env, m)
-            reports = np.empty((n, m), dtype=int)
-            reports[0] = self.focal_map[_observe(rng, env, self.focal, q, s_low)]
-            for a in range(1, n):
-                reports[a] = self.base_map[_observe(rng, env, self.base, q, s_low)]
-            r_peer = reports[1, 0]
-            freq = float(np.mean(reports == r_peer))
-            rewards[t] = spec.alpha + spec.beta * float(reports[0, 0] == r_peer) / freq
-        return rewards
+        q, s_low, obs_i, obs_p = self._pair_reports(rng, size)
+        r_i = self.focal_map[obs_i]
+        r_peer = self.base_map[obs_p]  # the uniformly chosen peer
+        # Reports of the other n - 2 agents on the object, as label counts.
+        to_report = np.eye(self.k, dtype=int)[self.base_map]  # (observation, report)
+        rest = self._peer_observation_counts(rng, q, s_low, n - 2) @ to_report
+        freq = (1 + rest[np.arange(size), r_peer] + (r_i == r_peer)) / n
+        return spec.alpha + spec.beta * (r_i == r_peer) / freq
 
     def _chunk_correlated_agreement(self, rng, size):
         env = self.env
@@ -284,23 +278,14 @@ class _Sampler:
         q, s_low = _latents(rng, env, size)
         obs_i = _observe(rng, env, self.focal, q, s_low)
         r_i = self.focal_map[obs_i]
-        if self.base.is_full_effort:
-            peer_obs = np.stack(
-                [_draw_rows(rng, env.high_channel.matrix(), q) for _ in range(n_peers)], axis=1
-            )
-        else:
-            peer_obs = np.repeat(s_low[:, None], n_peers, axis=1)
-        peer_reports = self.base_map[peer_obs]
-        freq = _label_counts(peer_reports, self.k) / n_peers
+        obs_counts = self._peer_observation_counts(rng, q, s_low, n_peers)  # (size, observation)
+        freq = obs_counts @ np.eye(self.k)[self.base_map] / n_peers  # peer report frequencies
         mean_own = (freq * self.score_focal[obs_i]).sum(axis=1)
         delta = (freq > 0).sum(axis=1) == self.k  # every label reported at least once
-        same_mask = peer_reports == r_i[:, None]
-        same_count = same_mask.sum(axis=1)
-        peer_beliefs = self.beliefs_base[peer_obs]  # (size, n_peers, k)
-        proxy = np.einsum("tp,tpk->tk", same_mask.astype(float), peer_beliefs)
-        safe = np.maximum(same_count, 1)[:, None]
-        proxy = proxy / safe
-        proxy_scores = self.spec.rule.score_table(proxy.reshape(-1, self.k)).reshape(size, self.k)
+        # Peers whose report equals r_i, counted per observation; their beliefs average to the proxy.
+        same = obs_counts * (self.base_map[None, :] == r_i[:, None])
+        proxy = same @ self.beliefs_base / np.maximum(same.sum(axis=1), 1)[:, None]
+        proxy_scores = self.spec.rule.score_table(proxy)
         mean_proxy = (freq * proxy_scores).sum(axis=1)
         rewards = np.where(delta, np.minimum(mean_own, mean_proxy), mean_own)
         if self.spec.mts_aggregation == "sum":
@@ -332,4 +317,4 @@ def simulate_utilities(
         rewards = rewards - env.effort_cost
     mean = float(rewards.mean())
     stderr = float(rewards.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return UtilityEstimate(value=mean, stderr=stderr, method="monte_carlo", samples=trials)
+    return UtilityEstimate(value=mean, stderr=stderr, samples=trials)

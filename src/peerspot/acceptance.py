@@ -28,12 +28,9 @@ from .equilibrium import (
     solve_p_pareto,
     threshold_float,
 )
+from ._sampling import simulate_utilities
 from .harness import emit_csv, generate_environments, load_config, example_config_path, run_experiment
-from .mechanisms import (
-    MechanismKind,
-    MechanismSpec,
-    simulate_utilities,
-)
+from .mechanisms import MechanismKind, MechanismSpec
 from .scoring import LOGARITHMIC, QUADRATIC, check_symmetry
 from .signals import Channel, Distribution, Environment, LabelSpace, reference_environment
 from .spotcheck import SpotGame, expected_spot_reward

@@ -2,10 +2,11 @@
 
 All solvers ride on one payoff table per (mechanism, environment): the
 expected audit reward per strategy and the expected unchecked reward of every
-deviant strategy against every symmetric base.  Combined utilities are affine
-in the spot-check probability, so equilibrium regions and dominance
-thresholds reduce to exact affine arithmetic plus grid scans at the reporting
-resolution.
+deviant strategy against every symmetric base.  Every entry is an exact
+expectation, so an equilibrium is certified when no deviation gains more than
+an absolute tolerance.  Combined utilities are affine in the spot-check
+probability, so equilibrium regions and dominance thresholds reduce to exact
+affine arithmetic plus grid scans at the reporting resolution.
 
 Thresholds solved here:
 
@@ -28,18 +29,11 @@ from .errors import EnumerationBudgetExceeded
 from .mechanisms import MechanismSpec, unchecked_block
 from .signals import Environment
 from .spotcheck import SpotGame, expected_spot_reward, expected_spot_rewards
-from .strategies import (
-    Strategy,
-    StrategyProfile,
-    enumerate_pure_strategies,
-    low_identity_strategy,
-    truthful_strategy,
-)
+from .strategies import Strategy, enumerate_pure_strategies, low_identity_strategy, truthful_strategy
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
 DEFAULT_REFINE = 1e-6
-MC_SIGMA_MARGIN = 4.0
 MAX_EQUILIBRIUM_LABELS = 4
 
 
@@ -69,7 +63,6 @@ class EquilibriumRecord:
     utility: float
     max_deviation_gain: float
     certified: bool
-    conclusive: bool = True  # False when a Monte-Carlo comparison sits inside the margin
 
 
 @dataclass
@@ -172,31 +165,6 @@ def audit_values(env: Environment, table: PayoffTable | None = None) -> tuple:
     return truthful, expected_spot_reward(env, best_no_effort_strategy(env))
 
 
-def best_response(
-    game: SpotGame,
-    env: Environment,
-    others: Strategy,
-    p: float | None = None,
-    table: PayoffTable | None = None,
-) -> tuple:
-    """Exhaustive argmax of combined utility against a symmetric base profile.
-
-    Ties resolve to the earliest strategy in canonical order (full effort
-    first, identity map first), which is also how exact payoff ties at the
-    peer-insensitive mechanism settle.
-    """
-    p = game.p if p is None else p
-    table = _table_for(game, env, table)
-    base_index = table.index_of(others)
-    utilities = (
-        p * table.spot
-        + (1.0 - p) * table.unchecked[:, base_index]
-        - env.effort_cost * table.full_effort
-    )
-    idx = int(np.argmax(utilities))
-    return table.strategies[idx], float(utilities[idx])
-
-
 def is_symmetric_equilibrium(
     game: SpotGame,
     env: Environment,
@@ -204,30 +172,15 @@ def is_symmetric_equilibrium(
     p: float | None = None,
     tol: float = DEFAULT_TOL,
     table: PayoffTable | None = None,
-    gain_stderr: np.ndarray | None = None,
 ) -> EquilibriumRecord:
-    """Certify a symmetric profile: no pure deviation improves by more than ``tol``.
-
-    When ``gain_stderr`` carries Monte-Carlo uncertainty per deviation, gains
-    inside the 4-sigma margin are neither certified nor rejected and the
-    record is flagged inconclusive.
-    """
+    """Certify a symmetric profile: no pure deviation improves by more than ``tol``."""
     p = game.p if p is None else p
     table = _table_for(game, env, table)
     base_index = table.index_of(strategy)
     gains = table.gains(base_index, p, env.effort_cost)
     utility = float(table.utilities(p, env.effort_cost)[base_index])
     max_gain = float(gains.max())
-    if gain_stderr is None:
-        return EquilibriumRecord(strategy, utility, max_gain, certified=max_gain <= tol)
-    margin = MC_SIGMA_MARGIN * np.asarray(gain_stderr)
-    clearly_bad = gains - margin > tol
-    clearly_fine = (gains + margin <= tol) | ((margin == 0) & (gains <= tol))
-    if clearly_bad.any():
-        return EquilibriumRecord(strategy, utility, max_gain, certified=False)
-    if clearly_fine.all():
-        return EquilibriumRecord(strategy, utility, max_gain, certified=True)
-    return EquilibriumRecord(strategy, utility, max_gain, certified=False, conclusive=False)
+    return EquilibriumRecord(strategy, utility, max_gain, certified=max_gain <= tol)
 
 
 def enumerate_symmetric_pure_equilibria(
@@ -504,47 +457,3 @@ def construct_dominated_environment(
             if record.utility > truthful_utility + tol:
                 return composed
     return NOT_FOUND
-
-
-def deviation_gain_estimates(
-    game: SpotGame,
-    env: Environment,
-    strategy: Strategy,
-    trials: int,
-    seed: int,
-) -> tuple:
-    """Monte-Carlo deviation gains and stderrs against a symmetric base, for
-    certification of mechanisms evaluated by sampling."""
-    from .mechanisms import simulate_utilities
-
-    strategies = enumerate_pure_strategies(env.q_space)
-    conform = simulate_utilities(
-        game.mechanism, env, StrategyProfile.symmetric(strategy), trials=trials, seed=seed
-    )
-    gains = np.empty(len(strategies))
-    stderr = np.empty(len(strategies))
-    p, cost = game.p, env.effort_cost
-    conform_total = (
-        p * expected_spot_reward(env, strategy)
-        + (1 - p) * conform.value
-        - (cost if strategy.is_full_effort else 0.0)
-    )
-    for i, dev in enumerate(strategies):
-        if dev == strategy:
-            gains[i], stderr[i] = 0.0, 0.0
-            continue
-        est = simulate_utilities(
-            game.mechanism,
-            env,
-            StrategyProfile.with_deviant(strategy, dev),
-            trials=trials,
-            seed=seed + 1 + i,
-        )
-        dev_total = (
-            p * expected_spot_reward(env, dev)
-            + (1 - p) * est.value
-            - (cost if dev.is_full_effort else 0.0)
-        )
-        gains[i] = dev_total - conform_total
-        stderr[i] = (1 - p) * math.hypot(est.stderr, conform.stderr)
-    return gains, stderr

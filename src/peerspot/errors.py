@@ -25,14 +25,6 @@ class EnumerationBudgetExceeded(PeerSpotError):
     """Exact enumeration would exceed the configured outcome budget."""
 
 
-class NoPeer(PeerSpotError):
-    """No distinct reference agent evaluated the object."""
-
-
-class NoDisjointTaskSets(PeerSpotError):
-    """The object assignment admits no disjoint task sets for the agent pair."""
-
-
 class NotEnoughObjects(PeerSpotError):
     """The instance has too few objects for the mechanism's sampling step."""
 

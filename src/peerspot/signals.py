@@ -1,17 +1,16 @@
-"""Discrete signal environments: quality prior, high/low/trusted channels, exact joint laws.
+"""Discrete signal environments: quality prior, high/low/trusted channels, marginals and posteriors.
 
 An environment describes one evaluation game: each object draws a latent
 quality, every agent privately observes a costly high-quality signal drawn
 per agent from the high channel, all agents share a single costless
 low-quality draw from the low channel, and an auditor can obtain a trusted
 draw from the trusted channel.  Everything downstream (mechanism
-expectations, equilibrium search) reduces to sums over the joint law built
-here, so all probability objects are validated eagerly and kept immutable.
+expectations, equilibrium search) reduces to sums over the per-object joint
+law these channels define, so all probability objects are validated eagerly and kept immutable.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -20,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    EnumerationBudgetExceeded,
     InvalidDistribution,
     ShapeMismatch,
     TooFewAgents,
@@ -28,7 +26,6 @@ from .errors import (
 )
 
 PROB_ATOL = 1e-12
-DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
 Label = object
 
@@ -271,67 +268,6 @@ def validate_environment(env: Environment) -> None:
         raise TooFewAgents(f"n_agents must be at least 3, got {env.n_agents}")
     if env.n_objects < 1:
         raise ShapeMismatch(f"n_objects must be positive, got {env.n_objects}")
-
-
-@dataclass(frozen=True)
-class JointSignalTable:
-    """Exact joint law of (q, s_high_1..k, s_low, s_trusted) as an outcome-to-mass map."""
-
-    field_names: tuple
-    table: Mapping[tuple, float]
-
-    def prob(self, outcome: tuple) -> float:
-        return self.table.get(outcome, 0.0)
-
-    def total(self) -> float:
-        return float(sum(self.table.values()))
-
-    def items(self):
-        return self.table.items()
-
-    def marginal(self, positions: Sequence[int]) -> dict:
-        out: dict = {}
-        for outcome, p in self.table.items():
-            key = tuple(outcome[i] for i in positions)
-            out[key] = out.get(key, 0.0) + p
-        return out
-
-
-def joint_signal_distribution(
-    env: Environment, k: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> JointSignalTable:
-    """Product-form joint law of quality, k agents' high signals, the low signal, and the trusted signal."""
-    if not 1 <= k <= env.n_agents:
-        raise ShapeMismatch(f"k must be in [1, {env.n_agents}], got {k}")
-    n = len(env.q_space)
-    outcomes = n ** (k + 3)
-    if outcomes > budget:
-        raise EnumerationBudgetExceeded(
-            f"joint table would have {outcomes} outcomes, budget is {budget}"
-        )
-    labels = env.q_space.labels
-    prior = env.prior.as_array()
-    high = env.high_channel.matrix()
-    low = env.low_channel.matrix()
-    trusted = env.trusted_channel.matrix()
-    table = {}
-    idx = range(n)
-    for q in idx:
-        for highs in itertools.product(idx, repeat=k):
-            p_high = prior[q]
-            for s in highs:
-                p_high *= high[q, s]
-            if p_high == 0.0:
-                continue
-            for sl in idx:
-                for st in idx:
-                    p = p_high * low[q, sl] * trusted[q, st]
-                    if p == 0.0:
-                        continue
-                    key = (labels[q], *(labels[s] for s in highs), labels[sl], labels[st])
-                    table[key] = table.get(key, 0.0) + p
-    names = ("q", *(f"s_high_{i}" for i in range(1, k + 1)), "s_low", "s_trusted")
-    return JointSignalTable(names, table)
 
 
 def posterior_peer_belief(env: Environment, observed) -> Distribution:

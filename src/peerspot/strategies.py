@@ -144,21 +144,6 @@ class StrategyProfile:
         return StrategyProfile(base, (agent, deviant))
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
-    """Finite mixture over pure strategies; used only for deviant-side utility evaluation."""
-
-    components: tuple  # of Strategy
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.components) != len(self.weights):
-            raise ShapeMismatch("mixture components and weights differ in length")
-        total = float(sum(self.weights))
-        if abs(total - 1.0) > 1e-12 or any(w < 0 for w in self.weights):
-            raise ShapeMismatch("mixture weights must be a probability vector")
-
-
 def peer_report_posterior(env: Environment, observer_effort: Effort, base: Strategy) -> np.ndarray:
     """Belief table: row v = law of a random base-strategy peer's report given own observation v.
 

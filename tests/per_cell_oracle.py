@@ -14,6 +14,7 @@ import numpy as np
 
 from peerspot import EnumerationBudgetExceeded, MechanismKind, NonBinaryLabelSpace
 from peerspot._expectations import (
+    DEFAULT_ENUMERATION_BUDGET,
     SUPPORT_ATOL,
     observation_law,
     outer_weights,
@@ -21,7 +22,6 @@ from peerspot._expectations import (
     triple_obs_law,
 )
 from peerspot.scoring import NEGATIVE_SENTINEL, divergence
-from peerspot.signals import DEFAULT_ENUMERATION_BUDGET
 from peerspot.strategies import belief_table
 
 

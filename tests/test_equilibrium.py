@@ -1,4 +1,4 @@
-"""Best responses, equilibrium enumeration, and the four threshold solvers."""
+"""Deviation gains, equilibrium enumeration, and the four threshold solvers."""
 
 import itertools
 from dataclasses import replace
@@ -16,7 +16,6 @@ from peerspot import (
     SpotGame,
     Strategy,
     best_no_effort_strategy,
-    best_response,
     check_pareto_bound_condition,
     compute_payoff_table,
     compute_thresholds,
@@ -80,27 +79,15 @@ class TestPayoffTableIndices:
         assert best_no_effort_strategy(flipped) == Strategy(Effort.NONE, (1, 0))
 
 
-class TestBestResponse:
+class TestDeviationGains:
     def test_full_audit_forces_truth(self, env):
-        game = SpotGame(1.0, PI)
-        strategy, utility = best_response(game, env, low_identity_strategy(2), p=1.0)
-        assert strategy == truthful_strategy(2)
+        table = compute_payoff_table(PI, env)
+        lazy = table.index_of(low_identity_strategy(2))
+        gains = table.gains(lazy, 1.0, env.effort_cost)
+        best = int(np.argmax(gains))
+        assert table.strategies[best] == truthful_strategy(2)
+        utility = table.utilities(1.0, env.effort_cost)[lazy] + gains[best]
         assert utility == pytest.approx(0.32 - 0.1, abs=1e-12)
-
-    def test_coordination_is_best_reply_to_itself(self, env):
-        game = SpotGame(0.0, OA)
-        free = env.with_effort_cost(0.0)
-        strategy, utility = best_response(game, free, low_identity_strategy(2), p=0.0)
-        assert strategy == low_identity_strategy(2)
-        assert utility == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_reward_tie_breaking(self, env):
-        game = SpotGame(0.0, PI)
-        free = env.with_effort_cost(0.0)
-        strategy, _ = best_response(game, free, low_identity_strategy(2), p=0.0)
-        assert strategy == truthful_strategy(2)  # all tie at W; canonical order wins
-        strategy, _ = best_response(game, env, low_identity_strategy(2), p=0.0)
-        assert strategy == low_identity_strategy(2)  # effort costs break the tie
 
 
 class TestEquilibriumCertification:
@@ -122,33 +109,6 @@ class TestEquilibriumCertification:
             rec = is_symmetric_equilibrium(game, env, strategy, table=table)
             if rec.certified:
                 assert rec.max_deviation_gain <= 1e-9
-
-    def test_monte_carlo_margins(self, env):
-        game = SpotGame(0.0, OA)
-        free = env.with_effort_cost(0.0)
-        table = compute_payoff_table(OA, free)
-        n = len(table.strategies)
-        lazy = low_identity_strategy(2)
-        wide = np.full(n, 10.0)  # every comparison is drowned in noise
-        rec = is_symmetric_equilibrium(game, free, lazy, p=0.0, table=table, gain_stderr=wide)
-        assert not rec.certified and not rec.conclusive
-        tight = np.zeros(n)
-        rec = is_symmetric_equilibrium(game, free, lazy, p=0.0, table=table, gain_stderr=tight)
-        assert rec.certified and rec.conclusive
-
-    def test_sampled_gains_certify_coordination(self, env):
-        from peerspot.equilibrium import deviation_gain_estimates
-
-        game = SpotGame(0.0, OA)
-        free = env.with_effort_cost(0.0)
-        lazy = low_identity_strategy(2)
-        gains, stderr = deviation_gain_estimates(game, free, lazy, trials=2_000, seed=6)
-        exact = compute_payoff_table(OA, free).gains(
-            compute_payoff_table(OA, free).index_of(lazy), 0.0, 0.0
-        )
-        assert np.all(np.abs(gains - exact) <= 4 * stderr + 1e-9)
-        # No sampled deviation clears its margin, so the profile stands.
-        assert not np.any(gains - 4 * stderr > 1e-9)
 
 
 class TestEnumeration:

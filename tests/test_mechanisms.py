@@ -1,4 +1,4 @@
-"""Mechanism rewards: realized-instance evaluators, exact expectations, Monte Carlo."""
+"""Mechanism rewards: the realized-reward reference, exact expectations, Monte Carlo."""
 
 from dataclasses import replace
 
@@ -6,25 +6,30 @@ import numpy as np
 import pytest
 
 from peerspot import (
+    ConfigError,
+    EnumerationBudgetExceeded,
     LabelSpace,
     MechanismKind,
     MechanismSpec,
-    NoDisjointTaskSets,
     NonBinaryLabelSpace,
     NotEnoughObjects,
     QUADRATIC,
-    RealizedInstance,
     ShapeMismatch,
     StrategyProfile,
     TooFewAgents,
-    UtilityEstimate,
     analytic_unchecked_value,
-    expected_unchecked_utility,
     low_identity_strategy,
     simulate_utilities,
     truthful_strategy,
 )
-from peerspot.mechanisms import (
+from peerspot.harness import parse_config
+from peerspot.scoring import LOGARITHMIC, NEGATIVE_SENTINEL
+
+from conftest import random_environment
+from realized_rewards import (
+    NoDisjointTaskSets,
+    NoPeer,
+    RealizedInstance,
     reward_correlated_agreement,
     reward_divergence_bts,
     reward_double_mixed_agreement,
@@ -36,14 +41,11 @@ from peerspot.mechanisms import (
     reward_robust_bts,
     reward_sqrt_scaled_agreement,
 )
-from peerspot.scoring import LOGARITHMIC, NEGATIVE_SENTINEL
-
-from conftest import random_environment
 
 BINARY = LabelSpace.of((0, 1))
 
 
-def instance(labels, n, m, reports, beliefs=None, trusted=None):
+def instance(labels, n, m, reports, beliefs=None):
     """Build a partial-assignment instance from an {(agent, obj): report} map."""
     signal = np.full((n, m), -1, dtype=int)
     evaluated = np.zeros((n, m), dtype=bool)
@@ -57,15 +59,18 @@ def instance(labels, n, m, reports, beliefs=None, trusted=None):
     if beliefs:
         for (a, j), vec in beliefs.items():
             belief_arr[a, j] = vec
-    trusted_arr = np.full(m, -1, dtype=int)
-    if trusted:
-        for j, t in trusted.items():
-            trusted_arr[j] = t
-    return RealizedInstance(labels, signal, belief_arr, trusted_arr, evaluated)
+    return RealizedInstance(labels, signal, belief_arr, evaluated)
 
 
 def rng():
     return np.random.default_rng(0)
+
+
+class FirstPeer:
+    """Generator stand-in that always picks the first candidate peer."""
+
+    def integers(self, n):
+        return 0
 
 
 class TestOutputAgreement:
@@ -78,33 +83,23 @@ class TestOutputAgreement:
         assert reward_output_agreement(inst, 0, 0, rng()) == 0.0
 
     def test_no_peer(self):
-        from peerspot import NoPeer
-
         inst = instance(BINARY, 2, 1, {(0, 0): 1})
         with pytest.raises(NoPeer):
             reward_output_agreement(inst, 0, 0, rng())
 
 
 class TestPeerTruthSerum:
-    def test_batch_frequency_match(self):
-        # Pool of 4 reports, two of them label 1: F(1) = 0.5, so 0.1 + 1/0.5.
-        inst = instance(BINARY, 2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 0, (1, 1): 0})
-        got = reward_peer_truth_serum(inst, 0, 0, 0.1, 1.0, rng(), frequency="batch")
-        assert got == pytest.approx(2.1)
+    def test_object_frequency_match(self):
+        # Four reports on object 0, two of them label 1: F(1) = 0.5, so 0.1 + 1/0.5.
+        # Label 1 never recurs on object 1; only the scored object's reports count.
+        reports = {(0, 0): 1, (1, 0): 1, (2, 0): 0, (3, 0): 0, (0, 1): 0, (1, 1): 0}
+        inst = instance(BINARY, 4, 2, reports)
+        assert reward_peer_truth_serum(inst, 0, 0, 0.1, 1.0, FirstPeer()) == pytest.approx(2.1)
 
     def test_no_match_pays_alpha(self):
         inst = instance(BINARY, 2, 2, {(0, 0): 0, (1, 0): 1, (0, 1): 0, (1, 1): 0})
-        got = reward_peer_truth_serum(inst, 0, 0, 0.1, 1.0, rng(), frequency="batch")
+        got = reward_peer_truth_serum(inst, 0, 0, 0.1, 1.0, rng())
         assert got == pytest.approx(0.1)
-
-    def test_object_and_batch_frequencies_differ(self):
-        # Reports agree on object 0 but label 1 never recurs elsewhere, so the
-        # per-object frequency is 1 while the batch frequency is 0.5.
-        inst = instance(BINARY, 2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 0, (1, 1): 0})
-        per_object = reward_peer_truth_serum(inst, 0, 0, 0.1, 1.0, rng(), frequency="object")
-        batch = reward_peer_truth_serum(inst, 0, 0, 0.1, 1.0, rng(), frequency="batch")
-        assert per_object == pytest.approx(1.1)
-        assert batch == pytest.approx(2.1)
 
 
 class TestCorrelatedAgreement:
@@ -405,30 +400,15 @@ class TestSimulationContract:
         net = simulate_utilities(spec, env, profile, trials=2_000, seed=3, include_effort_cost=True)
         assert net.value == pytest.approx(raw.value - env.effort_cost, abs=1e-12)
 
-    def test_estimate_invariant(self):
-        with pytest.raises(ShapeMismatch):
-            UtilityEstimate(value=1.0, stderr=0.1, method="analytic")
-
-    def test_auto_falls_back_to_monte_carlo_on_budget(self):
+    def test_minimum_truth_serum_enumeration_budget(self):
         # Peer-observation multisets grow as C(n + k - 1, k - 1): a four-label
         # space with hundreds of agents blows the exact-enumeration budget.
         rng_local = np.random.default_rng(8)
         crowded = replace(random_environment(rng_local, 4), n_agents=250)
         spec = MechanismSpec(MechanismKind.MINIMUM_TRUTH_SERUM)
-        profile = StrategyProfile.symmetric(truthful_strategy(4))
-        est = expected_unchecked_utility(spec, crowded, profile, method="auto", trials=50, seed=1)
-        assert est.method == "monte_carlo"
-        from peerspot import EnumerationBudgetExceeded
-
+        truthful = truthful_strategy(4)
         with pytest.raises(EnumerationBudgetExceeded):
-            expected_unchecked_utility(spec, crowded, profile, method="analytic")
-
-    def test_base_agent_view_of_deviant_profile(self, env):
-        spec = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
-        base = truthful_strategy(2)
-        profile = StrategyProfile.with_deviant(base, low_identity_strategy(2), agent=0)
-        est = expected_unchecked_utility(spec, env, profile, for_agent=2, method="analytic")
-        assert est.value == pytest.approx(0.82, abs=1e-12)
+            analytic_unchecked_value(spec, crowded, truthful, truthful)
 
 
 class TestMechanismSpec:
@@ -445,7 +425,7 @@ class TestMechanismSpec:
         assert MechanismSpec.from_json_dict(doc) == spec
 
     NON_DEFAULT = {
-        MechanismKind.PEER_TRUTH_SERUM: dict(alpha=0.5, beta=2.0, pts_frequency="batch"),
+        MechanismKind.PEER_TRUTH_SERUM: dict(alpha=0.5, beta=2.0),
         MechanismKind.SQRT_SCALED_AGREEMENT: dict(scale=3.0),
         MechanismKind.ROBUST_BTS: dict(rule=LOGARITHMIC),
         MechanismKind.MULTI_VALUED_ROBUST_BTS: dict(rule=LOGARITHMIC),
@@ -459,15 +439,12 @@ class TestMechanismSpec:
         spec = MechanismSpec(kind, **self.NON_DEFAULT.get(kind, {}))
         assert MechanismSpec.from_json_dict(spec.to_json_dict()) == spec
 
-    def test_mixture_is_affine(self, env):
-        from peerspot.mechanisms import mixture_unchecked_value
-        from peerspot import MixedStrategy
-
-        spec = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
-        base = truthful_strategy(2)
-        a, b = truthful_strategy(2), low_identity_strategy(2)
-        mix = MixedStrategy((a, b), (0.25, 0.75))
-        expected = 0.25 * analytic_unchecked_value(spec, env, base, a) + 0.75 * analytic_unchecked_value(
-            spec, env, base, b
-        )
-        assert mixture_unchecked_value(spec, env, base, mix) == pytest.approx(expected, abs=1e-12)
+    def test_only_per_object_pts_frequency_is_accepted(self):
+        doc = {"kind": "peer_truth_serum", "pts_frequency": "object"}
+        assert MechanismSpec.from_json_dict(doc) == MechanismSpec(MechanismKind.PEER_TRUTH_SERUM)
+        config = {
+            "environments": [{"labels": [0, 1], "prior": [0.5, 0.5], "high": [[0.9, 0.1], [0.1, 0.9]]}],
+            "mechanisms": [{"kind": "peer_truth_serum", "pts_frequency": "batch"}],
+        }
+        with pytest.raises(ConfigError, match=r"mechanisms\[0\].*pts_frequency"):
+            parse_config(config)

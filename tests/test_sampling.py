@@ -1,11 +1,14 @@
-"""The Monte-Carlo sampler against a per-object reference and the exact engine.
+"""The Monte-Carlo sampler against a per-object reference, realized rewards and the exact engine.
 
 * The package draws cross-object statistics of correlated, sqrt-scaled and
   double-mixed agreement from their exact finite-sample laws; the reference
   in ``per_object_sampler`` simulates every object.  Both must give the same
   mean and the same spread.
-* Off-diagonal (deviant != base) cells of every k=3 kind must agree with the
-  exact engine within 4 sigma.
+* For the one-object kinds, averaging the per-realization reward of
+  ``realized_rewards`` over drawn instances must give the sampler's mean.
+* Off-diagonal (deviant != base) cells must agree with the exact engine
+  within 4 sigma: at k=2 every deviant against the truthful and the
+  low-identity base, at k=3 four cells; every kind and rule.
 """
 
 from dataclasses import replace
@@ -16,6 +19,7 @@ import pytest
 from peerspot import (
     LOGARITHMIC,
     QUADRATIC,
+    LabelSpace,
     MechanismKind,
     MechanismSpec,
     StrategyProfile,
@@ -27,9 +31,11 @@ from peerspot import (
     truthful_strategy,
 )
 from peerspot.mechanisms import BELIEF_BASED_KINDS
+from peerspot.strategies import belief_table
 
 from conftest import random_environment
 from per_object_sampler import simulate_per_object
+from realized_rewards import RealizedInstance, realized_reward
 
 # A zero-variance estimate may still differ from the exact value by rounding.
 ROUNDING = 1e-9
@@ -73,29 +79,94 @@ def test_exact_count_sampler_matches_per_object_reference(k, kind, name):
     assert est.stderr == pytest.approx(ref_stderr, rel=0.1, abs=ROUNDING)
 
 
-K3_SPECS = [
-    MechanismSpec(kind, rule=rule)
-    for kind in MechanismKind
-    if kind is not MechanismKind.ROBUST_BTS
-    for rule in ((QUADRATIC, LOGARITHMIC) if kind in BELIEF_BASED_KINDS else (QUADRATIC,))
+REALIZED_ENVS = {k: replace(env, n_agents=4, n_objects=1) for k, env in ENVS.items()}
+ONE_OBJECT_KINDS = (
+    MechanismKind.OUTPUT_AGREEMENT,
+    MechanismKind.PEER_TRUTH_SERUM,
+    MechanismKind.PEER_INSENSITIVE,
+    MechanismKind.MULTI_VALUED_ROBUST_BTS,
+    MechanismKind.DIVERGENCE_BTS,
+    MechanismKind.MINIMUM_TRUTH_SERUM,
+)
+# The quadratic rule only: realized log scores raise LogOfZero where the sampler pays a sentinel.
+REALIZED_CASES = [
+    (k, kind, name)
+    for k in REALIZED_ENVS
+    for kind in ONE_OBJECT_KINDS + ((MechanismKind.ROBUST_BTS,) if k == 2 else ())
+    for name in profiles(k)
 ]
-# (base, deviant) indices into the k=3 strategy enumeration: 0 is truthful,
-# 7 full effort with labels 1 and 2 swapped, 27 low identity, 40 always 1 without effort.
-OFF_DIAGONAL = ((0, 7), (27, 0), (7, 40), (40, 27))
+
+
+def _categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """One draw per row of ``probs`` (last axis is the law)."""
+    u = rng.random(probs.shape[:-1])[..., None]
+    return np.minimum((u > np.cumsum(probs, axis=-1)).sum(axis=-1), probs.shape[-1] - 1)
+
+
+def realized_mean(spec, env, profile, draws, seed):
+    """Mean and stderr of agent 0's realized reward over drawn one-object instances
+    (agent 0 plays the focal strategy, every other agent the base)."""
+    rng = np.random.default_rng(seed)
+    n, k = env.n_agents, len(env.q_space)
+    q = _categorical(rng, np.broadcast_to(env.prior.as_array(), (draws, k)))
+    s_low = _categorical(rng, env.low_channel.matrix()[q])
+    high = _categorical(rng, np.broadcast_to(env.high_channel.matrix()[q][:, None, :], (draws, n, k)))
+    strategies = [profile.focal_strategy()] + [profile.base] * (n - 1)
+    obs = np.stack([high[:, a] if s.is_full_effort else s_low for a, s in enumerate(strategies)], axis=1)
+    reports = np.stack([s.map_array()[obs[:, a]] for a, s in enumerate(strategies)], axis=1)
+    beliefs = np.stack(
+        [belief_table(env, s, profile.base)[obs[:, a]] for a, s in enumerate(strategies)], axis=1
+    )
+    labels = LabelSpace.of(range(k))
+    rewards = [
+        realized_reward(spec, RealizedInstance.full(labels, reports[t, :, None], beliefs[t, :, None]), 0, 0, rng)
+        for t in range(draws)
+    ]
+    return float(np.mean(rewards)), float(np.std(rewards, ddof=1) / np.sqrt(draws))
 
 
 @pytest.mark.parametrize(
-    "spec",
-    K3_SPECS,
-    ids=[f"{s.kind.value}.{s.rule.name}" if s.kind in BELIEF_BASED_KINDS else s.kind.value for s in K3_SPECS],
+    "k,kind,name", REALIZED_CASES, ids=[f"k{k}-{kind.value}-{name}" for k, kind, name in REALIZED_CASES]
 )
-def test_off_diagonal_cells_match_exact_engine(spec):
-    env = replace(random_environment(np.random.default_rng(3), 3, correlated_low=True), n_agents=10, n_objects=1000)
+def test_sampler_matches_realized_reward_average(k, kind, name):
+    spec, env, profile = MechanismSpec(kind), REALIZED_ENVS[k], profiles(k)[name]
+    est = simulate_utilities(spec, env, profile, trials=20_000, seed=31)
+    ref_mean, ref_stderr = realized_mean(spec, env, profile, draws=2_000, seed=32)
+    combined = np.hypot(est.stderr, ref_stderr)
+    assert abs(est.value - ref_mean) <= 4.0 * combined + ROUNDING, (est, ref_mean, ref_stderr)
+
+
+SPECS = [
+    MechanismSpec(kind, rule=rule)
+    for kind in MechanismKind
+    for rule in ((QUADRATIC, LOGARITHMIC) if kind in BELIEF_BASED_KINDS else (QUADRATIC,))
+]
+CELL_CASES = [(k, spec) for k in (2, 3) for spec in SPECS if k == 2 or spec.kind is not MechanismKind.ROBUST_BTS]
+# (base, deviant) indices into the k=3 strategy enumeration: 0 is truthful,
+# 7 full effort with labels 1 and 2 swapped, 27 low identity, 40 always 1 without effort.
+K3_OFF_DIAGONAL = ((0, 7), (27, 0), (7, 40), (40, 27))
+
+
+def off_diagonal_cells(k: int) -> list:
+    """(base, deviant) pairs: at k=2 the truthful and low-identity columns, at k=3 four cells."""
+    strategies = enumerate_pure_strategies(k)
+    if k == 3:
+        return [(strategies[g], strategies[d]) for g, d in K3_OFF_DIAGONAL]
+    bases = (truthful_strategy(k), low_identity_strategy(k))
+    return [(base, deviant) for base in bases for deviant in strategies if deviant != base]
+
+
+def spec_id(k: int, spec) -> str:
+    name = f"{spec.kind.value}.{spec.rule.name}" if spec.kind in BELIEF_BASED_KINDS else spec.kind.value
+    return name if k == 3 else f"k{k}-{name}"
+
+
+@pytest.mark.parametrize("k,spec", CELL_CASES, ids=[spec_id(k, spec) for k, spec in CELL_CASES])
+def test_off_diagonal_cells_match_exact_engine(k, spec):
+    env = replace(random_environment(np.random.default_rng(3), k, correlated_low=True), n_agents=10, n_objects=1000)
     if spec.kind is MechanismKind.PEER_TRUTH_SERUM:
         env = replace(env, n_agents=400)  # its exact value is the many-agent limit
-    strategies = enumerate_pure_strategies(3)
-    for seed, (g, d) in enumerate(OFF_DIAGONAL):
-        base, deviant = strategies[g], strategies[d]
+    for seed, (base, deviant) in enumerate(off_diagonal_cells(k)):
         exact = analytic_unchecked_value(spec, env, base, deviant)
         est = simulate_utilities(spec, env, StrategyProfile.with_deviant(base, deviant), trials=10_000, seed=seed)
         assert abs(est.value - exact) <= 4.0 * est.stderr + ROUNDING, (base.describe(), deviant.describe(), est, exact)

@@ -1,4 +1,4 @@
-"""Environment validation, joint signal laws, and posterior computations."""
+"""Environment validation, posteriors against an enumerated joint law, and marginals."""
 
 import itertools
 
@@ -9,13 +9,11 @@ from peerspot import (
     Channel,
     Distribution,
     Environment,
-    EnumerationBudgetExceeded,
     InvalidDistribution,
     LabelSpace,
     ShapeMismatch,
     TooFewAgents,
     ZeroProbabilityConditioning,
-    joint_signal_distribution,
     posterior_peer_belief,
     signal_marginal,
     validate_environment,
@@ -87,65 +85,6 @@ class TestValidation:
         assert env.with_effort_cost(0.2).effort_cost == 0.2
 
 
-class TestJointDistribution:
-    def test_single_agent_point_probability(self, env):
-        table = joint_signal_distribution(env, k=1)
-        # prior * high * low * trusted = 0.5 * 0.9 * 0.5 * 0.9
-        assert table.prob((1, 1, 0, 1)) == pytest.approx(0.2025, abs=1e-15)
-
-    def test_total_mass_is_one(self, env, ternary_env):
-        for e in (env, ternary_env):
-            for k in (1, 2):
-                assert joint_signal_distribution(e, k).total() == pytest.approx(1.0, abs=1e-12)
-
-    def test_high_trusted_agreement_marginal(self, env):
-        # Oracle: sum the brute-force joint over outcomes with s_high == s_trusted.
-        oracle = sum(p for key, p in brute_joint(env, 1).items() if key[1] == key[3])
-        table = joint_signal_distribution(env, k=1)
-        got = sum(p for key, p in table.items() if key[1] == key[3])
-        assert oracle == pytest.approx(0.82, abs=1e-12)
-        assert got == pytest.approx(oracle, abs=1e-12)
-
-    def test_matches_brute_force_everywhere(self, ternary_env):
-        table = joint_signal_distribution(ternary_env, k=2)
-        oracle = brute_joint(ternary_env, 2)
-        labels = ternary_env.q_space.labels
-        for key, p in oracle.items():
-            outcome = tuple(labels[i] for i in key)
-            assert table.prob(outcome) == pytest.approx(p, abs=1e-12)
-
-    def test_marginalizing_agents_recovers_latent_law(self, env):
-        table = joint_signal_distribution(env, k=2)
-        got = table.marginal([0, 3, 4])  # (q, s_low, s_trusted)
-        prior = env.prior.as_array()
-        low = env.low_channel.matrix()
-        trusted = env.trusted_channel.matrix()
-        for (q, sl, st), p in got.items():
-            qi, sli, sti = env.q_space.index(q), env.q_space.index(sl), env.q_space.index(st)
-            assert p == pytest.approx(prior[qi] * low[qi, sli] * trusted[qi, sti], abs=1e-12)
-
-    def test_conditional_independence_of_high_signals(self):
-        rng = np.random.default_rng(11)
-        for labels in (2, 3):
-            e = random_environment(rng, labels)
-            table = joint_signal_distribution(e, k=2)
-            pair = table.marginal([0, 1, 2])
-            high = e.high_channel.matrix()
-            prior = e.prior.as_array()
-            for (q, s1, s2), p in pair.items():
-                qi = e.q_space.index(q)
-                expected = prior[qi] * high[qi, e.q_space.index(s1)] * high[qi, e.q_space.index(s2)]
-                assert p == pytest.approx(expected, abs=1e-12)
-
-    def test_budget_guard(self, env):
-        with pytest.raises(EnumerationBudgetExceeded):
-            joint_signal_distribution(env, k=3, budget=10)
-
-    def test_k_out_of_range(self, env):
-        with pytest.raises(ShapeMismatch):
-            joint_signal_distribution(env, k=0)
-
-
 class TestPosterior:
     def test_reference_posterior(self, env):
         post = posterior_peer_belief(env, 1)
@@ -169,8 +108,9 @@ class TestPosterior:
         rng = np.random.default_rng(23)
         for labels in (2, 3, 4):
             e = random_environment(rng, labels)
-            table = joint_signal_distribution(e, k=2)
-            pair = table.marginal([1, 2])
+            pair = {}  # (own high signal, peer high signal) -> mass
+            for (_, s1, s2, _, _), p in brute_joint(e, 2).items():
+                pair[(s1, s2)] = pair.get((s1, s2), 0.0) + p
             for observed in e.q_space:
                 post = posterior_peer_belief(e, observed)
                 assert sum(post.probs) == pytest.approx(1.0, abs=1e-12)

@@ -1,4 +1,4 @@
-"""Audit rewards, worthwhile-effort checks, and combined utilities."""
+"""Audit rewards, worthwhile-effort checks, and combined utilities from the payoff table."""
 
 import numpy as np
 import pytest
@@ -13,16 +13,12 @@ from peerspot import (
     MechanismSpec,
     SpotGame,
     Strategy,
-    StrategyProfile,
     check_worthwhile_effort,
-    combined_expected_utility,
+    compute_payoff_table,
     expected_spot_reward,
     low_identity_strategy,
-    spot_reward,
     truthful_strategy,
 )
-from peerspot.mechanisms import RealizedInstance
-from peerspot.spotcheck import realize_spot_outcome
 
 from conftest import random_environment
 
@@ -45,17 +41,6 @@ def brute_spot_reward(env, strategy):
     same = np.trace(joint)
     cross = joint.sum(axis=1) @ joint.sum(axis=0)
     return same - cross
-
-
-class TestSpotReward:
-    def test_match_and_cross_mismatch(self):
-        assert spot_reward(1, 1, 0, 1) == 1.0
-
-    def test_match_and_cross_match(self):
-        assert spot_reward(1, 1, 1, 1) == 0.0
-
-    def test_mismatch_and_cross_match(self):
-        assert spot_reward(0, 1, 1, 1) == -1.0
 
 
 class TestExpectedSpotReward:
@@ -121,58 +106,30 @@ class TestWorthwhileEffort:
 
 
 class TestCombinedUtility:
+    """PayoffTable.utilities: p * E[y] + (1 - p) * E[z] - effort cost for each symmetric profile."""
+
+    @staticmethod
+    def utility(spec, env, strategy, p):
+        table = compute_payoff_table(spec, env)
+        return table.utilities(p, env.effort_cost)[table.index_of(strategy)]
+
     def test_peer_insensitive_truthful(self, env):
-        game = SpotGame(0.5, MechanismSpec(MechanismKind.PEER_INSENSITIVE, constant_reward=1.0))
-        profile = StrategyProfile.symmetric(truthful_strategy(2))
-        got = combined_expected_utility(game, env, profile)
-        assert got.value == pytest.approx(0.5 * 0.32 + 0.5 * 1.0 - 0.1, abs=1e-12)
+        spec = MechanismSpec(MechanismKind.PEER_INSENSITIVE, constant_reward=1.0)
+        got = self.utility(spec, env, truthful_strategy(2), 0.5)
+        assert got == pytest.approx(0.5 * 0.32 + 0.5 * 1.0 - 0.1, abs=1e-12)
 
     def test_peer_insensitive_lazy(self, env):
-        game = SpotGame(0.5, MechanismSpec(MechanismKind.PEER_INSENSITIVE, constant_reward=1.0))
-        profile = StrategyProfile.symmetric(low_identity_strategy(2))
-        assert combined_expected_utility(game, env, profile).value == pytest.approx(0.5, abs=1e-12)
+        spec = MechanismSpec(MechanismKind.PEER_INSENSITIVE, constant_reward=1.0)
+        assert self.utility(spec, env, low_identity_strategy(2), 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_p_zero_reduces_to_unchecked_minus_cost(self, env):
-        game = SpotGame(0.0, MechanismSpec(MechanismKind.OUTPUT_AGREEMENT))
-        profile = StrategyProfile.symmetric(truthful_strategy(2))
-        assert combined_expected_utility(game, env, profile).value == pytest.approx(0.82 - 0.1, abs=1e-12)
+        spec = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
+        assert self.utility(spec, env, truthful_strategy(2), 0.0) == pytest.approx(0.82 - 0.1, abs=1e-12)
 
     def test_affine_in_p(self, env):
         spec = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
-        profile = StrategyProfile.symmetric(truthful_strategy(2))
-        values = {
-            p: combined_expected_utility(SpotGame(p, spec), env, profile).value
-            for p in (0.0, 0.5, 1.0)
-        }
+        values = {p: self.utility(spec, env, truthful_strategy(2), p) for p in (0.0, 0.5, 1.0)}
         assert values[0.5] == pytest.approx(0.5 * (values[0.0] + values[1.0]), abs=1e-12)
-
-    def test_stderr_scales_with_unchecked_weight(self, env):
-        spec = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
-        profile = StrategyProfile.symmetric(truthful_strategy(2))
-        est = combined_expected_utility(
-            SpotGame(0.75, spec), env, profile, method="monte_carlo", trials=500, seed=4
-        )
-        raw = combined_expected_utility(
-            SpotGame(0.0, spec), env, profile, method="monte_carlo", trials=500, seed=4
-        )
-        assert est.stderr == pytest.approx(0.25 * raw.stderr, abs=1e-15)
-
-
-class TestRealizedOutcome:
-    def _instance(self):
-        signal = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
-        inst = RealizedInstance.full(LabelSpace.of((0, 1)), signal, trusted=[1, 0, 1])
-        return inst
-
-    def test_audited_reward_in_range(self):
-        game = SpotGame(1.0, MechanismSpec(MechanismKind.OUTPUT_AGREEMENT))
-        out = realize_spot_outcome(game, self._instance(), 0, 0, np.random.default_rng(2))
-        assert out.checked and out.reward in (-1.0, 0.0, 1.0)
-
-    def test_unchecked_path_uses_mechanism(self):
-        game = SpotGame(0.0, MechanismSpec(MechanismKind.PEER_INSENSITIVE, constant_reward=0.4))
-        out = realize_spot_outcome(game, self._instance(), 0, 0, np.random.default_rng(2))
-        assert not out.checked and out.reward == 0.4
 
 
 class TestSpotGameType:
