@@ -21,7 +21,6 @@ from .errors import (
     PeerSpotError,
     ShapeMismatch,
     TooFewAgents,
-    ZeroProbabilityConditioning,
 )
 from .signals import (
     Channel,
@@ -29,9 +28,7 @@ from .signals import (
     Environment,
     LabelSpace,
     binary_symmetric_environment,
-    posterior_peer_belief,
     reference_environment,
-    signal_marginal,
     validate_environment,
 )
 from .scoring import (
@@ -57,15 +54,10 @@ from .strategies import (
 from .mechanisms import (
     MechanismKind,
     MechanismSpec,
-    all_mechanisms,
     analytic_unchecked_value,
 )
 from ._sampling import UtilityEstimate, simulate_utilities
-from .spotcheck import (
-    SpotGame,
-    check_worthwhile_effort,
-    expected_spot_reward,
-)
+from .spotcheck import check_worthwhile_effort, expected_spot_reward
 from .equilibrium import (
     NOT_ACHIEVABLE,
     NOT_APPLICABLE,
@@ -74,7 +66,6 @@ from .equilibrium import (
     NotAttained,
     PayoffTable,
     ThresholdReport,
-    best_no_effort_strategy,
     check_pareto_bound_condition,
     compute_payoff_table,
     compute_thresholds,

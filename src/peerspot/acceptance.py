@@ -33,7 +33,7 @@ from .harness import emit_csv, generate_environments, load_config, example_confi
 from .mechanisms import MechanismKind, MechanismSpec
 from .scoring import LOGARITHMIC, QUADRATIC, check_symmetry
 from .signals import Channel, Distribution, Environment, LabelSpace, reference_environment
-from .spotcheck import SpotGame, expected_spot_reward
+from .spotcheck import expected_spot_reward
 from .strategies import (
     Effort,
     Strategy,
@@ -102,8 +102,9 @@ def _ctx() -> _Context:
 
 
 def check_dominant_strategy_threshold() -> tuple:
-    env = _ctx().e1
-    closed = solve_p_ds(env)
+    ctx = _ctx()
+    env = ctx.e1
+    closed = solve_p_ds(ctx.table(MechanismSpec(MechanismKind.PEER_INSENSITIVE), env), env.effort_cost)
     bisected = solve_p_ds_bisection(env)
     expected = 0.3125  # cost 0.1 over audit-value gap 0.32
     ok = (
@@ -176,7 +177,7 @@ def check_sufficient_condition_everywhere() -> tuple:
             if not ctx.applicable(mech, env):
                 continue
             table = ctx.table(mech, env)
-            if not check_pareto_bound_condition(mech, env, table=table):
+            if not check_pareto_bound_condition(table):
                 failures.append(f"{mech.kind.value} on {env.env_id}")
             checked += 1
     detail = f"{checked} mechanism-environment pairs"
@@ -193,15 +194,13 @@ def check_pareto_threshold_bound() -> tuple:
     failures = []
     checked = 0
     for env in ctx.environments():
-        for cost in COST_SWEEP:
-            env_c = env.with_effort_cost(cost)
-            p_ds = threshold_float(solve_p_ds(env_c))
-            for mech in ctx.mechanisms:
-                if not ctx.applicable(mech, env):
-                    continue
-                table = ctx.table(mech, env)
-                game = SpotGame(0.0, mech)
-                p_pareto, _ = solve_p_pareto(game, env_c, grid=GRID, table=table)
+        for mech in ctx.mechanisms:
+            if not ctx.applicable(mech, env):
+                continue
+            table = ctx.table(mech, env)
+            for cost in COST_SWEEP:
+                p_ds = threshold_float(solve_p_ds(table, cost))
+                p_pareto = solve_p_pareto(table, cost, grid=GRID)
                 checked += 1
                 if threshold_float(p_pareto) < p_ds - GRID:
                     failures.append(
@@ -279,7 +278,7 @@ def check_dominated_environment_construction() -> tuple:
     table = compute_payoff_table(mech, composed)
     t = table.index_of(truthful_strategy(composed.q_space))
     truthful_utility = float(table.unchecked[t, t] - composed.effort_cost)
-    equilibria = enumerate_symmetric_pure_equilibria(SpotGame(0.0, mech), composed, p=0.0, table=table)
+    equilibria = enumerate_symmetric_pure_equilibria(table, 0.0, composed.effort_cost)
     if not equilibria:
         return False, "composed environment has no certified equilibria"
     best = equilibria[0]

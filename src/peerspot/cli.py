@@ -13,6 +13,7 @@ from pathlib import Path
 from .errors import ConfigError, PeerSpotError
 from .harness import (
     HarnessAssertionError,
+    check_grid,
     emit_csv,
     emit_json,
     emit_plotdata,
@@ -72,13 +73,13 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
+        if args.grid is not None:
+            config.grid = check_grid(args.grid)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None:
         config.seed = args.seed
-    if args.grid is not None:
-        config.grid = args.grid
     if args.out is not None:
         config.output_dir = args.out
     try:

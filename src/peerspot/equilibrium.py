@@ -1,12 +1,14 @@
 """Symmetric pure-equilibrium search and minimum spot-check probability solvers.
 
-All solvers ride on one payoff table per (mechanism, environment): the
-expected audit reward per strategy and the expected unchecked reward of every
-deviant strategy against every symmetric base.  Every entry is an exact
-expectation, so an equilibrium is certified when no deviation gains more than
-an absolute tolerance.  Combined utilities are affine in the spot-check
-probability, so equilibrium regions and dominance thresholds reduce to exact
-affine arithmetic plus grid scans at the reporting resolution.
+Every solver takes one payoff table per (mechanism, environment) plus an
+effort cost: the table holds the expected audit reward per strategy and the
+expected unchecked reward of every deviant strategy against every symmetric
+base, and no entry depends on the cost, so one table serves a whole cost
+sweep.  Every entry is an exact expectation, so an equilibrium is certified
+when no deviation gains more than an absolute tolerance.  Combined utilities
+p * E[y] + (1 - p) * E[z] - cost are affine in the spot-check probability, so
+equilibrium regions and dominance thresholds reduce to exact affine
+arithmetic plus grid scans at the reporting resolution.
 
 Thresholds solved here:
 
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded
 from .mechanisms import MechanismSpec, unchecked_block
 from .signals import Environment
-from .spotcheck import SpotGame, expected_spot_reward, expected_spot_rewards
+from .spotcheck import expected_spot_rewards
 from .strategies import Strategy, enumerate_pure_strategies, low_identity_strategy, truthful_strategy
 
 DEFAULT_TOL = 1e-9
@@ -73,7 +75,6 @@ class ThresholdReport:
     p_pareto: object
     grid_resolution: float
     pareto_bound_condition: bool
-    certificates: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         def enc(x):
@@ -136,10 +137,6 @@ def compute_payoff_table(mechanism: MechanismSpec, env: Environment) -> PayoffTa
     return PayoffTable(strategies, spot, unchecked, full)
 
 
-def _table_for(game: SpotGame, env: Environment, table: PayoffTable | None) -> PayoffTable:
-    return table if table is not None else compute_payoff_table(game.mechanism, env)
-
-
 def _best_no_effort_index(strategies: list, spot) -> int:
     """Best no-effort strategy by audit reward ``spot``: scanning in canonical order from the
     identity map, a strategy replaces the best only when it beats it by more than DEFAULT_TOL."""
@@ -150,59 +147,33 @@ def _best_no_effort_index(strategies: list, spot) -> int:
     return best
 
 
-def best_no_effort_strategy(env: Environment) -> Strategy:
-    """No-effort strategy maximizing the expected audit reward; ties keep the identity map."""
-    strategies = enumerate_pure_strategies(env.q_space)
-    return strategies[_best_no_effort_index(strategies, expected_spot_rewards(env, strategies))]
-
-
-def audit_values(env: Environment, table: PayoffTable | None = None) -> tuple:
-    """Audit rewards of the truthful and the best no-effort strategy, read from
-    ``table`` (built for this environment at any cost) when one is given."""
-    if table is not None:
-        return float(table.spot[table.truthful]), float(table.spot[table.best_no_effort])
-    truthful = expected_spot_reward(env, truthful_strategy(env.q_space))
-    return truthful, expected_spot_reward(env, best_no_effort_strategy(env))
+def _check_label_budget(table: PayoffTable, what: str) -> None:
+    if len(table.strategies[0].report_map) > MAX_EQUILIBRIUM_LABELS:
+        raise EnumerationBudgetExceeded(f"{what} supports at most {MAX_EQUILIBRIUM_LABELS} labels")
 
 
 def is_symmetric_equilibrium(
-    game: SpotGame,
-    env: Environment,
-    strategy: Strategy,
-    p: float | None = None,
-    tol: float = DEFAULT_TOL,
-    table: PayoffTable | None = None,
+    table: PayoffTable, strategy: Strategy, p: float, cost: float, tol: float = DEFAULT_TOL
 ) -> EquilibriumRecord:
     """Certify a symmetric profile: no pure deviation improves by more than ``tol``."""
-    p = game.p if p is None else p
-    table = _table_for(game, env, table)
     base_index = table.index_of(strategy)
-    gains = table.gains(base_index, p, env.effort_cost)
-    utility = float(table.utilities(p, env.effort_cost)[base_index])
+    gains = table.gains(base_index, p, cost)
+    utility = float(table.utilities(p, cost)[base_index])
     max_gain = float(gains.max())
     return EquilibriumRecord(strategy, utility, max_gain, certified=max_gain <= tol)
 
 
 def enumerate_symmetric_pure_equilibria(
-    game: SpotGame,
-    env: Environment,
-    p: float | None = None,
-    tol: float = DEFAULT_TOL,
-    table: PayoffTable | None = None,
+    table: PayoffTable, p: float, cost: float, tol: float = DEFAULT_TOL
 ) -> list:
     """All certified symmetric pure equilibria, sorted by utility descending."""
-    if len(env.q_space) > MAX_EQUILIBRIUM_LABELS:
-        raise EnumerationBudgetExceeded(
-            f"equilibrium enumeration supports at most {MAX_EQUILIBRIUM_LABELS} labels"
-        )
-    p = game.p if p is None else p
-    table = _table_for(game, env, table)
+    _check_label_budget(table, "equilibrium enumeration")
     records = []
     for idx, strategy in enumerate(table.strategies):
-        gains = table.gains(idx, p, env.effort_cost)
+        gains = table.gains(idx, p, cost)
         max_gain = float(gains.max())
         if max_gain <= tol:
-            utility = float(table.utilities(p, env.effort_cost)[idx])
+            utility = float(table.utilities(p, cost)[idx])
             records.append(EquilibriumRecord(strategy, utility, max_gain, certified=True))
     records.sort(key=lambda r: -r.utility)
     return records
@@ -213,15 +184,15 @@ def enumerate_symmetric_pure_equilibria(
 # ---------------------------------------------------------------------------
 
 
-def solve_p_ds(env: Environment, tol: float = DEFAULT_TOL, table: PayoffTable | None = None):
+def solve_p_ds(table: PayoffTable, cost: float, tol: float = DEFAULT_TOL):
     """Closed-form minimum audit probability making truthful effort dominant
     under a constant unchecked reward: cost / (audit value of truth - audit
-    value of the best no-effort strategy)."""
-    truthful, lazy = audit_values(env, table)
-    gap = truthful - lazy
+    value of the best no-effort strategy).  Only the table's audit rewards
+    enter, so any mechanism's table for the environment gives the same value."""
+    gap = float(table.spot[table.truthful]) - float(table.spot[table.best_no_effort])
     if gap <= tol:
         return NOT_ACHIEVABLE
-    p = env.effort_cost / gap
+    p = cost / gap
     if p > 1.0 + tol:
         return NOT_ACHIEVABLE
     return min(p, 1.0)
@@ -232,6 +203,7 @@ def solve_p_ds_bisection(env: Environment, tol: float = DEFAULT_TOL):
 
     The unchecked reward is constant, so the gap at probability p is
     p * spot(truth) - cost minus the best competing p * spot(s) - cost(s).
+    It computes its own audit rewards and reads no payoff table.
     """
     strategies = enumerate_pure_strategies(env.q_space)
     spots = expected_spot_rewards(env, strategies)
@@ -259,12 +231,11 @@ def solve_p_ds_bisection(env: Environment, tol: float = DEFAULT_TOL):
 
 
 def solve_p_el(
-    game: SpotGame,
-    env: Environment,
+    table: PayoffTable,
+    cost: float,
     grid: float = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
     refine: float = DEFAULT_REFINE,
-    table: PayoffTable | None = None,
 ):
     """Smallest audit probability eliminating the report-the-shared-draw equilibrium.
 
@@ -273,11 +244,10 @@ def solve_p_el(
     convex, so the first sign change found on the grid brackets the unique
     boundary and bisection refines it.
     """
-    table = _table_for(game, env, table)
     base_index = table.best_no_effort
 
     def max_gain(p: float) -> float:
-        return float(table.gains(base_index, p, env.effort_cost).max())
+        return float(table.gains(base_index, p, cost).max())
 
     if max_gain(0.0) > tol:
         return NOT_APPLICABLE
@@ -300,17 +270,10 @@ def solve_p_el(
     return hi
 
 
-def solve_p_ex(
-    game: SpotGame,
-    env: Environment,
-    tol: float = DEFAULT_TOL,
-    table: PayoffTable | None = None,
-):
+def solve_p_ex(table: PayoffTable, cost: float, tol: float = DEFAULT_TOL):
     """Audit probability at which the truthful profile's utility overtakes the
     report-the-shared-draw profile's, solved from the affine indifference."""
-    table = _table_for(game, env, table)
     t, g = table.truthful, table.best_no_effort
-    cost = env.effort_cost
     z_tt = table.unchecked[t, t]
     z_gg = table.unchecked[g, g]
     gap0 = (z_tt - cost) - z_gg
@@ -325,24 +288,11 @@ def solve_p_ex(
     return min(p, 1.0)
 
 
-def solve_p_pareto(
-    game: SpotGame,
-    env: Environment,
-    grid: float = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    table: PayoffTable | None = None,
-) -> tuple:
+def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
     """Smallest grid probability at which the truthful profile is a certified
-    equilibrium and weakly best among all certified symmetric pure equilibria.
-
-    Returns ``(p or NOT_FOUND, certified equilibria at that p)``.
-    """
-    if len(env.q_space) > MAX_EQUILIBRIUM_LABELS:
-        raise EnumerationBudgetExceeded(
-            f"Pareto threshold search supports at most {MAX_EQUILIBRIUM_LABELS} labels"
-        )
-    table = _table_for(game, env, table)
-    cost = env.effort_cost
+    equilibrium and weakly best among all certified symmetric pure equilibria,
+    or NOT_FOUND."""
+    _check_label_budget(table, "Pareto threshold search")
     spot, z, full = table.spot, table.unchecked, table.full_effort
     diag = np.diag(z)
     t = table.truthful
@@ -360,54 +310,31 @@ def solve_p_pareto(
     dominated = utilities[:, t : t + 1] + tol >= utilities
     feasible = is_eq[:, t] & np.all(~is_eq | dominated, axis=1)
     if not feasible.any():
-        return NOT_FOUND, []
-    at = int(np.argmax(feasible))
-    p_star = float(points[at])
-    certificates = enumerate_symmetric_pure_equilibria(game, env, p=p_star, tol=tol, table=table)
-    return p_star, certificates
+        return NOT_FOUND
+    return float(points[int(np.argmax(feasible))])
 
 
-def check_pareto_bound_condition(
-    mechanism: MechanismSpec,
-    env: Environment,
-    tol: float = DEFAULT_TOL,
-    table: PayoffTable | None = None,
-) -> bool:
+def check_pareto_bound_condition(table: PayoffTable, tol: float = DEFAULT_TOL) -> bool:
     """Sufficient condition for the dominance comparison: at zero cost and zero
     audit probability, the report-the-shared-draw profile is an equilibrium and
     weakly Pareto dominates the truthful profile."""
-    free = env.with_effort_cost(0.0)
-    game = SpotGame(0.0, mechanism)
-    table = _table_for(game, free, table)
     t, g = table.truthful, table.best_no_effort
-    record = is_symmetric_equilibrium(game, free, table.strategies[g], p=0.0, tol=tol, table=table)
-    if not record.certified:
+    if not is_symmetric_equilibrium(table, table.strategies[g], 0.0, 0.0, tol).certified:
         return False
     return bool(table.unchecked[g, g] + tol >= table.unchecked[t, t])
 
 
 def compute_thresholds(
-    game: SpotGame,
-    env: Environment,
-    grid: float = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    table: PayoffTable | None = None,
+    table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL
 ) -> ThresholdReport:
-    """All four thresholds plus the sufficient-condition flag for one game."""
-    table = _table_for(game, env, table)
-    p_ds = solve_p_ds(env, tol=tol, table=table)
-    p_el = solve_p_el(game, env, grid=grid, tol=tol, table=table)
-    p_ex = solve_p_ex(game, env, tol=tol, table=table)
-    p_pareto, certificates = solve_p_pareto(game, env, grid=grid, tol=tol, table=table)
-    condition = check_pareto_bound_condition(game.mechanism, env, tol=tol, table=table)
+    """All four thresholds plus the sufficient-condition flag at one effort cost."""
     return ThresholdReport(
-        p_ds=p_ds,
-        p_el=p_el,
-        p_ex=p_ex,
-        p_pareto=p_pareto,
+        p_ds=solve_p_ds(table, cost, tol=tol),
+        p_el=solve_p_el(table, cost, grid=grid, tol=tol),
+        p_ex=solve_p_ex(table, cost, tol=tol),
+        p_pareto=solve_p_pareto(table, cost, grid=grid, tol=tol),
         grid_resolution=grid,
-        pareto_bound_condition=condition,
-        certificates={"pareto_equilibria": certificates},
+        pareto_bound_condition=check_pareto_bound_condition(table, tol=tol),
     )
 
 
@@ -425,13 +352,10 @@ def construct_dominated_environment(
     the costly signal buys nothing the shared draw does not already provide.
     Returns NOT_FOUND when no elicitable ordered pair qualifies.
     """
-    game = SpotGame(0.0, mechanism)
     elicitable = []
     for env in candidates:
-        free = env.with_effort_cost(0.0)
-        table = compute_payoff_table(mechanism, free)
-        truthful = truthful_strategy(env.q_space)
-        record = is_symmetric_equilibrium(game, free, truthful, p=0.0, tol=tol, table=table)
+        table = compute_payoff_table(mechanism, env)
+        record = is_symmetric_equilibrium(table, truthful_strategy(env.q_space), 0.0, 0.0, tol)
         if record.certified:
             elicitable.append((env, record.utility))
     for donor, donor_payoff in elicitable:
@@ -447,9 +371,7 @@ def construct_dominated_environment(
             )
             table = compute_payoff_table(mechanism, composed)
             gl = table.strategies[table.best_no_effort]
-            record = is_symmetric_equilibrium(
-                game, composed, gl, p=0.0, tol=tol, table=table
-            )
+            record = is_symmetric_equilibrium(table, gl, 0.0, composed.effort_cost, tol)
             if not record.certified:
                 continue
             t = table.truthful

@@ -17,10 +17,6 @@ class TooFewAgents(PeerSpotError):
     """The operation needs more agents than the environment provides."""
 
 
-class ZeroProbabilityConditioning(PeerSpotError):
-    """Attempted to condition on an outcome with zero marginal mass."""
-
-
 class EnumerationBudgetExceeded(PeerSpotError):
     """Exact enumeration would exceed the configured outcome budget."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ from .equilibrium import PayoffTable, compute_payoff_table, compute_thresholds
 from .errors import ConfigError, PeerSpotError
 from .mechanisms import MechanismSpec
 from .signals import Channel, Distribution, Environment, LabelSpace
-from .spotcheck import SpotGame, check_worthwhile_effort
+from .spotcheck import check_worthwhile_effort
 
 DEFAULT_EFFORT_COSTS = (0.0, 0.05, 0.1, 0.2)
 
@@ -224,17 +225,36 @@ def parse_config(doc: dict) -> ExperimentConfig:
         except (KeyError, ValueError, PeerSpotError) as exc:
             raise ConfigError(f"mechanisms[{i}]: {exc}") from None
     sweeps = doc.get("sweeps", {})
-    costs = tuple(float(c) for c in sweeps.get("effort_cost", DEFAULT_EFFORT_COSTS))
-    p_values = tuple(float(p) for p in sweeps.get("p", ()))
+    costs = tuple(
+        _number("sweeps.effort_cost", c, lambda x: 0.0 <= x < math.inf, "finite and nonnegative")
+        for c in sweeps.get("effort_cost", DEFAULT_EFFORT_COSTS)
+    )
+    p_values = tuple(_number("sweeps.p", p, lambda x: 0.0 <= x <= 1.0, "in [0, 1]") for p in sweeps.get("p", ()))
     return ExperimentConfig(
         environments=environments,
         mechanisms=mechanisms,
         effort_costs=costs,
         p_values=p_values,
         seed=int(doc.get("seed", 0)),
-        grid=float(doc.get("grid", 1e-3)),
+        grid=check_grid(doc.get("grid", 1e-3)),
         output_dir=str(doc.get("output_dir", "results")),
     )
+
+
+def _number(name: str, value, valid, requirement: str) -> float:
+    """``value`` as a float, or a ConfigError naming the field; NaN fails every ``valid``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not valid(number):
+        raise ConfigError(f"{name}: must be {requirement}, got {value!r}")
+    return number
+
+
+def check_grid(grid) -> float:
+    """The threshold grid resolution as a float in (0, 1], or a ConfigError."""
+    return _number("grid", grid, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -287,14 +307,14 @@ def _row_for_triple(
 ) -> ResultRow:
     row = _empty_row(env, mechanism, cost, config)
     try:
-        env_at_cost = env.with_effort_cost(cost)
-        report = compute_thresholds(SpotGame(0.0, mechanism), env_at_cost, grid=config.grid, table=table)
+        checked_cost = env.with_effort_cost(cost).effort_cost  # rejects negative and non-finite costs
+        report = compute_thresholds(table, checked_cost, grid=config.grid)
         row.thresholds = report.to_json_dict()
         row.pareto_bound_condition = report.pareto_bound_condition
         t, g = table.truthful, table.best_no_effort
         row.utility_truthful_p0 = float(table.unchecked[t, t] - cost)
         row.utility_gl_p0 = float(table.unchecked[g, g])
-        row.worthwhile_effort = check_worthwhile_effort(env_at_cost, table)
+        row.worthwhile_effort = check_worthwhile_effort(table, checked_cost)
         for p in config.p_values:
             utilities = table.utilities(p, cost)
             row.utilities_at_p[repr(float(p))] = {

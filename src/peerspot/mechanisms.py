@@ -73,7 +73,13 @@ class MechanismSpec:
             raise ShapeMismatch(f"mts_aggregation must be 'mean' or 'sum', got {self.mts_aggregation!r}")
 
     def describe(self) -> str:
-        return self.kind.value
+        """Row label: the kind, then its non-default JSON fields in key order,
+        e.g. ``divergence_bts[rule=log,theta=0.5]``; the bare kind when all are defaults."""
+        defaults = MechanismSpec(self.kind).to_json_dict()
+        changed = sorted((key, value) for key, value in self.to_json_dict().items() if value != defaults[key])
+        if not changed:
+            return self.kind.value
+        return f"{self.kind.value}[{','.join(f'{key}={value}' for key, value in changed)}]"
 
     def to_json_dict(self) -> dict:
         doc: dict = {"kind": self.kind.value}
@@ -107,11 +113,6 @@ class MechanismSpec:
             rule=rule_from_name(doc.get("rule", "quadratic")),
             mts_aggregation=doc.get("mts_aggregation", "mean"),
         )
-
-
-def all_mechanisms(rule: ScoringRule = QUADRATIC) -> list:
-    """One spec per kind with default parameters."""
-    return [MechanismSpec(kind, rule=rule) for kind in MechanismKind]
 
 
 _EXACT = {

@@ -29,15 +29,7 @@ class ScoringRule:
         Entries where the score is undefined (log of zero) hold NEGATIVE_SENTINEL;
         callers that need a hard error should use :func:`score` instead.
         """
-        beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
-        out = np.empty_like(beliefs)
-        for i, row in enumerate(beliefs):
-            for o in range(beliefs.shape[1]):
-                try:
-                    out[i, o] = self.score_array(row, o)
-                except LogOfZero:
-                    out[i, o] = NEGATIVE_SENTINEL
-        return out
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)

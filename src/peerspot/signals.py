@@ -1,4 +1,4 @@
-"""Discrete signal environments: quality prior, high/low/trusted channels, marginals and posteriors.
+"""Discrete signal environments: quality prior and the high/low/trusted channels.
 
 An environment describes one evaluation game: each object draws a latent
 quality, every agent privately observes a costly high-quality signal drawn
@@ -18,12 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidDistribution,
-    ShapeMismatch,
-    TooFewAgents,
-    ZeroProbabilityConditioning,
-)
+from .errors import InvalidDistribution, ShapeMismatch, TooFewAgents
 
 PROB_ATOL = 1e-12
 
@@ -269,31 +264,3 @@ def validate_environment(env: Environment) -> None:
     if env.n_objects < 1:
         raise ShapeMismatch(f"n_objects must be positive, got {env.n_objects}")
 
-
-def posterior_peer_belief(env: Environment, observed) -> Distribution:
-    """Law of a peer's high-quality signal given one's own, by exact conditioning."""
-    space = env.q_space
-    v = space.index(observed)
-    prior = env.prior.as_array()
-    high = env.high_channel.matrix()
-    weights = prior * high[:, v]  # P(q, own signal = observed)
-    mass = weights.sum()
-    if mass <= 0.0:
-        raise ZeroProbabilityConditioning(
-            f"own high signal {observed!r} has zero marginal probability"
-        )
-    posterior = weights @ high / mass
-    return Distribution.from_array(space, posterior)
-
-
-def signal_marginal(env: Environment, which: str) -> Distribution:
-    """Exact marginal law of the selected signal ('high', 'low', or 'trusted') under the prior."""
-    channels = {
-        "high": env.high_channel,
-        "low": env.low_channel,
-        "trusted": env.trusted_channel,
-    }
-    if which not in channels:
-        raise ShapeMismatch(f"unknown signal {which!r}; expected high, low, or trusted")
-    marginal = env.prior.as_array() @ channels[which].matrix()
-    return Distribution.from_array(env.q_space, marginal)

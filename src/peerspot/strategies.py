@@ -52,9 +52,6 @@ class Strategy:
     def map_array(self) -> np.ndarray:
         return np.asarray(self.report_map, dtype=int)
 
-    def apply(self, observed_index: int) -> int:
-        return self.report_map[observed_index]
-
     def describe(self, labels: LabelSpace | None = None) -> str:
         if labels is None:
             body = ",".join(str(i) for i in self.report_map)
@@ -123,14 +120,6 @@ class StrategyProfile:
 
     base: Strategy
     deviant: tuple | None = None  # (agent index, Strategy)
-
-    def strategy_of(self, agent: int) -> Strategy:
-        if self.deviant is not None and self.deviant[0] == agent:
-            return self.deviant[1]
-        return self.base
-
-    def focal_agent(self) -> int:
-        return self.deviant[0] if self.deviant is not None else 0
 
     def focal_strategy(self) -> Strategy:
         return self.deviant[1] if self.deviant is not None else self.base

@@ -1,5 +1,6 @@
 """Config ingestion, experiment sweeps, report emission, and the CLI."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -79,6 +80,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sweeps.p", 1.5),
+            ("sweeps.p", -2.0),
+            ("sweeps.p", float("nan")),
+            ("grid", 2.0),
+            ("grid", 0.0),
+            ("grid", -0.1),
+            ("grid", float("nan")),
+            ("sweeps.effort_cost", -0.1),
+            ("sweeps.effort_cost", float("inf")),
+            ("sweeps.effort_cost", float("nan")),
+        ],
+    )
+    def test_out_of_range_sweep_values_rejected(self, tmp_path, field, value):
+        doc = tiny_config_doc()
+        if field == "grid":
+            doc["grid"] = value
+        else:
+            doc["sweeps"][field.split(".")[1]] = [value]
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            parse_config(doc)
+        if field == "grid":  # the command-line override goes through the same check
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(tiny_config_doc()))
+            out = tmp_path / "out"
+            assert cli_main(["run", "--config", str(cfg), "--grid", str(value), "--out", str(out)]) == 1
+            assert not out.exists()
+
+    def test_range_ends_accepted(self):
+        doc = tiny_config_doc(grid=1.0, sweeps={"effort_cost": [0.0], "p": [0.0, 1.0]})
+        config = parse_config(doc)
+        assert config.grid == 1.0 and config.p_values == (0.0, 1.0)
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_numbers_rejected(self, tmp_path, token):
         text = json.dumps(tiny_config_doc()).replace('"effort_cost": 0.1', f'"effort_cost": {token}', 1)
@@ -126,10 +162,10 @@ class TestRunExperiment:
                 raise RuntimeError("table build failed")
             return build(mechanism, env)
 
-        def failing_solve(game, env, **kwargs):
-            if env.effort_cost == 0.1:
+        def failing_solve(table, cost, **kwargs):
+            if cost == 0.1:
                 raise MemoryError("solver ran out of memory")
-            return solve(game, env, **kwargs)
+            return solve(table, cost, **kwargs)
 
         monkeypatch.setattr(harness, "compute_payoff_table", failing_build)
         monkeypatch.setattr(harness, "compute_thresholds", failing_solve)
@@ -141,6 +177,13 @@ class TestRunExperiment:
         assert errors[("output_agreement", 0.0)] == ""
         failed = next(r for r in rows if r.mechanism == "output_agreement" and r.effort_cost == 0.1)
         assert failed.thresholds == {} and failed.utility_truthful_p0 is None
+
+    def test_bundled_csv_bytes_are_pinned(self, tmp_path):
+        # An intended change to the bundled output updates this pin and says why in CHANGES.md.
+        rows = run_experiment(load_config(example_config_path()))
+        data = emit_csv(rows, tmp_path / "results.csv").read_bytes()
+        assert len(data) == 4968
+        assert hashlib.sha256(data).hexdigest() == "d29ebcee3447fef850f65606e8394bf58e382bd841333f6ae151bbdfd4d0630c"
 
     def test_deterministic_csv(self, tmp_path):
         config = parse_config(tiny_config_doc())
@@ -200,6 +243,24 @@ class TestReports:
         assert got[0] == pytest.approx(0.0)
         assert got[1] == pytest.approx(0.05 / 0.32, abs=1e-9)
         assert got[2] == pytest.approx(0.1 / 0.32, abs=1e-9)
+
+    def test_parameterised_specs_get_their_own_rows_and_series(self, tmp_path):
+        mechanisms = [
+            {"kind": "divergence_bts", "theta": theta, "rule": rule}
+            for theta in (0.05, 0.5)
+            for rule in ("quadratic", "log")
+        ]
+        rows = run_experiment(parse_config(tiny_config_doc(mechanisms=mechanisms)))
+        labels = {r.mechanism for r in rows}
+        assert labels == {
+            "divergence_bts",
+            "divergence_bts[rule=log]",
+            "divergence_bts[theta=0.5]",
+            "divergence_bts[rule=log,theta=0.5]",
+        }
+        series = json.loads(emit_plotdata(rows, tmp_path / "plot.json").read_text())
+        assert len(series) == 4
+        assert all(len(s["points"]) == 2 for s in series)
 
     def test_json_round_trips_through_report_cli(self, rows, tmp_path):
         json_path = emit_json(rows, tmp_path / "rows.json")

@@ -439,6 +439,20 @@ class TestMechanismSpec:
         spec = MechanismSpec(kind, **self.NON_DEFAULT.get(kind, {}))
         assert MechanismSpec.from_json_dict(spec.to_json_dict()) == spec
 
+    @pytest.mark.parametrize("kind", list(MechanismKind), ids=[k.value for k in MechanismKind])
+    def test_describe_names_non_default_parameters(self, kind):
+        assert MechanismSpec(kind).describe() == kind.value
+        spec = MechanismSpec(kind, **self.NON_DEFAULT.get(kind, {}))
+        label = spec.describe()
+        assert (label == kind.value) == (kind not in self.NON_DEFAULT)
+        assert MechanismSpec.from_json_dict(spec.to_json_dict()).describe() == label
+
+    def test_describe_orders_fields_by_key(self):
+        spec = MechanismSpec(MechanismKind.DIVERGENCE_BTS, theta=0.5, rule=LOGARITHMIC)
+        assert spec.describe() == "divergence_bts[rule=log,theta=0.5]"
+        pts = MechanismSpec(MechanismKind.PEER_TRUTH_SERUM, alpha=0.5)
+        assert pts.describe() == "peer_truth_serum[alpha=0.5]"
+
     def test_only_per_object_pts_frequency_is_accepted(self):
         doc = {"kind": "peer_truth_serum", "pts_frequency": "object"}
         assert MechanismSpec.from_json_dict(doc) == MechanismSpec(MechanismKind.PEER_TRUTH_SERUM)

@@ -1,4 +1,4 @@
-"""Environment validation, posteriors against an enumerated joint law, and marginals."""
+"""Environment validation, and peer-report posteriors against an enumerated joint law."""
 
 import itertools
 
@@ -8,16 +8,16 @@ import pytest
 from peerspot import (
     Channel,
     Distribution,
+    Effort,
     Environment,
     InvalidDistribution,
     LabelSpace,
     ShapeMismatch,
     TooFewAgents,
-    ZeroProbabilityConditioning,
-    posterior_peer_belief,
-    signal_marginal,
+    truthful_strategy,
     validate_environment,
 )
+from peerspot.strategies import peer_report_posterior
 
 from conftest import random_environment
 
@@ -85,10 +85,14 @@ class TestValidation:
         assert env.with_effort_cost(0.2).effort_cost == 0.2
 
 
+def truthful_posterior(env):
+    """Row v: law of a truthful full-effort peer's report given one's own high signal v."""
+    return peer_report_posterior(env, Effort.FULL, truthful_strategy(env.q_space))
+
+
 class TestPosterior:
     def test_reference_posterior(self, env):
-        post = posterior_peer_belief(env, 1)
-        assert post.probs == pytest.approx((0.18, 0.82), abs=1e-12)
+        assert truthful_posterior(env)[1] == pytest.approx((0.18, 0.82), abs=1e-12)
 
     def test_noiseless_channel_gives_point_mass(self):
         space = LabelSpace.of((0, 1))
@@ -102,7 +106,7 @@ class TestPosterior:
             n_agents=3,
             n_objects=2,
         )
-        assert posterior_peer_belief(e, 0).probs == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert truthful_posterior(e)[0] == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_matches_bayes_on_enumerated_table(self):
         rng = np.random.default_rng(23)
@@ -111,17 +115,17 @@ class TestPosterior:
             pair = {}  # (own high signal, peer high signal) -> mass
             for (_, s1, s2, _, _), p in brute_joint(e, 2).items():
                 pair[(s1, s2)] = pair.get((s1, s2), 0.0) + p
-            for observed in e.q_space:
-                post = posterior_peer_belief(e, observed)
-                assert sum(post.probs) == pytest.approx(1.0, abs=1e-12)
+            post = truthful_posterior(e)
+            for observed in range(labels):
+                assert post[observed].sum() == pytest.approx(1.0, abs=1e-12)
                 mass = sum(p for (s1, _), p in pair.items() if s1 == observed)
-                for peer in e.q_space:
+                for peer in range(labels):
                     joint = sum(
                         p for (s1, s2), p in pair.items() if s1 == observed and s2 == peer
                     )
-                    assert post.prob(peer) == pytest.approx(joint / mass, abs=1e-12)
+                    assert post[observed, peer] == pytest.approx(joint / mass, abs=1e-12)
 
-    def test_zero_mass_conditioning(self):
+    def test_zero_mass_observation_gets_a_uniform_row(self):
         space = LabelSpace.of((0, 1))
         e = Environment(
             q_space=space,
@@ -133,32 +137,9 @@ class TestPosterior:
             n_agents=3,
             n_objects=2,
         )
-        with pytest.raises(ZeroProbabilityConditioning):
-            posterior_peer_belief(e, 1)
-
-
-class TestMarginals:
-    def test_reference_marginals(self, env):
-        assert signal_marginal(env, "high").probs == pytest.approx((0.5, 0.5), abs=1e-12)
-        assert signal_marginal(env, "low").probs == pytest.approx((0.5, 0.5), abs=1e-12)
-
-    def test_point_mass_prior_noiseless_channel(self):
-        space = LabelSpace.of((0, 1))
-        e = Environment(
-            q_space=space,
-            prior=Distribution.from_array(space, [0.0, 1.0]),
-            high_channel=Channel.symmetric_noise(space, 1.0),
-            trusted_channel=Channel.symmetric_noise(space, 1.0),
-            low_channel=Channel.uniform(space),
-            effort_cost=0.0,
-            n_agents=3,
-            n_objects=2,
-        )
-        assert signal_marginal(e, "high").probs == pytest.approx((0.0, 1.0), abs=1e-12)
-
-    def test_unknown_signal_name(self, env):
-        with pytest.raises(ShapeMismatch):
-            signal_marginal(env, "medium")
+        post = truthful_posterior(e)
+        assert post[0] == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert post[1] == pytest.approx((0.5, 0.5), abs=1e-12)  # never observed; carries no weight
 
 
 class TestSerialization:

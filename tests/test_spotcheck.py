@@ -11,7 +11,6 @@ from peerspot import (
     LabelSpace,
     MechanismKind,
     MechanismSpec,
-    SpotGame,
     Strategy,
     check_worthwhile_effort,
     compute_payoff_table,
@@ -80,12 +79,15 @@ class TestExpectedSpotReward:
                 assert -1.0 - 1e-12 <= expected_spot_reward(e, s) <= 1.0 + 1e-12
 
 
+PI = MechanismSpec(MechanismKind.PEER_INSENSITIVE)
+
+
 class TestWorthwhileEffort:
     def test_reference_environment(self, env):
-        assert check_worthwhile_effort(env)  # 0.32 - 0.1 > 0
+        assert check_worthwhile_effort(compute_payoff_table(PI, env), env.effort_cost)  # 0.32 - 0.1 > 0
 
     def test_high_cost_kills_it(self, env):
-        assert not check_worthwhile_effort(env.with_effort_cost(0.4))
+        assert not check_worthwhile_effort(compute_payoff_table(PI, env), 0.4)
 
     def test_perfect_low_signal_defeats_auditing(self):
         # The shared draw reveals quality exactly and the trusted draw equals it:
@@ -102,7 +104,7 @@ class TestWorthwhileEffort:
             n_agents=3,
             n_objects=2,
         )
-        assert not check_worthwhile_effort(e)
+        assert not check_worthwhile_effort(compute_payoff_table(PI, e), e.effort_cost)
 
 
 class TestCombinedUtility:
@@ -131,14 +133,3 @@ class TestCombinedUtility:
         values = {p: self.utility(spec, env, truthful_strategy(2), p) for p in (0.0, 0.5, 1.0)}
         assert values[0.5] == pytest.approx(0.5 * (values[0.0] + values[1.0]), abs=1e-12)
 
-
-class TestSpotGameType:
-    def test_probability_bounds(self):
-        with pytest.raises(Exception):
-            SpotGame(1.5, MechanismSpec(MechanismKind.OUTPUT_AGREEMENT))
-
-    def test_json_round_trip(self):
-        game = SpotGame(0.25, MechanismSpec(MechanismKind.PEER_TRUTH_SERUM, alpha=0.1, beta=2.0))
-        doc = game.to_json_dict()
-        back = SpotGame.from_json_dict(doc)
-        assert back.p == 0.25 and back.mechanism.alpha == 0.1 and back.mechanism.beta == 2.0

@@ -38,7 +38,7 @@ def realize_report(strategy: Strategy, env, realized_signals: tuple, profile: St
     observed = labels.index(s_high if strategy.is_full_effort else s_low)
     beliefs = belief_table(env, strategy, profile.base)
     belief = Distribution.from_array(labels, beliefs[observed])
-    return Report(labels.labels[strategy.apply(observed)], belief)
+    return Report(labels.labels[strategy.report_map[observed]], belief)
 
 
 def brute_belief(env, observer: Strategy, base: Strategy):
