@@ -30,7 +30,7 @@ from .equilibrium import (
 )
 from ._sampling import simulate_utilities
 from .harness import emit_csv, generate_environments, load_config, example_config_path, run_experiment
-from .mechanisms import MechanismKind, MechanismSpec
+from .mechanisms import KINDS, MechanismKind, MechanismSpec
 from .scoring import LOGARITHMIC, QUADRATIC, check_symmetry
 from .signals import Channel, Distribution, Environment, LabelSpace, reference_environment
 from .spotcheck import expected_spot_reward
@@ -75,9 +75,7 @@ class _Context:
         return [self.e1] + self.random_envs
 
     def applicable(self, mech: MechanismSpec, env: Environment) -> bool:
-        if mech.kind is MechanismKind.ROBUST_BTS:
-            return len(env.q_space) == 2
-        return True
+        return not KINDS[mech.kind].binary_only or len(env.q_space) == 2
 
     def table(self, mech: MechanismSpec, env: Environment):
         key = (mech, env.env_id)

@@ -3,8 +3,10 @@
 A run crosses every environment with every mechanism and every effort-cost
 value, computes the four audit-probability thresholds plus the
 sufficient-condition flag per triple, and writes flat CSV / JSON / plot-data
-files.  Identical config and seed reproduce identical CSV bytes; errors in
-one triple are recorded in its row and never abort the sweep.
+files.  ``ResultRow`` defines a row once: its fields are the CSV columns in
+order, and JSON is the same fields plus a timestamp and the utilities at the
+swept audit probabilities.  Identical config and seed reproduce identical CSV
+bytes; errors in one triple are recorded in its row and never abort the sweep.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,23 +27,6 @@ from .signals import Channel, Distribution, Environment, LabelSpace
 from .spotcheck import check_worthwhile_effort
 
 DEFAULT_EFFORT_COSTS = (0.0, 0.05, 0.1, 0.2)
-
-CSV_COLUMNS = (
-    "env_id",
-    "mechanism",
-    "effort_cost",
-    "p_ds",
-    "p_el",
-    "p_ex",
-    "p_pareto",
-    "grid",
-    "pareto_bound_condition",
-    "utility_truthful_p0",
-    "utility_gl_p0",
-    "worthwhile_effort",
-    "seed",
-    "error",
-)
 
 
 class HarnessAssertionError(PeerSpotError):
@@ -61,83 +46,49 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
+    """One (environment, mechanism, effort cost) result.  A threshold is a probability or a
+    ``NotAttained`` status string; a failed triple keeps the defaults."""
+
     env_id: str
     mechanism: str
     effort_cost: float
-    thresholds: dict
-    pareto_bound_condition: bool
-    utility_truthful_p0: float | None
-    utility_gl_p0: float | None
-    worthwhile_effort: bool | None
-    seed: int
-    timestamp: float
-    utilities_at_p: dict = field(default_factory=dict)
+    p_ds: float | str | None = None
+    p_el: float | str | None = None
+    p_ex: float | str | None = None
+    p_pareto: float | str | None = None
+    grid: float | None = None
+    pareto_bound_condition: bool = False
+    utility_truthful_p0: float | None = None
+    utility_gl_p0: float | None = None
+    worthwhile_effort: bool | None = None
+    seed: int = 0
     error: str = ""
+    timestamp: float = 0.0
+    utilities_at_p: dict = field(default_factory=dict)
 
     def csv_record(self) -> dict:
-        def cell(x):
-            if x is None:
-                return ""
-            if isinstance(x, bool):
-                return str(x).lower()
-            if isinstance(x, float):
-                return repr(x)
-            return str(x)
-
-        out = {
-            "env_id": self.env_id,
-            "mechanism": self.mechanism,
-            "effort_cost": cell(self.effort_cost),
-            "grid": cell(self.thresholds.get("grid_resolution")),
-            "pareto_bound_condition": cell(self.pareto_bound_condition),
-            "utility_truthful_p0": cell(self.utility_truthful_p0),
-            "utility_gl_p0": cell(self.utility_gl_p0),
-            "worthwhile_effort": cell(self.worthwhile_effort),
-            "seed": cell(self.seed),
-            "error": self.error,
-        }
-        for key in ("p_ds", "p_el", "p_ex", "p_pareto"):
-            out[key] = cell(self.thresholds.get(key))
-        return out
+        return {name: _cell(getattr(self, name)) for name in CSV_COLUMNS}
 
     def to_json_dict(self) -> dict:
-        return {
-            "env_id": self.env_id,
-            "mechanism": self.mechanism,
-            "effort_cost": self.effort_cost,
-            "p_ds": self.thresholds.get("p_ds"),
-            "p_el": self.thresholds.get("p_el"),
-            "p_ex": self.thresholds.get("p_ex"),
-            "p_pareto": self.thresholds.get("p_pareto"),
-            "grid": self.thresholds.get("grid_resolution"),
-            "pareto_bound_condition": self.pareto_bound_condition,
-            "utility_truthful_p0": self.utility_truthful_p0,
-            "utility_gl_p0": self.utility_gl_p0,
-            "worthwhile_effort": self.worthwhile_effort,
-            "seed": self.seed,
-            "timestamp": self.timestamp,
-            "utilities_at_p": self.utilities_at_p,
-            "error": self.error,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ResultRow":
-        thresholds = {k: doc.get(k) for k in ("p_ds", "p_el", "p_ex", "p_pareto")}
-        thresholds["grid_resolution"] = doc.get("grid")
-        return ResultRow(
-            env_id=doc["env_id"],
-            mechanism=doc["mechanism"],
-            effort_cost=float(doc["effort_cost"]),
-            thresholds=thresholds,
-            pareto_bound_condition=bool(doc.get("pareto_bound_condition", False)),
-            utility_truthful_p0=doc.get("utility_truthful_p0"),
-            utility_gl_p0=doc.get("utility_gl_p0"),
-            worthwhile_effort=doc.get("worthwhile_effort"),
-            seed=int(doc.get("seed", 0)),
-            timestamp=float(doc.get("timestamp", 0.0)),
-            utilities_at_p=doc.get("utilities_at_p", {}),
-            error=doc.get("error", ""),
-        )
+        return ResultRow(**{name: doc[name] for name in _ROW_FIELDS if name in doc})
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+CSV_COLUMNS = _ROW_FIELDS[: _ROW_FIELDS.index("timestamp")]
+
+
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, float):
+        return repr(x)
+    return str(x)
 
 
 def generate_environments(
@@ -222,13 +173,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for i, entry in enumerate(doc["mechanisms"]):
         try:
             mechanisms.append(MechanismSpec.from_json_dict(entry))
-        except (KeyError, ValueError, PeerSpotError) as exc:
+        except (KeyError, TypeError, ValueError, PeerSpotError) as exc:
             raise ConfigError(f"mechanisms[{i}]: {exc}") from None
     sweeps = doc.get("sweeps", {})
     costs = tuple(
         _number("sweeps.effort_cost", c, lambda x: 0.0 <= x < math.inf, "finite and nonnegative")
         for c in sweeps.get("effort_cost", DEFAULT_EFFORT_COSTS)
     )
+    if not costs:
+        raise ConfigError("sweeps.effort_cost: at least one value required")
     p_values = tuple(_number("sweeps.p", p, lambda x: 0.0 <= x <= 1.0, "in [0, 1]") for p in sweeps.get("p", ()))
     return ExperimentConfig(
         environments=environments,
@@ -287,11 +240,6 @@ def _empty_row(env: Environment, mechanism: MechanismSpec, cost: float, config, 
         env_id=env.env_id,
         mechanism=mechanism.describe(),
         effort_cost=cost,
-        thresholds={},
-        pareto_bound_condition=False,
-        utility_truthful_p0=None,
-        utility_gl_p0=None,
-        worthwhile_effort=None,
         seed=config.seed,
         timestamp=time.time(),
         error="" if exc is None else f"{type(exc).__name__}: {exc}",
@@ -309,8 +257,8 @@ def _row_for_triple(
     try:
         checked_cost = env.with_effort_cost(cost).effort_cost  # rejects negative and non-finite costs
         report = compute_thresholds(table, checked_cost, grid=config.grid)
-        row.thresholds = report.to_json_dict()
-        row.pareto_bound_condition = report.pareto_bound_condition
+        for name, value in report.to_json_dict().items():
+            setattr(row, "grid" if name == "grid_resolution" else name, value)
         t, g = table.truthful, table.best_no_effort
         row.utility_truthful_p0 = float(table.unchecked[t, t] - cost)
         row.utility_gl_p0 = float(table.unchecked[g, g])
@@ -334,15 +282,14 @@ def run_experiment(config: ExperimentConfig) -> list:
     triple is recorded in the affected rows and leaves every other row intact.
     """
     rows = []
-    costs = config.effort_costs or DEFAULT_EFFORT_COSTS
     for env in config.environments:
         for mechanism in config.mechanisms:
             try:
                 table = compute_payoff_table(mechanism, env)
             except Exception as exc:
-                rows.extend(_empty_row(env, mechanism, cost, config, exc) for cost in costs)
+                rows.extend(_empty_row(env, mechanism, cost, config, exc) for cost in config.effort_costs)
                 continue
-            for cost in costs:
+            for cost in config.effort_costs:
                 rows.append(_row_for_triple(env, mechanism, cost, config, table))
     assert_threshold_consistency(rows)
     return rows
@@ -356,11 +303,8 @@ def assert_threshold_consistency(rows: list) -> None:
     for row in rows:
         if row.error or not row.pareto_bound_condition:
             continue
-        p_ds = row.thresholds.get("p_ds")
-        p_pareto = row.thresholds.get("p_pareto")
-        grid = float(row.thresholds.get("grid_resolution", 1e-3))
         as_float = lambda x: float(x) if isinstance(x, (int, float)) else float("inf")
-        if as_float(p_pareto) < as_float(p_ds) - grid:
+        if as_float(row.p_pareto) < as_float(row.p_ds) - row.grid:
             violations.append(row)
     if violations:
         dump = "\n".join(json.dumps(v.to_json_dict(), sort_keys=True) for v in violations)
@@ -398,8 +342,8 @@ def emit_plotdata(rows: list, path: str | Path) -> Path:
         entry["points"].append(
             {
                 "effort_cost": row.effort_cost,
-                "p_ds": row.thresholds.get("p_ds"),
-                "p_pareto": row.thresholds.get("p_pareto"),
+                "p_ds": row.p_ds,
+                "p_pareto": row.p_pareto,
             }
         )
     for entry in series.values():

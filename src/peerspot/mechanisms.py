@@ -1,18 +1,20 @@
 """The universal peer-mechanism zoo: mechanism specs and exact expected rewards.
 
 Ten unchecked mechanisms are supported.  Signal-only kinds compare reports;
-belief-based kinds additionally score belief reports with a proper scoring
-rule; the peer-insensitive kind pays a constant.  Every kind has one exact
-evaluator in ``_expectations`` that returns the expected per-object reward of
-each deviant strategy against each symmetric base profile (many-object
-limits for the multi-object kinds); ``unchecked_block`` dispatches to it.
-The seeded Monte-Carlo samplers in ``_sampling`` are its independent oracle.
+belief-based kinds also score belief reports with a proper scoring rule; the
+peer-insensitive kind pays a constant.  ``KINDS`` defines each kind once: its
+exact evaluator in ``_expectations`` (per-object rewards of each deviant
+against each symmetric base; many-object limits for multi-object kinds), its
+JSON parameters, and whether it takes a scoring rule or only binary labels.
+The seeded samplers in ``_sampling`` keep their own dispatch: they are the
+evaluators' independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -36,19 +38,52 @@ class MechanismKind(str, Enum):
     PEER_INSENSITIVE = "peer_insensitive"
 
 
-BELIEF_BASED_KINDS = frozenset(
-    {
-        MechanismKind.ROBUST_BTS,
-        MechanismKind.MULTI_VALUED_ROBUST_BTS,
-        MechanismKind.DIVERGENCE_BTS,
-        MechanismKind.MINIMUM_TRUTH_SERUM,
-    }
-)
+@dataclass(frozen=True)
+class KindEntry:
+    evaluator: Callable  # (spec, env, bases, deviants) -> (len(deviants), len(bases)) rewards
+    params: tuple = ()  # (JSON key, MechanismSpec attribute) pairs; numeric ones must be > 0
+    scored: bool = False  # scores belief reports with the spec's ``rule``
+    binary_only: bool = False
+
+    @property
+    def json_fields(self) -> tuple:
+        return self.params + ((("rule", "rule"),) if self.scored else ())
+
+
+KINDS = {
+    MechanismKind.OUTPUT_AGREEMENT: KindEntry(_exact.output_agreement),
+    MechanismKind.PEER_TRUTH_SERUM: KindEntry(_exact.peer_truth_serum, (("alpha", "alpha"), ("beta", "beta"))),
+    MechanismKind.CORRELATED_AGREEMENT: KindEntry(_exact.correlated_agreement),
+    MechanismKind.SQRT_SCALED_AGREEMENT: KindEntry(_exact.sqrt_scaled_agreement, (("K", "scale"),)),
+    MechanismKind.DOUBLE_MIXED_AGREEMENT: KindEntry(_exact.double_mixed_agreement),
+    MechanismKind.ROBUST_BTS: KindEntry(_exact.robust_bts, scored=True, binary_only=True),
+    MechanismKind.MULTI_VALUED_ROBUST_BTS: KindEntry(_exact.multi_valued_robust_bts, scored=True),
+    MechanismKind.DIVERGENCE_BTS: KindEntry(_exact.divergence_bts, (("theta", "theta"),), scored=True),
+    MechanismKind.MINIMUM_TRUTH_SERUM: KindEntry(
+        _exact.minimum_truth_serum, (("mts_aggregation", "mts_aggregation"),), scored=True
+    ),
+    MechanismKind.PEER_INSENSITIVE: KindEntry(_exact.peer_insensitive, (("W", "constant_reward"),)),
+}
+# JSON key -> MechanismSpec attribute, over every kind.
+_ATTRIBUTE = {key: attr for entry in KINDS.values() for key, attr in entry.json_fields}
+
+
+def _encode(value):
+    return value.name if isinstance(value, ScoringRule) else value
+
+
+def _decode(attr: str, value):
+    """A JSON value as the type of the attribute's default: a rule, a float or a string."""
+    default = _DEFAULTS[attr]
+    if isinstance(default, ScoringRule):
+        return rule_from_name(value)
+    return float(value) if isinstance(default, float) else value
 
 
 @dataclass(frozen=True)
 class MechanismSpec:
-    """Tagged choice of an unchecked mechanism with its parameters."""
+    """Tagged choice of an unchecked mechanism with its parameters; a parameter its
+    kind does not read must keep its default."""
 
     kind: MechanismKind
     alpha: float = 1.0  # peer truth serum offset
@@ -60,15 +95,14 @@ class MechanismSpec:
     mts_aggregation: str = "mean"  # "mean" or "sum" over peer scores
 
     def __post_init__(self):
-        positive = {
-            MechanismKind.PEER_TRUTH_SERUM: [("alpha", self.alpha), ("beta", self.beta)],
-            MechanismKind.SQRT_SCALED_AGREEMENT: [("K", self.scale)],
-            MechanismKind.DIVERGENCE_BTS: [("theta", self.theta)],
-            MechanismKind.PEER_INSENSITIVE: [("W", self.constant_reward)],
-        }.get(self.kind, [])
-        for name, value in positive:
-            if not value > 0:
-                raise ShapeMismatch(f"{self.kind.value} requires {name} > 0, got {value}")
+        taken = {attr for _, attr in KINDS[self.kind].json_fields}
+        for key, attr in _ATTRIBUTE.items():
+            value, default = getattr(self, attr), _DEFAULTS[attr]
+            if attr not in taken:
+                if value != default:
+                    raise ShapeMismatch(f"{self.kind.value} does not take {key}={_encode(value)}")
+            elif isinstance(default, float) and not value > 0:
+                raise ShapeMismatch(f"{self.kind.value} requires {key} > 0, got {value}")
         if self.mts_aggregation not in ("mean", "sum"):
             raise ShapeMismatch(f"mts_aggregation must be 'mean' or 'sum', got {self.mts_aggregation!r}")
 
@@ -82,57 +116,31 @@ class MechanismSpec:
         return f"{self.kind.value}[{','.join(f'{key}={value}' for key, value in changed)}]"
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"kind": self.kind.value}
-        if self.kind is MechanismKind.PEER_TRUTH_SERUM:
-            doc.update(alpha=self.alpha, beta=self.beta)
-        if self.kind is MechanismKind.SQRT_SCALED_AGREEMENT:
-            doc["K"] = self.scale
-        if self.kind is MechanismKind.DIVERGENCE_BTS:
-            doc["theta"] = self.theta
-        if self.kind is MechanismKind.PEER_INSENSITIVE:
-            doc["W"] = self.constant_reward
-        if self.kind is MechanismKind.MINIMUM_TRUTH_SERUM:
-            doc["mts_aggregation"] = self.mts_aggregation
-        if self.kind in BELIEF_BASED_KINDS:
-            doc["rule"] = self.rule.name
-        return doc
+        pairs = KINDS[self.kind].json_fields
+        return {"kind": self.kind.value} | {key: _encode(getattr(self, attr)) for key, attr in pairs}
 
     @staticmethod
     def from_json_dict(doc: dict) -> "MechanismSpec":
+        """The spec a JSON object names; a key no kind reads is an error, and so is a
+        non-default value for a parameter this kind does not read."""
         kind = MechanismKind(doc["kind"])
         # Peer truth serum counts report frequencies on the scored object only.
         if doc.get("pts_frequency", "object") != "object":
             raise ShapeMismatch(f"pts_frequency must be 'object', got {doc['pts_frequency']!r}")
-        return MechanismSpec(
-            kind,
-            alpha=float(doc.get("alpha", 1.0)),
-            beta=float(doc.get("beta", 1.0)),
-            scale=float(doc.get("K", 1.0)),
-            theta=float(doc.get("theta", 0.05)),
-            constant_reward=float(doc.get("W", 1.0)),
-            rule=rule_from_name(doc.get("rule", "quadratic")),
-            mts_aggregation=doc.get("mts_aggregation", "mean"),
-        )
+        unknown = sorted(set(doc) - set(_ATTRIBUTE) - {"kind", "pts_frequency"})
+        if unknown:
+            raise ShapeMismatch(f"unknown key {unknown[0]!r}")
+        params = ((_ATTRIBUTE[key], value) for key, value in doc.items() if key in _ATTRIBUTE)
+        return MechanismSpec(kind, **{attr: _decode(attr, value) for attr, value in params})
 
 
-_EXACT = {
-    MechanismKind.OUTPUT_AGREEMENT: _exact.output_agreement,
-    MechanismKind.PEER_TRUTH_SERUM: _exact.peer_truth_serum,
-    MechanismKind.CORRELATED_AGREEMENT: _exact.correlated_agreement,
-    MechanismKind.SQRT_SCALED_AGREEMENT: _exact.sqrt_scaled_agreement,
-    MechanismKind.DOUBLE_MIXED_AGREEMENT: _exact.double_mixed_agreement,
-    MechanismKind.ROBUST_BTS: _exact.robust_bts,
-    MechanismKind.MULTI_VALUED_ROBUST_BTS: _exact.multi_valued_robust_bts,
-    MechanismKind.DIVERGENCE_BTS: _exact.divergence_bts,
-    MechanismKind.MINIMUM_TRUTH_SERUM: _exact.minimum_truth_serum,
-    MechanismKind.PEER_INSENSITIVE: _exact.peer_insensitive,
-}
+_DEFAULTS = {f.name: f.default for f in fields(MechanismSpec)}
 
 
 def unchecked_block(spec: MechanismSpec, env: Environment, bases: list, deviants: list) -> np.ndarray:
     """Exact per-object E[z(deviant, base)], shape (len(deviants), len(bases)); limits for
     multi-object kinds."""
-    return _EXACT[spec.kind](spec, env, bases, deviants)
+    return KINDS[spec.kind].evaluator(spec, env, bases, deviants)
 
 
 def analytic_unchecked_value(

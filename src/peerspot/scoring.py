@@ -75,7 +75,7 @@ _RULES = {"quadratic": QUADRATIC, "log": LOGARITHMIC, "logarithmic": LOGARITHMIC
 
 def rule_from_name(name: str) -> ScoringRule:
     try:
-        return _RULES[name.lower()]
+        return _RULES[str(name).lower()]
     except KeyError:
         raise ShapeMismatch(f"unknown scoring rule {name!r}; expected one of {sorted(_RULES)}") from None
 

@@ -11,7 +11,6 @@ law these channels define, so all probability objects are validated eagerly and 
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -74,18 +73,9 @@ class Distribution:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
-    def prob(self, label) -> float:
-        return float(self.probs[self.support.index(label)])
-
     @staticmethod
     def from_array(support: LabelSpace, arr: Sequence[float]) -> "Distribution":
         return Distribution(support, tuple(float(x) for x in arr))
-
-    @staticmethod
-    def point_mass(support: LabelSpace, label) -> "Distribution":
-        probs = [0.0] * len(support)
-        probs[support.index(label)] = 1.0
-        return Distribution(support, tuple(probs))
 
     @staticmethod
     def uniform(support: LabelSpace) -> "Distribution":
@@ -156,10 +146,6 @@ class Environment:
     def validate(self) -> None:
         validate_environment(self)
 
-    @property
-    def labels(self) -> LabelSpace:
-        return self.q_space
-
     def with_effort_cost(self, cost: float) -> "Environment":
         if not 0.0 <= float(cost) < math.inf:  # also rejects NaN
             raise InvalidDistribution(f"effort_cost must be finite and nonnegative, got {cost}")
@@ -207,9 +193,6 @@ class Environment:
         )
         env.validate()
         return env
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def binary_symmetric_environment(

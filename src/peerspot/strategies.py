@@ -59,24 +59,6 @@ class Strategy:
             body = ",".join(str(labels.labels[i]) for i in self.report_map)
         return f"{self.effort.value}:[{body}]"
 
-    def to_json_dict(self, labels: LabelSpace) -> dict:
-        return {
-            "effort": self.effort.value,
-            "map": [labels.labels[i] for i in self.report_map],
-            "belief": self.belief_mode.value,
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict, labels: LabelSpace) -> "Strategy":
-        report_map = tuple(labels.index(x) for x in doc["map"])
-        if len(report_map) != len(labels):
-            raise ShapeMismatch("report map must be total over the label space")
-        return Strategy(
-            Effort(doc["effort"]),
-            report_map,
-            BeliefMode(doc.get("belief", "posterior")),
-        )
-
 
 def identity_map(n_labels: int) -> tuple:
     return tuple(range(n_labels))

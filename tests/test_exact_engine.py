@@ -31,7 +31,7 @@ from peerspot import (
     reference_environment,
 )
 from peerspot.acceptance import _random_acceptance_environments
-from peerspot.mechanisms import BELIEF_BASED_KINDS, unchecked_block
+from peerspot.mechanisms import KINDS, unchecked_block
 
 from conftest import random_environment
 from per_cell_oracle import oracle_table, oracle_value
@@ -39,14 +39,14 @@ from per_cell_oracle import oracle_table, oracle_value
 TOL = 1e-12
 SPECS = [
     MechanismSpec(kind, rule=rule)
-    for kind in MechanismKind
-    for rule in ((QUADRATIC, LOGARITHMIC) if kind in BELIEF_BASED_KINDS else (QUADRATIC,))
+    for kind, entry in KINDS.items()
+    for rule in ((QUADRATIC, LOGARITHMIC) if entry.scored else (QUADRATIC,))
 ]
-K3_SPECS = [spec for spec in SPECS if spec.kind is not MechanismKind.ROBUST_BTS]
+K3_SPECS = [spec for spec in SPECS if not KINDS[spec.kind].binary_only]
 
 
 def spec_id(spec: MechanismSpec) -> str:
-    return f"{spec.kind.value}.{spec.rule.name}" if spec.kind in BELIEF_BASED_KINDS else spec.kind.value
+    return f"{spec.kind.value}.{spec.rule.name}" if KINDS[spec.kind].scored else spec.kind.value
 
 
 def table_or_error(build):

@@ -115,6 +115,15 @@ class TestConfig:
         config = parse_config(doc)
         assert config.grid == 1.0 and config.p_values == (0.0, 1.0)
 
+    def test_empty_cost_sweep_rejected(self, tmp_path, capsys):
+        doc = tiny_config_doc(sweeps={"effort_cost": []})
+        with pytest.raises(ConfigError, match=r"^sweeps\.effort_cost: at least one value required$"):
+            parse_config(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        assert "sweeps.effort_cost: at least one value required" in capsys.readouterr().err
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_numbers_rejected(self, tmp_path, token):
         text = json.dumps(tiny_config_doc()).replace('"effort_cost": 0.1', f'"effort_cost": {token}', 1)
@@ -132,8 +141,8 @@ class TestRunExperiment:
         assert len(rows) == 4  # 2 mechanisms x 2 costs
         indexed = {(r.mechanism, r.effort_cost): r for r in rows}
         pi_row = indexed[("peer_insensitive", 0.1)]
-        assert pi_row.thresholds["p_ds"] == pytest.approx(0.3125, abs=1e-9)
-        assert pi_row.thresholds["p_pareto"] == pytest.approx(0.313)
+        assert pi_row.p_ds == pytest.approx(0.3125, abs=1e-9)
+        assert pi_row.p_pareto == pytest.approx(0.313)
         assert pi_row.pareto_bound_condition
         assert pi_row.worthwhile_effort
         oa_row = indexed[("output_agreement", 0.1)]
@@ -150,7 +159,7 @@ class TestRunExperiment:
         by_mech = {r.mechanism: r for r in rows}
         assert "NonBinaryLabelSpace" in by_mech["robust_bts"].error
         assert by_mech["output_agreement"].error == ""
-        assert by_mech["output_agreement"].thresholds["p_ds"] > 0
+        assert by_mech["output_agreement"].p_ds > 0
 
     def test_any_exception_is_recorded_in_its_rows(self, monkeypatch):
         from peerspot import harness
@@ -176,7 +185,12 @@ class TestRunExperiment:
         assert errors[("output_agreement", 0.1)] == "MemoryError: solver ran out of memory"
         assert errors[("output_agreement", 0.0)] == ""
         failed = next(r for r in rows if r.mechanism == "output_agreement" and r.effort_cost == 0.1)
-        assert failed.thresholds == {} and failed.utility_truthful_p0 is None
+        assert failed.p_ds is None and failed.grid is None and failed.utility_truthful_p0 is None
+
+    def test_config_without_costs_gives_no_rows(self):
+        config = parse_config(tiny_config_doc())
+        config.effort_costs = ()
+        assert run_experiment(config) == []
 
     def test_bundled_csv_bytes_are_pinned(self, tmp_path):
         # An intended change to the bundled output updates this pin and says why in CHANGES.md.
@@ -196,7 +210,9 @@ class TestRunExperiment:
             env_id="x",
             mechanism="output_agreement",
             effort_cost=0.1,
-            thresholds={"p_ds": 0.5, "p_pareto": 0.1, "grid_resolution": 1e-3},
+            p_ds=0.5,
+            p_pareto=0.1,
+            grid=1e-3,
             pareto_bound_condition=True,
             utility_truthful_p0=0.0,
             utility_gl_p0=0.0,
@@ -212,7 +228,9 @@ class TestRunExperiment:
             env_id="x",
             mechanism="output_agreement",
             effort_cost=0.5,
-            thresholds={"p_ds": "not_achievable", "p_pareto": "not_found", "grid_resolution": 1e-3},
+            p_ds="not_achievable",
+            p_pareto="not_found",
+            grid=1e-3,
             pareto_bound_condition=True,
             utility_truthful_p0=0.0,
             utility_gl_p0=0.0,
@@ -261,6 +279,11 @@ class TestReports:
         series = json.loads(emit_plotdata(rows, tmp_path / "plot.json").read_text())
         assert len(series) == 4
         assert all(len(s["points"]) == 2 for s in series)
+
+    def test_row_json_round_trip(self):
+        rows = run_experiment(parse_config(tiny_config_doc(sweeps={"effort_cost": [0.1], "p": [0.5]})))
+        assert rows[0].utilities_at_p
+        assert [ResultRow.from_json_dict(json.loads(json.dumps(r.to_json_dict()))) for r in rows] == rows
 
     def test_json_round_trips_through_report_cli(self, rows, tmp_path):
         json_path = emit_json(rows, tmp_path / "rows.json")

@@ -1,5 +1,6 @@
 """Mechanism rewards: the realized-reward reference, exact expectations, Monte Carlo."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from peerspot import (
     truthful_strategy,
 )
 from peerspot.harness import parse_config
+from peerspot.mechanisms import KINDS
 from peerspot.scoring import LOGARITHMIC, NEGATIVE_SENTINEL
 
 from conftest import random_environment
@@ -433,9 +435,15 @@ class TestMechanismSpec:
         MechanismKind.MINIMUM_TRUTH_SERUM: dict(mts_aggregation="sum", rule=LOGARITHMIC),
         MechanismKind.PEER_INSENSITIVE: dict(constant_reward=2.5),
     }
+    # One non-default value for every parameter field.
+    FOREIGN = dict(
+        alpha=0.5, beta=2.0, scale=3.0, theta=0.5, constant_reward=2.5, mts_aggregation="sum", rule=LOGARITHMIC
+    )
 
     @pytest.mark.parametrize("kind", list(MechanismKind), ids=[k.value for k in MechanismKind])
     def test_json_round_trip_keeps_non_default_parameters(self, kind):
+        # Every parameter the kind reads is set away from its default.
+        assert set(self.NON_DEFAULT.get(kind, {})) == {attr for _, attr in KINDS[kind].json_fields}
         spec = MechanismSpec(kind, **self.NON_DEFAULT.get(kind, {}))
         assert MechanismSpec.from_json_dict(spec.to_json_dict()) == spec
 
@@ -446,6 +454,46 @@ class TestMechanismSpec:
         label = spec.describe()
         assert (label == kind.value) == (kind not in self.NON_DEFAULT)
         assert MechanismSpec.from_json_dict(spec.to_json_dict()).describe() == label
+
+    def test_labels_are_unique(self):
+        specs = {MechanismSpec(kind) for kind in MechanismKind}
+        specs |= {MechanismSpec(kind, **params) for kind, params in self.NON_DEFAULT.items()}
+        assert len({spec.describe() for spec in specs}) == len(specs) == len(MechanismKind) + len(self.NON_DEFAULT)
+
+    @pytest.mark.parametrize("kind", list(MechanismKind), ids=[k.value for k in MechanismKind])
+    def test_foreign_non_default_parameter_raises(self, kind):
+        taken = {attr for _, attr in KINDS[kind].json_fields}
+        for attr, value in self.FOREIGN.items():
+            if attr not in taken:
+                with pytest.raises(ShapeMismatch, match=f"^{kind.value} does not take "):
+                    MechanismSpec(kind, **{attr: value})
+
+    def test_output_agreement_rejects_theta(self):
+        with pytest.raises(ShapeMismatch, match=r"^output_agreement does not take theta=0\.5$"):
+            MechanismSpec(MechanismKind.OUTPUT_AGREEMENT, theta=0.5)
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            ({"kind": "output_agreement", "theta": 0.5}, "does not take theta=0.5"),
+            ({"kind": "output_agreement", "rule": "log"}, "does not take rule=log"),
+            ({"kind": "peer_truth_serum", "alpah": 2}, "unknown key 'alpah'"),
+            ({"kind": "peer_truth_serum", "alpha": None}, "float()"),
+            ({"kind": "robust_bts", "rule": 1}, "unknown scoring rule 1"),
+            ({"kind": "output_agreement", "rule": "quadratic"}, None),
+        ],
+        ids=["foreign-theta", "foreign-rule", "unknown-key", "null-value", "non-string-rule", "default-rule"],
+    )
+    def test_config_mechanism_keys(self, entry, error):
+        config = {
+            "environments": [{"labels": [0, 1], "prior": [0.5, 0.5], "high": [[0.9, 0.1], [0.1, 0.9]]}],
+            "mechanisms": [{"kind": "peer_insensitive"}, entry],
+        }
+        if error is None:
+            assert parse_config(config).mechanisms[1] == MechanismSpec(MechanismKind(entry["kind"]))
+        else:
+            with pytest.raises(ConfigError, match=r"^mechanisms\[1\]: .*" + re.escape(error)):
+                parse_config(config)
 
     def test_describe_orders_fields_by_key(self):
         spec = MechanismSpec(MechanismKind.DIVERGENCE_BTS, theta=0.5, rule=LOGARITHMIC)

@@ -30,7 +30,7 @@ from peerspot import (
     simulate_utilities,
     truthful_strategy,
 )
-from peerspot.mechanisms import BELIEF_BASED_KINDS
+from peerspot.mechanisms import KINDS
 from peerspot.strategies import belief_table
 
 from conftest import random_environment
@@ -55,16 +55,12 @@ def profiles(k: int) -> dict:
     }
 
 
-REFERENCE_CASES = [
-    (k, kind, name)
-    for k in ENVS
-    for kind in (
-        MechanismKind.CORRELATED_AGREEMENT,
-        MechanismKind.SQRT_SCALED_AGREEMENT,
-        MechanismKind.DOUBLE_MIXED_AGREEMENT,
-    )
-    for name in profiles(k)
-]
+MULTI_OBJECT_KINDS = (
+    MechanismKind.CORRELATED_AGREEMENT,
+    MechanismKind.SQRT_SCALED_AGREEMENT,
+    MechanismKind.DOUBLE_MIXED_AGREEMENT,
+)
+REFERENCE_CASES = [(k, kind, name) for k in ENVS for kind in MULTI_OBJECT_KINDS for name in profiles(k)]
 
 
 @pytest.mark.parametrize(
@@ -80,19 +76,13 @@ def test_exact_count_sampler_matches_per_object_reference(k, kind, name):
 
 
 REALIZED_ENVS = {k: replace(env, n_agents=4, n_objects=1) for k, env in ENVS.items()}
-ONE_OBJECT_KINDS = (
-    MechanismKind.OUTPUT_AGREEMENT,
-    MechanismKind.PEER_TRUTH_SERUM,
-    MechanismKind.PEER_INSENSITIVE,
-    MechanismKind.MULTI_VALUED_ROBUST_BTS,
-    MechanismKind.DIVERGENCE_BTS,
-    MechanismKind.MINIMUM_TRUTH_SERUM,
-)
+ONE_OBJECT_KINDS = tuple(kind for kind in KINDS if kind not in MULTI_OBJECT_KINDS)
 # The quadratic rule only: realized log scores raise LogOfZero where the sampler pays a sentinel.
 REALIZED_CASES = [
     (k, kind, name)
     for k in REALIZED_ENVS
-    for kind in ONE_OBJECT_KINDS + ((MechanismKind.ROBUST_BTS,) if k == 2 else ())
+    for kind in ONE_OBJECT_KINDS
+    if k == 2 or not KINDS[kind].binary_only
     for name in profiles(k)
 ]
 
@@ -138,10 +128,10 @@ def test_sampler_matches_realized_reward_average(k, kind, name):
 
 SPECS = [
     MechanismSpec(kind, rule=rule)
-    for kind in MechanismKind
-    for rule in ((QUADRATIC, LOGARITHMIC) if kind in BELIEF_BASED_KINDS else (QUADRATIC,))
+    for kind, entry in KINDS.items()
+    for rule in ((QUADRATIC, LOGARITHMIC) if entry.scored else (QUADRATIC,))
 ]
-CELL_CASES = [(k, spec) for k in (2, 3) for spec in SPECS if k == 2 or spec.kind is not MechanismKind.ROBUST_BTS]
+CELL_CASES = [(k, spec) for k in (2, 3) for spec in SPECS if k == 2 or not KINDS[spec.kind].binary_only]
 # (base, deviant) indices into the k=3 strategy enumeration: 0 is truthful,
 # 7 full effort with labels 1 and 2 swapped, 27 low identity, 40 always 1 without effort.
 K3_OFF_DIAGONAL = ((0, 7), (27, 0), (7, 40), (40, 27))
@@ -157,7 +147,7 @@ def off_diagonal_cells(k: int) -> list:
 
 
 def spec_id(k: int, spec) -> str:
-    name = f"{spec.kind.value}.{spec.rule.name}" if spec.kind in BELIEF_BASED_KINDS else spec.kind.value
+    name = f"{spec.kind.value}.{spec.rule.name}" if KINDS[spec.kind].scored else spec.kind.value
     return name if k == 3 else f"k{k}-{name}"
 
 

@@ -11,7 +11,6 @@ from peerspot import (
     Distribution,
     Effort,
     EnumerationBudgetExceeded,
-    LabelSpace,
     Strategy,
     StrategyProfile,
     enumerate_pure_strategies,
@@ -146,11 +145,3 @@ class TestInducedBeliefs:
                 assert np.allclose(table.sum(axis=1), 1.0, atol=1e-12)
                 assert np.all(table >= 0)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        space = LabelSpace.of(("low", "mid", "high"))
-        s = Strategy(Effort.NONE, (2, 0, 1), BeliefMode.POINT_MASS)
-        doc = s.to_json_dict(space)
-        assert doc == {"effort": "none", "map": ["high", "low", "mid"], "belief": "pointmass"}
-        assert Strategy.from_json_dict(doc, space) == s
