@@ -27,7 +27,6 @@ from .signals import (
     Distribution,
     Environment,
     LabelSpace,
-    binary_symmetric_environment,
     reference_environment,
     validate_environment,
 )
@@ -43,7 +42,6 @@ from .scoring import (
     score,
 )
 from .strategies import (
-    BeliefMode,
     Effort,
     Strategy,
     StrategyProfile,

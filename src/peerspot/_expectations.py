@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded, NonBinaryLabelSpace
 from .scoring import NEGATIVE_SENTINEL
 from .signals import Environment
-from .strategies import BeliefMode, Effort, Strategy, belief_table, peer_report_posterior
+from .strategies import Effort, effort_indices, peer_report_posteriors
 
 SUPPORT_ATOL = 1e-12
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -48,18 +48,13 @@ def observation_law(env: Environment, effort: Effort) -> np.ndarray:
     return law
 
 
-def _efforts(strategies: list) -> np.ndarray:
-    """Position of each strategy's effort in ``Effort`` order (full effort is 0)."""
-    return np.array([0 if s.is_full_effort else 1 for s in strategies])
-
-
 def _maps(strategies: list) -> np.ndarray:
     return np.array([s.report_map for s in strategies], dtype=int)
 
 
 def report_laws(env: Environment, strategies: list) -> np.ndarray:
     """P(report | quality, low draw) per strategy, stacked: shape (len(strategies), k, k, k)."""
-    observed = np.stack([observation_law(env, effort) for effort in Effort])[_efforts(strategies)]
+    observed = np.stack([observation_law(env, effort) for effort in Effort])[effort_indices(strategies)]
     maps, rows = _maps(strategies), np.arange(len(strategies))
     laws = np.zeros_like(observed)
     for o in range(maps.shape[1]):
@@ -95,24 +90,15 @@ def _agreement(w: np.ndarray, rd: np.ndarray, rg: np.ndarray) -> np.ndarray:
 def _beliefs(env: Environment, rule, bases: list, deviants: list) -> tuple:
     """Stacked belief tables (one row per observed value) and their scores at each outcome.
 
-    Posterior beliefs depend only on the holder's effort and the base, so 2 * len(bases)
-    tables serve all posterior-mode deviants.  Base g holds ``beliefs[base_rows[g]]`` and
-    deviant d holds ``beliefs[dev_rows[d, g]]`` against it.
+    Beliefs depend only on the holder's effort and the base, so 2 * len(bases) tables
+    serve every deviant.  Base g holds ``beliefs[base_rows[g]]`` and deviant d holds
+    ``beliefs[dev_rows[d, g]]`` against it.
     """
-    n_bases = len(bases)
-    tables = [peer_report_posterior(env, effort, base) for effort in Effort for base in bases]
-
-    def rows(strategy: Strategy) -> np.ndarray:
-        if strategy.belief_mode is BeliefMode.POSTERIOR:
-            return (0 if strategy.is_full_effort else n_bases) + np.arange(n_bases)
-        tables.append(belief_table(env, strategy, strategy))
-        return np.full(n_bases, len(tables) - 1)
-
-    dev_rows = np.array([rows(d) for d in deviants])
-    base_rows = np.array([rows(b)[g] for g, b in enumerate(bases)])
-    beliefs = np.stack(tables)
-    scores = rule.score_table(beliefs.reshape(-1, beliefs.shape[-1])).reshape(beliefs.shape)
-    return beliefs, scores, base_rows, dev_rows
+    k, n_bases = len(env.q_space), len(bases)
+    beliefs = peer_report_posteriors(env, bases).reshape(-1, k, k)
+    scores = rule.score_table(beliefs.reshape(-1, k)).reshape(beliefs.shape)
+    g, eg, ed = np.arange(n_bases), effort_indices(bases), effort_indices(deviants)
+    return beliefs, scores, eg * n_bases + g, ed[:, None] * n_bases + g
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +167,7 @@ def robust_bts(spec, env: Environment, bases: list, deviants: list) -> np.ndarra
         raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
     beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
     triple = np.array([[triple_obs_law(env, a, b, b) for b in Effort] for a in Effort])
-    ed, eg = _efforts(deviants)[:, None], _efforts(bases)[None, :]
+    ed, eg = effort_indices(deviants)[:, None], effort_indices(bases)[None, :]
     dmap, gmap = _maps(deviants), _maps(bases)
     # The shadow belief moves base g's belief after observation oj towards the
     # focal report ri: shadow_scores[g, oj, ri, outcome].
@@ -206,7 +192,7 @@ def multi_valued_robust_bts(spec, env: Environment, bases: list, deviants: list)
     k = len(env.q_space)
     beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
     pair = np.array([[pair_obs_law(env, a, b) for b in Effort] for a in Effort])
-    ed, eg = _efforts(deviants)[:, None], _efforts(bases)[None, :]
+    ed, eg = effort_indices(deviants)[:, None], effort_indices(bases)[None, :]
     dmap, gmap = _maps(deviants), _maps(bases)
     total = np.zeros((len(deviants), len(bases)))
     for oi in range(k):
@@ -225,7 +211,7 @@ def divergence_bts(spec, env: Environment, bases: list, deviants: list) -> np.nd
     k = len(env.q_space)
     beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
     pair = np.array([[pair_obs_law(env, a, b) for b in Effort] for a in Effort])
-    ed, eg = _efforts(deviants)[:, None], _efforts(bases)[None, :]
+    ed, eg = effort_indices(deviants)[:, None], effort_indices(bases)[None, :]
     dmap, gmap = _maps(deviants), _maps(bases)
     total = np.zeros((len(deviants), len(bases)))
     for oi in range(k):
@@ -294,7 +280,7 @@ def minimum_truth_serum(
     n_peers = env.n_agents - 1
     scale = 1.0 if spec.mts_aggregation == "mean" else float(n_peers)
     beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
-    ed, dmap, gmap = _efforts(deviants), _maps(deviants), _maps(bases)
+    ed, dmap, gmap = effort_indices(deviants), _maps(deviants), _maps(bases)
     total = np.zeros((len(deviants), len(bases)))
     for effort in Effort:
         cols = np.array([g for g, b in enumerate(bases) if b.effort is effort], dtype=int)

@@ -29,7 +29,7 @@ from .errors import NonBinaryLabelSpace, NotEnoughObjects, ShapeMismatch, TooFew
 from .mechanisms import MechanismKind, MechanismSpec
 from .scoring import NEGATIVE_SENTINEL, divergence
 from .signals import Environment
-from .strategies import Strategy, StrategyProfile, belief_table
+from .strategies import Effort, Strategy, StrategyProfile, peer_report_posteriors
 
 CHUNK = 20_000
 
@@ -100,8 +100,9 @@ class _Sampler:
         self.k = len(env.q_space)
         self.base_map = self.base.map_array()
         self.focal_map = self.focal.map_array()
-        self.beliefs_base = belief_table(env, self.base, self.base)
-        self.beliefs_focal = belief_table(env, self.focal, self.base)
+        beliefs = dict(zip(Effort, peer_report_posteriors(env, [self.base])[:, 0]))
+        self.beliefs_base = beliefs[self.base.effort]
+        self.beliefs_focal = beliefs[self.focal.effort]
         self.score_focal = spec.rule.score_table(self.beliefs_focal)  # (obs, outcome)
         # Report laws on an object other than the scored one.
         w = env.prior.as_array()[:, None] * env.low_channel.matrix()  # mass of (quality, low draw)
@@ -299,7 +300,6 @@ def simulate_utilities(
     profile: StrategyProfile,
     trials: int,
     seed: int,
-    include_effort_cost: bool = False,
 ) -> UtilityEstimate:
     """Sample mean and stderr of the focal agent's per-object reward; deterministic per seed."""
     if trials < 1:
@@ -313,8 +313,6 @@ def simulate_utilities(
         chunks.append(sampler.chunk(rng, take))
         remaining -= take
     rewards = np.concatenate(chunks)
-    if include_effort_cost and profile.focal_strategy().is_full_effort:
-        rewards = rewards - env.effort_cost
     mean = float(rewards.mean())
     stderr = float(rewards.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return UtilityEstimate(value=mean, stderr=stderr, samples=trials)

@@ -1,4 +1,8 @@
-"""Strictly proper scoring rules (quadratic and logarithmic) and their divergences."""
+"""Strictly proper scoring rules (quadratic and logarithmic) and their divergences.
+
+Each rule is one vectorised ``score_table``; a single score, a divergence and
+the symmetry check all read cells of it.
+"""
 
 from __future__ import annotations
 
@@ -16,12 +20,9 @@ NEGATIVE_SENTINEL = -1e9
 
 
 class ScoringRule:
-    """Interface: maps a belief vector and a realized outcome index to a real score."""
+    """Interface: scores belief vectors against realized outcome indices."""
 
     name = "abstract"
-
-    def score_array(self, belief: np.ndarray, outcome: int) -> float:
-        raise NotImplementedError
 
     def score_table(self, beliefs: np.ndarray) -> np.ndarray:
         """Scores of each belief row at each outcome, shape (n_beliefs, n_labels).
@@ -38,10 +39,6 @@ class QuadraticRule(ScoringRule):
 
     name = "quadratic"
 
-    def score_array(self, belief: np.ndarray, outcome: int) -> float:
-        belief = np.asarray(belief, dtype=float)
-        return float(2.0 * belief[outcome] - np.dot(belief, belief))
-
     def score_table(self, beliefs: np.ndarray) -> np.ndarray:
         beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
         return 2.0 * beliefs - np.sum(beliefs * beliefs, axis=1, keepdims=True)
@@ -49,15 +46,9 @@ class QuadraticRule(ScoringRule):
 
 @dataclass(frozen=True)
 class LogarithmicRule(ScoringRule):
-    """Log rule: ln(b[outcome]); raises LogOfZero at zero predicted mass."""
+    """Log rule: ln(b[outcome]); NEGATIVE_SENTINEL at zero predicted mass."""
 
     name = "log"
-
-    def score_array(self, belief: np.ndarray, outcome: int) -> float:
-        p = float(np.asarray(belief, dtype=float)[outcome])
-        if p <= 0.0:
-            raise LogOfZero(f"log score undefined: outcome has predicted mass {p}")
-        return math.log(p)
 
     def score_table(self, beliefs: np.ndarray) -> np.ndarray:
         beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
@@ -80,18 +71,20 @@ def rule_from_name(name: str) -> ScoringRule:
         raise ShapeMismatch(f"unknown scoring rule {name!r}; expected one of {sorted(_RULES)}") from None
 
 
+def _as_array(belief: Distribution | np.ndarray) -> np.ndarray:
+    return belief.as_array() if isinstance(belief, Distribution) else np.asarray(belief, dtype=float)
+
+
 def score(rule: ScoringRule, belief: Distribution | np.ndarray, outcome) -> float:
-    """Score a belief report against a realized outcome label (or index for raw arrays)."""
-    if isinstance(belief, Distribution):
-        idx = belief.support.index(outcome)
-        return rule.score_array(belief.as_array(), idx)
-    return rule.score_array(np.asarray(belief, dtype=float), int(outcome))
+    """Score a belief report against a realized outcome label (or index for raw arrays).
 
-
-def expected_score(rule: ScoringRule, truth: np.ndarray, belief: np.ndarray) -> float:
-    """Expected score of ``belief`` when outcomes are drawn from ``truth``."""
-    truth = np.asarray(truth, dtype=float)
-    return float(sum(truth[o] * rule.score_array(belief, o) for o in range(len(truth)) if truth[o] > 0))
+    Raises LogOfZero where the score is undefined (the log rule at zero predicted mass).
+    """
+    idx = belief.support.index(outcome) if isinstance(belief, Distribution) else int(outcome)
+    value = float(rule.score_table(_as_array(belief))[0, idx])
+    if value == NEGATIVE_SENTINEL:
+        raise LogOfZero(f"{rule.name} score undefined: outcome {outcome!r} has no predicted mass")
+    return value
 
 
 def divergence(rule: ScoringRule, b1: Distribution | np.ndarray, b2: Distribution | np.ndarray) -> float:
@@ -99,22 +92,18 @@ def divergence(rule: ScoringRule, b1: Distribution | np.ndarray, b2: Distributio
 
     Infinite when the log rule meets zero mass in ``b2`` on the support of ``b1``.
     """
-    a1 = b1.as_array() if isinstance(b1, Distribution) else np.asarray(b1, dtype=float)
-    a2 = b2.as_array() if isinstance(b2, Distribution) else np.asarray(b2, dtype=float)
+    a1, a2 = _as_array(b1), _as_array(b2)
     if a1.shape != a2.shape:
         raise ShapeMismatch("divergence arguments must share a support")
-    try:
-        return expected_score(rule, a1, a1) - expected_score(rule, a1, a2)
-    except LogOfZero:
+    support = a1 > 0.0
+    own, other = rule.score_table(np.stack([a1, a2]))[:, support]
+    if np.any(other == NEGATIVE_SENTINEL):
         return math.inf
+    return float(a1[support] @ (own - other))
 
 
 def check_symmetry(rule: ScoringRule, labels: LabelSpace | int, atol: float = 1e-12) -> bool:
     """True iff a correct point-mass prediction scores identically for every label."""
     k = labels if isinstance(labels, int) else len(labels)
-    values = []
-    for i in range(k):
-        pm = np.zeros(k)
-        pm[i] = 1.0
-        values.append(rule.score_array(pm, i))
-    return max(values) - min(values) <= atol
+    values = np.diag(rule.score_table(np.eye(k)))
+    return values.max() - values.min() <= atol

@@ -21,8 +21,6 @@ from .errors import InvalidDistribution, ShapeMismatch, TooFewAgents
 
 PROB_ATOL = 1e-12
 
-Label = object
-
 
 @dataclass(frozen=True)
 class LabelSpace:
@@ -195,36 +193,23 @@ class Environment:
         return env
 
 
-def binary_symmetric_environment(
-    accuracy: float = 0.9,
-    effort_cost: float = 0.1,
-    n_agents: int = 3,
-    n_objects: int = 2,
-    trusted_accuracy: float | None = None,
-    env_id: str = "e1",
-) -> Environment:
-    """Two labels, uniform prior, symmetric-noise high/trusted channels, uniform low channel."""
+def reference_environment() -> Environment:
+    """The binary environment used throughout the test suite: two labels, uniform prior,
+    0.9 symmetric-noise high and trusted channels, uniform low channel, cost 0.1, n=3, m=2."""
     space = LabelSpace.of((0, 1))
     env = Environment(
         q_space=space,
         prior=Distribution.uniform(space),
-        high_channel=Channel.symmetric_noise(space, accuracy),
-        trusted_channel=Channel.symmetric_noise(
-            space, accuracy if trusted_accuracy is None else trusted_accuracy
-        ),
+        high_channel=Channel.symmetric_noise(space, 0.9),
+        trusted_channel=Channel.symmetric_noise(space, 0.9),
         low_channel=Channel.uniform(space),
-        effort_cost=effort_cost,
-        n_agents=n_agents,
-        n_objects=n_objects,
-        env_id=env_id,
+        effort_cost=0.1,
+        n_agents=3,
+        n_objects=2,
+        env_id="e1",
     )
     env.validate()
     return env
-
-
-def reference_environment() -> Environment:
-    """The binary 0.9-channel environment used throughout the test suite (cost 0.1, n=3, m=2)."""
-    return binary_symmetric_environment()
 
 
 def validate_environment(env: Environment) -> None:

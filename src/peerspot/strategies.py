@@ -3,9 +3,8 @@
 A pure strategy either invests full effort (observe the costly high-quality
 signal) or none (observe the shared low-quality signal), then reports a fixed
 function of whichever signal it observed.  Belief reports are not free
-choices: under the posterior mode an agent reports the exact law of a random
-peer's signal report induced by the profile, and under the point-mass mode a
-degenerate belief on its own report.
+choices: an agent reports the exact law of a random peer's signal report
+induced by the profile, given its own observation.
 """
 
 from __future__ import annotations
@@ -28,18 +27,12 @@ class Effort(str, Enum):
     NONE = "none"
 
 
-class BeliefMode(str, Enum):
-    POSTERIOR = "posterior"  # induced law of a random peer's report given own observation
-    POINT_MASS = "pointmass"  # degenerate belief on own signal report
-
-
 @dataclass(frozen=True)
 class Strategy:
     """Effort level plus a total report map over label indices."""
 
     effort: Effort
     report_map: tuple  # output label index per input label index
-    belief_mode: BeliefMode = BeliefMode.POSTERIOR
 
     def __post_init__(self):
         if not all(isinstance(i, int) for i in self.report_map):
@@ -101,67 +94,45 @@ class StrategyProfile:
     """Symmetric profile with at most one deviant agent."""
 
     base: Strategy
-    deviant: tuple | None = None  # (agent index, Strategy)
+    deviant: Strategy | None = None
 
     def focal_strategy(self) -> Strategy:
-        return self.deviant[1] if self.deviant is not None else self.base
+        return self.deviant or self.base
 
     @staticmethod
     def symmetric(strategy: Strategy) -> "StrategyProfile":
         return StrategyProfile(strategy)
 
     @staticmethod
-    def with_deviant(base: Strategy, deviant: Strategy, agent: int = 0) -> "StrategyProfile":
-        return StrategyProfile(base, (agent, deviant))
+    def with_deviant(base: Strategy, deviant: Strategy) -> "StrategyProfile":
+        return StrategyProfile(base, deviant)
 
 
-def peer_report_posterior(env: Environment, observer_effort: Effort, base: Strategy) -> np.ndarray:
-    """Belief table: row v = law of a random base-strategy peer's report given own observation v.
+def effort_indices(strategies: list) -> np.ndarray:
+    """Position of each strategy's effort in ``Effort`` order (full effort is 0)."""
+    return np.array([0 if s.is_full_effort else 1 for s in strategies])
 
-    A full-effort observer conditions on its high signal; a no-effort observer
-    conditions on the shared low draw (and therefore knows a no-effort peer's
-    report exactly).  Rows for zero-probability observations are uniform; they
-    never carry weight in any expectation.
+
+def peer_report_posteriors(env: Environment, bases: list) -> np.ndarray:
+    """Belief tables per holder effort and base, shape (2, len(bases), k, k) in ``Effort`` order.
+
+    Row v of table [e, g] is the law of a random base-g peer's report given the
+    holder's own observation v under effort e.  A full-effort holder conditions
+    on its high signal and a no-effort holder on the shared low draw, which
+    tells it a no-effort peer's report exactly.  Rows for zero-probability
+    observations are uniform; they never carry weight in any expectation.
     """
     k = len(env.q_space)
     prior = env.prior.as_array()
-    high = env.high_channel.matrix()
-    low = env.low_channel.matrix()
-    base_map = base.map_array()
-    onehot = np.zeros((k, k))
-    onehot[np.arange(k), base_map] = 1.0
-
-    if base.is_full_effort:
-        peer_given_q = high @ onehot  # (q, report)
-    else:
-        peer_given_q = low @ onehot
-
-    table = np.empty((k, k))
-    for v in range(k):
-        if observer_effort is Effort.FULL:
-            w = prior * high[:, v]
-            if w.sum() <= 0.0:
-                table[v] = 1.0 / k
-                continue
-            table[v] = w @ peer_given_q / w.sum()
-        else:
-            if base.is_full_effort:
-                w = prior * low[:, v]
-                if w.sum() <= 0.0:
-                    table[v] = 1.0 / k
-                    continue
-                table[v] = w @ (high @ onehot) / w.sum()
-            else:
-                # Shared low draw: the peer's report is a known function of v.
-                table[v] = onehot[v]
-    return table
-
-
-def belief_table(env: Environment, strategy: Strategy, base: Strategy) -> np.ndarray:
-    """Belief vectors per observed value for ``strategy`` against a base profile."""
-    k = len(env.q_space)
-    if strategy.belief_mode is BeliefMode.POSTERIOR:
-        return peer_report_posterior(env, strategy.effort, base)
-    table = np.zeros((k, k))
-    table[np.arange(k), strategy.map_array()] = 1.0
-    return table
+    channels = np.stack([env.high_channel.matrix(), env.low_channel.matrix()])  # Effort order
+    maps = np.array([b.report_map for b in bases], dtype=int)
+    peer_efforts = effort_indices(bases)
+    onehots = np.eye(k)[maps]  # (g, observation, report)
+    peer_given_q = channels[peer_efforts] @ onehots  # (g, q, report)
+    w = prior[None, :, None] * channels  # (e, q, own observation)
+    mass = w.sum(axis=1)[:, None, :, None]  # (e, 1, own observation, 1)
+    tables = np.swapaxes(w, 1, 2)[:, None] @ peer_given_q[None] / np.where(mass > 0.0, mass, 1.0)
+    tables = np.where(mass > 0.0, tables, 1.0 / k)
+    # Shared low draw: a no-effort holder knows a no-effort peer's report.
+    tables[1, peer_efforts == 1] = onehots[peer_efforts == 1]
+    return tables

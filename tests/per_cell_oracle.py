@@ -2,7 +2,9 @@
 
 This is the engine the package used before the batched evaluators in
 ``peerspot._expectations``.  It is kept here, written out cell by cell, as
-an independent oracle for the batched tables.
+an independent oracle for the batched tables; ``peer_report_posterior``
+likewise builds one belief table per call, as an oracle for the batched
+``peerspot.strategies.peer_report_posteriors``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,33 @@ from peerspot._expectations import (
     triple_obs_law,
 )
 from peerspot.scoring import NEGATIVE_SENTINEL, divergence
-from peerspot.strategies import belief_table
+from peerspot.strategies import Effort
+
+
+def peer_report_posterior(env, observer_effort, base):
+    """Belief table: row v = law of a random base-strategy peer's report given own observation v.
+
+    A full-effort observer conditions on its high signal; a no-effort observer
+    conditions on the shared low draw (and therefore knows a no-effort peer's
+    report exactly).  Rows for zero-probability observations are uniform.
+    """
+    k = len(env.q_space)
+    prior = env.prior.as_array()
+    high = env.high_channel.matrix()
+    low = env.low_channel.matrix()
+    onehot = np.zeros((k, k))
+    onehot[np.arange(k), base.map_array()] = 1.0
+    peer_given_q = (high if base.is_full_effort else low) @ onehot  # (q, report)
+
+    table = np.empty((k, k))
+    for v in range(k):
+        if observer_effort is Effort.NONE and not base.is_full_effort:
+            # Shared low draw: the peer's report is a known function of v.
+            table[v] = onehot[v]
+            continue
+        w = prior * (high if observer_effort is Effort.FULL else low)[:, v]
+        table[v] = w @ peer_given_q / w.sum() if w.sum() > 0.0 else 1.0 / k
+    return table
 
 
 def report_law(env, strategy):
@@ -88,8 +116,8 @@ def value_robust_bts(env, base, deviant, rule):
     if k != 2:
         raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
     obs3 = triple_obs_law(env, deviant.effort, base.effort, base.effort)
-    beliefs_base = belief_table(env, base, base)
-    score_dev = rule.score_table(belief_table(env, deviant, base))
+    beliefs_base = peer_report_posterior(env, base.effort, base)
+    score_dev = rule.score_table(peer_report_posterior(env, deviant.effort, base))
     base_map = base.map_array()
     dev_map = deviant.map_array()
     total = 0.0
@@ -110,8 +138,8 @@ def value_robust_bts(env, base, deviant, rule):
 def value_multi_valued_robust_bts(env, base, deviant, rule):
     k = len(env.q_space)
     pair = pair_obs_law(env, deviant.effort, base.effort)
-    beliefs_base = belief_table(env, base, base)
-    score_dev = rule.score_table(belief_table(env, deviant, base))
+    beliefs_base = peer_report_posterior(env, base.effort, base)
+    score_dev = rule.score_table(peer_report_posterior(env, deviant.effort, base))
     base_map = base.map_array()
     dev_map = deviant.map_array()
     total = 0.0
@@ -131,8 +159,8 @@ def value_multi_valued_robust_bts(env, base, deviant, rule):
 def value_divergence_bts(env, base, deviant, rule, theta):
     k = len(env.q_space)
     pair = pair_obs_law(env, deviant.effort, base.effort)
-    beliefs_base = belief_table(env, base, base)
-    beliefs_dev = belief_table(env, deviant, base)
+    beliefs_base = peer_report_posterior(env, base.effort, base)
+    beliefs_dev = peer_report_posterior(env, deviant.effort, base)
     score_dev = rule.score_table(beliefs_dev)
     base_map = base.map_array()
     dev_map = deviant.map_array()
@@ -178,8 +206,8 @@ def value_minimum_truth_serum(
     n_peers = env.n_agents - 1
     w = outer_weights(env)
     obs_dev = observation_law(env, deviant.effort)
-    beliefs_base = belief_table(env, base, base)
-    score_dev = rule.score_table(belief_table(env, deviant, base))
+    beliefs_base = peer_report_posterior(env, base.effort, base)
+    score_dev = rule.score_table(peer_report_posterior(env, deviant.effort, base))
     base_map = base.map_array()
     dev_map = deviant.map_array()
     scale = 1.0 if aggregation == "mean" else float(n_peers)

@@ -25,7 +25,7 @@ from peerspot import (
     ScoringRule,
     TooFewAgents,
 )
-from peerspot.scoring import NEGATIVE_SENTINEL, divergence
+from peerspot.scoring import NEGATIVE_SENTINEL, divergence, score
 
 
 class NoPeer(PeerSpotError):
@@ -194,7 +194,7 @@ def reward_robust_bts(
     shadow_one = p_one + delta if inst.signal[agent, obj] == 1 else p_one - delta
     shadow = np.array([1.0 - shadow_one, shadow_one])
     outcome = int(inst.signal[k_agent, obj])
-    return rule.score_array(shadow, outcome) + rule.score_array(inst.beliefs[agent, obj], outcome)
+    return score(rule, shadow, outcome) + score(rule, inst.beliefs[agent, obj], outcome)
 
 
 def reward_multi_valued_robust_bts(
@@ -206,7 +206,7 @@ def reward_multi_valued_robust_bts(
     if ri == rj:
         bj = float(inst.beliefs[peer, obj][ri])
         match = 1.0 / bj if bj > 0.0 else NEGATIVE_SENTINEL
-    return match + rule.score_array(inst.beliefs[agent, obj], rj)
+    return match + score(rule, inst.beliefs[agent, obj], rj)
 
 
 def reward_divergence_bts(
@@ -222,7 +222,7 @@ def reward_divergence_bts(
     penalty = 0.0
     if ri == rj and divergence(rule, inst.beliefs[agent, obj], inst.beliefs[peer, obj]) > theta:
         penalty = 1.0
-    return rule.score_array(inst.beliefs[agent, obj], rj) - penalty
+    return score(rule, inst.beliefs[agent, obj], rj) - penalty
 
 
 def reward_minimum_truth_serum(
@@ -239,7 +239,7 @@ def reward_minimum_truth_serum(
     peer_reports = inst.signal[peers, obj]
     counts = np.bincount(peer_reports, minlength=k)
     own_belief = inst.beliefs[agent, obj]
-    own_scores = [rule.score_array(own_belief, int(r)) for r in peer_reports]
+    own_scores = [score(rule, own_belief, r) for r in peer_reports]
     mean_own = float(np.mean(own_scores))
     if counts.min() < 1:
         reward = mean_own
@@ -247,7 +247,7 @@ def reward_minimum_truth_serum(
         ri = int(inst.signal[agent, obj])
         same = [a for a in peers if inst.signal[a, obj] == ri]
         proxy = np.mean([inst.beliefs[a, obj] for a in same], axis=0)
-        mean_proxy = float(np.mean([rule.score_array(proxy, int(r)) for r in peer_reports]))
+        mean_proxy = float(np.mean([score(rule, proxy, r) for r in peer_reports]))
         reward = min(mean_own, mean_proxy)
     return reward * (1.0 if aggregation == "mean" else len(peers))
 

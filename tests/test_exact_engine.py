@@ -6,7 +6,8 @@
 
 The oracle comparison runs here on the reference environment and two k=3
 acceptance environments.  ``python tests/test_exact_engine.py`` runs it on
-all 21 acceptance environments.
+all 21 acceptance environments, and also compares the batched belief tables
+with the per-base ``peer_report_posterior`` there.
 """
 
 import sys
@@ -21,6 +22,7 @@ from peerspot import (
     QUADRATIC,
     Channel,
     Distribution,
+    Effort,
     Environment,
     MechanismKind,
     MechanismSpec,
@@ -32,9 +34,10 @@ from peerspot import (
 )
 from peerspot.acceptance import _random_acceptance_environments
 from peerspot.mechanisms import KINDS, unchecked_block
+from peerspot.strategies import peer_report_posteriors
 
 from conftest import random_environment
-from per_cell_oracle import oracle_table, oracle_value
+from per_cell_oracle import oracle_table, oracle_value, peer_report_posterior
 
 TOL = 1e-12
 SPECS = [
@@ -157,10 +160,24 @@ def test_tables_permute_with_the_labels(seed, perm):
         )
 
 
+def posterior_gap(env: Environment) -> float:
+    """Largest difference between the batched belief tables and the per-base oracle."""
+    strategies = enumerate_pure_strategies(env.q_space)
+    batched = peer_report_posteriors(env, strategies)
+    oracle = np.stack([[peer_report_posterior(env, e, base) for base in strategies] for e in Effort])
+    return float(np.abs(batched - oracle).max())
+
+
 def full_gate() -> int:
     """The oracle comparison on every acceptance environment, every kind and rule."""
     envs = [reference_environment()] + _random_acceptance_environments()
     failures = 0
+    gaps = {env.env_id: posterior_gap(env) for env in envs}
+    for env_id, gap in gaps.items():
+        if gap > TOL:
+            failures += 1
+            print(f"FAIL {env_id} belief tables: largest difference {gap:.3g}")
+    print(f"belief tables: largest difference from the per-base oracle {max(gaps.values()):.3g}")
     for env in envs:
         for spec in SPECS if len(env.q_space) == 2 else K3_SPECS:
             try:

@@ -395,13 +395,6 @@ class TestSimulationContract:
         b = simulate_utilities(spec, env, profile, trials=5_000, seed=77)
         assert (a.value, a.stderr) == (b.value, b.stderr)
 
-    def test_effort_cost_flag(self, env):
-        spec = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
-        profile = StrategyProfile.symmetric(truthful_strategy(2))
-        raw = simulate_utilities(spec, env, profile, trials=2_000, seed=3)
-        net = simulate_utilities(spec, env, profile, trials=2_000, seed=3, include_effort_cost=True)
-        assert net.value == pytest.approx(raw.value - env.effort_cost, abs=1e-12)
-
     def test_minimum_truth_serum_enumeration_budget(self):
         # Peer-observation multisets grow as C(n + k - 1, k - 1): a four-label
         # space with hundreds of agents blows the exact-enumeration budget.

@@ -31,9 +31,9 @@ from peerspot import (
     truthful_strategy,
 )
 from peerspot.mechanisms import KINDS
-from peerspot.strategies import belief_table
 
 from conftest import random_environment
+from per_cell_oracle import peer_report_posterior
 from per_object_sampler import simulate_per_object
 from realized_rewards import RealizedInstance, realized_reward
 
@@ -105,7 +105,8 @@ def realized_mean(spec, env, profile, draws, seed):
     obs = np.stack([high[:, a] if s.is_full_effort else s_low for a, s in enumerate(strategies)], axis=1)
     reports = np.stack([s.map_array()[obs[:, a]] for a, s in enumerate(strategies)], axis=1)
     beliefs = np.stack(
-        [belief_table(env, s, profile.base)[obs[:, a]] for a, s in enumerate(strategies)], axis=1
+        [peer_report_posterior(env, s.effort, profile.base)[obs[:, a]] for a, s in enumerate(strategies)],
+        axis=1,
     )
     labels = LabelSpace.of(range(k))
     rewards = [

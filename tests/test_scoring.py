@@ -82,8 +82,9 @@ class _OffsetByLabel(ScoringRule):
 
     name = "offset"
 
-    def score_array(self, belief, outcome):
-        return QUADRATIC.score_array(belief, outcome) + outcome
+    def score_table(self, beliefs):
+        table = QUADRATIC.score_table(beliefs)
+        return table + np.arange(table.shape[1])
 
 
 class TestSymmetry:

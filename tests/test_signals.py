@@ -8,7 +8,6 @@ import pytest
 from peerspot import (
     Channel,
     Distribution,
-    Effort,
     Environment,
     InvalidDistribution,
     LabelSpace,
@@ -17,7 +16,7 @@ from peerspot import (
     truthful_strategy,
     validate_environment,
 )
-from peerspot.strategies import peer_report_posterior
+from peerspot.strategies import peer_report_posteriors
 
 from conftest import random_environment
 
@@ -87,7 +86,7 @@ class TestValidation:
 
 def truthful_posterior(env):
     """Row v: law of a truthful full-effort peer's report given one's own high signal v."""
-    return peer_report_posterior(env, Effort.FULL, truthful_strategy(env.q_space))
+    return peer_report_posteriors(env, [truthful_strategy(env.q_space)])[0, 0]
 
 
 class TestPosterior:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from peerspot import (
-    BeliefMode,
     Distribution,
     Effort,
     EnumerationBudgetExceeded,
@@ -17,9 +16,10 @@ from peerspot import (
     low_identity_strategy,
     truthful_strategy,
 )
-from peerspot.strategies import belief_table
+from peerspot.strategies import peer_report_posteriors
 
 from conftest import random_environment
+from per_cell_oracle import peer_report_posterior
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ def realize_report(strategy: Strategy, env, realized_signals: tuple, profile: St
     s_high, s_low = realized_signals
     labels = env.q_space
     observed = labels.index(s_high if strategy.is_full_effort else s_low)
-    beliefs = belief_table(env, strategy, profile.base)
+    beliefs = peer_report_posteriors(env, [profile.base])[0 if strategy.is_full_effort else 1, 0]
     belief = Distribution.from_array(labels, beliefs[observed])
     return Report(labels.labels[strategy.report_map[observed]], belief)
 
@@ -107,13 +107,6 @@ class TestRealizeReport:
         for sh in (0, 1):
             assert realize_report(const, env, (sh, 0), profile).signal_report == 1
 
-    def test_point_mass_mode(self, env):
-        swap = Strategy(Effort.FULL, (1, 0), BeliefMode.POINT_MASS)
-        profile = StrategyProfile.symmetric(truthful_strategy(env.q_space))
-        report = realize_report(swap, env, (0, 1), profile)
-        assert report.signal_report == 1
-        assert report.belief_report.probs == pytest.approx((0.0, 1.0))
-
     def test_extensional_equality(self, env):
         a = Strategy(Effort.FULL, (1, 0))
         b = Strategy(Effort.FULL, (1, 0))
@@ -131,17 +124,23 @@ class TestInducedBeliefs:
         rng = np.random.default_rng(71)
         env = random_environment(rng, labels, correlated_low=True)
         strategies = enumerate_pure_strategies(labels)
-        picks = [strategies[i] for i in (0, 1, len(strategies) // 2, -1)]
-        for base in picks:
-            for observer in picks:
-                got = belief_table(env, observer, base)
-                oracle = brute_belief(env, observer, base)
-                assert np.allclose(got, oracle, atol=1e-12)
+        tables = peer_report_posteriors(env, strategies)
+        assert tables.shape == (2, len(strategies), labels, labels)
+        for e, effort in enumerate(Effort):
+            observer = Strategy(effort, tuple(range(labels)))
+            for g, base in enumerate(strategies):
+                assert np.allclose(tables[e, g], brute_belief(env, observer, base), atol=1e-12)
+
+    def test_matches_per_base_oracle_at_four_labels(self):
+        env = random_environment(np.random.default_rng(72), 4, correlated_low=True)
+        strategies = enumerate_pure_strategies(4)
+        tables = peer_report_posteriors(env, strategies)
+        for e, effort in enumerate(Effort):
+            oracle = np.stack([peer_report_posterior(env, effort, base) for base in strategies])
+            np.testing.assert_allclose(tables[e], oracle, rtol=0.0, atol=1e-12)
 
     def test_rows_are_distributions(self, ternary_env):
-        for base in (truthful_strategy(3), low_identity_strategy(3)):
-            for observer in (truthful_strategy(3), low_identity_strategy(3)):
-                table = belief_table(ternary_env, observer, base)
-                assert np.allclose(table.sum(axis=1), 1.0, atol=1e-12)
-                assert np.all(table >= 0)
-
+        bases = [truthful_strategy(3), low_identity_strategy(3)]
+        tables = peer_report_posteriors(ternary_env, bases)
+        assert np.allclose(tables.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(tables >= 0)
