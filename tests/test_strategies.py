@@ -107,6 +107,17 @@ class TestRealizeReport:
         for sh in (0, 1):
             assert realize_report(const, env, (sh, 0), profile).signal_report == 1
 
+    def test_swap_reports_posterior_of_its_observation(self, env):
+        # Relabelling the signal report leaves the belief report alone: it is
+        # still the posterior of the peer's report given what was observed.
+        swap = Strategy(Effort.FULL, (1, 0))
+        truthful = truthful_strategy(env.q_space)
+        profile = StrategyProfile.symmetric(truthful)
+        report = realize_report(swap, env, (0, 1), profile)
+        assert report.signal_report == 1
+        assert report.belief_report.probs == pytest.approx(tuple(brute_belief(env, swap, truthful)[0]), abs=1e-12)
+        assert report.belief_report.probs == realize_report(truthful, env, (0, 1), profile).belief_report.probs
+
     def test_extensional_equality(self, env):
         a = Strategy(Effort.FULL, (1, 0))
         b = Strategy(Effort.FULL, (1, 0))
