@@ -7,8 +7,10 @@ base, and no entry depends on the cost, so one table serves a whole cost
 sweep.  Every entry is an exact expectation, so an equilibrium is certified
 when no deviation gains more than an absolute tolerance.  Combined utilities
 p * E[y] + (1 - p) * E[z] - cost are affine in the spot-check probability, so
-equilibrium regions and dominance thresholds reduce to exact affine
-arithmetic plus grid scans at the reporting resolution.
+each base strategy is an equilibrium on one interval of p.  ``p_pareto`` is
+solved from those intervals, a block of bases at a time, and reported at the
+grid point a dense scan would find; ``p_el`` still scans the grid for its
+bracket before bisecting.
 
 Thresholds solved here:
 
@@ -37,6 +39,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
 DEFAULT_REFINE = 1e-6
 MAX_EQUILIBRIUM_LABELS = 4
+PARETO_BLOCK = 64  # bases per block in the Pareto threshold search
 
 
 @dataclass(frozen=True)
@@ -168,13 +171,19 @@ def enumerate_symmetric_pure_equilibria(
 ) -> list:
     """All certified symmetric pure equilibria, sorted by utility descending."""
     _check_label_budget(table, "equilibrium enumeration")
-    records = []
-    for idx, strategy in enumerate(table.strategies):
-        gains = table.gains(idx, p, cost)
-        max_gain = float(gains.max())
-        if max_gain <= tol:
-            utility = float(table.utilities(p, cost)[idx])
-            records.append(EquilibriumRecord(strategy, utility, max_gain, certified=True))
+    # Column b holds PayoffTable.gains(b, p, cost); a base's conformity payoff is its utility.
+    utilities = table.utilities(p, cost)
+    gains = (
+        p * table.spot[:, None]
+        + (1.0 - p) * table.unchecked
+        - (cost * table.full_effort)[:, None]
+        - utilities[None, :]
+    )
+    max_gains = gains.max(axis=0)
+    records = [
+        EquilibriumRecord(table.strategies[b], float(utilities[b]), float(max_gains[b]), certified=True)
+        for b in np.flatnonzero(max_gains <= tol)
+    ]
     records.sort(key=lambda r: -r.utility)
     return records
 
@@ -244,10 +253,15 @@ def solve_p_el(
     convex, so the first sign change found on the grid brackets the unique
     boundary and bisection refines it.
     """
-    base_index = table.best_no_effort
+    # PayoffTable.gains against the base, with everything that does not depend on p read once.
+    b = table.best_no_effort
+    spot, z_col = table.spot, np.ascontiguousarray(table.unchecked[:, b])
+    cost_full = cost * table.full_effort
+    spot_b, z_bb, cost_b = spot[b], table.unchecked[b, b], cost * table.full_effort[b]
 
     def max_gain(p: float) -> float:
-        return float(table.gains(base_index, p, cost).max())
+        conform = p * spot_b + (1.0 - p) * z_bb - cost_b
+        return float((p * spot + (1.0 - p) * z_col - cost_full - conform).max())
 
     if max_gain(0.0) > tol:
         return NOT_APPLICABLE
@@ -291,27 +305,112 @@ def solve_p_ex(table: PayoffTable, cost: float, tol: float = DEFAULT_TOL):
 def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
     """Smallest grid probability at which the truthful profile is a certified
     equilibrium and weakly best among all certified symmetric pure equilibria,
-    or NOT_FOUND."""
-    _check_label_budget(table, "Pareto threshold search")
-    spot, z, full = table.spot, table.unchecked, table.full_effort
-    diag = np.diag(z)
-    t = table.truthful
+    or NOT_FOUND.
 
-    gains0 = (z - diag[None, :]) - cost * (full[:, None] - full[None, :])
-    gains1 = (spot[:, None] - spot[None, :]) - cost * (full[:, None] - full[None, :])
+    Each base is certified on one interval of grid points
+    (``_certified_intervals``), and the truthful profile's interval is the
+    span searched.  A point of the span fails when a base certified there has
+    a utility above the truthful utility plus ``tol``; the answer is the first
+    point that no base rules out.  Only bases whose affine utility can beat
+    the truthful one somewhere on the span are examined, ``PARETO_BLOCK`` at a
+    time, so the working set is O(PARETO_BLOCK * (S + grid points)) instead of
+    a dense scan's (grid points, S, S) gain array.  Gains and utilities at a
+    grid point are computed with the dense scan's expressions, so the answer
+    is the grid point that scan returns.
+    """
+    _check_label_budget(table, "Pareto threshold search")
+    spot, full = table.spot, table.full_effort
+    diag = np.diag(table.unchecked)
+    cost_full = cost * full
+    t = table.truthful
     points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
-    gains = (1.0 - points)[:, None, None] * gains0[None] + points[:, None, None] * gains1[None]
-    is_eq = gains.max(axis=1) <= tol  # (P, S)
-    utilities = (
-        points[:, None] * spot[None, :]
-        + (1.0 - points)[:, None] * diag[None, :]
-        - cost * full[None, :]
-    )
-    dominated = utilities[:, t : t + 1] + tol >= utilities
-    feasible = is_eq[:, t] & np.all(~is_eq | dominated, axis=1)
-    if not feasible.any():
+    (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, tol, np.array([t]))
+    if t_lo > t_hi:
         return NOT_FOUND
-    return float(points[int(np.argmax(feasible))])
+    span = np.arange(t_lo, t_hi + 1)
+    p = points[span][:, None]
+    truthful = p * spot[t] + (1.0 - p) * diag[t] - cost_full[t]
+
+    # A base's lead over truthful utility is affine in p, so its largest value on
+    # the span is at an end; the slack keeps every base that rounding could tip.
+    ends = points[[t_lo, t_hi]][:, None]
+    at_ends = ends * spot + (1.0 - ends) * diag - cost_full
+    lead = at_ends - at_ends[:, t : t + 1]
+    scale = np.abs(spot) + np.abs(diag) + cost_full
+    rivals = np.flatnonzero(lead.max(axis=0) > tol - 1e-12 * (1.0 + scale + scale[t]))
+
+    covered = np.zeros(len(span), dtype=bool)
+    for start in range(0, len(rivals), PARETO_BLOCK):
+        cols = rivals[start : start + PARETO_BLOCK]
+        lo, hi = _certified_intervals(table, cost, points, tol, cols)
+        utilities = p * spot[cols] + (1.0 - p) * diag[cols] - cost_full[cols]
+        beats = ~(truthful + tol >= utilities)
+        certified = (span[:, None] >= lo) & (span[:, None] <= hi)
+        covered |= (beats & certified).any(axis=1)
+    free = np.flatnonzero(~covered)
+    if not free.size:
+        return NOT_FOUND
+    return float(points[span[free[0]]])
+
+
+def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, tol: float, cols: np.ndarray):
+    """Grid-index interval [lo, hi] on which each base in ``cols`` is a certified
+    symmetric equilibrium; lo > hi when it is certified at no grid point.
+
+    Deviant d's gain against base b is g0 + p (g1 - g0), so b is certified where
+    p lies above every crossing of ``tol`` with a falling gain and below every
+    crossing with a rising one.  The ends are rounded onto the grid and
+    confirmed with the grid formula at each end and one point outside it;
+    the few bases where rounding misplaced an end are settled by probing
+    single grid points (``_settle_interval``).
+    """
+    z, spot, full = table.unchecked, table.spot, table.full_effort
+    # One row per base and one column per deviant, so each reduction runs along contiguous memory.
+    effort = cost * (full[None, :] - full[cols][:, None])
+    g0 = (z.T[cols] - z[cols, cols][:, None]) - effort
+    g1 = (spot[None, :] - spot[cols][:, None]) - effort
+    slope = g1 - g0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = (tol - g0) / slope
+    lo = np.max(crossing, axis=1, where=slope < 0, initial=-np.inf)
+    # A flat gain above tol crosses at -inf and rules out every p; fmin skips the 0/0 of one at tol.
+    hi = np.fmin.reduce(crossing, axis=1, where=slope >= 0, initial=np.inf)
+    n = len(points) - 1
+    lo = np.maximum(np.ceil(np.clip(lo, -1.0, 2.0) * n).astype(int), 0)
+    hi = np.minimum(np.floor(np.clip(hi, -1.0, 2.0) * n).astype(int), n)
+
+    def certified(index, j=slice(None)):
+        q = points[index][..., None]
+        return ((1.0 - q) * g0[j] + q * g1[j]).max(axis=-1) <= tol
+
+    misplaced = np.zeros(len(cols), dtype=bool)
+    for probe in (lo - 1, lo, hi, hi + 1):
+        on_grid = (probe >= 0) & (probe <= n)
+        expected = (lo <= probe) & (probe <= hi)
+        misplaced |= on_grid & (certified(np.clip(probe, 0, n)) != expected)
+    for j in np.flatnonzero(misplaced):
+        lo[j], hi[j] = _settle_interval(lambda i: bool(certified(i, j)), int(lo[j]), int(hi[j]), n)
+    return lo, hi
+
+
+def _settle_interval(certified, lo: int, hi: int, n: int) -> tuple:
+    """The interval of grid points where ``certified`` holds, from a guess [lo, hi]
+    that is off by rounding: find a certified point near the guess, then bisect
+    for each end.  Returns (1, 0) when no point near the guess is certified."""
+    near = (lo, hi, lo - 1, hi + 1, lo + 1, hi - 1)
+    seed = next((i for i in near if 0 <= i <= n and certified(i)), None)
+    if seed is None:
+        return 1, 0
+    a, b = 0, seed
+    while a < b:
+        mid = (a + b) // 2
+        a, b = (a, mid) if certified(mid) else (mid + 1, b)
+    first = a
+    a, b = seed, n
+    while a < b:
+        mid = (a + b + 1) // 2
+        a, b = (mid, b) if certified(mid) else (a, mid - 1)
+    return first, a
 
 
 def check_pareto_bound_condition(table: PayoffTable, tol: float = DEFAULT_TOL) -> bool:

@@ -3,16 +3,37 @@ import pytest
 from hypothesis import settings
 
 from peerspot import (
+    LOGARITHMIC,
+    QUADRATIC,
     Channel,
     Distribution,
     Environment,
     LabelSpace,
+    MechanismSpec,
     reference_environment,
 )
+from peerspot.mechanisms import KINDS
 
 # Property tests draw from a fixed seed, so every run checks the same examples.
 settings.register_profile("seeded", derandomize=True, database=None, deadline=None)
 settings.load_profile("seeded")
+
+# Every kind at its default parameters, under both rules where it scores beliefs.
+SPECS = [
+    MechanismSpec(kind, rule=rule)
+    for kind, entry in KINDS.items()
+    for rule in ((QUADRATIC, LOGARITHMIC) if entry.scored else (QUADRATIC,))
+]
+K3_SPECS = [spec for spec in SPECS if not KINDS[spec.kind].binary_only]
+
+
+def specs_for(env: Environment) -> list:
+    """The specs of SPECS that apply to the environment's label count."""
+    return SPECS if len(env.q_space) == 2 else K3_SPECS
+
+
+def spec_id(spec: MechanismSpec) -> str:
+    return f"{spec.kind.value}.{spec.rule.name}" if KINDS[spec.kind].scored else spec.kind.value
 
 
 @pytest.fixture

@@ -1,0 +1,67 @@
+"""Dense grid solvers: every threshold condition evaluated at every grid point.
+
+``solve_p_pareto`` here is the package's former solver.  It builds the
+(points, S, S) deviation-gain array and the (points, S) utility array and
+takes the first grid point where the truthful profile is certified and no
+certified base beats it.  ``peerspot.equilibrium.solve_p_pareto`` derives the
+same grid point from per-base equilibrium intervals, and must return exactly
+what this one returns.
+
+It allocates three arrays of 1001·S² floats: about 70 MB at k=3 (S=54) and
+6 GB at k=4 (S=512).  At k=4 use ``scan_p_pareto``, which visits the same
+grid points one at a time.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from peerspot.equilibrium import DEFAULT_GRID, DEFAULT_TOL, NOT_FOUND, PayoffTable, _check_label_budget
+
+
+def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
+    """Smallest grid probability at which the truthful profile is a certified
+    equilibrium and weakly best among all certified symmetric pure equilibria,
+    or NOT_FOUND."""
+    _check_label_budget(table, "Pareto threshold search")
+    spot, z, full = table.spot, table.unchecked, table.full_effort
+    diag = np.diag(z)
+    t = table.truthful
+
+    gains0 = (z - diag[None, :]) - cost * (full[:, None] - full[None, :])
+    gains1 = (spot[:, None] - spot[None, :]) - cost * (full[:, None] - full[None, :])
+    points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
+    gains = (1.0 - points)[:, None, None] * gains0[None] + points[:, None, None] * gains1[None]
+    is_eq = gains.max(axis=1) <= tol  # (P, S)
+    utilities = (
+        points[:, None] * spot[None, :]
+        + (1.0 - points)[:, None] * diag[None, :]
+        - cost * full[None, :]
+    )
+    dominated = utilities[:, t : t + 1] + tol >= utilities
+    feasible = is_eq[:, t] & np.all(~is_eq | dominated, axis=1)
+    if not feasible.any():
+        return NOT_FOUND
+    return float(points[int(np.argmax(feasible))])
+
+
+def scan_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
+    """``solve_p_pareto`` one grid point at a time, stopping at the first feasible one.
+
+    Every value it compares is computed by the same expression as in the dense
+    solver, so it returns the same grid point, in O(S²) memory: the oracle for
+    k=4 tables.
+    """
+    _check_label_budget(table, "Pareto threshold search")
+    spot, z, full = table.spot, table.unchecked, table.full_effort
+    diag = np.diag(z)
+    t = table.truthful
+
+    gains0 = (z - diag[None, :]) - cost * (full[:, None] - full[None, :])
+    gains1 = (spot[:, None] - spot[None, :]) - cost * (full[:, None] - full[None, :])
+    for p in np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1):
+        is_eq = ((1.0 - p) * gains0 + p * gains1).max(axis=0) <= tol
+        utilities = p * spot + (1.0 - p) * diag - cost * full
+        if is_eq[t] and np.all(~is_eq | (utilities[t] + tol >= utilities)):
+            return float(p)
+    return NOT_FOUND

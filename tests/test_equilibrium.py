@@ -1,10 +1,22 @@
-"""Deviation gains, equilibrium enumeration, and the four threshold solvers."""
+"""Deviation gains, equilibrium enumeration, and the four threshold solvers.
+
+``solve_p_pareto`` is compared here with the dense grid solver in
+``grid_solvers`` on e1 and the 20 acceptance environments, and on synthetic
+tables.  ``python tests/test_equilibrium.py`` runs the full comparison: the 32
+sweep-k3 families, the bundled config, the acceptance environments, and one
+k=4 environment against the point-by-point scan.  It prints the number of rows
+compared and of mismatches.
+"""
 
 import itertools
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerspot import (
     Channel,
@@ -20,10 +32,14 @@ from peerspot import (
     compute_payoff_table,
     compute_thresholds,
     construct_dominated_environment,
+    enumerate_pure_strategies,
     enumerate_symmetric_pure_equilibria,
+    example_config_path,
     expected_spot_reward,
     is_symmetric_equilibrium,
+    load_config,
     low_identity_strategy,
+    reference_environment,
     solve_p_ds,
     solve_p_ds_bisection,
     solve_p_el,
@@ -32,12 +48,37 @@ from peerspot import (
     threshold_float,
     truthful_strategy,
 )
-from peerspot.harness import generate_environments
+from peerspot.acceptance import _random_acceptance_environments
+from peerspot.harness import DEFAULT_EFFORT_COSTS, generate_environments, parse_config, run_experiment
+from peerspot.mechanisms import KINDS
 
-from conftest import random_environment
+from conftest import random_environment, spec_id, specs_for
+from grid_solvers import scan_p_pareto
+from grid_solvers import solve_p_pareto as grid_p_pareto
 
 OA = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
 PI = MechanismSpec(MechanismKind.PEER_INSENSITIVE, constant_reward=1.0)
+
+
+# The benchmark's sweep-k4 shape: one seeded k=4 environment, two kinds, default costs and grid.
+K4_SWEEP = {
+    "environments": [{"generator": {"labels": 4, "count": 1, "seed": 3, "prefix": "bench"}}],
+    "mechanisms": [{"kind": "output_agreement"}, {"kind": "peer_insensitive"}],
+}
+EIGHTHS = st.integers(-4, 4).map(lambda i: i / 8)
+
+
+@st.composite
+def eighths_tables(draw):
+    """A payoff table over 2 to 8 binary strategies, every entry a multiple of 1/8."""
+    required = [truthful_strategy(2), low_identity_strategy(2)]
+    others = [s for s in enumerate_pure_strategies(2) if s not in required]
+    chosen = draw(st.permutations(required + draw(st.lists(st.sampled_from(others), unique=True))))
+    size = len(chosen)
+    spot = draw(st.lists(EIGHTHS, min_size=size, max_size=size))
+    unchecked = draw(st.lists(EIGHTHS, min_size=size * size, max_size=size * size))
+    full = [1.0 if s.is_full_effort else 0.0 for s in chosen]
+    return PayoffTable(list(chosen), np.array(spot), np.array(unchecked).reshape(size, size), np.array(full))
 
 
 def correlated_low_env(env, accuracy=0.8):
@@ -145,6 +186,15 @@ class TestEnumeration:
             assert single.certified
             assert single.utility == pytest.approx(rec.utility, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
+    def test_matches_per_strategy_certification_on_k3(self, ternary_env, p):
+        table = compute_payoff_table(OA, ternary_env)
+        cost = ternary_env.effort_cost
+        singles = [is_symmetric_equilibrium(table, s, p, cost) for s in table.strategies]
+        expected = sorted((r for r in singles if r.certified), key=lambda r: -r.utility)
+        assert expected
+        assert enumerate_symmetric_pure_equilibria(table, p, cost) == expected
+
     def test_label_budget(self):
         # A two-strategy stand-in table over five labels: the budget reads the labels, not S.
         strategies = [truthful_strategy(5), low_identity_strategy(5)]
@@ -248,6 +298,70 @@ class TestParetoThreshold:
             n_objects=2,
         )
         assert solve_p_pareto(compute_payoff_table(OA, e), 0.0, grid=1e-3) == 0.0
+
+
+ORACLE_ENVS = {env.env_id: env for env in [reference_environment()] + _random_acceptance_environments()}
+
+
+def pareto_mismatches(label: str, table, costs, oracle=grid_p_pareto) -> list:
+    """Rows where the interval solver and a grid oracle disagree, statuses included."""
+    found = []
+    for cost in costs:
+        new, old = solve_p_pareto(table, cost), oracle(table, cost)
+        if repr(new) != repr(old):
+            found.append(f"{label} cost={cost!r}: {new!r}, {oracle.__name__} {old!r}")
+    return found
+
+
+class TestParetoAgainstGridSolver:
+    @pytest.mark.parametrize("env_id", sorted(ORACLE_ENVS))
+    def test_acceptance_environment(self, env_id):
+        env = ORACLE_ENVS[env_id]
+        mismatches = []
+        for spec in specs_for(env):
+            table = compute_payoff_table(spec, env)
+            mismatches += pareto_mismatches(spec_id(spec), table, DEFAULT_EFFORT_COSTS)
+        assert not mismatches
+
+    @settings(max_examples=300)
+    @given(
+        table=eighths_tables(),
+        cost=st.sampled_from([0.0, 0.125, 0.25]),
+        tol=st.sampled_from([0.0, 1e-9]),
+        grid=st.sampled_from([1e-3, 0.125, 0.1]),
+    )
+    def test_synthetic_tables(self, table, cost, tol, grid):
+        # Entries in eighths put gain crossings on grid points and make ties,
+        # zero gains and flat deviants common.
+        assert repr(solve_p_pareto(table, cost, grid, tol)) == repr(grid_p_pareto(table, cost, grid, tol))
+
+    def test_scan_oracle_matches_the_dense_one(self, ternary_env):
+        table = compute_payoff_table(OA, ternary_env)
+        for cost in DEFAULT_EFFORT_COSTS:
+            assert repr(scan_p_pareto(table, cost)) == repr(grid_p_pareto(table, cost))
+
+
+class TestFourLabels:
+    """k=4 (S=512): the dense grid solver's (1001, S, S) arrays would take 2 GiB each."""
+
+    def test_sweep_rows_complete(self):
+        config = parse_config(K4_SWEEP)
+        rows = run_experiment(config)
+        assert len(rows) == 8
+        assert [row.error for row in rows if row.error] == []
+        assert all(isinstance(row.p_pareto, float) for row in rows)
+
+    def test_pareto_working_set(self):
+        env = generate_environments(4, 1, seed=3, prefix="bench")[0]
+        table = compute_payoff_table(OA, env)
+        size = len(table.strategies)
+        tracemalloc.start()
+        try:
+            solve_p_pareto(table, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size * size * 8
 
 
 class TestThresholdOrdering:
@@ -356,3 +470,34 @@ class TestReportAssembly:
         assert report.pareto_bound_condition
         doc = report.to_json_dict()
         assert doc["p_pareto"] == pytest.approx(0.313)
+
+
+def full_gate() -> int:
+    """The interval solver against the grid oracles on every gate row; prints the counts."""
+    cases = []  # (label, spec, environment, costs, oracle)
+    for seed in range(32):  # the benchmark's sweep-k3 families
+        env = generate_environments(3, 1, seed=seed, prefix="bench")[0]
+        specs = [MechanismSpec(kind) for kind, entry in KINDS.items() if not entry.binary_only]
+        cases += [(spec_id(spec), spec, env, DEFAULT_EFFORT_COSTS, grid_p_pareto) for spec in specs]
+    bundled = load_config(example_config_path())
+    for env in bundled.environments:
+        for spec in bundled.mechanisms:
+            cases.append(("bundled " + spec.describe(), spec, env, bundled.effort_costs, grid_p_pareto))
+    for env in ORACLE_ENVS.values():
+        cases += [(spec_id(spec), spec, env, DEFAULT_EFFORT_COSTS, grid_p_pareto) for spec in specs_for(env)]
+    k4 = generate_environments(4, 1, seed=3, prefix="bench")[0]
+    for spec in (OA, MechanismSpec(MechanismKind.PEER_INSENSITIVE)):
+        cases.append((spec_id(spec), spec, k4, DEFAULT_EFFORT_COSTS, scan_p_pareto))
+    rows, mismatches = 0, []
+    for label, spec, env, costs, oracle in cases:
+        rows += len(costs)
+        table = compute_payoff_table(spec, env)
+        mismatches += pareto_mismatches(f"{env.env_id} {label}", table, costs, oracle)
+    for line in mismatches:
+        print("MISMATCH " + line)
+    print(f"p_pareto: {rows} rows compared, {len(mismatches)} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(full_gate())

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from peerspot import (
     LOGARITHMIC,
-    QUADRATIC,
     Channel,
     Distribution,
     Effort,
@@ -33,25 +32,13 @@ from peerspot import (
     reference_environment,
 )
 from peerspot.acceptance import _random_acceptance_environments
-from peerspot.mechanisms import KINDS, unchecked_block
+from peerspot.mechanisms import unchecked_block
 from peerspot.strategies import peer_report_posteriors
 
-from conftest import random_environment
+from conftest import K3_SPECS, random_environment, spec_id, specs_for
 from per_cell_oracle import oracle_table, oracle_value, peer_report_posterior
 
 TOL = 1e-12
-SPECS = [
-    MechanismSpec(kind, rule=rule)
-    for kind, entry in KINDS.items()
-    for rule in ((QUADRATIC, LOGARITHMIC) if entry.scored else (QUADRATIC,))
-]
-K3_SPECS = [spec for spec in SPECS if not KINDS[spec.kind].binary_only]
-
-
-def spec_id(spec: MechanismSpec) -> str:
-    return f"{spec.kind.value}.{spec.rule.name}" if KINDS[spec.kind].scored else spec.kind.value
-
-
 def table_or_error(build):
     """The table, or the name of the package error raised while building it."""
     try:
@@ -72,11 +59,7 @@ def compare_with_oracle(spec: MechanismSpec, env: Environment) -> None:
 
 ORACLE_ENVS = {"e1": reference_environment()}
 ORACLE_ENVS.update({env.env_id: env for env in _random_acceptance_environments()[10:12]})
-ORACLE_CASES = [
-    (env_id, spec)
-    for env_id, env in ORACLE_ENVS.items()
-    for spec in (SPECS if len(env.q_space) == 2 else K3_SPECS)
-]
+ORACLE_CASES = [(env_id, spec) for env_id, env in ORACLE_ENVS.items() for spec in specs_for(env)]
 
 
 @pytest.mark.parametrize(
@@ -179,7 +162,7 @@ def full_gate() -> int:
             print(f"FAIL {env_id} belief tables: largest difference {gap:.3g}")
     print(f"belief tables: largest difference from the per-base oracle {max(gaps.values()):.3g}")
     for env in envs:
-        for spec in SPECS if len(env.q_space) == 2 else K3_SPECS:
+        for spec in specs_for(env):
             try:
                 compare_with_oracle(spec, env)
             except AssertionError as exc:
