@@ -10,7 +10,9 @@ p * E[y] + (1 - p) * E[z] - cost are affine in the spot-check probability, so
 each base strategy is an equilibrium on one interval of p.  ``p_pareto`` is
 solved from those intervals, a block of bases at a time, and reported at the
 grid point a dense scan would find; ``p_el`` still scans the grid for its
-bracket before bisecting.
+bracket before bisecting.  ``PayoffTable.gain_lines`` is the one definition of
+a deviation gain: every certification and solver reads its two lines, so all
+of them agree on whether a base is an equilibrium at a given p.
 
 Thresholds solved here:
 
@@ -33,12 +35,11 @@ from .errors import EnumerationBudgetExceeded
 from .mechanisms import MechanismSpec, unchecked_block
 from .signals import Environment
 from .spotcheck import expected_spot_rewards
-from .strategies import Strategy, enumerate_pure_strategies, low_identity_strategy, truthful_strategy
+from .strategies import MAX_LABELS, Strategy, enumerate_pure_strategies, low_identity_strategy, truthful_strategy
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
-DEFAULT_REFINE = 1e-6
-MAX_EQUILIBRIUM_LABELS = 4
+REFINE = 1e-6  # width of the bracket at which the p_el bisection stops
 PARETO_BLOCK = 64  # bases per block in the Pareto threshold search
 
 
@@ -120,15 +121,27 @@ class PayoffTable:
             - cost * self.full_effort
         )
 
+    def gain_lines(self, cost: float, bases) -> tuple:
+        """Deviation gains against the symmetric bases ``bases`` as lines in the audit
+        probability: (g0, g1), one row per base and one column per deviant strategy.
+        The gain at p is ``(1 - p) * g0 + p * g1`` (``_gain_at``).  Rows are bases so that
+        each reduction over deviants runs along contiguous memory."""
+        z, spot, full = self.unchecked, self.spot, self.full_effort
+        bases = np.asarray(bases)
+        effort = cost * (full[None, :] - full[bases][:, None])
+        g0 = (z.T[bases] - z[bases, bases][:, None]) - effort
+        g1 = (spot[None, :] - spot[bases][:, None]) - effort
+        return g0, g1
+
     def gains(self, base_index: int, p: float, cost: float) -> np.ndarray:
         """Deviation gains against the symmetric base, one entry per deviant strategy."""
-        z_col = self.unchecked[:, base_index]
-        conform = (
-            p * self.spot[base_index]
-            + (1.0 - p) * self.unchecked[base_index, base_index]
-            - cost * self.full_effort[base_index]
-        )
-        return p * self.spot + (1.0 - p) * z_col - cost * self.full_effort - conform
+        (g0,), (g1,) = self.gain_lines(cost, [base_index])
+        return _gain_at(p, g0, g1)
+
+
+def _gain_at(p, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """Deviation gains at audit probability ``p`` from ``PayoffTable.gain_lines``."""
+    return (1.0 - p) * g0 + p * g1
 
 
 def compute_payoff_table(mechanism: MechanismSpec, env: Environment) -> PayoffTable:
@@ -151,8 +164,8 @@ def _best_no_effort_index(strategies: list, spot) -> int:
 
 
 def _check_label_budget(table: PayoffTable, what: str) -> None:
-    if len(table.strategies[0].report_map) > MAX_EQUILIBRIUM_LABELS:
-        raise EnumerationBudgetExceeded(f"{what} supports at most {MAX_EQUILIBRIUM_LABELS} labels")
+    if len(table.strategies[0].report_map) > MAX_LABELS:
+        raise EnumerationBudgetExceeded(f"{what} supports at most {MAX_LABELS} labels")
 
 
 def is_symmetric_equilibrium(
@@ -171,15 +184,8 @@ def enumerate_symmetric_pure_equilibria(
 ) -> list:
     """All certified symmetric pure equilibria, sorted by utility descending."""
     _check_label_budget(table, "equilibrium enumeration")
-    # Column b holds PayoffTable.gains(b, p, cost); a base's conformity payoff is its utility.
     utilities = table.utilities(p, cost)
-    gains = (
-        p * table.spot[:, None]
-        + (1.0 - p) * table.unchecked
-        - (cost * table.full_effort)[:, None]
-        - utilities[None, :]
-    )
-    max_gains = gains.max(axis=0)
+    max_gains = _gain_at(p, *table.gain_lines(cost, np.arange(len(table.strategies)))).max(axis=1)
     records = [
         EquilibriumRecord(table.strategies[b], float(utilities[b]), float(max_gains[b]), certified=True)
         for b in np.flatnonzero(max_gains <= tol)
@@ -239,29 +245,18 @@ def solve_p_ds_bisection(env: Environment, tol: float = DEFAULT_TOL):
     return hi
 
 
-def solve_p_el(
-    table: PayoffTable,
-    cost: float,
-    grid: float = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    refine: float = DEFAULT_REFINE,
-):
+def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
     """Smallest audit probability eliminating the report-the-shared-draw equilibrium.
 
     The best response is recomputed at every probed probability; the
     deviation-gain envelope is a maximum of affine functions of p, hence
     convex, so the first sign change found on the grid brackets the unique
-    boundary and bisection refines it.
+    boundary and bisection refines it to ``REFINE``.
     """
-    # PayoffTable.gains against the base, with everything that does not depend on p read once.
-    b = table.best_no_effort
-    spot, z_col = table.spot, np.ascontiguousarray(table.unchecked[:, b])
-    cost_full = cost * table.full_effort
-    spot_b, z_bb, cost_b = spot[b], table.unchecked[b, b], cost * table.full_effort[b]
+    (g0,), (g1,) = table.gain_lines(cost, [table.best_no_effort])
 
     def max_gain(p: float) -> float:
-        conform = p * spot_b + (1.0 - p) * z_bb - cost_b
-        return float((p * spot + (1.0 - p) * z_col - cost_full - conform).max())
+        return float(_gain_at(p, g0, g1).max())
 
     if max_gain(0.0) > tol:
         return NOT_APPLICABLE
@@ -275,7 +270,7 @@ def solve_p_el(
             hi = float(p)
             break
         lo = float(p)
-    while hi - lo > refine:
+    while hi - lo > REFINE:
         mid = 0.5 * (lo + hi)
         if max_gain(mid) > tol:
             hi = mid
@@ -357,18 +352,15 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     """Grid-index interval [lo, hi] on which each base in ``cols`` is a certified
     symmetric equilibrium; lo > hi when it is certified at no grid point.
 
-    Deviant d's gain against base b is g0 + p (g1 - g0), so b is certified where
-    p lies above every crossing of ``tol`` with a falling gain and below every
-    crossing with a rising one.  The ends are rounded onto the grid and
-    confirmed with the grid formula at each end and one point outside it;
-    the few bases where rounding misplaced an end are settled by probing
-    single grid points (``_settle_interval``).
+    Deviant d's gain against base b is the line g0 + p (g1 - g0) of
+    ``PayoffTable.gain_lines``, so b is certified where p lies above every
+    crossing of ``tol`` with a falling gain and below every crossing with a
+    rising one.  The ends are rounded onto the grid and confirmed with the
+    grid formula at each end and one point outside it; the few bases where
+    rounding misplaced an end are settled by probing single grid points
+    (``_settle_interval``).
     """
-    z, spot, full = table.unchecked, table.spot, table.full_effort
-    # One row per base and one column per deviant, so each reduction runs along contiguous memory.
-    effort = cost * (full[None, :] - full[cols][:, None])
-    g0 = (z.T[cols] - z[cols, cols][:, None]) - effort
-    g1 = (spot[None, :] - spot[cols][:, None]) - effort
+    g0, g1 = table.gain_lines(cost, cols)
     slope = g1 - g0
     with np.errstate(divide="ignore", invalid="ignore"):
         crossing = (tol - g0) / slope
@@ -380,8 +372,7 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     hi = np.minimum(np.floor(np.clip(hi, -1.0, 2.0) * n).astype(int), n)
 
     def certified(index, j=slice(None)):
-        q = points[index][..., None]
-        return ((1.0 - q) * g0[j] + q * g1[j]).max(axis=-1) <= tol
+        return _gain_at(points[index][..., None], g0[j], g1[j]).max(axis=-1) <= tol
 
     misplaced = np.zeros(len(cols), dtype=bool)
     for probe in (lo - 1, lo, hi, hi + 1):
@@ -418,7 +409,7 @@ def check_pareto_bound_condition(table: PayoffTable, tol: float = DEFAULT_TOL) -
     audit probability, the report-the-shared-draw profile is an equilibrium and
     weakly Pareto dominates the truthful profile."""
     t, g = table.truthful, table.best_no_effort
-    if not is_symmetric_equilibrium(table, table.strategies[g], 0.0, 0.0, tol).certified:
+    if not table.gains(g, 0.0, 0.0).max() <= tol:
         return False
     return bool(table.unchecked[g, g] + tol >= table.unchecked[t, t])
 

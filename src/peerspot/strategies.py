@@ -19,7 +19,10 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded, ShapeMismatch
 from .signals import Environment, LabelSpace
 
-MAX_ENUMERABLE_LABELS = 6
+# Largest label count any strategy list, payoff table or equilibrium search accepts:
+# at k=5 the tables take seconds to minutes and hundreds of MB (S = 6,250), at k=6
+# the (S, S) table alone would take about 70 GB.
+MAX_LABELS = 4
 
 
 class Effort(str, Enum):
@@ -77,14 +80,12 @@ def _ordered_maps(k: int) -> list:
 def enumerate_pure_strategies(labels: LabelSpace | int) -> list:
     """All 2*k**k pure strategies in canonical order: full effort first, identity map first."""
     k = labels if isinstance(labels, int) else len(labels)
-    if k > MAX_ENUMERABLE_LABELS:
-        raise EnumerationBudgetExceeded(
-            f"strategy enumeration supports at most {MAX_ENUMERABLE_LABELS} labels, got {k}"
-        )
+    if k > MAX_LABELS:
+        raise EnumerationBudgetExceeded(f"strategy enumeration supports at most {MAX_LABELS} labels, got {k}")
     return list(_pure_strategies(k))
 
 
-@functools.lru_cache(maxsize=None)  # one entry per label count up to MAX_ENUMERABLE_LABELS
+@functools.lru_cache(maxsize=None)  # one entry per label count up to MAX_LABELS
 def _pure_strategies(k: int) -> tuple:
     return tuple(Strategy(effort, m) for effort in (Effort.FULL, Effort.NONE) for m in _ordered_maps(k))
 

@@ -1,4 +1,4 @@
-"""Dense grid solvers: every threshold condition evaluated at every grid point.
+"""Grid solvers that evaluate the threshold conditions with their own expressions.
 
 ``solve_p_pareto`` here is the package's former solver.  It builds the
 (points, S, S) deviation-gain array and the (points, S) utility array and
@@ -10,13 +10,27 @@ what this one returns.
 It allocates three arrays of 1001·S² floats: about 70 MB at k=3 (S=54) and
 6 GB at k=4 (S=512).  At k=4 use ``scan_p_pareto``, which visits the same
 grid points one at a time.
+
+``scan_p_el`` is the package's former ``p_el`` solver.  It writes each
+deviation gain against the coordination base as the deviant's combined
+utility minus the base's, where ``peerspot.equilibrium.solve_p_el`` reads the
+lines of ``PayoffTable.gain_lines``.  The two round exact ties differently at
+tol = 0, so compare them at a positive tol.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from peerspot.equilibrium import DEFAULT_GRID, DEFAULT_TOL, NOT_FOUND, PayoffTable, _check_label_budget
+from peerspot.equilibrium import (
+    DEFAULT_GRID,
+    DEFAULT_TOL,
+    NOT_APPLICABLE,
+    NOT_FOUND,
+    REFINE,
+    PayoffTable,
+    _check_label_budget,
+)
 
 
 def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
@@ -65,3 +79,37 @@ def scan_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, t
         if is_eq[t] and np.all(~is_eq | (utilities[t] + tol >= utilities)):
             return float(p)
     return NOT_FOUND
+
+
+def scan_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
+    """Smallest audit probability eliminating the report-the-shared-draw equilibrium:
+    the first grid point where some deviation gains more than ``tol``, then bisection."""
+    # Each gain is the deviant's combined utility minus the base's; terms without p are read once.
+    b = table.best_no_effort
+    spot, z_col = table.spot, np.ascontiguousarray(table.unchecked[:, b])
+    cost_full = cost * table.full_effort
+    spot_b, z_bb, cost_b = spot[b], table.unchecked[b, b], cost * table.full_effort[b]
+
+    def max_gain(p: float) -> float:
+        conform = p * spot_b + (1.0 - p) * z_bb - cost_b
+        return float((p * spot + (1.0 - p) * z_col - cost_full - conform).max())
+
+    if max_gain(0.0) > tol:
+        return NOT_APPLICABLE
+    if max_gain(1.0) <= tol:
+        return NOT_FOUND
+    points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
+    lo = 0.0
+    hi = 1.0
+    for p in points:
+        if max_gain(float(p)) > tol:
+            hi = float(p)
+            break
+        lo = float(p)
+    while hi - lo > REFINE:
+        mid = 0.5 * (lo + hi)
+        if max_gain(mid) > tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -1,13 +1,15 @@
 """Deviation gains, equilibrium enumeration, and the four threshold solvers.
 
 ``solve_p_pareto`` is compared here with the dense grid solver in
-``grid_solvers`` on e1 and the 20 acceptance environments, and on synthetic
+``grid_solvers``, and ``solve_p_el`` with the former solver's scan there, on
+e1 and the 20 acceptance environments; ``solve_p_pareto`` also on synthetic
 tables.  ``python tests/test_equilibrium.py`` runs the full comparison: the 32
 sweep-k3 families, the bundled config, the acceptance environments, and one
-k=4 environment against the point-by-point scan.  It prints the number of rows
-compared and of mismatches.
+k=4 environment (``p_pareto`` against the point-by-point scan).  It prints the
+number of rows compared and of mismatches for each threshold.
 """
 
+import functools
 import itertools
 import sys
 import tracemalloc
@@ -15,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peerspot import (
@@ -49,11 +51,12 @@ from peerspot import (
     truthful_strategy,
 )
 from peerspot.acceptance import _random_acceptance_environments
+from peerspot.equilibrium import NOT_APPLICABLE, NOT_FOUND, _certified_intervals
 from peerspot.harness import DEFAULT_EFFORT_COSTS, generate_environments, parse_config, run_experiment
 from peerspot.mechanisms import KINDS
 
 from conftest import random_environment, spec_id, specs_for
-from grid_solvers import scan_p_pareto
+from grid_solvers import scan_p_el, scan_p_pareto
 from grid_solvers import solve_p_pareto as grid_p_pareto
 
 OA = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
@@ -79,6 +82,14 @@ def eighths_tables(draw):
     unchecked = draw(st.lists(EIGHTHS, min_size=size * size, max_size=size * size))
     full = [1.0 if s.is_full_effort else 0.0 for s in chosen]
     return PayoffTable(list(chosen), np.array(spot), np.array(unchecked).reshape(size, size), np.array(full))
+
+
+TIE_AT_THREE_TENTHS = PayoffTable(
+    [low_identity_strategy(2), truthful_strategy(2)],
+    np.array([-0.5, 0.5]),
+    np.array([[0.25, 0.375], [0.0, 0.125]]),
+    np.array([0.0, 1.0]),
+)
 
 
 def correlated_low_env(env, accuracy=0.8):
@@ -139,6 +150,21 @@ class TestDeviationGains:
         assert table.strategies[best] == truthful_strategy(2)
         utility = table.utilities(1.0, env.effort_cost)[lazy] + gains[best]
         assert utility == pytest.approx(0.32 - 0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_lines_are_utility_differences(self, ternary_env, p):
+        # Oracle: a deviant's gain is its combined utility minus the conforming one.
+        table = compute_payoff_table(OA, ternary_env)
+        cost = ternary_env.effort_cost
+        size = len(table.strategies)
+        g0, g1 = table.gain_lines(cost, np.arange(size))
+        assert g0.shape == g1.shape == (size, size)
+        utilities = table.utilities(p, cost)
+        for b in range(size):
+            deviant = p * table.spot + (1.0 - p) * table.unchecked[:, b] - cost * table.full_effort
+            expected = deviant - utilities[b]
+            assert (1.0 - p) * g0[b] + p * g1[b] == pytest.approx(expected, abs=1e-12)
+            assert table.gains(b, p, cost) == pytest.approx(expected, abs=1e-12)
 
 
 class TestEquilibriumCertification:
@@ -256,6 +282,30 @@ class TestEliminationThreshold:
         got = solve_p_el(compute_payoff_table(OA, env), 0.45)
         assert isinstance(got, NotAttained)
 
+    @settings(max_examples=300)
+    @given(
+        table=eighths_tables(),
+        cost=st.sampled_from([0.0, 0.125, 0.25]),
+        tol=st.sampled_from([0.0, 1e-9]),
+        grid=st.sampled_from([1e-3, 0.1, 0.125]),
+    )
+    # Truthful effort gains exactly 0 against coordination at p = 0.3.  At the grid
+    # point 0.3 a difference of utilities rounded that gain to 0, its line to above 0.
+    @example(table=TIE_AT_THREE_TENTHS, cost=0.125, tol=0.0, grid=1e-3)
+    def test_bracket_is_the_certified_interval(self, table, cost, tol, grid):
+        # The coordination base's certified interval, as p_pareto sees it, brackets p_el.
+        points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
+        n = len(points) - 1
+        (lo,), (hi,) = _certified_intervals(table, cost, points, tol, np.array([table.best_no_effort]))
+        p_el = solve_p_el(table, cost, grid, tol)
+        if p_el is NOT_APPLICABLE:
+            assert not lo <= 0 <= hi
+            return
+        assert lo == 0
+        assert (p_el is NOT_FOUND) == (hi == n)
+        if p_el is not NOT_FOUND:
+            assert points[hi] <= p_el <= points[hi + 1]
+
 
 class TestOvertakeThreshold:
     def test_output_agreement_reference(self, env):
@@ -303,24 +353,29 @@ class TestParetoThreshold:
 ORACLE_ENVS = {env.env_id: env for env in [reference_environment()] + _random_acceptance_environments()}
 
 
-def pareto_mismatches(label: str, table, costs, oracle=grid_p_pareto) -> list:
-    """Rows where the interval solver and a grid oracle disagree, statuses included."""
+@functools.lru_cache(maxsize=None)
+def oracle_tables(env_id: str) -> list:
+    """(spec id, payoff table) for every spec valid in the environment, built once per test run."""
+    env = ORACLE_ENVS[env_id]
+    return [(spec_id(spec), compute_payoff_table(spec, env)) for spec in specs_for(env)]
+
+
+def solver_mismatches(label: str, table, costs, solver, oracle) -> list:
+    """Rows where a solver and its grid oracle disagree, statuses included."""
     found = []
     for cost in costs:
-        new, old = solve_p_pareto(table, cost), oracle(table, cost)
+        new, old = solver(table, cost), oracle(table, cost)
         if repr(new) != repr(old):
-            found.append(f"{label} cost={cost!r}: {new!r}, {oracle.__name__} {old!r}")
+            found.append(f"{label} cost={cost!r}: {solver.__name__} {new!r}, {oracle.__name__} {old!r}")
     return found
 
 
 class TestParetoAgainstGridSolver:
     @pytest.mark.parametrize("env_id", sorted(ORACLE_ENVS))
     def test_acceptance_environment(self, env_id):
-        env = ORACLE_ENVS[env_id]
         mismatches = []
-        for spec in specs_for(env):
-            table = compute_payoff_table(spec, env)
-            mismatches += pareto_mismatches(spec_id(spec), table, DEFAULT_EFFORT_COSTS)
+        for label, table in oracle_tables(env_id):
+            mismatches += solver_mismatches(label, table, DEFAULT_EFFORT_COSTS, solve_p_pareto, grid_p_pareto)
         assert not mismatches
 
     @settings(max_examples=300)
@@ -339,6 +394,18 @@ class TestParetoAgainstGridSolver:
         table = compute_payoff_table(OA, ternary_env)
         for cost in DEFAULT_EFFORT_COSTS:
             assert repr(scan_p_pareto(table, cost)) == repr(grid_p_pareto(table, cost))
+
+
+class TestEliminationAgainstScan:
+    """``solve_p_el`` reads the gain lines, ``scan_p_el`` writes the utility difference:
+    at the default tol they give the same value on every acceptance row."""
+
+    @pytest.mark.parametrize("env_id", sorted(ORACLE_ENVS))
+    def test_acceptance_environment(self, env_id):
+        mismatches = []
+        for label, table in oracle_tables(env_id):
+            mismatches += solver_mismatches(label, table, DEFAULT_EFFORT_COSTS, solve_p_el, scan_p_el)
+        assert not mismatches
 
 
 class TestFourLabels:
@@ -362,6 +429,22 @@ class TestFourLabels:
         finally:
             tracemalloc.stop()
         assert peak < 3 * size * size * 8
+
+
+class TestFiveLabels:
+    """k=5 (S=6,250) is over the label budget, which is checked before any strategy list."""
+
+    def test_rows_fail_before_any_table_is_built(self):
+        config = parse_config({**K4_SWEEP, "environments": [{"generator": {"labels": 5, "count": 1, "seed": 3}}]})
+        tracemalloc.start()
+        try:
+            rows = run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 8
+        assert all(row.error.startswith("EnumerationBudgetExceeded: ") for row in rows)
+        assert peak < 4 * 2**20
 
 
 class TestThresholdOrdering:
@@ -473,8 +556,8 @@ class TestReportAssembly:
 
 
 def full_gate() -> int:
-    """The interval solver against the grid oracles on every gate row; prints the counts."""
-    cases = []  # (label, spec, environment, costs, oracle)
+    """The solvers against their grid oracles on every gate row; prints the counts per threshold."""
+    cases = []  # (label, spec, environment, costs, p_pareto oracle)
     for seed in range(32):  # the benchmark's sweep-k3 families
         env = generate_environments(3, 1, seed=seed, prefix="bench")[0]
         specs = [MechanismSpec(kind) for kind, entry in KINDS.items() if not entry.binary_only]
@@ -488,15 +571,18 @@ def full_gate() -> int:
     k4 = generate_environments(4, 1, seed=3, prefix="bench")[0]
     for spec in (OA, MechanismSpec(MechanismKind.PEER_INSENSITIVE)):
         cases.append((spec_id(spec), spec, k4, DEFAULT_EFFORT_COSTS, scan_p_pareto))
-    rows, mismatches = 0, []
-    for label, spec, env, costs, oracle in cases:
+    rows, found = 0, {"p_pareto": [], "p_el": []}
+    for label, spec, env, costs, pareto_oracle in cases:
         rows += len(costs)
         table = compute_payoff_table(spec, env)
-        mismatches += pareto_mismatches(f"{env.env_id} {label}", table, costs, oracle)
-    for line in mismatches:
-        print("MISMATCH " + line)
-    print(f"p_pareto: {rows} rows compared, {len(mismatches)} mismatches")
-    return 1 if mismatches else 0
+        label = f"{env.env_id} {label}"
+        found["p_pareto"] += solver_mismatches(label, table, costs, solve_p_pareto, pareto_oracle)
+        found["p_el"] += solver_mismatches(label, table, costs, solve_p_el, scan_p_el)
+    for name, lines in found.items():
+        for line in lines:
+            print("MISMATCH " + line)
+        print(f"{name}: {rows} rows compared, {len(lines)} mismatches")
+    return 1 if any(found.values()) else 0
 
 
 if __name__ == "__main__":
