@@ -9,30 +9,42 @@
 * Off-diagonal (deviant != base) cells must agree with the exact engine
   within 4 sigma: at k=2 every deviant against the truthful and the
   low-identity base, at k=3 four cells; every kind and rule.
+* Estimates are pinned: ``pinned_estimates.json`` holds ``float.hex`` of the
+  value and stderr of every kind and rule at k=2 and k=3, and a change that
+  only makes the sampler faster must reproduce them exactly.
+
+``python tests/test_sampling.py`` prints samples per second per kind at k=2
+and k=3 and the number of pinned estimates that differ; it exits 1 unless
+that number is 0.
 """
 
+import json
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from peerspot import (
-    LOGARITHMIC,
-    QUADRATIC,
     LabelSpace,
     MechanismKind,
     MechanismSpec,
     StrategyProfile,
     analytic_unchecked_value,
     enumerate_pure_strategies,
+    generate_environments,
     low_identity_strategy,
     reference_environment,
     simulate_utilities,
     truthful_strategy,
 )
+from peerspot._sampling import CHUNK
+from peerspot.harness import example_config_path, load_config
 from peerspot.mechanisms import KINDS
 
-from conftest import random_environment
+from conftest import SPECS, random_environment, spec_id, specs_for
 from per_cell_oracle import peer_report_posterior
 from per_object_sampler import simulate_per_object
 from realized_rewards import RealizedInstance, realized_reward
@@ -127,11 +139,6 @@ def test_sampler_matches_realized_reward_average(k, kind, name):
     assert abs(est.value - ref_mean) <= 4.0 * combined + ROUNDING, (est, ref_mean, ref_stderr)
 
 
-SPECS = [
-    MechanismSpec(kind, rule=rule)
-    for kind, entry in KINDS.items()
-    for rule in ((QUADRATIC, LOGARITHMIC) if entry.scored else (QUADRATIC,))
-]
 CELL_CASES = [(k, spec) for k in (2, 3) for spec in SPECS if k == 2 or not KINDS[spec.kind].binary_only]
 # (base, deviant) indices into the k=3 strategy enumeration: 0 is truthful,
 # 7 full effort with labels 1 and 2 swapped, 27 low identity, 40 always 1 without effort.
@@ -147,12 +154,11 @@ def off_diagonal_cells(k: int) -> list:
     return [(base, deviant) for base in bases for deviant in strategies if deviant != base]
 
 
-def spec_id(k: int, spec) -> str:
-    name = f"{spec.kind.value}.{spec.rule.name}" if KINDS[spec.kind].scored else spec.kind.value
-    return name if k == 3 else f"k{k}-{name}"
+def cell_id(k: int, spec) -> str:
+    return spec_id(spec) if k == 3 else f"k{k}-{spec_id(spec)}"
 
 
-@pytest.mark.parametrize("k,spec", CELL_CASES, ids=[spec_id(k, spec) for k, spec in CELL_CASES])
+@pytest.mark.parametrize("k,spec", CELL_CASES, ids=[cell_id(k, spec) for k, spec in CELL_CASES])
 def test_off_diagonal_cells_match_exact_engine(k, spec):
     env = replace(random_environment(np.random.default_rng(3), k, correlated_low=True), n_agents=10, n_objects=1000)
     if spec.kind is MechanismKind.PEER_TRUTH_SERUM:
@@ -161,3 +167,43 @@ def test_off_diagonal_cells_match_exact_engine(k, spec):
         exact = analytic_unchecked_value(spec, env, base, deviant)
         est = simulate_utilities(spec, env, StrategyProfile.with_deviant(base, deviant), trials=10_000, seed=seed)
         assert abs(est.value - exact) <= 4.0 * est.stderr + ROUNDING, (base.describe(), deviant.describe(), est, exact)
+
+
+PINNED = Path(__file__).with_name("pinned_estimates.json")
+PINNED_TRIALS = CHUNK + 1_000  # two chunks, so the chunk boundary is pinned too
+
+
+def pinned_cases() -> list:
+    """(id, spec, env, profile, seed) for every kind and rule at k=2 and k=3, under the
+    truthful profile and with one low-identity deviant among truthful peers."""
+    e1 = replace(load_config(example_config_path()).environments[0], n_agents=10, n_objects=100)
+    k3 = generate_environments(labels=3, count=1, seed=1, n_agents=10, n_objects=100)[0]
+    cases = []
+    for env in (e1, k3):
+        k = len(env.q_space)
+        truthful = truthful_strategy(k)
+        named = {
+            "truthful": StrategyProfile.symmetric(truthful),
+            "low-identity-deviant": StrategyProfile.with_deviant(truthful, low_identity_strategy(k)),
+        }
+        for spec in specs_for(env):
+            for name, profile in named.items():
+                cases.append((f"k{k}-{spec_id(spec)}-{name}", spec, env, profile, len(cases)))
+    return cases
+
+
+def estimate_hex(spec, env, profile, seed) -> list:
+    est = simulate_utilities(spec, env, profile, trials=PINNED_TRIALS, seed=seed)
+    return [est.value.hex(), est.stderr.hex()]
+
+
+def pinned_differences() -> list:
+    """Ids of the pinned estimates the sampler no longer reproduces bit for bit."""
+    doc = json.loads(PINNED.read_text())
+    pinned, cases = doc["estimates"], pinned_cases()
+    assert doc["trials"] == PINNED_TRIALS and sorted(pinned) == sorted(case[0] for case in cases)
+    return [case_id for case_id, *args in cases if estimate_hex(*args) != pinned[case_id]]
+
+
+def test_estimates_are_bit_identical():
+    assert pinned_differences() == []
