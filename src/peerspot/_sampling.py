@@ -12,16 +12,22 @@ object only through how many of them observe each label, which is
 multinomial given the quality under effort and a point mass at the shared
 draw without.  Those laws are built here from the prior, the channels and
 each strategy's report map, independently of the exact engine in
-``_expectations``, so the samplers stay its oracle.  The numbers of objects, agents and holdout samples enter
-exactly; nothing is a many-object limit.
+``_expectations``, so the samplers stay its oracle.  The numbers of objects,
+agents and holdout samples enter exactly; nothing is a many-object limit.
 
-Draws stream from a single seeded generator in fixed-size chunks, which makes
-estimates bit-reproducible for a given seed regardless of trial count.
+Draws stream from a single seeded generator in fixed-size chunks, so an
+estimate is reproducible per seed: the same seed and trial count give the
+same bits.  A sampler reads its environment's laws once and builds the
+belief, score and pair tables only for the kinds that read them.  Changes
+made for speed keep every estimate bit-identical; ``tests/test_sampling.py``
+pins a set of them by ``float.hex``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,84 +54,170 @@ class UtilityEstimate:
     samples: int
 
 
-def _draw_rows(rng: np.random.Generator, matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """One categorical draw per entry of ``rows`` from the matching matrix row."""
-    cdf = np.cumsum(matrix, axis=1)
+class _Laws(NamedTuple):
+    """An environment's prior and channels as arrays, read once per sampler."""
+
+    prior_cdf: np.ndarray
+    high: np.ndarray  # (quality, high signal)
+    high_cdf: np.ndarray
+    low_cdf: np.ndarray
+
+    @classmethod
+    def of(cls, env: Environment) -> "_Laws":
+        high = env.high_channel.matrix()
+        return cls(
+            prior_cdf=np.cumsum(env.prior.as_array()),
+            high=high,
+            high_cdf=np.cumsum(high, axis=1),
+            low_cdf=np.cumsum(env.low_channel.matrix(), axis=1),
+        )
+
+
+def _categorical(u: np.ndarray, columns, k: int) -> np.ndarray:
+    """How many of the k CDF ``columns`` each ``u`` exceeds, capped at the last label.
+
+    Counting one column at a time gives exactly what ``(u[:, None] > cdf).sum(axis=1)``
+    gives, without the (samples, k) blocks, and needs no monotone CDF: weights
+    may be as low as -PROB_ATOL.
+    """
+    out = np.zeros(u.shape, dtype=int)
+    for column in columns:
+        out += u > column
+    return np.minimum(out, k - 1)
+
+
+def _draw_rows(rng: np.random.Generator, cdf: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One categorical draw per entry of ``rows`` from the matching row of the row-wise CDF ``cdf``."""
     u = rng.random(rows.shape[0])
-    out = (u[:, None] > cdf[rows]).sum(axis=1)
-    return np.minimum(out, matrix.shape[1] - 1)
+    return _categorical(u, (column[rows] for column in cdf.T), cdf.shape[1])
 
 
-def _draw_prior(rng: np.random.Generator, env: Environment, size: int) -> np.ndarray:
-    cdf = np.cumsum(env.prior.as_array())
-    u = rng.random(size)
-    return np.minimum((u[:, None] > cdf[None, :]).sum(axis=1), len(cdf) - 1)
+def _draw_prior(rng: np.random.Generator, laws: _Laws, size: int) -> np.ndarray:
+    return _categorical(rng.random(size), laws.prior_cdf, len(laws.prior_cdf))
 
 
 def _observe(
     rng: np.random.Generator,
-    env: Environment,
+    laws: _Laws,
     strategy: Strategy,
     q: np.ndarray,
     s_low: np.ndarray,
 ) -> np.ndarray:
     if strategy.is_full_effort:
-        return _draw_rows(rng, env.high_channel.matrix(), q)
+        return _draw_rows(rng, laws.high_cdf, q)
     return s_low.copy()
 
 
-def _latents(rng, env, size):
-    q = _draw_prior(rng, env, size)
-    s_low = _draw_rows(rng, env.low_channel.matrix(), q)
+def _latents(rng: np.random.Generator, laws: _Laws, size: int):
+    q = _draw_prior(rng, laws, size)
+    s_low = _draw_rows(rng, laws.low_cdf, q)
     return q, s_low
 
 
-def _report_law(env: Environment, strategy: Strategy) -> np.ndarray:
+def _report_law(laws: _Laws, strategy: Strategy) -> np.ndarray:
     """P(report | quality, low draw) of one agent playing ``strategy``, shape (k, k, k)."""
-    k = len(env.q_space)
+    k = len(laws.high)
     onehot = np.eye(k)[strategy.map_array()]  # (observation, report)
     if strategy.is_full_effort:
-        return np.broadcast_to((env.high_channel.matrix() @ onehot)[:, None, :], (k, k, k))
+        return np.broadcast_to((laws.high @ onehot)[:, None, :], (k, k, k))
     return np.broadcast_to(onehot[None, :, :], (k, k, k))
 
 
 class _Sampler:
-    """Chunked reward sampler for one (mechanism, environment, profile) triple."""
+    """Chunked reward sampler for one (mechanism, environment, profile) triple.
+
+    The tables below are built on first use, so each kind pays only for the
+    ones it reads.
+    """
 
     def __init__(self, spec: MechanismSpec, env: Environment, profile: StrategyProfile):
         self.spec = spec
         self.env = env
+        self.laws = _Laws.of(env)
         self.base = profile.base
         self.focal = profile.focal_strategy()
         self.k = len(env.q_space)
         self.base_map = self.base.map_array()
         self.focal_map = self.focal.map_array()
-        beliefs = dict(zip(Effort, peer_report_posteriors(env, [self.base])[:, 0]))
-        self.beliefs_base = beliefs[self.base.effort]
-        self.beliefs_focal = beliefs[self.focal.effort]
-        self.score_focal = spec.rule.score_table(self.beliefs_focal)  # (obs, outcome)
-        # Report laws on an object other than the scored one.
-        w = env.prior.as_array()[:, None] * env.low_channel.matrix()  # mass of (quality, low draw)
-        law_focal, law_base = _report_law(env, self.focal), _report_law(env, self.base)
-        # Rounding can lift a certain report's mass just above one, which numpy's samplers reject.
-        self.marginal_focal = np.minimum(np.einsum("ql,qlr->r", w, law_focal), 1.0)
-        self.marginal_base = np.minimum(np.einsum("ql,qlr->r", w, law_base), 1.0)
-        # pair_base[v, x]: two base agents on one object report v and x
-        self.pair_base = np.minimum(np.einsum("ql,qlv,qlx->vx", w, law_base, law_base), 1.0)
+
+    # -- tables, built on first use ---------------------------------------
+
+    @cached_property
+    def _beliefs(self) -> dict:
+        """Belief table per holder effort: row v is the law of a base peer's report given observation v."""
+        return dict(zip(Effort, peer_report_posteriors(self.env, [self.base])[:, 0]))
+
+    @property
+    def beliefs_base(self) -> np.ndarray:
+        return self._beliefs[self.base.effort]
+
+    @property
+    def beliefs_focal(self) -> np.ndarray:
+        return self._beliefs[self.focal.effort]
+
+    @cached_property
+    def score_focal(self) -> np.ndarray:
+        return self.spec.rule.score_table(self.beliefs_focal)  # (obs, outcome)
+
+    @cached_property
+    def _divergence_table(self) -> np.ndarray:
+        """D(focal belief after observation a, base belief after observation b), shape (k, k)."""
+        return np.array(
+            [
+                [divergence(self.spec.rule, self.beliefs_focal[a], self.beliefs_base[b]) for b in range(self.k)]
+                for a in range(self.k)
+            ]
+        )
+
+    # Report laws on an object other than the scored one.  Rounding can lift a
+    # certain report's mass just above one, which numpy's samplers reject.
+
+    @cached_property
+    def _object_mass(self) -> np.ndarray:
+        return self.env.prior.as_array()[:, None] * self.env.low_channel.matrix()  # (quality, low draw)
+
+    @cached_property
+    def _base_report_law(self) -> np.ndarray:
+        return _report_law(self.laws, self.base)
+
+    @cached_property
+    def marginal_focal(self) -> np.ndarray:
+        return np.minimum(np.einsum("ql,qlr->r", self._object_mass, _report_law(self.laws, self.focal)), 1.0)
+
+    @cached_property
+    def marginal_base(self) -> np.ndarray:
+        return np.minimum(np.einsum("ql,qlr->r", self._object_mass, self._base_report_law), 1.0)
+
+    @cached_property
+    def pair_base(self) -> np.ndarray:
+        """pair_base[v, x]: two base agents on one object report v and x."""
+        law = self._base_report_law
+        return np.minimum(np.einsum("ql,qlv,qlx->vx", self._object_mass, law, law), 1.0)
+
+    @cached_property
+    def _second_given_first_cdf(self) -> np.ndarray:
+        """Row-wise CDF of P(second base report | first = v) on one object; rows of
+        labels without mass are never drawn from in a double-mixed sample."""
+        mass = np.where(self.marginal_base > 0.0, self.marginal_base, 1.0)
+        return np.cumsum(self.pair_base / mass[:, None], axis=1)
+
+    @cached_property
+    def _base_onehot(self) -> np.ndarray:
+        return np.eye(self.k, dtype=int)[self.base_map]  # (observation, report)
 
     # -- helpers ----------------------------------------------------------
 
     def _pair_reports(self, rng, size):
-        q, s_low = _latents(rng, self.env, size)
-        obs_i = _observe(rng, self.env, self.focal, q, s_low)
-        obs_p = _observe(rng, self.env, self.base, q, s_low)
+        q, s_low = _latents(rng, self.laws, size)
+        obs_i = _observe(rng, self.laws, self.focal, q, s_low)
+        obs_p = _observe(rng, self.laws, self.base, q, s_low)
         return q, s_low, obs_i, obs_p
 
     def _peer_observation_counts(self, rng, q, s_low, peers: int) -> np.ndarray:
         """How many of ``peers`` base-strategy agents observe each label, shape (samples, k):
         multinomial given the quality under effort, all on the shared draw without."""
         if self.base.is_full_effort:
-            return rng.multinomial(peers, self.env.high_channel.matrix()[q])
+            return rng.multinomial(peers, self.laws.high[q])
         return peers * np.eye(self.k, dtype=int)[s_low]
 
     # -- per-kind chunk evaluators ----------------------------------------
@@ -160,8 +252,7 @@ class _Sampler:
         r_i = self.focal_map[obs_i]
         r_peer = self.base_map[obs_p]  # the uniformly chosen peer
         # Reports of the other n - 2 agents on the object, as label counts.
-        to_report = np.eye(self.k, dtype=int)[self.base_map]  # (observation, report)
-        rest = self._peer_observation_counts(rng, q, s_low, n - 2) @ to_report
+        rest = self._peer_observation_counts(rng, q, s_low, n - 2) @ self._base_onehot
         freq = (1 + rest[np.arange(size), r_peer] + (r_i == r_peer)) / n
         return spec.alpha + spec.beta * (r_i == r_peer) / freq
 
@@ -174,15 +265,18 @@ class _Sampler:
             )
         half = (m - 1) // 2
         other = m - 1 - half
-        q0, s0 = _latents(rng, env, size)
+        q0, s0 = _latents(rng, self.laws, size)
         agree = (
-            self.focal_map[_observe(rng, env, self.focal, q0, s0)]
-            == self.base_map[_observe(rng, env, self.base, q0, s0)]
+            self.focal_map[_observe(rng, self.laws, self.focal, q0, s0)]
+            == self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
         ).astype(float)
         # The focal agent's reports on ``half`` objects and a peer's on the other ones.
         own_counts = rng.multinomial(half, self.marginal_focal, size=size)
         peer_counts = rng.multinomial(other, self.marginal_base, size=size)
-        cross = (own_counts * peer_counts).sum(axis=1) / (half * other)
+        matches = own_counts[:, 0] * peer_counts[:, 0]
+        for label in range(1, self.k):
+            matches += own_counts[:, label] * peer_counts[:, label]
+        cross = matches / (half * other)
         return agree - cross
 
     def _chunk_sqrt_scaled(self, rng, size):
@@ -190,12 +284,12 @@ class _Sampler:
         if env.n_agents < 4:
             raise TooFewAgents("sqrt-scaled agreement sampling needs at least four agents")
         m = env.n_objects
-        q0, s0 = _latents(rng, env, size)
-        r_i = self.focal_map[_observe(rng, env, self.focal, q0, s0)]
-        r_peer = self.base_map[_observe(rng, env, self.base, q0, s0)]
+        q0, s0 = _latents(rng, self.laws, size)
+        r_i = self.focal_map[_observe(rng, self.laws, self.focal, q0, s0)]
+        r_peer = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
         # Scored object contributes to the scorers' frequency statistic too.
-        rk1 = self.base_map[_observe(rng, env, self.base, q0, s0)]
-        rk2 = self.base_map[_observe(rng, env, self.base, q0, s0)]
+        rk1 = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
+        rk2 = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
         # Each other object is a hit when two base reports on it both equal r_peer.
         pair_hit = np.diag(self.pair_base)[r_peer]
         hit_counts = ((rk1 == r_peer) & (rk2 == r_peer)) + rng.binomial(m - 1, pair_hit)
@@ -213,20 +307,20 @@ class _Sampler:
             DOUBLE_MIXED_SAMPLES_PER_LABEL * self.k,
             -(-env.n_objects // env.n_agents),  # ceil division
         )
-        q0, s0 = _latents(rng, env, size)
-        r_i = self.focal_map[_observe(rng, env, self.focal, q0, s0)]
-        r_peer = self.base_map[_observe(rng, env, self.base, q0, s0)]
+        q0, s0 = _latents(rng, self.laws, size)
+        r_i = self.focal_map[_observe(rng, self.laws, self.focal, q0, s0)]
+        r_peer = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
         # Holdout objects: one sampled base report each.
         counts = rng.multinomial(sample_size, self.marginal_base, size=size)
-        double_mixed = counts.min(axis=1) >= 2
+        double_mixed = counts[:, 0] >= 2
+        for label in range(1, self.k):
+            double_mixed &= counts[:, label] >= 2
         # A reference is a second base report on a holdout object whose sampled
         # report equals r_i.  The two references sit on distinct objects, so
         # given r_i they are independent draws from P(second | first = r_i);
         # rows of labels without mass are never double mixed and pay nothing.
-        mass = np.where(self.marginal_base > 0.0, self.marginal_base, 1.0)
-        second_given_first = self.pair_base / mass[:, None]
-        ref_1 = _draw_rows(rng, second_given_first, r_i)
-        ref_2 = _draw_rows(rng, second_given_first, r_i)
+        ref_1 = _draw_rows(rng, self._second_given_first_cdf, r_i)
+        ref_2 = _draw_rows(rng, self._second_given_first_cdf, r_i)
         rewards = 0.5 + (ref_1 == r_peer) - 0.5 * (ref_1 == ref_2)
         rewards[~double_mixed] = 0.0
         return rewards
@@ -234,11 +328,10 @@ class _Sampler:
     def _chunk_robust_bts(self, rng, size):
         if self.k != 2:
             raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
-        env = self.env
-        q, s_low = _latents(rng, env, size)
-        obs_i = _observe(rng, env, self.focal, q, s_low)
-        obs_j = _observe(rng, env, self.base, q, s_low)
-        obs_k = _observe(rng, env, self.base, q, s_low)
+        q, s_low = _latents(rng, self.laws, size)
+        obs_i = _observe(rng, self.laws, self.focal, q, s_low)
+        obs_j = _observe(rng, self.laws, self.base, q, s_low)
+        obs_k = _observe(rng, self.laws, self.base, q, s_low)
         r_i = self.focal_map[obs_i]
         r_k = self.base_map[obs_k]
         p_one = self.beliefs_base[obs_j, 1]
@@ -264,34 +357,38 @@ class _Sampler:
         _, _, obs_i, obs_j = self._pair_reports(rng, size)
         r_i = self.focal_map[obs_i]
         r_j = self.base_map[obs_j]
-        div = np.array(
-            [
-                [divergence(self.spec.rule, self.beliefs_focal[a], self.beliefs_base[b]) for b in range(self.k)]
-                for a in range(self.k)
-            ]
-        )
-        penalty = (r_i == r_j) & (div[obs_i, obs_j] > self.spec.theta)
+        penalty = (r_i == r_j) & (self._divergence_table[obs_i, obs_j] > self.spec.theta)
         return self.score_focal[obs_i, r_j] - penalty.astype(float)
 
     def _chunk_minimum_truth_serum(self, rng, size):
         env = self.env
         n_peers = env.n_agents - 1
-        q, s_low = _latents(rng, env, size)
-        obs_i = _observe(rng, env, self.focal, q, s_low)
+        q, s_low = _latents(rng, self.laws, size)
+        obs_i = _observe(rng, self.laws, self.focal, q, s_low)
         r_i = self.focal_map[obs_i]
         obs_counts = self._peer_observation_counts(rng, q, s_low, n_peers)  # (size, observation)
         freq = obs_counts @ np.eye(self.k)[self.base_map] / n_peers  # peer report frequencies
         mean_own = (freq * self.score_focal[obs_i]).sum(axis=1)
-        delta = (freq > 0).sum(axis=1) == self.k  # every label reported at least once
+        delta = freq[:, 0] > 0  # every label reported at least once
+        for label in range(1, self.k):
+            delta &= freq[:, label] > 0
         # Peers whose report equals r_i, counted per observation; their beliefs average to the proxy.
         same = obs_counts * (self.base_map[None, :] == r_i[:, None])
-        proxy = same @ self.beliefs_base / np.maximum(same.sum(axis=1), 1)[:, None]
+        same_total = same[:, 0].copy()
+        for observation in range(1, self.k):
+            same_total += same[:, observation]
+        proxy = same @ self.beliefs_base / np.maximum(same_total, 1)[:, None]
         proxy_scores = self.spec.rule.score_table(proxy)
         mean_proxy = (freq * proxy_scores).sum(axis=1)
         rewards = np.where(delta, np.minimum(mean_own, mean_proxy), mean_own)
         if self.spec.mts_aggregation == "sum":
             rewards = rewards * n_peers
         return rewards
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ShapeMismatch(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def simulate_utilities(
@@ -302,8 +399,8 @@ def simulate_utilities(
     seed: int,
 ) -> UtilityEstimate:
     """Sample mean and stderr of the focal agent's per-object reward; deterministic per seed."""
-    if trials < 1:
-        raise ShapeMismatch(f"trials must be at least 1, got {trials}")
+    _check_integer("trials", trials, 1)
+    _check_integer("seed", seed, 0)
     sampler = _Sampler(spec, env, profile)
     rng = np.random.default_rng(seed)
     chunks = []

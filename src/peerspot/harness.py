@@ -137,22 +137,34 @@ def generate_environments(
     return envs
 
 
+# Integer fields of a generator entry and their defaults.
+GENERATOR_SIZES = {"labels": 2, "count": 1, "n_agents": 3, "n_objects": 2}
+
+
+def _count(where: str, entry: dict, key: str, default: int) -> int:
+    """``entry[key]`` as a positive integer (an integral float is one), or a ConfigError."""
+    value = entry.get(key, default)
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ConfigError(f"{where}: {key} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _expand_environment_entry(entry: dict, position: int) -> list:
     if "generator" in entry:
         gen = entry["generator"]
+        where = f"environments[{position}].generator"
+        sizes = {key: _count(where, gen, key, default) for key, default in GENERATOR_SIZES.items()}
         try:
             return generate_environments(
-                labels=int(gen.get("labels", 2)),
-                count=int(gen.get("count", 1)),
+                **sizes,
                 seed=int(gen.get("seed", 0)),
                 accuracy=tuple(gen.get("accuracy", (0.6, 0.95))),
-                n_agents=int(gen.get("n_agents", 3)),
-                n_objects=int(gen.get("n_objects", 2)),
                 effort_cost=float(gen.get("effort_cost", 0.1)),
                 prefix=str(gen.get("prefix", "gen")),
             )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"environments[{position}].generator: {exc}") from None
+        except (TypeError, ValueError, PeerSpotError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     try:
         return [Environment.from_json_dict(entry)]
     except KeyError as exc:

@@ -31,20 +31,20 @@ class PerObjectSampler(_Sampler):
             )
         half = (m - 1) // 2
         other = m - 1 - half
-        q0, s0 = _latents(rng, env, size)
+        q0, s0 = _latents(rng, self.laws, size)
         agree = (
-            self.focal_map[_observe(rng, env, self.focal, q0, s0)]
-            == self.base_map[_observe(rng, env, self.base, q0, s0)]
+            self.focal_map[_observe(rng, self.laws, self.focal, q0, s0)]
+            == self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
         ).astype(float)
         own_counts = np.zeros((size, self.k))
         peer_counts = np.zeros((size, self.k))
         for _ in range(half):
-            q, s_low = _latents(rng, env, size)
-            r = self.focal_map[_observe(rng, env, self.focal, q, s_low)]
+            q, s_low = _latents(rng, self.laws, size)
+            r = self.focal_map[_observe(rng, self.laws, self.focal, q, s_low)]
             np.add.at(own_counts, (np.arange(size), r), 1.0)
         for _ in range(other):
-            q, s_low = _latents(rng, env, size)
-            r = self.base_map[_observe(rng, env, self.base, q, s_low)]
+            q, s_low = _latents(rng, self.laws, size)
+            r = self.base_map[_observe(rng, self.laws, self.base, q, s_low)]
             np.add.at(peer_counts, (np.arange(size), r), 1.0)
         cross = (own_counts / half * peer_counts / other).sum(axis=1)
         return agree - cross
@@ -54,17 +54,17 @@ class PerObjectSampler(_Sampler):
         if env.n_agents < 4:
             raise TooFewAgents("sqrt-scaled agreement sampling needs at least four agents")
         m = env.n_objects
-        q0, s0 = _latents(rng, env, size)
-        r_i = self.focal_map[_observe(rng, env, self.focal, q0, s0)]
-        r_peer = self.base_map[_observe(rng, env, self.base, q0, s0)]
+        q0, s0 = _latents(rng, self.laws, size)
+        r_i = self.focal_map[_observe(rng, self.laws, self.focal, q0, s0)]
+        r_peer = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
         hit_counts = np.zeros(size)
-        rk1 = self.base_map[_observe(rng, env, self.base, q0, s0)]
-        rk2 = self.base_map[_observe(rng, env, self.base, q0, s0)]
+        rk1 = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
+        rk2 = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
         hit_counts += (rk1 == r_peer) & (rk2 == r_peer)
         for _ in range(m - 1):
-            q, s_low = _latents(rng, env, size)
-            a = self.base_map[_observe(rng, env, self.base, q, s_low)]
-            b = self.base_map[_observe(rng, env, self.base, q, s_low)]
+            q, s_low = _latents(rng, self.laws, size)
+            a = self.base_map[_observe(rng, self.laws, self.base, q, s_low)]
+            b = self.base_map[_observe(rng, self.laws, self.base, q, s_low)]
             hit_counts += (a == r_peer) & (b == r_peer)
         f_hat = np.sqrt(hit_counts / m)
         live = (f_hat > 0.0) & (f_hat < 1.0)
@@ -80,13 +80,13 @@ class PerObjectSampler(_Sampler):
             DOUBLE_MIXED_SAMPLES_PER_LABEL * self.k,
             -(-env.n_objects // env.n_agents),
         )
-        q0, s0 = _latents(rng, env, size)
-        r_i = self.focal_map[_observe(rng, env, self.focal, q0, s0)]
-        r_peer = self.base_map[_observe(rng, env, self.base, q0, s0)]
-        qs = _draw_prior(rng, env, size * sample_size).reshape(size, sample_size)
-        sls = _draw_rows(rng, env.low_channel.matrix(), qs.ravel()).reshape(size, sample_size)
+        q0, s0 = _latents(rng, self.laws, size)
+        r_i = self.focal_map[_observe(rng, self.laws, self.focal, q0, s0)]
+        r_peer = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
+        qs = _draw_prior(rng, self.laws, size * sample_size).reshape(size, sample_size)
+        sls = _draw_rows(rng, self.laws.low_cdf, qs.ravel()).reshape(size, sample_size)
         if self.base.is_full_effort:
-            obs = _draw_rows(rng, env.high_channel.matrix(), qs.ravel()).reshape(size, sample_size)
+            obs = _draw_rows(rng, self.laws.high_cdf, qs.ravel()).reshape(size, sample_size)
         else:
             obs = sls
         sample_reports = self.base_map[obs]
@@ -104,7 +104,7 @@ class PerObjectSampler(_Sampler):
         for pos in (first, second):
             qsel = qs[np.arange(size), pos]
             slsel = sls[np.arange(size), pos]
-            refs.append(self.base_map[_observe(rng, env, self.base, qsel, slsel)])
+            refs.append(self.base_map[_observe(rng, self.laws, self.base, qsel, slsel)])
         rewards = 0.5 + (refs[0] == r_peer) - 0.5 * (refs[0] == refs[1])
         rewards[~double_mixed] = 0.0
         return rewards

@@ -76,6 +76,39 @@ class TestConfig:
             assert np.allclose(ea.high_channel.matrix(), eb.high_channel.matrix())
             assert ea.env_id == eb.env_id
 
+    @pytest.mark.parametrize(
+        "generator, message",
+        [
+            ({"labels": 1}, "label space needs at least 2 labels"),
+            ({"n_agents": 1}, "n_agents must be at least 3"),
+            ({"n_objects": 0}, "n_objects must be a positive integer"),
+            ({"effort_cost": -1}, "effort_cost must be finite and nonnegative"),
+            ({"labels": 2.5}, "labels must be a positive integer, got 2.5"),
+            ({"count": 1.5}, "count must be a positive integer"),
+            ({"n_agents": 3.5}, "n_agents must be a positive integer"),
+            ({"n_objects": 2.5}, "n_objects must be a positive integer"),
+            ({"labels": True}, "labels must be a positive integer, got True"),
+            ({"count": 0}, "count must be a positive integer, got 0"),
+        ],
+    )
+    def test_bad_generator_entries_name_the_entry(self, tmp_path, capsys, generator, message):
+        doc = tiny_config_doc(environments=[tiny_config_doc()["environments"][0], {"generator": generator}])
+        with pytest.raises(ConfigError, match=rf"^environments\[1\]\.generator: {message}"):
+            parse_config(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count("environments[1].generator: ") == 2
+
+    def test_integral_float_generator_sizes_accepted(self):
+        doc = tiny_config_doc(environments=[{"generator": {"labels": 3.0, "count": 2.0, "n_agents": 4.0}}])
+        config = parse_config(doc)
+        assert [len(env.q_space) for env in config.environments] == [3, 3]
+        assert config.environments[0].n_agents == 4
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from peerspot import (
     LabelSpace,
@@ -36,14 +38,17 @@ from peerspot import (
     enumerate_pure_strategies,
     generate_environments,
     low_identity_strategy,
+    ShapeMismatch,
     reference_environment,
     simulate_utilities,
     truthful_strategy,
 )
-from peerspot._sampling import CHUNK
+from peerspot import _sampling
+from peerspot._sampling import CHUNK, _draw_prior, _draw_rows, _Laws
 from peerspot.harness import example_config_path, load_config
 from peerspot.mechanisms import KINDS
 
+import block_draws
 from conftest import SPECS, random_environment, spec_id, specs_for
 from per_cell_oracle import peer_report_posterior
 from per_object_sampler import simulate_per_object
@@ -169,6 +174,86 @@ def test_off_diagonal_cells_match_exact_engine(k, spec):
         assert abs(est.value - exact) <= 4.0 * est.stderr + ROUNDING, (base.describe(), deviant.describe(), est, exact)
 
 
+@st.composite
+def law_matrices(draw) -> np.ndarray:
+    """k x k matrices, k = 2..4, whose rows are each row-stochastic, short of one
+    by 1e-12, all zero (a double-mixed row without mass) or carry a weight of -1e-10."""
+    k = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(k):
+        shape = draw(st.sampled_from(("stochastic", "short", "zero", "negative")))
+        weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))) + 1e-3
+        row = weights / weights.sum()
+        if shape == "short":
+            row = row * (1.0 - 1e-12)
+        elif shape == "zero":
+            row = np.zeros(k)
+        elif shape == "negative":
+            negative = draw(st.integers(0, k - 1))
+            row = row * (1.0 + 1e-10) / (1.0 - row[negative])
+            row[negative] = -1e-10
+        rows.append(row)
+    return np.array(rows)
+
+
+@given(law_matrices(), st.data())
+def test_column_draw_matches_block_draw(matrix, data):
+    k = len(matrix)
+    rows = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=300)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_rows(rng, np.cumsum(matrix, axis=1), rows)
+    want = block_draws.draw_rows(reference_rng, matrix, rows)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@given(law_matrices(), st.data())
+def test_column_count_matches_block_count_at_cdf_edges(matrix, data):
+    """Uniform draws on and next to each CDF entry, where a non-monotone CDF
+    (a negative weight) or a row short of one changes the count."""
+    k = len(matrix)
+    cdf = np.cumsum(matrix, axis=1)
+    row = data.draw(st.integers(0, k - 1))
+    edges = np.concatenate([cdf[row], np.nextafter(cdf[row], 0.0), np.nextafter(cdf[row], 2.0), [0.0]])
+    u = np.clip(edges, 0.0, np.nextafter(1.0, 0.0))
+    rows = np.full(len(u), row)
+    got = _sampling._categorical(u, (column[rows] for column in cdf.T), k)
+    want = np.minimum((u[:, None] > cdf[rows]).sum(axis=1), k - 1)
+    assert np.array_equal(got, want)
+
+
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(1, 300))
+def test_column_prior_draw_matches_block_draw(k, seed, size):
+    env = random_environment(np.random.default_rng(seed), k, correlated_low=True)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_prior(rng, _Laws.of(env), size)
+    want = block_draws.draw_prior(reference_rng, env.prior.as_array(), size)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, float("nan"), 0, -3, "10"])
+def test_trials_must_be_a_positive_integer(monkeypatch, trials):
+    monkeypatch.setattr(_sampling, "_Sampler", None)  # any draw would fail with a TypeError
+    spec, profile = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT), profiles(2)["truthful"]
+    with pytest.raises(ShapeMismatch, match=r"^trials must be an integer of at least 1, got "):
+        simulate_utilities(spec, ENVS[2], profile, trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, float("nan"), None, True, "3"])
+def test_seed_must_be_a_nonnegative_integer(monkeypatch, seed):
+    monkeypatch.setattr(_sampling, "_Sampler", None)
+    spec, profile = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT), profiles(2)["truthful"]
+    with pytest.raises(ShapeMismatch, match=r"^seed must be an integer of at least 0, got "):
+        simulate_utilities(spec, ENVS[2], profile, trials=10, seed=seed)
+
+
+def test_numpy_integer_trials_and_seed_accepted():
+    spec, profile = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT), profiles(2)["truthful"]
+    est = simulate_utilities(spec, ENVS[2], profile, trials=np.int64(50), seed=np.uint32(7))
+    assert est == simulate_utilities(spec, ENVS[2], profile, trials=50, seed=7)
+
+
 PINNED = Path(__file__).with_name("pinned_estimates.json")
 PINNED_TRIALS = CHUNK + 1_000  # two chunks, so the chunk boundary is pinned too
 
@@ -192,18 +277,38 @@ def pinned_cases() -> list:
     return cases
 
 
-def estimate_hex(spec, env, profile, seed) -> list:
-    est = simulate_utilities(spec, env, profile, trials=PINNED_TRIALS, seed=seed)
-    return [est.value.hex(), est.stderr.hex()]
-
-
-def pinned_differences() -> list:
-    """Ids of the pinned estimates the sampler no longer reproduces bit for bit."""
+def check_pinned() -> tuple:
+    """Ids of the pinned estimates the sampler no longer reproduces bit for bit, and
+    the seconds spent per (k, spec id) over both profiles."""
     doc = json.loads(PINNED.read_text())
     pinned, cases = doc["estimates"], pinned_cases()
     assert doc["trials"] == PINNED_TRIALS and sorted(pinned) == sorted(case[0] for case in cases)
-    return [case_id for case_id, *args in cases if estimate_hex(*args) != pinned[case_id]]
+    differences, seconds = [], {}
+    for case_id, spec, env, profile, seed in cases:
+        start = time.perf_counter()
+        est = simulate_utilities(spec, env, profile, trials=PINNED_TRIALS, seed=seed)
+        key = (len(env.q_space), spec_id(spec))
+        seconds[key] = seconds.get(key, 0.0) + time.perf_counter() - start
+        if [est.value.hex(), est.stderr.hex()] != pinned[case_id]:
+            differences.append(case_id)
+    return differences, seconds
 
 
 def test_estimates_are_bit_identical():
-    assert pinned_differences() == []
+    differences, _ = check_pinned()
+    assert differences == []
+
+
+def gate() -> int:
+    """Print samples per second per kind and the pinned estimates that differ; 1 unless none do."""
+    differences, seconds = check_pinned()
+    for (k, name), spent in seconds.items():
+        print(f"k{k} {name}: {2 * PINNED_TRIALS / spent:,.0f} samples/s")
+    for case_id in differences:
+        print("DIFFERS " + case_id)
+    print(f"{len(differences)} of {len(pinned_cases())} pinned estimates differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(gate())
