@@ -1,4 +1,4 @@
-"""Exact per-object expected rewards of deviant strategies against symmetric base profiles.
+"""Exact per-observation expected rewards of deviant strategies against symmetric base profiles.
 
 Everything here integrates over the per-object joint law: quality ~ prior,
 one shared low draw, independent high draws per agent given quality.  Reports
@@ -6,8 +6,15 @@ are deterministic functions of each agent's observed signal, so conditioning
 on (quality, low draw) makes all agents' reports independent, and every
 mechanism reduces to small tensor contractions over label indices.
 
-Each evaluator returns the whole (deviants x bases) block of a list of
-deviants against a list of bases; what loops remain run over label indices.
+A deviant is an effort plus one report per observed value, and under every
+kind its expected reward against a symmetric base is a sum of one term per
+observed value.  Each evaluator returns those terms for a list of bases:
+``V[g, e, o, r]`` is the expected unchecked reward that a deviant with effort
+``e`` (``Effort`` order) earns on the event that it observes ``o``, if it
+reports ``r`` there, against base ``g``.  The deviant with effort ``e`` and
+report map ``m`` earns ``sum_o V[g, e, o, m(o)]`` (``strategy_rewards``).  A
+reward paid whatever the deviant reports (a constant, an offset) is put at
+``o = 0``.
 
 Multi-object mechanisms are evaluated in their many-object limit, where
 empirical report frequencies concentrate on population values: the
@@ -48,18 +55,51 @@ def observation_law(env: Environment, effort: Effort) -> np.ndarray:
     return law
 
 
+def observation_laws(env: Environment) -> np.ndarray:
+    """``observation_law`` per effort in ``Effort`` order, shape (2, k, k, k)."""
+    return np.stack([observation_law(env, effort) for effort in Effort])
+
+
 def _maps(strategies: list) -> np.ndarray:
     return np.array([s.report_map for s in strategies], dtype=int)
 
 
-def report_laws(env: Environment, strategies: list) -> np.ndarray:
-    """P(report | quality, low draw) per strategy, stacked: shape (len(strategies), k, k, k)."""
-    observed = np.stack([observation_law(env, effort) for effort in Effort])[effort_indices(strategies)]
-    maps, rows = _maps(strategies), np.arange(len(strategies))
-    laws = np.zeros_like(observed)
-    for o in range(maps.shape[1]):
-        laws[rows, :, :, maps[:, o]] += observed[:, :, :, o]
-    return laws
+def strategy_rewards(values: np.ndarray, efforts: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Per-observation terms summed for each strategy: ``sum_o values[..., e, o, m(o)]`` for
+    the strategies with efforts ``efforts`` (``Effort`` positions) and report maps ``maps``
+    (one row each).  ``values`` is (..., 2, k, k); the result is (..., len(maps)).  The sum
+    runs in observation order, so one strategy's reward has one rounding everywhere."""
+    total = values[..., efforts, 0, maps[:, 0]]
+    for o in range(1, maps.shape[1]):
+        total = total + values[..., efforts, o, maps[:, o]]
+    return total
+
+
+def base_report_laws(env: Environment, bases: list) -> np.ndarray:
+    """P(report | quality, low draw) per base, shape (len(bases), k, k, k)."""
+    k = len(env.q_space)
+    observed = observation_laws(env)[effort_indices(bases)]
+    return observed @ np.eye(k)[_maps(bases)][:, None]
+
+
+def _per_observation(env: Environment, x: np.ndarray) -> np.ndarray:
+    """``sum_{q,l} w[q, l] P(o | q, l, e) x[g, q, l, r]`` for a per-base quantity ``x`` of
+    shape (G, k, k, k): the deviant-observation terms, shape (G, 2, k, k)."""
+    k = len(env.q_space)
+    weighted = outer_weights(env)[None, :, :, None] * observation_laws(env)
+    by_observation = np.swapaxes(weighted.reshape(2, k * k, k), 1, 2)  # [e, o, (q, l)]
+    return by_observation[None] @ x.reshape(len(x), 1, k * k, k)
+
+
+def _observation_marginals(env: Environment) -> np.ndarray:
+    """P(observe o) per effort, shape (2, k)."""
+    return np.einsum("ql,eqlo->eo", outer_weights(env), observation_laws(env))
+
+
+def _with_constant(values: np.ndarray, constant: float) -> np.ndarray:
+    """``values`` plus a reward paid whatever the deviant reports, put at observation 0."""
+    values[:, :, 0, :] += constant
+    return values
 
 
 def pair_obs_law(env: Environment, effort_a: Effort, effort_b: Effort) -> np.ndarray:
@@ -82,64 +122,67 @@ def triple_obs_law(env: Environment, effort_a: Effort, effort_b: Effort, effort_
     return np.einsum("ql,qla,qlb,qlc->abc", w, oa, ob, oc)
 
 
-def _agreement(w: np.ndarray, rd: np.ndarray, rg: np.ndarray) -> np.ndarray:
-    """Probability that deviant and base report the same label, shape (D, G)."""
-    return np.einsum("ql,dqlr,gqlr->dg", w, rd, rg)
+def _beliefs(env: Environment, rule, bases: list) -> tuple:
+    """Belief tables, their scores at each outcome, and each base's effort position.
 
-
-def _beliefs(env: Environment, rule, bases: list, deviants: list) -> tuple:
-    """Stacked belief tables (one row per observed value) and their scores at each outcome.
-
-    Beliefs depend only on the holder's effort and the base, so 2 * len(bases) tables
-    serve every deviant.  Base g holds ``beliefs[base_rows[g]]`` and deviant d holds
-    ``beliefs[dev_rows[d, g]]`` against it.
+    Beliefs depend only on the holder's effort and the base: ``beliefs[e, g]``
+    (one row per observed value) is held by a deviant with effort e against
+    base g, and base g itself holds ``beliefs[efforts[g], g]``.
     """
-    k, n_bases = len(env.q_space), len(bases)
-    beliefs = peer_report_posteriors(env, bases).reshape(-1, k, k)
+    k = len(env.q_space)
+    beliefs = peer_report_posteriors(env, bases)
     scores = rule.score_table(beliefs.reshape(-1, k)).reshape(beliefs.shape)
-    g, eg, ed = np.arange(n_bases), effort_indices(bases), effort_indices(deviants)
-    return beliefs, scores, eg * n_bases + g, ed[:, None] * n_bases + g
+    return beliefs, scores, effort_indices(bases)
+
+
+def _scores_at_base_reports(scores: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """``out[g, e, o, j] = scores[e, g, o, maps[g, j]]``: a deviant's belief score, after it
+    observes o, at the report base g makes after observing j."""
+    return np.take_along_axis(np.moveaxis(scores, 0, 1), maps[:, None, None, :], axis=3)
+
+
+def _pair_laws_against(env: Environment, efforts: np.ndarray) -> np.ndarray:
+    """``pair_obs_law`` of each deviant effort against each base's effort: (G, 2, k, k)."""
+    pair = np.array([[pair_obs_law(env, a, b) for b in Effort] for a in Effort])
+    return np.moveaxis(pair[:, efforts], 1, 0)
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluators.  Each returns E[z(deviant, base)] per object, shape
-# (len(deviants), len(bases)).
+# Evaluators.  Each returns the per-observation rewards V of every deviant
+# against each base, shape (len(bases), 2, k, k).
 # ---------------------------------------------------------------------------
 
 
-def output_agreement(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
-    return _agreement(outer_weights(env), report_laws(env, deviants), report_laws(env, bases))
+def output_agreement(spec, env: Environment, bases: list) -> np.ndarray:
+    return _per_observation(env, base_report_laws(env, bases))
 
 
-def peer_truth_serum(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
+def peer_truth_serum(spec, env: Environment, bases: list) -> np.ndarray:
     """Per-object frequency limit: agreement on label r pays beta / freq(r), and the
     realized frequency concentrates on the base profile's conditional report mass,
     so each supported label contributes exactly the deviant's mass on it."""
-    support = (report_laws(env, bases) > SUPPORT_ATOL).astype(float)
-    hit = _agreement(outer_weights(env), report_laws(env, deviants), support)
-    return spec.alpha + spec.beta * hit
+    support = (base_report_laws(env, bases) > SUPPORT_ATOL).astype(float)
+    return _with_constant(spec.beta * _per_observation(env, support), spec.alpha)
 
 
-def correlated_agreement(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
-    w = outer_weights(env)
-    rd, rg = report_laws(env, deviants), report_laws(env, bases)
-    cross = np.einsum("ql,dqlr->dr", w, rd) @ np.einsum("ql,gqlr->gr", w, rg).T
-    return _agreement(w, rd, rg) - cross
+def correlated_agreement(spec, env: Environment, bases: list) -> np.ndarray:
+    rg = base_report_laws(env, bases)
+    marg_g = np.einsum("ql,gqlr->gr", outer_weights(env), rg)
+    cross = _observation_marginals(env)[None, :, :, None] * marg_g[:, None, None, :]
+    return _per_observation(env, rg) - cross
 
 
-def sqrt_scaled_agreement(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
+def sqrt_scaled_agreement(spec, env: Environment, bases: list) -> np.ndarray:
     """Many-object limit: the frequency statistic for label s converges to
     sqrt(pairwise base agreement mass on s); degenerate labels (mass 0 or 1) pay zero."""
-    w = outer_weights(env)
-    rd, rg = report_laws(env, deviants), report_laws(env, bases)
-    pair_mass = np.einsum("ql,gqls,gqls->gs", w, rg, rg)
-    agree_mass = np.einsum("ql,dqls,gqls->dgs", w, rd, rg)
-    live = (pair_mass > SUPPORT_ATOL) & (pair_mass < 1.0 - SUPPORT_ATOL)
-    ratio = agree_mass / np.sqrt(np.where(live, pair_mass, 1.0))
-    return spec.scale * np.where(live, ratio, 0.0).sum(axis=2)
+    rg = base_report_laws(env, bases)
+    pair_mass = np.einsum("ql,gqls,gqls->gs", outer_weights(env), rg, rg)
+    live = ((pair_mass > SUPPORT_ATOL) & (pair_mass < 1.0 - SUPPORT_ATOL))[:, None, None, :]
+    ratio = _per_observation(env, rg) / np.sqrt(np.where(live, pair_mass[:, None, None, :], 1.0))
+    return spec.scale * np.where(live, ratio, 0.0)
 
 
-def double_mixed_agreement(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
+def double_mixed_agreement(spec, env: Environment, bases: list) -> np.ndarray:
     """Many-object limit of the double-mixed sampling mechanism.
 
     The cross-object sample is double mixed with limiting probability one iff
@@ -149,84 +192,67 @@ def double_mixed_agreement(spec, env: Environment, bases: list, deviants: list) 
     report, i.e. draws from the base pair-conditional law.
     """
     w = outer_weights(env)
-    rd, rg = report_laws(env, deviants), report_laws(env, bases)
+    rg = base_report_laws(env, bases)
     marg_g = np.einsum("ql,gqlr->gr", w, rg)
     mixed = marg_g.min(axis=1) > SUPPORT_ATOL
     pair_g = np.einsum("ql,gqlv,gqlx->gvx", w, rg, rg)
     # cond[g, v, x] = P(second base report = x | first = v)
     cond = pair_g / np.where(mixed[:, None], marg_g, 1.0)[:, :, None]
-    joint = np.einsum("ql,dqlv,gqly->dgvy", w, rd, rg)  # deviant report v, same-object peer y
-    match_peer = np.einsum("dgvy,gvy->dg", joint, cond)
-    match_refs = np.einsum("dgv,gv->dg", joint.sum(axis=3), np.einsum("gvx,gvx->gv", cond, cond))
-    return np.where(mixed[None, :], 0.5 + match_peer - 0.5 * match_refs, 0.0)
+    joint = _per_observation(env, rg)  # [g, e, o, y]: the deviant observes o, its same-object peer reports y
+    match_peer = joint @ np.swapaxes(cond, 1, 2)[:, None]
+    match_refs = joint.sum(axis=3)[..., None] * np.einsum("gvx,gvx->gv", cond, cond)[:, None, None, :]
+    values = _with_constant(match_peer - 0.5 * match_refs, 0.5)
+    return np.where(mixed[:, None, None, None], values, 0.0)
 
 
-def robust_bts(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
+def robust_bts(spec, env: Environment, bases: list) -> np.ndarray:
     k = len(env.q_space)
     if k != 2:
         raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
-    beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
+    beliefs, scores, efforts = _beliefs(env, spec.rule, bases)
+    maps = _maps(bases)
     triple = np.array([[triple_obs_law(env, a, b, b) for b in Effort] for a in Effort])
-    ed, eg = effort_indices(deviants)[:, None], effort_indices(bases)[None, :]
-    dmap, gmap = _maps(deviants), _maps(bases)
+    triple = np.moveaxis(triple[:, efforts], 1, 0)  # [g, e, oi, oj, ok]
     # The shadow belief moves base g's belief after observation oj towards the
-    # focal report ri: shadow_scores[g, oj, ri, outcome].
-    p_one = beliefs[base_rows, :, 1]
+    # focal report r: shadow[g, oj, r, outcome].
+    p_one = beliefs[efforts, np.arange(len(bases)), :, 1]
     delta = np.minimum(p_one, 1.0 - p_one)
     shadow_one = np.stack([p_one - delta, p_one + delta], axis=-1)
     shadow = np.stack([1.0 - shadow_one, shadow_one], axis=-1)
     shadow_scores = spec.rule.score_table(shadow.reshape(-1, k)).reshape(shadow.shape)
-    g = np.arange(len(bases))
-    total = np.zeros((len(deviants), len(bases)))
-    for oi in range(k):
-        ri = dmap[:, oi, None]
-        for oj in range(k):
-            for ok in range(k):
-                rk = gmap[None, :, ok]
-                both = shadow_scores[g, oj, ri, rk] + scores[dev_rows, oi, rk]
-                total = total + triple[ed, eg, oi, oj, ok] * both
-    return total
+    at_peer = np.take_along_axis(shadow_scores, maps[:, None, None, :], axis=3)  # [g, oj, r, ok]
+    shadow_part = np.einsum("geijk,gjrk->geir", triple, at_peer)
+    own_part = np.einsum("geijk,geik->gei", triple, _scores_at_base_reports(scores, maps))
+    return shadow_part + own_part[..., None]
 
 
-def multi_valued_robust_bts(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
+def multi_valued_robust_bts(spec, env: Environment, bases: list) -> np.ndarray:
     k = len(env.q_space)
-    beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
-    pair = np.array([[pair_obs_law(env, a, b) for b in Effort] for a in Effort])
-    ed, eg = effort_indices(deviants)[:, None], effort_indices(bases)[None, :]
-    dmap, gmap = _maps(deviants), _maps(bases)
-    total = np.zeros((len(deviants), len(bases)))
-    for oi in range(k):
-        ri = dmap[:, oi, None]
-        for oj in range(k):
-            rj = gmap[None, :, oj]
-            bj = beliefs[base_rows, oj, ri]
-            with np.errstate(divide="ignore"):
-                match = np.where(bj > 0.0, 1.0 / bj, NEGATIVE_SENTINEL)
-            match = np.where(ri == rj, match, 0.0)
-            total = total + pair[ed, eg, oi, oj] * (match + scores[dev_rows, oi, rj])
-    return total
+    beliefs, scores, efforts = _beliefs(env, spec.rule, bases)
+    maps = _maps(bases)
+    pair = _pair_laws_against(env, efforts)  # [g, e, oi, oj]
+    held = beliefs[efforts, np.arange(len(bases))]  # [g, oj, r]
+    with np.errstate(divide="ignore"):
+        match = np.where(held > 0.0, 1.0 / held, NEGATIVE_SENTINEL)
+    match = np.where(np.eye(k, dtype=bool)[maps], match, 0.0)  # pays only where r is base g's report
+    own = (pair * _scores_at_base_reports(scores, maps)).sum(axis=3)
+    return pair @ match[:, None] + own[..., None]
 
 
-def divergence_bts(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
+def divergence_bts(spec, env: Environment, bases: list) -> np.ndarray:
     k = len(env.q_space)
-    beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
-    pair = np.array([[pair_obs_law(env, a, b) for b in Effort] for a in Effort])
-    ed, eg = effort_indices(deviants)[:, None], effort_indices(bases)[None, :]
-    dmap, gmap = _maps(deviants), _maps(bases)
-    total = np.zeros((len(deviants), len(bases)))
-    for oi in range(k):
-        ri = dmap[:, oi, None]
-        held, support = beliefs[dev_rows, oi], beliefs[dev_rows, oi] > 0.0
-        for oj in range(k):
-            rj = gmap[None, :, oj]
-            # divergence D(held || peer) = E_{s~held}[score(held, s) - score(peer, s)],
-            # unbounded where the log rule meets zero peer mass on the held support
-            peer_scores = scores[base_rows, oj][None]
-            gap = np.where(support, held * (scores[dev_rows, oi] - peer_scores), 0.0).sum(axis=2)
-            gap[np.any(support & (peer_scores == NEGATIVE_SENTINEL), axis=2)] = np.inf
-            penalty = ((ri == rj) & (gap > spec.theta)).astype(float)
-            total = total + pair[ed, eg, oi, oj] * (scores[dev_rows, oi, rj] - penalty)
-    return total
+    beliefs, scores, efforts = _beliefs(env, spec.rule, bases)
+    maps = _maps(bases)
+    pair = _pair_laws_against(env, efforts)  # [g, e, oi, oj]
+    # divergence D(held || peer) = E_{s~held}[score(held, s) - score(peer, s)],
+    # unbounded where the log rule meets zero peer mass on the held support
+    held, support = beliefs[:, :, :, None, :], beliefs[:, :, :, None, :] > 0.0  # [e, g, oi, -, s]
+    peer_scores = scores[efforts, np.arange(len(bases))][None, :, None]  # [-, g, -, oj, s]
+    gap = np.where(support, held * (scores[:, :, :, None, :] - peer_scores), 0.0).sum(axis=4)
+    gap[np.any(support & (peer_scores == NEGATIVE_SENTINEL), axis=4)] = np.inf
+    penalty = pair * np.moveaxis(gap > spec.theta, 0, 1)
+    own = (pair * _scores_at_base_reports(scores, maps)).sum(axis=3)
+    return own[..., None] - penalty @ np.eye(k)[maps][:, None]
 
 
 def _peer_multisets(env: Environment, base_effort: Effort, n_peers: int, budget: int) -> tuple:
@@ -268,9 +294,7 @@ def _peer_multisets(env: Environment, base_effort: Effort, n_peers: int, budget:
     return np.array(counts), np.array(weights)
 
 
-def minimum_truth_serum(
-    spec, env: Environment, bases: list, deviants: list, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> np.ndarray:
+def minimum_truth_serum(spec, env: Environment, bases: list, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
     """Belief scores against all peers, capped by the same-report proxy belief score.
 
     Peer reports enter only through their observation multiset, so full-effort
@@ -279,20 +303,19 @@ def minimum_truth_serum(
     k = len(env.q_space)
     n_peers = env.n_agents - 1
     scale = 1.0 if spec.mts_aggregation == "mean" else float(n_peers)
-    beliefs, scores, base_rows, dev_rows = _beliefs(env, spec.rule, bases, deviants)
-    ed, dmap, gmap = effort_indices(deviants), _maps(deviants), _maps(bases)
-    total = np.zeros((len(deviants), len(bases)))
-    for effort in Effort:
-        cols = np.array([g for g, b in enumerate(bases) if b.effort is effort], dtype=int)
+    beliefs, scores, efforts = _beliefs(env, spec.rule, bases)
+    values = np.zeros((len(bases), 2, k, k))
+    for position, effort in enumerate(Effort):
+        cols = np.flatnonzero(efforts == position)
         if cols.size == 0:
             continue
         counts, weights = _peer_multisets(env, effort, n_peers, budget)
-        maps = gmap[cols]
-        base_beliefs = beliefs[base_rows[cols]]
-        own_scores = [scores[dev_rows[:, cols], oi] for oi in range(k)]
+        maps = _maps([bases[g] for g in cols])
+        base_beliefs = beliefs[position, cols]
+        own_scores = scores[:, cols]  # [e, g, o, x]
         # reports[g, r, o]: base g reports r after observing o
         reports = maps[:, None, :] == np.arange(k)[None, :, None]
-        block = np.zeros((len(deviants), cols.size))
+        block = np.zeros((cols.size, 2, k, k))
         for c, weight in zip(counts, weights):
             same = reports * c  # same[g, r, o]: peers that observe o and report r
             report_counts = same.sum(axis=2)
@@ -302,15 +325,14 @@ def minimum_truth_serum(
             with np.errstate(invalid="ignore", divide="ignore"):
                 proxy = (same @ base_beliefs) / report_counts[:, :, None]
                 proxy_scores = spec.rule.score_table(proxy.reshape(-1, k)).reshape(proxy.shape)
-            mean_proxy = np.einsum("gx,grx->gr", peer_freq, proxy_scores)
-            for oi in range(k):
-                mean_own = np.einsum("gx,dgx->dg", peer_freq, own_scores[oi])
-                capped = mean_proxy[:, dmap[:, oi]].T
-                reward = np.where(every_label & (capped < mean_own), capped, mean_own)
-                block = block + weight[ed, oi][:, None] * reward * scale
-        total[:, cols] = block
-    return total
+            capped = np.einsum("gx,grx->gr", peer_freq, proxy_scores)[:, None, None, :]
+            mean_own = np.einsum("gx,egox->geo", peer_freq, own_scores)[..., None]
+            reward = np.where(every_label[:, None, None, None] & (capped < mean_own), capped, mean_own)
+            block = block + weight[None, :, :, None] * reward * scale
+        values[cols] = block
+    return values
 
 
-def peer_insensitive(spec, env: Environment, bases: list, deviants: list) -> np.ndarray:
-    return np.full((len(deviants), len(bases)), float(spec.constant_reward))
+def peer_insensitive(spec, env: Environment, bases: list) -> np.ndarray:
+    k = len(env.q_space)
+    return _with_constant(np.zeros((len(bases), 2, k, k)), float(spec.constant_reward))

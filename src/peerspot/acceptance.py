@@ -142,10 +142,10 @@ def check_equilibrium_utility_table() -> tuple:
         table = ctx.table(mech, ctx.e1)
         g = table.index_of(lazy)
         t = table.index_of(truthful)
-        got_lazy = table.unchecked[g, g]
+        got_lazy = table.own[g]
         if abs(got_lazy - lazy_value) > ANALYTIC_TOL:
             failures.append(f"{kind.value}: coordination utility {got_lazy!r} != {lazy_value!r}")
-        got_truth = table.unchecked[t, t]
+        got_truth = table.own[t]
         if truth_value is not None and abs(got_truth - truth_value) > ANALYTIC_TOL:
             failures.append(f"{kind.value}: truthful utility {got_truth!r} != {truth_value!r}")
         if got_truth > got_lazy + ANALYTIC_TOL:
@@ -154,9 +154,9 @@ def check_equilibrium_utility_table() -> tuple:
     sqrt_table = ctx.table(MechanismSpec(MechanismKind.SQRT_SCALED_AGREEMENT), ctx.e1)
     g = sqrt_table.index_of(lazy)
     t = sqrt_table.index_of(truthful)
-    if abs(sqrt_table.unchecked[g, g] - 1.41421) > 5e-6:
+    if abs(sqrt_table.own[g] - 1.41421) > 5e-6:
         failures.append("sqrt-scaled coordination utility rounds away from 1.41421")
-    if abs(sqrt_table.unchecked[t, t] - 1.28062) > 5e-6:
+    if abs(sqrt_table.own[t] - 1.28062) > 5e-6:
         failures.append("sqrt-scaled truthful utility rounds away from 1.28062")
     return (not failures), "; ".join(failures) or "all tabulated equilibrium utilities match"
 
@@ -275,7 +275,7 @@ def check_dominated_environment_construction() -> tuple:
         return False, "construction returned not_found"
     table = compute_payoff_table(mech, composed)
     t = table.index_of(truthful_strategy(composed.q_space))
-    truthful_utility = float(table.unchecked[t, t] - composed.effort_cost)
+    truthful_utility = float(table.own[t] - composed.effort_cost)
     equilibria = enumerate_symmetric_pure_equilibria(table, 0.0, composed.effort_cost)
     if not equilibria:
         return False, "composed environment has no certified equilibria"

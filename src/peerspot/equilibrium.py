@@ -1,18 +1,26 @@
 """Symmetric pure-equilibrium search and minimum spot-check probability solvers.
 
 Every solver takes one payoff table per (mechanism, environment) plus an
-effort cost: the table holds the expected audit reward per strategy and the
-expected unchecked reward of every deviant strategy against every symmetric
-base, and no entry depends on the cost, so one table serves a whole cost
-sweep.  Every entry is an exact expectation, so an equilibrium is certified
-when no deviation gains more than an absolute tolerance.  Combined utilities
-p * E[y] + (1 - p) * E[z] - cost are affine in the spot-check probability, so
-each base strategy is an equilibrium on one interval of p.  ``p_pareto`` is
-solved from those intervals, a block of bases at a time, and reported at the
-grid point a dense scan would find; ``p_el`` still scans the grid for its
-bracket before bisecting.  ``PayoffTable.gain_lines`` is the one definition of
-a deviation gain: every certification and solver reads its two lines, so all
-of them agree on whether a base is an equilibrium at a given p.
+effort cost, and no table entry depends on the cost, so one table serves a
+whole cost sweep.  A deviant is an effort plus one report per observed value,
+and both rewards are sums of per-observation terms, so the table holds those
+terms (O(S k^2) numbers, not an S x S matrix) plus each symmetric profile's own
+unchecked reward and each strategy's audit reward.  Every entry is an exact
+expectation, so an equilibrium is certified when no deviation gains more than
+an absolute tolerance.
+
+``PayoffTable.gain_lines`` is the one definition of a deviation gain: a dense
+row of lines in p over every deviant.  Certification reads the separable best
+response instead, the best report per observation and the best effort, in
+O(k^2) per base, and falls back to the base's dense row when that response is
+within a stated rounding slack of the tolerance; so every decision equals the
+dense row's.  Combined utilities p * E[y] + (1 - p) * E[z] - cost are affine in
+the spot-check probability and each effort's best gain is convex and piecewise
+linear, so each base is an equilibrium on one interval of p, whose ends are read
+between that gain's kinks (``PayoffTable.kinked_gains``).  ``p_pareto`` is
+solved from those intervals and reported at the grid point a dense scan would
+find; ``p_el`` still scans one dense row over the grid for its bracket before
+bisecting.
 
 Thresholds solved here:
 
@@ -32,15 +40,31 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded
-from .mechanisms import MechanismSpec, unchecked_block
+from ._expectations import strategy_rewards
+from .mechanisms import MechanismSpec, unchecked_rewards
 from .signals import Environment
-from .spotcheck import expected_spot_rewards
-from .strategies import MAX_LABELS, Strategy, enumerate_pure_strategies, low_identity_strategy, truthful_strategy
+from .spotcheck import audit_rewards, expected_spot_rewards
+from .strategies import (
+    MAX_LABELS,
+    Strategy,
+    effort_indices,
+    enumerate_pure_strategies,
+    low_identity_strategy,
+    truthful_strategy,
+)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
 REFINE = 1e-6  # width of the bracket at which the p_el bisection stops
-PARETO_BLOCK = 64  # bases per block in the Pareto threshold search
+PARETO_BLOCK = 64  # bases per block compared point by point in the Pareto threshold search
+CROSSING_ZONE = 4  # most grid points on each side of a lead's crossing compared one by one
+KINK_ROWS = 2048  # (kink, base) pairs per block when sampling best responses at their kinks
+# Relative bound on the rounding gap between a separable best response and the largest
+# entry of the dense gain row it stands for.  Together they round at most 2k + 12 times,
+# each time by at most 2**-53 of a term no larger than ``PayoffTable.magnitude`` plus the
+# cost, so they differ by under 3e-15 of that at k <= 6; the slack allows 300 times that.
+VERIFY_SLACK = 1e-12
+FULL_EFFORT_PAYS = np.array([[1.0], [0.0]])  # effort cost factor per ``Effort``, as a column
 
 
 @dataclass(frozen=True)
@@ -96,40 +120,67 @@ class ThresholdReport:
 
 @dataclass
 class PayoffTable:
-    """Audit rewards and the unchecked deviant-vs-base reward matrix for all pure strategies,
-    with the indices of the truthful and the best no-effort strategy (neither depends on cost)."""
+    """Per-observation unchecked and audit rewards of every pure strategy, with the
+    strategies' efforts and report maps, each symmetric profile's own unchecked reward,
+    each strategy's audit reward, and the indices of the truthful and the best
+    no-effort strategy (none of them depends on cost).
+
+    ``unchecked_terms[g, e, o, r]`` is the ``V`` of ``_expectations`` against base
+    ``strategies[g]`` and ``audit_terms[e, o, r]`` the ``A`` of
+    ``spotcheck.audit_rewards``: a deviant with effort e and map m earns
+    ``sum_o V[g, e, o, m(o)]`` unchecked and ``sum_o A[e, o, m(o)]`` audited.
+    """
 
     strategies: list
-    spot: np.ndarray  # (S,) expected audit reward per strategy
-    unchecked: np.ndarray  # (S, S): [deviant, base]
-    full_effort: np.ndarray  # (S,) 1.0 where the strategy invests effort
+    unchecked_terms: np.ndarray  # (S, 2, k, k): [base, deviant effort, observation, report]
+    audit_terms: np.ndarray  # (2, k, k): [effort, observation, report]
+    efforts: np.ndarray = field(init=False)  # (S,) position in ``Effort`` order (full effort is 0)
+    maps: np.ndarray = field(init=False)  # (S, k) report maps
+    own: np.ndarray = field(init=False)  # (S,) unchecked reward of each symmetric profile
+    spot: np.ndarray = field(init=False)  # (S,) expected audit reward per strategy
+    full_effort: np.ndarray = field(init=False)  # (S,) 1.0 where the strategy invests effort
+    magnitude: np.ndarray = field(init=False)  # (S,) bound on the terms of any gain against a base
+    # V and A - V laid out [report, effort, observation, base] for ``best_responses``.
+    _level: np.ndarray = field(init=False, repr=False)
+    _rise: np.ndarray = field(init=False, repr=False)
+    # ``kinked_gains`` per base, filled in as bases are asked for: (kinks, gains, filled).
+    _kinked: tuple = field(init=False, repr=False, default=None)
     truthful: int = field(init=False)
     best_no_effort: int = field(init=False)
 
     def __post_init__(self):
-        k = len(self.strategies[0].report_map)
-        self.truthful = self.index_of(truthful_strategy(k))
+        self.efforts = effort_indices(self.strategies)
+        self.maps = np.array([s.report_map for s in self.strategies], dtype=int)
+        self.full_effort = (self.efforts == 0).astype(float)
+        # Base g's own reward, summed over observations in ``strategy_rewards`` order.
+        rows, v = np.arange(len(self.strategies)), self.unchecked_terms
+        self.own = v[rows, self.efforts, 0, self.maps[:, 0]]
+        for o in range(1, self.maps.shape[1]):
+            self.own = self.own + v[rows, self.efforts, o, self.maps[:, o]]
+        self.spot = strategy_rewards(self.audit_terms, self.efforts, self.maps)
+        largest_sum = lambda terms: np.abs(terms).max(axis=-1).sum(axis=-1).max(axis=-1)
+        self.magnitude = 1.0 + np.abs(self.own) + np.abs(self.spot) + largest_sum(v) + largest_sum(self.audit_terms)
+        self._level = np.ascontiguousarray(np.moveaxis(v, (0, 3), (3, 0)))
+        self._rise = np.moveaxis(self.audit_terms, 2, 0)[..., None] - self._level
+        self.truthful = self.index_of(truthful_strategy(self.maps.shape[1]))
         self.best_no_effort = _best_no_effort_index(self.strategies, self.spot)
 
     def index_of(self, strategy: Strategy) -> int:
         return self.strategies.index(strategy)
 
-    def utilities(self, p: float, cost: float) -> np.ndarray:
-        return (
-            p * self.spot
-            + (1.0 - p) * np.diag(self.unchecked)
-            - cost * self.full_effort
-        )
+    def utilities(self, p, cost: float) -> np.ndarray:
+        return p * self.spot + (1.0 - p) * self.own - cost * self.full_effort
 
     def gain_lines(self, cost: float, bases) -> tuple:
         """Deviation gains against the symmetric bases ``bases`` as lines in the audit
         probability: (g0, g1), one row per base and one column per deviant strategy.
-        The gain at p is ``(1 - p) * g0 + p * g1`` (``_gain_at``).  Rows are bases so that
-        each reduction over deviants runs along contiguous memory."""
-        z, spot, full = self.unchecked, self.spot, self.full_effort
+        The gain at p is ``(1 - p) * g0 + p * g1`` (``_gain_at``); this is the one
+        definition of a deviation gain, and every certification agrees with it."""
+        spot, full, own = self.spot, self.full_effort, self.own
         bases = np.asarray(bases)
+        z = strategy_rewards(self.unchecked_terms[bases], self.efforts, self.maps)
         effort = cost * (full[None, :] - full[bases][:, None])
-        g0 = (z.T[bases] - z[bases, bases][:, None]) - effort
+        g0 = (z - own[bases][:, None]) - effort
         g1 = (spot[None, :] - spot[bases][:, None]) - effort
         return g0, g1
 
@@ -137,6 +188,104 @@ class PayoffTable:
         """Deviation gains against the symmetric base, one entry per deviant strategy."""
         (g0,), (g1,) = self.gain_lines(cost, [base_index])
         return _gain_at(p, g0, g1)
+
+    def _effort_values(self, p, bases) -> np.ndarray:
+        """What the best deviant with each effort earns against each base in ``bases`` at
+        audit probability ``p`` (one per base, or one per effort and base, shape (2, 1, B)),
+        before effort costs: shape (2, len(bases)).
+
+        A deviant picks its report per observation, so the best one with effort e earns
+        ``sum_o max_r (V + p (A - V))``: O(k^2) per base instead of a gain row's O(S).
+        """
+        level, rise = self._level[..., bases], self._rise[..., bases]
+        terms = level + p * rise  # [report, effort, observation, base]
+        best = terms[0]
+        for r in range(1, len(terms)):
+            best = np.maximum(best, terms[r])
+        return best.sum(axis=1)
+
+    def best_responses(self, p, cost: float, bases) -> np.ndarray:
+        """The largest deviation gain against each base in ``bases`` at audit probability
+        ``p`` (one value, or one per base), from the best deviant with each effort.  This
+        rounds otherwise than ``gain_lines``; ``certify`` bounds the difference."""
+        bases, p = np.asarray(bases), np.asarray(p, dtype=float)
+        values = self._effort_values(p, bases) - cost * FULL_EFFORT_PAYS
+        utility = p * self.spot[bases] + (1.0 - p) * self.own[bases] - cost * self.full_effort[bases]
+        return values.max(axis=0) - utility
+
+    def kinked_gains(self, bases) -> tuple:
+        """Each effort's best deviation gain against each base in ``bases``, without effort
+        costs, sampled where it bends: (kinks, gains), both of shape (2, K, B).
+
+        The gain of the best deviant with effort e is convex and piecewise linear in p;
+        ``kinks[e]`` holds, per base, sorted points of [0, 1] that include 0, 1 and every
+        kink of that gain, so it is linear between neighbouring kinks.  A base's samples
+        are computed once and kept for every later cost.
+        """
+        bases = np.asarray(bases)
+        if self._kinked is None:
+            count, k = len(self.strategies), self.maps.shape[1]
+            size = k * (k - 1) + 2
+            self._kinked = (np.empty((2, size, count)), np.empty((2, size, count)), np.zeros(count, dtype=bool))
+        kinks, gains, filled = self._kinked
+        if not filled[bases].all():
+            new = np.unique(bases[~filled[bases]])
+            bends = np.moveaxis(_report_kinks(self._level[..., new], self._rise[..., new]), 1, 0)
+            ends = np.broadcast_to(np.array([0.0, 1.0])[None, :, None], (2, 2, new.size))
+            kinks[:, :, new] = np.sort(np.concatenate([ends, bends.reshape(2, -1, new.size)], axis=1), axis=1)
+            at = kinks[:, :, new].reshape(2, -1)  # per effort, every kink of every new base
+            rows = np.tile(new, kinks.shape[1])
+            values = np.concatenate(
+                [
+                    self._effort_values(at[:, None, start : start + KINK_ROWS], rows[start : start + KINK_ROWS])
+                    for start in range(0, rows.size, KINK_ROWS)
+                ],
+                axis=1,
+            )
+            utility = at * self.spot[rows] + (1.0 - at) * self.own[rows]
+            gains[:, :, new] = (values - utility).reshape(2, -1, new.size)
+            filled[new] = True
+        return kinks[:, :, bases], gains[:, :, bases]
+
+    def certify(self, p, cost: float, tol: float, bases) -> tuple:
+        """(largest deviation gain, certified) against each base in ``bases`` at audit
+        probability ``p`` (one value, or one per base).
+
+        ``best_responses`` decides every base whose gain is further than the rounding
+        slack ``VERIFY_SLACK * (magnitude + cost)`` from ``tol``; the few others are
+        decided, and their gain given, by their dense ``gain_lines`` row.  So the
+        decision is the dense row's ``max <= tol`` at every p.
+        """
+        bases = np.asarray(bases)
+        gain = self.best_responses(p, cost, bases)
+        unsure = np.flatnonzero(np.abs(gain - tol) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
+        if unsure.size:
+            at = np.broadcast_to(np.asarray(p, dtype=float), bases.shape)[unsure][:, None]
+            gain[unsure] = _gain_at(at, *self.gain_lines(cost, bases[unsure])).max(axis=1)
+        return gain, gain <= tol
+
+
+def _report_kinks(level: np.ndarray, rise: np.ndarray) -> np.ndarray:
+    """Where the best report changes: over reports (axis 0), the lines ``level + p * rise``
+    have an upper envelope on [0, 1], and this gives its kinks, padded with 1, shape
+    (k - 1,) + the other axes.  The walk starts at the best line at p = 0 (the steepest of
+    ties) and each time moves to the steeper line that meets the current one first."""
+
+    def at(values, line):
+        return np.take_along_axis(values, line[None], axis=0)[0]
+
+    top = level.max(axis=0)
+    line = np.where(level == top, rise, -np.inf).argmax(axis=0)
+    kinks = []
+    for _ in range(len(level) - 1):
+        here, slope = at(level, line), at(rise, line)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            meet = np.where(rise > slope, (here - level) / (rise - slope), np.inf)
+        first = meet.min(axis=0)
+        bends = first < 1.0
+        line = np.where(bends, np.where(meet == first, rise, -np.inf).argmax(axis=0), line)
+        kinks.append(np.where(bends, np.maximum(first, 0.0), 1.0))
+    return np.stack(kinks)
 
 
 def _gain_at(p, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
@@ -147,10 +296,7 @@ def _gain_at(p, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
 def compute_payoff_table(mechanism: MechanismSpec, env: Environment) -> PayoffTable:
     """Exact payoff table over the full pure-strategy space (costs applied by the solvers)."""
     strategies = enumerate_pure_strategies(env.q_space)
-    spot = expected_spot_rewards(env, strategies)
-    unchecked = unchecked_block(mechanism, env, strategies, strategies)
-    full = np.array([1.0 if s.is_full_effort else 0.0 for s in strategies])
-    return PayoffTable(strategies, spot, unchecked, full)
+    return PayoffTable(strategies, unchecked_rewards(mechanism, env, strategies), audit_rewards(env))
 
 
 def _best_no_effort_index(strategies: list, spot) -> int:
@@ -164,7 +310,7 @@ def _best_no_effort_index(strategies: list, spot) -> int:
 
 
 def _check_label_budget(table: PayoffTable, what: str) -> None:
-    if len(table.strategies[0].report_map) > MAX_LABELS:
+    if table.maps.shape[1] > MAX_LABELS:
         raise EnumerationBudgetExceeded(f"{what} supports at most {MAX_LABELS} labels")
 
 
@@ -173,10 +319,9 @@ def is_symmetric_equilibrium(
 ) -> EquilibriumRecord:
     """Certify a symmetric profile: no pure deviation improves by more than ``tol``."""
     base_index = table.index_of(strategy)
-    gains = table.gains(base_index, p, cost)
+    (max_gain,), (certified,) = table.certify(p, cost, tol, [base_index])
     utility = float(table.utilities(p, cost)[base_index])
-    max_gain = float(gains.max())
-    return EquilibriumRecord(strategy, utility, max_gain, certified=max_gain <= tol)
+    return EquilibriumRecord(strategy, utility, float(max_gain), certified=bool(certified))
 
 
 def enumerate_symmetric_pure_equilibria(
@@ -185,10 +330,10 @@ def enumerate_symmetric_pure_equilibria(
     """All certified symmetric pure equilibria, sorted by utility descending."""
     _check_label_budget(table, "equilibrium enumeration")
     utilities = table.utilities(p, cost)
-    max_gains = _gain_at(p, *table.gain_lines(cost, np.arange(len(table.strategies)))).max(axis=1)
+    max_gains, certified = table.certify(p, cost, tol, np.arange(len(table.strategies)))
     records = [
         EquilibriumRecord(table.strategies[b], float(utilities[b]), float(max_gains[b]), certified=True)
-        for b in np.flatnonzero(max_gains <= tol)
+        for b in np.flatnonzero(certified)
     ]
     records.sort(key=lambda r: -r.utility)
     return records
@@ -283,8 +428,8 @@ def solve_p_ex(table: PayoffTable, cost: float, tol: float = DEFAULT_TOL):
     """Audit probability at which the truthful profile's utility overtakes the
     report-the-shared-draw profile's, solved from the affine indifference."""
     t, g = table.truthful, table.best_no_effort
-    z_tt = table.unchecked[t, t]
-    z_gg = table.unchecked[g, g]
+    z_tt = table.own[t]
+    z_gg = table.own[g]
     gap0 = (z_tt - cost) - z_gg
     slope = (table.spot[t] - table.spot[g]) - (z_tt - z_gg)
     if gap0 >= -tol:
@@ -306,81 +451,145 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
     (``_certified_intervals``), and the truthful profile's interval is the
     span searched.  A point of the span fails when a base certified there has
     a utility above the truthful utility plus ``tol``; the answer is the first
-    point that no base rules out.  Only bases whose affine utility can beat
-    the truthful one somewhere on the span are examined, ``PARETO_BLOCK`` at a
-    time, so the working set is O(PARETO_BLOCK * (S + grid points)) instead of
-    a dense scan's (grid points, S, S) gain array.  Gains and utilities at a
-    grid point are computed with the dense scan's expressions, so the answer
-    is the grid point that scan returns.
+    point that no base rules out (``_ruled_out``).  Certification is the dense
+    gain row's decision and utilities at a grid point are compared with the
+    dense scan's expressions, so the answer is the grid point that scan
+    returns.
     """
     _check_label_budget(table, "Pareto threshold search")
-    spot, full = table.spot, table.full_effort
-    diag = np.diag(table.unchecked)
-    cost_full = cost * full
+    spot, own = table.spot, table.own
+    cost_full = cost * table.full_effort
     t = table.truthful
     points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
     (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, tol, np.array([t]))
     if t_lo > t_hi:
         return NOT_FOUND
-    span = np.arange(t_lo, t_hi + 1)
-    p = points[span][:, None]
-    truthful = p * spot[t] + (1.0 - p) * diag[t] - cost_full[t]
-
     # A base's lead over truthful utility is affine in p, so its largest value on
     # the span is at an end; the slack keeps every base that rounding could tip.
     ends = points[[t_lo, t_hi]][:, None]
-    at_ends = ends * spot + (1.0 - ends) * diag - cost_full
+    at_ends = ends * spot + (1.0 - ends) * own - cost_full
     lead = at_ends - at_ends[:, t : t + 1]
-    scale = np.abs(spot) + np.abs(diag) + cost_full
-    rivals = np.flatnonzero(lead.max(axis=0) > tol - 1e-12 * (1.0 + scale + scale[t]))
-
-    covered = np.zeros(len(span), dtype=bool)
-    for start in range(0, len(rivals), PARETO_BLOCK):
-        cols = rivals[start : start + PARETO_BLOCK]
-        lo, hi = _certified_intervals(table, cost, points, tol, cols)
-        utilities = p * spot[cols] + (1.0 - p) * diag[cols] - cost_full[cols]
-        beats = ~(truthful + tol >= utilities)
-        certified = (span[:, None] >= lo) & (span[:, None] <= hi)
-        covered |= (beats & certified).any(axis=1)
-    free = np.flatnonzero(~covered)
+    scale = np.abs(spot) + np.abs(own) + cost_full
+    slack = 1e-12 * (1.0 + scale + scale[t])
+    rivals = np.flatnonzero(lead.max(axis=0) > tol - slack)
+    if not rivals.size:
+        return float(points[t_lo])
+    lo, hi = _certified_intervals(table, cost, points, tol, rivals)
+    meets = (lo <= hi) & (lo <= t_hi) & (hi >= t_lo)
+    rivals = rivals[meets]
+    windows = np.maximum(lo[meets], t_lo), np.minimum(hi[meets], t_hi)
+    free = np.flatnonzero(~_ruled_out(table, cost, points, tol, rivals, windows, slack[rivals], (t_lo, t_hi)))
     if not free.size:
         return NOT_FOUND
-    return float(points[span[free[0]]])
+    return float(points[t_lo + free[0]])
+
+
+def _ruled_out(table: PayoffTable, cost: float, points, tol: float, rivals, windows: tuple, slack, span: tuple):
+    """Which grid points of ``span`` = (first, last) some base in ``rivals`` rules out:
+    it is certified there (its window, from ``windows`` = (first, last) per base) and its
+    utility beats the truthful one plus ``tol`` by the dense scan's comparison (``beats``).
+
+    A base's lead over the truthful utility is affine in p.  Where the lead clears tol by
+    more than the rounding ``slack`` at both window ends, the base beats truthful on its
+    whole window, and where it misses by more at both, nowhere.  Otherwise, where the
+    lead crosses tol steeply, it beats on the window's part past the crossing, and the
+    grid points within the slack of the crossing are compared one by one.  Bases with a
+    flat lead near tol are compared at every point of their window.
+    """
+    spot, own, t = table.spot, table.own, table.truthful
+    cost_full = cost * table.full_effort
+
+    def beats(index, cols):
+        p = points[index]
+        truthful = p * spot[t] + (1.0 - p) * own[t] - cost_full[t]
+        return ~(truthful + tol >= p * spot[cols] + (1.0 - p) * own[cols] - cost_full[cols])
+
+    def lead(index):
+        p = points[index]
+        truthful = p * spot[t] + (1.0 - p) * own[t] - cost_full[t]
+        return (p * spot[rivals] + (1.0 - p) * own[rivals] - cost_full[rivals]) - (truthful + tol)
+
+    first, last = span
+    a, b = windows
+    at_a, at_b = lead(np.array(windows))
+    whole = (at_a > slack) & (at_b > slack)
+    crossing = ~whole & ~((at_a < -slack) & (at_b < -slack))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        run = (b - a) / np.abs(at_b - at_a)  # grid points per unit of lead
+    half = 2.0 * slack * run + 1.0  # grid points on each side of the crossing left to compare
+    narrow = (b > a) & (half <= CROSSING_ZONE)
+    steep, flat = np.flatnonzero(crossing & narrow), np.flatnonzero(crossing & ~narrow)
+    middle = a[steep] + (b[steep] - a[steep]) * (at_a[steep] / (at_a[steep] - at_b[steep]))
+    zone_lo = np.maximum(np.ceil(middle - half[steep]), a[steep]).astype(int)
+    zone_hi = np.minimum(np.floor(middle + half[steep]), b[steep]).astype(int)
+    rising = at_b[steep] > at_a[steep]
+
+    # Whole windows and the parts past a steep crossing, as intervals.
+    starts = np.concatenate([a[whole], np.where(rising, zone_hi + 1, a[steep])])
+    stops = np.concatenate([b[whole], np.where(rising, b[steep], zone_lo - 1)])
+    keep, size = starts <= stops, last - first + 2
+    counts = np.bincount(starts[keep] - first, minlength=size) - np.bincount(stops[keep] - first + 1, minlength=size)
+    ruled = np.cumsum(counts[:-1]) > 0
+
+    # Grid points near a steep crossing, one by one.
+    if steep.size:
+        near = zone_lo[:, None] + np.arange(2 * CROSSING_ZONE + 2)
+        inside = near <= zone_hi[:, None]
+        cols = np.broadcast_to(rivals[steep][:, None], near.shape)[inside]
+        ruled[near[inside][beats(near[inside], cols)] - first] = True
+
+    # Flat leads: every point of the window.
+    index = np.arange(first, last + 1)[:, None]
+    for start in range(0, len(flat), PARETO_BLOCK):
+        block = flat[start : start + PARETO_BLOCK]
+        certified = (index >= a[block]) & (index <= b[block])
+        ruled |= (beats(index, rivals[block]) & certified).any(axis=1)
+    return ruled
 
 
 def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, tol: float, cols: np.ndarray):
     """Grid-index interval [lo, hi] on which each base in ``cols`` is a certified
     symmetric equilibrium; lo > hi when it is certified at no grid point.
 
-    Deviant d's gain against base b is the line g0 + p (g1 - g0) of
-    ``PayoffTable.gain_lines``, so b is certified where p lies above every
-    crossing of ``tol`` with a falling gain and below every crossing with a
-    rising one.  The ends are rounded onto the grid and confirmed with the
-    grid formula at each end and one point outside it; the few bases where
-    rounding misplaced an end are settled by probing single grid points
-    (``_settle_interval``).
+    Each effort's best deviation gain is convex and piecewise linear in p
+    (``PayoffTable.kinked_gains``), so it stays within its effort's tol on one
+    interval, found between the kinks where it crosses; the base is certified
+    where both intervals meet.  The ends are rounded onto the grid and confirmed
+    with ``PayoffTable.certify`` at each end and one point outside it; the few
+    bases where rounding misplaced an end are settled by probing single grid
+    points (``_settle_interval``).
     """
-    g0, g1 = table.gain_lines(cost, cols)
-    slope = g1 - g0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = (tol - g0) / slope
-    lo = np.max(crossing, axis=1, where=slope < 0, initial=-np.inf)
-    # A flat gain above tol crosses at -inf and rules out every p; fmin skips the 0/0 of one at tol.
-    hi = np.fmin.reduce(crossing, axis=1, where=slope >= 0, initial=np.inf)
+    cols = np.asarray(cols)
     n = len(points) - 1
-    lo = np.maximum(np.ceil(np.clip(lo, -1.0, 2.0) * n).astype(int), 0)
-    hi = np.minimum(np.floor(np.clip(hi, -1.0, 2.0) * n).astype(int), n)
+    kinks, gains = table.kinked_gains(cols)
+    over = gains - (tol + cost * (FULL_EFFORT_PAYS - table.full_effort[cols]))[:, None]  # <= 0 within tol
+    within = over <= 0.0
+    last = kinks.shape[1] - 1
+    first_in, last_in = within.argmax(axis=1), last - within[:, ::-1].argmax(axis=1)
+    # Each end lies on the segment from the last kink outside to the first kink inside,
+    # or is 0 or 1 itself (i == j); rows are (left, right), then effort, then base.
+    i = np.array((np.maximum(first_in - 1, 0), last_in))
+    j = np.array((first_in, np.minimum(last_in + 1, last)))
+    effort, base = np.arange(2)[:, None], np.arange(len(cols))
+    p_i, p_j, y_i, y_j = kinks[effort, i, base], kinks[effort, j, base], over[effort, i, base], over[effort, j, base]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = np.where(i == j, p_i, p_i - y_i * (p_j - p_i) / (y_j - y_i))
+    left, right = ends[0].max(axis=0), ends[1].min(axis=0)
+    none = ~within.any(axis=1).all(axis=0)
+    if none.any():  # look near the kink where the gain is least
+        left = np.where(none, kinks[effort, over.argmin(axis=1), base].max(axis=0), left)
+    lo = np.ceil(left * n).astype(int)
+    hi = np.where(none, lo - 1, np.floor(right * n).astype(int))
 
     def certified(index, j=slice(None)):
-        return _gain_at(points[index][..., None], g0[j], g1[j]).max(axis=-1) <= tol
+        return table.certify(points[index], cost, tol, cols[j])[1]
 
-    misplaced = np.zeros(len(cols), dtype=bool)
-    for probe in (lo - 1, lo, hi, hi + 1):
-        on_grid = (probe >= 0) & (probe <= n)
-        expected = (lo <= probe) & (probe <= hi)
-        misplaced |= on_grid & (certified(np.clip(probe, 0, n)) != expected)
-    for j in np.flatnonzero(misplaced):
-        lo[j], hi[j] = _settle_interval(lambda i: bool(certified(i, j)), int(lo[j]), int(hi[j]), n)
+    probes = np.array((lo - 1, lo, hi, hi + 1))
+    which, of = np.nonzero((probes >= 0) & (probes <= n))  # on-grid probes and their bases
+    index = probes[which, of]
+    misplaced = certified(index, of) != ((lo[of] <= index) & (index <= hi[of]))
+    for j in np.unique(of[misplaced]) if misplaced.any() else ():
+        lo[j], hi[j] = _settle_interval(lambda i: bool(certified(i, [j])[0]), int(lo[j]), int(hi[j]), n)
     return lo, hi
 
 
@@ -411,7 +620,7 @@ def check_pareto_bound_condition(table: PayoffTable, tol: float = DEFAULT_TOL) -
     t, g = table.truthful, table.best_no_effort
     if not table.gains(g, 0.0, 0.0).max() <= tol:
         return False
-    return bool(table.unchecked[g, g] + tol >= table.unchecked[t, t])
+    return bool(table.own[g] + tol >= table.own[t])
 
 
 def compute_thresholds(
@@ -465,7 +674,7 @@ def construct_dominated_environment(
             if not record.certified:
                 continue
             t = table.truthful
-            truthful_utility = table.unchecked[t, t] - composed.effort_cost
+            truthful_utility = table.own[t] - composed.effort_cost
             if record.utility > truthful_utility + tol:
                 return composed
     return NOT_FOUND

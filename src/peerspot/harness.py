@@ -137,28 +137,41 @@ def generate_environments(
     return envs
 
 
-# Integer fields of a generator entry and their defaults.
+# Integer fields of a generator entry and their defaults; GENERATOR_KEYS are all its keys.
 GENERATOR_SIZES = {"labels": 2, "count": 1, "n_agents": 3, "n_objects": 2}
+GENERATOR_KEYS = set(GENERATOR_SIZES) | {"seed", "accuracy", "effort_cost", "prefix"}
 
 
-def _count(where: str, entry: dict, key: str, default: int) -> int:
-    """``entry[key]`` as a positive integer (an integral float is one), or a ConfigError."""
-    value = entry.get(key, default)
+def _integer(field: str, value, minimum: int | None, requirement: str) -> int:
+    """``value`` as an integer (an integral float is one) of at least ``minimum``, or a
+    ConfigError that starts with ``field``, the name of the field."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < 1:
-        raise ConfigError(f"{where}: {key} must be a positive integer, got {value!r}")
+    if isinstance(value, bool) or not integral or (minimum is not None and value < minimum):
+        raise ConfigError(f"{field} must be {requirement}, got {value!r}")
     return int(value)
 
 
-def _expand_environment_entry(entry: dict, position: int) -> list:
+def _expand_environment_entry(entry, position: int) -> list:
+    where = f"environments[{position}]"
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: must be an object, got {entry!r}")
     if "generator" in entry:
         gen = entry["generator"]
-        where = f"environments[{position}].generator"
-        sizes = {key: _count(where, gen, key, default) for key, default in GENERATOR_SIZES.items()}
+        where = f"{where}.generator"
+        if not isinstance(gen, dict):
+            raise ConfigError(f"{where}: must be an object, got {gen!r}")
+        unknown = sorted(set(gen) - GENERATOR_KEYS)
+        if unknown:
+            raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+        sizes = {
+            key: _integer(f"{where}: {key}", gen.get(key, default), 1, "a positive integer")
+            for key, default in GENERATOR_SIZES.items()
+        }
+        seed = _integer(f"{where}: seed", gen.get("seed", 0), 0, "a nonnegative integer")
         try:
             return generate_environments(
                 **sizes,
-                seed=int(gen.get("seed", 0)),
+                seed=seed,
                 accuracy=tuple(gen.get("accuracy", (0.6, 0.95))),
                 effort_cost=float(gen.get("effort_cost", 0.1)),
                 prefix=str(gen.get("prefix", "gen")),
@@ -168,9 +181,9 @@ def _expand_environment_entry(entry: dict, position: int) -> list:
     try:
         return [Environment.from_json_dict(entry)]
     except KeyError as exc:
-        raise ConfigError(f"environments[{position}] missing field {exc}") from None
+        raise ConfigError(f"{where} missing field {exc}") from None
     except PeerSpotError as exc:
-        raise ConfigError(f"environments[{position}]: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -200,7 +213,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         mechanisms=mechanisms,
         effort_costs=costs,
         p_values=p_values,
-        seed=int(doc.get("seed", 0)),
+        seed=_integer("seed:", doc.get("seed", 0), None, "an integer"),
         grid=check_grid(doc.get("grid", 1e-3)),
         output_dir=str(doc.get("output_dir", "results")),
     )
@@ -272,8 +285,8 @@ def _row_for_triple(
         for name, value in report.to_json_dict().items():
             setattr(row, "grid" if name == "grid_resolution" else name, value)
         t, g = table.truthful, table.best_no_effort
-        row.utility_truthful_p0 = float(table.unchecked[t, t] - cost)
-        row.utility_gl_p0 = float(table.unchecked[g, g])
+        row.utility_truthful_p0 = float(table.own[t] - cost)
+        row.utility_gl_p0 = float(table.own[g])
         row.worthwhile_effort = check_worthwhile_effort(table, checked_cost)
         for p in config.p_values:
             utilities = table.utilities(p, cost)

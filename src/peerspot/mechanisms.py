@@ -3,7 +3,7 @@
 Ten unchecked mechanisms are supported.  Signal-only kinds compare reports;
 belief-based kinds also score belief reports with a proper scoring rule; the
 peer-insensitive kind pays a constant.  ``KINDS`` defines each kind once: its
-exact evaluator in ``_expectations`` (per-object rewards of each deviant
+exact evaluator in ``_expectations`` (per-observation rewards of every deviant
 against each symmetric base; many-object limits for multi-object kinds), its
 JSON parameters, and whether it takes a scoring rule or only binary labels.
 The seeded samplers in ``_sampling`` keep their own dispatch: they are the
@@ -22,7 +22,7 @@ from . import _expectations as _exact
 from .errors import ShapeMismatch
 from .scoring import QUADRATIC, ScoringRule, rule_from_name
 from .signals import Environment
-from .strategies import Strategy
+from .strategies import Strategy, effort_indices
 
 
 class MechanismKind(str, Enum):
@@ -40,7 +40,7 @@ class MechanismKind(str, Enum):
 
 @dataclass(frozen=True)
 class KindEntry:
-    evaluator: Callable  # (spec, env, bases, deviants) -> (len(deviants), len(bases)) rewards
+    evaluator: Callable  # (spec, env, bases) -> (len(bases), 2, k, k) per-observation rewards
     params: tuple = ()  # (JSON key, MechanismSpec attribute) pairs; numeric ones must be > 0
     scored: bool = False  # scores belief reports with the spec's ``rule``
     binary_only: bool = False
@@ -137,14 +137,16 @@ class MechanismSpec:
 _DEFAULTS = {f.name: f.default for f in fields(MechanismSpec)}
 
 
-def unchecked_block(spec: MechanismSpec, env: Environment, bases: list, deviants: list) -> np.ndarray:
-    """Exact per-object E[z(deviant, base)], shape (len(deviants), len(bases)); limits for
-    multi-object kinds."""
-    return KINDS[spec.kind].evaluator(spec, env, bases, deviants)
+def unchecked_rewards(spec: MechanismSpec, env: Environment, bases: list) -> np.ndarray:
+    """Exact per-observation unchecked rewards ``V[g, e, o, r]`` of every deviant against each
+    base, shape (len(bases), 2, k, k) (see ``_expectations``); limits for multi-object kinds."""
+    return KINDS[spec.kind].evaluator(spec, env, bases)
 
 
 def analytic_unchecked_value(
     spec: MechanismSpec, env: Environment, base: Strategy, deviant: Strategy
 ) -> float:
-    """Exact per-object expectation E[z(deviant, base)]: a one-cell :func:`unchecked_block`."""
-    return float(unchecked_block(spec, env, [base], [deviant])[0, 0])
+    """Exact per-object expectation E[z(deviant, base)]: the deviant's sum over observations
+    of :func:`unchecked_rewards` against the one base."""
+    values = unchecked_rewards(spec, env, [base])[0]
+    return float(_exact.strategy_rewards(values, effort_indices([deviant]), np.array([deviant.report_map]))[0])

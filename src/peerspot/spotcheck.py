@@ -4,9 +4,9 @@ With probability p a report is audited: the agent earns the trusted-agreement
 reward (match on the audited object minus a cross-object match between an own
 report and an independent audited object's trusted draw, which zeroes out
 constant-report strategies).  Otherwise the unchecked mechanism pays.  This
-module gives the exact expected audit reward E[y] per strategy; the payoff
-table in ``equilibrium`` stores it beside E[z], and combined utilities
-p * E[y] + (1 - p) * E[z] - cost are read from that table.
+module gives the exact expected audit reward E[y] per observation and per
+strategy; the payoff table in ``equilibrium`` stores it beside E[z], and
+combined utilities p * E[y] + (1 - p) * E[z] - cost are read from that table.
 """
 
 from __future__ import annotations
@@ -15,17 +15,23 @@ import numpy as np
 
 from . import _expectations as _exact
 from .signals import Environment
-from .strategies import Strategy
+from .strategies import Strategy, effort_indices
+
+
+def audit_rewards(env: Environment) -> np.ndarray:
+    """Exact E[y] per observation, shape (2, k, k): ``A[e, o, r]`` is what an agent with
+    effort e earns on the event that it observes o, if it reports r there, so a strategy
+    earns ``sum_o A[e, o, m(o)]`` (joint report/trusted agreement minus the product of
+    marginals)."""
+    weighted = _exact.outer_weights(env)[None, :, :, None] * _exact.observation_laws(env)
+    joint = np.einsum("eqlo,qt->eot", weighted, env.trusted_channel.matrix())  # [e, observed, trusted]
+    return joint - joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
 
 
 def expected_spot_rewards(env: Environment, strategies: list) -> np.ndarray:
-    """Exact E[y] per strategy: joint report/trusted agreement minus the product of marginals."""
-    w = _exact.outer_weights(env)
-    laws = _exact.report_laws(env, strategies)
-    joint = np.einsum("ql,nqls,qt->nst", w, laws, env.trusted_channel.matrix())
-    report_marg = joint.sum(axis=2)[:, None, :]
-    trusted_marg = joint.sum(axis=1)[:, :, None]
-    return np.trace(joint, axis1=1, axis2=2) - np.matmul(report_marg, trusted_marg)[:, 0, 0]
+    """Exact E[y] per strategy."""
+    maps = np.array([s.report_map for s in strategies], dtype=int)
+    return _exact.strategy_rewards(audit_rewards(env), effort_indices(strategies), maps)
 
 
 def expected_spot_reward(env: Environment, strategy: Strategy) -> float:

@@ -19,10 +19,11 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded, ShapeMismatch
 from .signals import Environment, LabelSpace
 
-# Largest label count any strategy list, payoff table or equilibrium search accepts:
-# at k=5 the tables take seconds to minutes and hundreds of MB (S = 6,250), at k=6
-# the (S, S) table alone would take about 70 GB.
-MAX_LABELS = 4
+# Largest label count any strategy list, payoff table or equilibrium search accepts.
+# A table holds O(S k^2) per-observation terms: at k=5 (S = 6,250) a seeded sweep of
+# any kind takes under a second and under 100 MB; at k=6 (S = 93,312) the terms alone
+# take 54 MB, and the Strategy objects and threshold searches over them more.
+MAX_LABELS = 5
 
 
 class Effort(str, Enum):

@@ -1,5 +1,11 @@
 """Grid solvers that evaluate the threshold conditions with their own expressions.
 
+Each reads the dense (deviant, base) unchecked matrix, which the package no
+longer builds: ``unchecked`` gathers it from the table's per-observation
+terms, summing over observations in the order the package does, so its
+diagonal is the table's ``own`` and its columns are the package's gain rows
+bit for bit.
+
 ``solve_p_pareto`` here is the package's former solver.  It builds the
 (points, S, S) deviation-gain array and the (points, S) utility array and
 takes the first grid point where the truthful profile is certified and no
@@ -33,12 +39,27 @@ from peerspot.equilibrium import (
 )
 
 
+def gather_unchecked(values: np.ndarray, efforts: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """z[d, g] = sum_o values[g, efforts[d], o, maps[d, o]], shape (deviants, bases)."""
+    observed = np.arange(maps.shape[1])
+    terms = values[:, efforts[:, None], observed, maps]  # [base, deviant, observation]
+    z = terms[:, :, 0]
+    for o in observed[1:]:
+        z = z + terms[:, :, o]
+    return z.T
+
+
+def unchecked(table: PayoffTable) -> np.ndarray:
+    """The table's dense unchecked matrix, [deviant, base]."""
+    return gather_unchecked(table.unchecked_terms, table.efforts, table.maps)
+
+
 def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
     """Smallest grid probability at which the truthful profile is a certified
     equilibrium and weakly best among all certified symmetric pure equilibria,
     or NOT_FOUND."""
     _check_label_budget(table, "Pareto threshold search")
-    spot, z, full = table.spot, table.unchecked, table.full_effort
+    spot, z, full = table.spot, unchecked(table), table.full_effort
     diag = np.diag(z)
     t = table.truthful
 
@@ -67,7 +88,7 @@ def scan_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, t
     k=4 tables.
     """
     _check_label_budget(table, "Pareto threshold search")
-    spot, z, full = table.spot, table.unchecked, table.full_effort
+    spot, z, full = table.spot, unchecked(table), table.full_effort
     diag = np.diag(z)
     t = table.truthful
 
@@ -86,9 +107,10 @@ def scan_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: 
     the first grid point where some deviation gains more than ``tol``, then bisection."""
     # Each gain is the deviant's combined utility minus the base's; terms without p are read once.
     b = table.best_no_effort
-    spot, z_col = table.spot, np.ascontiguousarray(table.unchecked[:, b])
+    z = unchecked(table)
+    spot, z_col = table.spot, np.ascontiguousarray(z[:, b])
     cost_full = cost * table.full_effort
-    spot_b, z_bb, cost_b = spot[b], table.unchecked[b, b], cost * table.full_effort[b]
+    spot_b, z_bb, cost_b = spot[b], z[b, b], cost * table.full_effort[b]
 
     def max_gain(p: float) -> float:
         conform = p * spot_b + (1.0 - p) * z_bb - cost_b

@@ -22,4 +22,4 @@ def test_table_cache_keys_on_the_whole_spec():
     ctx = _Context()
     one = ctx.table(MechanismSpec(MechanismKind.PEER_INSENSITIVE, constant_reward=1.0), ctx.e1)
     two = ctx.table(MechanismSpec(MechanismKind.PEER_INSENSITIVE, constant_reward=2.0), ctx.e1)
-    assert one.unchecked.max() == 1.0 and two.unchecked.max() == 2.0
+    assert one.own.max() == 1.0 and two.own.max() == 2.0

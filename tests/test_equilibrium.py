@@ -3,10 +3,12 @@
 ``solve_p_pareto`` is compared here with the dense grid solver in
 ``grid_solvers``, and ``solve_p_el`` with the former solver's scan there, on
 e1 and the 20 acceptance environments; ``solve_p_pareto`` also on synthetic
-tables.  ``python tests/test_equilibrium.py`` runs the full comparison: the 32
-sweep-k3 families, the bundled config, the acceptance environments, and one
-k=4 environment (``p_pareto`` against the point-by-point scan).  It prints the
-number of rows compared and of mismatches for each threshold.
+tables.  The oracles read the dense (deviant, base) matrix gathered from the
+table's per-observation terms.  ``python tests/test_equilibrium.py`` runs the
+full comparison: the 32 sweep-k3 families, the bundled config, the acceptance
+environments, and four k=4 environments (``p_pareto`` against the
+point-by-point scan).  It prints the number of rows compared and of
+mismatches for each threshold.
 """
 
 import functools
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from peerspot import (
     Channel,
@@ -51,12 +54,12 @@ from peerspot import (
     truthful_strategy,
 )
 from peerspot.acceptance import _random_acceptance_environments
-from peerspot.equilibrium import NOT_APPLICABLE, NOT_FOUND, _certified_intervals
+from peerspot.equilibrium import NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
 from peerspot.harness import DEFAULT_EFFORT_COSTS, generate_environments, parse_config, run_experiment
 from peerspot.mechanisms import KINDS
 
 from conftest import random_environment, spec_id, specs_for
-from grid_solvers import scan_p_el, scan_p_pareto
+from grid_solvers import scan_p_el, scan_p_pareto, unchecked
 from grid_solvers import solve_p_pareto as grid_p_pareto
 
 OA = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
@@ -68,28 +71,32 @@ K4_SWEEP = {
     "environments": [{"generator": {"labels": 4, "count": 1, "seed": 3, "prefix": "bench"}}],
     "mechanisms": [{"kind": "output_agreement"}, {"kind": "peer_insensitive"}],
 }
-EIGHTHS = st.integers(-4, 4).map(lambda i: i / 8)
 
 
 @st.composite
 def eighths_tables(draw):
-    """A payoff table over 2 to 8 binary strategies, every entry a multiple of 1/8."""
-    required = [truthful_strategy(2), low_identity_strategy(2)]
-    others = [s for s in enumerate_pure_strategies(2) if s not in required]
-    chosen = draw(st.permutations(required + draw(st.lists(st.sampled_from(others), unique=True))))
-    size = len(chosen)
-    spot = draw(st.lists(EIGHTHS, min_size=size, max_size=size))
-    unchecked = draw(st.lists(EIGHTHS, min_size=size * size, max_size=size * size))
-    full = [1.0 if s.is_full_effort else 0.0 for s in chosen]
-    return PayoffTable(list(chosen), np.array(spot), np.array(unchecked).reshape(size, size), np.array(full))
+    """A payoff table over every pure strategy at k=2 or k=3, every per-observation
+    unchecked and audit term a multiple of 1/8."""
+    k = draw(st.sampled_from([2, 3]))
+    strategies = enumerate_pure_strategies(k)
+    unchecked_terms = draw(arrays(np.int8, (len(strategies), 2, k, k), elements=st.integers(-4, 4)))
+    audit_terms = draw(arrays(np.int8, (2, k, k), elements=st.integers(-4, 4)))
+    return PayoffTable(strategies, unchecked_terms / 8, audit_terms / 8)
 
 
-TIE_AT_THREE_TENTHS = PayoffTable(
-    [low_identity_strategy(2), truthful_strategy(2)],
-    np.array([-0.5, 0.5]),
-    np.array([[0.25, 0.375], [0.0, 0.125]]),
-    np.array([0.0, 1.0]),
-)
+def _tie_at_three_tenths() -> PayoffTable:
+    """Binary terms under which truthful effort gains exactly 0 against the coordination
+    base (no-effort identity, index 4) at p = 0.3 and cost 1/8: its gain lines are
+    -3/8 at p = 0 and 7/8 at p = 1, and every other deviant gains less."""
+    strategies = enumerate_pure_strategies(2)
+    audit = np.array([[[0.25, -0.25], [-0.25, 0.25]], np.full((2, 2), -0.25)])
+    terms = np.zeros((len(strategies), 2, 2, 2))
+    terms[4] = [[[0.0, -0.5], [-0.5, 0.0]], [[0.125, -0.5], [-0.5, 0.125]]]
+    terms[0] = [[[0.125, -0.5], [-0.5, 0.0]], [[0.375, -0.5], [-0.5, 0.0]]]
+    return PayoffTable(strategies, terms, audit)
+
+
+TIE_AT_THREE_TENTHS = _tie_at_three_tenths()
 
 
 def correlated_low_env(env, accuracy=0.8):
@@ -160,8 +167,9 @@ class TestDeviationGains:
         g0, g1 = table.gain_lines(cost, np.arange(size))
         assert g0.shape == g1.shape == (size, size)
         utilities = table.utilities(p, cost)
+        z = unchecked(table)
         for b in range(size):
-            deviant = p * table.spot + (1.0 - p) * table.unchecked[:, b] - cost * table.full_effort
+            deviant = p * table.spot + (1.0 - p) * z[:, b] - cost * table.full_effort
             expected = deviant - utilities[b]
             assert (1.0 - p) * g0[b] + p * g1[b] == pytest.approx(expected, abs=1e-12)
             assert table.gains(b, p, cost) == pytest.approx(expected, abs=1e-12)
@@ -185,6 +193,37 @@ class TestEquilibriumCertification:
             rec = is_symmetric_equilibrium(table, strategy, 0.3, env.effort_cost)
             if rec.certified:
                 assert rec.max_deviation_gain <= 1e-9
+
+
+class TestSeparableCertification:
+    """Certification reads the separable best response and falls back to the dense row
+    near tol, so every decision is the dense row's."""
+
+    @settings(max_examples=150)
+    @given(
+        table=eighths_tables(),
+        cost=st.sampled_from([0.0, 0.125, 0.25]),
+        tol=st.sampled_from([0.0, 1e-9]),
+        grid=st.sampled_from([1e-3, 0.1, 0.125]),
+    )
+    @example(table=TIE_AT_THREE_TENTHS, cost=0.125, tol=0.0, grid=1e-3)
+    def test_decisions_and_intervals_are_the_dense_rows(self, table, cost, tol, grid):
+        points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
+        bases = np.arange(len(table.strategies))
+        dense = _gain_at(points[:, None, None], *table.gain_lines(cost, bases)).max(axis=2) <= tol
+        _, certified = table.certify(np.repeat(points, len(bases)), cost, tol, np.tile(bases, len(points)))
+        assert np.array_equal(certified.reshape(dense.shape), dense)
+        lo, hi = _certified_intervals(table, cost, points, tol, bases)
+        index = np.arange(len(points))[:, None]
+        assert np.array_equal((index >= lo) & (index <= hi), dense)
+
+    def test_best_response_is_the_largest_dense_gain(self, ternary_env):
+        table = compute_payoff_table(OA, ternary_env)
+        bases = np.arange(len(table.strategies))
+        for p in (0.0, 0.37, 1.0):
+            gain = table.best_responses(p, 0.05, bases)
+            dense = _gain_at(p, *table.gain_lines(0.05, bases)).max(axis=1)
+            np.testing.assert_allclose(gain, dense, rtol=0.0, atol=1e-14)
 
 
 class TestEnumeration:
@@ -222,9 +261,9 @@ class TestEnumeration:
         assert enumerate_symmetric_pure_equilibria(table, p, cost) == expected
 
     def test_label_budget(self):
-        # A two-strategy stand-in table over five labels: the budget reads the labels, not S.
-        strategies = [truthful_strategy(5), low_identity_strategy(5)]
-        table = PayoffTable(strategies, np.zeros(2), np.zeros((2, 2)), np.array([1.0, 0.0]))
+        # A two-strategy stand-in table over six labels: the budget reads the labels, not S.
+        strategies = [truthful_strategy(6), low_identity_strategy(6)]
+        table = PayoffTable(strategies, np.zeros((2, 2, 6, 6)), np.zeros((2, 6, 6)))
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_symmetric_pure_equilibria(table, 0.0, 0.0)
         with pytest.raises(EnumerationBudgetExceeded):
@@ -432,10 +471,21 @@ class TestFourLabels:
 
 
 class TestFiveLabels:
-    """k=5 (S=6,250) is over the label budget, which is checked before any strategy list."""
+    """k=5 (S=6,250) tables hold 2.5 MB of per-observation terms; k=6 is over the label
+    budget, which is checked before any strategy list."""
 
-    def test_rows_fail_before_any_table_is_built(self):
-        config = parse_config({**K4_SWEEP, "environments": [{"generator": {"labels": 5, "count": 1, "seed": 3}}]})
+    @pytest.mark.parametrize("kind", ["output_agreement", "peer_insensitive"])
+    def test_rows_complete(self, kind):
+        config = parse_config(
+            {**K4_SWEEP, "environments": [{"generator": {"labels": 5, "seed": 3}}], "mechanisms": [{"kind": kind}]}
+        )
+        rows = run_experiment(config)
+        assert len(rows) == 4
+        assert [row.error for row in rows if row.error] == []
+        assert all(isinstance(row.p_pareto, float) for row in rows)
+
+    def test_six_label_rows_fail_before_any_table_is_built(self):
+        config = parse_config({**K4_SWEEP, "environments": [{"generator": {"labels": 6, "count": 1, "seed": 3}}]})
         tracemalloc.start()
         try:
             rows = run_experiment(config)
@@ -487,7 +537,7 @@ class TestParetoBoundCondition:
         table = compute_payoff_table(mech, env)
         t = table.index_of(truthful_strategy(2))
         g = table.index_of(low_identity_strategy(2))
-        assert table.unchecked[t, t] == pytest.approx(table.unchecked[g, g], abs=1e-12)
+        assert table.own[t] == pytest.approx(table.own[g], abs=1e-12)
         assert check_pareto_bound_condition(table)
 
 
@@ -500,7 +550,7 @@ class TestDominatedEnvironment:
         records = enumerate_symmetric_pure_equilibria(table, 0.0, composed.effort_cost)
         best = records[0]
         assert not best.strategy.is_full_effort
-        assert best.utility > table.unchecked[t, t] - composed.effort_cost + 1e-9
+        assert best.utility > table.own[t] - composed.effort_cost + 1e-9
 
     def test_zero_cost_composition_still_strict_for_agreement(self, env):
         # With free effort the shared-draw coordination still strictly beats
@@ -511,7 +561,7 @@ class TestDominatedEnvironment:
         table = compute_payoff_table(OA, composed)
         t = table.index_of(truthful_strategy(2))
         records = enumerate_symmetric_pure_equilibria(table, 0.0, composed.effort_cost)
-        assert records[0].utility > table.unchecked[t, t] + 1e-9
+        assert records[0].utility > table.own[t] + 1e-9
 
     def test_equality_only_mechanism_has_no_strict_witness_at_zero_cost(self, env):
         # Frequency-scaled agreement pays alpha + beta at both profiles, so no
@@ -568,9 +618,10 @@ def full_gate() -> int:
             cases.append(("bundled " + spec.describe(), spec, env, bundled.effort_costs, grid_p_pareto))
     for env in ORACLE_ENVS.values():
         cases += [(spec_id(spec), spec, env, DEFAULT_EFFORT_COSTS, grid_p_pareto) for spec in specs_for(env)]
-    k4 = generate_environments(4, 1, seed=3, prefix="bench")[0]
-    for spec in (OA, MechanismSpec(MechanismKind.PEER_INSENSITIVE)):
-        cases.append((spec_id(spec), spec, k4, DEFAULT_EFFORT_COSTS, scan_p_pareto))
+    for seed in range(4):  # the benchmark's sweep-k4 environment is seed 3
+        k4 = generate_environments(4, 1, seed=seed, prefix="bench")[0]
+        for spec in (OA, MechanismSpec(MechanismKind.CORRELATED_AGREEMENT), PI):
+            cases.append((spec_id(spec), spec, k4, DEFAULT_EFFORT_COSTS, scan_p_pareto))
     rows, found = 0, {"p_pareto": [], "p_el": []}
     for label, spec, env, costs, pareto_oracle in cases:
         rows += len(costs)

@@ -5,12 +5,17 @@
 * Relabelling an environment's labels must permute every table to match.
 
 The oracle comparison runs here on the reference environment and two k=3
-acceptance environments.  ``python tests/test_exact_engine.py`` runs it on
+acceptance environments, on the (deviant, base) matrix gathered from the
+per-observation rewards.  ``python tests/test_exact_engine.py`` runs it on
 all 21 acceptance environments, and also compares the batched belief tables
-with the per-base ``peer_report_posterior`` there.
+with the per-base ``peer_report_posterior`` there.  It first prints the
+payoff-table build time and tracemalloc peak for each (k, kind), k = 2..5,
+on the seeded environment of the benchmark's sweeps.
 """
 
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,13 +37,24 @@ from peerspot import (
     reference_environment,
 )
 from peerspot.acceptance import _random_acceptance_environments
-from peerspot.mechanisms import unchecked_block
-from peerspot.strategies import peer_report_posteriors
+from peerspot.equilibrium import compute_payoff_table
+from peerspot.harness import generate_environments
+from peerspot.mechanisms import unchecked_rewards
+from peerspot.strategies import effort_indices, peer_report_posteriors
 
 from conftest import K3_SPECS, random_environment, spec_id, specs_for
+from grid_solvers import gather_unchecked
 from per_cell_oracle import oracle_table, oracle_value, peer_report_posterior
 
 TOL = 1e-12
+
+
+def unchecked_block(spec: MechanismSpec, env: Environment, strategies: list) -> np.ndarray:
+    """The (deviant, base) matrix over ``strategies``, gathered from the per-observation rewards."""
+    maps = np.array([s.report_map for s in strategies], dtype=int)
+    return gather_unchecked(unchecked_rewards(spec, env, strategies), effort_indices(strategies), maps)
+
+
 def table_or_error(build):
     """The table, or the name of the package error raised while building it."""
     try:
@@ -49,12 +65,14 @@ def table_or_error(build):
 
 def compare_with_oracle(spec: MechanismSpec, env: Environment) -> None:
     strategies = enumerate_pure_strategies(env.q_space)
-    batched = table_or_error(lambda: unchecked_block(spec, env, strategies, strategies))
+    batched = table_or_error(lambda: unchecked_block(spec, env, strategies))
     oracle = table_or_error(lambda: oracle_table(spec, env, strategies))
     if isinstance(oracle, str) or isinstance(batched, str):
         assert batched == oracle
         return
-    np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=TOL)
+    # Log-score sentinels (-1e9) make some cells about -1e8, below whose spacing 1e-12
+    # lies; compare them relatively.
+    np.testing.assert_allclose(batched, oracle, rtol=TOL, atol=TOL)
 
 
 ORACLE_ENVS = {"e1": reference_environment()}
@@ -74,8 +92,8 @@ def test_log_divergence_bts_table_builds():
     spec = MechanismSpec(MechanismKind.DIVERGENCE_BTS, rule=LOGARITHMIC)
     env = ORACLE_ENVS["e1"]
     strategies = enumerate_pure_strategies(env.q_space)
-    batched = unchecked_block(spec, env, strategies, strategies)
-    np.testing.assert_allclose(batched, oracle_table(spec, env, strategies), rtol=0.0, atol=TOL)
+    batched = unchecked_block(spec, env, strategies)
+    np.testing.assert_allclose(batched, oracle_table(spec, env, strategies), rtol=TOL, atol=TOL)
 
 
 @pytest.mark.parametrize("spec", K3_SPECS, ids=[spec_id(s) for s in K3_SPECS])
@@ -83,7 +101,7 @@ def test_single_cell_is_a_block_entry(spec):
     env = ORACLE_ENVS["acc-q3-s202-0"]
     strategies = enumerate_pure_strategies(env.q_space)
     picks = [0, 7, 26, 27, 40, 53]
-    block = table_or_error(lambda: unchecked_block(spec, env, strategies, strategies))
+    block = table_or_error(lambda: unchecked_block(spec, env, strategies))
     for d in picks:
         for g in picks:
             base, deviant = strategies[g], strategies[d]
@@ -132,8 +150,8 @@ def test_tables_permute_with_the_labels(seed, perm):
     strategies = enumerate_pure_strategies(3)
     image = [strategies.index(relabel_strategy(s, perm)) for s in strategies]
     for spec in K3_SPECS:
-        table = table_or_error(lambda: unchecked_block(spec, env, strategies, strategies))
-        moved = table_or_error(lambda: unchecked_block(spec, relabelled, strategies, strategies))
+        table = table_or_error(lambda: unchecked_block(spec, env, strategies))
+        moved = table_or_error(lambda: unchecked_block(spec, relabelled, strategies))
         if isinstance(table, str) or isinstance(moved, str):
             assert moved == table, spec_id(spec)
             continue
@@ -149,6 +167,34 @@ def posterior_gap(env: Environment) -> float:
     batched = peer_report_posteriors(env, strategies)
     oracle = np.stack([[peer_report_posterior(env, e, base) for base in strategies] for e in Effort])
     return float(np.abs(batched - oracle).max())
+
+
+def table_build_layer(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
+    """Print the payoff-table build time (best of ``repeats``) and its tracemalloc peak
+    per (k, kind), on the seed-3 environment the benchmark's sweeps generate."""
+    for k in labels:
+        env = generate_environments(k, 1, seed=3, prefix="bench")[0]
+        for spec in specs_for(env):
+            if spec.rule is LOGARITHMIC:
+                continue
+            try:
+                seconds = min(_timed(lambda: compute_payoff_table(spec, env)) for _ in range(repeats))
+            except PeerSpotError as exc:
+                print(f"table k={k} {spec_id(spec)}: {type(exc).__name__}")
+                continue
+            tracemalloc.start()
+            try:
+                compute_payoff_table(spec, env)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print(f"table k={k} {spec_id(spec)}: {seconds * 1e3:.1f} ms, tracemalloc peak {peak / 2**20:.2f} MB")
+
+
+def _timed(build) -> float:
+    start = time.perf_counter()
+    build()
+    return time.perf_counter() - start
 
 
 def full_gate() -> int:
@@ -173,4 +219,5 @@ def full_gate() -> int:
 
 
 if __name__ == "__main__":
+    table_build_layer()
     sys.exit(full_gate())

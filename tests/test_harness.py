@@ -89,6 +89,9 @@ class TestConfig:
             ({"n_objects": 2.5}, "n_objects must be a positive integer"),
             ({"labels": True}, "labels must be a positive integer, got True"),
             ({"count": 0}, "count must be a positive integer, got 0"),
+            ({"lables": 3}, "unknown key 'lables'"),
+            ({"seed": 2.5}, "seed must be a nonnegative integer, got 2.5"),
+            ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
         ],
     )
     def test_bad_generator_entries_name_the_entry(self, tmp_path, capsys, generator, message):
@@ -102,6 +105,24 @@ class TestConfig:
         assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.count("environments[1].generator: ") == 2
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(3, r"environments\[1\]: must be an object, got 3"), ({"generator": 3}, r"environments\[1\]\.generator: must be an object, got 3")],
+    )
+    def test_non_object_environment_entries_name_the_entry(self, tmp_path, capsys, entry, message):
+        doc = tiny_config_doc(environments=[tiny_config_doc()["environments"][0], entry])
+        with pytest.raises(ConfigError, match=rf"^{message}$"):
+            parse_config(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        assert "environments[1]" in capsys.readouterr().err
+
+    def test_fractional_top_level_seed_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seed: must be an integer, got 2\.5$"):
+            parse_config(tiny_config_doc(seed=2.5))
+        assert parse_config(tiny_config_doc(seed=3.0)).seed == 3
 
     def test_integral_float_generator_sizes_accepted(self):
         doc = tiny_config_doc(environments=[{"generator": {"labels": 3.0, "count": 2.0, "n_agents": 4.0}}])
@@ -229,8 +250,8 @@ class TestRunExperiment:
         # An intended change to the bundled output updates this pin and says why in CHANGES.md.
         rows = run_experiment(load_config(example_config_path()))
         data = emit_csv(rows, tmp_path / "results.csv").read_bytes()
-        assert len(data) == 4968
-        assert hashlib.sha256(data).hexdigest() == "d29ebcee3447fef850f65606e8394bf58e382bd841333f6ae151bbdfd4d0630c"
+        assert len(data) == 4969
+        assert hashlib.sha256(data).hexdigest() == "0c9e290f64c34f1e99a240c55b9b80dbf0d766c438336429fe01ec7e9ad533a6"
 
     def test_deterministic_csv(self, tmp_path):
         config = parse_config(tiny_config_doc())
