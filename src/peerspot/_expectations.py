@@ -64,14 +64,16 @@ def _maps(strategies: list) -> np.ndarray:
     return np.array([s.report_map for s in strategies], dtype=int)
 
 
-def strategy_rewards(values: np.ndarray, efforts: np.ndarray, maps: np.ndarray) -> np.ndarray:
+def strategy_rewards(values: np.ndarray, efforts: np.ndarray, maps: np.ndarray, rows=Ellipsis) -> np.ndarray:
     """Per-observation terms summed for each strategy: ``sum_o values[..., e, o, m(o)]`` for
     the strategies with efforts ``efforts`` (``Effort`` positions) and report maps ``maps``
-    (one row each).  ``values`` is (..., 2, k, k); the result is (..., len(maps)).  The sum
-    runs in observation order, so one strategy's reward has one rounding everywhere."""
-    total = values[..., efforts, 0, maps[:, 0]]
+    (one row each).  ``values`` is (..., 2, k, k); the result is (..., len(maps)).  Given
+    ``rows``, an index into the leading axis of ``values`` that broadcasts against the
+    strategies, strategy s reads ``values[rows[s]]`` instead.  The sum runs in observation
+    order, so one strategy's reward has one rounding everywhere."""
+    total = values[rows, efforts, 0, maps[:, 0]]
     for o in range(1, maps.shape[1]):
-        total = total + values[..., efforts, o, maps[:, o]]
+        total = total + values[rows, efforts, o, maps[:, o]]
     return total
 
 

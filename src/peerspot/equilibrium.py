@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded
+from .errors import EnumerationBudgetExceeded, ShapeMismatch
 from ._expectations import strategy_rewards
 from .mechanisms import MechanismSpec, unchecked_rewards
 from .signals import Environment
@@ -57,7 +57,6 @@ DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
 REFINE = 1e-6  # width of the bracket at which the p_el bisection stops
 PARETO_BLOCK = 64  # bases per block compared point by point in the Pareto threshold search
-CROSSING_ZONE = 4  # most grid points on each side of a lead's crossing compared one by one
 KINK_ROWS = 2048  # (kink, base) pairs per block when sampling best responses at their kinks
 # Relative bound on the rounding gap between a separable best response and the largest
 # entry of the dense gain row it stands for.  Together they round at most 2k + 12 times,
@@ -131,7 +130,7 @@ class PayoffTable:
     ``sum_o V[g, e, o, m(o)]`` unchecked and ``sum_o A[e, o, m(o)]`` audited.
     """
 
-    strategies: list
+    strategies: list  # every pure strategy, in ``enumerate_pure_strategies`` order
     unchecked_terms: np.ndarray  # (S, 2, k, k): [base, deviant effort, observation, report]
     audit_terms: np.ndarray  # (2, k, k): [effort, observation, report]
     efforts: np.ndarray = field(init=False)  # (S,) position in ``Effort`` order (full effort is 0)
@@ -149,14 +148,16 @@ class PayoffTable:
     best_no_effort: int = field(init=False)
 
     def __post_init__(self):
+        # Best responses range over every deviant; the gain rows over ``strategies``.  Over
+        # the label budget no strategy list exists, and the solvers reject such a table.
+        k = len(self.strategies[0].report_map)
+        if k <= MAX_LABELS and self.strategies != enumerate_pure_strategies(k):
+            raise ShapeMismatch("a payoff table covers every pure strategy, in canonical order")
         self.efforts = effort_indices(self.strategies)
         self.maps = np.array([s.report_map for s in self.strategies], dtype=int)
         self.full_effort = (self.efforts == 0).astype(float)
-        # Base g's own reward, summed over observations in ``strategy_rewards`` order.
-        rows, v = np.arange(len(self.strategies)), self.unchecked_terms
-        self.own = v[rows, self.efforts, 0, self.maps[:, 0]]
-        for o in range(1, self.maps.shape[1]):
-            self.own = self.own + v[rows, self.efforts, o, self.maps[:, o]]
+        v = self.unchecked_terms
+        self.own = strategy_rewards(v, self.efforts, self.maps, np.arange(len(self.strategies)))
         self.spot = strategy_rewards(self.audit_terms, self.efforts, self.maps)
         largest_sum = lambda terms: np.abs(terms).max(axis=-1).sum(axis=-1).max(axis=-1)
         self.magnitude = 1.0 + np.abs(self.own) + np.abs(self.spot) + largest_sum(v) + largest_sum(self.audit_terms)
@@ -168,8 +169,9 @@ class PayoffTable:
     def index_of(self, strategy: Strategy) -> int:
         return self.strategies.index(strategy)
 
-    def utilities(self, p, cost: float) -> np.ndarray:
-        return p * self.spot + (1.0 - p) * self.own - cost * self.full_effort
+    def utilities(self, p, cost: float, bases=slice(None)) -> np.ndarray:
+        """Utility of each symmetric profile in ``bases`` (all by default) at audit probability p."""
+        return p * self.spot[bases] + (1.0 - p) * self.own[bases] - cost * self.full_effort[bases]
 
     def gain_lines(self, cost: float, bases) -> tuple:
         """Deviation gains against the symmetric bases ``bases`` as lines in the audit
@@ -210,8 +212,7 @@ class PayoffTable:
         rounds otherwise than ``gain_lines``; ``certify`` bounds the difference."""
         bases, p = np.asarray(bases), np.asarray(p, dtype=float)
         values = self._effort_values(p, bases) - cost * FULL_EFFORT_PAYS
-        utility = p * self.spot[bases] + (1.0 - p) * self.own[bases] - cost * self.full_effort[bases]
-        return values.max(axis=0) - utility
+        return values.max(axis=0) - self.utilities(p, cost, bases)
 
     def kinked_gains(self, bases) -> tuple:
         """Each effort's best deviation gain against each base in ``bases``, without effort
@@ -242,8 +243,7 @@ class PayoffTable:
                 ],
                 axis=1,
             )
-            utility = at * self.spot[rows] + (1.0 - at) * self.own[rows]
-            gains[:, :, new] = (values - utility).reshape(2, -1, new.size)
+            gains[:, :, new] = (values - self.utilities(at, 0.0, rows)).reshape(2, -1, new.size)
             filled[new] = True
         return kinks[:, :, bases], gains[:, :, bases]
 
@@ -256,6 +256,7 @@ class PayoffTable:
         decided, and their gain given, by their dense ``gain_lines`` row.  So the
         decision is the dense row's ``max <= tol`` at every p.
         """
+        _check_label_budget(self, "equilibrium certification")
         bases = np.asarray(bases)
         gain = self.best_responses(p, cost, bases)
         unsure = np.flatnonzero(np.abs(gain - tol) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
@@ -328,7 +329,6 @@ def enumerate_symmetric_pure_equilibria(
     table: PayoffTable, p: float, cost: float, tol: float = DEFAULT_TOL
 ) -> list:
     """All certified symmetric pure equilibria, sorted by utility descending."""
-    _check_label_budget(table, "equilibrium enumeration")
     utilities = table.utilities(p, cost)
     max_gains, certified = table.certify(p, cost, tol, np.arange(len(table.strategies)))
     records = [
@@ -457,8 +457,6 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
     returns.
     """
     _check_label_budget(table, "Pareto threshold search")
-    spot, own = table.spot, table.own
-    cost_full = cost * table.full_effort
     t = table.truthful
     points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
     (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, tol, np.array([t]))
@@ -466,10 +464,9 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
         return NOT_FOUND
     # A base's lead over truthful utility is affine in p, so its largest value on
     # the span is at an end; the slack keeps every base that rounding could tip.
-    ends = points[[t_lo, t_hi]][:, None]
-    at_ends = ends * spot + (1.0 - ends) * own - cost_full
+    at_ends = table.utilities(points[[t_lo, t_hi]][:, None], cost)
     lead = at_ends - at_ends[:, t : t + 1]
-    scale = np.abs(spot) + np.abs(own) + cost_full
+    scale = np.abs(table.spot) + np.abs(table.own) + cost * table.full_effort
     slack = 1e-12 * (1.0 + scale + scale[t])
     rivals = np.flatnonzero(lead.max(axis=0) > tol - slack)
     if not rivals.size:
@@ -487,63 +484,49 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
 def _ruled_out(table: PayoffTable, cost: float, points, tol: float, rivals, windows: tuple, slack, span: tuple):
     """Which grid points of ``span`` = (first, last) some base in ``rivals`` rules out:
     it is certified there (its window, from ``windows`` = (first, last) per base) and its
-    utility beats the truthful one plus ``tol`` by the dense scan's comparison (``beats``).
+    utility beats the truthful one plus ``tol`` by the dense scan's comparison.
 
-    A base's lead over the truthful utility is affine in p.  Where the lead clears tol by
-    more than the rounding ``slack`` at both window ends, the base beats truthful on its
-    whole window, and where it misses by more at both, nowhere.  Otherwise, where the
-    lead crosses tol steeply, it beats on the window's part past the crossing, and the
-    grid points within the slack of the crossing are compared one by one.  Bases with a
-    flat lead near tol are compared at every point of their window.
+    A base's lead over the truthful utility plus tol is affine in p.  Where it clears the
+    rounding ``slack`` at both window ends, the base rules out its whole window, and where
+    it misses by more at both, nothing.  Otherwise the lead crosses zero once: the part of
+    the window past the crossing by more than the slack is ruled out whole, and the grid
+    points within the slack of it are compared one by one (all of them, for a lead too
+    flat to place the crossing), ``PARETO_BLOCK`` bases at a time.
     """
-    spot, own, t = table.spot, table.own, table.truthful
-    cost_full = cost * table.full_effort
+    t = table.truthful
 
-    def beats(index, cols):
+    def lead(index, cols):  # > 0 exactly where the dense scan finds the base beats truthful
         p = points[index]
-        truthful = p * spot[t] + (1.0 - p) * own[t] - cost_full[t]
-        return ~(truthful + tol >= p * spot[cols] + (1.0 - p) * own[cols] - cost_full[cols])
-
-    def lead(index):
-        p = points[index]
-        truthful = p * spot[t] + (1.0 - p) * own[t] - cost_full[t]
-        return (p * spot[rivals] + (1.0 - p) * own[rivals] - cost_full[rivals]) - (truthful + tol)
+        return table.utilities(p, cost, cols) - (table.utilities(p, cost, t) + tol)
 
     first, last = span
     a, b = windows
-    at_a, at_b = lead(np.array(windows))
+    at_a, at_b = lead(a, rivals), lead(b, rivals)
     whole = (at_a > slack) & (at_b > slack)
-    crossing = ~whole & ~((at_a < -slack) & (at_b < -slack))
+    crossing = np.flatnonzero(~whole & ~((at_a < -slack) & (at_b < -slack)))
+    a_c, b_c, at_a, at_b = a[crossing], b[crossing], at_a[crossing], at_b[crossing]
     with np.errstate(divide="ignore", invalid="ignore"):
-        run = (b - a) / np.abs(at_b - at_a)  # grid points per unit of lead
-    half = 2.0 * slack * run + 1.0  # grid points on each side of the crossing left to compare
-    narrow = (b > a) & (half <= CROSSING_ZONE)
-    steep, flat = np.flatnonzero(crossing & narrow), np.flatnonzero(crossing & ~narrow)
-    middle = a[steep] + (b[steep] - a[steep]) * (at_a[steep] / (at_a[steep] - at_b[steep]))
-    zone_lo = np.maximum(np.ceil(middle - half[steep]), a[steep]).astype(int)
-    zone_hi = np.minimum(np.floor(middle + half[steep]), b[steep]).astype(int)
-    rising = at_b[steep] > at_a[steep]
+        middle = a_c + (b_c - a_c) * (at_a / (at_a - at_b))
+        half = 2.0 * slack[crossing] * (b_c - a_c) / np.abs(at_b - at_a) + 1.0  # NaN, inf when flat
+    zone_lo = np.fmax(np.ceil(middle - half), a_c).astype(int)
+    zone_hi = np.fmin(np.floor(middle + half), b_c).astype(int)
+    rising = at_b > at_a
 
-    # Whole windows and the parts past a steep crossing, as intervals.
-    starts = np.concatenate([a[whole], np.where(rising, zone_hi + 1, a[steep])])
-    stops = np.concatenate([b[whole], np.where(rising, b[steep], zone_lo - 1)])
+    # Whole windows and the parts past a crossing, as intervals.
+    starts = np.concatenate([a[whole], np.where(rising, zone_hi + 1, a_c)])
+    stops = np.concatenate([b[whole], np.where(rising, b_c, zone_lo - 1)])
     keep, size = starts <= stops, last - first + 2
     counts = np.bincount(starts[keep] - first, minlength=size) - np.bincount(stops[keep] - first + 1, minlength=size)
     ruled = np.cumsum(counts[:-1]) > 0
 
-    # Grid points near a steep crossing, one by one.
-    if steep.size:
-        near = zone_lo[:, None] + np.arange(2 * CROSSING_ZONE + 2)
-        inside = near <= zone_hi[:, None]
-        cols = np.broadcast_to(rivals[steep][:, None], near.shape)[inside]
-        ruled[near[inside][beats(near[inside], cols)] - first] = True
-
-    # Flat leads: every point of the window.
-    index = np.arange(first, last + 1)[:, None]
-    for start in range(0, len(flat), PARETO_BLOCK):
-        block = flat[start : start + PARETO_BLOCK]
-        certified = (index >= a[block]) & (index <= b[block])
-        ruled |= (beats(index, rivals[block]) & certified).any(axis=1)
+    # Grid points near a crossing, one by one.
+    for start in range(0, len(crossing), PARETO_BLOCK):
+        block = slice(start, start + PARETO_BLOCK)
+        width = np.maximum(zone_hi[block] - zone_lo[block] + 1, 0)
+        offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        index = np.repeat(zone_lo[block], width) + offset
+        cols = np.repeat(rivals[crossing[block]], width)
+        ruled[index[lead(index, cols) > 0] - first] = True
     return ruled
 
 
@@ -554,7 +537,9 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     Each effort's best deviation gain is convex and piecewise linear in p
     (``PayoffTable.kinked_gains``), so it stays within its effort's tol on one
     interval, found between the kinks where it crosses; the base is certified
-    where both intervals meet.  The ends are rounded onto the grid and confirmed
+    where both intervals meet.  A kink counts as within tol up to the rounding
+    slack of ``PayoffTable.certify``, so a zero plateau read a few ulps high
+    still gives its interval.  The ends are rounded onto the grid and confirmed
     with ``PayoffTable.certify`` at each end and one point outside it; the few
     bases where rounding misplaced an end are settled by probing single grid
     points (``_settle_interval``).
@@ -563,7 +548,8 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     n = len(points) - 1
     kinks, gains = table.kinked_gains(cols)
     over = gains - (tol + cost * (FULL_EFFORT_PAYS - table.full_effort[cols]))[:, None]  # <= 0 within tol
-    within = over <= 0.0
+    within = over <= VERIFY_SLACK * (table.magnitude[cols] + cost)
+    over = np.where(within, np.minimum(over, 0.0), over)  # an end lies at or past a kink within
     last = kinks.shape[1] - 1
     first_in, last_in = within.argmax(axis=1), last - within[:, ::-1].argmax(axis=1)
     # Each end lies on the segment from the last kink outside to the first kink inside,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from peerspot._expectations import strategy_rewards
 from peerspot.equilibrium import (
     DEFAULT_GRID,
     DEFAULT_TOL,
@@ -41,12 +42,7 @@ from peerspot.equilibrium import (
 
 def gather_unchecked(values: np.ndarray, efforts: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """z[d, g] = sum_o values[g, efforts[d], o, maps[d, o]], shape (deviants, bases)."""
-    observed = np.arange(maps.shape[1])
-    terms = values[:, efforts[:, None], observed, maps]  # [base, deviant, observation]
-    z = terms[:, :, 0]
-    for o in observed[1:]:
-        z = z + terms[:, :, o]
-    return z.T
+    return strategy_rewards(values, efforts, maps, np.arange(len(values))[:, None]).T
 
 
 def unchecked(table: PayoffTable) -> np.ndarray:

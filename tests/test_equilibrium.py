@@ -32,6 +32,7 @@ from peerspot import (
     NOT_ACHIEVABLE,
     NotAttained,
     PayoffTable,
+    ShapeMismatch,
     Strategy,
     check_pareto_bound_condition,
     compute_payoff_table,
@@ -97,6 +98,22 @@ def _tie_at_three_tenths() -> PayoffTable:
 
 
 TIE_AT_THREE_TENTHS = _tie_at_three_tenths()
+
+
+def _zero_plateau() -> PayoffTable:
+    """Binary terms under which the no-effort map (1, 0) (index 6) is certified at cost 0
+    and tol 0 exactly on p in [3/8, 5/7]: there its best no-effort deviant is itself, an
+    exactly zero gain that the separable best response reads as about +1e-16 at both
+    kinks, and full effort gains -p / 10 everywhere."""
+    strategies = enumerate_pure_strategies(2)
+    terms = np.zeros((len(strategies), 2, 2, 2))
+    terms[6, 1] = [[-0.5, 0.0], [0.0, 0.6]]
+    audit = np.zeros((2, 2, 2))
+    audit[1] = [[-0.1, -0.3], [0.4, -0.6]]
+    return PayoffTable(strategies, terms, audit)
+
+
+ZERO_PLATEAU = _zero_plateau()
 
 
 def correlated_low_env(env, accuracy=0.8):
@@ -207,6 +224,7 @@ class TestSeparableCertification:
         grid=st.sampled_from([1e-3, 0.1, 0.125]),
     )
     @example(table=TIE_AT_THREE_TENTHS, cost=0.125, tol=0.0, grid=1e-3)
+    @example(table=ZERO_PLATEAU, cost=0.0, tol=0.0, grid=1e-3)
     def test_decisions_and_intervals_are_the_dense_rows(self, table, cost, tol, grid):
         points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
         bases = np.arange(len(table.strategies))
@@ -216,6 +234,14 @@ class TestSeparableCertification:
         lo, hi = _certified_intervals(table, cost, points, tol, bases)
         index = np.arange(len(points))[:, None]
         assert np.array_equal((index >= lo) & (index <= hi), dense)
+
+    def test_tables_cover_every_strategy(self):
+        strategies = enumerate_pure_strategies(2)
+        terms = np.zeros((len(strategies), 2, 2, 2))
+        with pytest.raises(ShapeMismatch):
+            PayoffTable(strategies[:-1], terms[:-1], np.zeros((2, 2, 2)))
+        with pytest.raises(ShapeMismatch):
+            PayoffTable(strategies[::-1], terms, np.zeros((2, 2, 2)))
 
     def test_best_response_is_the_largest_dense_gain(self, ternary_env):
         table = compute_payoff_table(OA, ternary_env)
