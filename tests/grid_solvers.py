@@ -36,7 +36,6 @@ from peerspot.equilibrium import (
     NOT_FOUND,
     REFINE,
     PayoffTable,
-    _check_label_budget,
 )
 
 
@@ -54,7 +53,6 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
     """Smallest grid probability at which the truthful profile is a certified
     equilibrium and weakly best among all certified symmetric pure equilibria,
     or NOT_FOUND."""
-    _check_label_budget(table, "Pareto threshold search")
     spot, z, full = table.spot, unchecked(table), table.full_effort
     diag = np.diag(z)
     t = table.truthful
@@ -83,7 +81,6 @@ def scan_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, t
     solver, so it returns the same grid point, in O(S²) memory: the oracle for
     k=4 tables.
     """
-    _check_label_budget(table, "Pareto threshold search")
     spot, z, full = table.spot, unchecked(table), table.full_effort
     diag = np.diag(z)
     t = table.truthful

@@ -8,12 +8,15 @@ table's per-observation terms.  ``python tests/test_equilibrium.py`` runs the
 full comparison: the 32 sweep-k3 families, the bundled config, the acceptance
 environments, and four k=4 environments (``p_pareto`` against the
 point-by-point scan).  It prints the number of rows compared and of
-mismatches for each threshold.
+mismatches for each threshold, after the ms per row of ``solve_p_el`` and
+``solve_p_pareto`` at each k from 2 to 5.
 """
 
 import functools
 import itertools
+import math
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -27,6 +30,7 @@ from peerspot import (
     Channel,
     Effort,
     EnumerationBudgetExceeded,
+    LOGARITHMIC,
     MechanismKind,
     MechanismSpec,
     NOT_ACHIEVABLE,
@@ -55,7 +59,7 @@ from peerspot import (
     truthful_strategy,
 )
 from peerspot.acceptance import _random_acceptance_environments
-from peerspot.equilibrium import NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
+from peerspot.equilibrium import DEFAULT_TOL, NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
 from peerspot.harness import DEFAULT_EFFORT_COSTS, generate_environments, parse_config, run_experiment
 from peerspot.mechanisms import KINDS
 
@@ -114,6 +118,45 @@ def _zero_plateau() -> PayoffTable:
 
 
 ZERO_PLATEAU = _zero_plateau()
+
+
+def _against_coordination(unchecked: list, audit: list) -> PayoffTable:
+    """Binary terms that are zero except the full-effort deviant's against the coordination
+    base (no-effort identity, index 4): ``unchecked[o][r]`` and ``audit[o][r]``.  That base
+    earns 0, and so does every no-effort deviant against it."""
+    strategies = enumerate_pure_strategies(2)
+    terms = np.zeros((len(strategies), 2, 2, 2))
+    terms[4, 0] = unchecked
+    audit_terms = np.zeros((2, 2, 2))
+    audit_terms[0] = audit
+    return PayoffTable(strategies, terms, audit_terms)
+
+
+# Against the coordination base, the best full-effort deviant earns 2 max(p - 1/2, -1/4):
+# both observations bend at the grid point 1/4, and at cost 0 the gain ties tol = 0
+# exactly at the grid point 1/2, the end of the base's interval.
+COINCIDENT_KINKS = _against_coordination([[-0.5, -0.25], [-0.5, -0.25]], [[0.5, -0.25], [0.5, -0.25]])
+# There it earns max(p / 4, -p / 4) + max(0, (p - 1) / 4) = p / 4: the first observation's
+# lines cross at p = 0 and the second's at p = 1.
+ENDPOINT_KINKS = _against_coordination([[0.0, 0.0], [0.0, -0.25]], [[0.25, -0.25], [0.0, 0.0]])
+# The rounding bound that the comment at ``VERIFY_SLACK`` states for the slope-summed kink
+# values against ``_effort_values``, relative to ``PayoffTable.magnitude``.
+SLOPE_SUM_BOUND = 6e-14
+
+
+def assert_slope_sums_are_best_responses(table: PayoffTable, bases) -> None:
+    """``kinked_gains`` against ``bases``: sorted kinks from 0 to 1, each kink's gain equal to
+    ``_effort_values`` there within SLOPE_SUM_BOUND, and each piece reaching the next kink's
+    gain on its slope."""
+    kinks, gains, slopes = table.kinked_gains(bases)
+    assert np.all(kinks[:, 0] == 0.0) and np.all(kinks[:, -1] == 1.0) and np.all(np.diff(kinks, axis=1) >= 0.0)
+    rows = np.tile(bases, kinks.shape[1])
+    for e in range(2):
+        at = kinks[e].ravel()
+        exact = table._effort_values(at, rows)[e] - table.utilities(at, 0.0, rows)
+        assert np.all(np.abs(gains[e].ravel() - exact) <= SLOPE_SUM_BOUND * table.magnitude[rows])
+    reached = gains[:, :-1] + slopes[:, :-1] * np.diff(kinks, axis=1)
+    assert np.all(np.abs(reached - gains[:, 1:]) <= SLOPE_SUM_BOUND * table.magnitude[bases])
 
 
 def correlated_low_env(env, accuracy=0.8):
@@ -225,6 +268,10 @@ class TestSeparableCertification:
     )
     @example(table=TIE_AT_THREE_TENTHS, cost=0.125, tol=0.0, grid=1e-3)
     @example(table=ZERO_PLATEAU, cost=0.0, tol=0.0, grid=1e-3)
+    @example(table=COINCIDENT_KINKS, cost=0.0, tol=0.0, grid=1e-3)
+    @example(table=COINCIDENT_KINKS, cost=0.0, tol=0.0, grid=0.125)
+    @example(table=ENDPOINT_KINKS, cost=0.0, tol=0.0, grid=1e-3)
+    @example(table=ENDPOINT_KINKS, cost=0.125, tol=1e-9, grid=0.1)
     def test_decisions_and_intervals_are_the_dense_rows(self, table, cost, tol, grid):
         points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
         bases = np.arange(len(table.strategies))
@@ -250,6 +297,78 @@ class TestSeparableCertification:
             gain = table.best_responses(p, 0.05, bases)
             dense = _gain_at(p, *table.gain_lines(0.05, bases)).max(axis=1)
             np.testing.assert_allclose(gain, dense, rtol=0.0, atol=1e-14)
+
+
+class TestKinkedGains:
+    """Each effort's best gain is read from its kinks merged over observations and a running
+    sum of slope times step, and interval probes read that piecewise-linear gain."""
+
+    @settings(max_examples=100)
+    @given(table=eighths_tables())
+    @example(table=COINCIDENT_KINKS)
+    @example(table=ENDPOINT_KINKS)
+    @example(table=ZERO_PLATEAU)
+    def test_slope_sums_are_best_responses(self, table):
+        assert_slope_sums_are_best_responses(table, np.arange(len(table.strategies)))
+
+    @pytest.mark.parametrize("labels", [2, 3, 4, 5])
+    def test_slope_sums_on_the_sweep_environment(self, labels):
+        env = generate_environments(labels, 1, seed=3, prefix="bench")[0]
+        for spec in (OA, MechanismSpec(MechanismKind.CORRELATED_AGREEMENT), PI):
+            table = compute_payoff_table(spec, env)
+            size = len(table.strategies)
+            bases = np.random.default_rng(labels).choice(size, min(size, 600), replace=False)
+            assert_slope_sums_are_best_responses(table, bases)
+
+    def test_coincident_kinks_on_a_grid_point(self):
+        kinks, gains, slopes = COINCIDENT_KINKS.kinked_gains([4])
+        assert kinks[0, :4, 0].tolist() == [0.0, 0.25, 0.25, 1.0]
+        assert gains[0, :4, 0].tolist() == [-0.5, -0.5, -0.5, 1.0]
+        assert slopes[0, :3, 0].tolist() == [0.0, 1.0, 2.0]
+
+    def test_kinks_at_zero_and_one(self):
+        kinks, gains, slopes = ENDPOINT_KINKS.kinked_gains([4])
+        assert kinks[0, :2, 0].tolist() == [0.0, 1.0] and set(kinks[0, 2:, 0]) <= {1.0}
+        assert gains[0, :2, 0].tolist() == [0.0, 0.25] and set(gains[0, 2:, 0]) <= {0.25}
+        assert slopes[0, 0, 0] == 0.25
+
+    @pytest.mark.parametrize(
+        "table, cost, tol, interval",
+        [
+            (COINCIDENT_KINKS, 0.0, 0.0, (0, 500)),  # the end is an exact tie at a grid point
+            (COINCIDENT_KINKS, 0.0, 1e-9, (0, 500)),
+            (ENDPOINT_KINKS, 0.0, 0.0, (0, 0)),  # a tie at the kink at p = 0
+            (ENDPOINT_KINKS, 0.125, 0.0, (0, 500)),
+        ],
+    )
+    def test_interval_of_the_coordination_base(self, table, cost, tol, interval):
+        points = np.linspace(0.0, 1.0, 1001)
+        (lo,), (hi,) = _certified_intervals(table, cost, points, tol, np.array([4]))
+        assert (lo, hi) == interval
+
+    def test_probes_fall_back_to_certify_only_near_tol(self, monkeypatch):
+        points = np.linspace(0.0, 1.0, 1001)
+        env = generate_environments(4, 1, seed=3, prefix="bench")[0]
+        for table, tol, near in ((compute_payoff_table(OA, env), DEFAULT_TOL, False), (COINCIDENT_KINKS, 0.0, True)):
+            calls = []
+            certify = table.certify
+            monkeypatch.setattr(table, "certify", lambda p, *args: calls.append(p) or certify(p, *args))
+            _certified_intervals(table, 0.1, points, tol, np.arange(len(table.strategies)))
+            assert bool(calls) is near
+
+    def test_five_label_intervals_are_certify_at_every_grid_point(self):
+        # The S x S oracle would take about 1 GB at k=5, so certify is the reference here.
+        env = generate_environments(5, 1, seed=3, prefix="bench")[0]
+        table = compute_payoff_table(OA, env)
+        points = np.linspace(0.0, 1.0, 1001)
+        lo, hi = _certified_intervals(table, 0.1, points, DEFAULT_TOL, np.arange(len(table.strategies)))
+        rng = np.random.default_rng(5)
+        somewhere = np.flatnonzero(lo <= hi)
+        assert somewhere.size
+        bases = np.concatenate([rng.choice(somewhere, 16, replace=False), rng.choice(np.flatnonzero(lo > hi), 16)])
+        _, certified = table.certify(np.repeat(points, bases.size), 0.1, DEFAULT_TOL, np.tile(bases, points.size))
+        index = np.arange(points.size)[:, None]
+        assert np.array_equal(certified.reshape(points.size, -1), (index >= lo[bases]) & (index <= hi[bases]))
 
 
 class TestEnumeration:
@@ -287,13 +406,11 @@ class TestEnumeration:
         assert enumerate_symmetric_pure_equilibria(table, p, cost) == expected
 
     def test_label_budget(self):
-        # A two-strategy stand-in table over six labels: the budget reads the labels, not S.
+        # A two-strategy stand-in table over six labels: the budget reads the labels, not S,
+        # so no table exists to search.
         strategies = [truthful_strategy(6), low_identity_strategy(6)]
-        table = PayoffTable(strategies, np.zeros((2, 2, 6, 6)), np.zeros((2, 6, 6)))
         with pytest.raises(EnumerationBudgetExceeded):
-            enumerate_symmetric_pure_equilibria(table, 0.0, 0.0)
-        with pytest.raises(EnumerationBudgetExceeded):
-            solve_p_pareto(table, 0.0)
+            PayoffTable(strategies, np.zeros((2, 2, 6, 6)), np.zeros((2, 6, 6)))
 
 
 class TestDominantStrategyThreshold:
@@ -511,7 +628,8 @@ class TestFiveLabels:
         assert all(isinstance(row.p_pareto, float) for row in rows)
 
     def test_six_label_rows_fail_before_any_table_is_built(self):
-        config = parse_config({**K4_SWEEP, "environments": [{"generator": {"labels": 6, "count": 1, "seed": 3}}]})
+        # ``parse_config`` refuses six labels, so the config is assembled past it.
+        config = replace(parse_config(K4_SWEEP), environments=generate_environments(6, 1, seed=3))
         tracemalloc.start()
         try:
             rows = run_experiment(config)
@@ -631,6 +749,28 @@ class TestReportAssembly:
         assert doc["p_pareto"] == pytest.approx(0.313)
 
 
+def solver_layer(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
+    """Print ms per row of ``solve_p_el`` and ``solve_p_pareto`` (best of ``repeats``) per k,
+    over every kind but the logarithmic rules at the default costs, on the seed-3
+    environment the benchmark's sweeps generate.  Each repeat solves fresh tables, so
+    ``p_pareto`` pays for each table's kink pieces once, as a sweep does."""
+    for k in labels:
+        env = generate_environments(k, 1, seed=3, prefix="bench")[0]
+        specs = [spec for spec in specs_for(env) if spec.rule is not LOGARITHMIC]
+        rows = len(specs) * len(DEFAULT_EFFORT_COSTS)
+        best = {solve_p_el: math.inf, solve_p_pareto: math.inf}
+        for _ in range(repeats):
+            tables = [compute_payoff_table(spec, env) for spec in specs]
+            for solver in best:
+                start = time.perf_counter()
+                for table in tables:
+                    for cost in DEFAULT_EFFORT_COSTS:
+                        solver(table, cost)
+                best[solver] = min(best[solver], time.perf_counter() - start)
+        times = ", ".join(f"{solver.__name__} {seconds / rows * 1e3:.2f} ms/row" for solver, seconds in best.items())
+        print(f"solvers k={k} ({rows} rows): {times}")
+
+
 def full_gate() -> int:
     """The solvers against their grid oracles on every gate row; prints the counts per threshold."""
     cases = []  # (label, spec, environment, costs, p_pareto oracle)
@@ -663,4 +803,5 @@ def full_gate() -> int:
 
 
 if __name__ == "__main__":
+    solver_layer()
     sys.exit(full_gate())

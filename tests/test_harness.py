@@ -84,6 +84,7 @@ class TestConfig:
             ({"n_objects": 0}, "n_objects must be a positive integer"),
             ({"effort_cost": -1}, "effort_cost must be finite and nonnegative"),
             ({"labels": 2.5}, "labels must be a positive integer, got 2.5"),
+            ({"labels": 6}, "labels must be at most 5, got 6"),
             ({"count": 1.5}, "count must be a positive integer"),
             ({"n_agents": 3.5}, "n_agents must be a positive integer"),
             ({"n_objects": 2.5}, "n_objects must be a positive integer"),
@@ -118,6 +119,16 @@ class TestConfig:
         cfg.write_text(json.dumps(doc))
         assert cli_main(["validate", "--config", str(cfg)]) == 1
         assert "environments[1]" in capsys.readouterr().err
+
+    def test_literal_environment_over_the_label_budget_is_rejected(self, tmp_path, capsys):
+        six = {"labels": list(range(6)), "prior": [1 / 6] * 6, "high": np.eye(6).tolist()}
+        doc = tiny_config_doc(environments=[tiny_config_doc()["environments"][0], six])
+        with pytest.raises(ConfigError, match=r"^environments\[1\]: labels must hold at most 5 labels, got 6$"):
+            parse_config(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        assert "environments[1]: labels" in capsys.readouterr().err
 
     def test_fractional_top_level_seed_is_rejected(self):
         with pytest.raises(ConfigError, match=r"^seed: must be an integer, got 2\.5$"):
