@@ -8,7 +8,8 @@ mechanism reduces to small tensor contractions over label indices.
 
 A deviant is an effort plus one report per observed value, and under every
 kind its expected reward against a symmetric base is a sum of one term per
-observed value.  Each evaluator returns those terms for a list of bases:
+observed value.  Each evaluator returns those terms against G bases, given as
+(efforts, maps) arrays (``strategies.pure_strategy_arrays`` or ``strategy_arrays``):
 ``V[g, e, o, r]`` is the expected unchecked reward that a deviant with effort
 ``e`` (``Effort`` order) earns on the event that it observes ``o``, if it
 reports ``r`` there, against base ``g``.  The deviant with effort ``e`` and
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded, NonBinaryLabelSpace
 from .scoring import NEGATIVE_SENTINEL
 from .signals import Environment
-from .strategies import Effort, effort_indices, peer_report_posteriors
+from .strategies import Effort, peer_report_posteriors
 
 SUPPORT_ATOL = 1e-12
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -60,10 +61,6 @@ def observation_laws(env: Environment) -> np.ndarray:
     return np.stack([observation_law(env, effort) for effort in Effort])
 
 
-def _maps(strategies: list) -> np.ndarray:
-    return np.array([s.report_map for s in strategies], dtype=int)
-
-
 def strategy_rewards(values: np.ndarray, efforts: np.ndarray, maps: np.ndarray, rows=Ellipsis) -> np.ndarray:
     """Per-observation terms summed for each strategy: ``sum_o values[..., e, o, m(o)]`` for
     the strategies with efforts ``efforts`` (``Effort`` positions) and report maps ``maps``
@@ -77,11 +74,10 @@ def strategy_rewards(values: np.ndarray, efforts: np.ndarray, maps: np.ndarray, 
     return total
 
 
-def base_report_laws(env: Environment, bases: list) -> np.ndarray:
-    """P(report | quality, low draw) per base, shape (len(bases), k, k, k)."""
-    k = len(env.q_space)
-    observed = observation_laws(env)[effort_indices(bases)]
-    return observed @ np.eye(k)[_maps(bases)][:, None]
+def base_report_laws(env: Environment, bases: tuple) -> np.ndarray:
+    """P(report | quality, low draw) per base, shape (G, k, k, k)."""
+    efforts, maps = bases
+    return observation_laws(env)[efforts] @ np.eye(len(env.q_space))[maps][:, None]
 
 
 def _per_observation(env: Environment, x: np.ndarray) -> np.ndarray:
@@ -124,8 +120,8 @@ def triple_obs_law(env: Environment, effort_a: Effort, effort_b: Effort, effort_
     return np.einsum("ql,qla,qlb,qlc->abc", w, oa, ob, oc)
 
 
-def _beliefs(env: Environment, rule, bases: list) -> tuple:
-    """Belief tables, their scores at each outcome, and each base's effort position.
+def _beliefs(env: Environment, rule, bases: tuple) -> tuple:
+    """Belief tables and their scores at each outcome.
 
     Beliefs depend only on the holder's effort and the base: ``beliefs[e, g]``
     (one row per observed value) is held by a deviant with effort e against
@@ -133,8 +129,7 @@ def _beliefs(env: Environment, rule, bases: list) -> tuple:
     """
     k = len(env.q_space)
     beliefs = peer_report_posteriors(env, bases)
-    scores = rule.score_table(beliefs.reshape(-1, k)).reshape(beliefs.shape)
-    return beliefs, scores, effort_indices(bases)
+    return beliefs, rule.score_table(beliefs.reshape(-1, k)).reshape(beliefs.shape)
 
 
 def _scores_at_base_reports(scores: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -151,15 +146,15 @@ def _pair_laws_against(env: Environment, efforts: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Evaluators.  Each returns the per-observation rewards V of every deviant
-# against each base, shape (len(bases), 2, k, k).
+# against each of the G bases in ``bases`` = (efforts, maps), shape (G, 2, k, k).
 # ---------------------------------------------------------------------------
 
 
-def output_agreement(spec, env: Environment, bases: list) -> np.ndarray:
+def output_agreement(spec, env: Environment, bases: tuple) -> np.ndarray:
     return _per_observation(env, base_report_laws(env, bases))
 
 
-def peer_truth_serum(spec, env: Environment, bases: list) -> np.ndarray:
+def peer_truth_serum(spec, env: Environment, bases: tuple) -> np.ndarray:
     """Per-object frequency limit: agreement on label r pays beta / freq(r), and the
     realized frequency concentrates on the base profile's conditional report mass,
     so each supported label contributes exactly the deviant's mass on it."""
@@ -167,14 +162,14 @@ def peer_truth_serum(spec, env: Environment, bases: list) -> np.ndarray:
     return _with_constant(spec.beta * _per_observation(env, support), spec.alpha)
 
 
-def correlated_agreement(spec, env: Environment, bases: list) -> np.ndarray:
+def correlated_agreement(spec, env: Environment, bases: tuple) -> np.ndarray:
     rg = base_report_laws(env, bases)
     marg_g = np.einsum("ql,gqlr->gr", outer_weights(env), rg)
     cross = _observation_marginals(env)[None, :, :, None] * marg_g[:, None, None, :]
     return _per_observation(env, rg) - cross
 
 
-def sqrt_scaled_agreement(spec, env: Environment, bases: list) -> np.ndarray:
+def sqrt_scaled_agreement(spec, env: Environment, bases: tuple) -> np.ndarray:
     """Many-object limit: the frequency statistic for label s converges to
     sqrt(pairwise base agreement mass on s); degenerate labels (mass 0 or 1) pay zero."""
     rg = base_report_laws(env, bases)
@@ -184,7 +179,7 @@ def sqrt_scaled_agreement(spec, env: Environment, bases: list) -> np.ndarray:
     return spec.scale * np.where(live, ratio, 0.0)
 
 
-def double_mixed_agreement(spec, env: Environment, bases: list) -> np.ndarray:
+def double_mixed_agreement(spec, env: Environment, bases: tuple) -> np.ndarray:
     """Many-object limit of the double-mixed sampling mechanism.
 
     The cross-object sample is double mixed with limiting probability one iff
@@ -207,17 +202,17 @@ def double_mixed_agreement(spec, env: Environment, bases: list) -> np.ndarray:
     return np.where(mixed[:, None, None, None], values, 0.0)
 
 
-def robust_bts(spec, env: Environment, bases: list) -> np.ndarray:
+def robust_bts(spec, env: Environment, bases: tuple) -> np.ndarray:
     k = len(env.q_space)
     if k != 2:
         raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
-    beliefs, scores, efforts = _beliefs(env, spec.rule, bases)
-    maps = _maps(bases)
+    beliefs, scores = _beliefs(env, spec.rule, bases)
+    efforts, maps = bases
     triple = np.array([[triple_obs_law(env, a, b, b) for b in Effort] for a in Effort])
     triple = np.moveaxis(triple[:, efforts], 1, 0)  # [g, e, oi, oj, ok]
     # The shadow belief moves base g's belief after observation oj towards the
     # focal report r: shadow[g, oj, r, outcome].
-    p_one = beliefs[efforts, np.arange(len(bases)), :, 1]
+    p_one = beliefs[efforts, np.arange(len(maps)), :, 1]
     delta = np.minimum(p_one, 1.0 - p_one)
     shadow_one = np.stack([p_one - delta, p_one + delta], axis=-1)
     shadow = np.stack([1.0 - shadow_one, shadow_one], axis=-1)
@@ -228,12 +223,12 @@ def robust_bts(spec, env: Environment, bases: list) -> np.ndarray:
     return shadow_part + own_part[..., None]
 
 
-def multi_valued_robust_bts(spec, env: Environment, bases: list) -> np.ndarray:
+def multi_valued_robust_bts(spec, env: Environment, bases: tuple) -> np.ndarray:
     k = len(env.q_space)
-    beliefs, scores, efforts = _beliefs(env, spec.rule, bases)
-    maps = _maps(bases)
+    beliefs, scores = _beliefs(env, spec.rule, bases)
+    efforts, maps = bases
     pair = _pair_laws_against(env, efforts)  # [g, e, oi, oj]
-    held = beliefs[efforts, np.arange(len(bases))]  # [g, oj, r]
+    held = beliefs[efforts, np.arange(len(maps))]  # [g, oj, r]
     with np.errstate(divide="ignore"):
         match = np.where(held > 0.0, 1.0 / held, NEGATIVE_SENTINEL)
     match = np.where(np.eye(k, dtype=bool)[maps], match, 0.0)  # pays only where r is base g's report
@@ -241,15 +236,15 @@ def multi_valued_robust_bts(spec, env: Environment, bases: list) -> np.ndarray:
     return pair @ match[:, None] + own[..., None]
 
 
-def divergence_bts(spec, env: Environment, bases: list) -> np.ndarray:
+def divergence_bts(spec, env: Environment, bases: tuple) -> np.ndarray:
     k = len(env.q_space)
-    beliefs, scores, efforts = _beliefs(env, spec.rule, bases)
-    maps = _maps(bases)
+    beliefs, scores = _beliefs(env, spec.rule, bases)
+    efforts, maps = bases
     pair = _pair_laws_against(env, efforts)  # [g, e, oi, oj]
     # divergence D(held || peer) = E_{s~held}[score(held, s) - score(peer, s)],
     # unbounded where the log rule meets zero peer mass on the held support
     held, support = beliefs[:, :, :, None, :], beliefs[:, :, :, None, :] > 0.0  # [e, g, oi, -, s]
-    peer_scores = scores[efforts, np.arange(len(bases))][None, :, None]  # [-, g, -, oj, s]
+    peer_scores = scores[efforts, np.arange(len(maps))][None, :, None]  # [-, g, -, oj, s]
     gap = np.where(support, held * (scores[:, :, :, None, :] - peer_scores), 0.0).sum(axis=4)
     gap[np.any(support & (peer_scores == NEGATIVE_SENTINEL), axis=4)] = np.inf
     penalty = pair * np.moveaxis(gap > spec.theta, 0, 1)
@@ -296,7 +291,7 @@ def _peer_multisets(env: Environment, base_effort: Effort, n_peers: int, budget:
     return np.array(counts), np.array(weights)
 
 
-def minimum_truth_serum(spec, env: Environment, bases: list, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+def minimum_truth_serum(spec, env: Environment, bases: tuple, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
     """Belief scores against all peers, capped by the same-report proxy belief score.
 
     Peer reports enter only through their observation multiset, so full-effort
@@ -305,18 +300,18 @@ def minimum_truth_serum(spec, env: Environment, bases: list, budget: int = DEFAU
     k = len(env.q_space)
     n_peers = env.n_agents - 1
     scale = 1.0 if spec.mts_aggregation == "mean" else float(n_peers)
-    beliefs, scores, efforts = _beliefs(env, spec.rule, bases)
-    values = np.zeros((len(bases), 2, k, k))
+    beliefs, scores = _beliefs(env, spec.rule, bases)
+    efforts, maps = bases
+    values = np.zeros((len(efforts), 2, k, k))
     for position, effort in enumerate(Effort):
         cols = np.flatnonzero(efforts == position)
         if cols.size == 0:
             continue
         counts, weights = _peer_multisets(env, effort, n_peers, budget)
-        maps = _maps([bases[g] for g in cols])
         base_beliefs = beliefs[position, cols]
         own_scores = scores[:, cols]  # [e, g, o, x]
         # reports[g, r, o]: base g reports r after observing o
-        reports = maps[:, None, :] == np.arange(k)[None, :, None]
+        reports = maps[cols, None, :] == np.arange(k)[None, :, None]
         block = np.zeros((cols.size, 2, k, k))
         for c, weight in zip(counts, weights):
             same = reports * c  # same[g, r, o]: peers that observe o and report r
@@ -335,6 +330,6 @@ def minimum_truth_serum(spec, env: Environment, bases: list, budget: int = DEFAU
     return values
 
 
-def peer_insensitive(spec, env: Environment, bases: list) -> np.ndarray:
+def peer_insensitive(spec, env: Environment, bases: tuple) -> np.ndarray:
     k = len(env.q_space)
-    return _with_constant(np.zeros((len(bases), 2, k, k)), float(spec.constant_reward))
+    return _with_constant(np.zeros((len(bases[0]), 2, k, k)), float(spec.constant_reward))

@@ -35,7 +35,7 @@ from .errors import NonBinaryLabelSpace, NotEnoughObjects, ShapeMismatch, TooFew
 from .mechanisms import MechanismKind, MechanismSpec
 from .scoring import NEGATIVE_SENTINEL, divergence
 from .signals import Environment
-from .strategies import Effort, Strategy, StrategyProfile, peer_report_posteriors
+from .strategies import Effort, Strategy, StrategyProfile, peer_report_posteriors, strategy_arrays
 
 CHUNK = 20_000
 
@@ -114,10 +114,10 @@ def _latents(rng: np.random.Generator, laws: _Laws, size: int):
     return q, s_low
 
 
-def _report_law(laws: _Laws, strategy: Strategy) -> np.ndarray:
-    """P(report | quality, low draw) of one agent playing ``strategy``, shape (k, k, k)."""
+def _report_law(laws: _Laws, strategy: Strategy, report_map: np.ndarray) -> np.ndarray:
+    """P(report | quality, low draw) of one agent playing ``strategy`` (map ``report_map``), shape (k, k, k)."""
     k = len(laws.high)
-    onehot = np.eye(k)[strategy.map_array()]  # (observation, report)
+    onehot = np.eye(k)[report_map]  # (observation, report)
     if strategy.is_full_effort:
         return np.broadcast_to((laws.high @ onehot)[:, None, :], (k, k, k))
     return np.broadcast_to(onehot[None, :, :], (k, k, k))
@@ -137,15 +137,14 @@ class _Sampler:
         self.base = profile.base
         self.focal = profile.focal_strategy()
         self.k = len(env.q_space)
-        self.base_map = self.base.map_array()
-        self.focal_map = self.focal.map_array()
+        self.base_map, self.focal_map = strategy_arrays([self.base, self.focal], self.k)[1]
 
     # -- tables, built on first use ---------------------------------------
 
     @cached_property
     def _beliefs(self) -> dict:
         """Belief table per holder effort: row v is the law of a base peer's report given observation v."""
-        return dict(zip(Effort, peer_report_posteriors(self.env, [self.base])[:, 0]))
+        return dict(zip(Effort, peer_report_posteriors(self.env, strategy_arrays([self.base], self.k))[:, 0]))
 
     @property
     def beliefs_base(self) -> np.ndarray:
@@ -178,11 +177,11 @@ class _Sampler:
 
     @cached_property
     def _base_report_law(self) -> np.ndarray:
-        return _report_law(self.laws, self.base)
+        return _report_law(self.laws, self.base, self.base_map)
 
     @cached_property
     def marginal_focal(self) -> np.ndarray:
-        return np.minimum(np.einsum("ql,qlr->r", self._object_mass, _report_law(self.laws, self.focal)), 1.0)
+        return np.minimum(np.einsum("ql,qlr->r", self._object_mass, _report_law(self.laws, self.focal, self.focal_map)), 1.0)
 
     @cached_property
     def marginal_base(self) -> np.ndarray:

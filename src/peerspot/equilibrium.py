@@ -39,21 +39,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded, ShapeMismatch
+from .errors import ShapeMismatch
 from ._expectations import strategy_rewards
 from .mechanisms import MechanismSpec, unchecked_rewards
 from .signals import Environment
 from .spotcheck import audit_rewards, expected_spot_rewards
-from .strategies import (
-    MAX_LABELS,
-    Strategy,
-    enumerate_pure_strategies,
-    pure_strategy_arrays,
-    truthful_strategy,
-)
+from .strategies import Strategy, enumerate_pure_strategies, pure_strategy_arrays, strategy_arrays, truthful_strategy
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
@@ -126,18 +121,19 @@ class ThresholdReport:
 
 @dataclass
 class PayoffTable:
-    """Per-observation unchecked and audit rewards of every pure strategy, with the
-    strategies' efforts and report maps, each symmetric profile's own unchecked reward,
-    each strategy's audit reward, and the indices of the truthful and the best
-    no-effort strategy (none of them depends on cost).
+    """Per-observation unchecked and audit rewards of every pure strategy over k labels,
+    with what follows from them: each symmetric profile's own unchecked reward, each
+    strategy's audit reward, and the indices of the truthful and the best no-effort
+    strategy (none of them depends on cost).
 
-    ``unchecked_terms[g, e, o, r]`` is the ``V`` of ``_expectations`` against base
-    ``strategies[g]`` and ``audit_terms[e, o, r]`` the ``A`` of
+    Strategy ``s`` is row ``s`` of ``strategies.pure_strategy_arrays(k)``, read as
+    ``efforts`` and ``maps``.  ``unchecked_terms[g, e, o, r]`` is the ``V`` of
+    ``_expectations`` against base g and ``audit_terms[e, o, r]`` the ``A`` of
     ``spotcheck.audit_rewards``: a deviant with effort e and map m earns
-    ``sum_o V[g, e, o, m(o)]`` unchecked and ``sum_o A[e, o, m(o)]`` audited.
+    ``sum_o V[g, e, o, m(o)]`` unchecked and ``sum_o A[e, o, m(o)]`` audited.  The
+    table reads k and S from the shape of the terms and holds V once.
     """
 
-    strategies: list  # every pure strategy, in ``enumerate_pure_strategies`` order
     unchecked_terms: np.ndarray  # (S, 2, k, k): [base, deviant effort, observation, report]
     audit_terms: np.ndarray  # (2, k, k): [effort, observation, report]
     efforts: np.ndarray = field(init=False)  # (S,) position in ``Effort`` order (full effort is 0)
@@ -146,9 +142,6 @@ class PayoffTable:
     spot: np.ndarray = field(init=False)  # (S,) expected audit reward per strategy
     full_effort: np.ndarray = field(init=False)  # (S,) 1.0 where the strategy invests effort
     magnitude: np.ndarray = field(init=False)  # (S,) bound on the terms of any gain against a base
-    # V and A - V laid out [report, effort, observation, base] for ``best_responses``.
-    _level: np.ndarray = field(init=False, repr=False)
-    _rise: np.ndarray = field(init=False, repr=False)
     # ``kinked_gains`` per base, filled in as bases are asked for: (kinks, gains, slopes,
     # filled, width), where the kink columns past ``width`` hold 1 for every filled base.
     _kinked: tuple = field(init=False, repr=False, default=None)
@@ -156,27 +149,28 @@ class PayoffTable:
     best_no_effort: int = field(init=False)
 
     def __post_init__(self):
-        # Best responses range over every deviant; the gain rows over ``strategies``.  Over
-        # the label budget no strategy list exists, so neither does a table.
-        k = len(self.strategies[0].report_map)
-        if k > MAX_LABELS:
-            raise EnumerationBudgetExceeded(f"payoff tables support at most {MAX_LABELS} labels, got {k}")
-        if self.strategies != enumerate_pure_strategies(k):
-            raise ShapeMismatch("a payoff table covers every pure strategy, in canonical order")
+        # Over the label budget no strategy arrays exist, so neither does a table.
+        k = self.unchecked_terms.shape[-1]
         self.efforts, self.maps = pure_strategy_arrays(k)
+        if self.unchecked_terms.shape != (len(self.efforts), 2, k, k) or self.audit_terms.shape != (2, k, k):
+            raise ShapeMismatch(f"a payoff table over {k} labels holds terms for all {len(self.efforts)} pure strategies")
         self.full_effort = (self.efforts == 0).astype(float)
         v = self.unchecked_terms
-        self.own = strategy_rewards(v, self.efforts, self.maps, np.arange(len(self.strategies)))
+        self.own = strategy_rewards(v, self.efforts, self.maps, np.arange(len(v)))
         self.spot = strategy_rewards(self.audit_terms, self.efforts, self.maps)
         largest_sum = lambda terms: np.abs(terms).max(axis=-1).sum(axis=-1).max(axis=-1)
         self.magnitude = 1.0 + np.abs(self.own) + np.abs(self.spot) + largest_sum(v) + largest_sum(self.audit_terms)
-        self._level = np.ascontiguousarray(np.moveaxis(v, (0, 3), (3, 0)))
-        self._rise = np.moveaxis(self.audit_terms, 2, 0)[..., None] - self._level
         self.truthful = 0  # canonical order starts with truthful effort
         self.best_no_effort = _best_no_effort_index(self.efforts, self.spot)
 
+    @cached_property
+    def strategies(self) -> list:
+        """Every pure strategy as a ``Strategy``, in table order; built on first use."""
+        return enumerate_pure_strategies(self.maps.shape[1])
+
     def index_of(self, strategy: Strategy) -> int:
-        return self.strategies.index(strategy)
+        efforts, maps = strategy_arrays([strategy], self.maps.shape[1])
+        return int(np.flatnonzero((self.efforts == efforts[0]) & (self.maps == maps[0]).all(axis=1))[0])
 
     def utilities(self, p, cost: float, bases=slice(None)) -> np.ndarray:
         """Utility of each symmetric profile in ``bases`` (all by default) at audit probability p."""
@@ -195,10 +189,11 @@ class PayoffTable:
         g1 = (spot[None, :] - spot[bases][:, None]) - effort
         return g0, g1
 
-    def gains(self, base_index: int, p: float, cost: float) -> np.ndarray:
-        """Deviation gains against the symmetric base, one entry per deviant strategy."""
-        (g0,), (g1,) = self.gain_lines(cost, [base_index])
-        return _gain_at(p, g0, g1)
+    def _report_major(self, bases) -> tuple:
+        """V and A - V against the bases ``bases``, laid out [report, effort, observation,
+        base]: the lines in p of each report's term, for a walk over reports."""
+        level = np.ascontiguousarray(np.moveaxis(self.unchecked_terms[bases], (0, 3), (3, 0)))
+        return level, np.moveaxis(self.audit_terms, 2, 0)[..., None] - level
 
     def _effort_values(self, p, bases) -> np.ndarray:
         """What the best deviant with each effort earns against each base in ``bases`` at
@@ -208,7 +203,7 @@ class PayoffTable:
         A deviant picks its report per observation, so the best one with effort e earns
         ``sum_o max_r (V + p (A - V))``: O(k^2) per base instead of a gain row's O(S).
         """
-        level, rise = self._level[..., bases], self._rise[..., bases]
+        level, rise = self._report_major(bases)
         terms = level + p * rise  # [report, effort, observation, base]
         best = terms[0]
         for r in range(1, len(terms)):
@@ -238,13 +233,13 @@ class PayoffTable:
         """
         bases = np.asarray(bases)
         if self._kinked is None:
-            count, k = len(self.strategies), self.maps.shape[1]
+            count, k = self.maps.shape
             shape = (2, k * (k - 1) + 2, count)
             self._kinked = (np.empty(shape), np.empty(shape), np.empty(shape), np.zeros(count, dtype=bool), 2)
         kinks, gains, slopes, filled, width = self._kinked
         if not filled[bases].all():
             new = np.unique(bases[~filled[bases]])
-            bends, start, slope, turns = _report_kinks(self._level[..., new], self._rise[..., new])
+            bends, start, slope, turns = _report_kinks(*self._report_major(new))
             # Every observation's kinks per (effort, base) in order, each with its slope change.
             bends, turns = (np.moveaxis(x, 1, 0).reshape(2, -1, new.size) for x in (bends, turns))
             order = bends.argsort(axis=1)
@@ -290,7 +285,7 @@ def _report_kinks(level: np.ndarray, rise: np.ndarray) -> tuple:
     level, rise = level.reshape(k, -1), rise.reshape(k, -1)
     cols = np.arange(level.shape[1])
     start = level.max(axis=0)
-    line = np.where(level == start, rise, -np.inf).argmax(axis=0)
+    line = _first_argmax(np.where(level == start, rise, -np.inf))
     slope = first_slope = rise[line, cols]
     kinks, turns = [], []
     for _ in range(k - 1):
@@ -298,13 +293,26 @@ def _report_kinks(level: np.ndarray, rise: np.ndarray) -> tuple:
             meet = np.where(rise > slope, (level[line, cols] - level) / (rise - slope), np.inf)
         first = meet.min(axis=0)
         bends = first < 1.0
-        line = np.where(bends, np.where(meet == first, rise, -np.inf).argmax(axis=0), line)
+        line = np.where(bends, _first_argmax(np.where(meet == first, rise, -np.inf)), line)
         kinks.append(np.where(bends, np.maximum(first, 0.0), 1.0))
         bent = rise[line, cols]
         turns.append(bent - slope)
         slope = bent
     kinks, turns = np.reshape(kinks, (k - 1,) + shape), np.reshape(turns, (k - 1,) + shape)
     return kinks, start.reshape(shape), first_slope.reshape(shape), turns
+
+
+def _first_argmax(rows: np.ndarray) -> np.ndarray:
+    """``rows.argmax(axis=0)`` for NaN-free rows: how many rows come before each column's
+    first largest entry, counted row by row, which is faster than numpy's reduction along
+    a short leading axis."""
+    best = rows.max(axis=0)
+    found = rows[0] == best
+    index = np.zeros(rows.shape[1], dtype=int)
+    for row in rows[1:]:
+        index += ~found
+        found |= row == best
+    return index
 
 
 def _gain_at(p, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
@@ -314,8 +322,8 @@ def _gain_at(p, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
 
 def compute_payoff_table(mechanism: MechanismSpec, env: Environment) -> PayoffTable:
     """Exact payoff table over the full pure-strategy space (costs applied by the solvers)."""
-    strategies = enumerate_pure_strategies(env.q_space)
-    return PayoffTable(strategies, unchecked_rewards(mechanism, env, strategies), audit_rewards(env))
+    bases = pure_strategy_arrays(len(env.q_space))
+    return PayoffTable(unchecked_rewards(mechanism, env, bases), audit_rewards(env))
 
 
 def _best_no_effort_index(efforts, spot) -> int:
@@ -343,7 +351,7 @@ def enumerate_symmetric_pure_equilibria(
 ) -> list:
     """All certified symmetric pure equilibria, sorted by utility descending."""
     utilities = table.utilities(p, cost)
-    max_gains, certified = table.certify(p, cost, tol, np.arange(len(table.strategies)))
+    max_gains, certified = table.certify(p, cost, tol, np.arange(len(table.own)))
     records = [
         EquilibriumRecord(table.strategies[b], float(utilities[b]), float(max_gains[b]), certified=True)
         for b in np.flatnonzero(certified)
@@ -378,10 +386,10 @@ def solve_p_ds_bisection(env: Environment, tol: float = DEFAULT_TOL):
     p * spot(truth) - cost minus the best competing p * spot(s) - cost(s).
     It computes its own audit rewards and reads no payoff table.
     """
-    strategies = enumerate_pure_strategies(env.q_space)
-    spots = expected_spot_rewards(env, strategies)
-    costs = np.array([env.effort_cost if s.is_full_effort else 0.0 for s in strategies])
-    t = strategies.index(truthful_strategy(env.q_space))
+    efforts, maps = pure_strategy_arrays(len(env.q_space))
+    spots = expected_spot_rewards(env, (efforts, maps))
+    costs = np.where(efforts == 0, env.effort_cost, 0.0)
+    t = 0  # canonical order starts with truthful effort
 
     def gap(p: float) -> float:
         utilities = p * spots - costs
@@ -625,9 +633,8 @@ def check_pareto_bound_condition(table: PayoffTable, tol: float = DEFAULT_TOL) -
     audit probability, the report-the-shared-draw profile is an equilibrium and
     weakly Pareto dominates the truthful profile."""
     t, g = table.truthful, table.best_no_effort
-    if not table.gains(g, 0.0, 0.0).max() <= tol:
-        return False
-    return bool(table.own[g] + tol >= table.own[t])
+    (_,), (equilibrium,) = table.certify(0.0, 0.0, tol, [g])
+    return bool(equilibrium and table.own[g] + tol >= table.own[t])
 
 
 def compute_thresholds(

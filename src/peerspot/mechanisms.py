@@ -22,7 +22,7 @@ from . import _expectations as _exact
 from .errors import ShapeMismatch
 from .scoring import QUADRATIC, ScoringRule, rule_from_name
 from .signals import Environment
-from .strategies import Strategy, effort_indices
+from .strategies import Strategy, strategy_arrays
 
 
 class MechanismKind(str, Enum):
@@ -40,7 +40,7 @@ class MechanismKind(str, Enum):
 
 @dataclass(frozen=True)
 class KindEntry:
-    evaluator: Callable  # (spec, env, bases) -> (len(bases), 2, k, k) per-observation rewards
+    evaluator: Callable  # (spec, env, (efforts, maps)) -> (G, 2, k, k) per-observation rewards
     params: tuple = ()  # (JSON key, MechanismSpec attribute) pairs; numeric ones must be > 0
     scored: bool = False  # scores belief reports with the spec's ``rule``
     binary_only: bool = False
@@ -137,9 +137,9 @@ class MechanismSpec:
 _DEFAULTS = {f.name: f.default for f in fields(MechanismSpec)}
 
 
-def unchecked_rewards(spec: MechanismSpec, env: Environment, bases: list) -> np.ndarray:
-    """Exact per-observation unchecked rewards ``V[g, e, o, r]`` of every deviant against each
-    base, shape (len(bases), 2, k, k) (see ``_expectations``); limits for multi-object kinds."""
+def unchecked_rewards(spec: MechanismSpec, env: Environment, bases: tuple) -> np.ndarray:
+    """Exact per-observation unchecked rewards ``V[g, e, o, r]`` of every deviant against each of
+    the G bases ``bases`` = (efforts, maps), shape (G, 2, k, k); limits for multi-object kinds."""
     return KINDS[spec.kind].evaluator(spec, env, bases)
 
 
@@ -148,5 +148,6 @@ def analytic_unchecked_value(
 ) -> float:
     """Exact per-object expectation E[z(deviant, base)]: the deviant's sum over observations
     of :func:`unchecked_rewards` against the one base."""
-    values = unchecked_rewards(spec, env, [base])[0]
-    return float(_exact.strategy_rewards(values, effort_indices([deviant]), np.array([deviant.report_map]))[0])
+    k = len(env.q_space)
+    values = unchecked_rewards(spec, env, strategy_arrays([base], k))[0]
+    return float(_exact.strategy_rewards(values, *strategy_arrays([deviant], k))[0])

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _expectations as _exact
 from .signals import Environment
-from .strategies import Strategy, effort_indices
+from .strategies import Strategy, strategy_arrays
 
 
 def audit_rewards(env: Environment) -> np.ndarray:
@@ -28,15 +28,14 @@ def audit_rewards(env: Environment) -> np.ndarray:
     return joint - joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
 
 
-def expected_spot_rewards(env: Environment, strategies: list) -> np.ndarray:
-    """Exact E[y] per strategy."""
-    maps = np.array([s.report_map for s in strategies], dtype=int)
-    return _exact.strategy_rewards(audit_rewards(env), effort_indices(strategies), maps)
+def expected_spot_rewards(env: Environment, strategies: tuple) -> np.ndarray:
+    """Exact E[y] per strategy, for strategies given as (efforts, maps) arrays."""
+    return _exact.strategy_rewards(audit_rewards(env), *strategies)
 
 
 def expected_spot_reward(env: Environment, strategy: Strategy) -> float:
     """Exact E[y] for one agent."""
-    return float(expected_spot_rewards(env, [strategy])[0])
+    return float(expected_spot_rewards(env, strategy_arrays([strategy], len(env.q_space)))[0])
 
 
 def check_worthwhile_effort(table, cost: float) -> bool:

@@ -19,11 +19,13 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded, ShapeMismatch
 from .signals import Environment, LabelSpace
 
-# Largest label count any strategy list, payoff table or equilibrium search accepts.
-# A table holds O(S k^2) per-observation terms: at k=5 (S = 6,250) a seeded sweep of
-# any kind over four costs takes at most 0.35 s and 82 MB peak RSS (2-core host); at
-# k=6 (S = 93,312) the terms alone take 54 MB, and the Strategy objects and threshold
-# searches over them more.
+# Largest label count any strategy array, payoff table or equilibrium search accepts.
+# A table holds its O(S k^2) per-observation terms V once: at k=5 (S = 6,250) a seeded
+# sweep of any kind over four costs takes at most 0.35 s and 82 MB peak RSS (2-core
+# host).  At k=6 (S = 93,312; measured with this cap raised, seed 3) V takes 54 MB and a
+# table builds in 0.15-3.1 s per kind, but the evaluators' intermediates peak at
+# 114-801 MB (tracemalloc; peer-insensitive least, divergence BTS most), before any
+# threshold search.
 MAX_LABELS = 5
 
 
@@ -40,15 +42,12 @@ class Strategy:
     report_map: tuple  # output label index per input label index
 
     def __post_init__(self):
-        if not all(isinstance(i, int) for i in self.report_map):
+        if not all(isinstance(i, int) and i >= 0 for i in self.report_map):
             raise ShapeMismatch("report_map must hold label indices")
 
     @property
     def is_full_effort(self) -> bool:
         return self.effort is Effort.FULL
-
-    def map_array(self) -> np.ndarray:
-        return np.asarray(self.report_map, dtype=int)
 
     def describe(self, labels: LabelSpace | None = None) -> str:
         if labels is None:
@@ -72,35 +71,38 @@ def low_identity_strategy(labels: LabelSpace | int) -> Strategy:
     return Strategy(Effort.NONE, identity_map(k))
 
 
-def _ordered_maps(k: int) -> list:
-    """Identity map first, then the remaining maps in lexicographic order."""
-    ident = identity_map(k)
-    rest = [m for m in itertools.product(range(k), repeat=k) if m != ident]
-    return [ident] + rest
-
-
-def enumerate_pure_strategies(labels: LabelSpace | int) -> list:
-    """All 2*k**k pure strategies in canonical order: full effort first, identity map first."""
-    k = labels if isinstance(labels, int) else len(labels)
-    if k > MAX_LABELS:
-        raise EnumerationBudgetExceeded(f"strategy enumeration supports at most {MAX_LABELS} labels, got {k}")
-    return list(_pure_strategies(k))
-
-
-@functools.lru_cache(maxsize=None)  # one entry per label count up to MAX_LABELS
-def _pure_strategies(k: int) -> tuple:
-    return tuple(Strategy(effort, m) for effort in (Effort.FULL, Effort.NONE) for m in _ordered_maps(k))
-
-
 @functools.lru_cache(maxsize=None)  # one entry per label count up to MAX_LABELS
 def pure_strategy_arrays(k: int) -> tuple:
-    """(efforts, maps) of ``enumerate_pure_strategies(k)`` as read-only arrays: each
-    strategy's position in ``Effort`` order (full effort is 0), shape (S,), and its
-    report map, shape (S, k).  Truthful is index 0 and the no-effort identity k**k."""
-    maps = np.array(_ordered_maps(k), dtype=int)
+    """Every pure strategy over k labels in canonical order, as read-only arrays
+    (efforts, maps): each strategy's position in ``Effort`` order, shape (S,), and its
+    report map, shape (S, k).  Full effort comes first and, within each effort, the
+    identity map and then the others in lexicographic order, so truthful is index 0 and
+    the no-effort identity k**k."""
+    if k > MAX_LABELS:
+        raise EnumerationBudgetExceeded(f"pure strategies are enumerated for at most {MAX_LABELS} labels, got {k}")
+    ident = identity_map(k)
+    maps = np.array([ident] + [m for m in itertools.product(range(k), repeat=k) if m != ident], dtype=int)
     efforts, maps = np.repeat([0, 1], len(maps)), np.concatenate([maps, maps])
     efforts.flags.writeable = maps.flags.writeable = False
     return efforts, maps
+
+
+def enumerate_pure_strategies(labels: LabelSpace | int) -> list:
+    """All 2*k**k pure strategies in the canonical order of ``pure_strategy_arrays``."""
+    k = labels if isinstance(labels, int) else len(labels)
+    efforts, maps = pure_strategy_arrays(k)
+    by_position = list(Effort)
+    return [Strategy(by_position[e], tuple(m)) for e, m in zip(efforts.tolist(), maps.tolist())]
+
+
+def strategy_arrays(strategies: list, k: int) -> tuple:
+    """(efforts, maps) of ``strategies`` laid out as ``pure_strategy_arrays`` lays out every
+    strategy: the arrays the exact engine reads.  A report map that is not a function
+    from the k labels to themselves raises ``ShapeMismatch``."""
+    if any(len(s.report_map) != k or max(s.report_map) >= k for s in strategies):
+        raise ShapeMismatch(f"a report map over {k} labels takes {k} label indices below {k}")
+    efforts = np.array([0 if s.is_full_effort else 1 for s in strategies])
+    return efforts, np.array([s.report_map for s in strategies], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,9 @@ class StrategyProfile:
         return StrategyProfile(base, deviant)
 
 
-def effort_indices(strategies: list) -> np.ndarray:
-    """Position of each strategy's effort in ``Effort`` order (full effort is 0)."""
-    return np.array([0 if s.is_full_effort else 1 for s in strategies])
-
-
-def peer_report_posteriors(env: Environment, bases: list) -> np.ndarray:
-    """Belief tables per holder effort and base, shape (2, len(bases), k, k) in ``Effort`` order.
+def peer_report_posteriors(env: Environment, bases: tuple) -> np.ndarray:
+    """Belief tables per holder effort and base, shape (2, G, k, k) in ``Effort`` order, for
+    the G bases given as (efforts, maps) arrays (``strategy_arrays``).
 
     Row v of table [e, g] is the law of a random base-g peer's report given the
     holder's own observation v under effort e.  A full-effort holder conditions
@@ -139,8 +137,7 @@ def peer_report_posteriors(env: Environment, bases: list) -> np.ndarray:
     k = len(env.q_space)
     prior = env.prior.as_array()
     channels = np.stack([env.high_channel.matrix(), env.low_channel.matrix()])  # Effort order
-    maps = np.array([b.report_map for b in bases], dtype=int)
-    peer_efforts = effort_indices(bases)
+    peer_efforts, maps = bases
     onehots = np.eye(k)[maps]  # (g, observation, report)
     peer_given_q = channels[peer_efforts] @ onehots  # (g, q, report)
     w = prior[None, :, None] * channels  # (e, q, own observation)

@@ -36,6 +36,7 @@ from peerspot.equilibrium import (
     NOT_FOUND,
     REFINE,
     PayoffTable,
+    _gain_at,
 )
 
 
@@ -47,6 +48,13 @@ def gather_unchecked(values: np.ndarray, efforts: np.ndarray, maps: np.ndarray) 
 def unchecked(table: PayoffTable) -> np.ndarray:
     """The table's dense unchecked matrix, [deviant, base]."""
     return gather_unchecked(table.unchecked_terms, table.efforts, table.maps)
+
+
+def dense_gains(table: PayoffTable, base_index: int, p: float, cost: float) -> np.ndarray:
+    """Deviation gains against one symmetric base at audit probability p, one entry per
+    deviant strategy: the base's dense ``gain_lines`` row."""
+    (g0,), (g1,) = table.gain_lines(cost, [base_index])
+    return _gain_at(p, g0, g1)
 
 
 def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):

@@ -39,7 +39,7 @@ def peer_report_posterior(env, observer_effort, base):
     high = env.high_channel.matrix()
     low = env.low_channel.matrix()
     onehot = np.zeros((k, k))
-    onehot[np.arange(k), base.map_array()] = 1.0
+    onehot[np.arange(k), np.array(base.report_map)] = 1.0
     peer_given_q = (high if base.is_full_effort else low) @ onehot  # (q, report)
 
     table = np.empty((k, k))
@@ -57,7 +57,7 @@ def report_law(env, strategy):
     """P(report | quality, low draw), shape (k, k, k)."""
     k = len(env.q_space)
     onehot = np.zeros((k, k))
-    onehot[np.arange(k), strategy.map_array()] = 1.0
+    onehot[np.arange(k), np.array(strategy.report_map)] = 1.0
     return np.einsum("qlo,or->qlr", observation_law(env, strategy.effort), onehot)
 
 
@@ -118,8 +118,8 @@ def value_robust_bts(env, base, deviant, rule):
     obs3 = triple_obs_law(env, deviant.effort, base.effort, base.effort)
     beliefs_base = peer_report_posterior(env, base.effort, base)
     score_dev = rule.score_table(peer_report_posterior(env, deviant.effort, base))
-    base_map = base.map_array()
-    dev_map = deviant.map_array()
+    base_map = np.array(base.report_map)
+    dev_map = np.array(deviant.report_map)
     total = 0.0
     for oi in range(k):
         ri = dev_map[oi]
@@ -140,8 +140,8 @@ def value_multi_valued_robust_bts(env, base, deviant, rule):
     pair = pair_obs_law(env, deviant.effort, base.effort)
     beliefs_base = peer_report_posterior(env, base.effort, base)
     score_dev = rule.score_table(peer_report_posterior(env, deviant.effort, base))
-    base_map = base.map_array()
-    dev_map = deviant.map_array()
+    base_map = np.array(base.report_map)
+    dev_map = np.array(deviant.report_map)
     total = 0.0
     for oi in range(k):
         ri = dev_map[oi]
@@ -162,8 +162,8 @@ def value_divergence_bts(env, base, deviant, rule, theta):
     beliefs_base = peer_report_posterior(env, base.effort, base)
     beliefs_dev = peer_report_posterior(env, deviant.effort, base)
     score_dev = rule.score_table(beliefs_dev)
-    base_map = base.map_array()
-    dev_map = deviant.map_array()
+    base_map = np.array(base.report_map)
+    dev_map = np.array(deviant.report_map)
     total = 0.0
     for oi in range(k):
         ri = dev_map[oi]
@@ -208,8 +208,8 @@ def value_minimum_truth_serum(
     obs_dev = observation_law(env, deviant.effort)
     beliefs_base = peer_report_posterior(env, base.effort, base)
     score_dev = rule.score_table(peer_report_posterior(env, deviant.effort, base))
-    base_map = base.map_array()
-    dev_map = deviant.map_array()
+    base_map = np.array(base.report_map)
+    dev_map = np.array(deviant.report_map)
     scale = 1.0 if aggregation == "mean" else float(n_peers)
     total = 0.0
     for counts, prob_q in _peer_multisets(env, base, n_peers, budget):

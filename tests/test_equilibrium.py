@@ -8,10 +8,12 @@ table's per-observation terms.  ``python tests/test_equilibrium.py`` runs the
 full comparison: the 32 sweep-k3 families, the bundled config, the acceptance
 environments, and four k=4 environments (``p_pareto`` against the
 point-by-point scan).  It prints the number of rows compared and of
-mismatches for each threshold, after the ms per row of ``solve_p_el`` and
-``solve_p_pareto`` at each k from 2 to 5.
+mismatches for each threshold, after the measured layers at each k from 2 to
+5: each kind's payoff-table build in ms with its tracemalloc peak, and the ms
+per row of ``solve_p_el`` and ``solve_p_pareto``.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -58,13 +60,14 @@ from peerspot import (
     threshold_float,
     truthful_strategy,
 )
+from peerspot import equilibrium, strategies
 from peerspot.acceptance import _random_acceptance_environments
 from peerspot.equilibrium import DEFAULT_TOL, NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
 from peerspot.harness import DEFAULT_EFFORT_COSTS, generate_environments, parse_config, run_experiment
 from peerspot.mechanisms import KINDS
 
 from conftest import random_environment, spec_id, specs_for
-from grid_solvers import scan_p_el, scan_p_pareto, unchecked
+from grid_solvers import dense_gains, scan_p_el, scan_p_pareto, unchecked
 from grid_solvers import solve_p_pareto as grid_p_pareto
 
 OA = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
@@ -83,22 +86,20 @@ def eighths_tables(draw):
     """A payoff table over every pure strategy at k=2 or k=3, every per-observation
     unchecked and audit term a multiple of 1/8."""
     k = draw(st.sampled_from([2, 3]))
-    strategies = enumerate_pure_strategies(k)
-    unchecked_terms = draw(arrays(np.int8, (len(strategies), 2, k, k), elements=st.integers(-4, 4)))
+    unchecked_terms = draw(arrays(np.int8, (2 * k**k, 2, k, k), elements=st.integers(-4, 4)))
     audit_terms = draw(arrays(np.int8, (2, k, k), elements=st.integers(-4, 4)))
-    return PayoffTable(strategies, unchecked_terms / 8, audit_terms / 8)
+    return PayoffTable(unchecked_terms / 8, audit_terms / 8)
 
 
 def _tie_at_three_tenths() -> PayoffTable:
     """Binary terms under which truthful effort gains exactly 0 against the coordination
     base (no-effort identity, index 4) at p = 0.3 and cost 1/8: its gain lines are
     -3/8 at p = 0 and 7/8 at p = 1, and every other deviant gains less."""
-    strategies = enumerate_pure_strategies(2)
     audit = np.array([[[0.25, -0.25], [-0.25, 0.25]], np.full((2, 2), -0.25)])
-    terms = np.zeros((len(strategies), 2, 2, 2))
+    terms = np.zeros((8, 2, 2, 2))
     terms[4] = [[[0.0, -0.5], [-0.5, 0.0]], [[0.125, -0.5], [-0.5, 0.125]]]
     terms[0] = [[[0.125, -0.5], [-0.5, 0.0]], [[0.375, -0.5], [-0.5, 0.0]]]
-    return PayoffTable(strategies, terms, audit)
+    return PayoffTable(terms, audit)
 
 
 TIE_AT_THREE_TENTHS = _tie_at_three_tenths()
@@ -109,12 +110,11 @@ def _zero_plateau() -> PayoffTable:
     and tol 0 exactly on p in [3/8, 5/7]: there its best no-effort deviant is itself, an
     exactly zero gain that the separable best response reads as about +1e-16 at both
     kinks, and full effort gains -p / 10 everywhere."""
-    strategies = enumerate_pure_strategies(2)
-    terms = np.zeros((len(strategies), 2, 2, 2))
+    terms = np.zeros((8, 2, 2, 2))
     terms[6, 1] = [[-0.5, 0.0], [0.0, 0.6]]
     audit = np.zeros((2, 2, 2))
     audit[1] = [[-0.1, -0.3], [0.4, -0.6]]
-    return PayoffTable(strategies, terms, audit)
+    return PayoffTable(terms, audit)
 
 
 ZERO_PLATEAU = _zero_plateau()
@@ -124,12 +124,11 @@ def _against_coordination(unchecked: list, audit: list) -> PayoffTable:
     """Binary terms that are zero except the full-effort deviant's against the coordination
     base (no-effort identity, index 4): ``unchecked[o][r]`` and ``audit[o][r]``.  That base
     earns 0, and so does every no-effort deviant against it."""
-    strategies = enumerate_pure_strategies(2)
-    terms = np.zeros((len(strategies), 2, 2, 2))
+    terms = np.zeros((8, 2, 2, 2))
     terms[4, 0] = unchecked
     audit_terms = np.zeros((2, 2, 2))
     audit_terms[0] = audit
-    return PayoffTable(strategies, terms, audit_terms)
+    return PayoffTable(terms, audit_terms)
 
 
 # Against the coordination base, the best full-effort deviant earns 2 max(p - 1/2, -1/4):
@@ -212,7 +211,7 @@ class TestDeviationGains:
     def test_full_audit_forces_truth(self, env):
         table = compute_payoff_table(PI, env)
         lazy = table.index_of(low_identity_strategy(2))
-        gains = table.gains(lazy, 1.0, env.effort_cost)
+        gains = dense_gains(table, lazy, 1.0, env.effort_cost)
         best = int(np.argmax(gains))
         assert table.strategies[best] == truthful_strategy(2)
         utility = table.utilities(1.0, env.effort_cost)[lazy] + gains[best]
@@ -232,7 +231,7 @@ class TestDeviationGains:
             deviant = p * table.spot + (1.0 - p) * z[:, b] - cost * table.full_effort
             expected = deviant - utilities[b]
             assert (1.0 - p) * g0[b] + p * g1[b] == pytest.approx(expected, abs=1e-12)
-            assert table.gains(b, p, cost) == pytest.approx(expected, abs=1e-12)
+            assert dense_gains(table, b, p, cost) == pytest.approx(expected, abs=1e-12)
 
 
 class TestEquilibriumCertification:
@@ -283,12 +282,26 @@ class TestSeparableCertification:
         assert np.array_equal((index >= lo) & (index <= hi), dense)
 
     def test_tables_cover_every_strategy(self):
-        strategies = enumerate_pure_strategies(2)
-        terms = np.zeros((len(strategies), 2, 2, 2))
-        with pytest.raises(ShapeMismatch):
-            PayoffTable(strategies[:-1], terms[:-1], np.zeros((2, 2, 2)))
-        with pytest.raises(ShapeMismatch):
-            PayoffTable(strategies[::-1], terms, np.zeros((2, 2, 2)))
+        terms = np.zeros((8, 2, 2, 2))
+        PayoffTable(terms, np.zeros((2, 2, 2)))
+        for unchecked_terms, audit_terms in (
+            (terms[:-1], np.zeros((2, 2, 2))),  # a strategy short
+            (terms[..., :1], np.zeros((2, 2, 2))),  # a report short
+            (terms, np.zeros((2, 2, 3))),
+            (terms, np.zeros((2, 2))),
+        ):
+            with pytest.raises(ShapeMismatch):
+                PayoffTable(unchecked_terms, audit_terms)
+
+    def test_tables_hold_the_terms_once(self, ternary_env):
+        # V is stored once, as given; the strategies are a view built when first read.
+        table = compute_payoff_table(OA, ternary_env)
+        assert [f.name for f in dataclasses.fields(PayoffTable) if f.init] == ["unchecked_terms", "audit_terms"]
+        assert [name for name, x in vars(table).items() if np.size(x) >= table.unchecked_terms.size] == [
+            "unchecked_terms"
+        ]
+        assert "strategies" not in vars(table)
+        assert table.strategies == enumerate_pure_strategies(3)
 
     def test_best_response_is_the_largest_dense_gain(self, ternary_env):
         table = compute_payoff_table(OA, ternary_env)
@@ -406,11 +419,10 @@ class TestEnumeration:
         assert enumerate_symmetric_pure_equilibria(table, p, cost) == expected
 
     def test_label_budget(self):
-        # A two-strategy stand-in table over six labels: the budget reads the labels, not S,
-        # so no table exists to search.
-        strategies = [truthful_strategy(6), low_identity_strategy(6)]
+        # Two strategies' terms over six labels: the budget reads the labels ahead of the
+        # shape, so no table exists to search.
         with pytest.raises(EnumerationBudgetExceeded):
-            PayoffTable(strategies, np.zeros((2, 2, 6, 6)), np.zeros((2, 6, 6)))
+            PayoffTable(np.zeros((2, 2, 6, 6)), np.zeros((2, 6, 6)))
 
 
 class TestDominantStrategyThreshold:
@@ -600,6 +612,17 @@ class TestFourLabels:
         assert [row.error for row in rows if row.error] == []
         assert all(isinstance(row.p_pareto, float) for row in rows)
 
+    def test_rows_build_no_strategy_list(self, monkeypatch):
+        # Tables and solvers read the strategy arrays; ``Strategy`` objects are for the public API.
+        def refuse(labels):
+            raise AssertionError("a Strategy list was built on the row path")
+
+        monkeypatch.setattr(strategies, "enumerate_pure_strategies", refuse)
+        monkeypatch.setattr(equilibrium, "enumerate_pure_strategies", refuse)
+        rows = run_experiment(parse_config(K4_SWEEP))
+        assert len(rows) == 8
+        assert [row.error for row in rows if row.error] == []
+
     def test_pareto_working_set(self):
         env = generate_environments(4, 1, seed=3, prefix="bench")[0]
         table = compute_payoff_table(OA, env)
@@ -671,6 +694,16 @@ class TestThresholdOrdering:
 
 
 class TestParetoBoundCondition:
+    @settings(max_examples=150)
+    @given(table=eighths_tables(), tol=st.sampled_from([0.0, 1e-9]))
+    @example(table=ZERO_PLATEAU, tol=0.0)
+    @example(table=COINCIDENT_KINKS, tol=0.0)
+    def test_flag_is_the_dense_rows(self, table, tol):
+        # The coordination base's equilibrium is decided by ``certify``, as the dense row decides it.
+        t, g = table.truthful, table.best_no_effort
+        dense = dense_gains(table, g, 0.0, 0.0).max() <= tol and table.own[g] + tol >= table.own[t]
+        assert check_pareto_bound_condition(table, tol) == dense
+
     def test_reference_examples(self, env):
         for kind in (MechanismKind.OUTPUT_AGREEMENT, MechanismKind.CORRELATED_AGREEMENT, MechanismKind.PEER_TRUTH_SERUM):
             assert check_pareto_bound_condition(compute_payoff_table(MechanismSpec(kind), env))
@@ -749,24 +782,38 @@ class TestReportAssembly:
         assert doc["p_pareto"] == pytest.approx(0.313)
 
 
-def solver_layer(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
-    """Print ms per row of ``solve_p_el`` and ``solve_p_pareto`` (best of ``repeats``) per k,
-    over every kind but the logarithmic rules at the default costs, on the seed-3
-    environment the benchmark's sweeps generate.  Each repeat solves fresh tables, so
-    ``p_pareto`` pays for each table's kink pieces once, as a sweep does."""
+def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
+    """Print, per k, each kind's payoff-table build in ms (best of ``repeats``) with the
+    tracemalloc peak of one build, then ms per row of ``solve_p_el`` and ``solve_p_pareto``
+    (best of ``repeats``), over every kind but the logarithmic rules at the default costs,
+    on the seed-3 environment the benchmark's sweeps generate.  Each repeat solves fresh
+    tables, so ``p_pareto`` pays for each table's kink pieces once, as a sweep does."""
     for k in labels:
         env = generate_environments(k, 1, seed=3, prefix="bench")[0]
         specs = [spec for spec in specs_for(env) if spec.rule is not LOGARITHMIC]
         rows = len(specs) * len(DEFAULT_EFFORT_COSTS)
+        builds = [math.inf] * len(specs)
         best = {solve_p_el: math.inf, solve_p_pareto: math.inf}
         for _ in range(repeats):
-            tables = [compute_payoff_table(spec, env) for spec in specs]
+            tables = []
+            for i, spec in enumerate(specs):
+                start = time.perf_counter()
+                tables.append(compute_payoff_table(spec, env))
+                builds[i] = min(builds[i], time.perf_counter() - start)
             for solver in best:
                 start = time.perf_counter()
                 for table in tables:
                     for cost in DEFAULT_EFFORT_COSTS:
                         solver(table, cost)
                 best[solver] = min(best[solver], time.perf_counter() - start)
+        for spec, seconds in zip(specs, builds):
+            tracemalloc.start()
+            try:
+                compute_payoff_table(spec, env)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print(f"table k={k} {spec_id(spec)}: {seconds * 1e3:.1f} ms, tracemalloc peak {peak / 2**20:.2f} MB")
         times = ", ".join(f"{solver.__name__} {seconds / rows * 1e3:.2f} ms/row" for solver, seconds in best.items())
         print(f"solvers k={k} ({rows} rows): {times}")
 
@@ -803,5 +850,5 @@ def full_gate() -> int:
 
 
 if __name__ == "__main__":
-    solver_layer()
+    layer_timings()
     sys.exit(full_gate())

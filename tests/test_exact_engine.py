@@ -8,14 +8,15 @@ The oracle comparison runs here on the reference environment and two k=3
 acceptance environments, on the (deviant, base) matrix gathered from the
 per-observation rewards.  ``python tests/test_exact_engine.py`` runs it on
 all 21 acceptance environments, and also compares the batched belief tables
-with the per-base ``peer_report_posterior`` there.  It first prints the
-payoff-table build time and tracemalloc peak for each (k, kind), k = 2..5,
-on the seeded environment of the benchmark's sweeps.
+with the per-base ``peer_report_posterior`` there.
+
+The table bytes of every kind on the seeded environment of the benchmark's
+sweeps are pinned at k = 2..5, so a change to how tables are built must keep
+every entry.
 """
 
+import hashlib
 import sys
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from peerspot.acceptance import _random_acceptance_environments
 from peerspot.equilibrium import compute_payoff_table
 from peerspot.harness import generate_environments
 from peerspot.mechanisms import unchecked_rewards
-from peerspot.strategies import effort_indices, peer_report_posteriors
+from peerspot.strategies import peer_report_posteriors, strategy_arrays
 
 from conftest import K3_SPECS, random_environment, spec_id, specs_for
 from grid_solvers import gather_unchecked
@@ -55,8 +56,8 @@ SENTINEL_RTOL = 1e-15
 
 def unchecked_block(spec: MechanismSpec, env: Environment, strategies: list) -> np.ndarray:
     """The (deviant, base) matrix over ``strategies``, gathered from the per-observation rewards."""
-    maps = np.array([s.report_map for s in strategies], dtype=int)
-    return gather_unchecked(unchecked_rewards(spec, env, strategies), effort_indices(strategies), maps)
+    arrays = strategy_arrays(strategies, len(env.q_space))
+    return gather_unchecked(unchecked_rewards(spec, env, arrays), *arrays)
 
 
 def table_or_error(build):
@@ -125,6 +126,88 @@ def test_single_cell_is_a_block_entry(spec):
                 assert cell == pytest.approx(expected, rel=TOL, abs=TOL)
 
 
+# SHA-256 (first 16 hex digits) of each table's ``unchecked_terms``, ``audit_terms``, ``own``
+# and ``spot`` bytes, or the package error its build raises, on the seed-3 environment of
+# the benchmark's sweeps at each k, for every kind and rule that applies there.
+TABLE_DIGESTS = {
+    2: {
+        "output_agreement": "4e024ee682d8c60a",
+        "peer_truth_serum": "3754a276324527d8",
+        "correlated_agreement": "aee6b43abb84faf0",
+        "sqrt_scaled_agreement": "ebdda1ead99e06f3",
+        "double_mixed_agreement": "c4a20aceb94f3143",
+        "robust_bts.quadratic": "5a6217cdbc277a05",
+        "robust_bts.log": "604d9c0ab428e0c2",
+        "multi_valued_robust_bts.quadratic": "856b809590d2576e",
+        "multi_valued_robust_bts.log": "08387e5c41ff490d",
+        "divergence_bts.quadratic": "853a97bd38fc1fb1",
+        "divergence_bts.log": "c74bd4916f9445dc",
+        "minimum_truth_serum.quadratic": "ab7d30e41ec302a7",
+        "minimum_truth_serum.log": "fa41b832a289708f",
+        "peer_insensitive": "e77e6912b9a1685e",
+    },
+    3: {
+        "output_agreement": "5dd802a65209dbd6",
+        "peer_truth_serum": "369143fce450fcce",
+        "correlated_agreement": "913fad17e807f813",
+        "sqrt_scaled_agreement": "63eee3ed0135bf87",
+        "double_mixed_agreement": "50d20365b7eb97d2",
+        "multi_valued_robust_bts.quadratic": "6e5afe300ac4063f",
+        "multi_valued_robust_bts.log": "cd836a2da30093b8",
+        "divergence_bts.quadratic": "0e1b294b39364821",
+        "divergence_bts.log": "5391df5b558fe7d0",
+        "minimum_truth_serum.quadratic": "07a687a8f297d7ec",
+        "minimum_truth_serum.log": "c01b8b998117c8d8",
+        "peer_insensitive": "54362e7f33a50732",
+    },
+    4: {
+        "output_agreement": "856ae9b6a0ffde6c",
+        "peer_truth_serum": "7f2e0930c3c782fb",
+        "correlated_agreement": "37019450f5da899e",
+        "sqrt_scaled_agreement": "745009fae20bf207",
+        "double_mixed_agreement": "32a1a2c84a6e0c67",
+        "multi_valued_robust_bts.quadratic": "17b8513051d7e77e",
+        "multi_valued_robust_bts.log": "c67fa213cef217ca",
+        "divergence_bts.quadratic": "e0a5c003d4d11a89",
+        "divergence_bts.log": "f70ec311b59504cf",
+        "minimum_truth_serum.quadratic": "5530e6358590aaf5",
+        "minimum_truth_serum.log": "ffcc62861b650ab1",
+        "peer_insensitive": "87624074fa7f2fe7",
+    },
+    5: {
+        "output_agreement": "7ed032bb1a9a19ee",
+        "peer_truth_serum": "fff06daeb4f9ddc0",
+        "correlated_agreement": "09ef48331da83d19",
+        "sqrt_scaled_agreement": "3a4096a556f1da8f",
+        "double_mixed_agreement": "fb07d061bba1b870",
+        "multi_valued_robust_bts.quadratic": "6d775430cc00dc4d",
+        "multi_valued_robust_bts.log": "56120caea1a2d269",
+        "divergence_bts.quadratic": "13ddf5206ef05d68",
+        "divergence_bts.log": "fbcfbc3b1a078918",
+        "minimum_truth_serum.quadratic": "5708708b52b17522",
+        "minimum_truth_serum.log": "132826bf0e51db6a",
+        "peer_insensitive": "39c6c212fdd99bc6",
+    },
+}
+
+
+def table_digest(spec: MechanismSpec, env: Environment) -> str:
+    try:
+        table = compute_payoff_table(spec, env)
+    except PeerSpotError as exc:
+        return type(exc).__name__
+    digest = hashlib.sha256()
+    for array in (table.unchecked_terms, table.audit_terms, table.own, table.spot):
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("labels", sorted(TABLE_DIGESTS))
+def test_table_bytes_are_pinned(labels):
+    env = generate_environments(labels, 1, seed=3, prefix="bench")[0]
+    assert {spec_id(spec): table_digest(spec, env) for spec in specs_for(env)} == TABLE_DIGESTS[labels]
+
+
 def relabel_environment(env: Environment, perm: tuple) -> Environment:
     """The same environment with label v renamed perm[v] in every law."""
     inv = np.argsort(perm)
@@ -173,37 +256,9 @@ def test_tables_permute_with_the_labels(seed, perm):
 def posterior_gap(env: Environment) -> float:
     """Largest difference between the batched belief tables and the per-base oracle."""
     strategies = enumerate_pure_strategies(env.q_space)
-    batched = peer_report_posteriors(env, strategies)
+    batched = peer_report_posteriors(env, strategy_arrays(strategies, len(env.q_space)))
     oracle = np.stack([[peer_report_posterior(env, e, base) for base in strategies] for e in Effort])
     return float(np.abs(batched - oracle).max())
-
-
-def table_build_layer(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
-    """Print the payoff-table build time (best of ``repeats``) and its tracemalloc peak
-    per (k, kind), on the seed-3 environment the benchmark's sweeps generate."""
-    for k in labels:
-        env = generate_environments(k, 1, seed=3, prefix="bench")[0]
-        for spec in specs_for(env):
-            if spec.rule is LOGARITHMIC:
-                continue
-            try:
-                seconds = min(_timed(lambda: compute_payoff_table(spec, env)) for _ in range(repeats))
-            except PeerSpotError as exc:
-                print(f"table k={k} {spec_id(spec)}: {type(exc).__name__}")
-                continue
-            tracemalloc.start()
-            try:
-                compute_payoff_table(spec, env)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            print(f"table k={k} {spec_id(spec)}: {seconds * 1e3:.1f} ms, tracemalloc peak {peak / 2**20:.2f} MB")
-
-
-def _timed(build) -> float:
-    start = time.perf_counter()
-    build()
-    return time.perf_counter() - start
 
 
 def full_gate() -> int:
@@ -228,5 +283,4 @@ def full_gate() -> int:
 
 
 if __name__ == "__main__":
-    table_build_layer()
     sys.exit(full_gate())

@@ -120,7 +120,7 @@ def realized_mean(spec, env, profile, draws, seed):
     high = _categorical(rng, np.broadcast_to(env.high_channel.matrix()[q][:, None, :], (draws, n, k)))
     strategies = [profile.focal_strategy()] + [profile.base] * (n - 1)
     obs = np.stack([high[:, a] if s.is_full_effort else s_low for a, s in enumerate(strategies)], axis=1)
-    reports = np.stack([s.map_array()[obs[:, a]] for a, s in enumerate(strategies)], axis=1)
+    reports = np.stack([np.array(s.report_map)[obs[:, a]] for a, s in enumerate(strategies)], axis=1)
     beliefs = np.stack(
         [peer_report_posterior(env, s.effort, profile.base)[obs[:, a]] for a, s in enumerate(strategies)],
         axis=1,

@@ -16,7 +16,7 @@ from peerspot import (
     truthful_strategy,
     validate_environment,
 )
-from peerspot.strategies import peer_report_posteriors
+from peerspot.strategies import peer_report_posteriors, strategy_arrays
 
 from conftest import random_environment
 
@@ -86,7 +86,8 @@ class TestValidation:
 
 def truthful_posterior(env):
     """Row v: law of a truthful full-effort peer's report given one's own high signal v."""
-    return peer_report_posteriors(env, [truthful_strategy(env.q_space)])[0, 0]
+    k = len(env.q_space)
+    return peer_report_posteriors(env, strategy_arrays([truthful_strategy(k)], k))[0, 0]
 
 
 class TestPosterior:

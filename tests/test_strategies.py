@@ -10,13 +10,21 @@ from peerspot import (
     Distribution,
     Effort,
     EnumerationBudgetExceeded,
+    MechanismKind,
+    MechanismSpec,
+    ShapeMismatch,
     Strategy,
     StrategyProfile,
+    analytic_unchecked_value,
+    compute_payoff_table,
     enumerate_pure_strategies,
+    expected_spot_reward,
+    is_symmetric_equilibrium,
     low_identity_strategy,
+    simulate_utilities,
     truthful_strategy,
 )
-from peerspot.strategies import peer_report_posteriors
+from peerspot.strategies import peer_report_posteriors, pure_strategy_arrays, strategy_arrays
 
 from conftest import random_environment
 from per_cell_oracle import peer_report_posterior
@@ -35,7 +43,8 @@ def realize_report(strategy: Strategy, env, realized_signals: tuple, profile: St
     s_high, s_low = realized_signals
     labels = env.q_space
     observed = labels.index(s_high if strategy.is_full_effort else s_low)
-    beliefs = peer_report_posteriors(env, [profile.base])[0 if strategy.is_full_effort else 1, 0]
+    bases = strategy_arrays([profile.base], len(labels))
+    beliefs = peer_report_posteriors(env, bases)[0 if strategy.is_full_effort else 1, 0]
     belief = Distribution.from_array(labels, beliefs[observed])
     return Report(labels.labels[strategy.report_map[observed]], belief)
 
@@ -87,6 +96,49 @@ class TestEnumeration:
             enumerate_pure_strategies(7)
 
 
+class TestReportMapsMatchTheLabels:
+    """A report map takes one label index per label, each below the label count; every
+    entry point that reads a ``Strategy`` refuses any other map with ``ShapeMismatch``."""
+
+    OA = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
+    # On a binary environment: a map over three labels, and one that reports a third label.
+    BAD_MAPS = [(0, 1, 0), (0, 2)]
+
+    def test_negative_indices_are_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            Strategy(Effort.FULL, (-1, 0))
+
+    @pytest.mark.parametrize("report_map", BAD_MAPS)
+    def test_analytic_unchecked_value(self, env, report_map):
+        bad = Strategy(Effort.FULL, report_map)
+        with pytest.raises(ShapeMismatch):
+            analytic_unchecked_value(self.OA, env, truthful_strategy(2), bad)
+        with pytest.raises(ShapeMismatch):
+            analytic_unchecked_value(self.OA, env, bad, truthful_strategy(2))
+
+    @pytest.mark.parametrize("report_map", BAD_MAPS)
+    def test_expected_spot_reward(self, env, report_map):
+        with pytest.raises(ShapeMismatch):
+            expected_spot_reward(env, Strategy(Effort.NONE, report_map))
+
+    @pytest.mark.parametrize("report_map", BAD_MAPS)
+    def test_simulate_utilities(self, env, report_map):
+        bad = Strategy(Effort.FULL, report_map)
+        for profile in (StrategyProfile.with_deviant(truthful_strategy(2), bad), StrategyProfile.symmetric(bad)):
+            with pytest.raises(ShapeMismatch):
+                simulate_utilities(self.OA, env, profile, trials=100, seed=1)
+
+    @pytest.mark.parametrize("report_map", BAD_MAPS)
+    def test_payoff_table_index_of(self, env, report_map):
+        table = compute_payoff_table(self.OA, env)
+        bad = Strategy(Effort.FULL, report_map)
+        with pytest.raises(ShapeMismatch):
+            table.index_of(bad)
+        with pytest.raises(ShapeMismatch):
+            is_symmetric_equilibrium(table, bad, 0.0, 0.0)
+        assert table.index_of(Strategy(Effort.NONE, (1, 0))) == 6
+
+
 class TestRealizeReport:
     def test_truthful_reference_report(self, env):
         profile = StrategyProfile.symmetric(truthful_strategy(env.q_space))
@@ -135,7 +187,7 @@ class TestInducedBeliefs:
         rng = np.random.default_rng(71)
         env = random_environment(rng, labels, correlated_low=True)
         strategies = enumerate_pure_strategies(labels)
-        tables = peer_report_posteriors(env, strategies)
+        tables = peer_report_posteriors(env, pure_strategy_arrays(labels))
         assert tables.shape == (2, len(strategies), labels, labels)
         for e, effort in enumerate(Effort):
             observer = Strategy(effort, tuple(range(labels)))
@@ -145,13 +197,13 @@ class TestInducedBeliefs:
     def test_matches_per_base_oracle_at_four_labels(self):
         env = random_environment(np.random.default_rng(72), 4, correlated_low=True)
         strategies = enumerate_pure_strategies(4)
-        tables = peer_report_posteriors(env, strategies)
+        tables = peer_report_posteriors(env, pure_strategy_arrays(4))
         for e, effort in enumerate(Effort):
             oracle = np.stack([peer_report_posterior(env, effort, base) for base in strategies])
             np.testing.assert_allclose(tables[e], oracle, rtol=0.0, atol=1e-12)
 
     def test_rows_are_distributions(self, ternary_env):
         bases = [truthful_strategy(3), low_identity_strategy(3)]
-        tables = peer_report_posteriors(ternary_env, bases)
+        tables = peer_report_posteriors(ternary_env, strategy_arrays(bases, 3))
         assert np.allclose(tables.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(tables >= 0)
