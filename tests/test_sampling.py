@@ -10,7 +10,7 @@
   within 4 sigma: at k=2 every deviant against the truthful and the
   low-identity base, at k=3 four cells; every kind and rule.
 * Estimates are pinned: ``pinned_estimates.json`` holds ``float.hex`` of the
-  value and stderr of every kind and rule at k=2 and k=3, and a change that
+  value and stderr of every kind and rule at k=2, 3 and 4, and a change that
   only makes the sampler faster must reproduce them exactly.
 
 ``python tests/test_sampling.py`` prints samples per second per kind at k=2
@@ -259,12 +259,13 @@ PINNED_TRIALS = CHUNK + 1_000  # two chunks, so the chunk boundary is pinned too
 
 
 def pinned_cases() -> list:
-    """(id, spec, env, profile, seed) for every kind and rule at k=2 and k=3, under the
+    """(id, spec, env, profile, seed) for every kind and rule at k=2, 3 and 4, under the
     truthful profile and with one low-identity deviant among truthful peers."""
     e1 = replace(load_config(example_config_path()).environments[0], n_agents=10, n_objects=100)
     k3 = generate_environments(labels=3, count=1, seed=1, n_agents=10, n_objects=100)[0]
+    k4 = replace(random_environment(np.random.default_rng(4), 4, correlated_low=True), n_agents=10, n_objects=100)
     cases = []
-    for env in (e1, k3):
+    for env in (e1, k3, k4):
         k = len(env.q_space)
         truthful = truthful_strategy(k)
         named = {
