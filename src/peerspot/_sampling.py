@@ -15,6 +15,22 @@ each strategy's report map, independently of the exact engine in
 ``_expectations``, so the samplers stay its oracle.  The numbers of objects,
 agents and holdout samples enter exactly; nothing is a many-object limit.
 
+A sample's reward depends on its draws only through a few discrete outcomes,
+so no reward is computed per sample.  Each chunk evaluator draws, reduces
+every sample to the index of its outcome, and reads the reward from a table
+that holds each outcome's reward once, computed by the elementwise
+expressions a sample would run, so the estimates keep their bits.  A kind
+with a fixed outcome set builds its table on first use: (focal observation,
+peer observation) for output agreement, the agreement term of correlated
+agreement and the multi-valued and divergence BTS kinds; (focal, peer,
+third observation) for robust BTS; (match, other peers reporting the chosen
+peer's label) for peer truth serum, 2(n-1) entries; (match, hit count) for
+sqrt-scaled agreement, 2(m+1) entries.  Minimum truth serum reads the full
+peer-count vector, so each chunk groups its distinct count rows
+(``_group_rows``) and scores every one once per focal observation.
+Double-mixed agreement and correlated agreement's cross term stay per
+sample: a table is no faster there, where multinomial draws dominate.
+
 Draws stream from a single seeded generator in fixed-size chunks, so an
 estimate is reproducible per seed: the same seed and trial count give the
 same bits.  A sampler reads its environment's laws once and builds the
@@ -112,6 +128,31 @@ def _latents(rng: np.random.Generator, laws: _Laws, size: int):
     q = _draw_prior(rng, laws, size)
     s_low = _draw_rows(rng, laws.low_cdf, q)
     return q, s_low
+
+
+def _outcomes(*sizes: int) -> tuple:
+    """Every combination of the outcomes ``0 .. size - 1`` per coordinate, one flat array per
+    coordinate in row-major order: with two coordinates, ``(a, b)`` sits at ``a * sizes[1] + b``."""
+    return tuple(np.indices(sizes).reshape(len(sizes), -1))
+
+
+def _group_rows(rows: np.ndarray) -> tuple:
+    """The distinct rows of a nonnegative integer array, and the position of each row among
+    them, as ``np.unique(rows, axis=0, return_inverse=True)`` gives them.
+
+    A lexicographic sort on the smallest integer type that holds the entries (a radix sort
+    up to 16 bits) is several times faster than ``np.unique``'s sort of whole rows, and no
+    row is packed into one integer, which could overflow.
+    """
+    keys = rows.astype(np.min_scalar_type(rows.max()))
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.empty(len(rows), dtype=bool)
+    first[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    position = np.empty(len(rows), dtype=np.intp)
+    position[order] = np.cumsum(first) - 1
+    return rows[order[first]], position
 
 
 def _report_law(laws: _Laws, strategy: Strategy, report_map: np.ndarray) -> np.ndarray:
@@ -219,19 +260,106 @@ class _Sampler:
             return rng.multinomial(peers, self.laws.high[q])
         return peers * np.eye(self.k, dtype=int)[s_low]
 
-    # -- per-kind chunk evaluators ----------------------------------------
+    # -- outcome tables ---------------------------------------------------
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The reward of every outcome of a kind whose outcomes form a fixed set, flat in the
+        row-major order of the coordinates its chunk evaluator indexes by."""
+        k = self.k
+        rewards, sizes = {
+            MechanismKind.OUTPUT_AGREEMENT: (self._output_agreement, (k, k)),
+            MechanismKind.CORRELATED_AGREEMENT: (self._output_agreement, (k, k)),  # its agreement term
+            MechanismKind.PEER_TRUTH_SERUM: (self._peer_truth_serum, (2, self.env.n_agents - 1)),
+            MechanismKind.SQRT_SCALED_AGREEMENT: (self._sqrt_scaled, (2, self.env.n_objects + 1)),
+            MechanismKind.ROBUST_BTS: (self._robust_bts, (k, k, k)),
+            MechanismKind.MULTI_VALUED_ROBUST_BTS: (self._mv_robust_bts, (k, k)),
+            MechanismKind.DIVERGENCE_BTS: (self._divergence_bts, (k, k)),
+        }[self.spec.kind]
+        return rewards(*_outcomes(*sizes))
+
+    # -- per-kind rewards, one entry per outcome ----------------------------
+
+    def _output_agreement(self, obs_i, obs_p):
+        return (self.focal_map[obs_i] == self.base_map[obs_p]).astype(float)
+
+    def _peer_truth_serum(self, match, same):
+        """``match``: the focal report equals the chosen peer's; ``same``: how many of the
+        other n - 2 agents report it too."""
+        spec = self.spec
+        freq = (1 + same + match) / self.env.n_agents
+        return spec.alpha + spec.beta * match / freq
+
+    def _sqrt_scaled(self, match, hit_counts):
+        """``hit_counts``: objects, the scored one included, on which two base reports both
+        equal the chosen peer's."""
+        f_hat = np.sqrt(hit_counts / self.env.n_objects)
+        live = (f_hat > 0.0) & (f_hat < 1.0)
+        rewards = np.zeros(len(match))
+        rewards[live] = match[live] * self.spec.scale / f_hat[live]
+        return rewards
+
+    def _robust_bts(self, obs_i, obs_j, obs_k):
+        r_i = self.focal_map[obs_i]
+        r_k = self.base_map[obs_k]
+        p_one = self.beliefs_base[obs_j, 1]
+        delta = np.minimum(p_one, 1.0 - p_one)
+        shadow_one = np.where(r_i == 1, p_one + delta, p_one - delta)
+        shadow = np.stack([1.0 - shadow_one, shadow_one], axis=1)
+        shadow_scores = self.spec.rule.score_table(shadow)
+        own = self.score_focal[obs_i, r_k]
+        return shadow_scores[np.arange(len(obs_i)), r_k] + own
+
+    def _mv_robust_bts(self, obs_i, obs_j):
+        r_i = self.focal_map[obs_i]
+        r_j = self.base_map[obs_j]
+        b_j = self.beliefs_base[obs_j, r_i]
+        match = np.zeros(len(obs_i))
+        hit = r_i == r_j
+        match[hit & (b_j > 0.0)] = 1.0 / b_j[hit & (b_j > 0.0)]
+        match[hit & (b_j <= 0.0)] = NEGATIVE_SENTINEL
+        return match + self.score_focal[obs_i, r_j]
+
+    def _divergence_bts(self, obs_i, obs_j):
+        r_i = self.focal_map[obs_i]
+        r_j = self.base_map[obs_j]
+        penalty = (r_i == r_j) & (self._divergence_table[obs_i, obs_j] > self.spec.theta)
+        return self.score_focal[obs_i, r_j] - penalty.astype(float)
+
+    def _minimum_truth_serum(self, obs_i, obs_counts):
+        n_peers = self.env.n_agents - 1
+        r_i = self.focal_map[obs_i]
+        freq = obs_counts @ np.eye(self.k)[self.base_map] / n_peers  # peer report frequencies
+        mean_own = (freq * self.score_focal[obs_i]).sum(axis=1)
+        delta = freq[:, 0] > 0  # every label reported at least once
+        for label in range(1, self.k):
+            delta &= freq[:, label] > 0
+        # Peers whose report equals r_i, counted per observation; their beliefs average to the proxy.
+        same = obs_counts * (self.base_map[None, :] == r_i[:, None])
+        same_total = same[:, 0].copy()
+        for observation in range(1, self.k):
+            same_total += same[:, observation]
+        proxy = same @ self.beliefs_base / np.maximum(same_total, 1)[:, None]
+        proxy_scores = self.spec.rule.score_table(proxy)
+        mean_proxy = (freq * proxy_scores).sum(axis=1)
+        rewards = np.where(delta, np.minimum(mean_own, mean_proxy), mean_own)
+        if self.spec.mts_aggregation == "sum":
+            rewards = rewards * n_peers
+        return rewards
+
+    # -- per-kind chunk evaluators: draws, then the outcome index ------------
 
     def chunk(self, rng: np.random.Generator, size: int) -> np.ndarray:
         kind = self.spec.kind
         fn = {
-            MechanismKind.OUTPUT_AGREEMENT: self._chunk_output_agreement,
+            MechanismKind.OUTPUT_AGREEMENT: self._chunk_pair,
             MechanismKind.PEER_TRUTH_SERUM: self._chunk_peer_truth_serum,
             MechanismKind.CORRELATED_AGREEMENT: self._chunk_correlated_agreement,
             MechanismKind.SQRT_SCALED_AGREEMENT: self._chunk_sqrt_scaled,
             MechanismKind.DOUBLE_MIXED_AGREEMENT: self._chunk_double_mixed,
             MechanismKind.ROBUST_BTS: self._chunk_robust_bts,
-            MechanismKind.MULTI_VALUED_ROBUST_BTS: self._chunk_mv_robust_bts,
-            MechanismKind.DIVERGENCE_BTS: self._chunk_divergence_bts,
+            MechanismKind.MULTI_VALUED_ROBUST_BTS: self._chunk_pair,
+            MechanismKind.DIVERGENCE_BTS: self._chunk_pair,
             MechanismKind.MINIMUM_TRUTH_SERUM: self._chunk_minimum_truth_serum,
             MechanismKind.PEER_INSENSITIVE: self._chunk_peer_insensitive,
         }[kind]
@@ -240,20 +368,19 @@ class _Sampler:
     def _chunk_peer_insensitive(self, rng, size):
         return np.full(size, self.spec.constant_reward)
 
-    def _chunk_output_agreement(self, rng, size):
-        _, _, obs_i, obs_p = self._pair_reports(rng, size)
-        return (self.focal_map[obs_i] == self.base_map[obs_p]).astype(float)
+    def _chunk_pair(self, rng, size):
+        """Kinds whose reward reads only the focal agent's and one peer's observation."""
+        _, _, obs_i, obs_j = self._pair_reports(rng, size)
+        return self._table[obs_i * self.k + obs_j]
 
     def _chunk_peer_truth_serum(self, rng, size):
-        env, spec = self.env, self.spec
-        n = env.n_agents
+        n = self.env.n_agents
         q, s_low, obs_i, obs_p = self._pair_reports(rng, size)
-        r_i = self.focal_map[obs_i]
         r_peer = self.base_map[obs_p]  # the uniformly chosen peer
         # Reports of the other n - 2 agents on the object, as label counts.
         rest = self._peer_observation_counts(rng, q, s_low, n - 2) @ self._base_onehot
-        freq = (1 + rest[np.arange(size), r_peer] + (r_i == r_peer)) / n
-        return spec.alpha + spec.beta * (r_i == r_peer) / freq
+        match = self.focal_map[obs_i] == r_peer
+        return self._table[match * (n - 1) + rest[np.arange(size), r_peer]]
 
     def _chunk_correlated_agreement(self, rng, size):
         env = self.env
@@ -265,10 +392,8 @@ class _Sampler:
         half = (m - 1) // 2
         other = m - 1 - half
         q0, s0 = _latents(rng, self.laws, size)
-        agree = (
-            self.focal_map[_observe(rng, self.laws, self.focal, q0, s0)]
-            == self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
-        ).astype(float)
+        obs_i = _observe(rng, self.laws, self.focal, q0, s0)
+        agree = self._table[obs_i * self.k + _observe(rng, self.laws, self.base, q0, s0)]
         # The focal agent's reports on ``half`` objects and a peer's on the other ones.
         own_counts = rng.multinomial(half, self.marginal_focal, size=size)
         peer_counts = rng.multinomial(other, self.marginal_base, size=size)
@@ -292,11 +417,7 @@ class _Sampler:
         # Each other object is a hit when two base reports on it both equal r_peer.
         pair_hit = np.diag(self.pair_base)[r_peer]
         hit_counts = ((rk1 == r_peer) & (rk2 == r_peer)) + rng.binomial(m - 1, pair_hit)
-        f_hat = np.sqrt(hit_counts / m)
-        live = (f_hat > 0.0) & (f_hat < 1.0)
-        rewards = np.zeros(size)
-        rewards[live] = (r_i[live] == r_peer[live]) * self.spec.scale / f_hat[live]
-        return rewards
+        return self._table[(r_i == r_peer) * (m + 1) + hit_counts]
 
     def _chunk_double_mixed(self, rng, size):
         env = self.env
@@ -331,58 +452,17 @@ class _Sampler:
         obs_i = _observe(rng, self.laws, self.focal, q, s_low)
         obs_j = _observe(rng, self.laws, self.base, q, s_low)
         obs_k = _observe(rng, self.laws, self.base, q, s_low)
-        r_i = self.focal_map[obs_i]
-        r_k = self.base_map[obs_k]
-        p_one = self.beliefs_base[obs_j, 1]
-        delta = np.minimum(p_one, 1.0 - p_one)
-        shadow_one = np.where(r_i == 1, p_one + delta, p_one - delta)
-        shadow = np.stack([1.0 - shadow_one, shadow_one], axis=1)
-        shadow_scores = self.spec.rule.score_table(shadow)
-        own = self.score_focal[obs_i, r_k]
-        return shadow_scores[np.arange(size), r_k] + own
-
-    def _chunk_mv_robust_bts(self, rng, size):
-        _, _, obs_i, obs_j = self._pair_reports(rng, size)
-        r_i = self.focal_map[obs_i]
-        r_j = self.base_map[obs_j]
-        b_j = self.beliefs_base[obs_j, r_i]
-        match = np.zeros(size)
-        hit = r_i == r_j
-        match[hit & (b_j > 0.0)] = 1.0 / b_j[hit & (b_j > 0.0)]
-        match[hit & (b_j <= 0.0)] = NEGATIVE_SENTINEL
-        return match + self.score_focal[obs_i, r_j]
-
-    def _chunk_divergence_bts(self, rng, size):
-        _, _, obs_i, obs_j = self._pair_reports(rng, size)
-        r_i = self.focal_map[obs_i]
-        r_j = self.base_map[obs_j]
-        penalty = (r_i == r_j) & (self._divergence_table[obs_i, obs_j] > self.spec.theta)
-        return self.score_focal[obs_i, r_j] - penalty.astype(float)
+        return self._table[(obs_i * self.k + obs_j) * self.k + obs_k]
 
     def _chunk_minimum_truth_serum(self, rng, size):
-        env = self.env
-        n_peers = env.n_agents - 1
         q, s_low = _latents(rng, self.laws, size)
         obs_i = _observe(rng, self.laws, self.focal, q, s_low)
-        r_i = self.focal_map[obs_i]
-        obs_counts = self._peer_observation_counts(rng, q, s_low, n_peers)  # (size, observation)
-        freq = obs_counts @ np.eye(self.k)[self.base_map] / n_peers  # peer report frequencies
-        mean_own = (freq * self.score_focal[obs_i]).sum(axis=1)
-        delta = freq[:, 0] > 0  # every label reported at least once
-        for label in range(1, self.k):
-            delta &= freq[:, label] > 0
-        # Peers whose report equals r_i, counted per observation; their beliefs average to the proxy.
-        same = obs_counts * (self.base_map[None, :] == r_i[:, None])
-        same_total = same[:, 0].copy()
-        for observation in range(1, self.k):
-            same_total += same[:, observation]
-        proxy = same @ self.beliefs_base / np.maximum(same_total, 1)[:, None]
-        proxy_scores = self.spec.rule.score_table(proxy)
-        mean_proxy = (freq * proxy_scores).sum(axis=1)
-        rewards = np.where(delta, np.minimum(mean_own, mean_proxy), mean_own)
-        if self.spec.mts_aggregation == "sum":
-            rewards = rewards * n_peers
-        return rewards
+        counts = self._peer_observation_counts(rng, q, s_low, self.env.n_agents - 1)
+        # The peer counts take few distinct values: score each once per focal observation.
+        distinct, row = _group_rows(counts)
+        obs_grid, row_grid = _outcomes(self.k, len(distinct))
+        table = self._minimum_truth_serum(obs_grid, distinct[row_grid])
+        return table[obs_i * len(distinct) + row]
 
 
 def _check_integer(name: str, value, minimum: int) -> None:

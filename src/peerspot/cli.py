@@ -103,7 +103,11 @@ def _cmd_report(args) -> int:
     if not path.exists():
         print(f"rows file not found: {path}", file=sys.stderr)
         return 1
-    rows = [ResultRow.from_json_dict(doc) for doc in json.loads(path.read_text())]
+    try:
+        rows = [ResultRow.from_json_dict(doc) for doc in json.loads(path.read_text())]
+    except (ValueError, TypeError) as exc:  # not JSON, or not a list of rows with every required field
+        print(f"invalid rows file {path}: {exc}", file=sys.stderr)
+        return 1
     try:
         out = emit_report(rows, args.format, args.out)
     except PeerSpotError as exc:

@@ -152,6 +152,17 @@ def _integer(field: str, value, minimum: int | None, requirement: str) -> int:
     return int(value)
 
 
+def _accuracy_range(where: str, value) -> tuple:
+    """A generator's accuracy range as two floats with 0 <= lo <= hi <= 1, or a ConfigError
+    that names ``where``; NaN and infinite bounds fail the comparison."""
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    if not pair or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value):
+        raise ConfigError(f"{where}: accuracy must be two numbers [lo, hi], got {value!r}")
+    if not 0.0 <= value[0] <= value[1] <= 1.0:
+        raise ConfigError(f"{where}: accuracy must satisfy 0 <= lo <= hi <= 1, got {list(value)!r}")
+    return float(value[0]), float(value[1])
+
+
 def _expand_environment_entry(entry, position: int) -> list:
     where = f"environments[{position}]"
     if not isinstance(entry, dict):
@@ -171,11 +182,12 @@ def _expand_environment_entry(entry, position: int) -> list:
         if sizes["labels"] > MAX_LABELS:
             raise ConfigError(f"{where}: labels must be at most {MAX_LABELS}, got {sizes['labels']}")
         seed = _integer(f"{where}: seed", gen.get("seed", 0), 0, "a nonnegative integer")
+        accuracy = _accuracy_range(where, gen.get("accuracy", (0.6, 0.95)))
         try:
             return generate_environments(
                 **sizes,
                 seed=seed,
-                accuracy=tuple(gen.get("accuracy", (0.6, 0.95))),
+                accuracy=accuracy,
                 effort_cost=float(gen.get("effort_cost", 0.1)),
                 prefix=str(gen.get("prefix", "gen")),
             )

@@ -2,7 +2,9 @@
 
 * The per-cell evaluators in ``per_cell_oracle`` rebuild every table cell
   with loops over observations; the batched tables must equal them to 1e-12.
-* Relabelling an environment's labels must permute every table to match.
+* Relabelling an environment's labels must permute every table to match: the
+  gathered (deviant, base) matrix at k=3, and the per-observation terms V and
+  A at k=4 and k=5.
 
 The oracle comparison runs here on the reference environment and two k=3
 acceptance environments, on the (deviant, base) matrix gathered from the
@@ -41,7 +43,8 @@ from peerspot.acceptance import _random_acceptance_environments
 from peerspot.equilibrium import compute_payoff_table
 from peerspot.harness import generate_environments
 from peerspot.mechanisms import unchecked_rewards
-from peerspot.strategies import peer_report_posteriors, strategy_arrays
+from peerspot.spotcheck import audit_rewards
+from peerspot.strategies import peer_report_posteriors, pure_strategy_arrays, strategy_arrays
 
 from conftest import K3_SPECS, random_environment, spec_id, specs_for
 from grid_solvers import gather_unchecked
@@ -251,6 +254,59 @@ def test_tables_permute_with_the_labels(seed, perm):
         np.testing.assert_allclose(
             moved[np.ix_(image, image)], table, rtol=TOL, atol=TOL, err_msg=spec_id(spec)
         )
+
+
+def relabelled_indices(k: int, perm: np.ndarray) -> np.ndarray:
+    """Canonical index of ``relabel_strategy``'s image of every pure strategy over k labels,
+    computed on the (efforts, maps) arrays: strategy g maps to image[g]."""
+    efforts, maps = pure_strategy_arrays(k)
+    per_effort = k**k
+    place = k ** np.arange(k - 1, -1, -1)  # a map's rank in lexicographic order is maps @ place
+    position_of_rank = np.empty(per_effort, dtype=int)
+    position_of_rank[maps[:per_effort] @ place] = np.arange(per_effort)
+    moved = perm[maps[:, np.argsort(perm)]]  # observe perm[v] where the strategy observed v
+    return efforts * per_effort + position_of_rank[moved @ place]
+
+
+def centred(terms: np.ndarray) -> tuple:
+    """Per-observation terms split into their part that depends on the report, centred over
+    the reports, and each (base, effort)'s sum over observations of the rest.  A reward paid
+    whatever the deviant reports sits at observation 0 by convention (peer truth serum's
+    alpha, double-mixed agreement's 1/2, the peer-insensitive payment), which no relabelling
+    moves; this split leaves it out of the terms and keeps every strategy's reward."""
+    level = terms.mean(axis=-1, keepdims=True)
+    return terms - level, level.sum(axis=(-2, -1))
+
+
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+@pytest.mark.parametrize("labels", [4, 5])
+def test_terms_permute_with_the_labels(labels, seed, data):
+    """Relabelling the environment by pi moves V[g, e, o, r] to V[pi.g, e, pi(o), pi(r)] (terms
+    centred as in ``centred``; the per-(g, e) totals to [pi.g, e]) and A[e, o, r] to
+    A[e, pi(o), pi(r)]: O(S k^2) per kind, with no S x S gather."""
+    perm = np.array(data.draw(st.permutations(range(labels))))
+    env = random_environment(np.random.default_rng(seed), labels, correlated_low=True)
+    relabelled = relabel_environment(env, tuple(perm))
+    image = relabelled_indices(labels, perm)
+    strategies = enumerate_pure_strategies(labels)
+    for g in np.random.default_rng(seed).choice(len(strategies), size=20, replace=False):
+        assert strategies[image[g]] == relabel_strategy(strategies[g], tuple(perm))
+    moved_audit = audit_rewards(relabelled)[:, perm][:, :, perm]
+    np.testing.assert_allclose(moved_audit, audit_rewards(env), rtol=TOL, atol=TOL)
+    bases = pure_strategy_arrays(labels)
+    for spec in K3_SPECS:
+        terms = table_or_error(lambda: centred(unchecked_rewards(spec, env, bases)))
+        moved = table_or_error(lambda: centred(unchecked_rewards(spec, relabelled, bases)))
+        if isinstance(terms, str) or isinstance(moved, str):
+            assert moved == terms, spec_id(spec)
+            continue
+        (moved_terms, moved_totals), (terms, totals) = moved, terms
+        # Log-score sentinels (-1e9) make some cells large; compare them relatively.
+        np.testing.assert_allclose(
+            moved_terms[image][:, :, perm][:, :, :, perm], terms, rtol=TOL, atol=TOL, err_msg=spec_id(spec)
+        )
+        np.testing.assert_allclose(moved_totals[image], totals, rtol=TOL, atol=TOL, err_msg=spec_id(spec))
 
 
 def posterior_gap(env: Environment) -> float:

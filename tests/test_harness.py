@@ -93,6 +93,12 @@ class TestConfig:
             ({"lables": 3}, "unknown key 'lables'"),
             ({"seed": 2.5}, "seed must be a nonnegative integer, got 2.5"),
             ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
+            ({"accuracy": [-1e308, 1e308]}, r"accuracy must satisfy 0 <= lo <= hi <= 1, got \[-1e\+308, 1e\+308\]$"),
+            ({"accuracy": [0.9, 0.6]}, r"accuracy must satisfy 0 <= lo <= hi <= 1, got \[0\.9, 0\.6\]$"),
+            ({"accuracy": [0.6, 1.5]}, r"accuracy must satisfy 0 <= lo <= hi <= 1"),
+            ({"accuracy": [0.6]}, r"accuracy must be two numbers \[lo, hi\], got \[0\.6\]$"),
+            ({"accuracy": "0.6"}, r"accuracy must be two numbers \[lo, hi\], got '0\.6'$"),
+            ({"accuracy": [0.6, True]}, r"accuracy must be two numbers \[lo, hi\]"),
         ],
     )
     def test_bad_generator_entries_name_the_entry(self, tmp_path, capsys, generator, message):
@@ -106,6 +112,14 @@ class TestConfig:
         assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.count("environments[1].generator: ") == 2
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_non_finite_generator_accuracy_is_a_config_error(self, bound):
+        """JSON files cannot carry these (load_config refuses them), but a dict passed to
+        parse_config can."""
+        doc = tiny_config_doc(environments=[{"generator": {"labels": 3, "accuracy": [0.6, bound]}}])
+        with pytest.raises(ConfigError, match=r"^environments\[0\]\.generator: accuracy must satisfy 0 <= lo <= hi <= 1"):
+            parse_config(doc)
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -386,6 +400,23 @@ class TestCli:
         rows = json.loads((tmp_path / "o" / "results.json").read_text())
         assert all(r["seed"] == 99 for r in rows)
         assert all(isinstance(r["effort_cost"], float) for r in rows)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"env_id": "e1", "mechanism": "output_agreement", "effort_cost": 0.1}',
+            '[{"env_id": "e1", "effort_cost": 0.1}]',
+            '[{"env_id": "e1", "mechanism": "output_agreement"}]',
+            "[3]",
+        ],
+        ids=["truncated", "no-mechanism", "no-effort-cost", "not-an-object"],
+    )
+    def test_report_rejects_a_bad_rows_file(self, tmp_path, capsys, text):
+        rows = tmp_path / "rows.json"
+        rows.write_text(text)
+        assert cli_main(["report", "--rows", str(rows), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"invalid rows file {rows}: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenerator:
