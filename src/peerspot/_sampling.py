@@ -15,21 +15,22 @@ each strategy's report map, independently of the exact engine in
 ``_expectations``, so the samplers stay its oracle.  The numbers of objects,
 agents and holdout samples enter exactly; nothing is a many-object limit.
 
-A sample's reward depends on its draws only through a few discrete outcomes,
-so no reward is computed per sample.  Each chunk evaluator draws, reduces
-every sample to the index of its outcome, and reads the reward from a table
-that holds each outcome's reward once, computed by the elementwise
-expressions a sample would run, so the estimates keep their bits.  A kind
-with a fixed outcome set builds its table on first use: (focal observation,
-peer observation) for output agreement, the agreement term of correlated
-agreement and the multi-valued and divergence BTS kinds; (focal, peer,
-third observation) for robust BTS; (match, other peers reporting the chosen
-peer's label) for peer truth serum, 2(n-1) entries; (match, hit count) for
-sqrt-scaled agreement, 2(m+1) entries.  Minimum truth serum reads the full
-peer-count vector, so each chunk groups its distinct count rows
-(``_group_rows``) and scores every one once per focal observation.
-Double-mixed agreement and correlated agreement's cross term stay per
-sample: a table is no faster there, where multinomial draws dominate.
+Most kinds' rewards depend on a sample's draws only through a few discrete
+observations, so those rewards are not computed per sample.  The chunk
+evaluator draws, reduces every sample to the index of its outcome, and reads
+the reward from a table that holds each outcome's reward once, computed by the
+elementwise expressions a sample would run, so the estimates keep their bits.
+The table is built on first use over (focal observation, peer observation)
+for output agreement, the agreement term of correlated agreement and the
+multi-valued and divergence BTS kinds, and over (focal, peer, third
+observation) for robust BTS: at most k^3 entries, whatever the numbers of
+agents and objects.  Minimum truth serum reads the full peer-count vector, so
+each chunk groups its distinct (focal observation, peer counts) rows
+(``_group_rows``) and scores each row once; it never scores more rows than
+it draws.  Peer truth serum and sqrt-scaled agreement read a count that
+ranges over the agents or the objects, and double-mixed agreement and
+correlated agreement's cross term are dominated by their multinomial draws,
+so these score each sample with the same reward methods and no table.
 
 Draws stream from a single seeded generator in fixed-size chunks, so an
 estimate is reproducible per seed: the same seed and trial count give the
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -270,15 +272,13 @@ class _Sampler:
         rewards, sizes = {
             MechanismKind.OUTPUT_AGREEMENT: (self._output_agreement, (k, k)),
             MechanismKind.CORRELATED_AGREEMENT: (self._output_agreement, (k, k)),  # its agreement term
-            MechanismKind.PEER_TRUTH_SERUM: (self._peer_truth_serum, (2, self.env.n_agents - 1)),
-            MechanismKind.SQRT_SCALED_AGREEMENT: (self._sqrt_scaled, (2, self.env.n_objects + 1)),
             MechanismKind.ROBUST_BTS: (self._robust_bts, (k, k, k)),
             MechanismKind.MULTI_VALUED_ROBUST_BTS: (self._mv_robust_bts, (k, k)),
             MechanismKind.DIVERGENCE_BTS: (self._divergence_bts, (k, k)),
         }[self.spec.kind]
         return rewards(*_outcomes(*sizes))
 
-    # -- per-kind rewards, one entry per outcome ----------------------------
+    # -- per-kind rewards, one entry per outcome or per sample ---------------
 
     def _output_agreement(self, obs_i, obs_p):
         return (self.focal_map[obs_i] == self.base_map[obs_p]).astype(float)
@@ -379,8 +379,7 @@ class _Sampler:
         r_peer = self.base_map[obs_p]  # the uniformly chosen peer
         # Reports of the other n - 2 agents on the object, as label counts.
         rest = self._peer_observation_counts(rng, q, s_low, n - 2) @ self._base_onehot
-        match = self.focal_map[obs_i] == r_peer
-        return self._table[match * (n - 1) + rest[np.arange(size), r_peer]]
+        return self._peer_truth_serum(self.focal_map[obs_i] == r_peer, rest[np.arange(size), r_peer])
 
     def _chunk_correlated_agreement(self, rng, size):
         env = self.env
@@ -417,7 +416,7 @@ class _Sampler:
         # Each other object is a hit when two base reports on it both equal r_peer.
         pair_hit = np.diag(self.pair_base)[r_peer]
         hit_counts = ((rk1 == r_peer) & (rk2 == r_peer)) + rng.binomial(m - 1, pair_hit)
-        return self._table[(r_i == r_peer) * (m + 1) + hit_counts]
+        return self._sqrt_scaled(r_i == r_peer, hit_counts)
 
     def _chunk_double_mixed(self, rng, size):
         env = self.env
@@ -458,11 +457,19 @@ class _Sampler:
         q, s_low = _latents(rng, self.laws, size)
         obs_i = _observe(rng, self.laws, self.focal, q, s_low)
         counts = self._peer_observation_counts(rng, q, s_low, self.env.n_agents - 1)
-        # The peer counts take few distinct values: score each once per focal observation.
-        distinct, row = _group_rows(counts)
-        obs_grid, row_grid = _outcomes(self.k, len(distinct))
-        table = self._minimum_truth_serum(obs_grid, distinct[row_grid])
-        return table[obs_i * len(distinct) + row]
+        if self._mts_rows >= size:  # the rows are mostly distinct: a sort would cost more than it saves
+            return self._minimum_truth_serum(obs_i, counts)
+        # Score each distinct (focal observation, peer counts) row once.
+        distinct, position = _group_rows(np.column_stack([obs_i, counts]))
+        return self._minimum_truth_serum(distinct[:, 0], distinct[:, 1:])[position]
+
+    @cached_property
+    def _mts_rows(self) -> int:
+        """How many distinct (focal observation, peer counts) rows minimum truth serum can draw:
+        the peer counts are a composition of n - 1 into k parts under effort, and all on the
+        shared draw without."""
+        k = self.k
+        return k * (comb(self.env.n_agents + k - 2, k - 1) if self.base.is_full_effort else k)
 
 
 def _check_integer(name: str, value, minimum: int) -> None:

@@ -23,6 +23,7 @@ truth serum, sqrt-scaled and double-mixed agreement) is within 4 sigma.
 import json
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -308,6 +309,29 @@ def test_numpy_integer_trials_and_seed_accepted():
     spec, profile = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT), profiles(2)["truthful"]
     est = simulate_utilities(spec, ENVS[2], profile, trials=np.int64(50), seed=np.uint32(7))
     assert est == simulate_utilities(spec, ENVS[2], profile, trials=50, seed=7)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_agents_and_objects_cost_nothing_per_agent_or_object(monkeypatch, spec):
+    """A billion agents and objects: every count over them is drawn from its law, and no
+    table or array grows with them.  Outcome grids beyond k^3 entries fail before they
+    are allocated."""
+    outcomes = _sampling._outcomes
+
+    def small_outcomes(*sizes):
+        assert np.prod(sizes) <= 2**3, sizes
+        return outcomes(*sizes)
+
+    monkeypatch.setattr(_sampling, "_outcomes", small_outcomes)
+    env = replace(ENVS[2], n_agents=10**9, n_objects=10**9)
+    tracemalloc.start()
+    try:
+        est = simulate_utilities(spec, env, profiles(2)["truthful"], trials=CHUNK + 1_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(est.value) and np.isfinite(est.stderr)
+    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 PINNED = Path(__file__).with_name("pinned_estimates.json")
