@@ -276,6 +276,19 @@ def test_column_prior_draw_matches_block_draw(k, seed, size):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("rule", ["quadratic", "log"])
+@pytest.mark.parametrize("name", ["truthful", "truthful-vs-low"])
+def test_minimum_truth_serum_grouped_rows_score_as_each_sample(monkeypatch, rule, name):
+    """Scoring each distinct (observation, peer counts) row once gives the bits of scoring
+    every sample, so which of the two the row count selects does not show in an estimate."""
+    spec = next(s for s in K3_SPECS if s.kind == MechanismKind.MINIMUM_TRUTH_SERUM and s.rule.name == rule)
+    estimates = []
+    for rows in (0, CHUNK + 1):  # group every chunk; score every sample
+        monkeypatch.setattr(_sampling._Sampler, "_mts_rows", rows)
+        estimates.append(simulate_utilities(spec, ENVS[3], profiles(3)[name], trials=CHUNK + 1_000, seed=5))
+    assert estimates[0] == estimates[1]
+
+
 @given(st.integers(1, 5), st.integers(1, 300), st.sampled_from((1, 9, 300, 70_000, 10**15)), st.data())
 def test_row_grouping_matches_numpy_unique(k, size, largest, data):
     """Peer-count rows from a small pool, so rows repeat; entries up to 10**15, past any
