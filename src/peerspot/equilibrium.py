@@ -10,20 +10,18 @@ expectation, so an equilibrium is certified when no deviation gains more than
 an absolute tolerance.
 
 ``PayoffTable.gain_lines`` is the one definition of a deviation gain: a dense
-row of lines in p over every deviant.  Certification reads the separable best
-response instead, the best report per observation and the best effort, in
-O(k^2) per base, and falls back to the base's dense row when that response is
-within a stated rounding slack of the tolerance; so every decision equals the
-dense row's.  Combined utilities p * E[y] + (1 - p) * E[z] - cost are affine in
-the spot-check probability and each effort's best gain is convex and piecewise
-linear, so each base is an equilibrium on one interval of p.  That gain is
-built once per base from its kinks, merged over observations, and a running
-sum of slope times step (``PayoffTable.kinked_gains``); the interval's ends are
-read between its kinks and confirmed at grid points on the same gain, with
-``certify`` deciding only the points within the rounding slack of the
-tolerance.  ``p_pareto`` is solved from those intervals and reported at the
-grid point a dense scan would find; ``p_el`` still scans one dense row over the
-grid for its bracket before bisecting.
+row of lines in p over every deviant.  Combined utilities p * E[y] + (1 - p) *
+E[z] - cost are affine in the spot-check probability and a deviant picks its
+report per observation, so each effort's best gain is convex and piecewise
+linear in p.  That gain is built once per base from its kinks, merged over
+observations, and a running sum of slope times step
+(``PayoffTable.kinked_gains``), and every certification reads it: at given
+points (``PayoffTable.certify``) and at the probes that confirm each base's
+interval of certified p.  A gain within a stated rounding slack of the
+tolerance is decided by the base's dense row instead, so every decision equals
+the dense row's.  ``p_pareto`` is solved from those intervals and reported at
+the grid point a dense scan would find; ``p_el`` still scans one dense row over
+the grid for its bracket before bisecting.
 
 Thresholds solved here:
 
@@ -43,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import PeerSpotError, ShapeMismatch
 from ._expectations import strategy_rewards
 from .mechanisms import MechanismSpec, unchecked_rewards
 from .signals import Environment
@@ -54,16 +52,15 @@ DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
 REFINE = 1e-6  # width of the bracket at which the p_el bisection stops
 PARETO_BLOCK = 64  # bases per block compared point by point in the Pareto threshold search
-# Relative bound on the rounding gap between a separable best response and the largest
-# entry of the dense gain row it stands for.  Together they round at most 2k + 12 times,
-# each time by at most 2**-53 of a term no larger than ``PayoffTable.magnitude`` plus the
-# cost, so they differ by under 3e-15 of that at k <= 6; the slack allows 300 times that.
-# ``kinked_gains`` reads the same best response as its value at 0 plus summed slope times
-# step over K = k (k - 1) kinks.  Against ``_effort_values`` that rounds at most
-# 6K + 3k + 13 more times, each by at most 2**-53 of twice such a term (no partial sum of
+# Relative bound on the rounding gap between an effort's best deviation gain read from
+# ``PayoffTable.kinked_gains`` at p and the largest matching entry of the dense gain row.
+# The row rounds at most 2k + 12 times, each time by at most 2**-53 of a term no larger
+# than ``PayoffTable.magnitude`` plus the cost.  The kinked gain is its value at 0 plus
+# summed slope times step over K = k (k - 1) kinks, then one piece's line to p: at most
+# 6K + 3k + 20 roundings, each by at most 2**-53 of twice such a term (no partial sum of
 # values or slopes exceeds twice ``magnitude``), and its rounded kinks move it by at most
-# 6 * 2**-53 of one; so it is within 6e-14 of the dense row at k <= 6 (1.3e-16 measured
-# at k <= 5), and the slack allows over 15 times that.
+# 6 * 2**-53 of one.  So the two differ by under 6e-14 of that at k <= 6 (1.3e-16
+# measured at k <= 5), and the slack allows over 15 times that.
 VERIFY_SLACK = 1e-12
 FULL_EFFORT_PAYS = np.array([[1.0], [0.0]])  # effort cost factor per ``Effort``, as a column
 
@@ -189,35 +186,6 @@ class PayoffTable:
         g1 = (spot[None, :] - spot[bases][:, None]) - effort
         return g0, g1
 
-    def _report_major(self, bases) -> tuple:
-        """V and A - V against the bases ``bases``, laid out [report, effort, observation,
-        base]: the lines in p of each report's term, for a walk over reports."""
-        level = np.ascontiguousarray(np.moveaxis(self.unchecked_terms[bases], (0, 3), (3, 0)))
-        return level, np.moveaxis(self.audit_terms, 2, 0)[..., None] - level
-
-    def _effort_values(self, p, bases) -> np.ndarray:
-        """What the best deviant with each effort earns against each base in ``bases`` at
-        audit probability ``p`` (one value, or one per base), before effort costs: shape
-        (2, len(bases)).
-
-        A deviant picks its report per observation, so the best one with effort e earns
-        ``sum_o max_r (V + p (A - V))``: O(k^2) per base instead of a gain row's O(S).
-        """
-        level, rise = self._report_major(bases)
-        terms = level + p * rise  # [report, effort, observation, base]
-        best = terms[0]
-        for r in range(1, len(terms)):
-            best = np.maximum(best, terms[r])
-        return best.sum(axis=1)
-
-    def best_responses(self, p, cost: float, bases) -> np.ndarray:
-        """The largest deviation gain against each base in ``bases`` at audit probability
-        ``p`` (one value, or one per base), from the best deviant with each effort.  This
-        rounds otherwise than ``gain_lines``; ``certify`` bounds the difference."""
-        bases, p = np.asarray(bases), np.asarray(p, dtype=float)
-        values = self._effort_values(p, bases) - cost * FULL_EFFORT_PAYS
-        return values.max(axis=0) - self.utilities(p, cost, bases)
-
     def kinked_gains(self, bases) -> tuple:
         """Each effort's best deviation gain against each base in ``bases``, without effort
         costs, as a piecewise-linear function of p: (kinks, gains, slopes), each of shape
@@ -239,7 +207,9 @@ class PayoffTable:
         kinks, gains, slopes, filled, width = self._kinked
         if not filled[bases].all():
             new = np.unique(bases[~filled[bases]])
-            bends, start, slope, turns = _report_kinks(*self._report_major(new))
+            # V and A - V laid out [report, effort, observation, base]: each report's line in p.
+            level = np.ascontiguousarray(np.moveaxis(self.unchecked_terms[new], (0, 3), (3, 0)))
+            bends, start, slope, turns = _report_kinks(level, np.moveaxis(self.audit_terms, 2, 0)[..., None] - level)
             # Every observation's kinks per (effort, base) in order, each with its slope change.
             bends, turns = (np.moveaxis(x, 1, 0).reshape(2, -1, new.size) for x in (bends, turns))
             order = bends.argsort(axis=1)
@@ -259,19 +229,31 @@ class PayoffTable:
 
     def certify(self, p, cost: float, tol: float, bases) -> tuple:
         """(largest deviation gain, certified) against each base in ``bases`` at audit
-        probability ``p`` (one value, or one per base).
-
-        ``best_responses`` decides every base whose gain is further than the rounding
-        slack ``VERIFY_SLACK * (magnitude + cost)`` from ``tol``; the few others are
-        decided, and their gain given, by their dense ``gain_lines`` row.  So the
-        decision is the dense row's ``max <= tol`` at every p.
-        """
+        probability ``p`` (one value in [0, 1], or one per base), decided by ``_decide``
+        from the bases' ``kinked_gains``."""
+        p = np.asarray(p, dtype=float)
+        outside = p[~((p >= 0.0) & (p <= 1.0))]  # NaN fails both
+        if outside.size:
+            raise PeerSpotError(f"audit probability p must lie in [0, 1], got {float(outside.flat[0])!r}")
         bases = np.asarray(bases)
-        gain = self.best_responses(p, cost, bases)
-        unsure = np.flatnonzero(np.abs(gain - tol) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
-        if unsure.size:
-            at = np.broadcast_to(np.asarray(p, dtype=float), bases.shape)[unsure][:, None]
-            gain[unsure] = _gain_at(at, *self.gain_lines(cost, bases[unsure])).max(axis=1)
+        return self._decide(np.broadcast_to(p, bases.shape), cost, tol, bases, self.kinked_gains(bases))
+
+    def _decide(self, p, cost: float, tol: float, bases, pieces) -> tuple:
+        """(largest deviation gain, certified) against each base in ``bases`` at audit
+        probabilities ``p`` in [0, 1], of the shape of ``bases`` after any leading probe
+        axes; ``pieces`` are ``kinked_gains(bases)``.
+
+        Each effort's gain is convex, so at p it is the largest of its pieces' lines.  A
+        gain within the rounding slack ``VERIFY_SLACK * (magnitude + cost)`` of ``tol`` is
+        replaced by the largest entry of its dense ``gain_lines`` row, so the decision is
+        the dense row's ``max <= tol`` at every p.
+        """
+        kinks, gains, slopes = pieces
+        costs = cost * (FULL_EFFORT_PAYS - self.full_effort[bases])[:, None]
+        gain = (gains + slopes * (p[..., None, None, :] - kinks) - costs).max(axis=(-3, -2))
+        unsure = np.nonzero(np.abs(gain - tol) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
+        if unsure[0].size:
+            gain[unsure] = _gain_at(p[unsure][:, None], *self.gain_lines(cost, bases[unsure[-1]])).max(axis=1)
         return gain, gain <= tol
 
 
@@ -558,17 +540,16 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     (``PayoffTable.kinked_gains``), so it stays within its effort's tol on one
     interval, found between the kinks where it crosses; the base is certified
     where both intervals meet.  A kink counts as within tol up to the rounding
-    slack of ``PayoffTable.certify``, so a zero plateau read a few ulps high
+    slack of ``PayoffTable._decide``, so a zero plateau read a few ulps high
     still gives its interval.  The ends are rounded onto the grid and confirmed
-    at each end and one point outside it, read from the same piecewise-linear
-    gains: a probe within that slack of tol is decided by ``PayoffTable.certify``
-    instead, so every decision is the dense row's.  The few bases where rounding
+    by ``_decide`` at each end and one point outside it, from the same pieces,
+    so every decision is the dense row's.  The few bases where rounding
     misplaced an end are settled by probing single grid points the same way
     (``_settle_interval``).
     """
     cols = np.asarray(cols)
     n = len(points) - 1
-    kinks, gains, slopes = table.kinked_gains(cols)
+    pieces = kinks, gains, slopes = table.kinked_gains(cols)
     excess = gains - (tol + cost * (FULL_EFFORT_PAYS - table.full_effort[cols]))[:, None]  # <= 0 within tol
     slack = VERIFY_SLACK * (table.magnitude[cols] + cost)
     within = excess <= slack
@@ -591,14 +572,7 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     hi = np.where(none, lo - 1, np.floor(right * n).astype(int))
 
     def certified(index, of):  # at grid points ``index``, one row per probe, for the bases ``cols[of]``
-        p = points[index]
-        # Each effort's gain is convex, so at p it is the largest of its pieces' lines.
-        gain = (excess[:, :, None, of] + slopes[:, :, None, of] * (p - kinks[:, :, None, of])).max(axis=(0, 1))
-        decided = gain <= 0.0
-        unsure = np.nonzero(np.abs(gain) <= slack[of])
-        if unsure[0].size:
-            decided[unsure] = table.certify(p[unsure], cost, tol, cols[of][unsure[1]])[1]
-        return decided
+        return table._decide(points[index], cost, tol, cols[of], tuple(x[..., of] for x in pieces))[1]
 
     probes = np.array((lo - 1, lo, hi, hi + 1))
     expected = (lo <= probes) & (probes <= hi)

@@ -193,10 +193,11 @@ def _expand_environment_entry(entry, position: int) -> list:
             )
         except (TypeError, ValueError, PeerSpotError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
+    for key in ("n_agents", "n_objects"):  # a literal entry's sizes follow the generator's rule
+        if key in entry:
+            _integer(f"{where}: {key}", entry[key], 1, "a positive integer")
     try:
         env = Environment.from_json_dict(entry)
-    except KeyError as exc:
-        raise ConfigError(f"{where} missing field {exc}") from None
     except PeerSpotError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     if len(env.q_space) > MAX_LABELS:
@@ -209,23 +210,32 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("environments: at least one entry required")
     if "mechanisms" not in doc or not doc["mechanisms"]:
         raise ConfigError("mechanisms: at least one entry required")
-    environments = []
+    environments, env_at = [], {}
     for i, entry in enumerate(doc["environments"]):
-        environments.extend(_expand_environment_entry(entry, i))
-    mechanisms = []
+        for env in _expand_environment_entry(entry, i):
+            _unique("environments", "env_id", env.env_id, i, env_at)
+            environments.append(env)
+    mechanisms, spec_at = [], {}
     for i, entry in enumerate(doc["mechanisms"]):
         try:
-            mechanisms.append(MechanismSpec.from_json_dict(entry))
+            spec = MechanismSpec.from_json_dict(entry)
         except (KeyError, TypeError, ValueError, PeerSpotError) as exc:
             raise ConfigError(f"mechanisms[{i}]: {exc}") from None
+        _unique("mechanisms", "mechanism", spec.describe(), i, spec_at)
+        mechanisms.append(spec)
     sweeps = doc.get("sweeps", {})
+    if not isinstance(sweeps, dict):
+        raise ConfigError(f"sweeps: must be an object, got {sweeps!r}")
     costs = tuple(
         _number("sweeps.effort_cost", c, lambda x: 0.0 <= x < math.inf, "finite and nonnegative")
-        for c in sweeps.get("effort_cost", DEFAULT_EFFORT_COSTS)
+        for c in _sweep_list("sweeps.effort_cost", sweeps.get("effort_cost", DEFAULT_EFFORT_COSTS))
     )
     if not costs:
         raise ConfigError("sweeps.effort_cost: at least one value required")
-    p_values = tuple(_number("sweeps.p", p, lambda x: 0.0 <= x <= 1.0, "in [0, 1]") for p in sweeps.get("p", ()))
+    p_values = tuple(
+        _number("sweeps.p", p, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+        for p in _sweep_list("sweeps.p", sweeps.get("p", ()))
+    )
     return ExperimentConfig(
         environments=environments,
         mechanisms=mechanisms,
@@ -235,6 +245,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
         grid=check_grid(doc.get("grid", 1e-3)),
         output_dir=str(doc.get("output_dir", "results")),
     )
+
+
+def _unique(section: str, name: str, key: str, position: int, seen: dict) -> None:
+    """Record that entry ``position`` of ``section`` gives rows the ``name`` ``key``, or raise
+    a ConfigError naming both entries when an earlier one already does: rows and plot
+    series are keyed by (env_id, mechanism, effort_cost)."""
+    if key in seen:
+        raise ConfigError(f"{section}[{position}]: {name} {key!r} repeats {section}[{seen[key]}]")
+    seen[key] = position
+
+
+def _sweep_list(name: str, values) -> list:
+    """A sweep's values, which must be a JSON list, or a ConfigError naming the field."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name}: must be a list of numbers, got {values!r}")
+    return values
 
 
 def _number(name: str, value, valid, requirement: str) -> float:

@@ -12,6 +12,7 @@ evaluators' independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable
@@ -41,7 +42,7 @@ class MechanismKind(str, Enum):
 @dataclass(frozen=True)
 class KindEntry:
     evaluator: Callable  # (spec, env, (efforts, maps)) -> (G, 2, k, k) per-observation rewards
-    params: tuple = ()  # (JSON key, MechanismSpec attribute) pairs; numeric ones must be > 0
+    params: tuple = ()  # (JSON key, MechanismSpec attribute) pairs; numeric ones finite and > 0
     scored: bool = False  # scores belief reports with the spec's ``rule``
     binary_only: bool = False
 
@@ -73,11 +74,17 @@ def _encode(value):
 
 
 def _decode(attr: str, value):
-    """A JSON value as the type of the attribute's default: a rule, a float or a string."""
+    """A JSON value as the type of the attribute's default: a rule, a number as a float, or
+    the value itself, which ``MechanismSpec`` refuses if it is not of that type."""
     default = _DEFAULTS[attr]
     if isinstance(default, ScoringRule):
         return rule_from_name(value)
-    return float(value) if isinstance(default, float) else value
+    return float(value) if isinstance(default, float) and _is_real(value) else value
+
+
+def _is_real(value) -> bool:
+    """An int or float; bools and numeric strings are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -101,8 +108,8 @@ class MechanismSpec:
             if attr not in taken:
                 if value != default:
                     raise ShapeMismatch(f"{self.kind.value} does not take {key}={_encode(value)}")
-            elif isinstance(default, float) and not value > 0:
-                raise ShapeMismatch(f"{self.kind.value} requires {key} > 0, got {value}")
+            elif isinstance(default, float) and not (_is_real(value) and 0 < value < math.inf):
+                raise ShapeMismatch(f"{self.kind.value} requires {key} to be a finite number > 0, got {value!r}")
         if self.mts_aggregation not in ("mean", "sum"):
             raise ShapeMismatch(f"mts_aggregation must be 'mean' or 'sum', got {self.mts_aggregation!r}")
 

@@ -164,30 +164,33 @@ class Environment:
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "Environment":
-        try:
-            space = LabelSpace.of(doc["labels"])
-            prior = Distribution.from_array(space, doc["prior"])
-            high = Channel.from_matrix(space, space, doc["high"])
-        except KeyError as exc:
-            raise ShapeMismatch(f"environment document missing field {exc}") from None
-        trusted = (
-            Channel.from_matrix(space, space, doc["trusted"]) if "trusted" in doc else high
-        )
-        low = (
-            Channel.from_matrix(space, space, doc["low"])
-            if "low" in doc
-            else Channel.uniform(space)
-        )
+        """The environment a JSON object describes; a missing field, or one that does not
+        parse, is a ShapeMismatch that names it."""
+
+        def read(key, parse, default=None):
+            if key not in doc:
+                if default is None:
+                    raise ShapeMismatch(f"environment document missing field {key!r}")
+                return default
+            try:
+                return parse(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise ShapeMismatch(f"{key}: {exc}") from None
+
+        space = read("labels", LabelSpace.of)
+        prior = read("prior", lambda probs: Distribution.from_array(space, probs))
+        channel = lambda mat: Channel.from_matrix(space, space, mat)
+        high = read("high", channel)
         env = Environment(
             q_space=space,
             prior=prior,
             high_channel=high,
-            trusted_channel=trusted,
-            low_channel=low,
-            effort_cost=float(doc.get("effort_cost", 0.0)),
-            n_agents=int(doc.get("n_agents", 3)),
-            n_objects=int(doc.get("n_objects", 2)),
-            env_id=str(doc.get("env_id", "env")),
+            trusted_channel=read("trusted", channel, high),
+            low_channel=read("low", channel, Channel.uniform(space)),
+            effort_cost=read("effort_cost", float, 0.0),
+            n_agents=read("n_agents", int, 3),
+            n_objects=read("n_objects", int, 2),
+            env_id=read("env_id", str, "env"),
         )
         env.validate()
         return env

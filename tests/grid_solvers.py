@@ -22,6 +22,10 @@ deviation gain against the coordination base as the deviant's combined
 utility minus the base's, where ``peerspot.equilibrium.solve_p_el`` reads the
 lines of ``PayoffTable.gain_lines``.  The two round exact ties differently at
 tol = 0, so compare them at a positive tol.
+
+``best_effort_values`` is the package's former separable best response: the
+best deviant per effort at given points, read without kinks, against which the
+pieces of ``PayoffTable.kinked_gains`` are checked.
 """
 
 from __future__ import annotations
@@ -55,6 +59,16 @@ def dense_gains(table: PayoffTable, base_index: int, p: float, cost: float) -> n
     deviant strategy: the base's dense ``gain_lines`` row."""
     (g0,), (g1,) = table.gain_lines(cost, [base_index])
     return _gain_at(p, g0, g1)
+
+
+def best_effort_values(table: PayoffTable, p, bases) -> np.ndarray:
+    """What the best deviant with each effort earns against each base in ``bases`` at audit
+    probability ``p`` (one value, or one per base), before effort costs: shape
+    (2, len(bases)).  A deviant picks its report per observation, so the best one with
+    effort e earns ``sum_o max_r (V + p (A - V))``, read at p without kinks."""
+    level = table.unchecked_terms[np.asarray(bases)]  # [base, effort, observation, report]
+    at = np.reshape(np.asarray(p, dtype=float), (-1, 1, 1, 1))
+    return (level + at * (table.audit_terms - level)).max(axis=-1).sum(axis=-1).T
 
 
 def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):

@@ -9,8 +9,9 @@ full comparison: the 32 sweep-k3 families, the bundled config, the acceptance
 environments, and four k=4 environments (``p_pareto`` against the
 point-by-point scan).  It prints the number of rows compared and of
 mismatches for each threshold, after the measured layers at each k from 2 to
-5: each kind's payoff-table build in ms with its tracemalloc peak, and the ms
-per row of ``solve_p_el`` and ``solve_p_pareto``.
+5: each kind's payoff-table build in ms with its tracemalloc peak, the ms per
+row of ``solve_p_el`` and ``solve_p_pareto``, and the dense ``gain_lines``
+rows a row's thresholds build outside ``solve_p_el``.
 """
 
 import dataclasses
@@ -38,6 +39,7 @@ from peerspot import (
     NOT_ACHIEVABLE,
     NotAttained,
     PayoffTable,
+    PeerSpotError,
     ShapeMismatch,
     Strategy,
     check_pareto_bound_condition,
@@ -67,7 +69,7 @@ from peerspot.harness import DEFAULT_EFFORT_COSTS, generate_environments, parse_
 from peerspot.mechanisms import KINDS
 
 from conftest import random_environment, spec_id, specs_for
-from grid_solvers import dense_gains, scan_p_el, scan_p_pareto, unchecked
+from grid_solvers import best_effort_values, dense_gains, scan_p_el, scan_p_pareto, unchecked
 from grid_solvers import solve_p_pareto as grid_p_pareto
 
 OA = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
@@ -108,8 +110,8 @@ TIE_AT_THREE_TENTHS = _tie_at_three_tenths()
 def _zero_plateau() -> PayoffTable:
     """Binary terms under which the no-effort map (1, 0) (index 6) is certified at cost 0
     and tol 0 exactly on p in [3/8, 5/7]: there its best no-effort deviant is itself, an
-    exactly zero gain that the separable best response reads as about +1e-16 at both
-    kinks, and full effort gains -p / 10 everywhere."""
+    exactly zero gain that the kinked gain reads as about +1e-16 at both kinks, and full
+    effort gains -p / 10 everywhere."""
     terms = np.zeros((8, 2, 2, 2))
     terms[6, 1] = [[-0.5, 0.0], [0.0, 0.6]]
     audit = np.zeros((2, 2, 2))
@@ -138,21 +140,22 @@ COINCIDENT_KINKS = _against_coordination([[-0.5, -0.25], [-0.5, -0.25]], [[0.5, 
 # There it earns max(p / 4, -p / 4) + max(0, (p - 1) / 4) = p / 4: the first observation's
 # lines cross at p = 0 and the second's at p = 1.
 ENDPOINT_KINKS = _against_coordination([[0.0, 0.0], [0.0, -0.25]], [[0.25, -0.25], [0.0, 0.0]])
-# The rounding bound that the comment at ``VERIFY_SLACK`` states for the slope-summed kink
-# values against ``_effort_values``, relative to ``PayoffTable.magnitude``.
+# The rounding bound that the comment at ``VERIFY_SLACK`` states for the kinked gain against
+# the dense row, relative to ``PayoffTable.magnitude``: the slope-summed kink values round at
+# most 6K + 3k + 13 times more than the separable oracle, which is within 3e-15 of that row.
 SLOPE_SUM_BOUND = 6e-14
 
 
 def assert_slope_sums_are_best_responses(table: PayoffTable, bases) -> None:
     """``kinked_gains`` against ``bases``: sorted kinks from 0 to 1, each kink's gain equal to
-    ``_effort_values`` there within SLOPE_SUM_BOUND, and each piece reaching the next kink's
-    gain on its slope."""
+    the separable oracle's there within SLOPE_SUM_BOUND, and each piece reaching the next
+    kink's gain on its slope."""
     kinks, gains, slopes = table.kinked_gains(bases)
     assert np.all(kinks[:, 0] == 0.0) and np.all(kinks[:, -1] == 1.0) and np.all(np.diff(kinks, axis=1) >= 0.0)
     rows = np.tile(bases, kinks.shape[1])
     for e in range(2):
         at = kinks[e].ravel()
-        exact = table._effort_values(at, rows)[e] - table.utilities(at, 0.0, rows)
+        exact = best_effort_values(table, at, rows)[e] - table.utilities(at, 0.0, rows)
         assert np.all(np.abs(gains[e].ravel() - exact) <= SLOPE_SUM_BOUND * table.magnitude[rows])
     reached = gains[:, :-1] + slopes[:, :-1] * np.diff(kinks, axis=1)
     assert np.all(np.abs(reached - gains[:, 1:]) <= SLOPE_SUM_BOUND * table.magnitude[bases])
@@ -255,8 +258,8 @@ class TestEquilibriumCertification:
 
 
 class TestSeparableCertification:
-    """Certification reads the separable best response and falls back to the dense row
-    near tol, so every decision is the dense row's."""
+    """Certification reads each effort's kinked gain, the best response per observation
+    over p, and falls back to the dense row near tol, so every decision is the dense row's."""
 
     @settings(max_examples=150)
     @given(
@@ -307,9 +310,16 @@ class TestSeparableCertification:
         table = compute_payoff_table(OA, ternary_env)
         bases = np.arange(len(table.strategies))
         for p in (0.0, 0.37, 1.0):
-            gain = table.best_responses(p, 0.05, bases)
+            gain, _ = table.certify(p, 0.05, DEFAULT_TOL, bases)
             dense = _gain_at(p, *table.gain_lines(0.05, bases)).max(axis=1)
             np.testing.assert_allclose(gain, dense, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0 + 1e-9, math.inf, math.nan])
+    def test_probability_outside_the_unit_interval_is_refused(self, env, p):
+        # The kinked gain is recorded on [0, 1] only; past 1 it would miss kinks.
+        table = compute_payoff_table(OA, env)
+        with pytest.raises(PeerSpotError, match=r"p must lie in \[0, 1\]"):
+            is_symmetric_equilibrium(table, truthful_strategy(2), p, 0.0)
 
 
 class TestKinkedGains:
@@ -359,18 +369,19 @@ class TestKinkedGains:
         (lo,), (hi,) = _certified_intervals(table, cost, points, tol, np.array([4]))
         assert (lo, hi) == interval
 
-    def test_probes_fall_back_to_certify_only_near_tol(self, monkeypatch):
+    def test_probes_fall_back_to_the_dense_row_only_near_tol(self, monkeypatch):
         points = np.linspace(0.0, 1.0, 1001)
         env = generate_environments(4, 1, seed=3, prefix="bench")[0]
         for table, tol, near in ((compute_payoff_table(OA, env), DEFAULT_TOL, False), (COINCIDENT_KINKS, 0.0, True)):
             calls = []
-            certify = table.certify
-            monkeypatch.setattr(table, "certify", lambda p, *args: calls.append(p) or certify(p, *args))
+            gain_lines = table.gain_lines
+            monkeypatch.setattr(table, "gain_lines", lambda cost, bases: calls.append(bases) or gain_lines(cost, bases))
             _certified_intervals(table, 0.1, points, tol, np.arange(len(table.strategies)))
-            assert bool(calls) is near
+            assert (len(calls) > 0) is near
 
-    def test_five_label_intervals_are_certify_at_every_grid_point(self):
-        # The S x S oracle would take about 1 GB at k=5, so certify is the reference here.
+    def test_five_label_intervals_are_the_dense_rows_at_every_grid_point(self):
+        # The S x S oracle would take about 1 GB at k=5 and certify decides as the intervals
+        # do, so each sampled base's dense row (1001 x 6,250 gains, 50 MB) is the reference.
         env = generate_environments(5, 1, seed=3, prefix="bench")[0]
         table = compute_payoff_table(OA, env)
         points = np.linspace(0.0, 1.0, 1001)
@@ -379,9 +390,10 @@ class TestKinkedGains:
         somewhere = np.flatnonzero(lo <= hi)
         assert somewhere.size
         bases = np.concatenate([rng.choice(somewhere, 16, replace=False), rng.choice(np.flatnonzero(lo > hi), 16)])
-        _, certified = table.certify(np.repeat(points, bases.size), 0.1, DEFAULT_TOL, np.tile(bases, points.size))
-        index = np.arange(points.size)[:, None]
-        assert np.array_equal(certified.reshape(points.size, -1), (index >= lo[bases]) & (index <= hi[bases]))
+        index = np.arange(points.size)
+        for b in bases:
+            dense = _gain_at(points[:, None], *table.gain_lines(0.1, [b])).max(axis=1) <= DEFAULT_TOL
+            assert np.array_equal(dense, (index >= lo[b]) & (index <= hi[b]))
 
 
 class TestEnumeration:
@@ -782,12 +794,28 @@ class TestReportAssembly:
         assert doc["p_pareto"] == pytest.approx(0.313)
 
 
+def dense_rows_outside_p_el(tables: list, costs) -> int:
+    """``gain_lines`` calls made by every threshold of each (table, cost) row but ``p_el``,
+    whose scan reads one dense row by design; the others read the kinked gain."""
+    calls, gain_lines = [], PayoffTable.gain_lines
+    PayoffTable.gain_lines = lambda table, *args: calls.append(args) or gain_lines(table, *args)
+    try:
+        for table in tables:
+            for cost in costs:
+                solve_p_ds(table, cost), solve_p_ex(table, cost), solve_p_pareto(table, cost)
+                check_pareto_bound_condition(table)
+    finally:
+        PayoffTable.gain_lines = gain_lines
+    return len(calls)
+
+
 def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
     """Print, per k, each kind's payoff-table build in ms (best of ``repeats``) with the
     tracemalloc peak of one build, then ms per row of ``solve_p_el`` and ``solve_p_pareto``
     (best of ``repeats``), over every kind but the logarithmic rules at the default costs,
-    on the seed-3 environment the benchmark's sweeps generate.  Each repeat solves fresh
-    tables, so ``p_pareto`` pays for each table's kink pieces once, as a sweep does."""
+    on the seed-3 environment the benchmark's sweeps generate, and the dense rows per row
+    outside ``p_el``.  Each repeat solves fresh tables, so ``p_pareto`` pays for each
+    table's kink pieces once, as a sweep does."""
     for k in labels:
         env = generate_environments(k, 1, seed=3, prefix="bench")[0]
         specs = [spec for spec in specs_for(env) if spec.rule is not LOGARITHMIC]
@@ -816,6 +844,8 @@ def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
             print(f"table k={k} {spec_id(spec)}: {seconds * 1e3:.1f} ms, tracemalloc peak {peak / 2**20:.2f} MB")
         times = ", ".join(f"{solver.__name__} {seconds / rows * 1e3:.2f} ms/row" for solver, seconds in best.items())
         print(f"solvers k={k} ({rows} rows): {times}")
+        dense = dense_rows_outside_p_el(tables, DEFAULT_EFFORT_COSTS)
+        print(f"gain_lines k={k}: {dense / rows:.2f} calls per row outside solve_p_el")
 
 
 def full_gate() -> int:

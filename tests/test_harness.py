@@ -203,6 +203,92 @@ class TestConfig:
         assert cli_main(["validate", "--config", str(cfg)]) == 1
         assert "sweeps.effort_cost: at least one value required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sweeps": [1]}, r"sweeps: must be an object, got \[1\]"),
+            ({"sweeps": {"effort_cost": 0.1}}, r"sweeps\.effort_cost: must be a list of numbers, got 0\.1"),
+            ({"sweeps": {"p": 0.5}}, r"sweeps\.p: must be a list of numbers, got 0\.5"),
+            ({"prior": "ab"}, r"environments\[0\]: prior: could not convert"),
+            ({"high": [[0.9, 0.1], [1.0]]}, r"environments\[0\]: high: "),
+            ({"n_agents": 3.9}, r"environments\[0\]: n_agents must be a positive integer, got 3\.9"),
+            ({"n_agents": "4"}, r"environments\[0\]: n_agents must be a positive integer, got '4'"),
+            ({"n_objects": 1.5}, r"environments\[0\]: n_objects must be a positive integer, got 1\.5"),
+            ({"n_objects": True}, r"environments\[0\]: n_objects must be a positive integer, got True"),
+        ],
+        ids=["sweeps-list", "costs-number", "p-number", "prior-string", "ragged-high", "fractional-agents",
+             "string-agents", "fractional-objects", "bool-objects"],
+    )
+    def test_malformed_documents_name_the_field(self, tmp_path, capsys, overrides, message):
+        doc = tiny_config_doc()
+        if "sweeps" in overrides:
+            doc.update(overrides)
+        else:
+            doc["environments"][0].update(overrides)
+        with pytest.raises(ConfigError, match=rf"^{message}"):
+            parse_config(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("invalid config: ")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"kind": "peer_truth_serum", "alpha": "inf"}, {"kind": "peer_insensitive", "W": "Infinity"},
+         {"kind": "divergence_bts", "theta": True}, {"kind": "peer_truth_serum", "beta": "1e400"}],
+        ids=["string-inf", "string-infinity", "bool", "string-overflow"],
+    )
+    def test_validate_refuses_non_numeric_mechanism_parameters(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(tiny_config_doc(mechanisms=[{"kind": "output_agreement"}, entry])))
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: mechanisms[1]: ") and "to be a finite number > 0, got " in err
+
+    def test_integral_float_literal_sizes_accepted(self):
+        doc = tiny_config_doc()
+        doc["environments"][0].update(n_agents=4.0, n_objects=3.0)
+        env = parse_config(doc).environments[0]
+        assert (env.n_agents, env.n_objects) == (4, 3)
+
+    @pytest.mark.parametrize(
+        "environments, mechanisms, message",
+        [
+            (2, [{"kind": "output_agreement"}], r"environments\[1\]: env_id 'env' repeats environments\[0\]$"),
+            (
+                1,
+                [{"kind": "output_agreement"}] * 2,
+                r"mechanisms\[1\]: mechanism 'output_agreement' repeats mechanisms\[0\]$",
+            ),
+            (
+                1,
+                [
+                    {"kind": "peer_truth_serum", "alpha": 2.0},
+                    {"kind": "output_agreement"},
+                    {"kind": "peer_truth_serum", "alpha": 2},
+                ],
+                r"mechanisms\[2\]: mechanism 'peer_truth_serum\[alpha=2\.0\]' repeats mechanisms\[0\]$",
+            ),
+        ],
+        ids=["env-id", "mechanism", "parameterised-mechanism"],
+    )
+    def test_repeated_row_keys_are_rejected(self, tmp_path, capsys, environments, mechanisms, message):
+        # Rows and plot series are keyed by (env_id, mechanism, effort_cost): a repeat would
+        # merge two environments' or mechanisms' thresholds into one series.
+        literal = {key: value for key, value in tiny_config_doc()["environments"][0].items() if key != "env_id"}
+        doc = tiny_config_doc(environments=[literal] * environments, mechanisms=mechanisms)
+        with pytest.raises(ConfigError, match=rf"^{message}"):
+            parse_config(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        assert "repeats" in capsys.readouterr().err
+
+    def test_generators_that_repeat_env_ids_are_rejected(self):
+        doc = tiny_config_doc(environments=[{"generator": {"count": 2}}, {"generator": {"seed": 0}}])
+        with pytest.raises(ConfigError, match=r"^environments\[1\]: env_id 'gen-q2-s0-0' repeats environments\[0\]$"):
+            parse_config(doc)
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_numbers_rejected(self, tmp_path, token):
         text = json.dumps(tiny_config_doc()).replace('"effort_cost": 0.1', f'"effort_cost": {token}', 1)

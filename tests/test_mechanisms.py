@@ -471,11 +471,21 @@ class TestMechanismSpec:
             ({"kind": "output_agreement", "theta": 0.5}, "does not take theta=0.5"),
             ({"kind": "output_agreement", "rule": "log"}, "does not take rule=log"),
             ({"kind": "peer_truth_serum", "alpah": 2}, "unknown key 'alpah'"),
-            ({"kind": "peer_truth_serum", "alpha": None}, "float()"),
+            ({"kind": "peer_truth_serum", "alpha": None}, "requires alpha to be a finite number > 0, got None"),
+            ({"kind": "peer_truth_serum", "alpha": "inf"}, "requires alpha to be a finite number > 0, got 'inf'"),
+            ({"kind": "peer_truth_serum", "beta": "1e400"}, "requires beta to be a finite number > 0, got '1e400'"),
+            ({"kind": "peer_truth_serum", "alpha": "2"}, "requires alpha to be a finite number > 0, got '2'"),
+            ({"kind": "peer_insensitive", "W": "Infinity"}, "requires W to be a finite number > 0, got 'Infinity'"),
+            ({"kind": "peer_insensitive", "W": float("inf")}, "requires W to be a finite number > 0, got inf"),
+            ({"kind": "divergence_bts", "theta": True}, "requires theta to be a finite number > 0, got True"),
+            ({"kind": "sqrt_scaled_agreement", "K": float("nan")}, "requires K to be a finite number > 0, got nan"),
             ({"kind": "robust_bts", "rule": 1}, "unknown scoring rule 1"),
             ({"kind": "output_agreement", "rule": "quadratic"}, None),
         ],
-        ids=["foreign-theta", "foreign-rule", "unknown-key", "null-value", "non-string-rule", "default-rule"],
+        ids=[
+            "foreign-theta", "foreign-rule", "unknown-key", "null-value", "string-inf", "string-overflow",
+            "numeric-string", "string-infinity", "infinite", "bool", "nan", "non-string-rule", "default-rule",
+        ],
     )
     def test_config_mechanism_keys(self, entry, error):
         config = {
