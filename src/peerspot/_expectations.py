@@ -35,7 +35,7 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded, NonBinaryLabelSpace
 from .scoring import NEGATIVE_SENTINEL
 from .signals import Environment
-from .strategies import Effort, peer_report_posteriors
+from .strategies import peer_report_posteriors
 
 SUPPORT_ATOL = 1e-12
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -46,19 +46,14 @@ def outer_weights(env: Environment) -> np.ndarray:
     return env.prior.as_array()[:, None] * env.low_channel.matrix()
 
 
-def observation_law(env: Environment, effort: Effort) -> np.ndarray:
-    """P(observed value | quality, low draw), shape (k, k, k)."""
-    k = len(env.q_space)
-    if effort is Effort.FULL:
-        return np.broadcast_to(env.high_channel.matrix()[:, None, :], (k, k, k)).copy()
-    law = np.zeros((k, k, k))
-    law[:, np.arange(k), np.arange(k)] = 1.0
-    return law
-
-
 def observation_laws(env: Environment) -> np.ndarray:
-    """``observation_law`` per effort in ``Effort`` order, shape (2, k, k, k)."""
-    return np.stack([observation_law(env, effort) for effort in Effort])
+    """P(observed value | quality, low draw) per effort in ``Effort`` order, shape (2, k, k, k):
+    a fresh high draw under full effort, the shared low draw itself without."""
+    k = len(env.q_space)
+    laws = np.zeros((2, k, k, k))
+    laws[0] = env.high_channel.matrix()[:, None, :]
+    laws[1, :, np.arange(k), np.arange(k)] = 1.0
+    return laws
 
 
 def strategy_rewards(values: np.ndarray, efforts: np.ndarray, maps: np.ndarray, rows=Ellipsis) -> np.ndarray:
@@ -100,26 +95,6 @@ def _with_constant(values: np.ndarray, constant: float) -> np.ndarray:
     return values
 
 
-def pair_obs_law(env: Environment, effort_a: Effort, effort_b: Effort) -> np.ndarray:
-    """Joint law of two distinct agents' observations, shape (k_a, k_b).
-
-    Conditional on (quality, low draw) the observations are independent;
-    no-effort observations are the shared low draw itself.
-    """
-    w = outer_weights(env)
-    oa = observation_law(env, effort_a)
-    ob = observation_law(env, effort_b)
-    return np.einsum("ql,qla,qlb->ab", w, oa, ob)
-
-
-def triple_obs_law(env: Environment, effort_a: Effort, effort_b: Effort, effort_c: Effort) -> np.ndarray:
-    w = outer_weights(env)
-    oa = observation_law(env, effort_a)
-    ob = observation_law(env, effort_b)
-    oc = observation_law(env, effort_c)
-    return np.einsum("ql,qla,qlb,qlc->abc", w, oa, ob, oc)
-
-
 def _beliefs(env: Environment, rule, bases: tuple) -> tuple:
     """Belief tables and their scores at each outcome.
 
@@ -138,10 +113,14 @@ def _scores_at_base_reports(scores: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return np.take_along_axis(np.moveaxis(scores, 0, 1), maps[:, None, None, :], axis=3)
 
 
-def _pair_laws_against(env: Environment, efforts: np.ndarray) -> np.ndarray:
-    """``pair_obs_law`` of each deviant effort against each base's effort: (G, 2, k, k)."""
-    pair = np.array([[pair_obs_law(env, a, b) for b in Effort] for a in Effort])
-    return np.moveaxis(pair[:, efforts], 1, 0)
+def _joint_observations(env: Environment, efforts: np.ndarray, peers: int) -> np.ndarray:
+    """Joint law of a deviant's observation and those of ``peers`` (1 or 2) distinct agents
+    of each base's effort (positions ``efforts``), shape (G, 2) + (k,) * (peers + 1):
+    ``[g, e, o, o_1, ...]``.  Given (quality, low draw) the observations are independent."""
+    w, laws = outer_weights(env), observation_laws(env)
+    subscripts = {1: "ql,qla,qlb->ab", 2: "ql,qla,qlb,qlc->abc"}[peers]
+    joint = np.array([[np.einsum(subscripts, w, own, *[peer] * peers) for peer in laws] for own in laws])
+    return np.moveaxis(joint[:, efforts], 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +187,7 @@ def robust_bts(spec, env: Environment, bases: tuple) -> np.ndarray:
         raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
     beliefs, scores = _beliefs(env, spec.rule, bases)
     efforts, maps = bases
-    triple = np.array([[triple_obs_law(env, a, b, b) for b in Effort] for a in Effort])
-    triple = np.moveaxis(triple[:, efforts], 1, 0)  # [g, e, oi, oj, ok]
+    triple = _joint_observations(env, efforts, 2)  # [g, e, oi, oj, ok]
     # The shadow belief moves base g's belief after observation oj towards the
     # focal report r: shadow[g, oj, r, outcome].
     p_one = beliefs[efforts, np.arange(len(maps)), :, 1]
@@ -227,7 +205,7 @@ def multi_valued_robust_bts(spec, env: Environment, bases: tuple) -> np.ndarray:
     k = len(env.q_space)
     beliefs, scores = _beliefs(env, spec.rule, bases)
     efforts, maps = bases
-    pair = _pair_laws_against(env, efforts)  # [g, e, oi, oj]
+    pair = _joint_observations(env, efforts, 1)  # [g, e, oi, oj]
     held = beliefs[efforts, np.arange(len(maps))]  # [g, oj, r]
     with np.errstate(divide="ignore"):
         match = np.where(held > 0.0, 1.0 / held, NEGATIVE_SENTINEL)
@@ -240,7 +218,7 @@ def divergence_bts(spec, env: Environment, bases: tuple) -> np.ndarray:
     k = len(env.q_space)
     beliefs, scores = _beliefs(env, spec.rule, bases)
     efforts, maps = bases
-    pair = _pair_laws_against(env, efforts)  # [g, e, oi, oj]
+    pair = _joint_observations(env, efforts, 1)  # [g, e, oi, oj]
     # divergence D(held || peer) = E_{s~held}[score(held, s) - score(peer, s)],
     # unbounded where the log rule meets zero peer mass on the held support
     held, support = beliefs[:, :, :, None, :], beliefs[:, :, :, None, :] > 0.0  # [e, g, oi, -, s]
@@ -252,8 +230,9 @@ def divergence_bts(spec, env: Environment, bases: tuple) -> np.ndarray:
     return own[..., None] - penalty @ np.eye(k)[maps][:, None]
 
 
-def _peer_multisets(env: Environment, base_effort: Effort, n_peers: int, budget: int) -> tuple:
-    """Peer observation multisets under a base effort, with their joint weights.
+def _peer_multisets(env: Environment, base_effort: int, n_peers: int, budget: int) -> tuple:
+    """Peer observation multisets under the base effort at position ``base_effort``, with
+    their joint weights.
 
     Returns (counts, weights): counts[m, v] is the number of peers observing
     value v in multiset m, and weights[m, e, o] the probability of multiset m
@@ -261,9 +240,9 @@ def _peer_multisets(env: Environment, base_effort: Effort, n_peers: int, budget:
     """
     k = len(env.q_space)
     w = outer_weights(env)
-    laws = [observation_law(env, effort) for effort in Effort]
+    laws = observation_laws(env)
     counts, weights = [], []
-    if base_effort is Effort.FULL:
+    if base_effort == 0:  # full effort
         n_multisets = math.comb(n_peers + k - 1, k - 1)
         if n_multisets * (k**3) > budget:
             raise EnumerationBudgetExceeded(
@@ -303,11 +282,11 @@ def minimum_truth_serum(spec, env: Environment, bases: tuple, budget: int = DEFA
     beliefs, scores = _beliefs(env, spec.rule, bases)
     efforts, maps = bases
     values = np.zeros((len(efforts), 2, k, k))
-    for position, effort in enumerate(Effort):
+    for position in range(2):
         cols = np.flatnonzero(efforts == position)
         if cols.size == 0:
             continue
-        counts, weights = _peer_multisets(env, effort, n_peers, budget)
+        counts, weights = _peer_multisets(env, position, n_peers, budget)
         base_beliefs = beliefs[position, cols]
         own_scores = scores[:, cols]  # [e, g, o, x]
         # reports[g, r, o]: base g reports r after observing o

@@ -53,9 +53,10 @@ from .errors import NonBinaryLabelSpace, NotEnoughObjects, ShapeMismatch, TooFew
 from .mechanisms import MechanismKind, MechanismSpec
 from .scoring import NEGATIVE_SENTINEL, divergence
 from .signals import Environment
-from .strategies import Effort, Strategy, StrategyProfile, peer_report_posteriors, strategy_arrays
+from .strategies import StrategyProfile, peer_report_posteriors, strategy_arrays
 
 CHUNK = 20_000
+FULL_EFFORT = 0  # position of full effort in ``Effort`` order, as ``strategy_arrays`` lays it out
 
 # Cross-object holdout size per label for the double-mixed sampler; large
 # enough that an all-labels-positive sample fails to be double mixed with
@@ -114,14 +115,10 @@ def _draw_prior(rng: np.random.Generator, laws: _Laws, size: int) -> np.ndarray:
     return _categorical(rng.random(size), laws.prior_cdf, len(laws.prior_cdf))
 
 
-def _observe(
-    rng: np.random.Generator,
-    laws: _Laws,
-    strategy: Strategy,
-    q: np.ndarray,
-    s_low: np.ndarray,
-) -> np.ndarray:
-    if strategy.is_full_effort:
+def _observe(rng: np.random.Generator, laws: _Laws, effort: int, q: np.ndarray, s_low: np.ndarray) -> np.ndarray:
+    """Observations of an agent with effort position ``effort``: a fresh high draw under
+    full effort, the shared low draw without."""
+    if effort == FULL_EFFORT:
         return _draw_rows(rng, laws.high_cdf, q)
     return s_low.copy()
 
@@ -157,45 +154,73 @@ def _group_rows(rows: np.ndarray) -> tuple:
     return rows[order[first]], position
 
 
-def _report_law(laws: _Laws, strategy: Strategy, report_map: np.ndarray) -> np.ndarray:
-    """P(report | quality, low draw) of one agent playing ``strategy`` (map ``report_map``), shape (k, k, k)."""
+def _report_law(laws: _Laws, effort: int, report_map: np.ndarray) -> np.ndarray:
+    """P(report | quality, low draw) of one agent with effort position ``effort`` and map
+    ``report_map``, shape (k, k, k)."""
     k = len(laws.high)
     onehot = np.eye(k)[report_map]  # (observation, report)
-    if strategy.is_full_effort:
+    if effort == FULL_EFFORT:
         return np.broadcast_to((laws.high @ onehot)[:, None, :], (k, k, k))
     return np.broadcast_to(onehot[None, :, :], (k, k, k))
+
+
+class _KindEntry(NamedTuple):
+    """How the sampler evaluates one kind: the name of its chunk evaluator and, for a kind
+    whose chunk reads a per-outcome table, the name of the reward that fills it and the
+    number of observation coordinates it is indexed by.  Names resolve on the sampler, so
+    a subclass's overrides run."""
+
+    chunk: str
+    reward: str | None = None
+    coordinates: int = 0
+
+
+SAMPLER_KINDS = {
+    MechanismKind.OUTPUT_AGREEMENT: _KindEntry("_chunk_tabulated", "_output_agreement", 2),
+    MechanismKind.PEER_TRUTH_SERUM: _KindEntry("_chunk_peer_truth_serum"),
+    # The table holds correlated agreement's agreement term.
+    MechanismKind.CORRELATED_AGREEMENT: _KindEntry("_chunk_correlated_agreement", "_output_agreement", 2),
+    MechanismKind.SQRT_SCALED_AGREEMENT: _KindEntry("_chunk_sqrt_scaled"),
+    MechanismKind.DOUBLE_MIXED_AGREEMENT: _KindEntry("_chunk_double_mixed"),
+    MechanismKind.ROBUST_BTS: _KindEntry("_chunk_tabulated", "_robust_bts", 3),
+    MechanismKind.MULTI_VALUED_ROBUST_BTS: _KindEntry("_chunk_tabulated", "_mv_robust_bts", 2),
+    MechanismKind.DIVERGENCE_BTS: _KindEntry("_chunk_tabulated", "_divergence_bts", 2),
+    MechanismKind.MINIMUM_TRUTH_SERUM: _KindEntry("_chunk_minimum_truth_serum"),
+    MechanismKind.PEER_INSENSITIVE: _KindEntry("_chunk_peer_insensitive"),
+}
 
 
 class _Sampler:
     """Chunked reward sampler for one (mechanism, environment, profile) triple.
 
-    The tables below are built on first use, so each kind pays only for the
-    ones it reads.
+    The base and focal strategies are read once as effort positions and report maps.  The
+    tables below are built on first use, so each kind pays only for the ones it reads.
     """
 
     def __init__(self, spec: MechanismSpec, env: Environment, profile: StrategyProfile):
         self.spec = spec
         self.env = env
         self.laws = _Laws.of(env)
-        self.base = profile.base
-        self.focal = profile.focal_strategy()
         self.k = len(env.q_space)
-        self.base_map, self.focal_map = strategy_arrays([self.base, self.focal], self.k)[1]
+        efforts, maps = strategy_arrays([profile.base, profile.focal_strategy()], self.k)
+        self.base_effort, self.focal_effort = efforts.tolist()
+        self.base_map, self.focal_map = maps
 
     # -- tables, built on first use ---------------------------------------
 
     @cached_property
-    def _beliefs(self) -> dict:
-        """Belief table per holder effort: row v is the law of a base peer's report given observation v."""
-        return dict(zip(Effort, peer_report_posteriors(self.env, strategy_arrays([self.base], self.k))[:, 0]))
+    def _beliefs(self) -> np.ndarray:
+        """Belief table per holder effort position, shape (2, k, k): row v of table e is the
+        law of a base peer's report given observation v under effort e."""
+        return peer_report_posteriors(self.env, (np.array([self.base_effort]), self.base_map[None]))[:, 0]
 
     @property
     def beliefs_base(self) -> np.ndarray:
-        return self._beliefs[self.base.effort]
+        return self._beliefs[self.base_effort]
 
     @property
     def beliefs_focal(self) -> np.ndarray:
-        return self._beliefs[self.focal.effort]
+        return self._beliefs[self.focal_effort]
 
     @cached_property
     def score_focal(self) -> np.ndarray:
@@ -204,12 +229,7 @@ class _Sampler:
     @cached_property
     def _divergence_table(self) -> np.ndarray:
         """D(focal belief after observation a, base belief after observation b), shape (k, k)."""
-        return np.array(
-            [
-                [divergence(self.spec.rule, self.beliefs_focal[a], self.beliefs_base[b]) for b in range(self.k)]
-                for a in range(self.k)
-            ]
-        )
+        return divergence(self.spec.rule, self.beliefs_focal[:, None, :], self.beliefs_base[None, :, :])
 
     # Report laws on an object other than the scored one.  Rounding can lift a
     # certain report's mass just above one, which numpy's samplers reject.
@@ -220,11 +240,11 @@ class _Sampler:
 
     @cached_property
     def _base_report_law(self) -> np.ndarray:
-        return _report_law(self.laws, self.base, self.base_map)
+        return _report_law(self.laws, self.base_effort, self.base_map)
 
     @cached_property
     def marginal_focal(self) -> np.ndarray:
-        return np.minimum(np.einsum("ql,qlr->r", self._object_mass, _report_law(self.laws, self.focal, self.focal_map)), 1.0)
+        return np.minimum(np.einsum("ql,qlr->r", self._object_mass, _report_law(self.laws, self.focal_effort, self.focal_map)), 1.0)
 
     @cached_property
     def marginal_base(self) -> np.ndarray:
@@ -250,15 +270,16 @@ class _Sampler:
     # -- helpers ----------------------------------------------------------
 
     def _pair_reports(self, rng, size):
+        """The scored object's latents, then the focal agent's and one base peer's observations."""
         q, s_low = _latents(rng, self.laws, size)
-        obs_i = _observe(rng, self.laws, self.focal, q, s_low)
-        obs_p = _observe(rng, self.laws, self.base, q, s_low)
+        obs_i = _observe(rng, self.laws, self.focal_effort, q, s_low)
+        obs_p = _observe(rng, self.laws, self.base_effort, q, s_low)
         return q, s_low, obs_i, obs_p
 
     def _peer_observation_counts(self, rng, q, s_low, peers: int) -> np.ndarray:
         """How many of ``peers`` base-strategy agents observe each label, shape (samples, k):
         multinomial given the quality under effort, all on the shared draw without."""
-        if self.base.is_full_effort:
+        if self.base_effort == FULL_EFFORT:
             return rng.multinomial(peers, self.laws.high[q])
         return peers * np.eye(self.k, dtype=int)[s_low]
 
@@ -268,15 +289,8 @@ class _Sampler:
     def _table(self) -> np.ndarray:
         """The reward of every outcome of a kind whose outcomes form a fixed set, flat in the
         row-major order of the coordinates its chunk evaluator indexes by."""
-        k = self.k
-        rewards, sizes = {
-            MechanismKind.OUTPUT_AGREEMENT: (self._output_agreement, (k, k)),
-            MechanismKind.CORRELATED_AGREEMENT: (self._output_agreement, (k, k)),  # its agreement term
-            MechanismKind.ROBUST_BTS: (self._robust_bts, (k, k, k)),
-            MechanismKind.MULTI_VALUED_ROBUST_BTS: (self._mv_robust_bts, (k, k)),
-            MechanismKind.DIVERGENCE_BTS: (self._divergence_bts, (k, k)),
-        }[self.spec.kind]
-        return rewards(*_outcomes(*sizes))
+        entry = SAMPLER_KINDS[self.spec.kind]
+        return getattr(self, entry.reward)(*_outcomes(*(self.k,) * entry.coordinates))
 
     # -- per-kind rewards, one entry per outcome or per sample ---------------
 
@@ -300,6 +314,8 @@ class _Sampler:
         return rewards
 
     def _robust_bts(self, obs_i, obs_j, obs_k):
+        if self.k != 2:
+            raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
         r_i = self.focal_map[obs_i]
         r_k = self.base_map[obs_k]
         p_one = self.beliefs_base[obs_j, 1]
@@ -350,28 +366,19 @@ class _Sampler:
     # -- per-kind chunk evaluators: draws, then the outcome index ------------
 
     def chunk(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        kind = self.spec.kind
-        fn = {
-            MechanismKind.OUTPUT_AGREEMENT: self._chunk_pair,
-            MechanismKind.PEER_TRUTH_SERUM: self._chunk_peer_truth_serum,
-            MechanismKind.CORRELATED_AGREEMENT: self._chunk_correlated_agreement,
-            MechanismKind.SQRT_SCALED_AGREEMENT: self._chunk_sqrt_scaled,
-            MechanismKind.DOUBLE_MIXED_AGREEMENT: self._chunk_double_mixed,
-            MechanismKind.ROBUST_BTS: self._chunk_robust_bts,
-            MechanismKind.MULTI_VALUED_ROBUST_BTS: self._chunk_pair,
-            MechanismKind.DIVERGENCE_BTS: self._chunk_pair,
-            MechanismKind.MINIMUM_TRUTH_SERUM: self._chunk_minimum_truth_serum,
-            MechanismKind.PEER_INSENSITIVE: self._chunk_peer_insensitive,
-        }[kind]
-        return fn(rng, size)
+        return getattr(self, SAMPLER_KINDS[self.spec.kind].chunk)(rng, size)
 
     def _chunk_peer_insensitive(self, rng, size):
         return np.full(size, self.spec.constant_reward)
 
-    def _chunk_pair(self, rng, size):
-        """Kinds whose reward reads only the focal agent's and one peer's observation."""
-        _, _, obs_i, obs_j = self._pair_reports(rng, size)
-        return self._table[obs_i * self.k + obs_j]
+    def _chunk_tabulated(self, rng, size):
+        """Kinds whose reward reads only the focal agent's observation and those of one or
+        two base peers on the scored object, the coordinates of the kind's table."""
+        q, s_low, obs_i, obs_j = self._pair_reports(rng, size)
+        index = obs_i * self.k + obs_j
+        for _ in range(SAMPLER_KINDS[self.spec.kind].coordinates - 2):
+            index = index * self.k + _observe(rng, self.laws, self.base_effort, q, s_low)
+        return self._table[index]
 
     def _chunk_peer_truth_serum(self, rng, size):
         n = self.env.n_agents
@@ -390,9 +397,8 @@ class _Sampler:
             )
         half = (m - 1) // 2
         other = m - 1 - half
-        q0, s0 = _latents(rng, self.laws, size)
-        obs_i = _observe(rng, self.laws, self.focal, q0, s0)
-        agree = self._table[obs_i * self.k + _observe(rng, self.laws, self.base, q0, s0)]
+        _, _, obs_i, obs_p = self._pair_reports(rng, size)
+        agree = self._table[obs_i * self.k + obs_p]
         # The focal agent's reports on ``half`` objects and a peer's on the other ones.
         own_counts = rng.multinomial(half, self.marginal_focal, size=size)
         peer_counts = rng.multinomial(other, self.marginal_base, size=size)
@@ -407,12 +413,12 @@ class _Sampler:
         if env.n_agents < 4:
             raise TooFewAgents("sqrt-scaled agreement sampling needs at least four agents")
         m = env.n_objects
-        q0, s0 = _latents(rng, self.laws, size)
-        r_i = self.focal_map[_observe(rng, self.laws, self.focal, q0, s0)]
-        r_peer = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
+        q0, s0, obs_i, obs_p = self._pair_reports(rng, size)
+        r_i = self.focal_map[obs_i]
+        r_peer = self.base_map[obs_p]
         # Scored object contributes to the scorers' frequency statistic too.
-        rk1 = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
-        rk2 = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
+        rk1 = self.base_map[_observe(rng, self.laws, self.base_effort, q0, s0)]
+        rk2 = self.base_map[_observe(rng, self.laws, self.base_effort, q0, s0)]
         # Each other object is a hit when two base reports on it both equal r_peer.
         pair_hit = np.diag(self.pair_base)[r_peer]
         hit_counts = ((rk1 == r_peer) & (rk2 == r_peer)) + rng.binomial(m - 1, pair_hit)
@@ -426,9 +432,9 @@ class _Sampler:
             DOUBLE_MIXED_SAMPLES_PER_LABEL * self.k,
             -(-env.n_objects // env.n_agents),  # ceil division
         )
-        q0, s0 = _latents(rng, self.laws, size)
-        r_i = self.focal_map[_observe(rng, self.laws, self.focal, q0, s0)]
-        r_peer = self.base_map[_observe(rng, self.laws, self.base, q0, s0)]
+        _, _, obs_i, obs_p = self._pair_reports(rng, size)
+        r_i = self.focal_map[obs_i]
+        r_peer = self.base_map[obs_p]
         # Holdout objects: one sampled base report each.
         counts = rng.multinomial(sample_size, self.marginal_base, size=size)
         double_mixed = counts[:, 0] >= 2
@@ -444,18 +450,9 @@ class _Sampler:
         rewards[~double_mixed] = 0.0
         return rewards
 
-    def _chunk_robust_bts(self, rng, size):
-        if self.k != 2:
-            raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
-        q, s_low = _latents(rng, self.laws, size)
-        obs_i = _observe(rng, self.laws, self.focal, q, s_low)
-        obs_j = _observe(rng, self.laws, self.base, q, s_low)
-        obs_k = _observe(rng, self.laws, self.base, q, s_low)
-        return self._table[(obs_i * self.k + obs_j) * self.k + obs_k]
-
     def _chunk_minimum_truth_serum(self, rng, size):
         q, s_low = _latents(rng, self.laws, size)
-        obs_i = _observe(rng, self.laws, self.focal, q, s_low)
+        obs_i = _observe(rng, self.laws, self.focal_effort, q, s_low)
         counts = self._peer_observation_counts(rng, q, s_low, self.env.n_agents - 1)
         if self._mts_rows >= size:  # the rows are mostly distinct: a sort would cost more than it saves
             return self._minimum_truth_serum(obs_i, counts)
@@ -469,7 +466,7 @@ class _Sampler:
         the peer counts are a composition of n - 1 into k parts under effort, and all on the
         shared draw without."""
         k = self.k
-        return k * (comb(self.env.n_agents + k - 2, k - 1) if self.base.is_full_effort else k)
+        return k * (comb(self.env.n_agents + k - 2, k - 1) if self.base_effort == FULL_EFFORT else k)
 
 
 def _check_integer(name: str, value, minimum: int) -> None:

@@ -9,10 +9,10 @@ pytest acceptance module.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,21 +33,15 @@ from .harness import emit_csv, generate_environments, load_config, example_confi
 from .mechanisms import KINDS, MechanismKind, MechanismSpec
 from .scoring import LOGARITHMIC, QUADRATIC, check_symmetry
 from .signals import Channel, Distribution, Environment, LabelSpace, reference_environment
-from .spotcheck import expected_spot_reward
-from .strategies import (
-    Effort,
-    Strategy,
-    StrategyProfile,
-    low_identity_strategy,
-    truthful_strategy,
-)
+from .spotcheck import expected_spot_rewards
+from .strategies import StrategyProfile, low_identity_strategy, pure_strategy_arrays, truthful_strategy
 
 ANALYTIC_TOL = 1e-9
 GRID = 1e-3
 COST_SWEEP = (0.0, 0.05, 0.1, 0.2)
 
 
-@dataclass
+@dataclasses.dataclass
 class CriterionResult:
     cid: str
     description: str
@@ -247,12 +241,13 @@ def check_best_no_effort_map() -> tuple:
     failures = []
     count = 0
     for labels, n_envs in ((2, 9), (3, 8), (4, 8)):
+        efforts, maps = pure_strategy_arrays(labels)
+        no_effort = slice(labels**labels, None)  # every no-effort map, the identity first
         for i in range(n_envs):
             env = _aligned_random_environment(rng, labels, i)
-            identity_value = expected_spot_reward(env, low_identity_strategy(labels))
-            for report_map in itertools.product(range(labels), repeat=labels):
-                strategy = Strategy(Effort.NONE, report_map)
-                value = expected_spot_reward(env, strategy)
+            values = expected_spot_rewards(env, (efforts[no_effort], maps[no_effort])).tolist()
+            identity_value = values[0]
+            for report_map, value in zip(map(tuple, maps[no_effort].tolist()), values):
                 if value > identity_value + ANALYTIC_TOL:
                     failures.append(f"{env.env_id}: map {report_map} beats identity")
                 if len(set(report_map)) == 1 and abs(value) > 1e-12:
@@ -280,7 +275,7 @@ def check_dominated_environment_construction() -> tuple:
     if not equilibria:
         return False, "composed environment has no certified equilibria"
     best = equilibria[0]
-    ok = (not best.strategy.is_full_effort) and best.utility > truthful_utility + ANALYTIC_TOL
+    ok = not table.full_effort[table.index_of(best.strategy)] and best.utility > truthful_utility + ANALYTIC_TOL
     return ok, (
         f"coordination utility {best.utility!r} vs truthful profile {truthful_utility!r} "
         f"on {composed.env_id}"
@@ -294,17 +289,7 @@ def check_dominated_environment_construction() -> tuple:
 
 def check_monte_carlo_agreement() -> tuple:
     env = reference_environment()
-    big = Environment(
-        q_space=env.q_space,
-        prior=env.prior,
-        high_channel=env.high_channel,
-        trusted_channel=env.trusted_channel,
-        low_channel=env.low_channel,
-        effort_cost=env.effort_cost,
-        n_agents=10,
-        n_objects=100,
-        env_id="e1-n10-m100",
-    )
+    big = dataclasses.replace(env, n_agents=10, n_objects=100, env_id="e1-n10-m100")
     truthful = StrategyProfile.symmetric(truthful_strategy(env.q_space))
     failures = []
     targets = {

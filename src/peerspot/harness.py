@@ -23,7 +23,7 @@ import numpy as np
 from .equilibrium import PayoffTable, compute_payoff_table, compute_thresholds
 from .errors import ConfigError, PeerSpotError
 from .mechanisms import MechanismSpec
-from .signals import Channel, Distribution, Environment, LabelSpace
+from .signals import Channel, Distribution, Environment, LabelSpace, is_json_number
 from .spotcheck import check_worthwhile_effort
 from .strategies import MAX_LABELS
 
@@ -156,7 +156,7 @@ def _accuracy_range(where: str, value) -> tuple:
     """A generator's accuracy range as two floats with 0 <= lo <= hi <= 1, or a ConfigError
     that names ``where``; NaN and infinite bounds fail the comparison."""
     pair = isinstance(value, (list, tuple)) and len(value) == 2
-    if not pair or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value):
+    if not pair or not all(is_json_number(x) for x in value):
         raise ConfigError(f"{where}: accuracy must be two numbers [lo, hi], got {value!r}")
     if not 0.0 <= value[0] <= value[1] <= 1.0:
         raise ConfigError(f"{where}: accuracy must satisfy 0 <= lo <= hi <= 1, got {list(value)!r}")
@@ -183,14 +183,10 @@ def _expand_environment_entry(entry, position: int) -> list:
             raise ConfigError(f"{where}: labels must be at most {MAX_LABELS}, got {sizes['labels']}")
         seed = _integer(f"{where}: seed", gen.get("seed", 0), 0, "a nonnegative integer")
         accuracy = _accuracy_range(where, gen.get("accuracy", (0.6, 0.95)))
+        cost = _number(f"{where}: effort_cost", gen.get("effort_cost", 0.1), _cost, "finite and nonnegative")
+        prefix = _string(f"{where}: prefix", gen.get("prefix", "gen"))
         try:
-            return generate_environments(
-                **sizes,
-                seed=seed,
-                accuracy=accuracy,
-                effort_cost=float(gen.get("effort_cost", 0.1)),
-                prefix=str(gen.get("prefix", "gen")),
-            )
+            return generate_environments(**sizes, seed=seed, accuracy=accuracy, effort_cost=cost, prefix=prefix)
         except (TypeError, ValueError, PeerSpotError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
     for key in ("n_agents", "n_objects"):  # a literal entry's sizes follow the generator's rule
@@ -227,13 +223,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(sweeps, dict):
         raise ConfigError(f"sweeps: must be an object, got {sweeps!r}")
     costs = tuple(
-        _number("sweeps.effort_cost", c, lambda x: 0.0 <= x < math.inf, "finite and nonnegative")
+        _number("sweeps.effort_cost:", c, _cost, "finite and nonnegative")
         for c in _sweep_list("sweeps.effort_cost", sweeps.get("effort_cost", DEFAULT_EFFORT_COSTS))
     )
     if not costs:
         raise ConfigError("sweeps.effort_cost: at least one value required")
     p_values = tuple(
-        _number("sweeps.p", p, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+        _number("sweeps.p:", p, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
         for p in _sweep_list("sweeps.p", sweeps.get("p", ()))
     )
     return ExperimentConfig(
@@ -243,7 +239,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         p_values=p_values,
         seed=_integer("seed:", doc.get("seed", 0), None, "an integer"),
         grid=check_grid(doc.get("grid", 1e-3)),
-        output_dir=str(doc.get("output_dir", "results")),
+        output_dir=_string("output_dir:", doc.get("output_dir", "results")),
     )
 
 
@@ -263,20 +259,29 @@ def _sweep_list(name: str, values) -> list:
     return values
 
 
-def _number(name: str, value, valid, requirement: str) -> float:
-    """``value`` as a float, or a ConfigError naming the field; NaN fails every ``valid``."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not valid(number):
-        raise ConfigError(f"{name}: must be {requirement}, got {value!r}")
-    return number
+def _number(field: str, value, valid, requirement: str) -> float:
+    """``value`` as a float if it is a JSON number (not a bool or a string) that passes
+    ``valid``, or a ConfigError that starts with ``field``; NaN fails every ``valid``."""
+    if not (is_json_number(value) and valid(value)):
+        raise ConfigError(f"{field} must be {requirement}, got {value!r}")
+    return float(value)
+
+
+def _cost(x) -> bool:
+    """Whether the number ``x`` is a valid effort cost: finite and nonnegative."""
+    return 0.0 <= x < math.inf
+
+
+def _string(field: str, value) -> str:
+    """``value`` if it is a string, or a ConfigError that starts with ``field``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{field} must be a string, got {value!r}")
+    return value
 
 
 def check_grid(grid) -> float:
     """The threshold grid resolution as a float in (0, 1], or a ConfigError."""
-    return _number("grid", grid, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+    return _number("grid:", grid, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -22,7 +22,7 @@ import numpy as np
 from . import _expectations as _exact
 from .errors import ShapeMismatch
 from .scoring import QUADRATIC, ScoringRule, rule_from_name
-from .signals import Environment
+from .signals import Environment, is_json_number
 from .strategies import Strategy, strategy_arrays
 
 
@@ -79,12 +79,7 @@ def _decode(attr: str, value):
     default = _DEFAULTS[attr]
     if isinstance(default, ScoringRule):
         return rule_from_name(value)
-    return float(value) if isinstance(default, float) and _is_real(value) else value
-
-
-def _is_real(value) -> bool:
-    """An int or float; bools and numeric strings are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return float(value) if isinstance(default, float) and is_json_number(value) else value
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,7 @@ class MechanismSpec:
             if attr not in taken:
                 if value != default:
                     raise ShapeMismatch(f"{self.kind.value} does not take {key}={_encode(value)}")
-            elif isinstance(default, float) and not (_is_real(value) and 0 < value < math.inf):
+            elif isinstance(default, float) and not (is_json_number(value) and 0 < value < math.inf):
                 raise ShapeMismatch(f"{self.kind.value} requires {key} to be a finite number > 0, got {value!r}")
         if self.mts_aggregation not in ("mean", "sum"):
             raise ShapeMismatch(f"mts_aggregation must be 'mean' or 'sum', got {self.mts_aggregation!r}")

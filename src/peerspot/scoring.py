@@ -87,19 +87,25 @@ def score(rule: ScoringRule, belief: Distribution | np.ndarray, outcome) -> floa
     return value
 
 
-def divergence(rule: ScoringRule, b1: Distribution | np.ndarray, b2: Distribution | np.ndarray) -> float:
+def divergence(rule: ScoringRule, b1: Distribution | np.ndarray, b2: Distribution | np.ndarray):
     """Divergence D(b1 || b2) = E_{s~b1}[score(b1, s) - score(b2, s)]; zero iff b1 == b2.
 
-    Infinite when the log rule meets zero mass in ``b2`` on the support of ``b1``.
+    Infinite when the log rule meets zero mass in ``b2`` on the support of ``b1``.  Arrays
+    broadcast over their leading axes and give an array of divergences; a single pair gives
+    a float.
     """
     a1, a2 = _as_array(b1), _as_array(b2)
-    if a1.shape != a2.shape:
+    if a1.shape[-1:] != a2.shape[-1:]:
         raise ShapeMismatch("divergence arguments must share a support")
+    a1, a2 = np.broadcast_arrays(a1, a2)
+    k = a1.shape[-1]
+    own, other = (rule.score_table(a.reshape(-1, k)).reshape(a.shape) for a in (a1, a2))
     support = a1 > 0.0
-    own, other = rule.score_table(np.stack([a1, a2]))[:, support]
-    if np.any(other == NEGATIVE_SENTINEL):
-        return math.inf
-    return float(a1[support] @ (own - other))
+    # One dot product per pair: the rounding the pinned divergence-BTS estimates were recorded with.
+    weights, gaps = np.where(support, a1, 0.0), np.where(support, own - other, 0.0)
+    gap = (weights[..., None, :] @ gaps[..., :, None])[..., 0, 0]
+    gap = np.where(np.any(support & (other == NEGATIVE_SENTINEL), axis=-1), math.inf, gap)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def check_symmetry(rule: ScoringRule, labels: LabelSpace | int, atol: float = 1e-12) -> bool:

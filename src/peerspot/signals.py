@@ -22,6 +22,29 @@ from .errors import InvalidDistribution, ShapeMismatch, TooFewAgents
 PROB_ATOL = 1e-12
 
 
+def is_json_number(value) -> bool:
+    """An int or a float: bools and numeric strings are not numbers in a JSON document."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_number(value) -> float:
+    if not is_json_number(value):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"must be a list, got {value!r}")
+    return list(value)
+
+
+def _json_string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class LabelSpace:
     """Ordered finite set of distinct labels; iteration order is the canonical index order."""
@@ -165,7 +188,8 @@ class Environment:
     @staticmethod
     def from_json_dict(doc: Mapping) -> "Environment":
         """The environment a JSON object describes; a missing field, or one that does not
-        parse, is a ShapeMismatch that names it."""
+        parse, is a ShapeMismatch that names it.  Labels and probability rows are lists,
+        probabilities and the effort cost JSON numbers, and the id a string."""
 
         def read(key, parse, default=None):
             if key not in doc:
@@ -177,9 +201,10 @@ class Environment:
             except (TypeError, ValueError) as exc:
                 raise ShapeMismatch(f"{key}: {exc}") from None
 
-        space = read("labels", LabelSpace.of)
-        prior = read("prior", lambda probs: Distribution.from_array(space, probs))
-        channel = lambda mat: Channel.from_matrix(space, space, mat)
+        numbers = lambda values: [_json_number(x) for x in _json_list(values)]
+        space = read("labels", lambda labels: LabelSpace.of(_json_list(labels)))
+        prior = read("prior", lambda probs: Distribution.from_array(space, numbers(probs)))
+        channel = lambda mat: Channel.from_matrix(space, space, [numbers(row) for row in _json_list(mat)])
         high = read("high", channel)
         env = Environment(
             q_space=space,
@@ -187,10 +212,10 @@ class Environment:
             high_channel=high,
             trusted_channel=read("trusted", channel, high),
             low_channel=read("low", channel, Channel.uniform(space)),
-            effort_cost=read("effort_cost", float, 0.0),
+            effort_cost=read("effort_cost", _json_number, 0.0),
             n_agents=read("n_agents", int, 3),
             n_objects=read("n_objects", int, 2),
-            env_id=read("env_id", str, "env"),
+            env_id=read("env_id", _json_string, "env"),
         )
         env.validate()
         return env

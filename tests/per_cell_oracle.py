@@ -2,9 +2,9 @@
 
 This is the engine the package used before the batched evaluators in
 ``peerspot._expectations``.  It is kept here, written out cell by cell, as
-an independent oracle for the batched tables; ``peer_report_posterior``
-likewise builds one belief table per call, as an oracle for the batched
-``peerspot.strategies.peer_report_posteriors``.
+an independent oracle for the batched tables: it builds its own observation
+laws from the channels, and ``peer_report_posterior`` builds one belief table
+per call, as an oracle for the batched ``peerspot.strategies.peer_report_posteriors``.
 """
 
 from __future__ import annotations
@@ -15,16 +15,44 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from peerspot import EnumerationBudgetExceeded, MechanismKind, NonBinaryLabelSpace
-from peerspot._expectations import (
-    DEFAULT_ENUMERATION_BUDGET,
-    SUPPORT_ATOL,
-    observation_law,
-    outer_weights,
-    pair_obs_law,
-    triple_obs_law,
-)
+from peerspot._expectations import DEFAULT_ENUMERATION_BUDGET, SUPPORT_ATOL
 from peerspot.scoring import NEGATIVE_SENTINEL, divergence
 from peerspot.strategies import Effort
+
+
+def outer_weights(env):
+    """Joint mass of (quality, low draw), shape (k, k)."""
+    k = len(env.q_space)
+    prior, low = env.prior.as_array(), env.low_channel.matrix()
+    return np.array([[prior[q] * low[q, draw] for draw in range(k)] for q in range(k)])
+
+
+def observation_law(env, effort):
+    """P(observed value | quality, low draw), shape (k, k, k): under full effort the agent's
+    own high draw given the quality, without effort the shared low draw itself."""
+    k = len(env.q_space)
+    high = env.high_channel.matrix()
+    law = np.zeros((k, k, k))
+    for q in range(k):
+        for low in range(k):
+            if effort is Effort.FULL:
+                law[q, low] = high[q]
+            else:
+                law[q, low, low] = 1.0
+    return law
+
+
+def pair_obs_law(env, effort_a, effort_b):
+    """Joint law of two distinct agents' observations, shape (k, k): independent given
+    (quality, low draw)."""
+    w = outer_weights(env)
+    return np.einsum("ql,qla,qlb->ab", w, observation_law(env, effort_a), observation_law(env, effort_b))
+
+
+def triple_obs_law(env, effort_a, effort_b, effort_c):
+    """Joint law of three distinct agents' observations, shape (k, k, k)."""
+    laws = [observation_law(env, effort) for effort in (effort_a, effort_b, effort_c)]
+    return np.einsum("ql,qla,qlb,qlc->abc", outer_weights(env), *laws)
 
 
 def peer_report_posterior(env, observer_effort, base):

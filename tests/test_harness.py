@@ -99,6 +99,9 @@ class TestConfig:
             ({"accuracy": [0.6]}, r"accuracy must be two numbers \[lo, hi\], got \[0\.6\]$"),
             ({"accuracy": "0.6"}, r"accuracy must be two numbers \[lo, hi\], got '0\.6'$"),
             ({"accuracy": [0.6, True]}, r"accuracy must be two numbers \[lo, hi\]"),
+            ({"effort_cost": True}, "effort_cost must be finite and nonnegative, got True$"),
+            ({"effort_cost": "0.1"}, "effort_cost must be finite and nonnegative, got '0.1'$"),
+            ({"prefix": 5}, "prefix must be a string, got 5$"),
         ],
     )
     def test_bad_generator_entries_name_the_entry(self, tmp_path, capsys, generator, message):
@@ -209,19 +212,35 @@ class TestConfig:
             ({"sweeps": [1]}, r"sweeps: must be an object, got \[1\]"),
             ({"sweeps": {"effort_cost": 0.1}}, r"sweeps\.effort_cost: must be a list of numbers, got 0\.1"),
             ({"sweeps": {"p": 0.5}}, r"sweeps\.p: must be a list of numbers, got 0\.5"),
-            ({"prior": "ab"}, r"environments\[0\]: prior: could not convert"),
+            ({"sweeps": {"effort_cost": [True]}}, r"sweeps\.effort_cost: must be finite and nonnegative, got True$"),
+            ({"sweeps": {"effort_cost": ["0.1"]}}, r"sweeps\.effort_cost: must be finite and nonnegative, got '0\.1'$"),
+            ({"sweeps": {"p": [True]}}, r"sweeps\.p: must be a number in \[0, 1\], got True$"),
+            ({"sweeps": {"p": ["0.5"]}}, r"sweeps\.p: must be a number in \[0, 1\], got '0\.5'$"),
+            ({"grid": True}, r"grid: must be a number in \(0, 1\], got True$"),
+            ({"grid": "0.01"}, r"grid: must be a number in \(0, 1\], got '0\.01'$"),
+            ({"output_dir": 3}, r"output_dir: must be a string, got 3$"),
+            ({"prior": "ab"}, r"environments\[0\]: prior: must be a list, got 'ab'$"),
+            ({"labels": "ab"}, r"environments\[0\]: labels: must be a list, got 'ab'$"),
+            ({"prior": [True, 0]}, r"environments\[0\]: prior: must be a number, got True$"),
+            ({"high": [[0.9, 0.1], ["0.1", 0.9]]}, r"environments\[0\]: high: must be a number, got '0\.1'$"),
+            ({"effort_cost": "0.1"}, r"environments\[0\]: effort_cost: must be a number, got '0\.1'$"),
+            ({"env_id": 5}, r"environments\[0\]: env_id: must be a string, got 5$"),
             ({"high": [[0.9, 0.1], [1.0]]}, r"environments\[0\]: high: "),
             ({"n_agents": 3.9}, r"environments\[0\]: n_agents must be a positive integer, got 3\.9"),
             ({"n_agents": "4"}, r"environments\[0\]: n_agents must be a positive integer, got '4'"),
             ({"n_objects": 1.5}, r"environments\[0\]: n_objects must be a positive integer, got 1\.5"),
             ({"n_objects": True}, r"environments\[0\]: n_objects must be a positive integer, got True"),
         ],
-        ids=["sweeps-list", "costs-number", "p-number", "prior-string", "ragged-high", "fractional-agents",
+        ids=["sweeps-list", "costs-number", "p-number", "bool-cost", "string-cost", "bool-p", "string-p",
+             "bool-grid", "string-grid", "number-output-dir", "prior-string", "labels-string", "bool-prior",
+             "string-high", "string-effort-cost", "number-env-id", "ragged-high", "fractional-agents",
              "string-agents", "fractional-objects", "bool-objects"],
     )
     def test_malformed_documents_name_the_field(self, tmp_path, capsys, overrides, message):
+        """A number is a JSON int or float, never a bool or a string; names and paths are
+        strings and label and probability rows lists."""
         doc = tiny_config_doc()
-        if "sweeps" in overrides:
+        if set(overrides) & {"sweeps", "grid", "output_dir"}:
             doc.update(overrides)
         else:
             doc["environments"][0].update(overrides)

@@ -1,9 +1,14 @@
-"""The README's library quickstart runs as written against this checkout."""
+"""The README's library quickstart runs as written against this checkout, and the counts it
+states of pinned Monte-Carlo estimates match the pins."""
 
+import json
 import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PINNED = Path(__file__).with_name("pinned_estimates.json")
+# "float.hex of 76 Monte-Carlo estimates" in the layout, "pins 76 of them" in the conventions.
+PINNED_COUNT = re.compile(r"float\.hex\s+of\s+(\d+)\s+Monte-Carlo\s+estimates|pins\s+(\d+)\s+of\s+them")
 
 
 def test_python_blocks_run(capsys):
@@ -12,3 +17,9 @@ def test_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert "0.56" in capsys.readouterr().out
+
+
+def test_pinned_estimate_counts_match_the_pins():
+    counts = [int(a or b) for a, b in PINNED_COUNT.findall(README.read_text())]
+    assert len(counts) == 2
+    assert counts == [len(json.loads(PINNED.read_text())["estimates"])] * 2

@@ -302,6 +302,18 @@ def test_row_grouping_matches_numpy_unique(k, size, largest, data):
     assert np.array_equal(position, inverse.reshape(-1))
 
 
+def test_sampler_names_every_kind_once():
+    """One entry per kind of ``mechanisms.KINDS``, naming methods of the sampler; a kind read
+    from a per-outcome table indexes it by two or three observations, at most k^3 outcomes."""
+    assert list(_sampling.SAMPLER_KINDS) == list(KINDS)
+    for entry in _sampling.SAMPLER_KINDS.values():
+        assert callable(getattr(_sampling._Sampler, entry.chunk))
+        if entry.reward is None:
+            assert entry.coordinates == 0
+        else:
+            assert callable(getattr(_sampling._Sampler, entry.reward)) and 2 <= entry.coordinates <= 3
+
+
 @pytest.mark.parametrize("trials", [True, 2.5, float("nan"), 0, -3, "10"])
 def test_trials_must_be_a_positive_integer(monkeypatch, trials):
     monkeypatch.setattr(_sampling, "_Sampler", None)  # any draw would fail with a TypeError

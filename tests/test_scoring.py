@@ -9,6 +9,7 @@ from peerspot import (
     LOGARITHMIC,
     QUADRATIC,
     LogOfZero,
+    ShapeMismatch,
     ScoringRule,
     check_symmetry,
     divergence,
@@ -75,6 +76,27 @@ class TestDivergence:
             a, b = a / a.sum(), b / b.sum()
             for rule in (QUADRATIC, LOGARITHMIC):
                 assert divergence(rule, a, b) >= -1e-12
+
+    @pytest.mark.parametrize("rule", [QUADRATIC, LOGARITHMIC], ids=lambda rule: rule.name)
+    def test_leading_axes_broadcast_to_every_pair(self, rule):
+        """A table of divergences holds each pair's float, infinite ones included."""
+        rng = np.random.default_rng(5)
+        beliefs = rng.dirichlet(np.ones(3), size=6)
+        beliefs[:2, 0] = 0.0  # zero mass: infinite log divergence onto these rows
+        beliefs /= beliefs.sum(axis=1, keepdims=True)
+        table = divergence(rule, beliefs[:, None, :], beliefs[None, :, :])
+        assert table.shape == (6, 6)
+        for a in range(6):
+            for b in range(6):
+                single = divergence(rule, beliefs[a], beliefs[b])
+                assert type(single) is float and table[a, b] == single
+        assert (rule is LOGARITHMIC) == bool(np.isinf(table).any())
+
+    @pytest.mark.parametrize("shapes", [((2,), (3,)), ((2, 3), (2, 2))])
+    def test_mismatched_supports_are_refused(self, shapes):
+        b1, b2 = (np.full(shape, 1.0 / shape[-1]) for shape in shapes)
+        with pytest.raises(ShapeMismatch, match="share a support"):
+            divergence(QUADRATIC, b1, b2)
 
 
 class _OffsetByLabel(ScoringRule):
