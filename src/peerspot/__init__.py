@@ -28,7 +28,6 @@ from .signals import (
     Environment,
     LabelSpace,
     reference_environment,
-    validate_environment,
 )
 from .scoring import (
     LOGARITHMIC,

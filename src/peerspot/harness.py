@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import PayoffTable, compute_payoff_table, compute_thresholds
+from .equilibrium import DEFAULT_GRID, PayoffTable, compute_payoff_table, compute_thresholds
 from .errors import ConfigError, PeerSpotError
 from .mechanisms import MechanismSpec
-from .signals import Channel, Distribution, Environment, LabelSpace, is_json_number
+from .signals import COST, Channel, Distribution, Environment, LabelSpace, is_json_number
+from .signals import json_fields, json_integer, json_list, json_number, json_string
 from .spotcheck import check_worthwhile_effort
 from .strategies import MAX_LABELS
 
@@ -41,7 +42,7 @@ class ExperimentConfig:
     effort_costs: tuple = DEFAULT_EFFORT_COSTS
     p_values: tuple = ()
     seed: int = 0
-    grid: float = 1e-3
+    grid: float = DEFAULT_GRID
     output_dir: str = "results"
 
 
@@ -93,9 +94,9 @@ def _cell(x) -> str:
 
 
 def generate_environments(
-    labels: int,
-    count: int,
-    seed: int,
+    labels: int = 2,
+    count: int = 1,
+    seed: int = 0,
     accuracy: tuple = (0.6, 0.95),
     n_agents: int = 3,
     n_objects: int = 2,
@@ -133,66 +134,46 @@ def generate_environments(
             n_objects=n_objects,
             env_id=f"{prefix}-q{labels}-s{seed}-{i}",
         )
-        env.validate()
         envs.append(env)
     return envs
 
 
-# Integer fields of a generator entry and their defaults; GENERATOR_KEYS are all its keys.
-GENERATOR_SIZES = {"labels": 2, "count": 1, "n_agents": 3, "n_objects": 2}
-GENERATOR_KEYS = set(GENERATOR_SIZES) | {"seed", "accuracy", "effort_cost", "prefix"}
-
-
-def _integer(field: str, value, minimum: int | None, requirement: str) -> int:
-    """``value`` as an integer (an integral float is one) of at least ``minimum``, or a
-    ConfigError that starts with ``field``, the name of the field."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or (minimum is not None and value < minimum):
-        raise ConfigError(f"{field} must be {requirement}, got {value!r}")
+def _label_count(value) -> int:
+    if json_integer(value, 1) > MAX_LABELS:
+        raise ValueError(f"must be at most {MAX_LABELS}, got {value!r}")
     return int(value)
 
 
-def _accuracy_range(where: str, value) -> tuple:
-    """A generator's accuracy range as two floats with 0 <= lo <= hi <= 1, or a ConfigError
-    that names ``where``; NaN and infinite bounds fail the comparison."""
+def _accuracy_range(value) -> tuple:
+    """A generator's accuracy range as two floats with 0 <= lo <= hi <= 1 (NaN and inf fail)."""
     pair = isinstance(value, (list, tuple)) and len(value) == 2
     if not pair or not all(is_json_number(x) for x in value):
-        raise ConfigError(f"{where}: accuracy must be two numbers [lo, hi], got {value!r}")
+        raise ValueError(f"must be two numbers [lo, hi], got {value!r}")
     if not 0.0 <= value[0] <= value[1] <= 1.0:
-        raise ConfigError(f"{where}: accuracy must satisfy 0 <= lo <= hi <= 1, got {list(value)!r}")
+        raise ValueError(f"must satisfy 0 <= lo <= hi <= 1, got {list(value)!r}")
     return float(value[0]), float(value[1])
+
+
+# The reader of each key of a generator; an absent key takes its generate_environments default.
+_GENERATOR = {
+    "labels": _label_count,
+    "count": partial(json_integer, minimum=1),
+    "seed": partial(json_integer, minimum=0),
+    "accuracy": _accuracy_range,
+    "n_agents": partial(json_integer, minimum=1),
+    "n_objects": partial(json_integer, minimum=1),
+    "effort_cost": partial(json_number, rule=COST),
+    "prefix": json_string,
+}
 
 
 def _expand_environment_entry(entry, position: int) -> list:
     where = f"environments[{position}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: must be an object, got {entry!r}")
-    if "generator" in entry:
-        gen = entry["generator"]
-        where = f"{where}.generator"
-        if not isinstance(gen, dict):
-            raise ConfigError(f"{where}: must be an object, got {gen!r}")
-        unknown = sorted(set(gen) - GENERATOR_KEYS)
-        if unknown:
-            raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-        sizes = {
-            key: _integer(f"{where}: {key}", gen.get(key, default), 1, "a positive integer")
-            for key, default in GENERATOR_SIZES.items()
-        }
-        if sizes["labels"] > MAX_LABELS:
-            raise ConfigError(f"{where}: labels must be at most {MAX_LABELS}, got {sizes['labels']}")
-        seed = _integer(f"{where}: seed", gen.get("seed", 0), 0, "a nonnegative integer")
-        accuracy = _accuracy_range(where, gen.get("accuracy", (0.6, 0.95)))
-        cost = _number(f"{where}: effort_cost", gen.get("effort_cost", 0.1), _cost, "finite and nonnegative")
-        prefix = _string(f"{where}: prefix", gen.get("prefix", "gen"))
-        try:
-            return generate_environments(**sizes, seed=seed, accuracy=accuracy, effort_cost=cost, prefix=prefix)
-        except (TypeError, ValueError, PeerSpotError) as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    for key in ("n_agents", "n_objects"):  # a literal entry's sizes follow the generator's rule
-        if key in entry:
-            _integer(f"{where}: {key}", entry[key], 1, "a positive integer")
     try:
+        if isinstance(entry, dict) and "generator" in entry:
+            gen = json_fields(entry, {"generator": lambda gen: gen})["generator"]
+            where += ".generator"
+            return generate_environments(**json_fields(gen, _GENERATOR))
         env = Environment.from_json_dict(entry)
     except PeerSpotError as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -201,87 +182,82 @@ def _expand_environment_entry(entry, position: int) -> list:
     return [env]
 
 
-def parse_config(doc: dict) -> ExperimentConfig:
-    if "environments" not in doc or not doc["environments"]:
-        raise ConfigError("environments: at least one entry required")
-    if "mechanisms" not in doc or not doc["mechanisms"]:
-        raise ConfigError("mechanisms: at least one entry required")
+def _environments(entries) -> list:
     environments, env_at = [], {}
-    for i, entry in enumerate(doc["environments"]):
+    for i, entry in enumerate(json_list(entries)):
         for env in _expand_environment_entry(entry, i):
             _unique("environments", "env_id", env.env_id, i, env_at)
             environments.append(env)
+    return environments
+
+
+def _mechanisms(entries) -> list:
     mechanisms, spec_at = [], {}
-    for i, entry in enumerate(doc["mechanisms"]):
+    for i, entry in enumerate(json_list(entries)):
         try:
             spec = MechanismSpec.from_json_dict(entry)
         except (KeyError, TypeError, ValueError, PeerSpotError) as exc:
             raise ConfigError(f"mechanisms[{i}]: {exc}") from None
         _unique("mechanisms", "mechanism", spec.describe(), i, spec_at)
         mechanisms.append(spec)
-    sweeps = doc.get("sweeps", {})
-    if not isinstance(sweeps, dict):
-        raise ConfigError(f"sweeps: must be an object, got {sweeps!r}")
-    costs = tuple(
-        _number("sweeps.effort_cost:", c, _cost, "finite and nonnegative")
-        for c in _sweep_list("sweeps.effort_cost", sweeps.get("effort_cost", DEFAULT_EFFORT_COSTS))
-    )
-    if not costs:
-        raise ConfigError("sweeps.effort_cost: at least one value required")
-    p_values = tuple(
-        _number("sweeps.p:", p, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
-        for p in _sweep_list("sweeps.p", sweeps.get("p", ()))
-    )
-    return ExperimentConfig(
-        environments=environments,
-        mechanisms=mechanisms,
-        effort_costs=costs,
-        p_values=p_values,
-        seed=_integer("seed:", doc.get("seed", 0), None, "an integer"),
-        grid=check_grid(doc.get("grid", 1e-3)),
-        output_dir=_string("output_dir:", doc.get("output_dir", "results")),
-    )
+    return mechanisms
 
 
-def _unique(section: str, name: str, key: str, position: int, seen: dict) -> None:
+def _unique(section: str, name: str, key, position: int, seen: dict) -> None:
     """Record that entry ``position`` of ``section`` gives rows the ``name`` ``key``, or raise
     a ConfigError naming both entries when an earlier one already does: rows and plot
-    series are keyed by (env_id, mechanism, effort_cost)."""
+    series are keyed by (env_id, mechanism, effort_cost), and utilities by p."""
     if key in seen:
         raise ConfigError(f"{section}[{position}]: {name} {key!r} repeats {section}[{seen[key]}]")
     seen[key] = position
 
 
-def _sweep_list(name: str, values) -> list:
-    """A sweep's values, which must be a JSON list, or a ConfigError naming the field."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{name}: must be a list of numbers, got {values!r}")
-    return values
+def _sweep(key: str, rule, required: bool, values) -> tuple:
+    """The values of ``sweeps.<key>``: distinct numbers that pass ``rule``."""
+    seen = {}
+    for i, value in enumerate(json_list(values)):
+        _unique(f"sweeps.{key}", "value", json_number(value, rule), i, seen)
+    if required and not seen:
+        raise ValueError("at least one value required")
+    return tuple(seen)
 
 
-def _number(field: str, value, valid, requirement: str) -> float:
-    """``value`` as a float if it is a JSON number (not a bool or a string) that passes
-    ``valid``, or a ConfigError that starts with ``field``; NaN fails every ``valid``."""
-    if not (is_json_number(value) and valid(value)):
-        raise ConfigError(f"{field} must be {requirement}, got {value!r}")
-    return float(value)
-
-
-def _cost(x) -> bool:
-    """Whether the number ``x`` is a valid effort cost: finite and nonnegative."""
-    return 0.0 <= x < math.inf
-
-
-def _string(field: str, value) -> str:
-    """``value`` if it is a string, or a ConfigError that starts with ``field``."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{field} must be a string, got {value!r}")
-    return value
+def _sweeps(value) -> dict:
+    """The ExperimentConfig fields that a ``sweeps`` object sets."""
+    sweeps = json_fields(value, _SWEEPS, ConfigError, "sweeps: ", "sweeps.")
+    return {{"effort_cost": "effort_costs", "p": "p_values"}[key]: values for key, values in sweeps.items()}
 
 
 def check_grid(grid) -> float:
     """The threshold grid resolution as a float in (0, 1], or a ConfigError."""
-    return _number("grid:", grid, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
+    try:
+        return json_number(grid, (lambda x: 0.0 < x <= 1.0, "a number in (0, 1]"))
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from None
+
+
+_SWEEPS = {
+    "effort_cost": partial(_sweep, "effort_cost", COST, True),
+    "p": partial(_sweep, "p", (lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"), False),
+}
+# The reader of each top-level key; an absent key takes its ExperimentConfig default.
+_CONFIG = {
+    "environments": _environments,
+    "mechanisms": _mechanisms,
+    "sweeps": _sweeps,
+    "seed": json_integer,
+    "grid": check_grid,
+    "output_dir": json_string,
+}
+
+
+def parse_config(doc) -> ExperimentConfig:
+    """The experiment a config document describes, or a ConfigError that names the field."""
+    config = json_fields(doc, _CONFIG, ConfigError, "config: ")
+    for key in ("environments", "mechanisms"):
+        if not config.get(key):
+            raise ConfigError(f"{key}: at least one entry required")
+    return ExperimentConfig(**config.pop("sweeps", {}), **config)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -6,13 +6,16 @@ per agent from the high channel, all agents share a single costless
 low-quality draw from the low channel, and an auditor can obtain a trusted
 draw from the trusted channel.  Everything downstream (mechanism
 expectations, equilibrium search) reduces to sums over the per-object joint
-law these channels define, so all probability objects are validated eagerly and kept immutable.
+law these channels define, so all probability objects and environments are validated when
+built and kept immutable.  The ``json_*`` readers decide what each JSON type may hold, for
+``Environment.from_json_dict`` and for the config reader in ``harness``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -20,6 +23,8 @@ import numpy as np
 from .errors import InvalidDistribution, ShapeMismatch, TooFewAgents
 
 PROB_ATOL = 1e-12
+COST = (lambda x: 0.0 <= x < math.inf, "finite and nonnegative")  # the effort-cost rule; NaN fails it
+_INTEGER = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
 
 
 def is_json_number(value) -> bool:
@@ -27,22 +32,55 @@ def is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _json_number(value) -> float:
-    if not is_json_number(value):
-        raise TypeError(f"must be a number, got {value!r}")
+def json_number(value, rule=(lambda x: True, "a number")) -> float:
+    """``value`` as a float if it is a JSON number that passes ``rule``: the test a number
+    must pass, and what an error says it must be."""
+    valid, requirement = rule
+    if not (is_json_number(value) and valid(value)):
+        raise ValueError(f"must be {requirement}, got {value!r}")
     return float(value)
 
 
-def _json_list(value) -> list:
+def json_integer(value, minimum: int | None = None) -> int:
+    """``value`` as an int if it is an integral JSON number (``3.0`` is, ``True`` is not) >= ``minimum``."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or (minimum is not None and value < minimum):
+        raise ValueError(f"must be {_INTEGER[minimum]}, got {value!r}")
+    return int(value)
+
+
+def json_list(value) -> list:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"must be a list, got {value!r}")
     return list(value)
 
 
-def _json_string(value) -> str:
+def json_string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"must be a string, got {value!r}")
     return value
+
+
+def json_fields(value, readers: Mapping, error=ShapeMismatch, where: str = "", path: str = "") -> dict:
+    """The keys of the JSON object ``value``, each read by its reader; an absent key is left out,
+    so that its default comes from where the value is defined.  An ``error`` names a bad object
+    after ``where``, and a value that its reader refuses after ``path`` and the value's key."""
+    if not isinstance(value, Mapping):
+        raise error(f"{where}must be an object, got {value!r}")
+    fields = {}
+    for key, item in value.items():
+        if key not in readers:
+            raise error(f"{where}unknown key {key!r}")
+        try:
+            fields[key] = readers[key](item)
+        except (TypeError, ValueError) as exc:
+            raise error(f"{path}{key}: {exc}") from None
+    return fields
+
+
+def _json_array(value, rank: int) -> np.ndarray:
+    """A list of JSON numbers (of such lists, for rank 2) as a float array."""
+    return np.array([_json_array(x, rank - 1) if rank > 1 else json_number(x) for x in json_list(value)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -164,13 +202,24 @@ class Environment:
     n_objects: int
     env_id: str = field(default="env", compare=False)
 
-    def validate(self) -> None:
-        validate_environment(self)
+    def __post_init__(self):
+        """Raise the first violated invariant, so that no Environment is invalid however built."""
+        space = self.q_space
+        if self.prior.support != space:
+            raise ShapeMismatch("prior is not over the quality space")
+        for name in ("high_channel", "trusted_channel", "low_channel"):
+            channel = getattr(self, name)
+            if channel.input_space != space or channel.output_space != space:
+                raise ShapeMismatch(f"{name} must map the quality space to the label space")
+        if not COST[0](self.effort_cost):
+            raise InvalidDistribution(f"effort_cost must be {COST[1]}, got {self.effort_cost}")
+        if self.n_agents < 3:
+            raise TooFewAgents(f"n_agents must be at least 3, got {self.n_agents}")
+        if self.n_objects < 1:
+            raise ShapeMismatch(f"n_objects must be positive, got {self.n_objects}")
 
     def with_effort_cost(self, cost: float) -> "Environment":
-        if not 0.0 <= float(cost) < math.inf:  # also rejects NaN
-            raise InvalidDistribution(f"effort_cost must be finite and nonnegative, got {cost}")
-        return replace(self, effort_cost=float(cost))
+        return replace(self, effort_cost=cost)
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,45 +236,44 @@ class Environment:
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "Environment":
-        """The environment a JSON object describes; a missing field, or one that does not
-        parse, is a ShapeMismatch that names it.  Labels and probability rows are lists,
-        probabilities and the effort cost JSON numbers, and the id a string."""
-
-        def read(key, parse, default=None):
-            if key not in doc:
-                if default is None:
-                    raise ShapeMismatch(f"environment document missing field {key!r}")
-                return default
-            try:
-                return parse(doc[key])
-            except (TypeError, ValueError) as exc:
-                raise ShapeMismatch(f"{key}: {exc}") from None
-
-        numbers = lambda values: [_json_number(x) for x in _json_list(values)]
-        space = read("labels", lambda labels: LabelSpace.of(_json_list(labels)))
-        prior = read("prior", lambda probs: Distribution.from_array(space, numbers(probs)))
-        channel = lambda mat: Channel.from_matrix(space, space, [numbers(row) for row in _json_list(mat)])
-        high = read("high", channel)
-        env = Environment(
+        """The environment a JSON object describes, read by ENVIRONMENT_FIELDS; ``trusted``
+        defaults to ``high`` and ``low`` to uniform.  A missing or unknown key, or a field
+        that does not parse, is a ShapeMismatch that names it."""
+        fields = json_fields(doc, ENVIRONMENT_FIELDS)
+        for key in ("labels", "prior", "high"):
+            if key not in fields:
+                raise ShapeMismatch(f"environment document missing field {key!r}")
+        space, high = fields.pop("labels"), fields.pop("high")
+        channel = partial(Channel.from_matrix, space, space)
+        return Environment(
             q_space=space,
-            prior=prior,
-            high_channel=high,
-            trusted_channel=read("trusted", channel, high),
-            low_channel=read("low", channel, Channel.uniform(space)),
-            effort_cost=read("effort_cost", _json_number, 0.0),
-            n_agents=read("n_agents", int, 3),
-            n_objects=read("n_objects", int, 2),
-            env_id=read("env_id", _json_string, "env"),
+            prior=Distribution.from_array(space, fields.pop("prior")),
+            high_channel=channel(high),
+            trusted_channel=channel(fields.pop("trusted", high)),
+            low_channel=channel(fields.pop("low")) if "low" in fields else Channel.uniform(space),
+            **({"effort_cost": 0.0, "n_agents": 3, "n_objects": 2} | fields),
         )
-        env.validate()
-        return env
+
+
+# The reader of each key of an environment's JSON object.
+ENVIRONMENT_FIELDS = {
+    "labels": lambda labels: LabelSpace.of(json_list(labels)),
+    "prior": partial(_json_array, rank=1),
+    "high": partial(_json_array, rank=2),
+    "trusted": partial(_json_array, rank=2),
+    "low": partial(_json_array, rank=2),
+    "effort_cost": json_number,
+    "n_agents": partial(json_integer, minimum=1),
+    "n_objects": partial(json_integer, minimum=1),
+    "env_id": json_string,
+}
 
 
 def reference_environment() -> Environment:
     """The binary environment used throughout the test suite: two labels, uniform prior,
     0.9 symmetric-noise high and trusted channels, uniform low channel, cost 0.1, n=3, m=2."""
     space = LabelSpace.of((0, 1))
-    env = Environment(
+    return Environment(
         q_space=space,
         prior=Distribution.uniform(space),
         high_channel=Channel.symmetric_noise(space, 0.9),
@@ -236,27 +284,3 @@ def reference_environment() -> Environment:
         n_objects=2,
         env_id="e1",
     )
-    env.validate()
-    return env
-
-
-def validate_environment(env: Environment) -> None:
-    """Raise the first violated invariant; return silently when all hold."""
-    space = env.q_space
-    for name, dist in [("prior", env.prior)]:
-        if dist.support != space:
-            raise ShapeMismatch(f"{name} is not over the quality space")
-    for name, channel in [
-        ("high_channel", env.high_channel),
-        ("trusted_channel", env.trusted_channel),
-        ("low_channel", env.low_channel),
-    ]:
-        if channel.input_space != space or channel.output_space != space:
-            raise ShapeMismatch(f"{name} must map the quality space to the label space")
-    if not 0.0 <= env.effort_cost < math.inf:  # also rejects NaN
-        raise InvalidDistribution(f"effort_cost must be finite and nonnegative, got {env.effort_cost}")
-    if env.n_agents < 3:
-        raise TooFewAgents(f"n_agents must be at least 3, got {env.n_agents}")
-    if env.n_objects < 1:
-        raise ShapeMismatch(f"n_objects must be positive, got {env.n_objects}")
-

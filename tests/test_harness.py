@@ -81,27 +81,27 @@ class TestConfig:
         [
             ({"labels": 1}, "label space needs at least 2 labels"),
             ({"n_agents": 1}, "n_agents must be at least 3"),
-            ({"n_objects": 0}, "n_objects must be a positive integer"),
-            ({"effort_cost": -1}, "effort_cost must be finite and nonnegative"),
-            ({"labels": 2.5}, "labels must be a positive integer, got 2.5"),
-            ({"labels": 6}, "labels must be at most 5, got 6"),
-            ({"count": 1.5}, "count must be a positive integer"),
-            ({"n_agents": 3.5}, "n_agents must be a positive integer"),
-            ({"n_objects": 2.5}, "n_objects must be a positive integer"),
-            ({"labels": True}, "labels must be a positive integer, got True"),
-            ({"count": 0}, "count must be a positive integer, got 0"),
+            ({"n_objects": 0}, "n_objects: must be a positive integer"),
+            ({"effort_cost": -1}, "effort_cost: must be finite and nonnegative"),
+            ({"labels": 2.5}, "labels: must be a positive integer, got 2.5"),
+            ({"labels": 6}, "labels: must be at most 5, got 6"),
+            ({"count": 1.5}, "count: must be a positive integer"),
+            ({"n_agents": 3.5}, "n_agents: must be a positive integer"),
+            ({"n_objects": 2.5}, "n_objects: must be a positive integer"),
+            ({"labels": True}, "labels: must be a positive integer, got True"),
+            ({"count": 0}, "count: must be a positive integer, got 0"),
             ({"lables": 3}, "unknown key 'lables'"),
-            ({"seed": 2.5}, "seed must be a nonnegative integer, got 2.5"),
-            ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
-            ({"accuracy": [-1e308, 1e308]}, r"accuracy must satisfy 0 <= lo <= hi <= 1, got \[-1e\+308, 1e\+308\]$"),
-            ({"accuracy": [0.9, 0.6]}, r"accuracy must satisfy 0 <= lo <= hi <= 1, got \[0\.9, 0\.6\]$"),
-            ({"accuracy": [0.6, 1.5]}, r"accuracy must satisfy 0 <= lo <= hi <= 1"),
-            ({"accuracy": [0.6]}, r"accuracy must be two numbers \[lo, hi\], got \[0\.6\]$"),
-            ({"accuracy": "0.6"}, r"accuracy must be two numbers \[lo, hi\], got '0\.6'$"),
-            ({"accuracy": [0.6, True]}, r"accuracy must be two numbers \[lo, hi\]"),
-            ({"effort_cost": True}, "effort_cost must be finite and nonnegative, got True$"),
-            ({"effort_cost": "0.1"}, "effort_cost must be finite and nonnegative, got '0.1'$"),
-            ({"prefix": 5}, "prefix must be a string, got 5$"),
+            ({"seed": 2.5}, "seed: must be a nonnegative integer, got 2.5"),
+            ({"seed": -1}, "seed: must be a nonnegative integer, got -1"),
+            ({"accuracy": [-1e308, 1e308]}, r"accuracy: must satisfy 0 <= lo <= hi <= 1, got \[-1e\+308, 1e\+308\]$"),
+            ({"accuracy": [0.9, 0.6]}, r"accuracy: must satisfy 0 <= lo <= hi <= 1, got \[0\.9, 0\.6\]$"),
+            ({"accuracy": [0.6, 1.5]}, r"accuracy: must satisfy 0 <= lo <= hi <= 1"),
+            ({"accuracy": [0.6]}, r"accuracy: must be two numbers \[lo, hi\], got \[0\.6\]$"),
+            ({"accuracy": "0.6"}, r"accuracy: must be two numbers \[lo, hi\], got '0\.6'$"),
+            ({"accuracy": [0.6, True]}, r"accuracy: must be two numbers \[lo, hi\]"),
+            ({"effort_cost": True}, "effort_cost: must be finite and nonnegative, got True$"),
+            ({"effort_cost": "0.1"}, "effort_cost: must be finite and nonnegative, got '0.1'$"),
+            ({"prefix": 5}, "prefix: must be a string, got 5$"),
         ],
     )
     def test_bad_generator_entries_name_the_entry(self, tmp_path, capsys, generator, message):
@@ -121,7 +121,7 @@ class TestConfig:
         """JSON files cannot carry these (load_config refuses them), but a dict passed to
         parse_config can."""
         doc = tiny_config_doc(environments=[{"generator": {"labels": 3, "accuracy": [0.6, bound]}}])
-        with pytest.raises(ConfigError, match=r"^environments\[0\]\.generator: accuracy must satisfy 0 <= lo <= hi <= 1"):
+        with pytest.raises(ConfigError, match=r"^environments\[0\]\.generator: accuracy: must satisfy 0 <= lo <= hi <= 1"):
             parse_config(doc)
 
     @pytest.mark.parametrize(
@@ -210,8 +210,8 @@ class TestConfig:
         "overrides, message",
         [
             ({"sweeps": [1]}, r"sweeps: must be an object, got \[1\]"),
-            ({"sweeps": {"effort_cost": 0.1}}, r"sweeps\.effort_cost: must be a list of numbers, got 0\.1"),
-            ({"sweeps": {"p": 0.5}}, r"sweeps\.p: must be a list of numbers, got 0\.5"),
+            ({"sweeps": {"effort_cost": 0.1}}, r"sweeps\.effort_cost: must be a list, got 0\.1"),
+            ({"sweeps": {"p": 0.5}}, r"sweeps\.p: must be a list, got 0\.5"),
             ({"sweeps": {"effort_cost": [True]}}, r"sweeps\.effort_cost: must be finite and nonnegative, got True$"),
             ({"sweeps": {"effort_cost": ["0.1"]}}, r"sweeps\.effort_cost: must be finite and nonnegative, got '0\.1'$"),
             ({"sweeps": {"p": [True]}}, r"sweeps\.p: must be a number in \[0, 1\], got True$"),
@@ -226,21 +226,31 @@ class TestConfig:
             ({"effort_cost": "0.1"}, r"environments\[0\]: effort_cost: must be a number, got '0\.1'$"),
             ({"env_id": 5}, r"environments\[0\]: env_id: must be a string, got 5$"),
             ({"high": [[0.9, 0.1], [1.0]]}, r"environments\[0\]: high: "),
-            ({"n_agents": 3.9}, r"environments\[0\]: n_agents must be a positive integer, got 3\.9"),
-            ({"n_agents": "4"}, r"environments\[0\]: n_agents must be a positive integer, got '4'"),
-            ({"n_objects": 1.5}, r"environments\[0\]: n_objects must be a positive integer, got 1\.5"),
-            ({"n_objects": True}, r"environments\[0\]: n_objects must be a positive integer, got True"),
+            ({"n_agents": 3.9}, r"environments\[0\]: n_agents: must be a positive integer, got 3\.9"),
+            ({"n_agents": "4"}, r"environments\[0\]: n_agents: must be a positive integer, got '4'"),
+            ({"n_objects": 1.5}, r"environments\[0\]: n_objects: must be a positive integer, got 1\.5"),
+            ({"n_objects": True}, r"environments\[0\]: n_objects: must be a positive integer, got True"),
+            ({"environments": 3}, r"environments: must be a list, got 3$"),
+            ({"mechanisms": 3}, r"mechanisms: must be a list, got 3$"),
+            ({"grdi": 0.5}, r"config: unknown key 'grdi'$"),
+            ({"sweeps": {"effort_costs": [0.3]}}, r"sweeps: unknown key 'effort_costs'$"),
+            ({"n_agent": 10}, r"environments\[0\]: unknown key 'n_agent'$"),
+            ({"environments": [{"generator": {}, "n_agents": 5}]}, r"environments\[0\]: unknown key 'n_agents'$"),
+            ({"sweeps": {"effort_cost": [0.1, 0.1]}}, r"sweeps\.effort_cost\[1\]: value 0\.1 repeats sweeps\.effort_cost\[0\]$"),
+            ({"sweeps": {"p": [0.5, 0.25, 0.5]}}, r"sweeps\.p\[2\]: value 0\.5 repeats sweeps\.p\[0\]$"),
         ],
         ids=["sweeps-list", "costs-number", "p-number", "bool-cost", "string-cost", "bool-p", "string-p",
              "bool-grid", "string-grid", "number-output-dir", "prior-string", "labels-string", "bool-prior",
              "string-high", "string-effort-cost", "number-env-id", "ragged-high", "fractional-agents",
-             "string-agents", "fractional-objects", "bool-objects"],
+             "string-agents", "fractional-objects", "bool-objects", "environments-number", "mechanisms-number",
+             "unknown-top-key", "unknown-sweeps-key", "unknown-literal-key", "generator-with-literal-key",
+             "repeated-cost", "repeated-p"],
     )
     def test_malformed_documents_name_the_field(self, tmp_path, capsys, overrides, message):
         """A number is a JSON int or float, never a bool or a string; names and paths are
         strings and label and probability rows lists."""
         doc = tiny_config_doc()
-        if set(overrides) & {"sweeps", "grid", "output_dir"}:
+        if set(overrides) & {"environments", "mechanisms", "sweeps", "grid", "grdi", "output_dir"}:
             doc.update(overrides)
         else:
             doc["environments"][0].update(overrides)
@@ -250,6 +260,14 @@ class TestConfig:
         cfg.write_text(json.dumps(doc))
         assert cli_main(["validate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("invalid config: ")
+
+    def test_non_object_config_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"^config: must be an object, got \[1, 2\]$"):
+            parse_config([1, 2])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "invalid config: config: must be an object, got [1, 2]\n"
 
     @pytest.mark.parametrize(
         "entry",
@@ -527,7 +545,6 @@ class TestCli:
 class TestGenerator:
     def test_channels_are_noisy_and_valid(self):
         for env in generate_environments(3, 5, seed=21, accuracy=(0.6, 0.95)):
-            env.validate()
             high = env.high_channel.matrix()
             assert np.all(np.diag(high) <= 0.95 + 1e-12)
             assert np.all(np.diag(high) >= 0.6 - 1e-12)

@@ -1,6 +1,8 @@
 """Environment validation, and peer-report posteriors against an enumerated joint law."""
 
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from peerspot import (
     ShapeMismatch,
     TooFewAgents,
     truthful_strategy,
-    validate_environment,
 )
 from peerspot.strategies import peer_report_posteriors, strategy_arrays
 
@@ -40,20 +41,45 @@ def brute_joint(env, k):
     return table
 
 
+def fields_of(env) -> dict:
+    return {f.name: getattr(env, f.name) for f in dataclasses.fields(env)}
+
+
+ABC = LabelSpace.of(("a", "b", "c"))
+# Field changes that make an environment invalid, with the error and message each raises.
+INVALID = [
+    ({"n_agents": 2}, TooFewAgents, "n_agents must be at least 3, got 2"),
+    ({"n_objects": 0}, ShapeMismatch, "n_objects must be positive, got 0"),
+    ({"effort_cost": float("nan")}, InvalidDistribution, "effort_cost must be finite and nonnegative, got nan"),
+    ({"effort_cost": float("inf")}, InvalidDistribution, "effort_cost must be finite and nonnegative, got inf"),
+    ({"effort_cost": -1}, InvalidDistribution, "effort_cost must be finite and nonnegative, got -1"),
+    ({"prior": Distribution.uniform(ABC)}, ShapeMismatch, "prior is not over the quality space"),
+    ({"high_channel": Channel.uniform(ABC)}, ShapeMismatch, "high_channel must map the quality space to the label space"),
+    ({"low_channel": Channel.uniform(ABC)}, ShapeMismatch, "low_channel must map the quality space to the label space"),
+]
+
+
 class TestValidation:
     def test_reference_environment_is_valid(self, env):
-        validate_environment(env)
+        assert Environment(**fields_of(env)) == env
 
     def test_bad_probability_row_rejected(self):
         space = LabelSpace.of((0, 1))
         with pytest.raises(InvalidDistribution):
             Distribution.from_array(space, [0.6, 0.5])
 
-    def test_too_few_agents(self, env):
-        from dataclasses import replace
-
-        with pytest.raises(TooFewAgents):
-            validate_environment(replace(env, n_agents=2))
+    @pytest.mark.parametrize("build", ["constructor", "replace"])
+    @pytest.mark.parametrize(
+        "change, error, message",
+        INVALID,
+        ids=["two-agents", "no-objects", "nan-cost", "inf-cost", "negative-cost", "prior-space", "high-space", "low-space"],
+    )
+    def test_invalid_environment_cannot_be_built(self, env, build, change, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            if build == "constructor":
+                Environment(**(fields_of(env) | change))
+            else:
+                dataclasses.replace(env, **change)
 
     def test_channel_shape_mismatch(self):
         space = LabelSpace.of((0, 1))
@@ -70,16 +96,9 @@ class TestValidation:
         with pytest.raises(InvalidDistribution):
             Distribution(LabelSpace.of((0, 1)), weights)
 
-    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_effort_cost_fails_validation(self, env, cost):
-        from dataclasses import replace
-
-        with pytest.raises(InvalidDistribution):
-            validate_environment(replace(env, effort_cost=cost))
-
-    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -0.1])
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -float("inf"), -0.1, -1])
     def test_with_effort_cost_rejects_non_finite_and_negative(self, env, cost):
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InvalidDistribution, match=f"^effort_cost must be finite and nonnegative, got {re.escape(str(cost))}$"):
             env.with_effort_cost(cost)
         assert env.with_effort_cost(0.2).effort_cost == 0.2
 
@@ -162,3 +181,19 @@ class TestSerialization:
         e = Environment.from_json_dict(doc)
         assert np.allclose(e.trusted_channel.matrix(), e.high_channel.matrix())
         assert np.allclose(e.low_channel.matrix(), 0.5)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_agents": "4"}, "n_agents: must be a positive integer, got '4'"),
+            ({"n_agents": True}, "n_agents: must be a positive integer, got True"),
+            ({"n_agents": 3.9}, "n_agents: must be a positive integer, got 3.9"),
+            ({"n_objects": True}, "n_objects: must be a positive integer, got True"),
+            ({"n_objects": 0}, "n_objects: must be a positive integer, got 0"),
+            ({"n_agent": 10}, "unknown key 'n_agent'"),
+        ],
+        ids=["string-agents", "bool-agents", "fractional-agents", "bool-objects", "no-objects", "unknown-key"],
+    )
+    def test_fields_are_read_by_their_json_rule(self, env, change, message):
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            Environment.from_json_dict(env.to_json_dict() | change)
