@@ -32,13 +32,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded, NonBinaryLabelSpace
+from .errors import EnumerationBudgetExceeded
 from .scoring import NEGATIVE_SENTINEL
 from .signals import Environment
-from .strategies import peer_report_posteriors
+from .strategies import FULL_EFFORT, NO_EFFORT, peer_report_posteriors
 
 SUPPORT_ATOL = 1e-12
-DEFAULT_ENUMERATION_BUDGET = 10_000_000
+ENUMERATION_BUDGET = 10_000_000
 
 
 def outer_weights(env: Environment) -> np.ndarray:
@@ -51,8 +51,8 @@ def observation_laws(env: Environment) -> np.ndarray:
     a fresh high draw under full effort, the shared low draw itself without."""
     k = len(env.q_space)
     laws = np.zeros((2, k, k, k))
-    laws[0] = env.high_channel.matrix()[:, None, :]
-    laws[1, :, np.arange(k), np.arange(k)] = 1.0
+    laws[FULL_EFFORT] = env.high_channel.matrix()[:, None, :]
+    laws[NO_EFFORT, :, np.arange(k), np.arange(k)] = 1.0
     return laws
 
 
@@ -183,8 +183,6 @@ def double_mixed_agreement(spec, env: Environment, bases: tuple) -> np.ndarray:
 
 def robust_bts(spec, env: Environment, bases: tuple) -> np.ndarray:
     k = len(env.q_space)
-    if k != 2:
-        raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
     beliefs, scores = _beliefs(env, spec.rule, bases)
     efforts, maps = bases
     triple = _joint_observations(env, efforts, 2)  # [g, e, oi, oj, ok]
@@ -230,7 +228,7 @@ def divergence_bts(spec, env: Environment, bases: tuple) -> np.ndarray:
     return own[..., None] - penalty @ np.eye(k)[maps][:, None]
 
 
-def _peer_multisets(env: Environment, base_effort: int, n_peers: int, budget: int) -> tuple:
+def _peer_multisets(env: Environment, base_effort: int, n_peers: int) -> tuple:
     """Peer observation multisets under the base effort at position ``base_effort``, with
     their joint weights.
 
@@ -242,9 +240,9 @@ def _peer_multisets(env: Environment, base_effort: int, n_peers: int, budget: in
     w = outer_weights(env)
     laws = observation_laws(env)
     counts, weights = [], []
-    if base_effort == 0:  # full effort
+    if base_effort == FULL_EFFORT:
         n_multisets = math.comb(n_peers + k - 1, k - 1)
-        if n_multisets * (k**3) > budget:
+        if n_multisets * (k**3) > ENUMERATION_BUDGET:
             raise EnumerationBudgetExceeded(
                 f"minimum-truth-serum enumeration needs {n_multisets} peer multisets"
             )
@@ -270,7 +268,7 @@ def _peer_multisets(env: Environment, base_effort: int, n_peers: int, budget: in
     return np.array(counts), np.array(weights)
 
 
-def minimum_truth_serum(spec, env: Environment, bases: tuple, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+def minimum_truth_serum(spec, env: Environment, bases: tuple) -> np.ndarray:
     """Belief scores against all peers, capped by the same-report proxy belief score.
 
     Peer reports enter only through their observation multiset, so full-effort
@@ -286,7 +284,7 @@ def minimum_truth_serum(spec, env: Environment, bases: tuple, budget: int = DEFA
         cols = np.flatnonzero(efforts == position)
         if cols.size == 0:
             continue
-        counts, weights = _peer_multisets(env, position, n_peers, budget)
+        counts, weights = _peer_multisets(env, position, n_peers)
         base_beliefs = beliefs[position, cols]
         own_scores = scores[:, cols]  # [e, g, o, x]
         # reports[g, r, o]: base g reports r after observing o

@@ -49,14 +49,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonBinaryLabelSpace, NotEnoughObjects, ShapeMismatch, TooFewAgents
-from .mechanisms import MechanismKind, MechanismSpec
+from .errors import NotEnoughObjects, TooFewAgents
+from .mechanisms import MechanismKind, MechanismSpec, check_label_space
 from .scoring import NEGATIVE_SENTINEL, divergence
-from .signals import Environment
-from .strategies import StrategyProfile, peer_report_posteriors, strategy_arrays
+from .signals import Environment, check_integer
+from .strategies import FULL_EFFORT, StrategyProfile, peer_report_posteriors, strategy_arrays
 
 CHUNK = 20_000
-FULL_EFFORT = 0  # position of full effort in ``Effort`` order, as ``strategy_arrays`` lays it out
 
 # Cross-object holdout size per label for the double-mixed sampler; large
 # enough that an all-labels-positive sample fails to be double mixed with
@@ -314,8 +313,6 @@ class _Sampler:
         return rewards
 
     def _robust_bts(self, obs_i, obs_j, obs_k):
-        if self.k != 2:
-            raise NonBinaryLabelSpace("robust BTS is defined for binary label spaces only")
         r_i = self.focal_map[obs_i]
         r_k = self.base_map[obs_k]
         p_one = self.beliefs_base[obs_j, 1]
@@ -469,11 +466,6 @@ class _Sampler:
         return k * (comb(self.env.n_agents + k - 2, k - 1) if self.base_effort == FULL_EFFORT else k)
 
 
-def _check_integer(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ShapeMismatch(f"{name} must be an integer of at least {minimum}, got {value!r}")
-
-
 def simulate_utilities(
     spec: MechanismSpec,
     env: Environment,
@@ -482,8 +474,9 @@ def simulate_utilities(
     seed: int,
 ) -> UtilityEstimate:
     """Sample mean and stderr of the focal agent's per-object reward; deterministic per seed."""
-    _check_integer("trials", trials, 1)
-    _check_integer("seed", seed, 0)
+    check_integer("trials", trials, 1)
+    check_integer("seed", seed, 0)
+    check_label_space(spec, env)
     sampler = _Sampler(spec, env, profile)
     rng = np.random.default_rng(seed)
     chunks = []

@@ -34,7 +34,7 @@ from .mechanisms import KINDS, MechanismKind, MechanismSpec
 from .scoring import LOGARITHMIC, QUADRATIC, check_symmetry
 from .signals import Channel, Distribution, Environment, LabelSpace, reference_environment
 from .spotcheck import expected_spot_rewards
-from .strategies import StrategyProfile, low_identity_strategy, pure_strategy_arrays, truthful_strategy
+from .strategies import StrategyProfile, low_identity_index, low_identity_strategy, pure_strategy_arrays, truthful_strategy
 
 ANALYTIC_TOL = 1e-9
 GRID = 1e-3
@@ -215,13 +215,7 @@ def _aligned_random_environment(rng: np.random.Generator, labels: int, index: in
     prior = Distribution.from_array(space, weights / weights.sum())
 
     def aligned(low_floor: float) -> Channel:
-        rows = []
-        for r in range(labels):
-            acc = rng.uniform(max(low_floor, 1.05 / labels), 0.95)
-            row = np.full(labels, (1.0 - acc) / (labels - 1))
-            row[r] = acc
-            rows.append(row)
-        return Channel.from_matrix(space, space, np.array(rows))
+        return Channel.symmetric_noise(space, rng.uniform(max(low_floor, 1.05 / labels), 0.95, size=labels))
 
     return Environment(
         q_space=space,
@@ -242,7 +236,7 @@ def check_best_no_effort_map() -> tuple:
     count = 0
     for labels, n_envs in ((2, 9), (3, 8), (4, 8)):
         efforts, maps = pure_strategy_arrays(labels)
-        no_effort = slice(labels**labels, None)  # every no-effort map, the identity first
+        no_effort = slice(low_identity_index(labels), None)  # every no-effort map, the identity first
         for i in range(n_envs):
             env = _aligned_random_environment(rng, labels, i)
             values = expected_spot_rewards(env, (efforts[no_effort], maps[no_effort])).tolist()

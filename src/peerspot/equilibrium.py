@@ -46,11 +46,13 @@ from ._expectations import strategy_rewards
 from .mechanisms import MechanismSpec, unchecked_rewards
 from .signals import Environment
 from .spotcheck import audit_rewards, expected_spot_rewards
-from .strategies import Strategy, enumerate_pure_strategies, pure_strategy_arrays, strategy_arrays, truthful_strategy
+from .strategies import EFFORT_COST, NO_EFFORT, TRUTHFUL, Strategy, enumerate_pure_strategies, low_identity_index
+from .strategies import pure_strategy_arrays, strategy_arrays, truthful_strategy
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
 REFINE = 1e-6  # width of the bracket at which the p_el bisection stops
+DS_REFINE = 1e-9  # width of the bracket at which the p_ds bisection stops; gate C1 compares at 1e-8
 PARETO_BLOCK = 64  # bases per block compared point by point in the Pareto threshold search
 # Relative bound on the rounding gap between an effort's best deviation gain read from
 # ``PayoffTable.kinked_gains`` at p and the largest matching entry of the dense gain row.
@@ -62,7 +64,6 @@ PARETO_BLOCK = 64  # bases per block compared point by point in the Pareto thres
 # 6 * 2**-53 of one.  So the two differ by under 6e-14 of that at k <= 6 (1.3e-16
 # measured at k <= 5), and the slack allows over 15 times that.
 VERIFY_SLACK = 1e-12
-FULL_EFFORT_PAYS = np.array([[1.0], [0.0]])  # effort cost factor per ``Effort``, as a column
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ NOT_APPLICABLE = NotAttained("not_applicable")
 
 
 def threshold_float(x) -> float:
-    """Numeric view of a threshold; unattained values compare as +inf."""
-    return float(x) if not isinstance(x, NotAttained) else math.inf
+    """Numeric view of a threshold or of its row cell; unattained ones compare as +inf."""
+    return float(x) if isinstance(x, (int, float)) else math.inf
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class PayoffTable:
     # ``kinked_gains`` per base, filled in as bases are asked for: (kinks, gains, slopes,
     # filled, width), where the kink columns past ``width`` hold 1 for every filled base.
     _kinked: tuple = field(init=False, repr=False, default=None)
-    truthful: int = field(init=False)
+    truthful = TRUTHFUL  # index of the truthful strategy, the same in every table
     best_no_effort: int = field(init=False)
 
     def __post_init__(self):
@@ -151,14 +152,13 @@ class PayoffTable:
         self.efforts, self.maps = pure_strategy_arrays(k)
         if self.unchecked_terms.shape != (len(self.efforts), 2, k, k) or self.audit_terms.shape != (2, k, k):
             raise ShapeMismatch(f"a payoff table over {k} labels holds terms for all {len(self.efforts)} pure strategies")
-        self.full_effort = (self.efforts == 0).astype(float)
+        self.full_effort = EFFORT_COST[self.efforts]
         v = self.unchecked_terms
         self.own = strategy_rewards(v, self.efforts, self.maps, np.arange(len(v)))
         self.spot = strategy_rewards(self.audit_terms, self.efforts, self.maps)
         largest_sum = lambda terms: np.abs(terms).max(axis=-1).sum(axis=-1).max(axis=-1)
         self.magnitude = 1.0 + np.abs(self.own) + np.abs(self.spot) + largest_sum(v) + largest_sum(self.audit_terms)
-        self.truthful = 0  # canonical order starts with truthful effort
-        self.best_no_effort = _best_no_effort_index(self.efforts, self.spot)
+        self.best_no_effort = _best_no_effort_index(self.efforts, self.spot, k)
 
     @cached_property
     def strategies(self) -> list:
@@ -249,7 +249,7 @@ class PayoffTable:
         the dense row's ``max <= tol`` at every p.
         """
         kinks, gains, slopes = pieces
-        costs = cost * (FULL_EFFORT_PAYS - self.full_effort[bases])[:, None]
+        costs = cost * (EFFORT_COST[:, None] - self.full_effort[bases])[:, None]
         gain = (gains + slopes * (p[..., None, None, :] - kinks) - costs).max(axis=(-3, -2))
         unsure = np.nonzero(np.abs(gain - tol) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
         if unsure[0].size:
@@ -308,12 +308,12 @@ def compute_payoff_table(mechanism: MechanismSpec, env: Environment) -> PayoffTa
     return PayoffTable(unchecked_rewards(mechanism, env, bases), audit_rewards(env))
 
 
-def _best_no_effort_index(efforts, spot) -> int:
+def _best_no_effort_index(efforts, spot, k: int) -> int:
     """Best no-effort strategy by audit reward ``spot``: scanning in canonical order from the
     identity map, a strategy replaces the best only when it beats it by more than DEFAULT_TOL."""
-    best = len(efforts) // 2  # canonical order: the no-effort identity map heads the no-effort half
+    best = low_identity_index(k)
     for i in np.flatnonzero(np.asarray(spot) > spot[best] + DEFAULT_TOL):
-        if efforts[i] == 1 and spot[i] > spot[best] + DEFAULT_TOL:
+        if efforts[i] == NO_EFFORT and spot[i] > spot[best] + DEFAULT_TOL:
             best = int(i)
     return best
 
@@ -347,21 +347,21 @@ def enumerate_symmetric_pure_equilibria(
 # ---------------------------------------------------------------------------
 
 
-def solve_p_ds(table: PayoffTable, cost: float, tol: float = DEFAULT_TOL):
+def solve_p_ds(table: PayoffTable, cost: float):
     """Closed-form minimum audit probability making truthful effort dominant
     under a constant unchecked reward: cost / (audit value of truth - audit
     value of the best no-effort strategy).  Only the table's audit rewards
     enter, so any mechanism's table for the environment gives the same value."""
     gap = float(table.spot[table.truthful]) - float(table.spot[table.best_no_effort])
-    if gap <= tol:
+    if gap <= DEFAULT_TOL:
         return NOT_ACHIEVABLE
     p = cost / gap
-    if p > 1.0 + tol:
+    if p > 1.0 + DEFAULT_TOL:
         return NOT_ACHIEVABLE
     return min(p, 1.0)
 
 
-def solve_p_ds_bisection(env: Environment, tol: float = DEFAULT_TOL):
+def solve_p_ds_bisection(env: Environment):
     """Independent route to p_ds: bisect the truthful-vs-best-other dominance gap.
 
     The unchecked reward is constant, so the gap at probability p is
@@ -370,13 +370,12 @@ def solve_p_ds_bisection(env: Environment, tol: float = DEFAULT_TOL):
     """
     efforts, maps = pure_strategy_arrays(len(env.q_space))
     spots = expected_spot_rewards(env, (efforts, maps))
-    costs = np.where(efforts == 0, env.effort_cost, 0.0)
-    t = 0  # canonical order starts with truthful effort
+    costs = env.effort_cost * EFFORT_COST[efforts]
 
     def gap(p: float) -> float:
         utilities = p * spots - costs
-        truthful = utilities[t]
-        utilities[t] = -np.inf
+        truthful = utilities[TRUTHFUL]
+        utilities[TRUTHFUL] = -np.inf
         return truthful - utilities.max()
 
     if gap(1.0) < 0.0:
@@ -384,7 +383,7 @@ def solve_p_ds_bisection(env: Environment, tol: float = DEFAULT_TOL):
     lo, hi = 0.0, 1.0
     if gap(lo) >= 0.0:
         return 0.0
-    while hi - lo > tol:
+    while hi - lo > DS_REFINE:
         mid = 0.5 * (lo + hi)
         if gap(mid) >= 0.0:
             hi = mid
@@ -427,7 +426,7 @@ def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol:
     return hi
 
 
-def solve_p_ex(table: PayoffTable, cost: float, tol: float = DEFAULT_TOL):
+def solve_p_ex(table: PayoffTable, cost: float):
     """Audit probability at which the truthful profile's utility overtakes the
     report-the-shared-draw profile's, solved from the affine indifference."""
     t, g = table.truthful, table.best_no_effort
@@ -435,12 +434,12 @@ def solve_p_ex(table: PayoffTable, cost: float, tol: float = DEFAULT_TOL):
     z_gg = table.own[g]
     gap0 = (z_tt - cost) - z_gg
     slope = (table.spot[t] - table.spot[g]) - (z_tt - z_gg)
-    if gap0 >= -tol:
+    if gap0 >= -DEFAULT_TOL:
         return 0.0
-    if slope <= tol:
+    if slope <= DEFAULT_TOL:
         return NOT_APPLICABLE
     p = float(-gap0 / slope)
-    if p > 1.0 + tol:
+    if p > 1.0 + DEFAULT_TOL:
         return NOT_APPLICABLE
     return min(p, 1.0)
 
@@ -550,7 +549,7 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     cols = np.asarray(cols)
     n = len(points) - 1
     pieces = kinks, gains, slopes = table.kinked_gains(cols)
-    excess = gains - (tol + cost * (FULL_EFFORT_PAYS - table.full_effort[cols]))[:, None]  # <= 0 within tol
+    excess = gains - (tol + cost * (EFFORT_COST[:, None] - table.full_effort[cols]))[:, None]  # <= 0 within tol
     slack = VERIFY_SLACK * (table.magnitude[cols] + cost)
     within = excess <= slack
     over = np.where(within, np.minimum(excess, 0.0), excess)  # an end lies at or past a kink within
@@ -616,9 +615,9 @@ def compute_thresholds(
 ) -> ThresholdReport:
     """All four thresholds plus the sufficient-condition flag at one effort cost."""
     return ThresholdReport(
-        p_ds=solve_p_ds(table, cost, tol=tol),
+        p_ds=solve_p_ds(table, cost),
         p_el=solve_p_el(table, cost, grid=grid, tol=tol),
-        p_ex=solve_p_ex(table, cost, tol=tol),
+        p_ex=solve_p_ex(table, cost),
         p_pareto=solve_p_pareto(table, cost, grid=grid, tol=tol),
         grid_resolution=grid,
         pareto_bound_condition=check_pareto_bound_condition(table, tol=tol),
@@ -661,8 +660,7 @@ def construct_dominated_environment(
             record = is_symmetric_equilibrium(table, gl, 0.0, composed.effort_cost, tol)
             if not record.certified:
                 continue
-            t = table.truthful
-            truthful_utility = table.own[t] - composed.effort_cost
+            truthful_utility = table.own[TRUTHFUL] - composed.effort_cost
             if record.utility > truthful_utility + tol:
                 return composed
     return NOT_FOUND

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import DEFAULT_GRID, PayoffTable, compute_payoff_table, compute_thresholds
+from .equilibrium import DEFAULT_GRID, PayoffTable, compute_payoff_table, compute_thresholds, threshold_float
 from .errors import ConfigError, PeerSpotError
 from .mechanisms import MechanismSpec
 from .signals import COST, Channel, Distribution, Environment, LabelSpace, is_json_number
@@ -111,31 +111,20 @@ def generate_environments(
     """
     rng = np.random.default_rng(seed)
     space = LabelSpace.of(tuple(range(labels)))
-    lo, hi = accuracy
-    envs = []
-    for i in range(count):
-        def noisy_channel():
-            rows = []
-            for _ in range(labels):
-                acc = rng.uniform(lo, hi)
-                row = np.full(labels, (1.0 - acc) / (labels - 1))
-                row[len(rows)] = acc
-                rows.append(row)
-            return Channel.from_matrix(space, space, np.array(rows))
-
-        env = Environment(
+    return [
+        Environment(
             q_space=space,
             prior=Distribution.uniform(space),
-            high_channel=noisy_channel(),
-            trusted_channel=noisy_channel(),
+            high_channel=Channel.symmetric_noise(space, rng.uniform(*accuracy, size=labels)),
+            trusted_channel=Channel.symmetric_noise(space, rng.uniform(*accuracy, size=labels)),
             low_channel=Channel.uniform(space),
             effort_cost=effort_cost,
             n_agents=n_agents,
             n_objects=n_objects,
             env_id=f"{prefix}-q{labels}-s{seed}-{i}",
         )
-        envs.append(env)
-    return envs
+        for i in range(count)
+    ]
 
 
 def _label_count(value) -> int:
@@ -196,7 +185,7 @@ def _mechanisms(entries) -> list:
     for i, entry in enumerate(json_list(entries)):
         try:
             spec = MechanismSpec.from_json_dict(entry)
-        except (KeyError, TypeError, ValueError, PeerSpotError) as exc:
+        except PeerSpotError as exc:
             raise ConfigError(f"mechanisms[{i}]: {exc}") from None
         _unique("mechanisms", "mechanism", spec.describe(), i, spec_at)
         mechanisms.append(spec)
@@ -353,8 +342,7 @@ def assert_threshold_consistency(rows: list) -> None:
     for row in rows:
         if row.error or not row.pareto_bound_condition:
             continue
-        as_float = lambda x: float(x) if isinstance(x, (int, float)) else float("inf")
-        if as_float(row.p_pareto) < as_float(row.p_ds) - row.grid:
+        if threshold_float(row.p_pareto) < threshold_float(row.p_ds) - row.grid:
             violations.append(row)
     if violations:
         dump = "\n".join(json.dumps(v.to_json_dict(), sort_keys=True) for v in violations)

@@ -5,8 +5,9 @@ belief-based kinds also score belief reports with a proper scoring rule; the
 peer-insensitive kind pays a constant.  ``KINDS`` defines each kind once: its
 exact evaluator in ``_expectations`` (per-observation rewards of every deviant
 against each symmetric base; many-object limits for multi-object kinds), its
-JSON parameters, and whether it takes a scoring rule or only binary labels.
-The seeded samplers in ``_sampling`` keep their own dispatch: they are the
+JSON parameters, and whether it takes a scoring rule or only binary labels, which
+``check_label_space`` enforces for the exact path and the sampler alike.  The
+seeded samplers in ``_sampling`` keep their own dispatch: they are the
 evaluators' independent oracle.
 """
 
@@ -15,14 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import _expectations as _exact
-from .errors import ShapeMismatch
+from .errors import NonBinaryLabelSpace, ShapeMismatch
 from .scoring import QUADRATIC, ScoringRule, rule_from_name
-from .signals import Environment, is_json_number
+from .signals import Environment, is_json_number, json_fields
 from .strategies import Strategy, strategy_arrays
 
 
@@ -122,26 +124,37 @@ class MechanismSpec:
         return {"kind": self.kind.value} | {key: _encode(getattr(self, attr)) for key, attr in pairs}
 
     @staticmethod
-    def from_json_dict(doc: dict) -> "MechanismSpec":
-        """The spec a JSON object names; a key no kind reads is an error, and so is a
-        non-default value for a parameter this kind does not read."""
-        kind = MechanismKind(doc["kind"])
-        # Peer truth serum counts report frequencies on the scored object only.
-        if doc.get("pts_frequency", "object") != "object":
-            raise ShapeMismatch(f"pts_frequency must be 'object', got {doc['pts_frequency']!r}")
-        unknown = sorted(set(doc) - set(_ATTRIBUTE) - {"kind", "pts_frequency"})
-        if unknown:
-            raise ShapeMismatch(f"unknown key {unknown[0]!r}")
-        params = ((_ATTRIBUTE[key], value) for key, value in doc.items() if key in _ATTRIBUTE)
-        return MechanismSpec(kind, **{attr: _decode(attr, value) for attr, value in params})
+    def from_json_dict(doc) -> "MechanismSpec":
+        """The spec a JSON object names, read by MECHANISM_FIELDS; a key no kind reads is an
+        error, and so is a non-default value for a parameter this kind does not read."""
+        fields = json_fields(doc, MECHANISM_FIELDS)
+        frequency = fields.pop("pts_frequency", "object")  # peer truth serum counts on the scored object only
+        if frequency != "object":
+            raise ShapeMismatch(f"pts_frequency: must be 'object', got {frequency!r}")
+        if "kind" not in fields:
+            raise ShapeMismatch("mechanism document missing field 'kind'")
+        return MechanismSpec(**{_ATTRIBUTE.get(key, key): value for key, value in fields.items()})
 
 
 _DEFAULTS = {f.name: f.default for f in fields(MechanismSpec)}
 
 
+# The reader of each key of a mechanism's JSON object: its kind, and every kind's parameters.
+MECHANISM_FIELDS = {"kind": MechanismKind, "pts_frequency": lambda value: value} | {
+    key: partial(_decode, attr) for key, attr in _ATTRIBUTE.items()
+}
+
+
+def check_label_space(spec: MechanismSpec, env: Environment) -> None:
+    """Raise ``NonBinaryLabelSpace`` if ``spec``'s kind is binary-only and ``env`` is not binary."""
+    if KINDS[spec.kind].binary_only and len(env.q_space) != 2:
+        raise NonBinaryLabelSpace(f"{spec.kind.value} is defined for binary label spaces only")
+
+
 def unchecked_rewards(spec: MechanismSpec, env: Environment, bases: tuple) -> np.ndarray:
     """Exact per-observation unchecked rewards ``V[g, e, o, r]`` of every deviant against each of
     the G bases ``bases`` = (efforts, maps), shape (G, 2, k, k); limits for multi-object kinds."""
+    check_label_space(spec, env)
     return KINDS[spec.kind].evaluator(spec, env, bases)
 
 

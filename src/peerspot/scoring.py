@@ -108,8 +108,8 @@ def divergence(rule: ScoringRule, b1: Distribution | np.ndarray, b2: Distributio
     return float(gap) if gap.ndim == 0 else gap
 
 
-def check_symmetry(rule: ScoringRule, labels: LabelSpace | int, atol: float = 1e-12) -> bool:
-    """True iff a correct point-mass prediction scores identically for every label."""
+def check_symmetry(rule: ScoringRule, labels: LabelSpace | int) -> bool:
+    """True iff a correct point-mass prediction scores identically for every label, to 1e-12."""
     k = labels if isinstance(labels, int) else len(labels)
     values = np.diag(rule.score_table(np.eye(k)))
-    return values.max() - values.min() <= atol
+    return values.max() - values.min() <= 1e-12

@@ -20,11 +20,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidDistribution, ShapeMismatch, TooFewAgents
+from .errors import InvalidDistribution, ShapeMismatch
 
 PROB_ATOL = 1e-12
 COST = (lambda x: 0.0 <= x < math.inf, "finite and nonnegative")  # the effort-cost rule; NaN fails it
 _INTEGER = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """The library's integer rule: ``value`` is an int or numpy integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ShapeMismatch(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def is_json_number(value) -> bool:
@@ -168,12 +174,12 @@ class Channel:
         return Channel(input_space, output_space, rows)
 
     @staticmethod
-    def symmetric_noise(space: LabelSpace, accuracy: float) -> "Channel":
-        """Diagonal mass ``accuracy``, remainder spread evenly over the other labels."""
+    def symmetric_noise(space: LabelSpace, accuracy) -> "Channel":
+        """Row i puts mass ``accuracy[i]`` on label i and spreads the rest evenly over the other
+        labels; ``accuracy`` is one number per row, or one number for every row."""
         k = len(space)
-        off = (1.0 - accuracy) / (k - 1)
-        mat = np.full((k, k), off)
-        np.fill_diagonal(mat, accuracy)
+        accuracy = np.broadcast_to(np.asarray(accuracy, dtype=float), (k,))[:, None]
+        mat = np.where(np.eye(k, dtype=bool), accuracy, (1.0 - accuracy) / (k - 1))
         return Channel.from_matrix(space, space, mat)
 
     @staticmethod
@@ -213,10 +219,8 @@ class Environment:
                 raise ShapeMismatch(f"{name} must map the quality space to the label space")
         if not COST[0](self.effort_cost):
             raise InvalidDistribution(f"effort_cost must be {COST[1]}, got {self.effort_cost}")
-        if self.n_agents < 3:
-            raise TooFewAgents(f"n_agents must be at least 3, got {self.n_agents}")
-        if self.n_objects < 1:
-            raise ShapeMismatch(f"n_objects must be positive, got {self.n_objects}")
+        check_integer("n_agents", self.n_agents, 3)
+        check_integer("n_objects", self.n_objects, 1)
 
     def with_effort_cost(self, cost: float) -> "Environment":
         return replace(self, effort_cost=cost)

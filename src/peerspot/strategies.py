@@ -34,6 +34,11 @@ class Effort(str, Enum):
     NONE = "none"
 
 
+FULL_EFFORT, NO_EFFORT = 0, 1  # an effort's position in ``Effort`` order, as every strategy array holds it
+EFFORT_COST = np.array([1.0, 0.0])  # the effort-cost factor paid at each position
+TRUTHFUL = 0  # index of the truthful strategy in the canonical order of ``pure_strategy_arrays``
+
+
 @dataclass(frozen=True)
 class Strategy:
     """Effort level plus a total report map over label indices."""
@@ -76,15 +81,20 @@ def pure_strategy_arrays(k: int) -> tuple:
     """Every pure strategy over k labels in canonical order, as read-only arrays
     (efforts, maps): each strategy's position in ``Effort`` order, shape (S,), and its
     report map, shape (S, k).  Full effort comes first and, within each effort, the
-    identity map and then the others in lexicographic order, so truthful is index 0 and
-    the no-effort identity k**k."""
+    identity map and then the others in lexicographic order, so truthful is index
+    ``TRUTHFUL`` and the no-effort identity ``low_identity_index(k)``."""
     if k > MAX_LABELS:
         raise EnumerationBudgetExceeded(f"pure strategies are enumerated for at most {MAX_LABELS} labels, got {k}")
     ident = identity_map(k)
     maps = np.array([ident] + [m for m in itertools.product(range(k), repeat=k) if m != ident], dtype=int)
-    efforts, maps = np.repeat([0, 1], len(maps)), np.concatenate([maps, maps])
+    efforts, maps = np.repeat([FULL_EFFORT, NO_EFFORT], len(maps)), np.concatenate([maps, maps])
     efforts.flags.writeable = maps.flags.writeable = False
     return efforts, maps
+
+
+def low_identity_index(k: int) -> int:
+    """Index of the no-effort identity strategy in canonical order: it heads the no-effort half."""
+    return k**k
 
 
 def enumerate_pure_strategies(labels: LabelSpace | int) -> list:
@@ -101,7 +111,7 @@ def strategy_arrays(strategies: list, k: int) -> tuple:
     from the k labels to themselves raises ``ShapeMismatch``."""
     if any(len(s.report_map) != k or max(s.report_map) >= k for s in strategies):
         raise ShapeMismatch(f"a report map over {k} labels takes {k} label indices below {k}")
-    efforts = np.array([0 if s.is_full_effort else 1 for s in strategies])
+    efforts = np.array([FULL_EFFORT if s.is_full_effort else NO_EFFORT for s in strategies])
     return efforts, np.array([s.report_map for s in strategies], dtype=int)
 
 
@@ -145,5 +155,5 @@ def peer_report_posteriors(env: Environment, bases: tuple) -> np.ndarray:
     tables = np.swapaxes(w, 1, 2)[:, None] @ peer_given_q[None] / np.where(mass > 0.0, mass, 1.0)
     tables = np.where(mass > 0.0, tables, 1.0 / k)
     # Shared low draw: a no-effort holder knows a no-effort peer's report.
-    tables[1, peer_efforts == 1] = onehots[peer_efforts == 1]
+    tables[NO_EFFORT, peer_efforts == NO_EFFORT] = onehots[peer_efforts == NO_EFFORT]
     return tables

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from peerspot import EnumerationBudgetExceeded, MechanismKind, NonBinaryLabelSpace
-from peerspot._expectations import DEFAULT_ENUMERATION_BUDGET, SUPPORT_ATOL
+from peerspot._expectations import ENUMERATION_BUDGET, SUPPORT_ATOL
 from peerspot.scoring import NEGATIVE_SENTINEL, divergence
 from peerspot.strategies import Effort
 
@@ -228,7 +228,7 @@ def _peer_multisets(env, base, n_peers, budget):
 
 
 def value_minimum_truth_serum(
-    env, base, deviant, rule, aggregation="mean", budget=DEFAULT_ENUMERATION_BUDGET
+    env, base, deviant, rule, aggregation="mean", budget=ENUMERATION_BUDGET
 ):
     k = len(env.q_space)
     n_peers = env.n_agents - 1

@@ -12,7 +12,6 @@ import numpy as np
 from peerspot._sampling import (
     CHUNK,
     DOUBLE_MIXED_SAMPLES_PER_LABEL,
-    FULL_EFFORT,
     _draw_prior,
     _draw_rows,
     _latents,
@@ -20,6 +19,7 @@ from peerspot._sampling import (
     _Sampler,
 )
 from peerspot.errors import NotEnoughObjects, TooFewAgents
+from peerspot.strategies import FULL_EFFORT
 
 
 class PerObjectSampler(_Sampler):

@@ -80,7 +80,7 @@ class TestConfig:
         "generator, message",
         [
             ({"labels": 1}, "label space needs at least 2 labels"),
-            ({"n_agents": 1}, "n_agents must be at least 3"),
+            ({"n_agents": 1}, "n_agents must be an integer of at least 3, got 1"),
             ({"n_objects": 0}, "n_objects: must be a positive integer"),
             ({"effort_cost": -1}, "effort_cost: must be finite and nonnegative"),
             ({"labels": 2.5}, "labels: must be a positive integer, got 2.5"),
@@ -281,6 +281,13 @@ class TestConfig:
         assert cli_main(["validate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("invalid config: mechanisms[1]: ") and "to be a finite number > 0, got " in err
+
+    @pytest.mark.parametrize("entry", [3, "output_agreement", [{"kind": "output_agreement"}]])
+    def test_validate_refuses_non_object_mechanism_entries(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(tiny_config_doc(mechanisms=[{"kind": "output_agreement"}, entry])))
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"invalid config: mechanisms[1]: must be an object, got {entry!r}\n"
 
     def test_integral_float_literal_sizes_accepted(self):
         doc = tiny_config_doc()

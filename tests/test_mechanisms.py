@@ -481,10 +481,16 @@ class TestMechanismSpec:
             ({"kind": "sqrt_scaled_agreement", "K": float("nan")}, "requires K to be a finite number > 0, got nan"),
             ({"kind": "robust_bts", "rule": 1}, "unknown scoring rule 1"),
             ({"kind": "output_agreement", "rule": "quadratic"}, None),
+            ({"kind": "output_agreement", "theta": 0.05, "W": 1}, None),
+            (3, "must be an object, got 3"),
+            ("output_agreement", "must be an object, got 'output_agreement'"),
+            ({"kind": "bribery"}, "kind: 'bribery' is not a valid MechanismKind"),
+            ({"rule": "log"}, "mechanism document missing field 'kind'"),
         ],
         ids=[
             "foreign-theta", "foreign-rule", "unknown-key", "null-value", "string-inf", "string-overflow",
             "numeric-string", "string-infinity", "infinite", "bool", "nan", "non-string-rule", "default-rule",
+            "default-foreign-numbers", "number-entry", "string-entry", "unknown-kind", "missing-kind",
         ],
     )
     def test_config_mechanism_keys(self, entry, error):
@@ -511,5 +517,5 @@ class TestMechanismSpec:
             "environments": [{"labels": [0, 1], "prior": [0.5, 0.5], "high": [[0.9, 0.1], [0.1, 0.9]]}],
             "mechanisms": [{"kind": "peer_truth_serum", "pts_frequency": "batch"}],
         }
-        with pytest.raises(ConfigError, match=r"mechanisms\[0\].*pts_frequency"):
+        with pytest.raises(ConfigError, match=r"^mechanisms\[0\]: pts_frequency: must be 'object', got 'batch'$"):
             parse_config(config)

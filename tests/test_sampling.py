@@ -42,6 +42,7 @@ from peerspot import (
     enumerate_pure_strategies,
     generate_environments,
     low_identity_strategy,
+    NonBinaryLabelSpace,
     ShapeMismatch,
     Strategy,
     reference_environment,
@@ -328,6 +329,13 @@ def test_seed_must_be_a_nonnegative_integer(monkeypatch, seed):
     spec, profile = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT), profiles(2)["truthful"]
     with pytest.raises(ShapeMismatch, match=r"^seed must be an integer of at least 0, got "):
         simulate_utilities(spec, ENVS[2], profile, trials=10, seed=seed)
+
+
+def test_binary_only_kind_is_refused_before_any_draw(monkeypatch):
+    monkeypatch.setattr(_sampling, "_Sampler", None)
+    spec, profile = MechanismSpec(MechanismKind.ROBUST_BTS), profiles(3)["truthful"]
+    with pytest.raises(NonBinaryLabelSpace, match=r"^robust_bts is defined for binary label spaces only$"):
+        simulate_utilities(spec, ENVS[3], profile, trials=10, seed=0)
 
 
 def test_numpy_integer_trials_and_seed_accepted():

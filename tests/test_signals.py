@@ -1,5 +1,6 @@
 """Environment validation, and peer-report posteriors against an enumerated joint law."""
 
+import copy
 import dataclasses
 import itertools
 import re
@@ -14,11 +15,13 @@ from peerspot import (
     InvalidDistribution,
     LabelSpace,
     ShapeMismatch,
-    TooFewAgents,
+    generate_environments,
     truthful_strategy,
 )
+from peerspot import acceptance
 from peerspot.strategies import peer_report_posteriors, strategy_arrays
 
+import noise_rows
 from conftest import random_environment
 
 
@@ -48,8 +51,12 @@ def fields_of(env) -> dict:
 ABC = LabelSpace.of(("a", "b", "c"))
 # Field changes that make an environment invalid, with the error and message each raises.
 INVALID = [
-    ({"n_agents": 2}, TooFewAgents, "n_agents must be at least 3, got 2"),
-    ({"n_objects": 0}, ShapeMismatch, "n_objects must be positive, got 0"),
+    ({"n_agents": 2}, ShapeMismatch, "n_agents must be an integer of at least 3, got 2"),
+    ({"n_objects": 0}, ShapeMismatch, "n_objects must be an integer of at least 1, got 0"),
+    ({"n_agents": 3.5}, ShapeMismatch, "n_agents must be an integer of at least 3, got 3.5"),
+    ({"n_objects": 1.5}, ShapeMismatch, "n_objects must be an integer of at least 1, got 1.5"),
+    ({"n_agents": "5"}, ShapeMismatch, "n_agents must be an integer of at least 3, got '5'"),
+    ({"n_objects": True}, ShapeMismatch, "n_objects must be an integer of at least 1, got True"),
     ({"effort_cost": float("nan")}, InvalidDistribution, "effort_cost must be finite and nonnegative, got nan"),
     ({"effort_cost": float("inf")}, InvalidDistribution, "effort_cost must be finite and nonnegative, got inf"),
     ({"effort_cost": -1}, InvalidDistribution, "effort_cost must be finite and nonnegative, got -1"),
@@ -68,18 +75,26 @@ class TestValidation:
         with pytest.raises(InvalidDistribution):
             Distribution.from_array(space, [0.6, 0.5])
 
-    @pytest.mark.parametrize("build", ["constructor", "replace"])
+    @pytest.mark.parametrize("build", ["constructor", "replace", "with_effort_cost"])
     @pytest.mark.parametrize(
         "change, error, message",
         INVALID,
-        ids=["two-agents", "no-objects", "nan-cost", "inf-cost", "negative-cost", "prior-space", "high-space", "low-space"],
+        ids=[
+            "two-agents", "no-objects", "fractional-agents", "fractional-objects", "string-agents", "bool-objects",
+            "nan-cost", "inf-cost", "negative-cost", "prior-space", "high-space", "low-space",
+        ],
     )
     def test_invalid_environment_cannot_be_built(self, env, build, change, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             if build == "constructor":
                 Environment(**(fields_of(env) | change))
-            else:
+            elif build == "replace":
                 dataclasses.replace(env, **change)
+            else:  # a copy with the change forced past validation, then its cost set again
+                broken = copy.copy(env)
+                for name, value in change.items():
+                    object.__setattr__(broken, name, value)
+                broken.with_effort_cost(broken.effort_cost)
 
     def test_channel_shape_mismatch(self):
         space = LabelSpace.of((0, 1))
@@ -197,3 +212,40 @@ class TestSerialization:
     def test_fields_are_read_by_their_json_rule(self, env, change, message):
         with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
             Environment.from_json_dict(env.to_json_dict() | change)
+
+
+class TestSymmetricNoise:
+    """``Channel.symmetric_noise`` against the former row-by-row channels in ``noise_rows``."""
+
+    @pytest.mark.parametrize("labels", [2, 3, 4, 5])
+    def test_one_accuracy_gives_the_former_matrix(self, labels):
+        space = LabelSpace.of(tuple(range(labels)))
+        for accuracy in (0.0, 0.3, 0.55, 0.8, 0.9, 0.95, 1.0):
+            got = Channel.symmetric_noise(space, accuracy).matrix()
+            assert got.tobytes() == noise_rows.scalar_noise(labels, accuracy).tobytes()
+
+    @pytest.mark.parametrize("labels", [2, 3, 4, 5])
+    def test_per_row_accuracies_give_the_former_rows(self, labels):
+        space = LabelSpace.of(tuple(range(labels)))
+        for seed in range(5):
+            accuracies = np.random.default_rng(seed).uniform(0.6, 0.95, size=labels)
+            expected = noise_rows.noisy_rows(np.random.default_rng(seed), labels, 0.6, 0.95)
+            assert Channel.symmetric_noise(space, accuracies).matrix().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("labels", [2, 3, 4, 5])
+    def test_generated_environments_are_the_former_ones(self, labels):
+        for seed, accuracy in ((0, (0.6, 0.95)), (3, (0.6, 0.95)), (101, (0.6, 0.95)), (202, (0.3, 0.99))):
+            got = generate_environments(labels=labels, count=4, seed=seed, accuracy=accuracy)
+            expected = noise_rows.generate_environments(labels, 4, seed, accuracy)
+            assert [e.to_json_dict() for e in got] == [e.to_json_dict() for e in expected]
+
+    def test_gate_environments_are_the_former_ones(self):
+        got = [env.to_json_dict() for env in acceptance._random_acceptance_environments()]
+        binary = noise_rows.generate_environments(2, 10, 101, prefix="acc")
+        assert got == [env.to_json_dict() for env in binary + noise_rows.generate_environments(3, 10, 202, prefix="acc")]
+        # The aligned environments of gate C5, drawn in the gate's order from its seed.
+        rng, former = np.random.default_rng(404), np.random.default_rng(404)
+        for labels, count in ((2, 9), (3, 8), (4, 8)):
+            for i in range(count):
+                env = acceptance._aligned_random_environment(rng, labels, i)
+                assert env.to_json_dict() == noise_rows.aligned_random_environment(former, labels, i).to_json_dict()
