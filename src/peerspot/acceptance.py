@@ -10,6 +10,7 @@ pytest acceptance module.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import tempfile
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import (
+    DEFAULT_GRID,
     NotAttained,
     check_pareto_bound_condition,
     compute_payoff_table,
@@ -29,16 +31,15 @@ from .equilibrium import (
     threshold_float,
 )
 from ._sampling import simulate_utilities
-from .harness import emit_csv, generate_environments, load_config, example_config_path, run_experiment
-from .mechanisms import KINDS, MechanismKind, MechanismSpec
+from .errors import NonBinaryLabelSpace
+from .harness import DEFAULT_EFFORT_COSTS, emit_csv, example_config_path, generate_environments, load_config, run_experiment
+from .mechanisms import MechanismKind, MechanismSpec
 from .scoring import LOGARITHMIC, QUADRATIC, check_symmetry
 from .signals import Channel, Distribution, Environment, LabelSpace, reference_environment
 from .spotcheck import expected_spot_rewards
-from .strategies import StrategyProfile, low_identity_index, low_identity_strategy, pure_strategy_arrays, truthful_strategy
+from .strategies import TRUTHFUL, StrategyProfile, low_identity_index, pure_strategy_arrays, truthful_strategy
 
 ANALYTIC_TOL = 1e-9
-GRID = 1e-3
-COST_SWEEP = (0.0, 0.05, 0.1, 0.2)
 
 
 @dataclasses.dataclass
@@ -56,36 +57,23 @@ def _random_acceptance_environments() -> list:
     return binary + ternary
 
 
-class _Context:
-    """Caches payoff tables shared by the dominance criteria."""
-
-    def __init__(self):
-        self.e1 = reference_environment()
-        self.random_envs = _random_acceptance_environments()
-        self.mechanisms = [MechanismSpec(kind) for kind in MechanismKind]
-        self._tables: dict = {}
-
-    def environments(self) -> list:
-        return [self.e1] + self.random_envs
-
-    def applicable(self, mech: MechanismSpec, env: Environment) -> bool:
-        return not KINDS[mech.kind].binary_only or len(env.q_space) == 2
-
-    def table(self, mech: MechanismSpec, env: Environment):
-        key = (mech, env.env_id)
-        if key not in self._tables:
-            self._tables[key] = compute_payoff_table(mech, env)
-        return self._tables[key]
+@functools.cache
+def _table(mech: MechanismSpec, env: Environment):
+    """The payoff table of ``mech`` on ``env``, built once per (spec, environment) pair."""
+    return compute_payoff_table(mech, env)
 
 
-_context: _Context | None = None
-
-
-def _ctx() -> _Context:
-    global _context
-    if _context is None:
-        _context = _Context()
-    return _context
+def _gate_tables():
+    """(mechanism, environment, table) for every kind on e1 and the 20 seeded environments,
+    skipping each pair whose label space the kind refuses (``check_label_space``)."""
+    for env in [reference_environment()] + _random_acceptance_environments():
+        for kind in MechanismKind:
+            mech = MechanismSpec(kind)
+            try:
+                table = _table(mech, env)
+            except NonBinaryLabelSpace:
+                continue
+            yield mech, env, table
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +82,8 @@ def _ctx() -> _Context:
 
 
 def check_dominant_strategy_threshold() -> tuple:
-    ctx = _ctx()
-    env = ctx.e1
-    closed = solve_p_ds(ctx.table(MechanismSpec(MechanismKind.PEER_INSENSITIVE), env), env.effort_cost)
+    env = reference_environment()
+    closed = solve_p_ds(_table(MechanismSpec(MechanismKind.PEER_INSENSITIVE), env), env.effort_cost)
     bisected = solve_p_ds_bisection(env)
     expected = 0.3125  # cost 0.1 over audit-value gap 0.32
     ok = (
@@ -114,10 +101,8 @@ def check_dominant_strategy_threshold() -> tuple:
 
 
 def check_equilibrium_utility_table() -> tuple:
-    ctx = _ctx()
-    env = ctx.e1.with_effort_cost(0.0)
-    truthful = truthful_strategy(env.q_space)
-    lazy = low_identity_strategy(env.q_space)
+    e1 = reference_environment()
+    t, g = TRUTHFUL, low_identity_index(len(e1.q_space))
     agree_truth = 0.82  # two independent 0.9 channels agree
     pair_mass = 0.41  # both agents see the same label
     expectations = {
@@ -132,10 +117,7 @@ def check_equilibrium_utility_table() -> tuple:
     }
     failures = []
     for kind, (lazy_value, truth_value) in expectations.items():
-        mech = MechanismSpec(kind)
-        table = ctx.table(mech, ctx.e1)
-        g = table.index_of(lazy)
-        t = table.index_of(truthful)
+        table = _table(MechanismSpec(kind), e1)
         got_lazy = table.own[g]
         if abs(got_lazy - lazy_value) > ANALYTIC_TOL:
             failures.append(f"{kind.value}: coordination utility {got_lazy!r} != {lazy_value!r}")
@@ -145,9 +127,7 @@ def check_equilibrium_utility_table() -> tuple:
         if got_truth > got_lazy + ANALYTIC_TOL:
             failures.append(f"{kind.value}: truthful utility {got_truth!r} exceeds coordination")
     # Rounded values reported alongside the analysis.
-    sqrt_table = ctx.table(MechanismSpec(MechanismKind.SQRT_SCALED_AGREEMENT), ctx.e1)
-    g = sqrt_table.index_of(lazy)
-    t = sqrt_table.index_of(truthful)
+    sqrt_table = _table(MechanismSpec(MechanismKind.SQRT_SCALED_AGREEMENT), e1)
     if abs(sqrt_table.own[g] - 1.41421) > 5e-6:
         failures.append("sqrt-scaled coordination utility rounds away from 1.41421")
     if abs(sqrt_table.own[t] - 1.28062) > 5e-6:
@@ -161,17 +141,12 @@ def check_equilibrium_utility_table() -> tuple:
 
 
 def check_sufficient_condition_everywhere() -> tuple:
-    ctx = _ctx()
     failures = []
     checked = 0
-    for env in ctx.environments():
-        for mech in ctx.mechanisms:
-            if not ctx.applicable(mech, env):
-                continue
-            table = ctx.table(mech, env)
-            if not check_pareto_bound_condition(table):
-                failures.append(f"{mech.kind.value} on {env.env_id}")
-            checked += 1
+    for mech, env, table in _gate_tables():
+        if not check_pareto_bound_condition(table):
+            failures.append(f"{mech.kind.value} on {env.env_id}")
+        checked += 1
     detail = f"{checked} mechanism-environment pairs"
     return (not failures), "; ".join(failures) or detail
 
@@ -182,23 +157,18 @@ def check_sufficient_condition_everywhere() -> tuple:
 
 
 def check_pareto_threshold_bound() -> tuple:
-    ctx = _ctx()
     failures = []
     checked = 0
-    for env in ctx.environments():
-        for mech in ctx.mechanisms:
-            if not ctx.applicable(mech, env):
-                continue
-            table = ctx.table(mech, env)
-            for cost in COST_SWEEP:
-                p_ds = threshold_float(solve_p_ds(table, cost))
-                p_pareto = solve_p_pareto(table, cost, grid=GRID)
-                checked += 1
-                if threshold_float(p_pareto) < p_ds - GRID:
-                    failures.append(
-                        f"{mech.kind.value} on {env.env_id} at cost {cost}: "
-                        f"p_pareto={p_pareto!r} < p_ds={p_ds!r} - grid"
-                    )
+    for mech, env, table in _gate_tables():
+        for cost in DEFAULT_EFFORT_COSTS:
+            p_ds = threshold_float(solve_p_ds(table, cost))
+            p_pareto = solve_p_pareto(table, cost, grid=DEFAULT_GRID)
+            checked += 1
+            if threshold_float(p_pareto) < p_ds - DEFAULT_GRID:
+                failures.append(
+                    f"{mech.kind.value} on {env.env_id} at cost {cost}: "
+                    f"p_pareto={p_pareto!r} < p_ds={p_ds!r} - grid"
+                )
     detail = f"{checked} (mechanism, environment, cost) triples"
     return (not failures), "; ".join(failures[:5]) or detail
 
@@ -257,19 +227,17 @@ def check_best_no_effort_map() -> tuple:
 
 
 def check_dominated_environment_construction() -> tuple:
-    ctx = _ctx()
     mech = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
-    composed = construct_dominated_environment(mech, [ctx.e1])
+    composed = construct_dominated_environment(mech, [reference_environment()])
     if isinstance(composed, NotAttained):
         return False, "construction returned not_found"
     table = compute_payoff_table(mech, composed)
-    t = table.index_of(truthful_strategy(composed.q_space))
-    truthful_utility = float(table.own[t] - composed.effort_cost)
+    truthful_utility = float(table.utilities(0.0, composed.effort_cost, TRUTHFUL))
     equilibria = enumerate_symmetric_pure_equilibria(table, 0.0, composed.effort_cost)
     if not equilibria:
         return False, "composed environment has no certified equilibria"
     best = equilibria[0]
-    ok = not table.full_effort[table.index_of(best.strategy)] and best.utility > truthful_utility + ANALYTIC_TOL
+    ok = not best.strategy.is_full_effort and best.utility > truthful_utility + ANALYTIC_TOL
     return ok, (
         f"coordination utility {best.utility!r} vs truthful profile {truthful_utility!r} "
         f"on {composed.env_id}"

@@ -47,7 +47,7 @@ from .mechanisms import MechanismSpec, unchecked_rewards
 from .signals import Environment
 from .spotcheck import audit_rewards, expected_spot_rewards
 from .strategies import EFFORT_COST, NO_EFFORT, TRUTHFUL, Strategy, enumerate_pure_strategies, low_identity_index
-from .strategies import pure_strategy_arrays, strategy_arrays, truthful_strategy
+from .strategies import pure_strategy_arrays, strategy_arrays
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
@@ -100,7 +100,7 @@ class ThresholdReport:
     p_el: object
     p_ex: object
     p_pareto: object
-    grid_resolution: float
+    grid: float
     pareto_bound_condition: bool
 
     def to_json_dict(self) -> dict:
@@ -112,7 +112,7 @@ class ThresholdReport:
             "p_el": enc(self.p_el),
             "p_ex": enc(self.p_ex),
             "p_pareto": enc(self.p_pareto),
-            "grid_resolution": self.grid_resolution,
+            "grid": self.grid,
             "pareto_bound_condition": self.pareto_bound_condition,
         }
 
@@ -467,8 +467,7 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
     # the span is at an end; the slack keeps every base that rounding could tip.
     at_ends = table.utilities(points[[t_lo, t_hi]][:, None], cost)
     lead = at_ends - at_ends[:, t : t + 1]
-    scale = np.abs(table.spot) + np.abs(table.own) + cost * table.full_effort
-    slack = 1e-12 * (1.0 + scale + scale[t])
+    slack = VERIFY_SLACK * (table.magnitude + table.magnitude[t] + 2.0 * cost)
     rivals = np.flatnonzero(lead.max(axis=0) > tol - slack)
     if not rivals.size:
         return float(points[t_lo])
@@ -619,7 +618,7 @@ def compute_thresholds(
         p_el=solve_p_el(table, cost, grid=grid, tol=tol),
         p_ex=solve_p_ex(table, cost),
         p_pareto=solve_p_pareto(table, cost, grid=grid, tol=tol),
-        grid_resolution=grid,
+        grid=grid,
         pareto_bound_condition=check_pareto_bound_condition(table, tol=tol),
     )
 
@@ -641,9 +640,9 @@ def construct_dominated_environment(
     elicitable = []
     for env in candidates:
         table = compute_payoff_table(mechanism, env)
-        record = is_symmetric_equilibrium(table, truthful_strategy(env.q_space), 0.0, 0.0, tol)
-        if record.certified:
-            elicitable.append((env, record.utility))
+        (_,), (certified,) = table.certify(0.0, 0.0, tol, [TRUTHFUL])
+        if certified:
+            elicitable.append((env, table.utilities(0.0, 0.0, TRUTHFUL)))
     for donor, donor_payoff in elicitable:
         for host, host_payoff in elicitable:
             if donor_payoff < host_payoff - tol:
@@ -656,11 +655,9 @@ def construct_dominated_environment(
                 env_id=f"{host.env_id}-low-from-{donor.env_id}",
             )
             table = compute_payoff_table(mechanism, composed)
-            gl = table.strategies[table.best_no_effort]
-            record = is_symmetric_equilibrium(table, gl, 0.0, composed.effort_cost, tol)
-            if not record.certified:
-                continue
-            truthful_utility = table.own[TRUTHFUL] - composed.effort_cost
-            if record.utility > truthful_utility + tol:
+            g = table.best_no_effort
+            (_,), (certified,) = table.certify(0.0, composed.effort_cost, tol, [g])
+            utilities = table.utilities(0.0, composed.effort_cost)
+            if certified and utilities[g] > utilities[TRUTHFUL] + tol:
                 return composed
     return NOT_FOUND

@@ -255,7 +255,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(), parse_constant=_finite_number, parse_float=_finite_number)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, not UTF-8, or an int literal past Python's digit limit
         raise ConfigError(f"config did not parse as JSON: {exc}") from None
     return parse_config(doc)
 
@@ -297,10 +297,9 @@ def _row_for_triple(
         checked_cost = env.with_effort_cost(cost).effort_cost  # rejects negative and non-finite costs
         report = compute_thresholds(table, checked_cost, grid=config.grid)
         for name, value in report.to_json_dict().items():
-            setattr(row, "grid" if name == "grid_resolution" else name, value)
+            setattr(row, name, value)
         t, g = table.truthful, table.best_no_effort
-        row.utility_truthful_p0 = float(table.own[t] - cost)
-        row.utility_gl_p0 = float(table.own[g])
+        row.utility_truthful_p0, row.utility_gl_p0 = map(float, table.utilities(0.0, cost, [t, g]))
         row.worthwhile_effort = check_worthwhile_effort(table, checked_cost)
         for p in config.p_values:
             utilities = table.utilities(p, cost)

@@ -13,7 +13,7 @@ built and kept immutable.  The ``json_*`` readers decide what each JSON type may
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterable, Mapping, Sequence
@@ -23,7 +23,8 @@ import numpy as np
 from .errors import InvalidDistribution, ShapeMismatch
 
 PROB_ATOL = 1e-12
-COST = (lambda x: 0.0 <= x < math.inf, "finite and nonnegative")  # the effort-cost rule; NaN fails it
+# The effort-cost rule; NaN fails it, and so does an int too large for a float.
+COST = (lambda x: 0.0 <= x <= sys.float_info.max, "finite and nonnegative")
 _INTEGER = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
 
 
@@ -34,8 +35,11 @@ def check_integer(name: str, value, minimum: int) -> None:
 
 
 def is_json_number(value) -> bool:
-    """An int or a float: bools and numeric strings are not numbers in a JSON document."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int that a float can hold: bools, numeric strings and ints past the
+    float range are not numbers in a JSON document."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def json_number(value, rule=(lambda x: True, "a number")) -> float:

@@ -31,6 +31,7 @@ from hypothesis.extra.numpy import arrays
 
 from peerspot import (
     Channel,
+    Distribution,
     Effort,
     EnumerationBudgetExceeded,
     LOGARITHMIC,
@@ -767,6 +768,53 @@ class TestDominatedEnvironment:
     def test_empty_candidates(self):
         assert construct_dominated_environment(OA, []) is not None
         assert isinstance(construct_dominated_environment(OA, []), NotAttained)
+
+    @pytest.mark.parametrize(
+        "names, found",
+        [
+            (("skewed", "sharp", "ternary", "e1"), ("e1", "sharp")),
+            (("sharp", "skewed", "e1"), ("e1", "sharp")),
+            (("skewed", "ternary", "sharp", "e1"), ("ternary", "ternary")),
+            (("skewed", "sharp"), None),
+        ],
+        ids=["skip-labels", "skip-unelicitable", "ternary-self", "none"],
+    )
+    def test_mixed_candidates(self, env, names, found):
+        # "sharp" observes quality exactly at zero cost: its self pair ties truth, so it only
+        # donates; "skewed" (prior 0.9, accuracy 0.6) does not elicit truth; "ternary" has
+        # three labels, so it never pairs with a binary candidate.
+        exact = Channel.symmetric_noise(env.q_space, 1.0)
+        candidates = {
+            "e1": env,
+            "sharp": replace(env, high_channel=exact, trusted_channel=exact, effort_cost=0.0, env_id="sharp"),
+            "skewed": replace(
+                env,
+                prior=Distribution.from_array(env.q_space, [0.9, 0.1]),
+                high_channel=Channel.symmetric_noise(env.q_space, 0.6),
+                env_id="skewed",
+            ),
+            "ternary": replace(generate_environments(labels=3, count=1, seed=5)[0], env_id="ternary"),
+        }
+        elicits = {
+            name: is_symmetric_equilibrium(
+                compute_payoff_table(OA, c), truthful_strategy(len(c.q_space)), 0.0, 0.0
+            ).certified
+            for name, c in candidates.items()
+        }
+        assert elicits == {"e1": True, "sharp": True, "skewed": False, "ternary": True}
+        composed = construct_dominated_environment(OA, [candidates[name] for name in names])
+        if found is None:
+            assert composed is NOT_FOUND
+            return
+        host, donor = candidates[found[0]], candidates[found[1]]
+        assert composed.env_id == f"{host.env_id}-low-from-{donor.env_id}"
+        assert composed.low_channel == donor.high_channel
+        assert replace(composed, low_channel=host.low_channel) == host
+        table = compute_payoff_table(OA, composed)
+        g = table.best_no_effort
+        record = is_symmetric_equilibrium(table, table.strategies[g], 0.0, composed.effort_cost)
+        assert record.certified and not record.strategy.is_full_effort
+        assert record.utility > table.utilities(0.0, composed.effort_cost)[strategies.TRUTHFUL] + DEFAULT_TOL
 
 
 class TestMonotonicity:

@@ -238,13 +238,26 @@ class TestConfig:
             ({"environments": [{"generator": {}, "n_agents": 5}]}, r"environments\[0\]: unknown key 'n_agents'$"),
             ({"sweeps": {"effort_cost": [0.1, 0.1]}}, r"sweeps\.effort_cost\[1\]: value 0\.1 repeats sweeps\.effort_cost\[0\]$"),
             ({"sweeps": {"p": [0.5, 0.25, 0.5]}}, r"sweeps\.p\[2\]: value 0\.5 repeats sweeps\.p\[0\]$"),
+            # Ints too large for a float are not numbers.
+            (
+                {"mechanisms": [{"kind": "peer_truth_serum", "alpha": 10**400}]},
+                r"mechanisms\[0\]: peer_truth_serum requires alpha to be a finite number > 0, got 10{400}$",
+            ),
+            ({"effort_cost": 10**400}, r"environments\[0\]: effort_cost: must be a number, got 10{400}$"),
+            ({"prior": [10**400, 0.5]}, r"environments\[0\]: prior: must be a number, got 10{400}$"),
+            ({"sweeps": {"effort_cost": [10**400]}}, r"sweeps\.effort_cost: must be finite and nonnegative, got 10{400}$"),
+            (
+                {"environments": [{"generator": {"effort_cost": 10**400}}]},
+                r"environments\[0\]\.generator: effort_cost: must be finite and nonnegative, got 10{400}$",
+            ),
         ],
         ids=["sweeps-list", "costs-number", "p-number", "bool-cost", "string-cost", "bool-p", "string-p",
              "bool-grid", "string-grid", "number-output-dir", "prior-string", "labels-string", "bool-prior",
              "string-high", "string-effort-cost", "number-env-id", "ragged-high", "fractional-agents",
              "string-agents", "fractional-objects", "bool-objects", "environments-number", "mechanisms-number",
              "unknown-top-key", "unknown-sweeps-key", "unknown-literal-key", "generator-with-literal-key",
-             "repeated-cost", "repeated-p"],
+             "repeated-cost", "repeated-p", "huge-alpha", "huge-effort-cost", "huge-prior", "huge-sweep-cost",
+             "huge-generator-cost"],
     )
     def test_malformed_documents_name_the_field(self, tmp_path, capsys, overrides, message):
         """A number is a JSON int or float, never a bool or a string; names and paths are
@@ -514,6 +527,22 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"environments\": []}")
         assert cli_main(["validate", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            json.dumps(tiny_config_doc()).replace('"seed": 3', '"seed": 1' + "0" * 5000).encode(),
+            b"\xff\xfe{}",
+        ],
+        ids=["int-past-digit-limit", "not-utf8"],
+    )
+    def test_validate_rejects_unreadable_json(self, tmp_path, capsys, content):
+        # Neither is a JSONDecodeError: json.loads refuses an int literal of more than 4,300
+        # digits with a plain ValueError, and reading non-UTF-8 bytes raises UnicodeDecodeError.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert cli_main(["validate", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("invalid config: config did not parse as JSON: ")
 
     def test_run_writes_reports(self, tmp_path):
         cfg = tmp_path / "cfg.json"

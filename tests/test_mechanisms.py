@@ -461,6 +461,10 @@ class TestMechanismSpec:
                 with pytest.raises(ShapeMismatch, match=f"^{kind.value} does not take "):
                     MechanismSpec(kind, **{attr: value})
 
+    def test_int_past_float_range_is_refused(self):
+        with pytest.raises(ShapeMismatch, match=r"^peer_truth_serum requires alpha to be a finite number > 0, got 10{400}$"):
+            MechanismSpec(MechanismKind.PEER_TRUTH_SERUM, alpha=10**400)
+
     def test_output_agreement_rejects_theta(self):
         with pytest.raises(ShapeMismatch, match=r"^output_agreement does not take theta=0\.5$"):
             MechanismSpec(MechanismKind.OUTPUT_AGREEMENT, theta=0.5)

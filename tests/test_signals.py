@@ -60,6 +60,7 @@ INVALID = [
     ({"effort_cost": float("nan")}, InvalidDistribution, "effort_cost must be finite and nonnegative, got nan"),
     ({"effort_cost": float("inf")}, InvalidDistribution, "effort_cost must be finite and nonnegative, got inf"),
     ({"effort_cost": -1}, InvalidDistribution, "effort_cost must be finite and nonnegative, got -1"),
+    ({"effort_cost": 10**400}, InvalidDistribution, f"effort_cost must be finite and nonnegative, got {10**400}"),
     ({"prior": Distribution.uniform(ABC)}, ShapeMismatch, "prior is not over the quality space"),
     ({"high_channel": Channel.uniform(ABC)}, ShapeMismatch, "high_channel must map the quality space to the label space"),
     ({"low_channel": Channel.uniform(ABC)}, ShapeMismatch, "low_channel must map the quality space to the label space"),
@@ -81,7 +82,7 @@ class TestValidation:
         INVALID,
         ids=[
             "two-agents", "no-objects", "fractional-agents", "fractional-objects", "string-agents", "bool-objects",
-            "nan-cost", "inf-cost", "negative-cost", "prior-space", "high-space", "low-space",
+            "nan-cost", "inf-cost", "negative-cost", "huge-int-cost", "prior-space", "high-space", "low-space",
         ],
     )
     def test_invalid_environment_cannot_be_built(self, env, build, change, error, message):
