@@ -40,6 +40,7 @@ from .spotcheck import expected_spot_rewards
 from .strategies import TRUTHFUL, StrategyProfile, low_identity_index, pure_strategy_arrays, truthful_strategy
 
 ANALYTIC_TOL = 1e-9
+E1_COST = 0.1  # e1's effort cost in criteria C1 and C6
 
 
 @dataclasses.dataclass
@@ -83,8 +84,8 @@ def _gate_tables():
 
 def check_dominant_strategy_threshold() -> tuple:
     env = reference_environment()
-    closed = solve_p_ds(_table(MechanismSpec(MechanismKind.PEER_INSENSITIVE), env), env.effort_cost)
-    bisected = solve_p_ds_bisection(env)
+    closed = solve_p_ds(_table(MechanismSpec(MechanismKind.PEER_INSENSITIVE), env), E1_COST)
+    bisected = solve_p_ds_bisection(env, E1_COST)
     expected = 0.3125  # cost 0.1 over audit-value gap 0.32
     ok = (
         not isinstance(closed, NotAttained)
@@ -193,7 +194,6 @@ def _aligned_random_environment(rng: np.random.Generator, labels: int, index: in
         high_channel=aligned(0.55),
         trusted_channel=aligned(0.55),
         low_channel=aligned(0.3),
-        effort_cost=0.1,
         n_agents=3,
         n_objects=2,
         env_id=f"aligned-q{labels}-{index}",
@@ -228,12 +228,12 @@ def check_best_no_effort_map() -> tuple:
 
 def check_dominated_environment_construction() -> tuple:
     mech = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)
-    composed = construct_dominated_environment(mech, [reference_environment()])
+    composed = construct_dominated_environment(mech, [reference_environment()], E1_COST)
     if isinstance(composed, NotAttained):
         return False, "construction returned not_found"
     table = compute_payoff_table(mech, composed)
-    truthful_utility = float(table.utilities(0.0, composed.effort_cost, TRUTHFUL))
-    equilibria = enumerate_symmetric_pure_equilibria(table, 0.0, composed.effort_cost)
+    truthful_utility = float(table.utilities(0.0, E1_COST, TRUTHFUL))
+    equilibria = enumerate_symmetric_pure_equilibria(table, 0.0, E1_COST)
     if not equilibria:
         return False, "composed environment has no certified equilibria"
     best = equilibria[0]

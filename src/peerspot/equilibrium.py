@@ -41,10 +41,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PeerSpotError, ShapeMismatch
+from .errors import InvalidDistribution, PeerSpotError, ShapeMismatch
 from ._expectations import strategy_rewards
 from .mechanisms import MechanismSpec, unchecked_rewards
-from .signals import Environment
+from .signals import COST, Environment
 from .spotcheck import audit_rewards, expected_spot_rewards
 from .strategies import EFFORT_COST, NO_EFFORT, TRUTHFUL, Strategy, enumerate_pure_strategies, low_identity_index
 from .strategies import pure_strategy_arrays, strategy_arrays
@@ -79,6 +79,11 @@ class NotAttained:
 NOT_ACHIEVABLE = NotAttained("not_achievable")
 NOT_FOUND = NotAttained("not_found")
 NOT_APPLICABLE = NotAttained("not_applicable")
+
+
+def _check_cost(cost) -> None:
+    if not COST[0](cost):
+        raise InvalidDistribution(f"effort_cost must be {COST[1]}, got {cost}")
 
 
 def threshold_float(x) -> float:
@@ -361,16 +366,17 @@ def solve_p_ds(table: PayoffTable, cost: float):
     return min(p, 1.0)
 
 
-def solve_p_ds_bisection(env: Environment):
+def solve_p_ds_bisection(env: Environment, cost: float):
     """Independent route to p_ds: bisect the truthful-vs-best-other dominance gap.
 
     The unchecked reward is constant, so the gap at probability p is
     p * spot(truth) - cost minus the best competing p * spot(s) - cost(s).
     It computes its own audit rewards and reads no payoff table.
     """
+    _check_cost(cost)
     efforts, maps = pure_strategy_arrays(len(env.q_space))
     spots = expected_spot_rewards(env, (efforts, maps))
-    costs = env.effort_cost * EFFORT_COST[efforts]
+    costs = cost * EFFORT_COST[efforts]
 
     def gap(p: float) -> float:
         utilities = p * spots - costs
@@ -612,7 +618,8 @@ def check_pareto_bound_condition(table: PayoffTable, tol: float = DEFAULT_TOL) -
 def compute_thresholds(
     table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL
 ) -> ThresholdReport:
-    """All four thresholds plus the sufficient-condition flag at one effort cost."""
+    """All four thresholds plus the sufficient-condition flag at one effort cost, checked by ``signals.COST``."""
+    _check_cost(cost)
     return ThresholdReport(
         p_ds=solve_p_ds(table, cost),
         p_el=solve_p_el(table, cost, grid=grid, tol=tol),
@@ -623,13 +630,9 @@ def compute_thresholds(
     )
 
 
-def construct_dominated_environment(
-    mechanism: MechanismSpec,
-    candidates: list,
-    tol: float = DEFAULT_TOL,
-):
+def construct_dominated_environment(mechanism: MechanismSpec, candidates: list, cost: float, tol: float = DEFAULT_TOL):
     """Compose an environment whose no-effort coordination equilibrium strictly
-    beats the truthful profile.
+    beats the truthful profile at effort cost ``cost`` and zero audit probability.
 
     Candidates must elicit truth at zero cost and zero audit probability.  The
     composed environment reuses one candidate's high channel as the shared
@@ -637,6 +640,7 @@ def construct_dominated_environment(
     the costly signal buys nothing the shared draw does not already provide.
     Returns NOT_FOUND when no elicitable ordered pair qualifies.
     """
+    _check_cost(cost)
     elicitable = []
     for env in candidates:
         table = compute_payoff_table(mechanism, env)
@@ -656,8 +660,8 @@ def construct_dominated_environment(
             )
             table = compute_payoff_table(mechanism, composed)
             g = table.best_no_effort
-            (_,), (certified,) = table.certify(0.0, composed.effort_cost, tol, [g])
-            utilities = table.utilities(0.0, composed.effort_cost)
+            (_,), (certified,) = table.certify(0.0, cost, tol, [g])
+            utilities = table.utilities(0.0, cost)
             if certified and utilities[g] > utilities[TRUTHFUL] + tol:
                 return composed
     return NOT_FOUND

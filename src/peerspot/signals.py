@@ -14,7 +14,7 @@ built and kept immutable.  The ``json_*`` readers decide what each JSON type may
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Mapping, Sequence
 
@@ -194,7 +194,7 @@ class Channel:
 
 @dataclass(frozen=True)
 class Environment:
-    """One evaluation game: prior, the three signal channels, effort cost, population sizes.
+    """One evaluation game: prior, the three signal channels, population sizes (no effort cost).
 
     The low channel produces a single draw per object that every agent
     observes; the high channel is applied independently per agent given the
@@ -207,7 +207,6 @@ class Environment:
     high_channel: Channel
     trusted_channel: Channel
     low_channel: Channel
-    effort_cost: float
     n_agents: int
     n_objects: int
     env_id: str = field(default="env", compare=False)
@@ -221,13 +220,8 @@ class Environment:
             channel = getattr(self, name)
             if channel.input_space != space or channel.output_space != space:
                 raise ShapeMismatch(f"{name} must map the quality space to the label space")
-        if not COST[0](self.effort_cost):
-            raise InvalidDistribution(f"effort_cost must be {COST[1]}, got {self.effort_cost}")
         check_integer("n_agents", self.n_agents, 3)
         check_integer("n_objects", self.n_objects, 1)
-
-    def with_effort_cost(self, cost: float) -> "Environment":
-        return replace(self, effort_cost=cost)
 
     def to_json_dict(self) -> dict:
         return {
@@ -236,7 +230,6 @@ class Environment:
             "high": self.high_channel.matrix().tolist(),
             "trusted": self.trusted_channel.matrix().tolist(),
             "low": self.low_channel.matrix().tolist(),
-            "effort_cost": self.effort_cost,
             "n_agents": self.n_agents,
             "n_objects": self.n_objects,
             "env_id": self.env_id,
@@ -259,7 +252,7 @@ class Environment:
             high_channel=channel(high),
             trusted_channel=channel(fields.pop("trusted", high)),
             low_channel=channel(fields.pop("low")) if "low" in fields else Channel.uniform(space),
-            **({"effort_cost": 0.0, "n_agents": 3, "n_objects": 2} | fields),
+            **({"n_agents": 3, "n_objects": 2} | fields),
         )
 
 
@@ -270,7 +263,6 @@ ENVIRONMENT_FIELDS = {
     "high": partial(_json_array, rank=2),
     "trusted": partial(_json_array, rank=2),
     "low": partial(_json_array, rank=2),
-    "effort_cost": json_number,
     "n_agents": partial(json_integer, minimum=1),
     "n_objects": partial(json_integer, minimum=1),
     "env_id": json_string,
@@ -279,7 +271,7 @@ ENVIRONMENT_FIELDS = {
 
 def reference_environment() -> Environment:
     """The binary environment used throughout the test suite: two labels, uniform prior,
-    0.9 symmetric-noise high and trusted channels, uniform low channel, cost 0.1, n=3, m=2."""
+    0.9 symmetric-noise high and trusted channels, uniform low channel, n=3, m=2."""
     space = LabelSpace.of((0, 1))
     return Environment(
         q_space=space,
@@ -287,7 +279,6 @@ def reference_environment() -> Environment:
         high_channel=Channel.symmetric_noise(space, 0.9),
         trusted_channel=Channel.symmetric_noise(space, 0.9),
         low_channel=Channel.uniform(space),
-        effort_cost=0.1,
         n_agents=3,
         n_objects=2,
         env_id="e1",

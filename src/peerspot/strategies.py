@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded, ShapeMismatch
-from .signals import Environment, LabelSpace
+from .signals import Environment, LabelSpace, check_integer
 
 # Largest label count any strategy array, payoff table or equilibrium search accepts.
 # A table holds its O(S k^2) per-observation terms V once: at k=5 (S = 6,250) a seeded
@@ -47,8 +47,10 @@ class Strategy:
     report_map: tuple  # output label index per input label index
 
     def __post_init__(self):
-        if not all(isinstance(i, int) and i >= 0 for i in self.report_map):
-            raise ShapeMismatch("report_map must hold label indices")
+        if not isinstance(self.effort, Effort):
+            raise ShapeMismatch(f"effort must be an Effort, got {self.effort!r}")
+        for i in self.report_map:
+            check_integer("report_map entry", i, 0)
 
     @property
     def is_full_effort(self) -> bool:

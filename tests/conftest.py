@@ -36,9 +36,13 @@ def spec_id(spec: MechanismSpec) -> str:
     return f"{spec.kind.value}.{spec.rule.name}" if KINDS[spec.kind].scored else spec.kind.value
 
 
+E1_COST = 0.1  # the effort cost at which tests read the ``env`` fixture
+TERNARY_COST = 0.05  # the effort cost at which tests read the ``ternary_env`` fixture
+
+
 @pytest.fixture
 def env():
-    """Binary environment: uniform prior, 0.9 high/trusted channels, uniform low, cost 0.1."""
+    """Binary environment: uniform prior, 0.9 high/trusted channels, uniform low."""
     return reference_environment()
 
 
@@ -51,7 +55,6 @@ def ternary_env():
         high_channel=Channel.symmetric_noise(space, 0.8),
         trusted_channel=Channel.symmetric_noise(space, 0.75),
         low_channel=Channel.uniform(space),
-        effort_cost=0.05,
         n_agents=3,
         n_objects=2,
         env_id="ternary",
@@ -60,6 +63,12 @@ def ternary_env():
 
 def random_environment(rng: np.random.Generator, labels: int, correlated_low: bool = False) -> Environment:
     """Arbitrary valid environment with noisy aligned channels for property tests."""
+    return random_costed_environment(rng, labels, correlated_low)[0]
+
+
+def random_costed_environment(rng: np.random.Generator, labels: int, correlated_low: bool = False) -> tuple:
+    """``random_environment`` and an effort cost in [0, 0.2), drawn after it: every caller
+    draws the cost, so a seeded loop builds the same environments whether or not it reads it."""
     space = LabelSpace.of(tuple(range(labels)))
     weights = rng.uniform(0.4, 1.6, size=labels)
 
@@ -72,14 +81,14 @@ def random_environment(rng: np.random.Generator, labels: int, correlated_low: bo
             rows.append(row)
         return Channel.from_matrix(space, space, np.array(rows))
 
-    return Environment(
+    env = Environment(
         q_space=space,
         prior=Distribution.from_array(space, weights / weights.sum()),
         high_channel=noisy(),
         trusted_channel=noisy(),
         low_channel=noisy() if correlated_low else Channel.uniform(space),
-        effort_cost=float(rng.uniform(0.0, 0.2)),
         n_agents=3,
         n_objects=2,
         env_id=f"rand-q{labels}",
     )
+    return env, float(rng.uniform(0.0, 0.2))

@@ -32,7 +32,7 @@ def scalar_noise(labels: int, accuracy: float) -> np.ndarray:
 
 
 def generate_environments(labels: int, count: int, seed: int, accuracy=(0.6, 0.95), prefix="gen") -> list:
-    """The former ``harness.generate_environments`` at its default sizes and cost."""
+    """The former ``harness.generate_environments`` at its default sizes."""
     rng = np.random.default_rng(seed)
     space = LabelSpace.of(tuple(range(labels)))
     channel = lambda: Channel.from_matrix(space, space, noisy_rows(rng, labels, *accuracy))
@@ -43,7 +43,6 @@ def generate_environments(labels: int, count: int, seed: int, accuracy=(0.6, 0.9
             high_channel=channel(),
             trusted_channel=channel(),
             low_channel=Channel.uniform(space),
-            effort_cost=0.1,
             n_agents=3,
             n_objects=2,
             env_id=f"{prefix}-q{labels}-s{seed}-{i}",
@@ -64,7 +63,6 @@ def aligned_random_environment(rng: np.random.Generator, labels: int, index: int
         high_channel=aligned(0.55),
         trusted_channel=aligned(0.55),
         low_channel=aligned(0.3),
-        effort_cost=0.1,
         n_agents=3,
         n_objects=2,
         env_id=f"aligned-q{labels}-{index}",

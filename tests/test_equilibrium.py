@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -34,6 +35,7 @@ from peerspot import (
     Distribution,
     Effort,
     EnumerationBudgetExceeded,
+    InvalidDistribution,
     LOGARITHMIC,
     MechanismKind,
     MechanismSpec,
@@ -69,7 +71,7 @@ from peerspot.equilibrium import DEFAULT_TOL, NOT_APPLICABLE, NOT_FOUND, _certif
 from peerspot.harness import DEFAULT_EFFORT_COSTS, generate_environments, parse_config, run_experiment
 from peerspot.mechanisms import KINDS
 
-from conftest import random_environment, spec_id, specs_for
+from conftest import E1_COST, TERNARY_COST, random_costed_environment, random_environment, spec_id, specs_for
 from grid_solvers import best_effort_values, dense_gains, scan_p_el, scan_p_pareto, unchecked
 from grid_solvers import solve_p_pareto as grid_p_pareto
 
@@ -215,17 +217,17 @@ class TestDeviationGains:
     def test_full_audit_forces_truth(self, env):
         table = compute_payoff_table(PI, env)
         lazy = table.index_of(low_identity_strategy(2))
-        gains = dense_gains(table, lazy, 1.0, env.effort_cost)
+        gains = dense_gains(table, lazy, 1.0, E1_COST)
         best = int(np.argmax(gains))
         assert table.strategies[best] == truthful_strategy(2)
-        utility = table.utilities(1.0, env.effort_cost)[lazy] + gains[best]
+        utility = table.utilities(1.0, E1_COST)[lazy] + gains[best]
         assert utility == pytest.approx(0.32 - 0.1, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_lines_are_utility_differences(self, ternary_env, p):
         # Oracle: a deviant's gain is its combined utility minus the conforming one.
         table = compute_payoff_table(OA, ternary_env)
-        cost = ternary_env.effort_cost
+        cost = TERNARY_COST
         size = len(table.strategies)
         g0, g1 = table.gain_lines(cost, np.arange(size))
         assert g0.shape == g1.shape == (size, size)
@@ -246,14 +248,14 @@ class TestEquilibriumCertification:
 
     def test_wasted_effort_breaks_truthful_profile(self, env):
         table = compute_payoff_table(PI, env)
-        record = is_symmetric_equilibrium(table, truthful_strategy(2), 0.0, env.effort_cost)
+        record = is_symmetric_equilibrium(table, truthful_strategy(2), 0.0, E1_COST)
         assert not record.certified
         assert record.max_deviation_gain == pytest.approx(0.1, abs=1e-12)
 
     def test_fixed_point_has_zero_gain(self, env):
         table = compute_payoff_table(OA, env)
         for strategy in table.strategies:
-            rec = is_symmetric_equilibrium(table, strategy, 0.3, env.effort_cost)
+            rec = is_symmetric_equilibrium(table, strategy, 0.3, E1_COST)
             if rec.certified:
                 assert rec.max_deviation_gain <= 1e-9
 
@@ -410,22 +412,22 @@ class TestEnumeration:
         assert records == sorted(records, key=lambda r: -r.utility)
 
     def test_positive_cost_drops_full_effort_constants(self, env):
-        records = enumerate_symmetric_pure_equilibria(compute_payoff_table(PI, env), 0.0, env.effort_cost)
+        records = enumerate_symmetric_pure_equilibria(compute_payoff_table(PI, env), 0.0, E1_COST)
         assert all(not r.strategy.is_full_effort for r in records)
         assert all(r.utility == pytest.approx(1.0) for r in records)
 
     def test_records_agree_with_single_checks(self, env):
         table = compute_payoff_table(OA, env)
-        records = enumerate_symmetric_pure_equilibria(table, 0.2, env.effort_cost)
+        records = enumerate_symmetric_pure_equilibria(table, 0.2, E1_COST)
         for rec in records:
-            single = is_symmetric_equilibrium(table, rec.strategy, 0.2, env.effort_cost)
+            single = is_symmetric_equilibrium(table, rec.strategy, 0.2, E1_COST)
             assert single.certified
             assert single.utility == pytest.approx(rec.utility, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
     def test_matches_per_strategy_certification_on_k3(self, ternary_env, p):
         table = compute_payoff_table(OA, ternary_env)
-        cost = ternary_env.effort_cost
+        cost = TERNARY_COST
         singles = [is_symmetric_equilibrium(table, s, p, cost) for s in table.strategies]
         expected = sorted((r for r in singles if r.certified), key=lambda r: -r.utility)
         assert expected
@@ -440,7 +442,7 @@ class TestEnumeration:
 
 class TestDominantStrategyThreshold:
     def test_reference_value(self, env):
-        got = solve_p_ds(compute_payoff_table(PI, env), env.effort_cost)
+        got = solve_p_ds(compute_payoff_table(PI, env), E1_COST)
         assert got == pytest.approx(0.3125, abs=1e-9)
         assert type(got) is float  # written to the CSV with repr
 
@@ -458,9 +460,9 @@ class TestDominantStrategyThreshold:
         rng = np.random.default_rng(13)
         for labels in (2, 3):
             for _ in range(5):
-                e = random_environment(rng, labels)
-                closed = solve_p_ds(compute_payoff_table(PI, e), e.effort_cost)
-                bisected = solve_p_ds_bisection(e)
+                e, cost = random_costed_environment(rng, labels)
+                closed = solve_p_ds(compute_payoff_table(PI, e), cost)
+                bisected = solve_p_ds_bisection(e, cost)
                 if isinstance(closed, NotAttained):
                     assert isinstance(bisected, NotAttained)
                 else:
@@ -469,7 +471,7 @@ class TestDominantStrategyThreshold:
 
 class TestEliminationThreshold:
     def test_constant_reward_matches_dominant_threshold(self, env):
-        got = solve_p_el(compute_payoff_table(PI, env), env.effort_cost)
+        got = solve_p_el(compute_payoff_table(PI, env), E1_COST)
         assert got == pytest.approx(0.3125, abs=1e-5)
 
     def test_output_agreement_indifference(self, env):
@@ -477,7 +479,7 @@ class TestEliminationThreshold:
         # audit value 0.32 and unchecked agreement 0.5 while conformity earns
         # audit value 0 and unchecked 1:  p*0.32 + (1-p)*0.5 - 0.1 = (1-p)*1.
         expected = 0.6 / 0.82
-        got = solve_p_el(compute_payoff_table(OA, env), env.effort_cost)
+        got = solve_p_el(compute_payoff_table(OA, env), E1_COST)
         assert got == pytest.approx(expected, abs=2e-6)
 
     def test_zero_cost_constant_reward(self, env):
@@ -516,11 +518,11 @@ class TestEliminationThreshold:
 
 class TestOvertakeThreshold:
     def test_output_agreement_reference(self, env):
-        got = solve_p_ex(compute_payoff_table(OA, env), env.effort_cost)
+        got = solve_p_ex(compute_payoff_table(OA, env), E1_COST)
         assert got == pytest.approx(0.56, abs=1e-9)
 
     def test_constant_reward_collapses_to_dominant_threshold(self, env):
-        got = solve_p_ex(compute_payoff_table(PI, env), env.effort_cost)
+        got = solve_p_ex(compute_payoff_table(PI, env), E1_COST)
         assert got == pytest.approx(0.3125, abs=1e-9)
 
     def test_equal_profiles_at_zero_cost(self, env):
@@ -530,12 +532,12 @@ class TestOvertakeThreshold:
 class TestParetoThreshold:
     def test_constant_reward_reference(self, env):
         table = compute_payoff_table(PI, env)
-        p = solve_p_pareto(table, env.effort_cost, grid=1e-3)
+        p = solve_p_pareto(table, E1_COST, grid=1e-3)
         assert p == pytest.approx(0.313, abs=1e-12)
-        assert is_symmetric_equilibrium(table, truthful_strategy(2), p, env.effort_cost).certified
+        assert is_symmetric_equilibrium(table, truthful_strategy(2), p, E1_COST).certified
 
     def test_output_agreement_meets_lower_bound(self, env):
-        p = solve_p_pareto(compute_payoff_table(OA, env), env.effort_cost, grid=1e-3)
+        p = solve_p_pareto(compute_payoff_table(OA, env), E1_COST, grid=1e-3)
         assert p >= 0.3125 - 1e-3
         assert p == pytest.approx(0.56, abs=1e-3 + 1e-12)
 
@@ -550,7 +552,6 @@ class TestParetoThreshold:
             high_channel=perfect,
             trusted_channel=perfect,
             low_channel=perfect,
-            effort_cost=0.0,
             n_agents=3,
             n_objects=2,
         )
@@ -701,8 +702,8 @@ class TestThresholdOrdering:
             for kind in (MechanismKind.OUTPUT_AGREEMENT, MechanismKind.CORRELATED_AGREEMENT):
                 table = compute_payoff_table(MechanismSpec(kind), e)
                 assert check_pareto_bound_condition(table)
-                p_ds = threshold_float(solve_p_ds(table, e.effort_cost))
-                p_par = threshold_float(solve_p_pareto(table, e.effort_cost))
+                p_ds = threshold_float(solve_p_ds(table, 0.1))
+                p_par = threshold_float(solve_p_pareto(table, 0.1))
                 assert p_par >= p_ds - grid
 
 
@@ -733,41 +734,41 @@ class TestParetoBoundCondition:
 
 class TestDominatedEnvironment:
     def test_self_pair_composition(self, env):
-        composed = construct_dominated_environment(OA, [env])
+        composed = construct_dominated_environment(OA, [env], E1_COST)
         assert not isinstance(composed, NotAttained)
         table = compute_payoff_table(OA, composed)
         t = table.index_of(truthful_strategy(2))
-        records = enumerate_symmetric_pure_equilibria(table, 0.0, composed.effort_cost)
+        records = enumerate_symmetric_pure_equilibria(table, 0.0, E1_COST)
         best = records[0]
         assert not best.strategy.is_full_effort
-        assert best.utility > table.own[t] - composed.effort_cost + 1e-9
+        assert best.utility > table.own[t] - E1_COST + 1e-9
 
     def test_zero_cost_composition_still_strict_for_agreement(self, env):
         # With free effort the shared-draw coordination still strictly beats
         # truth under plain agreement because the noisy channel disagrees with
         # itself while the shared draw never does.
-        composed = construct_dominated_environment(OA, [env.with_effort_cost(0.0)])
+        composed = construct_dominated_environment(OA, [env], 0.0)
         assert not isinstance(composed, NotAttained)
         table = compute_payoff_table(OA, composed)
         t = table.index_of(truthful_strategy(2))
-        records = enumerate_symmetric_pure_equilibria(table, 0.0, composed.effort_cost)
+        records = enumerate_symmetric_pure_equilibria(table, 0.0, 0.0)
         assert records[0].utility > table.own[t] + 1e-9
 
     def test_equality_only_mechanism_has_no_strict_witness_at_zero_cost(self, env):
         # Frequency-scaled agreement pays alpha + beta at both profiles, so no
         # composition strictly demotes truth when effort is free.
         pts = MechanismSpec(MechanismKind.PEER_TRUTH_SERUM, alpha=0.5, beta=0.5)
-        got = construct_dominated_environment(pts, [env.with_effort_cost(0.0)])
+        got = construct_dominated_environment(pts, [env], 0.0)
         assert isinstance(got, NotAttained)
 
     def test_positive_cost_restores_the_witness(self, env):
         pts = MechanismSpec(MechanismKind.PEER_TRUTH_SERUM, alpha=0.5, beta=0.5)
-        composed = construct_dominated_environment(pts, [env])
+        composed = construct_dominated_environment(pts, [env], E1_COST)
         assert not isinstance(composed, NotAttained)
 
     def test_empty_candidates(self):
-        assert construct_dominated_environment(OA, []) is not None
-        assert isinstance(construct_dominated_environment(OA, []), NotAttained)
+        assert construct_dominated_environment(OA, [], E1_COST) is not None
+        assert isinstance(construct_dominated_environment(OA, [], E1_COST), NotAttained)
 
     @pytest.mark.parametrize(
         "names, found",
@@ -780,13 +781,13 @@ class TestDominatedEnvironment:
         ids=["skip-labels", "skip-unelicitable", "ternary-self", "none"],
     )
     def test_mixed_candidates(self, env, names, found):
-        # "sharp" observes quality exactly at zero cost: its self pair ties truth, so it only
+        # At zero cost: "sharp" observes quality exactly, so its self pair ties truth and it only
         # donates; "skewed" (prior 0.9, accuracy 0.6) does not elicit truth; "ternary" has
         # three labels, so it never pairs with a binary candidate.
         exact = Channel.symmetric_noise(env.q_space, 1.0)
         candidates = {
             "e1": env,
-            "sharp": replace(env, high_channel=exact, trusted_channel=exact, effort_cost=0.0, env_id="sharp"),
+            "sharp": replace(env, high_channel=exact, trusted_channel=exact, env_id="sharp"),
             "skewed": replace(
                 env,
                 prior=Distribution.from_array(env.q_space, [0.9, 0.1]),
@@ -802,7 +803,7 @@ class TestDominatedEnvironment:
             for name, c in candidates.items()
         }
         assert elicits == {"e1": True, "sharp": True, "skewed": False, "ternary": True}
-        composed = construct_dominated_environment(OA, [candidates[name] for name in names])
+        composed = construct_dominated_environment(OA, [candidates[name] for name in names], 0.0)
         if found is None:
             assert composed is NOT_FOUND
             return
@@ -812,9 +813,9 @@ class TestDominatedEnvironment:
         assert replace(composed, low_channel=host.low_channel) == host
         table = compute_payoff_table(OA, composed)
         g = table.best_no_effort
-        record = is_symmetric_equilibrium(table, table.strategies[g], 0.0, composed.effort_cost)
+        record = is_symmetric_equilibrium(table, table.strategies[g], 0.0, 0.0)
         assert record.certified and not record.strategy.is_full_effort
-        assert record.utility > table.utilities(0.0, composed.effort_cost)[strategies.TRUTHFUL] + DEFAULT_TOL
+        assert record.utility > table.utilities(0.0, 0.0)[strategies.TRUTHFUL] + DEFAULT_TOL
 
 
 class TestMonotonicity:
@@ -826,16 +827,40 @@ class TestMonotonicity:
         g = table.index_of(low_identity_strategy(2))
         gaps = []
         for p in (0.2, 0.5, 0.9):
-            u = table.utilities(p, env.effort_cost)
+            u = table.utilities(p, E1_COST)
             gaps.append(u[t] - u[g])
         slope = (gaps[2] - gaps[0]) / 0.7
         assert slope == pytest.approx(0.32, abs=1e-12)
         assert gaps == sorted(gaps)
 
 
+class TestCostBoundary:
+    """Each threshold computation that takes an effort cost refuses a negative or non-finite
+    one, with the message a failed row carries; an int too large for a float is not finite."""
+
+    CALLS = {
+        "compute_thresholds": lambda env, cost: compute_thresholds(compute_payoff_table(PI, env), cost),
+        "solve_p_ds_bisection": solve_p_ds_bisection,
+        "construct_dominated_environment": lambda env, cost: construct_dominated_environment(OA, [env], cost),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize(
+        "cost", [float("nan"), float("inf"), -float("inf"), -0.1, -1, 10**400], ids=["nan", "inf", "-inf", "-0.1", "-1", "huge-int"]
+    )
+    def test_negative_and_non_finite_costs_are_refused(self, env, call, cost):
+        with pytest.raises(InvalidDistribution, match=f"^effort_cost must be finite and nonnegative, got {re.escape(str(cost))}$"):
+            self.CALLS[call](env, cost)
+
+    @pytest.mark.parametrize("cost", [0, 0.0, 0.2])
+    def test_zero_and_positive_costs_are_taken(self, env, cost):
+        assert compute_thresholds(compute_payoff_table(PI, env), cost).p_ds == pytest.approx(cost / 0.32, abs=1e-12)
+        assert solve_p_ds_bisection(env, cost) == pytest.approx(cost / 0.32, abs=1e-8)
+
+
 class TestReportAssembly:
     def test_compute_thresholds_bundle(self, env):
-        report = compute_thresholds(compute_payoff_table(PI, env), env.effort_cost)
+        report = compute_thresholds(compute_payoff_table(PI, env), E1_COST)
         assert report.p_ds == pytest.approx(0.3125, abs=1e-9)
         assert report.pareto_bound_condition
         doc = report.to_json_dict()

@@ -224,7 +224,6 @@ def relabel_environment(env: Environment, perm: tuple) -> Environment:
         high_channel=moved(env.high_channel),
         trusted_channel=moved(env.trusted_channel),
         low_channel=moved(env.low_channel),
-        effort_cost=env.effort_cost,
         n_agents=env.n_agents,
         n_objects=env.n_objects,
         env_id=f"{env.env_id}-relabelled",

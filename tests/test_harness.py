@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
-from peerspot import ConfigError, load_config
+from peerspot import ConfigError, ExperimentConfig, MechanismKind, MechanismSpec, load_config, reference_environment
 from peerspot.cli import main as cli_main
 from peerspot.harness import (
     HarnessAssertionError,
@@ -30,7 +31,6 @@ def tiny_config_doc(**overrides):
                 "labels": [0, 1],
                 "prior": [0.5, 0.5],
                 "high": [[0.9, 0.1], [0.1, 0.9]],
-                "effort_cost": 0.1,
                 "n_agents": 3,
                 "n_objects": 2,
             }
@@ -82,7 +82,7 @@ class TestConfig:
             ({"labels": 1}, "label space needs at least 2 labels"),
             ({"n_agents": 1}, "n_agents must be an integer of at least 3, got 1"),
             ({"n_objects": 0}, "n_objects: must be a positive integer"),
-            ({"effort_cost": -1}, "effort_cost: must be finite and nonnegative"),
+            ({"effort_cost": 0.1}, "unknown key 'effort_cost'$"),
             ({"labels": 2.5}, "labels: must be a positive integer, got 2.5"),
             ({"labels": 6}, "labels: must be at most 5, got 6"),
             ({"count": 1.5}, "count: must be a positive integer"),
@@ -99,8 +99,8 @@ class TestConfig:
             ({"accuracy": [0.6]}, r"accuracy: must be two numbers \[lo, hi\], got \[0\.6\]$"),
             ({"accuracy": "0.6"}, r"accuracy: must be two numbers \[lo, hi\], got '0\.6'$"),
             ({"accuracy": [0.6, True]}, r"accuracy: must be two numbers \[lo, hi\]"),
-            ({"effort_cost": True}, "effort_cost: must be finite and nonnegative, got True$"),
-            ({"effort_cost": "0.1"}, "effort_cost: must be finite and nonnegative, got '0.1'$"),
+            ({"count": 10001}, "count: must be at most 10000, got 10001$"),
+            ({"count": 1e300}, r"count: must be at most 10000, got 1e\+300$"),
             ({"prefix": 5}, "prefix: must be a string, got 5$"),
         ],
     )
@@ -115,6 +115,24 @@ class TestConfig:
         assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.count("environments[1].generator: ") == 2
+
+    def test_generator_count_is_bounded_before_any_environment_is_built(self, tmp_path, capsys, monkeypatch):
+        from peerspot import harness
+
+        counts = []
+        monkeypatch.setattr(harness, "generate_environments", lambda **fields: counts.append(fields["count"]) or [])
+        doc = tiny_config_doc(environments=[{"generator": {"count": 10001}}])
+        message = "environments[0].generator: count: must be at most 10000, got 10001"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
+        assert counts == []
+        with pytest.raises(ConfigError, match="^environments: at least one entry required$"):
+            parse_config(tiny_config_doc(environments=[{"generator": {"count": harness.MAX_GENERATED}}]))
+        assert counts == [10_000]
 
     @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
     def test_non_finite_generator_accuracy_is_a_config_error(self, bound):
@@ -223,7 +241,7 @@ class TestConfig:
             ({"labels": "ab"}, r"environments\[0\]: labels: must be a list, got 'ab'$"),
             ({"prior": [True, 0]}, r"environments\[0\]: prior: must be a number, got True$"),
             ({"high": [[0.9, 0.1], ["0.1", 0.9]]}, r"environments\[0\]: high: must be a number, got '0\.1'$"),
-            ({"effort_cost": "0.1"}, r"environments\[0\]: effort_cost: must be a number, got '0\.1'$"),
+            ({"effort_cost": 0.1}, r"environments\[0\]: unknown key 'effort_cost'$"),
             ({"env_id": 5}, r"environments\[0\]: env_id: must be a string, got 5$"),
             ({"high": [[0.9, 0.1], [1.0]]}, r"environments\[0\]: high: "),
             ({"n_agents": 3.9}, r"environments\[0\]: n_agents: must be a positive integer, got 3\.9"),
@@ -243,21 +261,24 @@ class TestConfig:
                 {"mechanisms": [{"kind": "peer_truth_serum", "alpha": 10**400}]},
                 r"mechanisms\[0\]: peer_truth_serum requires alpha to be a finite number > 0, got 10{400}$",
             ),
-            ({"effort_cost": 10**400}, r"environments\[0\]: effort_cost: must be a number, got 10{400}$"),
+            (
+                {"environments": [{"generator": {"count": 10**400}}]},
+                r"environments\[0\]\.generator: count: must be at most 10000, got 10{400}$",
+            ),
             ({"prior": [10**400, 0.5]}, r"environments\[0\]: prior: must be a number, got 10{400}$"),
             ({"sweeps": {"effort_cost": [10**400]}}, r"sweeps\.effort_cost: must be finite and nonnegative, got 10{400}$"),
             (
-                {"environments": [{"generator": {"effort_cost": 10**400}}]},
-                r"environments\[0\]\.generator: effort_cost: must be finite and nonnegative, got 10{400}$",
+                {"environments": [{"generator": {"effort_cost": 0.1}}]},
+                r"environments\[0\]\.generator: unknown key 'effort_cost'$",
             ),
         ],
         ids=["sweeps-list", "costs-number", "p-number", "bool-cost", "string-cost", "bool-p", "string-p",
              "bool-grid", "string-grid", "number-output-dir", "prior-string", "labels-string", "bool-prior",
-             "string-high", "string-effort-cost", "number-env-id", "ragged-high", "fractional-agents",
+             "string-high", "literal-effort-cost", "number-env-id", "ragged-high", "fractional-agents",
              "string-agents", "fractional-objects", "bool-objects", "environments-number", "mechanisms-number",
              "unknown-top-key", "unknown-sweeps-key", "unknown-literal-key", "generator-with-literal-key",
-             "repeated-cost", "repeated-p", "huge-alpha", "huge-effort-cost", "huge-prior", "huge-sweep-cost",
-             "huge-generator-cost"],
+             "repeated-cost", "repeated-p", "huge-alpha", "huge-generator-count", "huge-prior", "huge-sweep-cost",
+             "generator-effort-cost"],
     )
     def test_malformed_documents_name_the_field(self, tmp_path, capsys, overrides, message):
         """A number is a JSON int or float, never a bool or a string; names and paths are
@@ -348,7 +369,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_numbers_rejected(self, tmp_path, token):
-        text = json.dumps(tiny_config_doc()).replace('"effort_cost": 0.1', f'"effort_cost": {token}', 1)
+        text = json.dumps(tiny_config_doc()).replace('"effort_cost": [0.0, 0.1]', f'"effort_cost": [0.0, {token}]', 1)
         assert token in text
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -408,6 +429,18 @@ class TestRunExperiment:
         assert errors[("output_agreement", 0.0)] == ""
         failed = next(r for r in rows if r.mechanism == "output_agreement" and r.effort_cost == 0.1)
         assert failed.p_ds is None and failed.grid is None and failed.utility_truthful_p0 is None
+
+    def test_library_costs_are_checked_per_row(self):
+        # A config built in code skips the config reader; each row checks its own cost.
+        specs = [MechanismSpec(MechanismKind.PEER_INSENSITIVE)]
+        rows = run_experiment(ExperimentConfig([reference_environment()], specs, effort_costs=(-1.0, float("nan"), 0.1)))
+        assert [r.error for r in rows] == [
+            "InvalidDistribution: effort_cost must be finite and nonnegative, got -1.0",
+            "InvalidDistribution: effort_cost must be finite and nonnegative, got nan",
+            "",
+        ]
+        assert rows[0].p_ds is None and rows[0].worthwhile_effort is None
+        assert rows[2].p_ds == pytest.approx(0.3125, abs=1e-9) and rows[2].worthwhile_effort
 
     def test_config_without_costs_gives_no_rows(self):
         config = parse_config(tiny_config_doc())

@@ -1,6 +1,5 @@
 """Environment validation, and peer-report posteriors against an enumerated joint law."""
 
-import copy
 import dataclasses
 import itertools
 import re
@@ -57,10 +56,6 @@ INVALID = [
     ({"n_objects": 1.5}, ShapeMismatch, "n_objects must be an integer of at least 1, got 1.5"),
     ({"n_agents": "5"}, ShapeMismatch, "n_agents must be an integer of at least 3, got '5'"),
     ({"n_objects": True}, ShapeMismatch, "n_objects must be an integer of at least 1, got True"),
-    ({"effort_cost": float("nan")}, InvalidDistribution, "effort_cost must be finite and nonnegative, got nan"),
-    ({"effort_cost": float("inf")}, InvalidDistribution, "effort_cost must be finite and nonnegative, got inf"),
-    ({"effort_cost": -1}, InvalidDistribution, "effort_cost must be finite and nonnegative, got -1"),
-    ({"effort_cost": 10**400}, InvalidDistribution, f"effort_cost must be finite and nonnegative, got {10**400}"),
     ({"prior": Distribution.uniform(ABC)}, ShapeMismatch, "prior is not over the quality space"),
     ({"high_channel": Channel.uniform(ABC)}, ShapeMismatch, "high_channel must map the quality space to the label space"),
     ({"low_channel": Channel.uniform(ABC)}, ShapeMismatch, "low_channel must map the quality space to the label space"),
@@ -76,26 +71,21 @@ class TestValidation:
         with pytest.raises(InvalidDistribution):
             Distribution.from_array(space, [0.6, 0.5])
 
-    @pytest.mark.parametrize("build", ["constructor", "replace", "with_effort_cost"])
+    @pytest.mark.parametrize("build", ["constructor", "replace"])
     @pytest.mark.parametrize(
         "change, error, message",
         INVALID,
         ids=[
             "two-agents", "no-objects", "fractional-agents", "fractional-objects", "string-agents", "bool-objects",
-            "nan-cost", "inf-cost", "negative-cost", "huge-int-cost", "prior-space", "high-space", "low-space",
+            "prior-space", "high-space", "low-space",
         ],
     )
     def test_invalid_environment_cannot_be_built(self, env, build, change, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             if build == "constructor":
                 Environment(**(fields_of(env) | change))
-            elif build == "replace":
+            else:
                 dataclasses.replace(env, **change)
-            else:  # a copy with the change forced past validation, then its cost set again
-                broken = copy.copy(env)
-                for name, value in change.items():
-                    object.__setattr__(broken, name, value)
-                broken.with_effort_cost(broken.effort_cost)
 
     def test_channel_shape_mismatch(self):
         space = LabelSpace.of((0, 1))
@@ -111,12 +101,6 @@ class TestValidation:
     def test_non_finite_weights_rejected(self, weights):
         with pytest.raises(InvalidDistribution):
             Distribution(LabelSpace.of((0, 1)), weights)
-
-    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -float("inf"), -0.1, -1])
-    def test_with_effort_cost_rejects_non_finite_and_negative(self, env, cost):
-        with pytest.raises(InvalidDistribution, match=f"^effort_cost must be finite and nonnegative, got {re.escape(str(cost))}$"):
-            env.with_effort_cost(cost)
-        assert env.with_effort_cost(0.2).effort_cost == 0.2
 
 
 def truthful_posterior(env):
@@ -137,7 +121,6 @@ class TestPosterior:
             high_channel=Channel.symmetric_noise(space, 1.0),
             trusted_channel=Channel.symmetric_noise(space, 0.9),
             low_channel=Channel.uniform(space),
-            effort_cost=0.1,
             n_agents=3,
             n_objects=2,
         )
@@ -168,7 +151,6 @@ class TestPosterior:
             high_channel=Channel.from_matrix(space, space, [[1.0, 0.0], [0.0, 1.0]]),
             trusted_channel=Channel.uniform(space),
             low_channel=Channel.uniform(space),
-            effort_cost=0.0,
             n_agents=3,
             n_objects=2,
         )
@@ -190,7 +172,6 @@ class TestSerialization:
             "labels": [0, 1],
             "prior": [0.5, 0.5],
             "high": [[0.9, 0.1], [0.1, 0.9]],
-            "effort_cost": 0.1,
             "n_agents": 3,
             "n_objects": 2,
         }

@@ -19,7 +19,7 @@ from peerspot import (
     truthful_strategy,
 )
 
-from conftest import random_environment
+from conftest import E1_COST, random_environment
 
 
 def brute_spot_reward(env, strategy):
@@ -84,7 +84,7 @@ PI = MechanismSpec(MechanismKind.PEER_INSENSITIVE)
 
 class TestWorthwhileEffort:
     def test_reference_environment(self, env):
-        assert check_worthwhile_effort(compute_payoff_table(PI, env), env.effort_cost)  # 0.32 - 0.1 > 0
+        assert check_worthwhile_effort(compute_payoff_table(PI, env), E1_COST)  # 0.32 - 0.1 > 0
 
     def test_high_cost_kills_it(self, env):
         assert not check_worthwhile_effort(compute_payoff_table(PI, env), 0.4)
@@ -100,11 +100,10 @@ class TestWorthwhileEffort:
             high_channel=Channel.symmetric_noise(space, 0.9),
             trusted_channel=noiseless,
             low_channel=noiseless,
-            effort_cost=0.01,
             n_agents=3,
             n_objects=2,
         )
-        assert not check_worthwhile_effort(compute_payoff_table(PI, e), e.effort_cost)
+        assert not check_worthwhile_effort(compute_payoff_table(PI, e), 0.01)
 
 
 class TestCombinedUtility:
@@ -113,7 +112,7 @@ class TestCombinedUtility:
     @staticmethod
     def utility(spec, env, strategy, p):
         table = compute_payoff_table(spec, env)
-        return table.utilities(p, env.effort_cost)[table.index_of(strategy)]
+        return table.utilities(p, E1_COST)[table.index_of(strategy)]
 
     def test_peer_insensitive_truthful(self, env):
         spec = MechanismSpec(MechanismKind.PEER_INSENSITIVE, constant_reward=1.0)

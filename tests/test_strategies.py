@@ -1,6 +1,7 @@
 """Strategy enumeration, report realization, and induced belief reports."""
 
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,21 @@ class TestReportMapsMatchTheLabels:
     def test_negative_indices_are_rejected(self):
         with pytest.raises(ShapeMismatch):
             Strategy(Effort.FULL, (-1, 0))
+
+    @pytest.mark.parametrize("report_map", [(True, False), (0.0, 1), ("0", 1)], ids=["bool", "float", "string"])
+    def test_entries_follow_the_integer_rule(self, report_map):
+        with pytest.raises(ShapeMismatch, match="^report_map entry must be an integer of at least 0, got "):
+            Strategy(Effort.FULL, report_map)
+
+    def test_numpy_integer_entries_are_label_indices(self, env):
+        strategy = Strategy(Effort.FULL, tuple(np.arange(2)))
+        assert strategy == truthful_strategy(2) and strategy.describe() == "full:[0,1]"
+        assert expected_spot_reward(env, strategy) == pytest.approx(0.32, abs=1e-12)
+
+    @pytest.mark.parametrize("effort", ["full", "none", 0, None])
+    def test_effort_must_be_an_effort(self, effort):
+        with pytest.raises(ShapeMismatch, match=f"^effort must be an Effort, got {re.escape(repr(effort))}$"):
+            Strategy(effort, (0, 1))
 
     @pytest.mark.parametrize("report_map", BAD_MAPS)
     def test_analytic_unchecked_value(self, env, report_map):
