@@ -25,25 +25,34 @@ for output agreement, the agreement term of correlated agreement and the
 multi-valued and divergence BTS kinds, and over (focal, peer, third
 observation) for robust BTS: at most k^3 entries, whatever the numbers of
 agents and objects.  Minimum truth serum reads the full peer-count vector, so
-each chunk groups its distinct (focal observation, peer counts) rows
-(``_group_rows``) and scores each row once; it never scores more rows than
-it draws.  Peer truth serum and sqrt-scaled agreement read a count that
-ranges over the agents or the objects, and double-mixed agreement and
-correlated agreement's cross term are dominated by their multinomial draws,
-so these score each sample with the same reward methods and no table.
+each chunk groups its distinct (focal observation, peer counts) rows by one
+packed integer key (``_group_peer_rows``) and scores each row once; it never
+scores more rows than it draws.  Peer truth serum and sqrt-scaled agreement
+read a count that ranges over the agents or the objects, and double-mixed
+agreement and correlated agreement's cross term are dominated by their
+multinomial draws, so these score each sample with the same reward methods
+and no table.
 
 Draws stream from a single seeded generator in fixed-size chunks, so an
 estimate is reproducible per seed: the same seed and trial count give the
-same bits.  A sampler reads its environment's laws once and builds the
-belief, score and pair tables only for the kinds that read them.  Changes
-made for speed keep every estimate bit-identical; ``tests/test_sampling.py``
-pins a set of them by ``float.hex``.
+same bits.  What an estimate reads that depends only on the environment and
+the base strategy is built once per (environment, base) and kept in a cache
+of ``SETUP_CACHE_SIZE`` entries (``_setup``): the environment's laws, the
+belief tables of both efforts, the score and divergence tables per scoring
+rule and focal effort, and, on the objects around the scored one, the base
+report law, its marginal and pair laws and the row-wise CDF of a second base
+report given the first.  Each is built on first use, so a kind pays only for
+the tables it reads, and every cached array is read-only.  A sampler itself
+holds only what reads the focal strategy: its report map, the focal report
+marginal and the kind's outcome table.  Changes made for speed keep every
+estimate bit-identical; ``tests/test_sampling.py`` pins a set of them by
+``float.hex``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -51,9 +60,9 @@ import numpy as np
 
 from .errors import NotEnoughObjects, TooFewAgents
 from .mechanisms import MechanismKind, MechanismSpec, check_label_space
-from .scoring import NEGATIVE_SENTINEL, divergence
+from .scoring import NEGATIVE_SENTINEL, ScoringRule, divergence
 from .signals import Environment, check_integer
-from .strategies import FULL_EFFORT, StrategyProfile, peer_report_posteriors, strategy_arrays
+from .strategies import FULL_EFFORT, Strategy, StrategyProfile, peer_report_posteriors, strategy_arrays
 
 CHUNK = 20_000
 
@@ -61,6 +70,10 @@ CHUNK = 20_000
 # enough that an all-labels-positive sample fails to be double mixed with
 # negligible probability.
 DOUBLE_MIXED_SAMPLES_PER_LABEL = 24
+
+# (environment, base) set-ups kept at once: a few KB each at k <= MAX_LABELS, and room
+# for every base of a k=3 sweep (54 strategies) in one environment.
+SETUP_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,13 @@ class UtilityEstimate:
     samples: int
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class _Laws(NamedTuple):
-    """An environment's prior and channels as arrays, read once per sampler."""
+    """An environment's prior and channels as read-only arrays, read once per set-up."""
 
     prior_cdf: np.ndarray
     high: np.ndarray  # (quality, high signal)
@@ -84,10 +102,10 @@ class _Laws(NamedTuple):
     def of(cls, env: Environment) -> "_Laws":
         high = env.high_channel.matrix()
         return cls(
-            prior_cdf=np.cumsum(env.prior.as_array()),
-            high=high,
-            high_cdf=np.cumsum(high, axis=1),
-            low_cdf=np.cumsum(env.low_channel.matrix(), axis=1),
+            prior_cdf=_read_only(np.cumsum(env.prior.as_array())),
+            high=_read_only(high),
+            high_cdf=_read_only(np.cumsum(high, axis=1)),
+            low_cdf=_read_only(np.cumsum(env.low_channel.matrix(), axis=1)),
         )
 
 
@@ -96,12 +114,14 @@ def _categorical(u: np.ndarray, columns, k: int) -> np.ndarray:
 
     Counting one column at a time gives exactly what ``(u[:, None] > cdf).sum(axis=1)``
     gives, without the (samples, k) blocks, and needs no monotone CDF: weights
-    may be as low as -PROB_ATOL.
+    may be as low as -PROB_ATOL.  The count is kept in int8, which holds any
+    k <= MAX_LABELS, and each comparison is added as its int8 view, so no pass
+    casts it.
     """
-    out = np.zeros(u.shape, dtype=int)
+    out = np.zeros(u.shape, dtype=np.int8)
     for column in columns:
-        out += u > column
-    return np.minimum(out, k - 1)
+        out += (u > column).view(np.int8)
+    return np.minimum(out, k - 1, out=out).astype(int)
 
 
 def _draw_rows(rng: np.random.Generator, cdf: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -134,23 +154,33 @@ def _outcomes(*sizes: int) -> tuple:
     return tuple(np.indices(sizes).reshape(len(sizes), -1))
 
 
-def _group_rows(rows: np.ndarray) -> tuple:
-    """The distinct rows of a nonnegative integer array, and the position of each row among
-    them, as ``np.unique(rows, axis=0, return_inverse=True)`` gives them.
+def _group_peer_rows(obs: np.ndarray, counts: np.ndarray, n_agents: int, full_effort: bool) -> tuple:
+    """One sample per distinct (observation, peer counts) row, in the order
+    ``np.unique(rows, axis=0)`` sorts the rows, and each sample's position among them.
 
-    A lexicographic sort on the smallest integer type that holds the entries (a radix sort
-    up to 16 bits) is several times faster than ``np.unique``'s sort of whole rows, and no
-    row is packed into one integer, which could overflow.
+    Every row's counts sum to n - 1, so the last one is left out and the others are the
+    digits of one integer key after the observation.  Under effort a count is below
+    n_agents, the radix.  Without effort every peer observes the shared draw, so a count
+    is 0 or n - 1 and one bit holds it.  Minimum truth serum groups only when
+    k * C(n + k - 2, k - 1) < CHUNK, that is n <= 9,999, 114, 30 and 16 at k = 2-5, so the
+    key stays below k * n^(k - 1) <= 3.3e5.  A dense rank over that bound costs two passes
+    over the keys and one over the bound, several times less than sorting a chunk's keys.
     """
-    keys = rows.astype(np.min_scalar_type(rows.max()))
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    first = np.empty(len(rows), dtype=bool)
-    first[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    position = np.empty(len(rows), dtype=np.intp)
-    position[order] = np.cumsum(first) - 1
-    return rows[order[first]], position
+    k = counts.shape[1]
+    radix = n_agents if full_effort else 2
+    key = obs
+    for column in counts[:, :-1].T:
+        key = key * radix + (column if full_effort else column > 0)
+    bound = k * radix ** (k - 1)
+    seen = np.zeros(bound, dtype=bool)
+    seen[key] = True
+    distinct = np.flatnonzero(seen)
+    rank = np.empty(bound, dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    position = rank[key]
+    representative = np.empty(len(distinct), dtype=np.intp)
+    representative[position] = np.arange(len(key))
+    return representative, position
 
 
 def _report_law(laws: _Laws, effort: int, report_map: np.ndarray) -> np.ndarray:
@@ -189,82 +219,114 @@ SAMPLER_KINDS = {
 }
 
 
-class _Sampler:
-    """Chunked reward sampler for one (mechanism, environment, profile) triple.
+class _Setup:
+    """What every estimate against one base strategy in one environment reads, built once
+    per (environment, base) by ``_setup``: each table on first use, every array read-only.
 
-    The base and focal strategies are read once as effort positions and report maps.  The
-    tables below are built on first use, so each kind pays only for the ones it reads.
+    The score and divergence tables also read the focal strategy, through the scoring rule
+    and its effort position only, so they are kept per (rule, focal effort): at most four
+    of each for the package's two rules.
     """
 
-    def __init__(self, spec: MechanismSpec, env: Environment, profile: StrategyProfile):
-        self.spec = spec
+    def __init__(self, env: Environment, base: Strategy):
         self.env = env
-        self.laws = _Laws.of(env)
         self.k = len(env.q_space)
-        efforts, maps = strategy_arrays([profile.base, profile.focal_strategy()], self.k)
-        self.base_effort, self.focal_effort = efforts.tolist()
-        self.base_map, self.focal_map = maps
-
-    # -- tables, built on first use ---------------------------------------
+        self.laws = _Laws.of(env)
+        efforts, maps = strategy_arrays([base], self.k)
+        self.effort = int(efforts[0])
+        self.map = _read_only(maps[0])
+        self._scores = {}
+        self._divergences = {}
 
     @cached_property
-    def _beliefs(self) -> np.ndarray:
+    def beliefs(self) -> np.ndarray:
         """Belief table per holder effort position, shape (2, k, k): row v of table e is the
         law of a base peer's report given observation v under effort e."""
-        return peer_report_posteriors(self.env, (np.array([self.base_effort]), self.base_map[None]))[:, 0]
+        return _read_only(peer_report_posteriors(self.env, (np.array([self.effort]), self.map[None]))[:, 0])
 
-    @property
-    def beliefs_base(self) -> np.ndarray:
-        return self._beliefs[self.base_effort]
+    def scores(self, rule: ScoringRule, effort: int) -> np.ndarray:
+        """``rule``'s score of each outcome after each observation under effort position
+        ``effort``, shape (observation, outcome)."""
+        if (rule, effort) not in self._scores:
+            self._scores[rule, effort] = _read_only(rule.score_table(self.beliefs[effort]))
+        return self._scores[rule, effort]
 
-    @property
-    def beliefs_focal(self) -> np.ndarray:
-        return self._beliefs[self.focal_effort]
-
-    @cached_property
-    def score_focal(self) -> np.ndarray:
-        return self.spec.rule.score_table(self.beliefs_focal)  # (obs, outcome)
-
-    @cached_property
-    def _divergence_table(self) -> np.ndarray:
-        """D(focal belief after observation a, base belief after observation b), shape (k, k)."""
-        return divergence(self.spec.rule, self.beliefs_focal[:, None, :], self.beliefs_base[None, :, :])
+    def divergences(self, rule: ScoringRule, effort: int) -> np.ndarray:
+        """D(belief after observation a under effort position ``effort``, base belief after
+        observation b), shape (k, k)."""
+        if (rule, effort) not in self._divergences:
+            table = divergence(rule, self.beliefs[effort][:, None, :], self.beliefs[self.effort][None, :, :])
+            self._divergences[rule, effort] = _read_only(table)
+        return self._divergences[rule, effort]
 
     # Report laws on an object other than the scored one.  Rounding can lift a
     # certain report's mass just above one, which numpy's samplers reject.
 
     @cached_property
-    def _object_mass(self) -> np.ndarray:
-        return self.env.prior.as_array()[:, None] * self.env.low_channel.matrix()  # (quality, low draw)
+    def object_mass(self) -> np.ndarray:
+        return _read_only(self.env.prior.as_array()[:, None] * self.env.low_channel.matrix())  # (quality, low draw)
 
     @cached_property
-    def _base_report_law(self) -> np.ndarray:
-        return _report_law(self.laws, self.base_effort, self.base_map)
+    def report_law(self) -> np.ndarray:
+        return _report_law(self.laws, self.effort, self.map)
+
+    @cached_property
+    def marginal(self) -> np.ndarray:
+        return _read_only(np.minimum(np.einsum("ql,qlr->r", self.object_mass, self.report_law), 1.0))
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """pair[v, x]: two base agents on one object report v and x."""
+        law = self.report_law
+        return _read_only(np.minimum(np.einsum("ql,qlv,qlx->vx", self.object_mass, law, law), 1.0))
+
+    @cached_property
+    def second_given_first_cdf(self) -> np.ndarray:
+        """Row-wise CDF of P(second base report | first = v) on one object; rows of
+        labels without mass are never drawn from in a double-mixed sample."""
+        mass = np.where(self.marginal > 0.0, self.marginal, 1.0)
+        return _read_only(np.cumsum(self.pair / mass[:, None], axis=1))
+
+    @cached_property
+    def onehot(self) -> np.ndarray:
+        return _read_only(np.eye(self.k, dtype=int)[self.map])  # (observation, report)
+
+
+@lru_cache(maxsize=SETUP_CACHE_SIZE)
+def _setup(env: Environment, base: Strategy) -> _Setup:
+    """The set-up of (env, base); equal environments share one, whatever their ``env_id``."""
+    return _Setup(env, base)
+
+
+class _Sampler:
+    """Chunked reward sampler for one (mechanism, environment, profile) triple.
+
+    What reads only the environment and the base comes from the cached set-up.  The focal
+    strategy is read once as an effort position and report map, and the tables that read
+    it are built on first use, so each kind pays only for the ones it reads.
+    """
+
+    def __init__(self, spec: MechanismSpec, env: Environment, profile: StrategyProfile):
+        self.spec = spec
+        self.env = env
+        self.setup = _setup(env, profile.base)
+        self.laws, self.k = self.setup.laws, self.setup.k
+        self.base_effort, self.base_map = self.setup.effort, self.setup.map
+        efforts, maps = strategy_arrays([profile.focal_strategy()], self.k)
+        self.focal_effort, self.focal_map = int(efforts[0]), maps[0]
+
+    @property
+    def beliefs_base(self) -> np.ndarray:
+        return self.setup.beliefs[self.base_effort]
+
+    @property
+    def score_focal(self) -> np.ndarray:
+        return self.setup.scores(self.spec.rule, self.focal_effort)  # (obs, outcome)
 
     @cached_property
     def marginal_focal(self) -> np.ndarray:
-        return np.minimum(np.einsum("ql,qlr->r", self._object_mass, _report_law(self.laws, self.focal_effort, self.focal_map)), 1.0)
-
-    @cached_property
-    def marginal_base(self) -> np.ndarray:
-        return np.minimum(np.einsum("ql,qlr->r", self._object_mass, self._base_report_law), 1.0)
-
-    @cached_property
-    def pair_base(self) -> np.ndarray:
-        """pair_base[v, x]: two base agents on one object report v and x."""
-        law = self._base_report_law
-        return np.minimum(np.einsum("ql,qlv,qlx->vx", self._object_mass, law, law), 1.0)
-
-    @cached_property
-    def _second_given_first_cdf(self) -> np.ndarray:
-        """Row-wise CDF of P(second base report | first = v) on one object; rows of
-        labels without mass are never drawn from in a double-mixed sample."""
-        mass = np.where(self.marginal_base > 0.0, self.marginal_base, 1.0)
-        return np.cumsum(self.pair_base / mass[:, None], axis=1)
-
-    @cached_property
-    def _base_onehot(self) -> np.ndarray:
-        return np.eye(self.k, dtype=int)[self.base_map]  # (observation, report)
+        law = _report_law(self.laws, self.focal_effort, self.focal_map)
+        return np.minimum(np.einsum("ql,qlr->r", self.setup.object_mass, law), 1.0)
 
     # -- helpers ----------------------------------------------------------
 
@@ -336,7 +398,8 @@ class _Sampler:
     def _divergence_bts(self, obs_i, obs_j):
         r_i = self.focal_map[obs_i]
         r_j = self.base_map[obs_j]
-        penalty = (r_i == r_j) & (self._divergence_table[obs_i, obs_j] > self.spec.theta)
+        divergences = self.setup.divergences(self.spec.rule, self.focal_effort)
+        penalty = (r_i == r_j) & (divergences[obs_i, obs_j] > self.spec.theta)
         return self.score_focal[obs_i, r_j] - penalty.astype(float)
 
     def _minimum_truth_serum(self, obs_i, obs_counts):
@@ -382,7 +445,7 @@ class _Sampler:
         q, s_low, obs_i, obs_p = self._pair_reports(rng, size)
         r_peer = self.base_map[obs_p]  # the uniformly chosen peer
         # Reports of the other n - 2 agents on the object, as label counts.
-        rest = self._peer_observation_counts(rng, q, s_low, n - 2) @ self._base_onehot
+        rest = self._peer_observation_counts(rng, q, s_low, n - 2) @ self.setup.onehot
         return self._peer_truth_serum(self.focal_map[obs_i] == r_peer, rest[np.arange(size), r_peer])
 
     def _chunk_correlated_agreement(self, rng, size):
@@ -398,7 +461,7 @@ class _Sampler:
         agree = self._table[obs_i * self.k + obs_p]
         # The focal agent's reports on ``half`` objects and a peer's on the other ones.
         own_counts = rng.multinomial(half, self.marginal_focal, size=size)
-        peer_counts = rng.multinomial(other, self.marginal_base, size=size)
+        peer_counts = rng.multinomial(other, self.setup.marginal, size=size)
         matches = own_counts[:, 0] * peer_counts[:, 0]
         for label in range(1, self.k):
             matches += own_counts[:, label] * peer_counts[:, label]
@@ -417,7 +480,7 @@ class _Sampler:
         rk1 = self.base_map[_observe(rng, self.laws, self.base_effort, q0, s0)]
         rk2 = self.base_map[_observe(rng, self.laws, self.base_effort, q0, s0)]
         # Each other object is a hit when two base reports on it both equal r_peer.
-        pair_hit = np.diag(self.pair_base)[r_peer]
+        pair_hit = np.diag(self.setup.pair)[r_peer]
         hit_counts = ((rk1 == r_peer) & (rk2 == r_peer)) + rng.binomial(m - 1, pair_hit)
         return self._sqrt_scaled(r_i == r_peer, hit_counts)
 
@@ -433,7 +496,7 @@ class _Sampler:
         r_i = self.focal_map[obs_i]
         r_peer = self.base_map[obs_p]
         # Holdout objects: one sampled base report each.
-        counts = rng.multinomial(sample_size, self.marginal_base, size=size)
+        counts = rng.multinomial(sample_size, self.setup.marginal, size=size)
         double_mixed = counts[:, 0] >= 2
         for label in range(1, self.k):
             double_mixed &= counts[:, label] >= 2
@@ -441,8 +504,8 @@ class _Sampler:
         # report equals r_i.  The two references sit on distinct objects, so
         # given r_i they are independent draws from P(second | first = r_i);
         # rows of labels without mass are never double mixed and pay nothing.
-        ref_1 = _draw_rows(rng, self._second_given_first_cdf, r_i)
-        ref_2 = _draw_rows(rng, self._second_given_first_cdf, r_i)
+        ref_1 = _draw_rows(rng, self.setup.second_given_first_cdf, r_i)
+        ref_2 = _draw_rows(rng, self.setup.second_given_first_cdf, r_i)
         rewards = 0.5 + (ref_1 == r_peer) - 0.5 * (ref_1 == ref_2)
         rewards[~double_mixed] = 0.0
         return rewards
@@ -451,11 +514,11 @@ class _Sampler:
         q, s_low = _latents(rng, self.laws, size)
         obs_i = _observe(rng, self.laws, self.focal_effort, q, s_low)
         counts = self._peer_observation_counts(rng, q, s_low, self.env.n_agents - 1)
-        if self._mts_rows >= size:  # the rows are mostly distinct: a sort would cost more than it saves
+        if self._mts_rows >= size:  # the rows are mostly distinct: grouping would cost more than it saves
             return self._minimum_truth_serum(obs_i, counts)
         # Score each distinct (focal observation, peer counts) row once.
-        distinct, position = _group_rows(np.column_stack([obs_i, counts]))
-        return self._minimum_truth_serum(distinct[:, 0], distinct[:, 1:])[position]
+        rows, position = _group_peer_rows(obs_i, counts, self.env.n_agents, self.base_effort == FULL_EFFORT)
+        return self._minimum_truth_serum(obs_i[rows], counts[rows])[position]
 
     @cached_property
     def _mts_rows(self) -> int:

@@ -220,10 +220,16 @@ def _sweeps(value) -> dict:
     return {{"effort_cost": "effort_costs", "p": "p_values"}[key]: values for key, values in sweeps.items()}
 
 
+# The finest threshold grid a run accepts.  The p_el scan walks round(1 / grid) + 1 points
+# in Python and p_pareto allocates as many per row: one compute_thresholds on the bundled
+# e1 output-agreement table took 0.1 s at grid 1e-3, 1.0 s at 1e-5 and 13 s at 1e-6.
+MIN_GRID = 1e-5
+
+
 def check_grid(grid) -> float:
-    """The threshold grid resolution as a float in (0, 1], or a ConfigError."""
+    """The threshold grid resolution as a float in [MIN_GRID, 1], or a ConfigError."""
     try:
-        return json_number(grid, (lambda x: 0.0 < x <= 1.0, "a number in (0, 1]"))
+        return json_number(grid, (lambda x: MIN_GRID <= x <= 1.0, f"a number in [{MIN_GRID!r}, 1]"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
 

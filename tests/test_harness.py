@@ -10,6 +10,7 @@ import pytest
 from peerspot import ConfigError, ExperimentConfig, MechanismKind, MechanismSpec, load_config, reference_environment
 from peerspot.cli import main as cli_main
 from peerspot.harness import (
+    MIN_GRID,
     HarnessAssertionError,
     ResultRow,
     assert_threshold_consistency,
@@ -190,6 +191,7 @@ class TestConfig:
             ("grid", 0.0),
             ("grid", -0.1),
             ("grid", float("nan")),
+            ("grid", MIN_GRID / 10),
             ("sweeps.effort_cost", -0.1),
             ("sweeps.effort_cost", float("inf")),
             ("sweeps.effort_cost", float("nan")),
@@ -214,6 +216,7 @@ class TestConfig:
         doc = tiny_config_doc(grid=1.0, sweeps={"effort_cost": [0.0], "p": [0.0, 1.0]})
         config = parse_config(doc)
         assert config.grid == 1.0 and config.p_values == (0.0, 1.0)
+        assert parse_config(tiny_config_doc(grid=MIN_GRID)).grid == MIN_GRID
 
     def test_empty_cost_sweep_rejected(self, tmp_path, capsys):
         doc = tiny_config_doc(sweeps={"effort_cost": []})
@@ -234,8 +237,8 @@ class TestConfig:
             ({"sweeps": {"effort_cost": ["0.1"]}}, r"sweeps\.effort_cost: must be finite and nonnegative, got '0\.1'$"),
             ({"sweeps": {"p": [True]}}, r"sweeps\.p: must be a number in \[0, 1\], got True$"),
             ({"sweeps": {"p": ["0.5"]}}, r"sweeps\.p: must be a number in \[0, 1\], got '0\.5'$"),
-            ({"grid": True}, r"grid: must be a number in \(0, 1\], got True$"),
-            ({"grid": "0.01"}, r"grid: must be a number in \(0, 1\], got '0\.01'$"),
+            ({"grid": True}, r"grid: must be a number in \[1e-05, 1\], got True$"),
+            ({"grid": "0.01"}, r"grid: must be a number in \[1e-05, 1\], got '0\.01'$"),
             ({"output_dir": 3}, r"output_dir: must be a string, got 3$"),
             ({"prior": "ab"}, r"environments\[0\]: prior: must be a list, got 'ab'$"),
             ({"labels": "ab"}, r"environments\[0\]: labels: must be a list, got 'ab'$"),

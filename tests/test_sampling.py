@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from peerspot import (
@@ -53,6 +53,7 @@ from peerspot import _sampling
 from peerspot._sampling import CHUNK, _draw_prior, _draw_rows, _Laws
 from peerspot.harness import example_config_path, load_config
 from peerspot.mechanisms import KINDS
+from peerspot.strategies import MAX_LABELS
 
 import block_draws
 from conftest import K3_SPECS, SPECS, random_environment, spec_id, specs_for
@@ -290,17 +291,138 @@ def test_minimum_truth_serum_grouped_rows_score_as_each_sample(monkeypatch, rule
     assert estimates[0] == estimates[1]
 
 
-@given(st.integers(1, 5), st.integers(1, 300), st.sampled_from((1, 9, 300, 70_000, 10**15)), st.data())
-def test_row_grouping_matches_numpy_unique(k, size, largest, data):
-    """Peer-count rows from a small pool, so rows repeat; entries up to 10**15, past any
-    packing of a k=5 row into one int64."""
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    pool = rng.integers(0, largest + 1, size=(data.draw(st.integers(1, 12)), k))
-    rows = pool[rng.integers(0, len(pool), size=size)]
-    distinct, position = _sampling._group_rows(rows)
-    want, inverse = np.unique(rows, axis=0, return_inverse=True)
-    assert distinct.dtype == rows.dtype and np.array_equal(distinct, want)
+# The most agents at which minimum truth serum groups a full chunk's rows under effort,
+# k * C(n + k - 2, k - 1) < CHUNK, for every k up to MAX_LABELS.
+LARGEST_GROUPED_AGENTS = {2: 9_999, 3: 114, 4: 30, 5: 16}
+
+
+def test_largest_grouped_agents_follow_the_row_count_selection():
+    assert sorted(LARGEST_GROUPED_AGENTS) == list(range(2, MAX_LABELS + 1))
+    spec = MechanismSpec(MechanismKind.MINIMUM_TRUTH_SERUM)
+    for k, largest in LARGEST_GROUPED_AGENTS.items():
+        env = random_environment(np.random.default_rng(k), k)
+        profile = StrategyProfile.symmetric(truthful_strategy(k))
+        rows = [_sampling._Sampler(spec, replace(env, n_agents=n), profile)._mts_rows for n in (largest, largest + 1)]
+        assert rows[0] < CHUNK <= rows[1], (k, rows)
+
+
+@given(
+    st.sampled_from(sorted(LARGEST_GROUPED_AGENTS)),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+)
+@example(k=2, full_effort=True, at_largest=True, seed=0, size=300)
+@example(k=3, full_effort=True, at_largest=True, seed=0, size=300)
+@example(k=4, full_effort=True, at_largest=True, seed=0, size=300)
+@example(k=5, full_effort=True, at_largest=True, seed=0, size=300)
+@example(k=5, full_effort=False, at_largest=True, seed=0, size=300)
+def test_peer_row_grouping_matches_numpy_unique(k, full_effort, at_largest, seed, size):
+    """(observation, peer counts) rows from a small pool, so rows repeat: under effort
+    compositions of n - 1 for n up to the most agents the selection groups at k, corners
+    included; without effort n - 1 on the shared draw, for n up to a billion."""
+    rng = np.random.default_rng(seed)
+    largest = LARGEST_GROUPED_AGENTS[k] if full_effort else 10**9
+    n = largest if at_largest else int(rng.integers(3, largest + 1))
+    pool = int(rng.integers(1, 13))
+    corners = (n - 1) * np.eye(k, dtype=int)
+    if full_effort:
+        compositions = rng.multinomial(n - 1, rng.dirichlet(np.full(k, 0.5)), size=pool)
+        counts = np.concatenate([compositions, corners])
+    else:
+        counts = corners
+    obs = rng.integers(0, k, len(counts))
+    pick = rng.integers(0, len(counts), size)
+    obs, counts = obs[pick], counts[pick]
+    rows, position = _sampling._group_peer_rows(obs, counts, n, full_effort)
+    want, inverse = np.unique(np.column_stack([obs, counts]), axis=0, return_inverse=True)
+    assert np.array_equal(np.column_stack([obs[rows], counts[rows]]), want)
     assert np.array_equal(position, inverse.reshape(-1))
+
+
+def setup_cases() -> list:
+    """(spec, env, profile, seed) over two k=3 environments, the truthful and the
+    low-identity base and both profiles, interleaved so that consecutive cases change the
+    environment or the base; between them the kinds read every table of a set-up."""
+    specs = [
+        next(s for s in K3_SPECS if s.kind == kind and s.rule.name == rule)
+        for kind, rule in (
+            (MechanismKind.DIVERGENCE_BTS, "log"),
+            (MechanismKind.MINIMUM_TRUTH_SERUM, "quadratic"),
+            (MechanismKind.CORRELATED_AGREEMENT, "quadratic"),
+            (MechanismKind.DOUBLE_MIXED_AGREEMENT, "quadratic"),
+            (MechanismKind.SQRT_SCALED_AGREEMENT, "quadratic"),
+            (MechanismKind.PEER_TRUTH_SERUM, "quadratic"),
+        )
+    ]
+    other = random_environment(np.random.default_rng(12), 3, correlated_low=True)
+    envs = (ENVS[3], replace(other, n_agents=10, n_objects=30))
+    truthful, low = truthful_strategy(3), low_identity_strategy(3)
+    named = (
+        StrategyProfile.symmetric(truthful),
+        StrategyProfile.symmetric(low),
+        StrategyProfile.with_deviant(truthful, low),
+        StrategyProfile.with_deviant(low, truthful),
+    )
+    pairs = [(env, profile) for profile in named for env in envs]
+    cases = [(spec, env, profile) for spec in specs for env, profile in pairs]
+    return [case + (seed,) for seed, case in enumerate(cases)]
+
+
+def estimates(cases, cold: bool = False) -> dict:
+    """Estimate of each case by its seed, each from an empty set-up cache if ``cold``."""
+    out = {}
+    for spec, env, profile, seed in cases:
+        if cold:
+            _sampling._setup.cache_clear()
+        out[seed] = simulate_utilities(spec, env, profile, trials=2_000, seed=seed)
+    return out
+
+
+def test_cached_setup_gives_the_estimates_of_a_cold_one():
+    cases = setup_cases()
+    cold = estimates(cases, cold=True)
+    _sampling._setup.cache_clear()
+    assert estimates(cases) == cold  # each (environment, base) first cold, then warm
+    assert estimates(cases) == cold  # all warm
+    assert estimates(cases[::-1]) == cold  # interleaved the other way round
+    _sampling._setup.cache_clear()
+    assert estimates(cases[::-1]) == cold
+
+
+def test_evicted_setup_is_rebuilt_to_the_same_estimates():
+    cases = setup_cases()[:8]  # every (environment, profile) pair once
+    _sampling._setup.cache_clear()
+    first = estimates(cases)
+    spec, env, profile, _ = cases[0]
+    for objects in range(31, 32 + _sampling.SETUP_CACHE_SIZE):  # distinct environments
+        simulate_utilities(spec, replace(env, n_objects=objects), profile, trials=1, seed=0)
+    assert _sampling._setup.cache_info().currsize == _sampling.SETUP_CACHE_SIZE
+    misses = _sampling._setup.cache_info().misses
+    assert estimates(cases) == first
+    assert _sampling._setup.cache_info().misses > misses
+
+
+def test_cached_arrays_are_read_only():
+    cases = setup_cases()
+    _sampling._setup.cache_clear()
+    estimates(cases)
+    setups = {(env, profile.base) for _, env, profile, _ in cases}
+    built = set()
+    for env, base in setups:
+        setup = _sampling._setup(env, base)
+        tables = {name: value for name, value in vars(setup).items() if isinstance(value, np.ndarray)}
+        tables.update(setup.laws._asdict())
+        tables.update({f"scores{key}": value for key, value in setup._scores.items()})
+        tables.update({f"divergences{key}": value for key, value in setup._divergences.items()})
+        built |= {name.split("(")[0] for name in tables}
+        for name, table in tables.items():
+            assert not table.flags.writeable, name
+            with pytest.raises(ValueError):
+                table.flat[0] = 0
+    assert {"map", "beliefs", "scores", "divergences", "object_mass", "report_law", "marginal", "pair"} <= built
+    assert {"second_given_first_cdf", "onehot", "prior_cdf", "high", "high_cdf", "low_cdf"} <= built
 
 
 def test_sampler_names_every_kind_once():
