@@ -35,18 +35,18 @@ and no table.
 
 Draws stream from a single seeded generator in fixed-size chunks, so an
 estimate is reproducible per seed: the same seed and trial count give the
-same bits.  What an estimate reads that depends only on the environment and
-the base strategy is built once per (environment, base) and kept in a cache
-of ``SETUP_CACHE_SIZE`` entries (``_setup``): the environment's laws, the
-belief tables of both efforts, the score and divergence tables per scoring
-rule and focal effort, and, on the objects around the scored one, the base
-report law, its marginal and pair laws and the row-wise CDF of a second base
-report given the first.  Each is built on first use, so a kind pays only for
-the tables it reads, and every cached array is read-only.  A sampler itself
-holds only what reads the focal strategy: its report map, the focal report
-marginal and the kind's outcome table.  Changes made for speed keep every
-estimate bit-identical; ``tests/test_sampling.py`` pins a set of them by
-``float.hex``.
+same bits.  A sampler is built once per (spec, environment, profile), the
+estimate's own inputs, and kept in one cache of ``SAMPLER_CACHE_SIZE``
+entries (``_sampler``); equal environments share an entry whatever their
+``env_id``.  Building it reads the environment's laws and both strategies'
+effort positions and report maps and checks the kind's size rule, so a
+triple with too few agents or objects raises before any draw and is never
+cached.  Everything else it reads is a read-only table built on first use,
+so a kind pays only for the tables it reads: the belief, score and
+divergence tables, the report laws, marginals and pair law on the objects
+around the scored one, and the kind's outcome table.  Changes made for
+speed keep every estimate bit-identical; ``tests/test_sampling.py`` pins a
+set of them by ``float.hex``.
 """
 
 from __future__ import annotations
@@ -60,20 +60,26 @@ import numpy as np
 
 from .errors import NotEnoughObjects, TooFewAgents
 from .mechanisms import MechanismKind, MechanismSpec, check_label_space
-from .scoring import NEGATIVE_SENTINEL, ScoringRule, divergence
+from .scoring import NEGATIVE_SENTINEL, divergence
 from .signals import Environment, check_integer
-from .strategies import FULL_EFFORT, Strategy, StrategyProfile, peer_report_posteriors, strategy_arrays
+from .strategies import FULL_EFFORT, StrategyProfile, peer_report_posteriors, strategy_arrays
 
 CHUNK = 20_000
+
+# Every chunk's rewards are kept and then concatenated, and the standard error takes one
+# more array of deviations: 24 bytes per trial under tracemalloc (24.0 MB at 10^6
+# trials), so the bound costs about 240 MB.
+MAX_TRIALS = 10_000_000
 
 # Cross-object holdout size per label for the double-mixed sampler; large
 # enough that an all-labels-positive sample fails to be double mixed with
 # negligible probability.
 DOUBLE_MIXED_SAMPLES_PER_LABEL = 24
 
-# (environment, base) set-ups kept at once: a few KB each at k <= MAX_LABELS, and room
-# for every base of a k=3 sweep (54 strategies) in one environment.
-SETUP_CACHE_SIZE = 64
+# Samplers kept at once: about 3 KB each at k=3 (tracemalloc), so under 1 MB in all.
+# Room for the 52 estimates of a crosscheck pass over every kind and rule at k=2 and
+# k=3, or for every focal strategy at k=3 (54) under four specs against one base.
+SAMPLER_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 class _Laws(NamedTuple):
-    """An environment's prior and channels as read-only arrays, read once per set-up."""
+    """An environment's prior and channels as read-only arrays, read once per sampler."""
 
     prior_cdf: np.ndarray
     high: np.ndarray  # (quality, high signal)
@@ -218,46 +224,66 @@ SAMPLER_KINDS = {
     MechanismKind.PEER_INSENSITIVE: _KindEntry("_chunk_peer_insensitive"),
 }
 
+# The fewest agents or objects a kind's sampler draws from, checked when a sampler is
+# built: the ``Environment`` field, its least value, and the error that refuses fewer.
+SIZE_RULES = {
+    MechanismKind.CORRELATED_AGREEMENT: (
+        "n_objects", 3, NotEnoughObjects,
+        "correlated-agreement sampling needs at least three objects for disjoint task sets",
+    ),
+    MechanismKind.SQRT_SCALED_AGREEMENT: (
+        "n_agents", 4, TooFewAgents, "sqrt-scaled agreement sampling needs at least four agents"
+    ),
+    MechanismKind.DOUBLE_MIXED_AGREEMENT: (
+        "n_objects", 3, NotEnoughObjects, "double-mixed agreement needs at least three objects"
+    ),
+}
 
-class _Setup:
-    """What every estimate against one base strategy in one environment reads, built once
-    per (environment, base) by ``_setup``: each table on first use, every array read-only.
 
-    The score and divergence tables also read the focal strategy, through the scoring rule
-    and its effort position only, so they are kept per (rule, focal effort): at most four
-    of each for the package's two rules.
+class _Sampler:
+    """Chunked reward sampler for one (mechanism, environment, profile) triple.
+
+    Built once per triple by ``_sampler``.  The environment's laws and both strategies'
+    effort positions and report maps are read when it is built, and the kind's size rule
+    is checked there, before any draw.  Every table is built on first use, so a kind
+    pays only for the ones it reads, and every table is read-only.
     """
 
-    def __init__(self, env: Environment, base: Strategy):
+    def __init__(self, spec: MechanismSpec, env: Environment, profile: StrategyProfile):
+        self.spec = spec
         self.env = env
         self.k = len(env.q_space)
         self.laws = _Laws.of(env)
-        efforts, maps = strategy_arrays([base], self.k)
-        self.effort = int(efforts[0])
-        self.map = _read_only(maps[0])
-        self._scores = {}
-        self._divergences = {}
+        efforts, maps = strategy_arrays([profile.base, profile.focal_strategy()], self.k)
+        self.base_effort, self.focal_effort = int(efforts[0]), int(efforts[1])
+        self.base_map, self.focal_map = _read_only(maps[0]), _read_only(maps[1])
+        if spec.kind in SIZE_RULES:
+            size, least, error, message = SIZE_RULES[spec.kind]
+            if getattr(env, size) < least:
+                raise error(message)
+
+    # -- tables read by the rewards ----------------------------------------
 
     @cached_property
     def beliefs(self) -> np.ndarray:
         """Belief table per holder effort position, shape (2, k, k): row v of table e is the
         law of a base peer's report given observation v under effort e."""
-        return _read_only(peer_report_posteriors(self.env, (np.array([self.effort]), self.map[None]))[:, 0])
+        return _read_only(peer_report_posteriors(self.env, (np.array([self.base_effort]), self.base_map[None]))[:, 0])
 
-    def scores(self, rule: ScoringRule, effort: int) -> np.ndarray:
-        """``rule``'s score of each outcome after each observation under effort position
-        ``effort``, shape (observation, outcome)."""
-        if (rule, effort) not in self._scores:
-            self._scores[rule, effort] = _read_only(rule.score_table(self.beliefs[effort]))
-        return self._scores[rule, effort]
+    @cached_property
+    def beliefs_base(self) -> np.ndarray:
+        return self.beliefs[self.base_effort]
 
-    def divergences(self, rule: ScoringRule, effort: int) -> np.ndarray:
-        """D(belief after observation a under effort position ``effort``, base belief after
-        observation b), shape (k, k)."""
-        if (rule, effort) not in self._divergences:
-            table = divergence(rule, self.beliefs[effort][:, None, :], self.beliefs[self.effort][None, :, :])
-            self._divergences[rule, effort] = _read_only(table)
-        return self._divergences[rule, effort]
+    @cached_property
+    def score_focal(self) -> np.ndarray:
+        """The rule's score of each outcome after each focal observation, shape (observation, outcome)."""
+        return _read_only(self.spec.rule.score_table(self.beliefs[self.focal_effort]))
+
+    @cached_property
+    def divergences(self) -> np.ndarray:
+        """D(focal belief after observation a, base belief after observation b), shape (k, k)."""
+        focal = self.beliefs[self.focal_effort]
+        return _read_only(divergence(self.spec.rule, focal[:, None, :], self.beliefs_base[None, :, :]))
 
     # Report laws on an object other than the scored one.  Rounding can lift a
     # certain report's mass just above one, which numpy's samplers reject.
@@ -268,11 +294,16 @@ class _Setup:
 
     @cached_property
     def report_law(self) -> np.ndarray:
-        return _report_law(self.laws, self.effort, self.map)
+        return _report_law(self.laws, self.base_effort, self.base_map)
 
     @cached_property
     def marginal(self) -> np.ndarray:
         return _read_only(np.minimum(np.einsum("ql,qlr->r", self.object_mass, self.report_law), 1.0))
+
+    @cached_property
+    def marginal_focal(self) -> np.ndarray:
+        law = _report_law(self.laws, self.focal_effort, self.focal_map)
+        return _read_only(np.minimum(np.einsum("ql,qlr->r", self.object_mass, law), 1.0))
 
     @cached_property
     def pair(self) -> np.ndarray:
@@ -289,44 +320,7 @@ class _Setup:
 
     @cached_property
     def onehot(self) -> np.ndarray:
-        return _read_only(np.eye(self.k, dtype=int)[self.map])  # (observation, report)
-
-
-@lru_cache(maxsize=SETUP_CACHE_SIZE)
-def _setup(env: Environment, base: Strategy) -> _Setup:
-    """The set-up of (env, base); equal environments share one, whatever their ``env_id``."""
-    return _Setup(env, base)
-
-
-class _Sampler:
-    """Chunked reward sampler for one (mechanism, environment, profile) triple.
-
-    What reads only the environment and the base comes from the cached set-up.  The focal
-    strategy is read once as an effort position and report map, and the tables that read
-    it are built on first use, so each kind pays only for the ones it reads.
-    """
-
-    def __init__(self, spec: MechanismSpec, env: Environment, profile: StrategyProfile):
-        self.spec = spec
-        self.env = env
-        self.setup = _setup(env, profile.base)
-        self.laws, self.k = self.setup.laws, self.setup.k
-        self.base_effort, self.base_map = self.setup.effort, self.setup.map
-        efforts, maps = strategy_arrays([profile.focal_strategy()], self.k)
-        self.focal_effort, self.focal_map = int(efforts[0]), maps[0]
-
-    @property
-    def beliefs_base(self) -> np.ndarray:
-        return self.setup.beliefs[self.base_effort]
-
-    @property
-    def score_focal(self) -> np.ndarray:
-        return self.setup.scores(self.spec.rule, self.focal_effort)  # (obs, outcome)
-
-    @cached_property
-    def marginal_focal(self) -> np.ndarray:
-        law = _report_law(self.laws, self.focal_effort, self.focal_map)
-        return np.minimum(np.einsum("ql,qlr->r", self.setup.object_mass, law), 1.0)
+        return _read_only(np.eye(self.k, dtype=int)[self.base_map])  # (observation, base report)
 
     # -- helpers ----------------------------------------------------------
 
@@ -351,7 +345,7 @@ class _Sampler:
         """The reward of every outcome of a kind whose outcomes form a fixed set, flat in the
         row-major order of the coordinates its chunk evaluator indexes by."""
         entry = SAMPLER_KINDS[self.spec.kind]
-        return getattr(self, entry.reward)(*_outcomes(*(self.k,) * entry.coordinates))
+        return _read_only(getattr(self, entry.reward)(*_outcomes(*(self.k,) * entry.coordinates)))
 
     # -- per-kind rewards, one entry per outcome or per sample ---------------
 
@@ -398,8 +392,7 @@ class _Sampler:
     def _divergence_bts(self, obs_i, obs_j):
         r_i = self.focal_map[obs_i]
         r_j = self.base_map[obs_j]
-        divergences = self.setup.divergences(self.spec.rule, self.focal_effort)
-        penalty = (r_i == r_j) & (divergences[obs_i, obs_j] > self.spec.theta)
+        penalty = (r_i == r_j) & (self.divergences[obs_i, obs_j] > self.spec.theta)
         return self.score_focal[obs_i, r_j] - penalty.astype(float)
 
     def _minimum_truth_serum(self, obs_i, obs_counts):
@@ -445,23 +438,18 @@ class _Sampler:
         q, s_low, obs_i, obs_p = self._pair_reports(rng, size)
         r_peer = self.base_map[obs_p]  # the uniformly chosen peer
         # Reports of the other n - 2 agents on the object, as label counts.
-        rest = self._peer_observation_counts(rng, q, s_low, n - 2) @ self.setup.onehot
+        rest = self._peer_observation_counts(rng, q, s_low, n - 2) @ self.onehot
         return self._peer_truth_serum(self.focal_map[obs_i] == r_peer, rest[np.arange(size), r_peer])
 
     def _chunk_correlated_agreement(self, rng, size):
-        env = self.env
-        m = env.n_objects
-        if m < 3:
-            raise NotEnoughObjects(
-                "correlated-agreement sampling needs at least three objects for disjoint task sets"
-            )
+        m = self.env.n_objects
         half = (m - 1) // 2
         other = m - 1 - half
         _, _, obs_i, obs_p = self._pair_reports(rng, size)
         agree = self._table[obs_i * self.k + obs_p]
         # The focal agent's reports on ``half`` objects and a peer's on the other ones.
         own_counts = rng.multinomial(half, self.marginal_focal, size=size)
-        peer_counts = rng.multinomial(other, self.setup.marginal, size=size)
+        peer_counts = rng.multinomial(other, self.marginal, size=size)
         matches = own_counts[:, 0] * peer_counts[:, 0]
         for label in range(1, self.k):
             matches += own_counts[:, label] * peer_counts[:, label]
@@ -469,10 +457,7 @@ class _Sampler:
         return agree - cross
 
     def _chunk_sqrt_scaled(self, rng, size):
-        env = self.env
-        if env.n_agents < 4:
-            raise TooFewAgents("sqrt-scaled agreement sampling needs at least four agents")
-        m = env.n_objects
+        m = self.env.n_objects
         q0, s0, obs_i, obs_p = self._pair_reports(rng, size)
         r_i = self.focal_map[obs_i]
         r_peer = self.base_map[obs_p]
@@ -480,14 +465,12 @@ class _Sampler:
         rk1 = self.base_map[_observe(rng, self.laws, self.base_effort, q0, s0)]
         rk2 = self.base_map[_observe(rng, self.laws, self.base_effort, q0, s0)]
         # Each other object is a hit when two base reports on it both equal r_peer.
-        pair_hit = np.diag(self.setup.pair)[r_peer]
+        pair_hit = np.diag(self.pair)[r_peer]
         hit_counts = ((rk1 == r_peer) & (rk2 == r_peer)) + rng.binomial(m - 1, pair_hit)
         return self._sqrt_scaled(r_i == r_peer, hit_counts)
 
     def _chunk_double_mixed(self, rng, size):
         env = self.env
-        if env.n_objects < 3:
-            raise NotEnoughObjects("double-mixed agreement needs at least three objects")
         sample_size = max(
             DOUBLE_MIXED_SAMPLES_PER_LABEL * self.k,
             -(-env.n_objects // env.n_agents),  # ceil division
@@ -496,7 +479,7 @@ class _Sampler:
         r_i = self.focal_map[obs_i]
         r_peer = self.base_map[obs_p]
         # Holdout objects: one sampled base report each.
-        counts = rng.multinomial(sample_size, self.setup.marginal, size=size)
+        counts = rng.multinomial(sample_size, self.marginal, size=size)
         double_mixed = counts[:, 0] >= 2
         for label in range(1, self.k):
             double_mixed &= counts[:, label] >= 2
@@ -504,8 +487,8 @@ class _Sampler:
         # report equals r_i.  The two references sit on distinct objects, so
         # given r_i they are independent draws from P(second | first = r_i);
         # rows of labels without mass are never double mixed and pay nothing.
-        ref_1 = _draw_rows(rng, self.setup.second_given_first_cdf, r_i)
-        ref_2 = _draw_rows(rng, self.setup.second_given_first_cdf, r_i)
+        ref_1 = _draw_rows(rng, self.second_given_first_cdf, r_i)
+        ref_2 = _draw_rows(rng, self.second_given_first_cdf, r_i)
         rewards = 0.5 + (ref_1 == r_peer) - 0.5 * (ref_1 == ref_2)
         rewards[~double_mixed] = 0.0
         return rewards
@@ -529,6 +512,13 @@ class _Sampler:
         return k * (comb(self.env.n_agents + k - 2, k - 1) if self.base_effort == FULL_EFFORT else k)
 
 
+@lru_cache(maxsize=SAMPLER_CACHE_SIZE)
+def _sampler(spec: MechanismSpec, env: Environment, profile: StrategyProfile) -> _Sampler:
+    """The sampler of (spec, env, profile); equal environments share one, whatever their
+    ``env_id``.  A triple that fails its kind's size rule raises and is not cached."""
+    return _Sampler(spec, env, profile)
+
+
 def simulate_utilities(
     spec: MechanismSpec,
     env: Environment,
@@ -537,18 +527,12 @@ def simulate_utilities(
     seed: int,
 ) -> UtilityEstimate:
     """Sample mean and stderr of the focal agent's per-object reward; deterministic per seed."""
-    check_integer("trials", trials, 1)
+    check_integer("trials", trials, 1, MAX_TRIALS)
     check_integer("seed", seed, 0)
     check_label_space(spec, env)
-    sampler = _Sampler(spec, env, profile)
+    sampler = _sampler(spec, env, profile)
     rng = np.random.default_rng(seed)
-    chunks = []
-    remaining = trials
-    while remaining > 0:
-        take = min(CHUNK, remaining)
-        chunks.append(sampler.chunk(rng, take))
-        remaining -= take
-    rewards = np.concatenate(chunks)
+    rewards = np.concatenate([sampler.chunk(rng, min(CHUNK, trials - start)) for start in range(0, trials, CHUNK)])
     mean = float(rewards.mean())
     stderr = float(rewards.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return UtilityEstimate(value=mean, stderr=stderr, samples=trials)

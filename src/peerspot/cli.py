@@ -75,19 +75,23 @@ def _cmd_run(args) -> int:
         config = load_config(args.config)
         if args.grid is not None:
             config.grid = check_grid(args.grid)
+        if args.out is not None:
+            config.output_dir = args.out
+        out = Path(config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)  # before the run, so an unwritable one costs nothing
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the output directory is a file, or under one, or not ours to write
+        print(f"invalid config: output_dir: {exc}", file=sys.stderr)
+        return 1
     if args.seed is not None:
         config.seed = args.seed
-    if args.out is not None:
-        config.output_dir = args.out
     try:
         rows = run_experiment(config)
     except HarnessAssertionError as exc:
         print(f"post-run assertion failed:\n{exc}", file=sys.stderr)
         return 2
-    out = Path(config.output_dir)
     csv_path = emit_csv(rows, out / "results.csv")
     json_path = emit_json(rows, out / "results.json")
     plot_path = emit_plotdata(rows, out / "plotdata.json")
@@ -105,12 +109,12 @@ def _cmd_report(args) -> int:
         return 1
     try:
         rows = [ResultRow.from_json_dict(doc) for doc in json.loads(path.read_text())]
-    except (ValueError, TypeError) as exc:  # not JSON, or not a list of rows with every required field
+    except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, or not a list of full rows
         print(f"invalid rows file {path}: {exc}", file=sys.stderr)
         return 1
     try:
         out = emit_report(rows, args.format, args.out)
-    except PeerSpotError as exc:
+    except (PeerSpotError, OSError) as exc:  # no rows, or an output directory that cannot be made
         print(str(exc), file=sys.stderr)
         return 1
     print(f"wrote {out}")

@@ -264,6 +264,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(), parse_constant=_finite_number, parse_float=_finite_number)
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"config file could not be read: {exc}") from None
     except ValueError as exc:  # malformed, not UTF-8, or an int literal past Python's digit limit
         raise ConfigError(f"config did not parse as JSON: {exc}") from None
     return parse_config(doc)

@@ -28,10 +28,13 @@ COST = (lambda x: 0.0 <= x <= sys.float_info.max, "finite and nonnegative")
 _INTEGER = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
 
 
-def check_integer(name: str, value, minimum: int) -> None:
-    """The library's integer rule: ``value`` is an int or numpy integer (not a bool) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ShapeMismatch(f"{name} must be an integer of at least {minimum}, got {value!r}")
+def check_integer(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """The library's integer rule: ``value`` is an int or numpy integer (not a bool) >= ``minimum``
+    and, if ``maximum`` is given, <= ``maximum``."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or value < minimum or (maximum is not None and value > maximum):
+        bound = "" if maximum is None else f" and at most {maximum}"
+        raise ShapeMismatch(f"{name} must be an integer of at least {minimum}{bound}, got {value!r}")
 
 
 def is_json_number(value) -> bool:

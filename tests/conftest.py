@@ -12,6 +12,7 @@ from peerspot import (
     MechanismSpec,
     reference_environment,
 )
+from peerspot import _sampling
 from peerspot.mechanisms import KINDS
 
 # Property tests draw from a fixed seed, so every run checks the same examples.
@@ -34,6 +35,13 @@ def specs_for(env: Environment) -> list:
 
 def spec_id(spec: MechanismSpec) -> str:
     return f"{spec.kind.value}.{spec.rule.name}" if KINDS[spec.kind].scored else spec.kind.value
+
+
+@pytest.fixture(autouse=True)
+def fresh_samplers():
+    """Every test starts from an empty sampler cache, so a test that patches what a sampler
+    builds or reads sees a sampler built under its patch, whatever ran before it."""
+    _sampling._sampler.cache_clear()
 
 
 E1_COST = 0.1  # the effort cost at which tests read the ``env`` fixture

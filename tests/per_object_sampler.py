@@ -18,18 +18,12 @@ from peerspot._sampling import (
     _observe,
     _Sampler,
 )
-from peerspot.errors import NotEnoughObjects, TooFewAgents
 from peerspot.strategies import FULL_EFFORT
 
 
 class PerObjectSampler(_Sampler):
     def _chunk_correlated_agreement(self, rng, size):
-        env = self.env
-        m = env.n_objects
-        if m < 3:
-            raise NotEnoughObjects(
-                "correlated-agreement sampling needs at least three objects for disjoint task sets"
-            )
+        m = self.env.n_objects
         half = (m - 1) // 2
         other = m - 1 - half
         q0, s0 = _latents(rng, self.laws, size)
@@ -51,10 +45,7 @@ class PerObjectSampler(_Sampler):
         return agree - cross
 
     def _chunk_sqrt_scaled(self, rng, size):
-        env = self.env
-        if env.n_agents < 4:
-            raise TooFewAgents("sqrt-scaled agreement sampling needs at least four agents")
-        m = env.n_objects
+        m = self.env.n_objects
         q0, s0 = _latents(rng, self.laws, size)
         r_i = self.focal_map[_observe(rng, self.laws, self.focal_effort, q0, s0)]
         r_peer = self.base_map[_observe(rng, self.laws, self.base_effort, q0, s0)]
@@ -75,8 +66,6 @@ class PerObjectSampler(_Sampler):
 
     def _chunk_double_mixed(self, rng, size):
         env = self.env
-        if env.n_objects < 3:
-            raise NotEnoughObjects("double-mixed agreement needs at least three objects")
         sample_size = max(
             DOUBLE_MIXED_SAMPLES_PER_LABEL * self.k,
             -(-env.n_objects // env.n_agents),

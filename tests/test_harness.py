@@ -613,6 +613,26 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"invalid rows file {rows}: ")
         assert not (tmp_path / "out").exists()
 
+    def test_unreadable_files_are_messages(self, tmp_path, capsys):
+        """A directory where a file is read, or a file where the output directory goes, ends
+        in the command's message and exit code 1, not a traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(tiny_config_doc()))
+        assert cli_main(["validate", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("invalid config: config file could not be read: ")
+        assert cli_main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("invalid config: config file could not be read: ")
+        for out in (cfg, cfg / "out"):  # a file, and a path under one
+            assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("invalid config: output_dir: ")
+        assert cli_main(["report", "--rows", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"invalid rows file {tmp_path}: ")
+        assert not (tmp_path / "out").exists()
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        rows = tmp_path / "run" / "results.json"
+        assert cli_main(["report", "--rows", str(rows), "--out", str(rows)]) == 1
+        assert capsys.readouterr().err.startswith("[Errno ")
+
 
 class TestGenerator:
     def test_channels_are_noisy_and_valid(self):

@@ -287,6 +287,7 @@ def test_minimum_truth_serum_grouped_rows_score_as_each_sample(monkeypatch, rule
     estimates = []
     for rows in (0, CHUNK + 1):  # group every chunk; score every sample
         monkeypatch.setattr(_sampling._Sampler, "_mts_rows", rows)
+        _sampling._sampler.cache_clear()  # a sampler built under this row count
         estimates.append(simulate_utilities(spec, ENVS[3], profiles(3)[name], trials=CHUNK + 1_000, seed=5))
     assert estimates[0] == estimates[1]
 
@@ -341,10 +342,11 @@ def test_peer_row_grouping_matches_numpy_unique(k, full_effort, at_largest, seed
     assert np.array_equal(position, inverse.reshape(-1))
 
 
-def setup_cases() -> list:
+def cache_cases() -> list:
     """(spec, env, profile, seed) over two k=3 environments, the truthful and the
-    low-identity base and both profiles, interleaved so that consecutive cases change the
-    environment or the base; between them the kinds read every table of a set-up."""
+    low-identity base and four profiles, so that several cases share each of the spec, the
+    environment, the base and the focal strategy; between them the kinds read every table
+    of a sampler."""
     specs = [
         next(s for s in K3_SPECS if s.kind == kind and s.rule.name == rule)
         for kind, rule in (
@@ -371,58 +373,75 @@ def setup_cases() -> list:
 
 
 def estimates(cases, cold: bool = False) -> dict:
-    """Estimate of each case by its seed, each from an empty set-up cache if ``cold``."""
+    """Estimate of each case by its seed, each from an empty sampler cache if ``cold``."""
     out = {}
     for spec, env, profile, seed in cases:
         if cold:
-            _sampling._setup.cache_clear()
+            _sampling._sampler.cache_clear()
         out[seed] = simulate_utilities(spec, env, profile, trials=2_000, seed=seed)
     return out
 
 
-def test_cached_setup_gives_the_estimates_of_a_cold_one():
-    cases = setup_cases()
+def test_cached_sampler_gives_the_estimates_of_a_cold_one():
+    """A sampler is reused only for its own (spec, environment, profile): the cases share
+    specs, environments, bases and focal strategies pairwise, so a key that left any of
+    them out would hand a case another case's sampler."""
+    cases = cache_cases()
     cold = estimates(cases, cold=True)
-    _sampling._setup.cache_clear()
-    assert estimates(cases) == cold  # each (environment, base) first cold, then warm
+    _sampling._sampler.cache_clear()
+    assert estimates(cases) == cold  # each case first cold, then warm
+    hits = _sampling._sampler.cache_info().hits
     assert estimates(cases) == cold  # all warm
-    assert estimates(cases[::-1]) == cold  # interleaved the other way round
-    _sampling._setup.cache_clear()
+    assert _sampling._sampler.cache_info().hits == hits + len(cases)
+    assert estimates(cases[::-1]) == cold  # the other way round
+    _sampling._sampler.cache_clear()
     assert estimates(cases[::-1]) == cold
 
 
-def test_evicted_setup_is_rebuilt_to_the_same_estimates():
-    cases = setup_cases()[:8]  # every (environment, profile) pair once
-    _sampling._setup.cache_clear()
+def test_evicted_sampler_is_rebuilt_to_the_same_estimates():
+    cases = cache_cases()[:8]  # every (environment, profile) pair once
     first = estimates(cases)
     spec, env, profile, _ = cases[0]
-    for objects in range(31, 32 + _sampling.SETUP_CACHE_SIZE):  # distinct environments
+    for objects in range(31, 31 + _sampling.SAMPLER_CACHE_SIZE):  # distinct environments
         simulate_utilities(spec, replace(env, n_objects=objects), profile, trials=1, seed=0)
-    assert _sampling._setup.cache_info().currsize == _sampling.SETUP_CACHE_SIZE
-    misses = _sampling._setup.cache_info().misses
+    assert _sampling._sampler.cache_info().currsize == _sampling.SAMPLER_CACHE_SIZE
+    misses = _sampling._sampler.cache_info().misses
     assert estimates(cases) == first
-    assert _sampling._setup.cache_info().misses > misses
+    assert _sampling._sampler.cache_info().misses == misses + len(cases)
 
 
 def test_cached_arrays_are_read_only():
-    cases = setup_cases()
-    _sampling._setup.cache_clear()
+    cases = cache_cases()
     estimates(cases)
-    setups = {(env, profile.base) for _, env, profile, _ in cases}
     built = set()
-    for env, base in setups:
-        setup = _sampling._setup(env, base)
-        tables = {name: value for name, value in vars(setup).items() if isinstance(value, np.ndarray)}
-        tables.update(setup.laws._asdict())
-        tables.update({f"scores{key}": value for key, value in setup._scores.items()})
-        tables.update({f"divergences{key}": value for key, value in setup._divergences.items()})
-        built |= {name.split("(")[0] for name in tables}
+    for spec, env, profile, _ in cases:
+        sampler = _sampling._sampler(spec, env, profile)
+        tables = {name: value for name, value in vars(sampler).items() if isinstance(value, np.ndarray)}
+        tables.update(sampler.laws._asdict())
+        built |= set(tables)
         for name, table in tables.items():
             assert not table.flags.writeable, name
             with pytest.raises(ValueError):
                 table.flat[0] = 0
-    assert {"map", "beliefs", "scores", "divergences", "object_mass", "report_law", "marginal", "pair"} <= built
-    assert {"second_given_first_cdf", "onehot", "prior_cdf", "high", "high_cdf", "low_cdf"} <= built
+    assert {"base_map", "focal_map", "beliefs", "beliefs_base", "score_focal", "divergences", "_table"} <= built
+    assert {"object_mass", "report_law", "marginal", "marginal_focal", "pair", "second_given_first_cdf"} <= built
+    assert {"onehot", "prior_cdf", "high", "high_cdf", "low_cdf"} <= built
+
+
+@pytest.mark.parametrize("kind", _sampling.SIZE_RULES, ids=lambda kind: kind.value)
+def test_size_rule_is_checked_before_any_draw_and_never_cached(monkeypatch, kind):
+    """One fewer agent or object than the kind's rule: the package sampler and the
+    per-object reference both refuse it when they are built."""
+    size, least, error, message = _sampling.SIZE_RULES[kind]
+    monkeypatch.setattr(_sampling.np.random, "default_rng", None)  # any draw would fail with a TypeError
+    spec, profile = MechanismSpec(kind), profiles(2)["truthful"]
+    env = replace(ENVS[2], **{size: least - 1})
+    for sampler in (simulate_utilities, simulate_per_object):
+        with pytest.raises(error, match=f"^{message}$"):
+            sampler(spec, env, profile, trials=10, seed=0)
+    assert _sampling._sampler.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert simulate_utilities(spec, replace(env, **{size: least}), profile, trials=10, seed=0).samples == 10
 
 
 def test_sampler_names_every_kind_once():
@@ -437,24 +456,25 @@ def test_sampler_names_every_kind_once():
             assert callable(getattr(_sampling._Sampler, entry.reward)) and 2 <= entry.coordinates <= 3
 
 
-@pytest.mark.parametrize("trials", [True, 2.5, float("nan"), 0, -3, "10"])
+@pytest.mark.parametrize("trials", [True, 2.5, float("nan"), 0, -3, "10", _sampling.MAX_TRIALS + 1])
 def test_trials_must_be_a_positive_integer(monkeypatch, trials):
-    monkeypatch.setattr(_sampling, "_Sampler", None)  # any draw would fail with a TypeError
+    monkeypatch.setattr(_sampling, "_sampler", None)  # any draw would fail with a TypeError
     spec, profile = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT), profiles(2)["truthful"]
-    with pytest.raises(ShapeMismatch, match=r"^trials must be an integer of at least 1, got "):
+    bound = f"at least 1 and at most {_sampling.MAX_TRIALS}"
+    with pytest.raises(ShapeMismatch, match=rf"^trials must be an integer of {bound}, got "):
         simulate_utilities(spec, ENVS[2], profile, trials=trials, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, float("nan"), None, True, "3"])
 def test_seed_must_be_a_nonnegative_integer(monkeypatch, seed):
-    monkeypatch.setattr(_sampling, "_Sampler", None)
+    monkeypatch.setattr(_sampling, "_sampler", None)
     spec, profile = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT), profiles(2)["truthful"]
     with pytest.raises(ShapeMismatch, match=r"^seed must be an integer of at least 0, got "):
         simulate_utilities(spec, ENVS[2], profile, trials=10, seed=seed)
 
 
 def test_binary_only_kind_is_refused_before_any_draw(monkeypatch):
-    monkeypatch.setattr(_sampling, "_Sampler", None)
+    monkeypatch.setattr(_sampling, "_sampler", None)
     spec, profile = MechanismSpec(MechanismKind.ROBUST_BTS), profiles(3)["truthful"]
     with pytest.raises(NonBinaryLabelSpace, match=r"^robust_bts is defined for binary label spaces only$"):
         simulate_utilities(spec, ENVS[3], profile, trials=10, seed=0)
