@@ -334,11 +334,10 @@ CRITERIA = (
 )
 
 
-def run_all(verbose: bool = True) -> list:
+def run_all() -> list:
     results = []
     for cid, description, fn in CRITERIA:
         passed, detail = fn()
         results.append(CriterionResult(cid, description, passed, detail))
-        if verbose:
-            print(f"{'PASS' if passed else 'FAIL'} [{cid}] {description}: {detail}")
+        print(f"{'PASS' if passed else 'FAIL'} [{cid}] {description}: {detail}")
     return results

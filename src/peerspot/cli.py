@@ -12,7 +12,9 @@ from pathlib import Path
 
 from .errors import ConfigError, PeerSpotError
 from .harness import (
+    REPORTS,
     HarnessAssertionError,
+    ResultRow,
     check_grid,
     emit_csv,
     emit_json,
@@ -25,11 +27,8 @@ from .harness import (
 
 
 def _add_config_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config",
-        default=str(example_config_path()),
-        help="experiment config JSON (defaults to the bundled reference config)",
-    )
+    about = "experiment config JSON (defaults to the bundled reference config)"
+    parser.add_argument("--config", default=str(example_config_path()), help=about)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="re-emit reports from a JSON row dump")
     p_report.add_argument("--rows", required=True, help="results.json produced by run")
-    p_report.add_argument("--format", choices=("csv", "json", "plotdata"), default="csv")
+    p_report.add_argument("--format", choices=tuple(REPORTS), default="csv")
     p_report.add_argument("--out", default="results")
 
     sub.add_parser("verify", help="run the acceptance suite")
@@ -92,17 +91,15 @@ def _cmd_run(args) -> int:
     except HarnessAssertionError as exc:
         print(f"post-run assertion failed:\n{exc}", file=sys.stderr)
         return 2
-    csv_path = emit_csv(rows, out / "results.csv")
-    json_path = emit_json(rows, out / "results.json")
-    plot_path = emit_plotdata(rows, out / "plotdata.json")
+    # Every format, each written by this module's own name for its emitter (``emit_csv`` and
+    # the others), which ``benchmarks/tracer.py`` wraps to time the writes.
+    paths = [globals()[emit.__name__](rows, out / name) for name, emit in REPORTS.values()]
     errors = sum(1 for r in rows if r.error)
-    print(f"wrote {csv_path}, {json_path}, {plot_path} ({len(rows)} rows, {errors} with errors)")
+    print(f"wrote {', '.join(map(str, paths))} ({len(rows)} rows, {errors} with errors)")
     return 0
 
 
 def _cmd_report(args) -> int:
-    from .harness import ResultRow
-
     path = Path(args.rows)
     if not path.exists():
         print(f"rows file not found: {path}", file=sys.stderr)
@@ -121,10 +118,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_verify() -> int:
+def _cmd_verify(args) -> int:
     from .acceptance import run_all
 
-    results = run_all(verbose=True)
+    results = run_all()
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} acceptance criteria passed")
     return 0 if not failed else 1
@@ -132,13 +129,8 @@ def _cmd_verify() -> int:
 
 def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    return _cmd_verify()
+    command = {"validate": _cmd_validate, "run": _cmd_run, "report": _cmd_report, "verify": _cmd_verify}
+    return command[args.command](args)
 
 
 if __name__ == "__main__":

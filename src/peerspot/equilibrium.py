@@ -23,6 +23,11 @@ the dense row's.  ``p_pareto`` is solved from those intervals and reported at
 the grid point a dense scan would find; ``p_el`` still scans one dense row over
 the grid for its bracket before bisecting.
 
+A threshold grid is 1/n for an integer n from 1 to 1 / ``MIN_GRID``: ``GRID`` states
+the rule once, as ``signals.COST`` does the cost's, and ``_grid_points`` checks it before
+it builds the points.  Only ``PayoffTable.certify`` and the solvers that certify take a
+``tol``; the other entry points certify at ``DEFAULT_TOL``.
+
 Thresholds solved here:
 
 * ``p_ds``   -- dominant-strategy truthfulness under the peer-insensitive game,
@@ -36,7 +41,7 @@ Thresholds solved here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -51,6 +56,10 @@ from .strategies import pure_strategy_arrays, strategy_arrays
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 1e-3
+# The finest threshold grid.  The p_el scan walks 1 / grid + 1 points in Python and p_pareto
+# allocates as many per row: one compute_thresholds on the bundled e1 output-agreement table
+# took 0.1 s at grid 1e-3, 1.0 s at 1e-5 and 13 s at 1e-6.
+MIN_GRID = 1e-5
 REFINE = 1e-6  # width of the bracket at which the p_el bisection stops
 DS_REFINE = 1e-9  # width of the bracket at which the p_ds bisection stops; gate C1 compares at 1e-8
 PARETO_BLOCK = 64  # bases per block compared point by point in the Pareto threshold search
@@ -81,9 +90,27 @@ NOT_FOUND = NotAttained("not_found")
 NOT_APPLICABLE = NotAttained("not_applicable")
 
 
-def _check_cost(cost) -> None:
-    if not COST[0](cost):
-        raise InvalidDistribution(f"effort_cost must be {COST[1]}, got {cost}")
+def _is_grid(x) -> bool:
+    """Whether x is 1/n for an integer n from 1 to 1 / MIN_GRID, allowing for rounding
+    (1 / 1e-5 is 99999.99999999999); NaN is not."""
+    n = round(1.0 / x) if MIN_GRID / 2 <= x <= 1.0 else 0
+    return 1 <= n <= round(1.0 / MIN_GRID) and abs(n * x - 1.0) <= 1e-9
+
+
+# The threshold-grid rule, as ``signals.COST`` is the cost rule: its test, and what an error says.
+GRID = (_is_grid, f"1/n for an integer n from 1 to {round(1.0 / MIN_GRID)}")
+
+
+def _check(rule, name: str, value) -> None:
+    """Raise InvalidDistribution unless ``value`` passes ``rule`` (``COST`` or ``GRID``)."""
+    if not rule[0](value):
+        raise InvalidDistribution(f"{name} must be {rule[1]}, got {value}")
+
+
+def _grid_points(grid) -> np.ndarray:
+    """The audit probabilities 0, 1/n, ..., 1 of the grid 1/n, checked before any is built."""
+    _check(GRID, "grid", grid)
+    return np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
 
 
 def threshold_float(x) -> float:
@@ -109,17 +136,9 @@ class ThresholdReport:
     pareto_bound_condition: bool
 
     def to_json_dict(self) -> dict:
-        def enc(x):
-            return x.status if isinstance(x, NotAttained) else x
-
-        return {
-            "p_ds": enc(self.p_ds),
-            "p_el": enc(self.p_el),
-            "p_ex": enc(self.p_ex),
-            "p_pareto": enc(self.p_pareto),
-            "grid": self.grid,
-            "pareto_bound_condition": self.pareto_bound_condition,
-        }
+        """The fields in order, an unattained threshold as its status."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: x.status if isinstance(x, NotAttained) else x for name, x in values.items()}
 
 
 @dataclass
@@ -323,22 +342,20 @@ def _best_no_effort_index(efforts, spot, k: int) -> int:
     return best
 
 
-def is_symmetric_equilibrium(
-    table: PayoffTable, strategy: Strategy, p: float, cost: float, tol: float = DEFAULT_TOL
-) -> EquilibriumRecord:
-    """Certify a symmetric profile: no pure deviation improves by more than ``tol``."""
+def is_symmetric_equilibrium(table: PayoffTable, strategy: Strategy, p: float, cost: float) -> EquilibriumRecord:
+    """Certify a symmetric profile: no pure deviation improves by more than ``DEFAULT_TOL``."""
+    _check(COST, "effort_cost", cost)
     base_index = table.index_of(strategy)
-    (max_gain,), (certified,) = table.certify(p, cost, tol, [base_index])
+    (max_gain,), (certified,) = table.certify(p, cost, DEFAULT_TOL, [base_index])
     utility = float(table.utilities(p, cost)[base_index])
     return EquilibriumRecord(strategy, utility, float(max_gain), certified=bool(certified))
 
 
-def enumerate_symmetric_pure_equilibria(
-    table: PayoffTable, p: float, cost: float, tol: float = DEFAULT_TOL
-) -> list:
-    """All certified symmetric pure equilibria, sorted by utility descending."""
+def enumerate_symmetric_pure_equilibria(table: PayoffTable, p: float, cost: float) -> list:
+    """All symmetric pure equilibria certified at ``DEFAULT_TOL``, sorted by utility descending."""
+    _check(COST, "effort_cost", cost)
     utilities = table.utilities(p, cost)
-    max_gains, certified = table.certify(p, cost, tol, np.arange(len(table.own)))
+    max_gains, certified = table.certify(p, cost, DEFAULT_TOL, np.arange(len(table.own)))
     records = [
         EquilibriumRecord(table.strategies[b], float(utilities[b]), float(max_gains[b]), certified=True)
         for b in np.flatnonzero(certified)
@@ -373,7 +390,7 @@ def solve_p_ds_bisection(env: Environment, cost: float):
     p * spot(truth) - cost minus the best competing p * spot(s) - cost(s).
     It computes its own audit rewards and reads no payoff table.
     """
-    _check_cost(cost)
+    _check(COST, "effort_cost", cost)
     efforts, maps = pure_strategy_arrays(len(env.q_space))
     spots = expected_spot_rewards(env, (efforts, maps))
     costs = cost * EFFORT_COST[efforts]
@@ -406,6 +423,7 @@ def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol:
     convex, so the first sign change found on the grid brackets the unique
     boundary and bisection refines it to ``REFINE``.
     """
+    points = _grid_points(grid)
     (g0,), (g1,) = table.gain_lines(cost, [table.best_no_effort])
 
     def max_gain(p: float) -> float:
@@ -415,7 +433,6 @@ def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol:
         return NOT_APPLICABLE
     if max_gain(1.0) <= tol:
         return NOT_FOUND
-    points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
     lo = 0.0
     hi = 1.0
     for p in points:
@@ -465,7 +482,7 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
     returns.
     """
     t = table.truthful
-    points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
+    points = _grid_points(grid)
     (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, tol, np.array([t]))
     if t_lo > t_hi:
         return NOT_FOUND
@@ -615,22 +632,22 @@ def check_pareto_bound_condition(table: PayoffTable, tol: float = DEFAULT_TOL) -
     return bool(equilibrium and table.own[g] + tol >= table.own[t])
 
 
-def compute_thresholds(
-    table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL
-) -> ThresholdReport:
-    """All four thresholds plus the sufficient-condition flag at one effort cost, checked by ``signals.COST``."""
-    _check_cost(cost)
+def compute_thresholds(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID) -> ThresholdReport:
+    """All four thresholds plus the sufficient-condition flag at one effort cost, checked by
+    ``signals.COST``, on a grid checked by ``GRID``, certified at ``DEFAULT_TOL``."""
+    _check(COST, "effort_cost", cost)
+    _check(GRID, "grid", grid)
     return ThresholdReport(
         p_ds=solve_p_ds(table, cost),
-        p_el=solve_p_el(table, cost, grid=grid, tol=tol),
+        p_el=solve_p_el(table, cost, grid=grid),
         p_ex=solve_p_ex(table, cost),
-        p_pareto=solve_p_pareto(table, cost, grid=grid, tol=tol),
+        p_pareto=solve_p_pareto(table, cost, grid=grid),
         grid=grid,
-        pareto_bound_condition=check_pareto_bound_condition(table, tol=tol),
+        pareto_bound_condition=check_pareto_bound_condition(table),
     )
 
 
-def construct_dominated_environment(mechanism: MechanismSpec, candidates: list, cost: float, tol: float = DEFAULT_TOL):
+def construct_dominated_environment(mechanism: MechanismSpec, candidates: list, cost: float):
     """Compose an environment whose no-effort coordination equilibrium strictly
     beats the truthful profile at effort cost ``cost`` and zero audit probability.
 
@@ -638,18 +655,18 @@ def construct_dominated_environment(mechanism: MechanismSpec, candidates: list, 
     composed environment reuses one candidate's high channel as the shared
     low channel of another whose truthful payoff is no larger, so gathering
     the costly signal buys nothing the shared draw does not already provide.
-    Returns NOT_FOUND when no elicitable ordered pair qualifies.
+    Returns NOT_FOUND when no elicitable ordered pair qualifies.  Certifies at ``DEFAULT_TOL``.
     """
-    _check_cost(cost)
+    _check(COST, "effort_cost", cost)
     elicitable = []
     for env in candidates:
         table = compute_payoff_table(mechanism, env)
-        (_,), (certified,) = table.certify(0.0, 0.0, tol, [TRUTHFUL])
+        (_,), (certified,) = table.certify(0.0, 0.0, DEFAULT_TOL, [TRUTHFUL])
         if certified:
             elicitable.append((env, table.utilities(0.0, 0.0, TRUTHFUL)))
     for donor, donor_payoff in elicitable:
         for host, host_payoff in elicitable:
-            if donor_payoff < host_payoff - tol:
+            if donor_payoff < host_payoff - DEFAULT_TOL:
                 continue
             if len(donor.q_space) != len(host.q_space):
                 continue
@@ -660,8 +677,8 @@ def construct_dominated_environment(mechanism: MechanismSpec, candidates: list, 
             )
             table = compute_payoff_table(mechanism, composed)
             g = table.best_no_effort
-            (_,), (certified,) = table.certify(0.0, cost, tol, [g])
+            (_,), (certified,) = table.certify(0.0, cost, DEFAULT_TOL, [g])
             utilities = table.utilities(0.0, cost)
-            if certified and utilities[g] > utilities[TRUTHFUL] + tol:
+            if certified and utilities[g] > utilities[TRUTHFUL] + DEFAULT_TOL:
                 return composed
     return NOT_FOUND

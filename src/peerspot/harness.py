@@ -6,7 +6,9 @@ checks each one), computes the four audit-probability thresholds plus the
 sufficient-condition flag per triple, and writes flat CSV / JSON / plot-data
 files.  ``ResultRow`` defines a row once: its fields are the CSV columns in
 order, and JSON is the same fields plus a timestamp and the utilities at the
-swept audit probabilities.  Identical config and seed reproduce identical CSV
+swept audit probabilities.  ``REPORTS`` lists each report format once with its
+file and emitter.  A config's ``grid`` is read by ``equilibrium.GRID``, the rule
+the threshold solvers check.  Identical config and seed reproduce identical CSV
 bytes; errors in one triple are recorded in its row and never abort the sweep.
 """
 
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import DEFAULT_GRID, PayoffTable, compute_payoff_table, compute_thresholds, threshold_float
+from .equilibrium import DEFAULT_GRID, GRID, PayoffTable, compute_payoff_table, compute_thresholds, threshold_float
 from .errors import ConfigError, PeerSpotError
 from .mechanisms import MechanismSpec
 from .signals import COST, Channel, Distribution, Environment, LabelSpace, is_json_number
@@ -220,16 +222,10 @@ def _sweeps(value) -> dict:
     return {{"effort_cost": "effort_costs", "p": "p_values"}[key]: values for key, values in sweeps.items()}
 
 
-# The finest threshold grid a run accepts.  The p_el scan walks round(1 / grid) + 1 points
-# in Python and p_pareto allocates as many per row: one compute_thresholds on the bundled
-# e1 output-agreement table took 0.1 s at grid 1e-3, 1.0 s at 1e-5 and 13 s at 1e-6.
-MIN_GRID = 1e-5
-
-
 def check_grid(grid) -> float:
-    """The threshold grid resolution as a float in [MIN_GRID, 1], or a ConfigError."""
+    """The threshold grid as a float that passes ``equilibrium.GRID``, or a ConfigError."""
     try:
-        return json_number(grid, (lambda x: MIN_GRID <= x <= 1.0, f"a number in [{MIN_GRID!r}, 1]"))
+        return json_number(grid, GRID)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
 
@@ -386,13 +382,7 @@ def emit_plotdata(rows: list, path: str | Path) -> Path:
             continue
         key = f"{row.env_id}:{row.mechanism}"
         entry = series.setdefault(key, {"env_id": row.env_id, "mechanism": row.mechanism, "points": []})
-        entry["points"].append(
-            {
-                "effort_cost": row.effort_cost,
-                "p_ds": row.p_ds,
-                "p_pareto": row.p_pareto,
-            }
-        )
+        entry["points"].append({"effort_cost": row.effort_cost, "p_ds": row.p_ds, "p_pareto": row.p_pareto})
     for entry in series.values():
         entry["points"].sort(key=lambda pt: pt["effort_cost"])
     path = Path(path)
@@ -401,14 +391,18 @@ def emit_plotdata(rows: list, path: str | Path) -> Path:
     return path
 
 
+# Each report format: the file it is written to in an output directory, and its emitter.
+REPORTS = {
+    "csv": ("results.csv", emit_csv),
+    "json": ("results.json", emit_json),
+    "plotdata": ("plotdata.json", emit_plotdata),
+}
+
+
 def emit_report(rows: list, fmt: str, out_dir: str | Path) -> Path:
     if not rows:
         raise ConfigError("rows: nothing to report")
-    out_dir = Path(out_dir)
-    if fmt == "csv":
-        return emit_csv(rows, out_dir / "results.csv")
-    if fmt == "json":
-        return emit_json(rows, out_dir / "results.json")
-    if fmt == "plotdata":
-        return emit_plotdata(rows, out_dir / "plotdata.json")
-    raise ConfigError(f"format: unknown report format {fmt!r}")
+    if fmt not in REPORTS:
+        raise ConfigError(f"format: unknown report format {fmt!r}")
+    name, emit = REPORTS[fmt]
+    return emit(rows, Path(out_dir) / name)

@@ -156,29 +156,26 @@ class Distribution:
 
 @dataclass(frozen=True)
 class Channel:
-    """Conditional law of an output label given an input label, one distribution per row."""
+    """Conditional law of an output label given an input label over one label space, one
+    distribution per row."""
 
-    input_space: LabelSpace
-    output_space: LabelSpace
+    space: LabelSpace
     rows: tuple  # of Distribution
 
     def __post_init__(self):
-        if len(self.rows) != len(self.input_space):
-            raise ShapeMismatch(
-                f"channel has {len(self.rows)} rows for {len(self.input_space)} inputs"
-            )
+        if len(self.rows) != len(self.space):
+            raise ShapeMismatch(f"channel has {len(self.rows)} rows for {len(self.space)} inputs")
         for row in self.rows:
-            if row.support != self.output_space:
-                raise ShapeMismatch("channel row support differs from the output space")
+            if row.support != self.space:
+                raise ShapeMismatch("channel row support differs from the channel's space")
 
     def matrix(self) -> np.ndarray:
         """Row-stochastic matrix, shape (inputs, outputs)."""
         return np.stack([row.as_array() for row in self.rows])
 
     @staticmethod
-    def from_matrix(input_space: LabelSpace, output_space: LabelSpace, mat) -> "Channel":
-        rows = tuple(Distribution.from_array(output_space, row) for row in np.asarray(mat, float))
-        return Channel(input_space, output_space, rows)
+    def from_matrix(space: LabelSpace, mat) -> "Channel":
+        return Channel(space, tuple(Distribution.from_array(space, row) for row in np.asarray(mat, float)))
 
     @staticmethod
     def symmetric_noise(space: LabelSpace, accuracy) -> "Channel":
@@ -187,12 +184,12 @@ class Channel:
         k = len(space)
         accuracy = np.broadcast_to(np.asarray(accuracy, dtype=float), (k,))[:, None]
         mat = np.where(np.eye(k, dtype=bool), accuracy, (1.0 - accuracy) / (k - 1))
-        return Channel.from_matrix(space, space, mat)
+        return Channel.from_matrix(space, mat)
 
     @staticmethod
     def uniform(space: LabelSpace) -> "Channel":
         k = len(space)
-        return Channel.from_matrix(space, space, np.full((k, k), 1.0 / k))
+        return Channel.from_matrix(space, np.full((k, k), 1.0 / k))
 
 
 @dataclass(frozen=True)
@@ -221,7 +218,7 @@ class Environment:
             raise ShapeMismatch("prior is not over the quality space")
         for name in ("high_channel", "trusted_channel", "low_channel"):
             channel = getattr(self, name)
-            if channel.input_space != space or channel.output_space != space:
+            if channel.space != space:
                 raise ShapeMismatch(f"{name} must map the quality space to the label space")
         check_integer("n_agents", self.n_agents, 3)
         check_integer("n_objects", self.n_objects, 1)
@@ -248,7 +245,7 @@ class Environment:
             if key not in fields:
                 raise ShapeMismatch(f"environment document missing field {key!r}")
         space, high = fields.pop("labels"), fields.pop("high")
-        channel = partial(Channel.from_matrix, space, space)
+        channel = partial(Channel.from_matrix, space)
         return Environment(
             q_space=space,
             prior=Distribution.from_array(space, fields.pop("prior")),

@@ -56,12 +56,8 @@ class Strategy:
     def is_full_effort(self) -> bool:
         return self.effort is Effort.FULL
 
-    def describe(self, labels: LabelSpace | None = None) -> str:
-        if labels is None:
-            body = ",".join(str(i) for i in self.report_map)
-        else:
-            body = ",".join(str(labels.labels[i]) for i in self.report_map)
-        return f"{self.effort.value}:[{body}]"
+    def describe(self) -> str:
+        return f"{self.effort.value}:[{','.join(map(str, self.report_map))}]"
 
 
 def identity_map(n_labels: int) -> tuple:

@@ -87,7 +87,7 @@ def random_costed_environment(rng: np.random.Generator, labels: int, correlated_
             row = np.full(labels, (1 - acc) / (labels - 1))
             row[r] = acc
             rows.append(row)
-        return Channel.from_matrix(space, space, np.array(rows))
+        return Channel.from_matrix(space, np.array(rows))
 
     env = Environment(
         q_space=space,

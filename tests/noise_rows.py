@@ -35,7 +35,7 @@ def generate_environments(labels: int, count: int, seed: int, accuracy=(0.6, 0.9
     """The former ``harness.generate_environments`` at its default sizes."""
     rng = np.random.default_rng(seed)
     space = LabelSpace.of(tuple(range(labels)))
-    channel = lambda: Channel.from_matrix(space, space, noisy_rows(rng, labels, *accuracy))
+    channel = lambda: Channel.from_matrix(space, noisy_rows(rng, labels, *accuracy))
     return [
         Environment(
             q_space=space,
@@ -56,7 +56,7 @@ def aligned_random_environment(rng: np.random.Generator, labels: int, index: int
     space = LabelSpace.of(tuple(range(labels)))
     weights = rng.uniform(0.5, 1.5, size=labels)
     prior = Distribution.from_array(space, weights / weights.sum())
-    aligned = lambda floor: Channel.from_matrix(space, space, noisy_rows(rng, labels, max(floor, 1.05 / labels), 0.95))
+    aligned = lambda floor: Channel.from_matrix(space, noisy_rows(rng, labels, max(floor, 1.05 / labels), 0.95))
     return Environment(
         q_space=space,
         prior=prior,

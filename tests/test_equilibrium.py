@@ -67,7 +67,7 @@ from peerspot import (
 )
 from peerspot import equilibrium, strategies
 from peerspot.acceptance import _random_acceptance_environments
-from peerspot.equilibrium import DEFAULT_TOL, NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
+from peerspot.equilibrium import DEFAULT_TOL, MIN_GRID, NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
 from peerspot.harness import DEFAULT_EFFORT_COSTS, generate_environments, parse_config, run_experiment
 from peerspot.mechanisms import KINDS
 
@@ -207,7 +207,7 @@ class TestPayoffTableIndices:
 
     def test_a_better_no_effort_map_replaces_the_identity(self, env):
         # A low channel that reports the opposite label makes the swap map best.
-        swapped = Channel.from_matrix(env.q_space, env.q_space, [[0.2, 0.8], [0.8, 0.2]])
+        swapped = Channel.from_matrix(env.q_space, [[0.2, 0.8], [0.8, 0.2]])
         flipped = replace(env, low_channel=swapped)
         table = compute_payoff_table(PI, flipped)
         assert table.strategies[table.best_no_effort] == Strategy(Effort.NONE, (1, 0))
@@ -842,6 +842,12 @@ class TestCostBoundary:
         "compute_thresholds": lambda env, cost: compute_thresholds(compute_payoff_table(PI, env), cost),
         "solve_p_ds_bisection": solve_p_ds_bisection,
         "construct_dominated_environment": lambda env, cost: construct_dominated_environment(OA, [env], cost),
+        "enumerate_symmetric_pure_equilibria": lambda env, cost: enumerate_symmetric_pure_equilibria(
+            compute_payoff_table(OA, env), 0.0, cost
+        ),
+        "is_symmetric_equilibrium": lambda env, cost: is_symmetric_equilibrium(
+            compute_payoff_table(OA, env), truthful_strategy(2), 0.0, cost
+        ),
     }
 
     @pytest.mark.parametrize("call", CALLS)
@@ -856,6 +862,40 @@ class TestCostBoundary:
     def test_zero_and_positive_costs_are_taken(self, env, cost):
         assert compute_thresholds(compute_payoff_table(PI, env), cost).p_ds == pytest.approx(cost / 0.32, abs=1e-12)
         assert solve_p_ds_bisection(env, cost) == pytest.approx(cost / 0.32, abs=1e-8)
+
+
+class TestGridBoundary:
+    """Each threshold computation that takes a grid refuses one that is not 1/n for an
+    integer n from 1 to 1 / MIN_GRID before it builds a single grid point; a grid that
+    rounding keeps from being exactly 1/n (1 / 1e-5 is 99999.99999999999) is taken."""
+
+    CALLS = {
+        "compute_thresholds": lambda table, grid: compute_thresholds(table, E1_COST, grid),
+        "solve_p_el": lambda table, grid: solve_p_el(table, E1_COST, grid),
+        "solve_p_pareto": lambda table, grid: solve_p_pareto(table, E1_COST, grid),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("grid", [0.0, -0.1, float("nan"), float("inf"), 2.0, 0.4, 0.3, MIN_GRID / 10])
+    def test_grids_outside_the_rule_are_refused(self, env, monkeypatch, call, grid):
+        table = compute_payoff_table(OA, env)
+        built = []
+        monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: built.append(args))
+        message = f"^grid must be 1/n for an integer n from 1 to 100000, got {re.escape(str(grid))}$"
+        with pytest.raises(InvalidDistribution, match=message):
+            self.CALLS[call](table, grid)
+        assert built == []
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("grid", [1.0, 0.5, 0.125, 0.1, 1e-3, MIN_GRID])
+    def test_grids_of_the_rule_are_taken(self, env, call, grid):
+        result = self.CALLS[call](compute_payoff_table(OA, env), grid)
+        if call == "solve_p_el":  # bisected past the grid's bracket
+            assert result == pytest.approx(0.7317076, abs=1e-6)
+        else:  # the first grid point at or past the 0.56 found on the default grid
+            p_pareto = result.p_pareto if call == "compute_thresholds" else result
+            n = round(1 / grid)
+            assert p_pareto == pytest.approx(math.ceil(0.56 * n - 1e-9) / n, abs=1e-12)
 
 
 class TestReportAssembly:

@@ -216,7 +216,7 @@ def relabel_environment(env: Environment, perm: tuple) -> Environment:
     inv = np.argsort(perm)
 
     def moved(channel: Channel) -> Channel:
-        return Channel.from_matrix(env.q_space, env.q_space, channel.matrix()[inv][:, inv])
+        return Channel.from_matrix(env.q_space, channel.matrix()[inv][:, inv])
 
     return Environment(
         q_space=env.q_space,

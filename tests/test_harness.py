@@ -9,8 +9,8 @@ import pytest
 
 from peerspot import ConfigError, ExperimentConfig, MechanismKind, MechanismSpec, load_config, reference_environment
 from peerspot.cli import main as cli_main
+from peerspot.equilibrium import MIN_GRID
 from peerspot.harness import (
-    MIN_GRID,
     HarnessAssertionError,
     ResultRow,
     assert_threshold_consistency,
@@ -192,6 +192,8 @@ class TestConfig:
             ("grid", -0.1),
             ("grid", float("nan")),
             ("grid", MIN_GRID / 10),
+            ("grid", 0.4),
+            ("grid", 0.3),
             ("sweeps.effort_cost", -0.1),
             ("sweeps.effort_cost", float("inf")),
             ("sweeps.effort_cost", float("nan")),
@@ -237,8 +239,8 @@ class TestConfig:
             ({"sweeps": {"effort_cost": ["0.1"]}}, r"sweeps\.effort_cost: must be finite and nonnegative, got '0\.1'$"),
             ({"sweeps": {"p": [True]}}, r"sweeps\.p: must be a number in \[0, 1\], got True$"),
             ({"sweeps": {"p": ["0.5"]}}, r"sweeps\.p: must be a number in \[0, 1\], got '0\.5'$"),
-            ({"grid": True}, r"grid: must be a number in \[1e-05, 1\], got True$"),
-            ({"grid": "0.01"}, r"grid: must be a number in \[1e-05, 1\], got '0\.01'$"),
+            ({"grid": True}, r"grid: must be 1/n for an integer n from 1 to 100000, got True$"),
+            ({"grid": "0.01"}, r"grid: must be 1/n for an integer n from 1 to 100000, got '0\.01'$"),
             ({"output_dir": 3}, r"output_dir: must be a string, got 3$"),
             ({"prior": "ab"}, r"environments\[0\]: prior: must be a list, got 'ab'$"),
             ({"labels": "ab"}, r"environments\[0\]: labels: must be a list, got 'ab'$"),

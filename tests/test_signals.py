@@ -91,7 +91,7 @@ class TestValidation:
         space = LabelSpace.of((0, 1))
         other = LabelSpace.of(("a", "b", "c"))
         with pytest.raises(ShapeMismatch):
-            Channel(space, space, (Distribution.uniform(other), Distribution.uniform(other)))
+            Channel(space, (Distribution.uniform(other), Distribution.uniform(other)))
 
     def test_labels_must_be_distinct(self):
         with pytest.raises(ShapeMismatch):
@@ -148,7 +148,7 @@ class TestPosterior:
         e = Environment(
             q_space=space,
             prior=Distribution.from_array(space, [1.0, 0.0]),
-            high_channel=Channel.from_matrix(space, space, [[1.0, 0.0], [0.0, 1.0]]),
+            high_channel=Channel.from_matrix(space, [[1.0, 0.0], [0.0, 1.0]]),
             trusted_channel=Channel.uniform(space),
             low_channel=Channel.uniform(space),
             n_agents=3,
