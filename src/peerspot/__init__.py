@@ -54,7 +54,7 @@ from .mechanisms import (
     analytic_unchecked_value,
 )
 from ._sampling import UtilityEstimate, simulate_utilities
-from .spotcheck import check_worthwhile_effort, expected_spot_reward
+from ._expectations import expected_spot_reward
 from .equilibrium import (
     NOT_ACHIEVABLE,
     NOT_APPLICABLE,
@@ -64,6 +64,7 @@ from .equilibrium import (
     PayoffTable,
     ThresholdReport,
     check_pareto_bound_condition,
+    check_worthwhile_effort,
     compute_payoff_table,
     compute_thresholds,
     construct_dominated_environment,

@@ -1,4 +1,5 @@
-"""Exact per-observation expected rewards of deviant strategies against symmetric base profiles.
+"""Exact per-observation expected rewards of deviant strategies: unchecked against symmetric
+base profiles, and audited against the trusted evaluator.
 
 Everything here integrates over the per-object joint law: quality ~ prior,
 one shared low draw, independent high draws per agent given quality.  Reports
@@ -15,7 +16,9 @@ observed value.  Each evaluator returns those terms against G bases, given as
 reports ``r`` there, against base ``g``.  The deviant with effort ``e`` and
 report map ``m`` earns ``sum_o V[g, e, o, m(o)]`` (``strategy_rewards``).  A
 reward paid whatever the deviant reports (a constant, an offset) is put at
-``o = 0``.
+``o = 0``.  The audit reward of the spot-checked game M = (p, y, z) has the same
+shape without a base: ``audit_rewards`` gives ``A[e, o, r]``, and it alone reads
+the trusted channel.
 
 Multi-object mechanisms are evaluated in their many-object limit, where
 empirical report frequencies concentrate on population values: the
@@ -35,7 +38,7 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded
 from .scoring import NEGATIVE_SENTINEL
 from .signals import Environment
-from .strategies import FULL_EFFORT, NO_EFFORT, peer_report_posteriors
+from .strategies import FULL_EFFORT, NO_EFFORT, Strategy, peer_report_posteriors, strategy_arrays
 
 SUPPORT_ATOL = 1e-12
 ENUMERATION_BUDGET = 10_000_000
@@ -121,6 +124,23 @@ def _joint_observations(env: Environment, efforts: np.ndarray, peers: int) -> np
     subscripts = {1: "ql,qla,qlb->ab", 2: "ql,qla,qlb,qlc->abc"}[peers]
     joint = np.array([[np.einsum(subscripts, w, own, *[peer] * peers) for peer in laws] for own in laws])
     return np.moveaxis(joint[:, efforts], 1, 0)
+
+
+def audit_rewards(env: Environment) -> np.ndarray:
+    """Exact E[y] per observation, shape (2, k, k): ``A[e, o, r]`` is what an agent with
+    effort e earns on the event that it observes o, if it reports r there, so a strategy
+    earns ``sum_o A[e, o, m(o)]``.  With probability p a report is audited: it earns its
+    match with the trusted draw on the same object minus its match with an independent
+    object's trusted draw (the joint report/trusted law minus the product of marginals),
+    which zeroes out constant-report strategies."""
+    weighted = outer_weights(env)[None, :, :, None] * observation_laws(env)
+    joint = np.einsum("eqlo,qt->eot", weighted, env.trusted_channel.matrix())  # [e, observed, trusted]
+    return joint - joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
+
+
+def expected_spot_reward(env: Environment, strategy: Strategy) -> float:
+    """Exact E[y] for one agent."""
+    return float(strategy_rewards(audit_rewards(env), *strategy_arrays([strategy], len(env.q_space)))[0])
 
 
 # ---------------------------------------------------------------------------

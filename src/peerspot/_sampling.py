@@ -38,15 +38,17 @@ estimate is reproducible per seed: the same seed and trial count give the
 same bits.  A sampler is built once per (spec, environment, profile), the
 estimate's own inputs, and kept in one cache of ``SAMPLER_CACHE_SIZE``
 entries (``_sampler``); equal environments share an entry whatever their
-``env_id``.  Building it reads the environment's laws and both strategies'
-effort positions and report maps and checks the kind's size rule, so a
-triple with too few agents or objects raises before any draw and is never
-cached.  Everything else it reads is a read-only table built on first use,
-so a kind pays only for the tables it reads: the belief, score and
-divergence tables, the report laws, marginals and pair law on the objects
-around the scored one, and the kind's outcome table.  Changes made for
-speed keep every estimate bit-identical; ``tests/test_sampling.py`` pins a
-set of them by ``float.hex``.
+``env_id``.  One table, ``SAMPLER_KINDS``, holds per kind its chunk
+evaluator, its outcome table's reward and coordinates, and its size rule.
+Building a sampler reads the environment's laws and both strategies' effort
+positions and report maps and checks the kind's size rule, so a triple with
+too few agents or objects raises before any draw and is never cached.
+Everything else it reads is a read-only table built on first use, so a kind
+pays only for the tables it reads: the belief, score and divergence tables,
+the report laws, marginals and pair law on the objects around the scored
+one, and the kind's outcome table.  Changes made for speed keep every
+estimate bit-identical; ``tests/test_sampling.py`` pins a set of them by
+``float.hex``.
 """
 
 from __future__ import annotations
@@ -203,40 +205,40 @@ class _KindEntry(NamedTuple):
     """How the sampler evaluates one kind: the name of its chunk evaluator and, for a kind
     whose chunk reads a per-outcome table, the name of the reward that fills it and the
     number of observation coordinates it is indexed by.  Names resolve on the sampler, so
-    a subclass's overrides run."""
+    a subclass's overrides run.  A kind that draws from a least number of agents or
+    objects has a size rule, checked when a sampler is built: the ``Environment`` field,
+    its least value, and the error that refuses fewer, with its message."""
 
     chunk: str
     reward: str | None = None
     coordinates: int = 0
+    size_rule: tuple | None = None
 
 
 SAMPLER_KINDS = {
     MechanismKind.OUTPUT_AGREEMENT: _KindEntry("_chunk_tabulated", "_output_agreement", 2),
     MechanismKind.PEER_TRUTH_SERUM: _KindEntry("_chunk_peer_truth_serum"),
     # The table holds correlated agreement's agreement term.
-    MechanismKind.CORRELATED_AGREEMENT: _KindEntry("_chunk_correlated_agreement", "_output_agreement", 2),
-    MechanismKind.SQRT_SCALED_AGREEMENT: _KindEntry("_chunk_sqrt_scaled"),
-    MechanismKind.DOUBLE_MIXED_AGREEMENT: _KindEntry("_chunk_double_mixed"),
+    MechanismKind.CORRELATED_AGREEMENT: _KindEntry(
+        "_chunk_correlated_agreement", "_output_agreement", 2,
+        size_rule=(
+            "n_objects", 3, NotEnoughObjects,
+            "correlated-agreement sampling needs at least three objects for disjoint task sets",
+        ),
+    ),
+    MechanismKind.SQRT_SCALED_AGREEMENT: _KindEntry(
+        "_chunk_sqrt_scaled",
+        size_rule=("n_agents", 4, TooFewAgents, "sqrt-scaled agreement sampling needs at least four agents"),
+    ),
+    MechanismKind.DOUBLE_MIXED_AGREEMENT: _KindEntry(
+        "_chunk_double_mixed",
+        size_rule=("n_objects", 3, NotEnoughObjects, "double-mixed agreement needs at least three objects"),
+    ),
     MechanismKind.ROBUST_BTS: _KindEntry("_chunk_tabulated", "_robust_bts", 3),
     MechanismKind.MULTI_VALUED_ROBUST_BTS: _KindEntry("_chunk_tabulated", "_mv_robust_bts", 2),
     MechanismKind.DIVERGENCE_BTS: _KindEntry("_chunk_tabulated", "_divergence_bts", 2),
     MechanismKind.MINIMUM_TRUTH_SERUM: _KindEntry("_chunk_minimum_truth_serum"),
     MechanismKind.PEER_INSENSITIVE: _KindEntry("_chunk_peer_insensitive"),
-}
-
-# The fewest agents or objects a kind's sampler draws from, checked when a sampler is
-# built: the ``Environment`` field, its least value, and the error that refuses fewer.
-SIZE_RULES = {
-    MechanismKind.CORRELATED_AGREEMENT: (
-        "n_objects", 3, NotEnoughObjects,
-        "correlated-agreement sampling needs at least three objects for disjoint task sets",
-    ),
-    MechanismKind.SQRT_SCALED_AGREEMENT: (
-        "n_agents", 4, TooFewAgents, "sqrt-scaled agreement sampling needs at least four agents"
-    ),
-    MechanismKind.DOUBLE_MIXED_AGREEMENT: (
-        "n_objects", 3, NotEnoughObjects, "double-mixed agreement needs at least three objects"
-    ),
 }
 
 
@@ -257,8 +259,9 @@ class _Sampler:
         efforts, maps = strategy_arrays([profile.base, profile.focal_strategy()], self.k)
         self.base_effort, self.focal_effort = int(efforts[0]), int(efforts[1])
         self.base_map, self.focal_map = _read_only(maps[0]), _read_only(maps[1])
-        if spec.kind in SIZE_RULES:
-            size, least, error, message = SIZE_RULES[spec.kind]
+        size_rule = SAMPLER_KINDS[spec.kind].size_rule
+        if size_rule is not None:
+            size, least, error, message = size_rule
             if getattr(env, size) < least:
                 raise error(message)
 

@@ -32,11 +32,11 @@ from .equilibrium import (
 )
 from ._sampling import simulate_utilities
 from .errors import NonBinaryLabelSpace
+from ._expectations import audit_rewards, strategy_rewards
 from .harness import DEFAULT_EFFORT_COSTS, emit_csv, example_config_path, generate_environments, load_config, run_experiment
 from .mechanisms import MechanismKind, MechanismSpec
 from .scoring import LOGARITHMIC, QUADRATIC, check_symmetry
 from .signals import Channel, Distribution, Environment, LabelSpace, reference_environment
-from .spotcheck import expected_spot_rewards
 from .strategies import TRUTHFUL, StrategyProfile, low_identity_index, pure_strategy_arrays, truthful_strategy
 
 ANALYTIC_TOL = 1e-9
@@ -209,7 +209,7 @@ def check_best_no_effort_map() -> tuple:
         no_effort = slice(low_identity_index(labels), None)  # every no-effort map, the identity first
         for i in range(n_envs):
             env = _aligned_random_environment(rng, labels, i)
-            values = expected_spot_rewards(env, (efforts[no_effort], maps[no_effort])).tolist()
+            values = strategy_rewards(audit_rewards(env), efforts[no_effort], maps[no_effort]).tolist()
             identity_value = values[0]
             for report_map, value in zip(map(tuple, maps[no_effort].tolist()), values):
                 if value > identity_value + ANALYTIC_TOL:

@@ -36,6 +36,8 @@ Thresholds solved here:
 * ``p_pareto`` -- truthful equilibrium weakly best among all certified
   symmetric pure equilibria (a lower bound for the unrestricted notion, which
   also quantifies over asymmetric and mixed profiles).
+
+``check_worthwhile_effort`` reads the audit gap that ``p_ds`` divides the cost by.
 """
 
 from __future__ import annotations
@@ -47,10 +49,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidDistribution, PeerSpotError, ShapeMismatch
-from ._expectations import strategy_rewards
+from ._expectations import audit_rewards, strategy_rewards
 from .mechanisms import MechanismSpec, unchecked_rewards
 from .signals import COST, Environment
-from .spotcheck import audit_rewards, expected_spot_rewards
 from .strategies import EFFORT_COST, NO_EFFORT, TRUTHFUL, Strategy, enumerate_pure_strategies, low_identity_index
 from .strategies import pure_strategy_arrays, strategy_arrays
 
@@ -150,8 +151,8 @@ class PayoffTable:
 
     Strategy ``s`` is row ``s`` of ``strategies.pure_strategy_arrays(k)``, read as
     ``efforts`` and ``maps``.  ``unchecked_terms[g, e, o, r]`` is the ``V`` of
-    ``_expectations`` against base g and ``audit_terms[e, o, r]`` the ``A`` of
-    ``spotcheck.audit_rewards``: a deviant with effort e and map m earns
+    ``_expectations`` against base g and ``audit_terms[e, o, r]`` its ``A``
+    (``_expectations.audit_rewards``): a deviant with effort e and map m earns
     ``sum_o V[g, e, o, m(o)]`` unchecked and ``sum_o A[e, o, m(o)]`` audited.  The
     table reads k and S from the shape of the terms and holds V once.
     """
@@ -383,6 +384,13 @@ def solve_p_ds(table: PayoffTable, cost: float):
     return min(p, 1.0)
 
 
+def check_worthwhile_effort(table: PayoffTable, cost: float) -> bool:
+    """True iff the audited value of a truthful high signal, less ``cost``, beats the best
+    no-effort audit value; both audit values are read from the payoff table ``table``."""
+    truthful = float(table.spot[table.truthful])
+    return truthful - cost > float(table.spot[table.best_no_effort])
+
+
 def solve_p_ds_bisection(env: Environment, cost: float):
     """Independent route to p_ds: bisect the truthful-vs-best-other dominance gap.
 
@@ -392,7 +400,7 @@ def solve_p_ds_bisection(env: Environment, cost: float):
     """
     _check(COST, "effort_cost", cost)
     efforts, maps = pure_strategy_arrays(len(env.q_space))
-    spots = expected_spot_rewards(env, (efforts, maps))
+    spots = strategy_rewards(audit_rewards(env), efforts, maps)
     costs = cost * EFFORT_COST[efforts]
 
     def gap(p: float) -> float:

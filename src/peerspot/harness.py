@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import DEFAULT_GRID, GRID, PayoffTable, compute_payoff_table, compute_thresholds, threshold_float
+from .equilibrium import DEFAULT_GRID, GRID, PayoffTable, check_worthwhile_effort, compute_payoff_table, compute_thresholds
+from .equilibrium import threshold_float
 from .errors import ConfigError, PeerSpotError
 from .mechanisms import MechanismSpec
 from .signals import COST, Channel, Distribution, Environment, LabelSpace, is_json_number
 from .signals import json_fields, json_integer, json_list, json_number, json_string
-from .spotcheck import check_worthwhile_effort
 from .strategies import MAX_LABELS
 
 DEFAULT_EFFORT_COSTS = (0.0, 0.05, 0.1, 0.2)

@@ -156,26 +156,25 @@ class Distribution:
 
 @dataclass(frozen=True)
 class Channel:
-    """Conditional law of an output label given an input label over one label space, one
-    distribution per row."""
+    """Conditional law of an output label given an input label over one label space: one row
+    of weights per input, each checked as a ``Distribution`` over the space."""
 
     space: LabelSpace
-    rows: tuple  # of Distribution
+    rows: tuple  # of tuples of floats, one per input
 
     def __post_init__(self):
         if len(self.rows) != len(self.space):
             raise ShapeMismatch(f"channel has {len(self.rows)} rows for {len(self.space)} inputs")
         for row in self.rows:
-            if row.support != self.space:
-                raise ShapeMismatch("channel row support differs from the channel's space")
+            Distribution(self.space, row)
 
     def matrix(self) -> np.ndarray:
         """Row-stochastic matrix, shape (inputs, outputs)."""
-        return np.stack([row.as_array() for row in self.rows])
+        return np.array(self.rows, dtype=float)
 
     @staticmethod
     def from_matrix(space: LabelSpace, mat) -> "Channel":
-        return Channel(space, tuple(Distribution.from_array(space, row) for row in np.asarray(mat, float)))
+        return Channel(space, tuple(tuple(float(x) for x in row) for row in np.asarray(mat, float)))
 
     @staticmethod
     def symmetric_noise(space: LabelSpace, accuracy) -> "Channel":

@@ -39,11 +39,11 @@ from peerspot import (
     enumerate_pure_strategies,
     reference_environment,
 )
+from peerspot._expectations import audit_rewards
 from peerspot.acceptance import _random_acceptance_environments
 from peerspot.equilibrium import compute_payoff_table
 from peerspot.harness import generate_environments
 from peerspot.mechanisms import unchecked_rewards
-from peerspot.spotcheck import audit_rewards
 from peerspot.strategies import peer_report_posteriors, pure_strategy_arrays, strategy_arrays
 
 from conftest import K3_SPECS, random_environment, spec_id, specs_for

@@ -1,5 +1,6 @@
 """The README's library quickstart runs as written against this checkout, its config example
-parses, and the counts it states of pinned Monte-Carlo estimates match the pins."""
+parses, the counts it states of pinned Monte-Carlo estimates match the pins, and its Layout
+block names the package's modules."""
 
 import json
 import re
@@ -7,7 +8,8 @@ from pathlib import Path
 
 from peerspot.harness import parse_config
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 PINNED = Path(__file__).with_name("pinned_estimates.json")
 # "float.hex of 76 Monte-Carlo estimates" in the layout, "pins 76 of them" in the conventions.
 PINNED_COUNT = re.compile(r"float\.hex\s+of\s+(\d+)\s+Monte-Carlo\s+estimates|pins\s+(\d+)\s+of\s+them")
@@ -33,3 +35,13 @@ def test_pinned_estimate_counts_match_the_pins():
     counts = [int(a or b) for a, b in PINNED_COUNT.findall(README.read_text())]
     assert len(counts) == 2
     assert counts == [len(json.loads(PINNED.read_text())["estimates"])] * 2
+
+
+def test_layout_names_every_module():
+    """The Layout block lists, under ``src/peerspot/``, exactly the package's modules other
+    than ``__init__.py``."""
+    layout = re.search(r"## Layout\n\n```\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1)
+    package = re.search(r"^src/peerspot/\n((?:  .*\n)+)", layout, flags=re.MULTILINE).group(1)
+    named = {line.split()[0] for line in package.splitlines()}
+    modules = {path.name for path in (ROOT / "src" / "peerspot").glob("*.py")} - {"__init__.py"}
+    assert named == modules

@@ -428,11 +428,14 @@ def test_cached_arrays_are_read_only():
     assert {"onehot", "prior_cdf", "high", "high_cdf", "low_cdf"} <= built
 
 
-@pytest.mark.parametrize("kind", _sampling.SIZE_RULES, ids=lambda kind: kind.value)
+SIZED_KINDS = [kind for kind, entry in _sampling.SAMPLER_KINDS.items() if entry.size_rule is not None]
+
+
+@pytest.mark.parametrize("kind", SIZED_KINDS, ids=lambda kind: kind.value)
 def test_size_rule_is_checked_before_any_draw_and_never_cached(monkeypatch, kind):
     """One fewer agent or object than the kind's rule: the package sampler and the
     per-object reference both refuse it when they are built."""
-    size, least, error, message = _sampling.SIZE_RULES[kind]
+    size, least, error, message = _sampling.SAMPLER_KINDS[kind].size_rule
     monkeypatch.setattr(_sampling.np.random, "default_rng", None)  # any draw would fail with a TypeError
     spec, profile = MechanismSpec(kind), profiles(2)["truthful"]
     env = replace(ENVS[2], **{size: least - 1})

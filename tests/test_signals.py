@@ -89,9 +89,8 @@ class TestValidation:
 
     def test_channel_shape_mismatch(self):
         space = LabelSpace.of((0, 1))
-        other = LabelSpace.of(("a", "b", "c"))
-        with pytest.raises(ShapeMismatch):
-            Channel(space, (Distribution.uniform(other), Distribution.uniform(other)))
+        with pytest.raises(ShapeMismatch, match="3 weights for 2 labels"):
+            Channel(space, ((0.5, 0.5), (0.2, 0.3, 0.5)))
 
     def test_labels_must_be_distinct(self):
         with pytest.raises(ShapeMismatch):
