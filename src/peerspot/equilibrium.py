@@ -15,9 +15,9 @@ E[z] - cost are affine in the spot-check probability and a deviant picks its
 report per observation, so each effort's best gain is convex and piecewise
 linear in p.  That gain is built once per base from its kinks, merged over
 observations, and a running sum of slope times step
-(``PayoffTable.kinked_gains``), and every certification reads it: at given
-points (``PayoffTable.certify``) and at the probes that confirm each base's
-interval of certified p.  A gain within a stated rounding slack of the
+(``PayoffTable.kinked_gains``), and every certification reads it through
+``PayoffTable.certify``, at given points and at the probes that confirm each
+base's interval of certified p.  A gain within a stated rounding slack of the
 tolerance is decided by the base's dense row instead, so every decision equals
 the dense row's.  ``p_pareto`` is solved from those intervals and reported at
 the grid point a dense scan would find; ``p_el`` still scans one dense row over
@@ -165,8 +165,9 @@ class PayoffTable:
     spot: np.ndarray = field(init=False)  # (S,) expected audit reward per strategy
     full_effort: np.ndarray = field(init=False)  # (S,) 1.0 where the strategy invests effort
     magnitude: np.ndarray = field(init=False)  # (S,) bound on the terms of any gain against a base
-    # ``kinked_gains`` per base, filled in as bases are asked for: (kinks, gains, slopes,
-    # filled, width), where the kink columns past ``width`` hold 1 for every filled base.
+    # ``kinked_gains`` per base, filled in as bases are asked for: (pieces, filled, width), with
+    # kinks, gains and slopes stacked in ``pieces``, whose kink columns past ``width`` hold 1
+    # for every filled base.
     _kinked: tuple = field(init=False, repr=False, default=None)
     truthful = TRUTHFUL  # index of the truthful strategy, the same in every table
     best_no_effort: int = field(init=False)
@@ -227,9 +228,8 @@ class PayoffTable:
         bases = np.asarray(bases)
         if self._kinked is None:
             count, k = self.maps.shape
-            shape = (2, k * (k - 1) + 2, count)
-            self._kinked = (np.empty(shape), np.empty(shape), np.empty(shape), np.zeros(count, dtype=bool), 2)
-        kinks, gains, slopes, filled, width = self._kinked
+            self._kinked = (np.empty((3, 2, k * (k - 1) + 2, count)), np.zeros(count, dtype=bool), 2)
+        pieces, filled, width = self._kinked
         if not filled[bases].all():
             new = np.unique(bases[~filled[bases]])
             # V and A - V laid out [report, effort, observation, base]: each report's line in p.
@@ -244,41 +244,36 @@ class PayoffTable:
             rate = slope.sum(axis=1)[:, None] + np.cumsum(np.concatenate([zero, turns, zero], axis=1), axis=1)
             steps = rate[:, :-1] * np.diff(at, axis=1)
             values = np.cumsum(np.concatenate([start.sum(axis=1)[:, None], steps], axis=1), axis=1)
-            kinks[:, :, new] = at
-            gains[:, :, new] = values - self.utilities(at, 0.0, new)
-            slopes[:, :, new] = rate - (self.spot[new] - self.own[new])
+            pieces[..., new] = at, values - self.utilities(at, 0.0, new), rate - (self.spot[new] - self.own[new])
             filled[new] = True
             width = max(width, int((at < 1.0).sum(axis=1).max()) + 1)
-            self._kinked = kinks, gains, slopes, filled, width
-        return tuple(np.take(x[:, :width], bases, axis=2) for x in (kinks, gains, slopes))
+            self._kinked = pieces, filled, width
+        return tuple(np.take(pieces[:, :, :width], bases, axis=3))
 
     def certify(self, p, cost: float, tol: float, bases) -> tuple:
         """(largest deviation gain, certified) against each base in ``bases`` at audit
-        probability ``p`` (one value in [0, 1], or one per base), decided by ``_decide``
-        from the bases' ``kinked_gains``."""
-        p = np.asarray(p, dtype=float)
-        outside = p[~((p >= 0.0) & (p <= 1.0))]  # NaN fails both
-        if outside.size:
-            raise PeerSpotError(f"audit probability p must lie in [0, 1], got {float(outside.flat[0])!r}")
-        bases = np.asarray(bases)
-        return self._decide(np.broadcast_to(p, bases.shape), cost, tol, bases, self.kinked_gains(bases))
+        probability ``p``: one value, one per base, or one per base after leading probe axes,
+        giving results of shape ``np.broadcast_shapes(p.shape, bases.shape)``.  A p outside
+        [0, 1] or a cost outside ``signals.COST`` is refused before any arithmetic.
 
-    def _decide(self, p, cost: float, tol: float, bases, pieces) -> tuple:
-        """(largest deviation gain, certified) against each base in ``bases`` at audit
-        probabilities ``p`` in [0, 1], of the shape of ``bases`` after any leading probe
-        axes; ``pieces`` are ``kinked_gains(bases)``.
-
-        Each effort's gain is convex, so at p it is the largest of its pieces' lines.  A
-        gain within the rounding slack ``VERIFY_SLACK * (magnitude + cost)`` of ``tol`` is
-        replaced by the largest entry of its dense ``gain_lines`` row, so the decision is
-        the dense row's ``max <= tol`` at every p.
+        Each effort's gain is convex (``kinked_gains``), so at p it is the largest of its
+        pieces' lines.  A gain within the rounding slack ``VERIFY_SLACK * (magnitude + cost)``
+        of ``tol`` is replaced by the largest entry of its dense ``gain_lines`` row, so the
+        decision is the dense row's ``max <= tol`` at every p.
         """
-        kinks, gains, slopes = pieces
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        inside = (p >= 0.0) & (p <= 1.0)  # NaN fails both
+        if not inside.all():
+            raise PeerSpotError(f"audit probability p must lie in [0, 1], got {float(p[~inside][0])!r}")
+        _check(COST, "effort_cost", cost)
+        bases = np.asarray(bases)
+        kinks, gains, slopes = self.kinked_gains(bases)
         costs = cost * (EFFORT_COST[:, None] - self.full_effort[bases])[:, None]
         gain = (gains + slopes * (p[..., None, None, :] - kinks) - costs).max(axis=(-3, -2))
         unsure = np.nonzero(np.abs(gain - tol) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
         if unsure[0].size:
-            gain[unsure] = _gain_at(p[unsure][:, None], *self.gain_lines(cost, bases[unsure[-1]])).max(axis=1)
+            at = np.broadcast_to(p, gain.shape)[unsure][:, None]
+            gain[unsure] = _gain_at(at, *self.gain_lines(cost, bases[unsure[-1]])).max(axis=1)
         return gain, gain <= tol
 
 
@@ -345,7 +340,6 @@ def _best_no_effort_index(efforts, spot, k: int) -> int:
 
 def is_symmetric_equilibrium(table: PayoffTable, strategy: Strategy, p: float, cost: float) -> EquilibriumRecord:
     """Certify a symmetric profile: no pure deviation improves by more than ``DEFAULT_TOL``."""
-    _check(COST, "effort_cost", cost)
     base_index = table.index_of(strategy)
     (max_gain,), (certified,) = table.certify(p, cost, DEFAULT_TOL, [base_index])
     utility = float(table.utilities(p, cost)[base_index])
@@ -354,9 +348,8 @@ def is_symmetric_equilibrium(table: PayoffTable, strategy: Strategy, p: float, c
 
 def enumerate_symmetric_pure_equilibria(table: PayoffTable, p: float, cost: float) -> list:
     """All symmetric pure equilibria certified at ``DEFAULT_TOL``, sorted by utility descending."""
-    _check(COST, "effort_cost", cost)
-    utilities = table.utilities(p, cost)
     max_gains, certified = table.certify(p, cost, DEFAULT_TOL, np.arange(len(table.own)))
+    utilities = table.utilities(p, cost)
     records = [
         EquilibriumRecord(table.strategies[b], float(utilities[b]), float(max_gains[b]), certified=True)
         for b in np.flatnonzero(certified)
@@ -375,6 +368,7 @@ def solve_p_ds(table: PayoffTable, cost: float):
     under a constant unchecked reward: cost / (audit value of truth - audit
     value of the best no-effort strategy).  Only the table's audit rewards
     enter, so any mechanism's table for the environment gives the same value."""
+    _check(COST, "effort_cost", cost)
     gap = float(table.spot[table.truthful]) - float(table.spot[table.best_no_effort])
     if gap <= DEFAULT_TOL:
         return NOT_ACHIEVABLE
@@ -387,6 +381,7 @@ def solve_p_ds(table: PayoffTable, cost: float):
 def check_worthwhile_effort(table: PayoffTable, cost: float) -> bool:
     """True iff the audited value of a truthful high signal, less ``cost``, beats the best
     no-effort audit value; both audit values are read from the payoff table ``table``."""
+    _check(COST, "effort_cost", cost)
     truthful = float(table.spot[table.truthful])
     return truthful - cost > float(table.spot[table.best_no_effort])
 
@@ -431,6 +426,7 @@ def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol:
     convex, so the first sign change found on the grid brackets the unique
     boundary and bisection refines it to ``REFINE``.
     """
+    _check(COST, "effort_cost", cost)
     points = _grid_points(grid)
     (g0,), (g1,) = table.gain_lines(cost, [table.best_no_effort])
 
@@ -460,6 +456,7 @@ def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol:
 def solve_p_ex(table: PayoffTable, cost: float):
     """Audit probability at which the truthful profile's utility overtakes the
     report-the-shared-draw profile's, solved from the affine indifference."""
+    _check(COST, "effort_cost", cost)
     t, g = table.truthful, table.best_no_effort
     z_tt = table.own[t]
     z_gg = table.own[g]
@@ -489,6 +486,7 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
     dense scan's expressions, so the answer is the grid point that scan
     returns.
     """
+    _check(COST, "effort_cost", cost)
     t = table.truthful
     points = _grid_points(grid)
     (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, tol, np.array([t]))
@@ -569,16 +567,16 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     (``PayoffTable.kinked_gains``), so it stays within its effort's tol on one
     interval, found between the kinks where it crosses; the base is certified
     where both intervals meet.  A kink counts as within tol up to the rounding
-    slack of ``PayoffTable._decide``, so a zero plateau read a few ulps high
+    slack of ``PayoffTable.certify``, so a zero plateau read a few ulps high
     still gives its interval.  The ends are rounded onto the grid and confirmed
-    by ``_decide`` at each end and one point outside it, from the same pieces,
-    so every decision is the dense row's.  The few bases where rounding
+    by ``PayoffTable.certify`` at each end and one point outside it, so every
+    decision is the dense row's.  The few bases where rounding
     misplaced an end are settled by probing single grid points the same way
     (``_settle_interval``).
     """
     cols = np.asarray(cols)
     n = len(points) - 1
-    pieces = kinks, gains, slopes = table.kinked_gains(cols)
+    kinks, gains, slopes = table.kinked_gains(cols)
     excess = gains - (tol + cost * (EFFORT_COST[:, None] - table.full_effort[cols]))[:, None]  # <= 0 within tol
     slack = VERIFY_SLACK * (table.magnitude[cols] + cost)
     within = excess <= slack
@@ -600,14 +598,13 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     lo = np.ceil(left * n).astype(int)
     hi = np.where(none, lo - 1, np.floor(right * n).astype(int))
 
-    def certified(index, of):  # at grid points ``index``, one row per probe, for the bases ``cols[of]``
-        return table._decide(points[index], cost, tol, cols[of], tuple(x[..., of] for x in pieces))[1]
-
     probes = np.array((lo - 1, lo, hi, hi + 1))
     expected = (lo <= probes) & (probes <= hi)
-    misplaced = (certified(np.clip(probes, 0, n), slice(None)) != expected) & (probes >= 0) & (probes <= n)
+    certified = table.certify(points[np.clip(probes, 0, n)], cost, tol, cols)[1]
+    misplaced = (certified != expected) & (probes >= 0) & (probes <= n)
     for j in np.flatnonzero(misplaced.any(axis=0)):
-        lo[j], hi[j] = _settle_interval(lambda i: bool(certified([[i]], [j])[0, 0]), int(lo[j]), int(hi[j]), n)
+        decide = lambda i: bool(table.certify(points[i], cost, tol, cols[[j]])[1][0])
+        lo[j], hi[j] = _settle_interval(decide, int(lo[j]), int(hi[j]), n)
     return lo, hi
 
 
@@ -642,9 +639,8 @@ def check_pareto_bound_condition(table: PayoffTable, tol: float = DEFAULT_TOL) -
 
 def compute_thresholds(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID) -> ThresholdReport:
     """All four thresholds plus the sufficient-condition flag at one effort cost, checked by
-    ``signals.COST``, on a grid checked by ``GRID``, certified at ``DEFAULT_TOL``."""
-    _check(COST, "effort_cost", cost)
-    _check(GRID, "grid", grid)
+    ``signals.COST``, on a grid checked by ``GRID``, certified at ``DEFAULT_TOL``.  The solvers
+    check both, ``solve_p_ds`` the cost before any grid is read."""
     return ThresholdReport(
         p_ds=solve_p_ds(table, cost),
         p_el=solve_p_el(table, cost, grid=grid),

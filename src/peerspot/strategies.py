@@ -41,7 +41,7 @@ TRUTHFUL = 0  # index of the truthful strategy in the canonical order of ``pure_
 
 @dataclass(frozen=True)
 class Strategy:
-    """Effort level plus a total report map over label indices."""
+    """Effort level plus a total report map over label indices, kept as a tuple of ints."""
 
     effort: Effort
     report_map: tuple  # output label index per input label index
@@ -51,6 +51,8 @@ class Strategy:
             raise ShapeMismatch(f"effort must be an Effort, got {self.effort!r}")
         for i in self.report_map:
             check_integer("report_map entry", i, 0)
+        # Whatever sequence the map came as, so equal maps give equal, hashable strategies.
+        object.__setattr__(self, "report_map", tuple(map(int, self.report_map)))
 
     @property
     def is_full_effort(self) -> bool:
@@ -100,7 +102,7 @@ def enumerate_pure_strategies(labels: LabelSpace | int) -> list:
     k = labels if isinstance(labels, int) else len(labels)
     efforts, maps = pure_strategy_arrays(k)
     by_position = list(Effort)
-    return [Strategy(by_position[e], tuple(m)) for e, m in zip(efforts.tolist(), maps.tolist())]
+    return [Strategy(by_position[e], m) for e, m in zip(efforts.tolist(), maps.tolist())]
 
 
 def strategy_arrays(strategies: list, k: int) -> tuple:

@@ -46,6 +46,7 @@ from peerspot import (
     ShapeMismatch,
     Strategy,
     check_pareto_bound_condition,
+    check_worthwhile_effort,
     compute_payoff_table,
     compute_thresholds,
     construct_dominated_environment,
@@ -281,8 +282,8 @@ class TestSeparableCertification:
         points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
         bases = np.arange(len(table.strategies))
         dense = _gain_at(points[:, None, None], *table.gain_lines(cost, bases)).max(axis=2) <= tol
-        _, certified = table.certify(np.repeat(points, len(bases)), cost, tol, np.tile(bases, len(points)))
-        assert np.array_equal(certified.reshape(dense.shape), dense)
+        _, certified = table.certify(points[:, None], cost, tol, bases)  # one probe axis before the bases'
+        assert np.array_equal(certified, dense)
         lo, hi = _certified_intervals(table, cost, points, tol, bases)
         index = np.arange(len(points))[:, None]
         assert np.array_equal((index >= lo) & (index <= hi), dense)
@@ -323,6 +324,13 @@ class TestSeparableCertification:
         table = compute_payoff_table(OA, env)
         with pytest.raises(PeerSpotError, match=r"p must lie in \[0, 1\]"):
             is_symmetric_equilibrium(table, truthful_strategy(2), p, 0.0)
+
+    @pytest.mark.parametrize("p, cost", [(-0.1, 0.0), (0.5, -0.1), (math.nan, math.nan)])
+    def test_certify_refuses_p_and_cost_before_reading_a_gain(self, env, monkeypatch, p, cost):
+        table = compute_payoff_table(OA, env)
+        monkeypatch.setattr(PayoffTable, "kinked_gains", lambda *args: pytest.fail("a gain was read"))
+        with pytest.raises(PeerSpotError, match=r"p must lie in \[0, 1\]|effort_cost must be"):
+            table.certify(p, cost, DEFAULT_TOL, [strategies.TRUTHFUL])
 
 
 class TestKinkedGains:
@@ -848,6 +856,14 @@ class TestCostBoundary:
         "is_symmetric_equilibrium": lambda env, cost: is_symmetric_equilibrium(
             compute_payoff_table(OA, env), truthful_strategy(2), 0.0, cost
         ),
+        "PayoffTable.certify": lambda env, cost: compute_payoff_table(OA, env).certify(
+            0.0, cost, DEFAULT_TOL, [strategies.TRUTHFUL]
+        ),
+        "solve_p_ds": lambda env, cost: solve_p_ds(compute_payoff_table(OA, env), cost),
+        "solve_p_el": lambda env, cost: solve_p_el(compute_payoff_table(OA, env), cost),
+        "solve_p_ex": lambda env, cost: solve_p_ex(compute_payoff_table(OA, env), cost),
+        "solve_p_pareto": lambda env, cost: solve_p_pareto(compute_payoff_table(OA, env), cost),
+        "check_worthwhile_effort": lambda env, cost: check_worthwhile_effort(compute_payoff_table(OA, env), cost),
     }
 
     @pytest.mark.parametrize("call", CALLS)

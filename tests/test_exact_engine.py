@@ -2,6 +2,8 @@
 
 * The per-cell evaluators in ``per_cell_oracle`` rebuild every table cell
   with loops over observations; the batched tables must equal them to 1e-12.
+* At k=4 and k=5 a seeded sample of (deviant, base) cells of every kind and rule
+  must equal the per-cell evaluators to the same tolerances.
 * Relabelling an environment's labels must permute every table to match: the
   gathered (deviant, base) matrix at k=3, and the per-observation terms V and
   A at k=4 and k=5.
@@ -39,7 +41,7 @@ from peerspot import (
     enumerate_pure_strategies,
     reference_environment,
 )
-from peerspot._expectations import audit_rewards
+from peerspot._expectations import audit_rewards, strategy_rewards
 from peerspot.acceptance import _random_acceptance_environments
 from peerspot.equilibrium import compute_payoff_table
 from peerspot.harness import generate_environments
@@ -209,6 +211,26 @@ def table_digest(spec: MechanismSpec, env: Environment) -> str:
 def test_table_bytes_are_pinned(labels):
     env = generate_environments(labels, 1, seed=3, prefix="bench")[0]
     assert {spec_id(spec): table_digest(spec, env) for spec in specs_for(env)} == TABLE_DIGESTS[labels]
+
+
+SAMPLED_CELLS = 32  # (deviant, base) cells per kind, rule and label count
+
+
+@pytest.mark.parametrize("spec", K3_SPECS, ids=spec_id)
+@pytest.mark.parametrize("labels", [4, 5])
+def test_sampled_cells_match_per_cell_oracle(labels, spec):
+    """A seeded sample of cells on the seed-3 environment of the benchmark's sweeps: the
+    batched engine, run on the sampled bases only, against the per-cell evaluators.  The
+    cost grows with the sample, not with S^2."""
+    env = generate_environments(labels, 1, seed=3, prefix="bench")[0]
+    efforts, maps = pure_strategy_arrays(labels)
+    rng = np.random.default_rng((labels, K3_SPECS.index(spec)))
+    deviants, bases = rng.integers(len(efforts), size=(2, SAMPLED_CELLS))
+    terms = unchecked_rewards(spec, env, (efforts[bases], maps[bases]))
+    batched = strategy_rewards(terms, efforts[deviants], maps[deviants], np.arange(SAMPLED_CELLS))
+    strategy = lambda s: Strategy(list(Effort)[efforts[s]], maps[s])
+    oracle = np.array([oracle_value(spec, env, strategy(g), strategy(d)) for d, g in zip(deviants, bases)])
+    assert_matches_oracle(batched, oracle)
 
 
 def relabel_environment(env: Environment, perm: tuple) -> Environment:

@@ -1,6 +1,6 @@
-"""The README's library quickstart runs as written against this checkout, its config example
-parses, the counts it states of pinned Monte-Carlo estimates match the pins, and its Layout
-block names the package's modules."""
+"""The README's library quickstart runs as written against this checkout and prints the values
+its comments state, its config example parses, the counts it states of pinned Monte-Carlo
+estimates match the pins, and its Layout block names the package's modules."""
 
 import json
 import re
@@ -15,12 +15,27 @@ PINNED = Path(__file__).with_name("pinned_estimates.json")
 PINNED_COUNT = re.compile(r"float\.hex\s+of\s+(\d+)\s+Monte-Carlo\s+estimates|pins\s+(\d+)\s+of\s+them")
 
 
+def stated(got: float, want: str) -> bool:
+    """Whether a printed value matches a comment's: "~x" to x's decimals, "x" exactly."""
+    if want.startswith("~"):
+        return abs(got - float(want[1:])) <= 0.5 * 10.0 ** -len(want.split(".")[1])
+    return got == float(want)
+
+
 def test_python_blocks_run(capsys):
+    """Every python block runs.  The quickstart prints the thresholds at cost 0.1 (one line),
+    then ``p_pareto`` at each other cost (the last field of one line per cost), each as the
+    comment of its ``print`` states."""
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
-    assert "0.56" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    thresholds, per_cost = (comment.split(", ") for comment in re.findall(r"print\(.*\)\s+#\s*(.+)", blocks[0]))
+    printed = [float(x) for x in lines[0].split()]
+    pareto = [float(line.split()[-1]) for line in lines[1 : 1 + len(per_cost)]]
+    assert len(printed) == len(thresholds) and all(map(stated, printed, thresholds)), (lines[0], thresholds)
+    assert all(map(stated, pareto, per_cost)), (pareto, per_cost)
 
 
 def test_config_example_parses():

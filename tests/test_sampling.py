@@ -489,6 +489,18 @@ def test_numpy_integer_trials_and_seed_accepted():
     assert est == simulate_utilities(spec, ENVS[2], profile, trials=50, seed=7)
 
 
+def test_list_report_map_gives_the_tuple_maps_estimate():
+    """A report map given as a list is kept as a tuple of ints, so the sampler cache takes
+    the strategy and the estimate is the tuple map's, bit for bit."""
+    spec, env = MechanismSpec(MechanismKind.OUTPUT_AGREEMENT), reference_environment()
+    hexes = []
+    for report_map in ([0, 1], (0, 1)):
+        _sampling._sampler.cache_clear()
+        est = simulate_utilities(spec, env, StrategyProfile(Strategy(Effort.FULL, report_map)), trials=10, seed=1)
+        hexes.append((float.hex(est.value), float.hex(est.stderr), est.samples))
+    assert hexes[0] == hexes[1]
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_agents_and_objects_cost_nothing_per_agent_or_object(monkeypatch, spec):
     """A billion agents and objects: every count over them is drawn from its law, and no

@@ -119,6 +119,15 @@ class TestReportMapsMatchTheLabels:
         assert strategy == truthful_strategy(2) and strategy.describe() == "full:[0,1]"
         assert expected_spot_reward(env, strategy) == pytest.approx(0.32, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "report_map", [tuple(np.arange(2)), [0, 1], np.arange(2)], ids=["numpy-ints", "list", "array"]
+    )
+    def test_maps_are_kept_as_tuples_of_ints(self, report_map):
+        # Equal maps give equal, hashable strategies, whatever sequence they came as.
+        strategy = Strategy(Effort.FULL, report_map)
+        assert strategy == truthful_strategy(2) and hash(strategy) == hash(truthful_strategy(2))
+        assert type(strategy.report_map) is tuple and all(type(i) is int for i in strategy.report_map)
+
     @pytest.mark.parametrize("effort", ["full", "none", 0, None])
     def test_effort_must_be_an_effort(self, effort):
         with pytest.raises(ShapeMismatch, match=f"^effort must be an Effort, got {re.escape(repr(effort))}$"):

@@ -1,6 +1,6 @@
 """Relations between thresholds across environments, offsets and costs.
 
-Over seeded environments at k = 2-4 and every spec whose label rule admits them:
+Over seeded environments at k = 2-5 and every spec whose label rule admits them:
 
 (a) renaming the labels leaves every threshold's status unchanged, and every value within
     rounding;
@@ -9,7 +9,9 @@ Over seeded environments at k = 2-4 and every spec whose label rule admits them:
 (c) ``p_ds`` is linear in the effort cost, and ``p_el`` and ``p_ex`` never decrease as it
     grows;
 (d) where ``p_pareto``, ``p_el`` and ``p_ex`` are all attained,
-    ``p_pareto >= min(p_el, p_ex) - grid``.
+    ``p_pareto >= min(p_el, p_ex) - grid``;
+(e) the best no-effort base is certified at p = 0 at every cost, so ``p_el`` is never
+    ``not_applicable``: the coordination equilibrium cannot be avoided without audits.
 
 The bounds of (a) and (b) are rounding, not slack.  Neither change moves a deviation gain,
 a utility difference or an audit gap by more than a few units of rounding, so the closed
@@ -27,7 +29,7 @@ import numpy as np
 import pytest
 
 from peerspot import MechanismKind, MechanismSpec, compute_payoff_table, compute_thresholds
-from peerspot.equilibrium import DEFAULT_GRID, NOT_APPLICABLE, NOT_FOUND, REFINE, NotAttained
+from peerspot.equilibrium import DEFAULT_GRID, DEFAULT_TOL, NOT_APPLICABLE, NOT_FOUND, REFINE, NotAttained
 
 from conftest import random_environment, spec_id, specs_for
 from test_exact_engine import relabel_environment
@@ -36,9 +38,9 @@ COSTS = (0.0, 0.01, 0.05, 0.1, 0.2, 0.4)
 CLOSED_FORM = 1e-12  # absolute; every threshold lies in [0, 1]
 BOUNDS = {"p_ds": CLOSED_FORM, "p_el": REFINE, "p_ex": CLOSED_FORM, "p_pareto": DEFAULT_GRID}
 THRESHOLDS = tuple(BOUNDS)
-# (labels, seed): three environments per label count, the odd seed's with an informative
-# shared draw.
-CASES = [(labels, seed) for labels in (2, 3, 4) for seed in (0, 1, 2)]
+# (labels, seed): three environments per label count up to 4, the odd seed's with an
+# informative shared draw, and one at k=5.
+CASES = [(labels, seed) for labels in (2, 3, 4) for seed in (0, 1, 2)] + [(5, 0)]
 
 
 def environment(labels: int, seed: int):
@@ -129,3 +131,16 @@ def test_pareto_threshold_is_not_below_elimination_or_overtaking(labels, seed):
             if any(isinstance(x, NotAttained) for x in values):
                 continue
             assert row.p_pareto >= min(row.p_el, row.p_ex) - row.grid, f"{spec_id(spec)} at cost {cost}: {row}"
+
+
+@pytest.mark.parametrize("labels, seed", CASES)
+def test_coordination_base_is_certified_unaudited(labels, seed):
+    """Unaudited, the best no-effort base is an equilibrium at every cost (a higher cost only
+    makes a full-effort deviation worse), so ``p_el`` always has a coordination equilibrium
+    to eliminate."""
+    env = environment(labels, seed)
+    for spec in specs_for(env):
+        table = compute_payoff_table(spec, env)
+        for cost, row in zip(COSTS, reports(spec, env)):
+            (_,), (certified,) = table.certify(0.0, cost, DEFAULT_TOL, [table.best_no_effort])
+            assert certified and row.p_el is not NOT_APPLICABLE, f"{spec_id(spec)} at cost {cost}: {row}"
