@@ -7,7 +7,7 @@ and both rewards are sums of per-observation terms, so the table holds those
 terms (O(S k^2) numbers, not an S x S matrix) plus each symmetric profile's own
 unchecked reward and each strategy's audit reward.  Every entry is an exact
 expectation, so an equilibrium is certified when no deviation gains more than
-an absolute tolerance.
+``TOL``.
 
 ``PayoffTable.gain_lines`` is the one definition of a deviation gain: a dense
 row of lines in p over every deviant.  Combined utilities p * E[y] + (1 - p) *
@@ -17,16 +17,17 @@ linear in p.  That gain is built once per base from its kinks, merged over
 observations, and a running sum of slope times step
 (``PayoffTable.kinked_gains``), and every certification reads it through
 ``PayoffTable.certify``, at given points and at the probes that confirm each
-base's interval of certified p.  A gain within a stated rounding slack of the
-tolerance is decided by the base's dense row instead, so every decision equals
+base's interval of certified p.  A gain within a stated rounding slack of
+``TOL`` is decided by the base's dense row instead, so every decision equals
 the dense row's.  ``p_pareto`` is solved from those intervals and reported at
 the grid point a dense scan would find; ``p_el`` still scans one dense row over
 the grid for its bracket before bisecting.
 
 A threshold grid is 1/n for an integer n from 1 to 1 / ``MIN_GRID``: ``GRID`` states
 the rule once, as ``signals.COST`` does the cost's, and ``_grid_points`` checks it before
-it builds the points.  Only ``PayoffTable.certify`` and the solvers that certify take a
-``tol``; the other entry points certify at ``DEFAULT_TOL``.
+it builds the points.  Every certification, and every comparison of utilities a solver
+makes, is at the one tolerance ``TOL``, and the closed forms use it as their rounding slack.
+Each function reads it when called, so a test that needs exact ties patches it to 0.
 
 Thresholds solved here:
 
@@ -55,7 +56,7 @@ from .signals import COST, Environment
 from .strategies import EFFORT_COST, NO_EFFORT, TRUTHFUL, Strategy, enumerate_pure_strategies, low_identity_index
 from .strategies import pure_strategy_arrays, strategy_arrays
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9  # a profile is certified when no deviation gains more; read at each call
 DEFAULT_GRID = 1e-3
 # The finest threshold grid.  The p_el scan walks 1 / grid + 1 points in Python and p_pareto
 # allocates as many per row: one compute_thresholds on the bundled e1 output-agreement table
@@ -106,6 +107,15 @@ def _check(rule, name: str, value) -> None:
     """Raise InvalidDistribution unless ``value`` passes ``rule`` (``COST`` or ``GRID``)."""
     if not rule[0](value):
         raise InvalidDistribution(f"{name} must be {rule[1]}, got {value}")
+
+
+def _check_p(p) -> np.ndarray:
+    """``p`` as a float array, refused with a PeerSpotError unless every entry lies in [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    inside = (p >= 0.0) & (p <= 1.0)  # NaN fails both
+    if not inside.all():
+        raise PeerSpotError(f"audit probability p must lie in [0, 1], got {float(p[~inside][0])!r}")
+    return p
 
 
 def _grid_points(grid) -> np.ndarray:
@@ -196,14 +206,19 @@ class PayoffTable:
         return int(np.flatnonzero((self.efforts == efforts[0]) & (self.maps == maps[0]).all(axis=1))[0])
 
     def utilities(self, p, cost: float, bases=slice(None)) -> np.ndarray:
-        """Utility of each symmetric profile in ``bases`` (all by default) at audit probability p."""
+        """Utility of each symmetric profile in ``bases`` (all by default) at audit probability p,
+        refusing p and the cost as ``certify`` does."""
+        _check_p(p)
+        _check(COST, "effort_cost", cost)
         return p * self.spot[bases] + (1.0 - p) * self.own[bases] - cost * self.full_effort[bases]
 
     def gain_lines(self, cost: float, bases) -> tuple:
         """Deviation gains against the symmetric bases ``bases`` as lines in the audit
         probability: (g0, g1), one row per base and one column per deviant strategy.
         The gain at p is ``(1 - p) * g0 + p * g1`` (``_gain_at``); this is the one
-        definition of a deviation gain, and every certification agrees with it."""
+        definition of a deviation gain, and every certification agrees with it.  A cost
+        outside ``signals.COST`` is refused."""
+        _check(COST, "effort_cost", cost)
         spot, full, own = self.spot, self.full_effort, self.own
         bases = np.asarray(bases)
         z = strategy_rewards(self.unchecked_terms[bases], self.efforts, self.maps)
@@ -250,7 +265,7 @@ class PayoffTable:
             self._kinked = pieces, filled, width
         return tuple(np.take(pieces[:, :, :width], bases, axis=3))
 
-    def certify(self, p, cost: float, tol: float, bases) -> tuple:
+    def certify(self, p, cost: float, bases) -> tuple:
         """(largest deviation gain, certified) against each base in ``bases`` at audit
         probability ``p``: one value, one per base, or one per base after leading probe axes,
         giving results of shape ``np.broadcast_shapes(p.shape, bases.shape)``.  A p outside
@@ -258,23 +273,20 @@ class PayoffTable:
 
         Each effort's gain is convex (``kinked_gains``), so at p it is the largest of its
         pieces' lines.  A gain within the rounding slack ``VERIFY_SLACK * (magnitude + cost)``
-        of ``tol`` is replaced by the largest entry of its dense ``gain_lines`` row, so the
-        decision is the dense row's ``max <= tol`` at every p.
+        of ``TOL`` is replaced by the largest entry of its dense ``gain_lines`` row, so the
+        decision is the dense row's ``max <= TOL`` at every p.
         """
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        inside = (p >= 0.0) & (p <= 1.0)  # NaN fails both
-        if not inside.all():
-            raise PeerSpotError(f"audit probability p must lie in [0, 1], got {float(p[~inside][0])!r}")
+        p = np.atleast_1d(_check_p(p))
         _check(COST, "effort_cost", cost)
         bases = np.asarray(bases)
         kinks, gains, slopes = self.kinked_gains(bases)
         costs = cost * (EFFORT_COST[:, None] - self.full_effort[bases])[:, None]
         gain = (gains + slopes * (p[..., None, None, :] - kinks) - costs).max(axis=(-3, -2))
-        unsure = np.nonzero(np.abs(gain - tol) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
+        unsure = np.nonzero(np.abs(gain - TOL) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
         if unsure[0].size:
             at = np.broadcast_to(p, gain.shape)[unsure][:, None]
             gain[unsure] = _gain_at(at, *self.gain_lines(cost, bases[unsure[-1]])).max(axis=1)
-        return gain, gain <= tol
+        return gain, gain <= TOL
 
 
 def _report_kinks(level: np.ndarray, rise: np.ndarray) -> tuple:
@@ -330,25 +342,25 @@ def compute_payoff_table(mechanism: MechanismSpec, env: Environment) -> PayoffTa
 
 def _best_no_effort_index(efforts, spot, k: int) -> int:
     """Best no-effort strategy by audit reward ``spot``: scanning in canonical order from the
-    identity map, a strategy replaces the best only when it beats it by more than DEFAULT_TOL."""
+    identity map, a strategy replaces the best only when it beats it by more than TOL."""
     best = low_identity_index(k)
-    for i in np.flatnonzero(np.asarray(spot) > spot[best] + DEFAULT_TOL):
-        if efforts[i] == NO_EFFORT and spot[i] > spot[best] + DEFAULT_TOL:
+    for i in np.flatnonzero(np.asarray(spot) > spot[best] + TOL):
+        if efforts[i] == NO_EFFORT and spot[i] > spot[best] + TOL:
             best = int(i)
     return best
 
 
 def is_symmetric_equilibrium(table: PayoffTable, strategy: Strategy, p: float, cost: float) -> EquilibriumRecord:
-    """Certify a symmetric profile: no pure deviation improves by more than ``DEFAULT_TOL``."""
+    """Certify a symmetric profile: no pure deviation improves by more than ``TOL``."""
     base_index = table.index_of(strategy)
-    (max_gain,), (certified,) = table.certify(p, cost, DEFAULT_TOL, [base_index])
+    (max_gain,), (certified,) = table.certify(p, cost, [base_index])
     utility = float(table.utilities(p, cost)[base_index])
     return EquilibriumRecord(strategy, utility, float(max_gain), certified=bool(certified))
 
 
 def enumerate_symmetric_pure_equilibria(table: PayoffTable, p: float, cost: float) -> list:
-    """All symmetric pure equilibria certified at ``DEFAULT_TOL``, sorted by utility descending."""
-    max_gains, certified = table.certify(p, cost, DEFAULT_TOL, np.arange(len(table.own)))
+    """All symmetric pure equilibria certified at ``TOL``, sorted by utility descending."""
+    max_gains, certified = table.certify(p, cost, np.arange(len(table.own)))
     utilities = table.utilities(p, cost)
     records = [
         EquilibriumRecord(table.strategies[b], float(utilities[b]), float(max_gains[b]), certified=True)
@@ -370,10 +382,10 @@ def solve_p_ds(table: PayoffTable, cost: float):
     enter, so any mechanism's table for the environment gives the same value."""
     _check(COST, "effort_cost", cost)
     gap = float(table.spot[table.truthful]) - float(table.spot[table.best_no_effort])
-    if gap <= DEFAULT_TOL:
+    if gap <= TOL:
         return NOT_ACHIEVABLE
     p = cost / gap
-    if p > 1.0 + DEFAULT_TOL:
+    if p > 1.0 + TOL:
         return NOT_ACHIEVABLE
     return min(p, 1.0)
 
@@ -418,7 +430,7 @@ def solve_p_ds_bisection(env: Environment, cost: float):
     return hi
 
 
-def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
+def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID):
     """Smallest audit probability eliminating the report-the-shared-draw equilibrium.
 
     The best response is recomputed at every probed probability; the
@@ -433,20 +445,20 @@ def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol:
     def max_gain(p: float) -> float:
         return float(_gain_at(p, g0, g1).max())
 
-    if max_gain(0.0) > tol:
+    if max_gain(0.0) > TOL:
         return NOT_APPLICABLE
-    if max_gain(1.0) <= tol:
+    if max_gain(1.0) <= TOL:
         return NOT_FOUND
     lo = 0.0
     hi = 1.0
     for p in points:
-        if max_gain(float(p)) > tol:
+        if max_gain(float(p)) > TOL:
             hi = float(p)
             break
         lo = float(p)
     while hi - lo > REFINE:
         mid = 0.5 * (lo + hi)
-        if max_gain(mid) > tol:
+        if max_gain(mid) > TOL:
             hi = mid
         else:
             lo = mid
@@ -462,17 +474,17 @@ def solve_p_ex(table: PayoffTable, cost: float):
     z_gg = table.own[g]
     gap0 = (z_tt - cost) - z_gg
     slope = (table.spot[t] - table.spot[g]) - (z_tt - z_gg)
-    if gap0 >= -DEFAULT_TOL:
+    if gap0 >= -TOL:
         return 0.0
-    if slope <= DEFAULT_TOL:
+    if slope <= TOL:
         return NOT_APPLICABLE
     p = float(-gap0 / slope)
-    if p > 1.0 + DEFAULT_TOL:
+    if p > 1.0 + TOL:
         return NOT_APPLICABLE
     return min(p, 1.0)
 
 
-def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
+def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID):
     """Smallest grid probability at which the truthful profile is a certified
     equilibrium and weakly best among all certified symmetric pure equilibria,
     or NOT_FOUND.
@@ -480,16 +492,16 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
     Each base is certified on one interval of grid points
     (``_certified_intervals``), and the truthful profile's interval is the
     span searched.  A point of the span fails when a base certified there has
-    a utility above the truthful utility plus ``tol``; the answer is the first
-    point that no base rules out (``_ruled_out``).  Certification is the dense
-    gain row's decision and utilities at a grid point are compared with the
-    dense scan's expressions, so the answer is the grid point that scan
-    returns.
+    a utility above the truthful utility plus ``TOL``; the answer is the first
+    point that no base rules out (``_ruled_out``).  Certification at ``TOL`` is
+    the dense gain row's decision and utilities at a grid point are compared
+    with the dense scan's expressions, so the answer is the grid point that
+    scan returns.
     """
     _check(COST, "effort_cost", cost)
     t = table.truthful
     points = _grid_points(grid)
-    (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, tol, np.array([t]))
+    (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, np.array([t]))
     if t_lo > t_hi:
         return NOT_FOUND
     # A base's lead over truthful utility is affine in p, so its largest value on
@@ -497,25 +509,25 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
     at_ends = table.utilities(points[[t_lo, t_hi]][:, None], cost)
     lead = at_ends - at_ends[:, t : t + 1]
     slack = VERIFY_SLACK * (table.magnitude + table.magnitude[t] + 2.0 * cost)
-    rivals = np.flatnonzero(lead.max(axis=0) > tol - slack)
+    rivals = np.flatnonzero(lead.max(axis=0) > TOL - slack)
     if not rivals.size:
         return float(points[t_lo])
-    lo, hi = _certified_intervals(table, cost, points, tol, rivals)
+    lo, hi = _certified_intervals(table, cost, points, rivals)
     meets = (lo <= hi) & (lo <= t_hi) & (hi >= t_lo)
     rivals = rivals[meets]
     windows = np.maximum(lo[meets], t_lo), np.minimum(hi[meets], t_hi)
-    free = np.flatnonzero(~_ruled_out(table, cost, points, tol, rivals, windows, slack[rivals], (t_lo, t_hi)))
+    free = np.flatnonzero(~_ruled_out(table, cost, points, rivals, windows, slack[rivals], (t_lo, t_hi)))
     if not free.size:
         return NOT_FOUND
     return float(points[t_lo + free[0]])
 
 
-def _ruled_out(table: PayoffTable, cost: float, points, tol: float, rivals, windows: tuple, slack, span: tuple):
+def _ruled_out(table: PayoffTable, cost: float, points, rivals, windows: tuple, slack, span: tuple):
     """Which grid points of ``span`` = (first, last) some base in ``rivals`` rules out:
     it is certified there (its window, from ``windows`` = (first, last) per base) and its
-    utility beats the truthful one plus ``tol`` by the dense scan's comparison.
+    utility beats the truthful one plus ``TOL`` by the dense scan's comparison.
 
-    A base's lead over the truthful utility plus tol is affine in p.  Where it clears the
+    A base's lead over the truthful utility plus TOL is affine in p.  Where it clears the
     rounding ``slack`` at both window ends, the base rules out its whole window, and where
     it misses by more at both, nothing.  Otherwise the lead crosses zero once: the part of
     the window past the crossing by more than the slack is ruled out whole, and the grid
@@ -526,7 +538,7 @@ def _ruled_out(table: PayoffTable, cost: float, points, tol: float, rivals, wind
 
     def lead(index, cols):  # > 0 exactly where the dense scan finds the base beats truthful
         p = points[index]
-        return table.utilities(p, cost, cols) - (table.utilities(p, cost, t) + tol)
+        return table.utilities(p, cost, cols) - (table.utilities(p, cost, t) + TOL)
 
     first, last = span
     a, b = windows
@@ -559,14 +571,14 @@ def _ruled_out(table: PayoffTable, cost: float, points, tol: float, rivals, wind
     return ruled
 
 
-def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, tol: float, cols: np.ndarray):
+def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, cols: np.ndarray):
     """Grid-index interval [lo, hi] on which each base in ``cols`` is a certified
     symmetric equilibrium; lo > hi when it is certified at no grid point.
 
     Each effort's best deviation gain is convex and piecewise linear in p
-    (``PayoffTable.kinked_gains``), so it stays within its effort's tol on one
-    interval, found between the kinks where it crosses; the base is certified
-    where both intervals meet.  A kink counts as within tol up to the rounding
+    (``PayoffTable.kinked_gains``), so it stays within ``TOL`` on one interval,
+    found between the kinks where it crosses; the base is certified where both
+    efforts' intervals meet.  A kink counts as within TOL up to the rounding
     slack of ``PayoffTable.certify``, so a zero plateau read a few ulps high
     still gives its interval.  The ends are rounded onto the grid and confirmed
     by ``PayoffTable.certify`` at each end and one point outside it, so every
@@ -577,7 +589,7 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
     cols = np.asarray(cols)
     n = len(points) - 1
     kinks, gains, slopes = table.kinked_gains(cols)
-    excess = gains - (tol + cost * (EFFORT_COST[:, None] - table.full_effort[cols]))[:, None]  # <= 0 within tol
+    excess = gains - (TOL + cost * (EFFORT_COST[:, None] - table.full_effort[cols]))[:, None]  # <= 0 within TOL
     slack = VERIFY_SLACK * (table.magnitude[cols] + cost)
     within = excess <= slack
     over = np.where(within, np.minimum(excess, 0.0), excess)  # an end lies at or past a kink within
@@ -600,10 +612,10 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, to
 
     probes = np.array((lo - 1, lo, hi, hi + 1))
     expected = (lo <= probes) & (probes <= hi)
-    certified = table.certify(points[np.clip(probes, 0, n)], cost, tol, cols)[1]
+    certified = table.certify(points[np.clip(probes, 0, n)], cost, cols)[1]
     misplaced = (certified != expected) & (probes >= 0) & (probes <= n)
     for j in np.flatnonzero(misplaced.any(axis=0)):
-        decide = lambda i: bool(table.certify(points[i], cost, tol, cols[[j]])[1][0])
+        decide = lambda i: bool(table.certify(points[i], cost, cols[[j]])[1][0])
         lo[j], hi[j] = _settle_interval(decide, int(lo[j]), int(hi[j]), n)
     return lo, hi
 
@@ -628,18 +640,18 @@ def _settle_interval(certified, lo: int, hi: int, n: int) -> tuple:
     return first, a
 
 
-def check_pareto_bound_condition(table: PayoffTable, tol: float = DEFAULT_TOL) -> bool:
+def check_pareto_bound_condition(table: PayoffTable) -> bool:
     """Sufficient condition for the dominance comparison: at zero cost and zero
     audit probability, the report-the-shared-draw profile is an equilibrium and
-    weakly Pareto dominates the truthful profile."""
+    weakly Pareto dominates the truthful profile, both up to ``TOL``."""
     t, g = table.truthful, table.best_no_effort
-    (_,), (equilibrium,) = table.certify(0.0, 0.0, tol, [g])
-    return bool(equilibrium and table.own[g] + tol >= table.own[t])
+    (_,), (equilibrium,) = table.certify(0.0, 0.0, [g])
+    return bool(equilibrium and table.own[g] + TOL >= table.own[t])
 
 
 def compute_thresholds(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID) -> ThresholdReport:
     """All four thresholds plus the sufficient-condition flag at one effort cost, checked by
-    ``signals.COST``, on a grid checked by ``GRID``, certified at ``DEFAULT_TOL``.  The solvers
+    ``signals.COST``, on a grid checked by ``GRID``, certified at ``TOL``.  The solvers
     check both, ``solve_p_ds`` the cost before any grid is read."""
     return ThresholdReport(
         p_ds=solve_p_ds(table, cost),
@@ -659,18 +671,18 @@ def construct_dominated_environment(mechanism: MechanismSpec, candidates: list, 
     composed environment reuses one candidate's high channel as the shared
     low channel of another whose truthful payoff is no larger, so gathering
     the costly signal buys nothing the shared draw does not already provide.
-    Returns NOT_FOUND when no elicitable ordered pair qualifies.  Certifies at ``DEFAULT_TOL``.
+    Returns NOT_FOUND when no elicitable ordered pair qualifies.  Certifies at ``TOL``.
     """
     _check(COST, "effort_cost", cost)
     elicitable = []
     for env in candidates:
         table = compute_payoff_table(mechanism, env)
-        (_,), (certified,) = table.certify(0.0, 0.0, DEFAULT_TOL, [TRUTHFUL])
+        (_,), (certified,) = table.certify(0.0, 0.0, [TRUTHFUL])
         if certified:
             elicitable.append((env, table.utilities(0.0, 0.0, TRUTHFUL)))
     for donor, donor_payoff in elicitable:
         for host, host_payoff in elicitable:
-            if donor_payoff < host_payoff - DEFAULT_TOL:
+            if donor_payoff < host_payoff - TOL:
                 continue
             if len(donor.q_space) != len(host.q_space):
                 continue
@@ -681,8 +693,8 @@ def construct_dominated_environment(mechanism: MechanismSpec, candidates: list, 
             )
             table = compute_payoff_table(mechanism, composed)
             g = table.best_no_effort
-            (_,), (certified,) = table.certify(0.0, cost, DEFAULT_TOL, [g])
+            (_,), (certified,) = table.certify(0.0, cost, [g])
             utilities = table.utilities(0.0, cost)
-            if certified and utilities[g] > utilities[TRUTHFUL] + DEFAULT_TOL:
+            if certified and utilities[g] > utilities[TRUTHFUL] + TOL:
                 return composed
     return NOT_FOUND

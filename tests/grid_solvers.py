@@ -21,7 +21,11 @@ grid points one at a time.
 deviation gain against the coordination base as the deviant's combined
 utility minus the base's, where ``peerspot.equilibrium.solve_p_el`` reads the
 lines of ``PayoffTable.gain_lines``.  The two round exact ties differently at
-tol = 0, so compare them at a positive tol.
+a tolerance of 0, so compare them at ``equilibrium.TOL``, never with it patched to 0.
+
+The package certifies at the one constant ``equilibrium.TOL``, which an exact-tie test
+patches to 0.  The references here take the tolerance as an explicit ``tol`` instead
+(``TOL`` by default), so such a test passes them the value it patched in.
 
 ``best_effort_values`` is the package's former separable best response: the
 best deviant per effort at given points, read without kinks, against which the
@@ -35,10 +39,10 @@ import numpy as np
 from peerspot._expectations import strategy_rewards
 from peerspot.equilibrium import (
     DEFAULT_GRID,
-    DEFAULT_TOL,
     NOT_APPLICABLE,
     NOT_FOUND,
     REFINE,
+    TOL,
     PayoffTable,
     _gain_at,
 )
@@ -71,7 +75,7 @@ def best_effort_values(table: PayoffTable, p, bases) -> np.ndarray:
     return (level + at * (table.audit_terms - level)).max(axis=-1).sum(axis=-1).T
 
 
-def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
+def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = TOL):
     """Smallest grid probability at which the truthful profile is a certified
     equilibrium and weakly best among all certified symmetric pure equilibria,
     or NOT_FOUND."""
@@ -96,7 +100,7 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, 
     return float(points[int(np.argmax(feasible))])
 
 
-def scan_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
+def scan_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = TOL):
     """``solve_p_pareto`` one grid point at a time, stopping at the first feasible one.
 
     Every value it compares is computed by the same expression as in the dense
@@ -117,7 +121,7 @@ def scan_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, t
     return NOT_FOUND
 
 
-def scan_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = DEFAULT_TOL):
+def scan_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID, tol: float = TOL):
     """Smallest audit probability eliminating the report-the-shared-draw equilibrium:
     the first grid point where some deviation gains more than ``tol``, then bisection."""
     # Each gain is the deviant's combined utility minus the base's; terms without p are read once.

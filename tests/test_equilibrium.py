@@ -23,6 +23,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ from peerspot import (
 )
 from peerspot import equilibrium, strategies
 from peerspot.acceptance import _random_acceptance_environments
-from peerspot.equilibrium import DEFAULT_TOL, MIN_GRID, NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
+from peerspot.equilibrium import MIN_GRID, NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
 from peerspot.harness import DEFAULT_EFFORT_COSTS, generate_environments, parse_config, run_experiment
 from peerspot.mechanisms import KINDS
 
@@ -113,7 +114,7 @@ TIE_AT_THREE_TENTHS = _tie_at_three_tenths()
 
 def _zero_plateau() -> PayoffTable:
     """Binary terms under which the no-effort map (1, 0) (index 6) is certified at cost 0
-    and tol 0 exactly on p in [3/8, 5/7]: there its best no-effort deviant is itself, an
+    and TOL = 0 exactly on p in [3/8, 5/7]: there its best no-effort deviant is itself, an
     exactly zero gain that the kinked gain reads as about +1e-16 at both kinks, and full
     effort gains -p / 10 everywhere."""
     terms = np.zeros((8, 2, 2, 2))
@@ -138,7 +139,7 @@ def _against_coordination(unchecked: list, audit: list) -> PayoffTable:
 
 
 # Against the coordination base, the best full-effort deviant earns 2 max(p - 1/2, -1/4):
-# both observations bend at the grid point 1/4, and at cost 0 the gain ties tol = 0
+# both observations bend at the grid point 1/4, and at cost 0 the gain ties TOL = 0
 # exactly at the grid point 1/2, the end of the base's interval.
 COINCIDENT_KINKS = _against_coordination([[-0.5, -0.25], [-0.5, -0.25]], [[0.5, -0.25], [0.5, -0.25]])
 # There it earns max(p / 4, -p / 4) + max(0, (p - 1) / 4) = p / 4: the first observation's
@@ -263,28 +264,29 @@ class TestEquilibriumCertification:
 
 class TestSeparableCertification:
     """Certification reads each effort's kinked gain, the best response per observation
-    over p, and falls back to the dense row near tol, so every decision is the dense row's."""
+    over p, and falls back to the dense row near TOL, so every decision is the dense row's."""
 
     @settings(max_examples=150)
     @given(
         table=eighths_tables(),
         cost=st.sampled_from([0.0, 0.125, 0.25]),
-        tol=st.sampled_from([0.0, 1e-9]),
+        tolerance=st.sampled_from([0.0, 1e-9]),
         grid=st.sampled_from([1e-3, 0.1, 0.125]),
     )
-    @example(table=TIE_AT_THREE_TENTHS, cost=0.125, tol=0.0, grid=1e-3)
-    @example(table=ZERO_PLATEAU, cost=0.0, tol=0.0, grid=1e-3)
-    @example(table=COINCIDENT_KINKS, cost=0.0, tol=0.0, grid=1e-3)
-    @example(table=COINCIDENT_KINKS, cost=0.0, tol=0.0, grid=0.125)
-    @example(table=ENDPOINT_KINKS, cost=0.0, tol=0.0, grid=1e-3)
-    @example(table=ENDPOINT_KINKS, cost=0.125, tol=1e-9, grid=0.1)
-    def test_decisions_and_intervals_are_the_dense_rows(self, table, cost, tol, grid):
+    @example(table=TIE_AT_THREE_TENTHS, cost=0.125, tolerance=0.0, grid=1e-3)
+    @example(table=ZERO_PLATEAU, cost=0.0, tolerance=0.0, grid=1e-3)
+    @example(table=COINCIDENT_KINKS, cost=0.0, tolerance=0.0, grid=1e-3)
+    @example(table=COINCIDENT_KINKS, cost=0.0, tolerance=0.0, grid=0.125)
+    @example(table=ENDPOINT_KINKS, cost=0.0, tolerance=0.0, grid=1e-3)
+    @example(table=ENDPOINT_KINKS, cost=0.125, tolerance=1e-9, grid=0.1)
+    def test_decisions_and_intervals_are_the_dense_rows(self, table, cost, tolerance, grid):
         points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
         bases = np.arange(len(table.strategies))
-        dense = _gain_at(points[:, None, None], *table.gain_lines(cost, bases)).max(axis=2) <= tol
-        _, certified = table.certify(points[:, None], cost, tol, bases)  # one probe axis before the bases'
+        dense = _gain_at(points[:, None, None], *table.gain_lines(cost, bases)).max(axis=2) <= tolerance
+        with mock.patch.object(equilibrium, "TOL", tolerance):
+            _, certified = table.certify(points[:, None], cost, bases)  # one probe axis before the bases'
+            lo, hi = _certified_intervals(table, cost, points, bases)
         assert np.array_equal(certified, dense)
-        lo, hi = _certified_intervals(table, cost, points, tol, bases)
         index = np.arange(len(points))[:, None]
         assert np.array_equal((index >= lo) & (index <= hi), dense)
 
@@ -314,7 +316,7 @@ class TestSeparableCertification:
         table = compute_payoff_table(OA, ternary_env)
         bases = np.arange(len(table.strategies))
         for p in (0.0, 0.37, 1.0):
-            gain, _ = table.certify(p, 0.05, DEFAULT_TOL, bases)
+            gain, _ = table.certify(p, 0.05, bases)
             dense = _gain_at(p, *table.gain_lines(0.05, bases)).max(axis=1)
             np.testing.assert_allclose(gain, dense, rtol=0.0, atol=1e-14)
 
@@ -330,7 +332,51 @@ class TestSeparableCertification:
         table = compute_payoff_table(OA, env)
         monkeypatch.setattr(PayoffTable, "kinked_gains", lambda *args: pytest.fail("a gain was read"))
         with pytest.raises(PeerSpotError, match=r"p must lie in \[0, 1\]|effort_cost must be"):
-            table.certify(p, cost, DEFAULT_TOL, [strategies.TRUTHFUL])
+            table.certify(p, cost, [strategies.TRUTHFUL])
+
+    @pytest.mark.parametrize("p, cost", [(2.0, -1.0), (-0.1, 0.0), (math.nan, 0.0), (0.5, -1.0), (0.5, math.inf)])
+    def test_utilities_refuse_what_certify_refuses(self, env, p, cost):
+        table = compute_payoff_table(OA, env)
+        with pytest.raises(PeerSpotError) as refused:
+            table.certify(p, cost, [strategies.TRUTHFUL])
+        with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
+            table.utilities(p, cost)
+
+    @pytest.mark.parametrize("cost", [math.nan, -1.0, math.inf])
+    def test_gain_lines_refuse_the_cost_certify_refuses(self, env, cost):
+        table = compute_payoff_table(OA, env)
+        with pytest.raises(PeerSpotError) as refused:
+            table.certify(0.5, cost, [strategies.TRUTHFUL])
+        with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
+            table.gain_lines(cost, [0])
+
+
+# Every term is zero but the full-effort deviant's unchecked reward against the coordination
+# base on observation 0, so that base's largest deviation gain at p = 0 and cost 0 is 2**-32:
+# certified at TOL = 1e-9 and not at TOL = 0.  Every other base gains 0 and the two profiles
+# earn 0, so the flag turns on the base alone.
+SMALL_GAIN = _against_coordination([[2.0**-32, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
+
+
+class TestOneTolerance:
+    """Every certifying entry point reads ``equilibrium.TOL`` when called, so patching it
+    moves each decision; one that froze the value would keep its decision."""
+
+    DECISIONS = {
+        "PayoffTable.certify": lambda table: bool(table.certify(0.0, 0.0, [4])[1][0]),
+        "is_symmetric_equilibrium": lambda table: is_symmetric_equilibrium(table, table.strategies[4], 0.0, 0.0).certified,
+        "enumerate_symmetric_pure_equilibria": lambda table: table.strategies[4]
+        in [r.strategy for r in enumerate_symmetric_pure_equilibria(table, 0.0, 0.0)],
+        "check_pareto_bound_condition": check_pareto_bound_condition,
+        "solve_p_el": lambda table: solve_p_el(table, 0.0) is not NOT_APPLICABLE,
+    }
+
+    @pytest.mark.parametrize("decision", DECISIONS)
+    def test_decision_flips_with_the_patched_constant(self, decision):
+        assert SMALL_GAIN.best_no_effort == 4
+        for tolerance, certified in ((0.0, False), (1e-9, True), (0.0, False)):
+            with mock.patch.object(equilibrium, "TOL", tolerance):
+                assert self.DECISIONS[decision](SMALL_GAIN) is certified
 
 
 class TestKinkedGains:
@@ -367,7 +413,7 @@ class TestKinkedGains:
         assert slopes[0, 0, 0] == 0.25
 
     @pytest.mark.parametrize(
-        "table, cost, tol, interval",
+        "table, cost, tolerance, interval",
         [
             (COINCIDENT_KINKS, 0.0, 0.0, (0, 500)),  # the end is an exact tie at a grid point
             (COINCIDENT_KINKS, 0.0, 1e-9, (0, 500)),
@@ -375,19 +421,21 @@ class TestKinkedGains:
             (ENDPOINT_KINKS, 0.125, 0.0, (0, 500)),
         ],
     )
-    def test_interval_of_the_coordination_base(self, table, cost, tol, interval):
+    def test_interval_of_the_coordination_base(self, table, cost, tolerance, interval):
         points = np.linspace(0.0, 1.0, 1001)
-        (lo,), (hi,) = _certified_intervals(table, cost, points, tol, np.array([4]))
+        with mock.patch.object(equilibrium, "TOL", tolerance):
+            (lo,), (hi,) = _certified_intervals(table, cost, points, np.array([4]))
         assert (lo, hi) == interval
 
     def test_probes_fall_back_to_the_dense_row_only_near_tol(self, monkeypatch):
         points = np.linspace(0.0, 1.0, 1001)
         env = generate_environments(4, 1, seed=3, prefix="bench")[0]
-        for table, tol, near in ((compute_payoff_table(OA, env), DEFAULT_TOL, False), (COINCIDENT_KINKS, 0.0, True)):
+        for table, tolerance, near in ((compute_payoff_table(OA, env), 1e-9, False), (COINCIDENT_KINKS, 0.0, True)):
             calls = []
             gain_lines = table.gain_lines
             monkeypatch.setattr(table, "gain_lines", lambda cost, bases: calls.append(bases) or gain_lines(cost, bases))
-            _certified_intervals(table, 0.1, points, tol, np.arange(len(table.strategies)))
+            with mock.patch.object(equilibrium, "TOL", tolerance):
+                _certified_intervals(table, 0.1, points, np.arange(len(table.strategies)))
             assert (len(calls) > 0) is near
 
     def test_five_label_intervals_are_the_dense_rows_at_every_grid_point(self):
@@ -396,14 +444,14 @@ class TestKinkedGains:
         env = generate_environments(5, 1, seed=3, prefix="bench")[0]
         table = compute_payoff_table(OA, env)
         points = np.linspace(0.0, 1.0, 1001)
-        lo, hi = _certified_intervals(table, 0.1, points, DEFAULT_TOL, np.arange(len(table.strategies)))
+        lo, hi = _certified_intervals(table, 0.1, points, np.arange(len(table.strategies)))
         rng = np.random.default_rng(5)
         somewhere = np.flatnonzero(lo <= hi)
         assert somewhere.size
         bases = np.concatenate([rng.choice(somewhere, 16, replace=False), rng.choice(np.flatnonzero(lo > hi), 16)])
         index = np.arange(points.size)
         for b in bases:
-            dense = _gain_at(points[:, None], *table.gain_lines(0.1, [b])).max(axis=1) <= DEFAULT_TOL
+            dense = _gain_at(points[:, None], *table.gain_lines(0.1, [b])).max(axis=1) <= equilibrium.TOL
             assert np.array_equal(dense, (index >= lo[b]) & (index <= hi[b]))
 
 
@@ -503,18 +551,19 @@ class TestEliminationThreshold:
     @given(
         table=eighths_tables(),
         cost=st.sampled_from([0.0, 0.125, 0.25]),
-        tol=st.sampled_from([0.0, 1e-9]),
+        tolerance=st.sampled_from([0.0, 1e-9]),
         grid=st.sampled_from([1e-3, 0.1, 0.125]),
     )
     # Truthful effort gains exactly 0 against coordination at p = 0.3.  At the grid
     # point 0.3 a difference of utilities rounded that gain to 0, its line to above 0.
-    @example(table=TIE_AT_THREE_TENTHS, cost=0.125, tol=0.0, grid=1e-3)
-    def test_bracket_is_the_certified_interval(self, table, cost, tol, grid):
+    @example(table=TIE_AT_THREE_TENTHS, cost=0.125, tolerance=0.0, grid=1e-3)
+    def test_bracket_is_the_certified_interval(self, table, cost, tolerance, grid):
         # The coordination base's certified interval, as p_pareto sees it, brackets p_el.
         points = np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
         n = len(points) - 1
-        (lo,), (hi,) = _certified_intervals(table, cost, points, tol, np.array([table.best_no_effort]))
-        p_el = solve_p_el(table, cost, grid, tol)
+        with mock.patch.object(equilibrium, "TOL", tolerance):
+            (lo,), (hi,) = _certified_intervals(table, cost, points, np.array([table.best_no_effort]))
+            p_el = solve_p_el(table, cost, grid)
         if p_el is NOT_APPLICABLE:
             assert not lo <= 0 <= hi
             return
@@ -598,13 +647,15 @@ class TestParetoAgainstGridSolver:
     @given(
         table=eighths_tables(),
         cost=st.sampled_from([0.0, 0.125, 0.25]),
-        tol=st.sampled_from([0.0, 1e-9]),
+        tolerance=st.sampled_from([0.0, 1e-9]),
         grid=st.sampled_from([1e-3, 0.125, 0.1]),
     )
-    def test_synthetic_tables(self, table, cost, tol, grid):
+    def test_synthetic_tables(self, table, cost, tolerance, grid):
         # Entries in eighths put gain crossings on grid points and make ties,
         # zero gains and flat deviants common.
-        assert repr(solve_p_pareto(table, cost, grid, tol)) == repr(grid_p_pareto(table, cost, grid, tol))
+        with mock.patch.object(equilibrium, "TOL", tolerance):
+            p_pareto = solve_p_pareto(table, cost, grid)
+        assert repr(p_pareto) == repr(grid_p_pareto(table, cost, grid, tolerance))
 
     def test_scan_oracle_matches_the_dense_one(self, ternary_env):
         table = compute_payoff_table(OA, ternary_env)
@@ -614,7 +665,7 @@ class TestParetoAgainstGridSolver:
 
 class TestEliminationAgainstScan:
     """``solve_p_el`` reads the gain lines, ``scan_p_el`` writes the utility difference:
-    at the default tol they give the same value on every acceptance row."""
+    at ``TOL`` they give the same value on every acceptance row."""
 
     @pytest.mark.parametrize("env_id", sorted(ORACLE_ENVS))
     def test_acceptance_environment(self, env_id):
@@ -717,14 +768,15 @@ class TestThresholdOrdering:
 
 class TestParetoBoundCondition:
     @settings(max_examples=150)
-    @given(table=eighths_tables(), tol=st.sampled_from([0.0, 1e-9]))
-    @example(table=ZERO_PLATEAU, tol=0.0)
-    @example(table=COINCIDENT_KINKS, tol=0.0)
-    def test_flag_is_the_dense_rows(self, table, tol):
+    @given(table=eighths_tables(), tolerance=st.sampled_from([0.0, 1e-9]))
+    @example(table=ZERO_PLATEAU, tolerance=0.0)
+    @example(table=COINCIDENT_KINKS, tolerance=0.0)
+    def test_flag_is_the_dense_rows(self, table, tolerance):
         # The coordination base's equilibrium is decided by ``certify``, as the dense row decides it.
         t, g = table.truthful, table.best_no_effort
-        dense = dense_gains(table, g, 0.0, 0.0).max() <= tol and table.own[g] + tol >= table.own[t]
-        assert check_pareto_bound_condition(table, tol) == dense
+        dense = dense_gains(table, g, 0.0, 0.0).max() <= tolerance and table.own[g] + tolerance >= table.own[t]
+        with mock.patch.object(equilibrium, "TOL", tolerance):
+            assert check_pareto_bound_condition(table) == dense
 
     def test_reference_examples(self, env):
         for kind in (MechanismKind.OUTPUT_AGREEMENT, MechanismKind.CORRELATED_AGREEMENT, MechanismKind.PEER_TRUTH_SERUM):
@@ -823,7 +875,7 @@ class TestDominatedEnvironment:
         g = table.best_no_effort
         record = is_symmetric_equilibrium(table, table.strategies[g], 0.0, 0.0)
         assert record.certified and not record.strategy.is_full_effort
-        assert record.utility > table.utilities(0.0, 0.0)[strategies.TRUTHFUL] + DEFAULT_TOL
+        assert record.utility > table.utilities(0.0, 0.0)[strategies.TRUTHFUL] + equilibrium.TOL
 
 
 class TestMonotonicity:
@@ -856,9 +908,7 @@ class TestCostBoundary:
         "is_symmetric_equilibrium": lambda env, cost: is_symmetric_equilibrium(
             compute_payoff_table(OA, env), truthful_strategy(2), 0.0, cost
         ),
-        "PayoffTable.certify": lambda env, cost: compute_payoff_table(OA, env).certify(
-            0.0, cost, DEFAULT_TOL, [strategies.TRUTHFUL]
-        ),
+        "PayoffTable.certify": lambda env, cost: compute_payoff_table(OA, env).certify(0.0, cost, [strategies.TRUTHFUL]),
         "solve_p_ds": lambda env, cost: solve_p_ds(compute_payoff_table(OA, env), cost),
         "solve_p_el": lambda env, cost: solve_p_el(compute_payoff_table(OA, env), cost),
         "solve_p_ex": lambda env, cost: solve_p_ex(compute_payoff_table(OA, env), cost),

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from peerspot import MechanismKind, MechanismSpec, compute_payoff_table, compute_thresholds
-from peerspot.equilibrium import DEFAULT_GRID, DEFAULT_TOL, NOT_APPLICABLE, NOT_FOUND, REFINE, NotAttained
+from peerspot.equilibrium import DEFAULT_GRID, NOT_APPLICABLE, NOT_FOUND, REFINE, NotAttained
 
 from conftest import random_environment, spec_id, specs_for
 from test_exact_engine import relabel_environment
@@ -142,5 +142,5 @@ def test_coordination_base_is_certified_unaudited(labels, seed):
     for spec in specs_for(env):
         table = compute_payoff_table(spec, env)
         for cost, row in zip(COSTS, reports(spec, env)):
-            (_,), (certified,) = table.certify(0.0, cost, DEFAULT_TOL, [table.best_no_effort])
+            (_,), (certified,) = table.certify(0.0, cost, [table.best_no_effort])
             assert certified and row.p_el is not NOT_APPLICABLE, f"{spec_id(spec)} at cost {cost}: {row}"
