@@ -13,8 +13,8 @@ expectation, so an equilibrium is certified when no deviation gains more than
 row of lines in p over every deviant.  Combined utilities p * E[y] + (1 - p) *
 E[z] - cost are affine in the spot-check probability and a deviant picks its
 report per observation, so each effort's best gain is convex and piecewise
-linear in p.  That gain is built once per base from its kinks, merged over
-observations, and a running sum of slope times step
+linear in p.  That gain is built once per table, for every base at once, from its
+kinks, merged over observations, and a running sum of slope times step
 (``PayoffTable.kinked_gains``), and every certification reads it through
 ``PayoffTable.certify``, at given points and at the probes that confirm each
 base's interval of certified p.  A gain within a stated rounding slack of
@@ -175,10 +175,6 @@ class PayoffTable:
     spot: np.ndarray = field(init=False)  # (S,) expected audit reward per strategy
     full_effort: np.ndarray = field(init=False)  # (S,) 1.0 where the strategy invests effort
     magnitude: np.ndarray = field(init=False)  # (S,) bound on the terms of any gain against a base
-    # ``kinked_gains`` per base, filled in as bases are asked for: (pieces, filled, width), with
-    # kinks, gains and slopes stacked in ``pieces``, whose kink columns past ``width`` hold 1
-    # for every filled base.
-    _kinked: tuple = field(init=False, repr=False, default=None)
     truthful = TRUTHFUL  # index of the truthful strategy, the same in every table
     best_no_effort: int = field(init=False)
 
@@ -205,11 +201,19 @@ class PayoffTable:
         efforts, maps = strategy_arrays([strategy], self.maps.shape[1])
         return int(np.flatnonzero((self.efforts == efforts[0]) & (self.maps == maps[0]).all(axis=1))[0])
 
-    def utilities(self, p, cost: float, bases=slice(None)) -> np.ndarray:
+    def _bases(self, bases) -> np.ndarray:
+        """``bases`` as an index array, refused with ShapeMismatch unless each is an integer in [0, S)."""
+        bases = np.asarray(bases)
+        if bases.size and (bases.dtype.kind not in "iu" or bases.min() < 0 or bases.max() >= len(self.own)):
+            raise ShapeMismatch(f"bases must be strategy indices from 0 to {len(self.own) - 1}, got {bases}")
+        return bases.astype(int, copy=False)
+
+    def utilities(self, p, cost: float, bases=None) -> np.ndarray:
         """Utility of each symmetric profile in ``bases`` (all by default) at audit probability p,
-        refusing p and the cost as ``certify`` does."""
+        refusing p, the cost and the bases as ``certify`` does."""
         _check_p(p)
         _check(COST, "effort_cost", cost)
+        bases = slice(None) if bases is None else self._bases(bases)
         return p * self.spot[bases] + (1.0 - p) * self.own[bases] - cost * self.full_effort[bases]
 
     def gain_lines(self, cost: float, bases) -> tuple:
@@ -217,10 +221,10 @@ class PayoffTable:
         probability: (g0, g1), one row per base and one column per deviant strategy.
         The gain at p is ``(1 - p) * g0 + p * g1`` (``_gain_at``); this is the one
         definition of a deviation gain, and every certification agrees with it.  A cost
-        outside ``signals.COST`` is refused."""
+        outside ``signals.COST`` is refused, and so are bases that are not strategy indices."""
         _check(COST, "effort_cost", cost)
         spot, full, own = self.spot, self.full_effort, self.own
-        bases = np.asarray(bases)
+        bases = self._bases(bases)
         z = strategy_rewards(self.unchecked_terms[bases], self.efforts, self.maps)
         effort = cost * (full[None, :] - full[bases][:, None])
         g0 = (z - own[bases][:, None]) - effort
@@ -230,46 +234,43 @@ class PayoffTable:
     def kinked_gains(self, bases) -> tuple:
         """Each effort's best deviation gain against each base in ``bases``, without effort
         costs, as a piecewise-linear function of p: (kinks, gains, slopes), each of shape
-        (2, K, B) with K at most k (k - 1) + 2 (trailing kinks at 1 are left out).
+        (2, K, B) with K at most k (k - 1) + 2, the most any base needs; a base that needs
+        fewer repeats its point p = 1.
 
         ``kinks[e]`` holds, per base, sorted points of [0, 1] from 0 to 1 that include every
         kink of the gain of the best deviant with effort e; ``gains`` is that gain at each
         point and ``slopes`` its slope from there to the next.  That deviant's value is a
         sum over observations of upper envelopes of k lines (``_report_kinks``), so its
         kinks are theirs merged in order, and its value at each kink is its value at 0 plus
-        a running sum of slope times step: O(k^2 log k) per base and effort.  A base's
-        pieces are computed once and kept for every later cost.
+        a running sum of slope times step: O(k^2 log k) per base and effort, for every base
+        once per table (``_pieces``), and kept for every later cost.
         """
-        bases = np.asarray(bases)
-        if self._kinked is None:
-            count, k = self.maps.shape
-            self._kinked = (np.empty((3, 2, k * (k - 1) + 2, count)), np.zeros(count, dtype=bool), 2)
-        pieces, filled, width = self._kinked
-        if not filled[bases].all():
-            new = np.unique(bases[~filled[bases]])
-            # V and A - V laid out [report, effort, observation, base]: each report's line in p.
-            level = np.ascontiguousarray(np.moveaxis(self.unchecked_terms[new], (0, 3), (3, 0)))
-            bends, start, slope, turns = _report_kinks(level, np.moveaxis(self.audit_terms, 2, 0)[..., None] - level)
-            # Every observation's kinks per (effort, base) in order, each with its slope change.
-            bends, turns = (np.moveaxis(x, 1, 0).reshape(2, -1, new.size) for x in (bends, turns))
-            order = bends.argsort(axis=1)
-            bends, turns = np.take_along_axis(bends, order, axis=1), np.take_along_axis(turns, order, axis=1)
-            zero = np.zeros((2, 1, new.size))
-            at = np.concatenate([zero, bends, zero + 1.0], axis=1)
-            rate = slope.sum(axis=1)[:, None] + np.cumsum(np.concatenate([zero, turns, zero], axis=1), axis=1)
-            steps = rate[:, :-1] * np.diff(at, axis=1)
-            values = np.cumsum(np.concatenate([start.sum(axis=1)[:, None], steps], axis=1), axis=1)
-            pieces[..., new] = at, values - self.utilities(at, 0.0, new), rate - (self.spot[new] - self.own[new])
-            filled[new] = True
-            width = max(width, int((at < 1.0).sum(axis=1).max()) + 1)
-            self._kinked = pieces, filled, width
-        return tuple(np.take(pieces[:, :, :width], bases, axis=3))
+        return tuple(self._pieces[..., self._bases(bases)])
+
+    @cached_property
+    def _pieces(self) -> np.ndarray:
+        """Every base's ``kinked_gains`` stacked, shape (3, 2, K, S), from one ``_report_kinks`` call."""
+        count = len(self.own)
+        # V and A - V laid out [report, effort, observation, base]: each report's line in p.
+        level = np.ascontiguousarray(np.moveaxis(self.unchecked_terms, (0, 3), (3, 0)))
+        bends, start, slope, turns = _report_kinks(level, np.moveaxis(self.audit_terms, 2, 0)[..., None] - level)
+        # Every observation's kinks per (effort, base) in order, each with its slope change.
+        bends, turns = (np.moveaxis(x, 1, 0).reshape(2, -1, count) for x in (bends, turns))
+        # Kinks at 1 turn nothing, so only as many as the most any base has below 1 are kept.
+        order = bends.argsort(axis=1)[:, : (bends < 1.0).sum(axis=1).max()]
+        bends, turns = np.take_along_axis(bends, order, axis=1), np.take_along_axis(turns, order, axis=1)
+        zero = np.zeros((2, 1, count))
+        at = np.concatenate([zero, bends, zero + 1.0], axis=1)
+        rate = slope.sum(axis=1)[:, None] + np.cumsum(np.concatenate([zero, turns, zero], axis=1), axis=1)
+        steps = rate[:, :-1] * np.diff(at, axis=1)
+        values = np.cumsum(np.concatenate([start.sum(axis=1)[:, None], steps], axis=1), axis=1)
+        return np.stack([at, values - self.utilities(at, 0.0), rate - (self.spot - self.own)])
 
     def certify(self, p, cost: float, bases) -> tuple:
         """(largest deviation gain, certified) against each base in ``bases`` at audit
         probability ``p``: one value, one per base, or one per base after leading probe axes,
         giving results of shape ``np.broadcast_shapes(p.shape, bases.shape)``.  A p outside
-        [0, 1] or a cost outside ``signals.COST`` is refused before any arithmetic.
+        [0, 1], a cost outside ``signals.COST`` or a base that is not a strategy index is refused first.
 
         Each effort's gain is convex (``kinked_gains``), so at p it is the largest of its
         pieces' lines.  A gain within the rounding slack ``VERIFY_SLACK * (magnitude + cost)``
@@ -278,7 +279,7 @@ class PayoffTable:
         """
         p = np.atleast_1d(_check_p(p))
         _check(COST, "effort_cost", cost)
-        bases = np.asarray(bases)
+        bases = self._bases(bases)
         kinks, gains, slopes = self.kinked_gains(bases)
         costs = cost * (EFFORT_COST[:, None] - self.full_effort[bases])[:, None]
         gain = (gains + slopes * (p[..., None, None, :] - kinks) - costs).max(axis=(-3, -2))
@@ -489,52 +490,44 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID):
     equilibrium and weakly best among all certified symmetric pure equilibria,
     or NOT_FOUND.
 
-    Each base is certified on one interval of grid points
-    (``_certified_intervals``), and the truthful profile's interval is the
-    span searched.  A point of the span fails when a base certified there has
-    a utility above the truthful utility plus ``TOL``; the answer is the first
-    point that no base rules out (``_ruled_out``).  Certification at ``TOL`` is
-    the dense gain row's decision and utilities at a grid point are compared
-    with the dense scan's expressions, so the answer is the grid point that
-    scan returns.
+    One ``_certified_intervals`` call finds each base's interval of certified
+    grid points, and truthful's is the span searched.  A point of the span
+    fails when another base certified there has a utility above the truthful
+    utility plus ``TOL``; the answer is the first point that none rules out
+    (``_ruled_out``).  Certification at ``TOL`` is the dense gain row's
+    decision and utilities at a grid point are compared with the dense scan's
+    expressions, so the answer is the grid point that scan returns.
     """
     _check(COST, "effort_cost", cost)
     t = table.truthful
     points = _grid_points(grid)
-    (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, np.array([t]))
+    lo, hi = _certified_intervals(table, cost, points, np.arange(len(table.own)))
+    t_lo, t_hi = lo[t], hi[t]
     if t_lo > t_hi:
         return NOT_FOUND
-    # A base's lead over truthful utility is affine in p, so its largest value on
-    # the span is at an end; the slack keeps every base that rounding could tip.
-    at_ends = table.utilities(points[[t_lo, t_hi]][:, None], cost)
-    lead = at_ends - at_ends[:, t : t + 1]
-    slack = VERIFY_SLACK * (table.magnitude + table.magnitude[t] + 2.0 * cost)
-    rivals = np.flatnonzero(lead.max(axis=0) > TOL - slack)
-    if not rivals.size:
-        return float(points[t_lo])
-    lo, hi = _certified_intervals(table, cost, points, rivals)
-    meets = (lo <= hi) & (lo <= t_hi) & (hi >= t_lo)
-    rivals = rivals[meets]
-    windows = np.maximum(lo[meets], t_lo), np.minimum(hi[meets], t_hi)
-    free = np.flatnonzero(~_ruled_out(table, cost, points, rivals, windows, slack[rivals], (t_lo, t_hi)))
+    rivals = np.flatnonzero((lo <= hi) & (lo <= t_hi) & (hi >= t_lo) & (np.arange(len(lo)) != t))
+    windows = np.maximum(lo[rivals], t_lo), np.minimum(hi[rivals], t_hi)
+    free = np.flatnonzero(~_ruled_out(table, cost, points, rivals, windows, (t_lo, t_hi)))
     if not free.size:
         return NOT_FOUND
     return float(points[t_lo + free[0]])
 
 
-def _ruled_out(table: PayoffTable, cost: float, points, rivals, windows: tuple, slack, span: tuple):
+def _ruled_out(table: PayoffTable, cost: float, points, rivals, windows: tuple, span: tuple):
     """Which grid points of ``span`` = (first, last) some base in ``rivals`` rules out:
     it is certified there (its window, from ``windows`` = (first, last) per base) and its
     utility beats the truthful one plus ``TOL`` by the dense scan's comparison.
 
     A base's lead over the truthful utility plus TOL is affine in p.  Where it clears the
-    rounding ``slack`` at both window ends, the base rules out its whole window, and where
-    it misses by more at both, nothing.  Otherwise the lead crosses zero once: the part of
-    the window past the crossing by more than the slack is ruled out whole, and the grid
-    points within the slack of it are compared one by one (all of them, for a lead too
-    flat to place the crossing), ``PARETO_BLOCK`` bases at a time.
+    rounding slack ``VERIFY_SLACK * (magnitude[b] + magnitude[t] + 2 * cost)`` at both window
+    ends, the base rules out its whole window, and where it misses by more at both, nothing.
+    Otherwise the lead crosses zero once: the part of the window past the crossing by more
+    than the slack is ruled out whole, and the grid points within the slack of it are
+    compared one by one (all of them, for a lead too flat to place the crossing),
+    ``PARETO_BLOCK`` bases at a time.
     """
     t = table.truthful
+    slack = VERIFY_SLACK * (table.magnitude[rivals] + table.magnitude[t] + 2.0 * cost)
 
     def lead(index, cols):  # > 0 exactly where the dense scan finds the base beats truthful
         p = points[index]

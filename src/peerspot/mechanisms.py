@@ -99,6 +99,8 @@ class MechanismSpec:
     mts_aggregation: str = "mean"  # "mean" or "sum" over peer scores
 
     def __post_init__(self):
+        if not isinstance(self.kind, MechanismKind):
+            raise ShapeMismatch(f"kind must be a MechanismKind, got {self.kind!r}")
         taken = {attr for _, attr in KINDS[self.kind].json_fields}
         for key, attr in _ATTRIBUTE.items():
             value, default = getattr(self, attr), _DEFAULTS[attr]

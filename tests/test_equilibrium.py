@@ -10,8 +10,9 @@ environments, and four k=4 environments (``p_pareto`` against the
 point-by-point scan).  It prints the number of rows compared and of
 mismatches for each threshold, after the measured layers at each k from 2 to
 5: each kind's payoff-table build in ms with its tracemalloc peak, the ms per
-row of ``solve_p_el`` and ``solve_p_pareto``, and the dense ``gain_lines``
-rows a row's thresholds build outside ``solve_p_el``.
+row of ``solve_p_el`` and ``solve_p_pareto``, the dense ``gain_lines`` rows a
+row's thresholds build outside ``solve_p_el``, the ``_report_kinks`` calls per
+table and the ``_certified_intervals`` calls per row.
 """
 
 import dataclasses
@@ -350,6 +351,34 @@ class TestSeparableCertification:
         with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
             table.gain_lines(cost, [0])
 
+    BASE_CALLS = {
+        "utilities": lambda table, bases: table.utilities(0.2, 0.1, bases),
+        "gain_lines": lambda table, bases: table.gain_lines(0.1, bases),
+        "kinked_gains": lambda table, bases: table.kinked_gains(bases),
+        "certify": lambda table, bases: table.certify(0.2, 0.1, bases),
+    }
+
+    @pytest.mark.parametrize("call", BASE_CALLS)
+    @pytest.mark.parametrize("bases", [[-1], [8], [0, 8], [1.0], [True], "0"], ids=repr)
+    def test_bases_that_are_not_strategy_indices_are_refused(self, env, call, bases):
+        # A negative index would answer for base S - 1, and the others ended in numpy's IndexError.
+        table = compute_payoff_table(OA, env)
+        with pytest.raises(ShapeMismatch, match=r"^bases must be strategy indices from 0 to 7, got "):
+            self.BASE_CALLS[call](table, bases)
+
+    @pytest.mark.parametrize("call", BASE_CALLS)
+    def test_no_bases_give_empty_results(self, env, call):
+        result = self.BASE_CALLS[call](compute_payoff_table(OA, env), [])
+        assert all(np.size(x) == 0 for x in (result if isinstance(result, tuple) else (result,)))
+
+    @pytest.mark.parametrize("call", BASE_CALLS)
+    def test_indices_of_any_integer_type_are_taken(self, env, call):
+        table = compute_payoff_table(OA, env)
+        expected = self.BASE_CALLS[call](table, [0, 7])
+        for bases in (np.array([0, 7], dtype=np.uint8), (np.int32(0), 7)):
+            result = self.BASE_CALLS[call](table, bases)
+            assert all(np.array_equal(x, y) for x, y in zip(result, expected))
+
 
 # Every term is zero but the full-effort deviant's unchecked reward against the coordination
 # base on observation 0, so that base's largest deviation gain at p = 0 and cost 0 is 2**-32:
@@ -390,6 +419,18 @@ class TestKinkedGains:
     @example(table=ZERO_PLATEAU)
     def test_slope_sums_are_best_responses(self, table):
         assert_slope_sums_are_best_responses(table, np.arange(len(table.strategies)))
+
+    def test_pieces_once_per_table_and_one_interval_pass_per_row(self, monkeypatch):
+        # Every base's pieces come from one _report_kinks call, whichever base is read first,
+        # and solve_p_pareto finds every base's interval in one _certified_intervals call.
+        table = compute_payoff_table(OA, generate_environments(3, 1, seed=3, prefix="bench")[0])
+        calls = dict.fromkeys(("_report_kinks", "_certified_intervals"), 0)
+        for name in calls:
+            monkeypatch.setattr(equilibrium, name, counting(calls, name, getattr(equilibrium, name)))
+        check_pareto_bound_condition(table)
+        for row, cost in enumerate(DEFAULT_EFFORT_COSTS, start=1):
+            compute_thresholds(table, cost)
+            assert calls == {"_report_kinks": 1, "_certified_intervals": row}
 
     @pytest.mark.parametrize("labels", [2, 3, 4, 5])
     def test_slope_sums_on_the_sweep_environment(self, labels):
@@ -973,28 +1014,43 @@ class TestReportAssembly:
         assert doc["p_pareto"] == pytest.approx(0.313)
 
 
-def dense_rows_outside_p_el(tables: list, costs) -> int:
-    """``gain_lines`` calls made by every threshold of each (table, cost) row but ``p_el``,
-    whose scan reads one dense row by design; the others read the kinked gain."""
-    calls, gain_lines = [], PayoffTable.gain_lines
-    PayoffTable.gain_lines = lambda table, *args: calls.append(args) or gain_lines(table, *args)
-    try:
+def counting(calls: dict, name: str, function):
+    """``function``, adding one to ``calls[name]`` at each call."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    return counted
+
+
+def calls_outside_p_el(tables: list, costs) -> dict:
+    """Calls made by every threshold of each (table, cost) row but ``p_el``, whose scan reads
+    one dense row by design: ``gain_lines`` (the others read the kinked gain), ``_report_kinks``
+    and ``_certified_intervals``.  Fresh tables count each table's one kink build."""
+    calls = dict.fromkeys(("gain_lines", "_report_kinks", "_certified_intervals"), 0)
+    with (
+        mock.patch.object(PayoffTable, "gain_lines", counting(calls, "gain_lines", PayoffTable.gain_lines)),
+        mock.patch.object(equilibrium, "_report_kinks", counting(calls, "_report_kinks", equilibrium._report_kinks)),
+        mock.patch.object(
+            equilibrium, "_certified_intervals", counting(calls, "_certified_intervals", equilibrium._certified_intervals)
+        ),
+    ):
         for table in tables:
             for cost in costs:
                 solve_p_ds(table, cost), solve_p_ex(table, cost), solve_p_pareto(table, cost)
                 check_pareto_bound_condition(table)
-    finally:
-        PayoffTable.gain_lines = gain_lines
-    return len(calls)
+    return calls
 
 
 def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
     """Print, per k, each kind's payoff-table build in ms (best of ``repeats``) with the
     tracemalloc peak of one build, then ms per row of ``solve_p_el`` and ``solve_p_pareto``
     (best of ``repeats``), over every kind but the logarithmic rules at the default costs,
-    on the seed-3 environment the benchmark's sweeps generate, and the dense rows per row
-    outside ``p_el``.  Each repeat solves fresh tables, so ``p_pareto`` pays for each
-    table's kink pieces once, as a sweep does."""
+    on the seed-3 environment the benchmark's sweeps generate, then, on fresh tables, the
+    dense rows per row outside ``p_el``, the ``_report_kinks`` calls per table and the
+    ``_certified_intervals`` calls per row.  Each repeat solves fresh tables, so
+    ``p_pareto`` pays for each table's kink pieces once, as a sweep does."""
     for k in labels:
         env = generate_environments(k, 1, seed=3, prefix="bench")[0]
         specs = [spec for spec in specs_for(env) if spec.rule is not LOGARITHMIC]
@@ -1023,8 +1079,12 @@ def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
             print(f"table k={k} {spec_id(spec)}: {seconds * 1e3:.1f} ms, tracemalloc peak {peak / 2**20:.2f} MB")
         times = ", ".join(f"{solver.__name__} {seconds / rows * 1e3:.2f} ms/row" for solver, seconds in best.items())
         print(f"solvers k={k} ({rows} rows): {times}")
-        dense = dense_rows_outside_p_el(tables, DEFAULT_EFFORT_COSTS)
-        print(f"gain_lines k={k}: {dense / rows:.2f} calls per row outside solve_p_el")
+        calls = calls_outside_p_el([compute_payoff_table(spec, env) for spec in specs], DEFAULT_EFFORT_COSTS)
+        print(
+            f"gain_lines k={k}: {calls['gain_lines'] / rows:.2f} calls per row outside solve_p_el; "
+            f"_report_kinks {calls['_report_kinks'] / len(specs):.2f} calls per table; "
+            f"_certified_intervals {calls['_certified_intervals'] / rows:.2f} calls per row"
+        )
 
 
 def full_gate() -> int:

@@ -465,6 +465,12 @@ class TestMechanismSpec:
         with pytest.raises(ShapeMismatch, match=r"^peer_truth_serum requires alpha to be a finite number > 0, got 10{400}$"):
             MechanismSpec(MechanismKind.PEER_TRUTH_SERUM, alpha=10**400)
 
+    @pytest.mark.parametrize("kind", ["output_agreement", "nonsense", None])
+    def test_kind_must_be_a_mechanism_kind(self, kind):
+        # A kind's name is not its kind: the spec would build tables but fail to describe itself.
+        with pytest.raises(ShapeMismatch, match=f"^kind must be a MechanismKind, got {re.escape(repr(kind))}$"):
+            MechanismSpec(kind)
+
     def test_output_agreement_rejects_theta(self):
         with pytest.raises(ShapeMismatch, match=r"^output_agreement does not take theta=0\.5$"):
             MechanismSpec(MechanismKind.OUTPUT_AGREEMENT, theta=0.5)
