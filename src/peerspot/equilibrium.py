@@ -19,9 +19,10 @@ kinks, merged over observations, and a running sum of slope times step
 ``PayoffTable.certify``, at given points and at the probes that confirm each
 base's interval of certified p.  A gain within a stated rounding slack of
 ``TOL`` is decided by the base's dense row instead, so every decision equals
-the dense row's.  ``p_pareto`` is solved from those intervals and reported at
-the grid point a dense scan would find; ``p_el`` still scans one dense row over
-the grid for its bracket before bisecting.
+the dense row's.  ``p_pareto`` is solved from those intervals, truthful's first
+and then only the intervals of the bases whose utility could beat truthful's
+there, and reported at the grid point a dense scan would find; ``p_el`` still
+scans one dense row over the grid for its bracket before bisecting.
 
 A threshold grid is 1/n for an integer n from 1 to 1 / ``MIN_GRID``: ``GRID`` states
 the rule once, as ``signals.COST`` does the cost's, and ``_grid_points`` checks it before
@@ -54,7 +55,7 @@ from ._expectations import audit_rewards, strategy_rewards
 from .mechanisms import MechanismSpec, unchecked_rewards
 from .signals import COST, Environment
 from .strategies import EFFORT_COST, NO_EFFORT, TRUTHFUL, Strategy, enumerate_pure_strategies, low_identity_index
-from .strategies import pure_strategy_arrays, strategy_arrays
+from .strategies import FULL_EFFORT, pure_strategy_arrays, strategy_arrays
 
 TOL = 1e-9  # a profile is certified when no deviation gains more; read at each call
 DEFAULT_GRID = 1e-3
@@ -213,7 +214,10 @@ class PayoffTable:
         refusing p, the cost and the bases as ``certify`` does."""
         _check_p(p)
         _check(COST, "effort_cost", cost)
-        bases = slice(None) if bases is None else self._bases(bases)
+        return self._utility(p, cost, slice(None) if bases is None else self._bases(bases))
+
+    def _utility(self, p, cost: float, bases) -> np.ndarray:
+        """``utilities`` unchecked, for p, a cost and bases (an index or a slice) the caller has checked."""
         return p * self.spot[bases] + (1.0 - p) * self.own[bases] - cost * self.full_effort[bases]
 
     def gain_lines(self, cost: float, bases) -> tuple:
@@ -264,7 +268,7 @@ class PayoffTable:
         rate = slope.sum(axis=1)[:, None] + np.cumsum(np.concatenate([zero, turns, zero], axis=1), axis=1)
         steps = rate[:, :-1] * np.diff(at, axis=1)
         values = np.cumsum(np.concatenate([start.sum(axis=1)[:, None], steps], axis=1), axis=1)
-        return np.stack([at, values - self.utilities(at, 0.0), rate - (self.spot - self.own)])
+        return np.stack([at, values - self._utility(at, 0.0, slice(None)), rate - (self.spot - self.own)])
 
     def certify(self, p, cost: float, bases) -> tuple:
         """(largest deviation gain, certified) against each base in ``bases`` at audit
@@ -282,7 +286,10 @@ class PayoffTable:
         bases = self._bases(bases)
         kinks, gains, slopes = self.kinked_gains(bases)
         costs = cost * (EFFORT_COST[:, None] - self.full_effort[bases])[:, None]
-        gain = (gains + slopes * (p[..., None, None, :] - kinks) - costs).max(axis=(-3, -2))
+        lines = gains + slopes * (p[..., None, None, :] - kinks) - costs
+        # Both efforts' pieces on one axis, reduced in one pass; sizes, not -1, so no base gives no gain.
+        *probes, efforts, pieces, count = lines.shape
+        gain = np.maximum.reduce(lines.reshape(*probes, efforts * pieces, count), axis=-2)
         unsure = np.nonzero(np.abs(gain - TOL) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
         if unsure[0].size:
             at = np.broadcast_to(p, gain.shape)[unsure][:, None]
@@ -376,16 +383,28 @@ def enumerate_symmetric_pure_equilibria(table: PayoffTable, p: float, cost: floa
 # ---------------------------------------------------------------------------
 
 
+def _audit_favours_truth(table: PayoffTable) -> bool:
+    """Whether truth's audit value beats the best no-effort strategy's by more than
+    ``TOL`` and no full-effort map's beats truth's by more than TOL, as an unbiased
+    trusted channel gives.  Without it no audit probability makes truthful effort
+    dominant at any cost: a map that beats truth at audit is preferred to it at
+    every p > 0.  A trusted channel that is not aligned with the quality allows that."""
+    truth = table.spot[table.truthful]
+    best_full = table.spot[table.efforts == FULL_EFFORT].max()
+    return bool(truth - table.spot[table.best_no_effort] > TOL and best_full <= truth + TOL)
+
+
 def solve_p_ds(table: PayoffTable, cost: float):
     """Closed-form minimum audit probability making truthful effort dominant
     under a constant unchecked reward: cost / (audit value of truth - audit
-    value of the best no-effort strategy).  Only the table's audit rewards
-    enter, so any mechanism's table for the environment gives the same value."""
+    value of the best no-effort strategy), or NOT_ACHIEVABLE, as the bisection
+    finds, where the audit does not favour truth (``_audit_favours_truth``) or
+    the value is above 1.  Only the table's audit rewards enter, so any
+    mechanism's table for the environment gives the same value."""
     _check(COST, "effort_cost", cost)
-    gap = float(table.spot[table.truthful]) - float(table.spot[table.best_no_effort])
-    if gap <= TOL:
+    if not _audit_favours_truth(table):
         return NOT_ACHIEVABLE
-    p = cost / gap
+    p = cost / (float(table.spot[table.truthful]) - float(table.spot[table.best_no_effort]))
     if p > 1.0 + TOL:
         return NOT_ACHIEVABLE
     return min(p, 1.0)
@@ -490,27 +509,49 @@ def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID):
     equilibrium and weakly best among all certified symmetric pure equilibria,
     or NOT_FOUND.
 
-    One ``_certified_intervals`` call finds each base's interval of certified
-    grid points, and truthful's is the span searched.  A point of the span
-    fails when another base certified there has a utility above the truthful
-    utility plus ``TOL``; the answer is the first point that none rules out
-    (``_ruled_out``).  Certification at ``TOL`` is the dense gain row's
-    decision and utilities at a grid point are compared with the dense scan's
-    expressions, so the answer is the grid point that scan returns.
+    ``_certified_intervals`` finds truthful's interval of certified grid points,
+    the span searched.  A point of the span fails when another base certified
+    there has a utility above the truthful utility plus ``TOL``; the answer is
+    the first point that none rules out (``_ruled_out``).  Only the bases whose
+    lead over the truthful utility plus TOL (``_lead``) is above minus its
+    rounding slack (``_lead_slack``) at an end of the span get a second
+    interval search.  A lead is affine in p, so one at or below minus the slack
+    at both ends stays below it, up to a few roundings far inside the slack, at
+    every grid point between, and rules none out.  Certification at ``TOL`` is
+    the dense gain row's decision and utilities at a grid point are compared
+    with the dense scan's expressions, so the answer is the grid point that
+    scan returns.
     """
     _check(COST, "effort_cost", cost)
     t = table.truthful
     points = _grid_points(grid)
-    lo, hi = _certified_intervals(table, cost, points, np.arange(len(table.own)))
-    t_lo, t_hi = lo[t], hi[t]
+    (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, np.array([t]))
     if t_lo > t_hi:
         return NOT_FOUND
-    rivals = np.flatnonzero((lo <= hi) & (lo <= t_hi) & (hi >= t_lo) & (np.arange(len(lo)) != t))
-    windows = np.maximum(lo[rivals], t_lo), np.minimum(hi[rivals], t_hi)
-    free = np.flatnonzero(~_ruled_out(table, cost, points, rivals, windows, (t_lo, t_hi)))
+    ends = points[[t_lo, t_hi]][:, None]
+    near = (_lead(table, cost, ends, slice(None)) > -_lead_slack(table, cost, slice(None))).any(axis=0)
+    near[t] = False
+    candidates = np.flatnonzero(near)
+    if not candidates.size:
+        return float(points[t_lo])
+    lo, hi = _certified_intervals(table, cost, points, candidates)
+    meets = (lo <= hi) & (lo <= t_hi) & (hi >= t_lo)
+    windows = np.maximum(lo[meets], t_lo), np.minimum(hi[meets], t_hi)
+    free = np.flatnonzero(~_ruled_out(table, cost, points, candidates[meets], windows, (t_lo, t_hi)))
     if not free.size:
         return NOT_FOUND
     return float(points[t_lo + free[0]])
+
+
+def _lead(table: PayoffTable, cost: float, p, bases) -> np.ndarray:
+    """Each base's utility at p less the truthful utility plus ``TOL``: > 0 exactly where
+    the dense scan finds the base beats truthful."""
+    return table._utility(p, cost, bases) - (table._utility(p, cost, table.truthful) + TOL)
+
+
+def _lead_slack(table: PayoffTable, cost: float, bases) -> np.ndarray:
+    """Bound on the rounding in each base's ``_lead``, from the terms of both utilities."""
+    return VERIFY_SLACK * (table.magnitude[bases] + table.magnitude[table.truthful] + 2.0 * cost)
 
 
 def _ruled_out(table: PayoffTable, cost: float, points, rivals, windows: tuple, span: tuple):
@@ -526,16 +567,10 @@ def _ruled_out(table: PayoffTable, cost: float, points, rivals, windows: tuple, 
     compared one by one (all of them, for a lead too flat to place the crossing),
     ``PARETO_BLOCK`` bases at a time.
     """
-    t = table.truthful
-    slack = VERIFY_SLACK * (table.magnitude[rivals] + table.magnitude[t] + 2.0 * cost)
-
-    def lead(index, cols):  # > 0 exactly where the dense scan finds the base beats truthful
-        p = points[index]
-        return table.utilities(p, cost, cols) - (table.utilities(p, cost, t) + TOL)
-
+    slack = _lead_slack(table, cost, rivals)
     first, last = span
     a, b = windows
-    at_a, at_b = lead(a, rivals), lead(b, rivals)
+    at_a, at_b = _lead(table, cost, points[a], rivals), _lead(table, cost, points[b], rivals)
     whole = (at_a > slack) & (at_b > slack)
     crossing = np.flatnonzero(~whole & ~((at_a < -slack) & (at_b < -slack)))
     a_c, b_c, at_a, at_b = a[crossing], b[crossing], at_a[crossing], at_b[crossing]
@@ -560,7 +595,7 @@ def _ruled_out(table: PayoffTable, cost: float, points, rivals, windows: tuple, 
         offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
         index = np.repeat(zone_lo[block], width) + offset
         cols = np.repeat(rivals[crossing[block]], width)
-        ruled[index[lead(index, cols) > 0] - first] = True
+        ruled[index[_lead(table, cost, points[index], cols) > 0] - first] = True
     return ruled
 
 
@@ -636,10 +671,12 @@ def _settle_interval(certified, lo: int, hi: int, n: int) -> tuple:
 def check_pareto_bound_condition(table: PayoffTable) -> bool:
     """Sufficient condition for the dominance comparison: at zero cost and zero
     audit probability, the report-the-shared-draw profile is an equilibrium and
-    weakly Pareto dominates the truthful profile, both up to ``TOL``."""
+    weakly Pareto dominates the truthful profile, both up to ``TOL``, and the
+    audit favours truth (``_audit_favours_truth``), the unbiased trusted
+    evaluations the comparison assumes; without that no p_ds exists to compare."""
     t, g = table.truthful, table.best_no_effort
     (_,), (equilibrium,) = table.certify(0.0, 0.0, [g])
-    return bool(equilibrium and table.own[g] + TOL >= table.own[t])
+    return bool(equilibrium and table.own[g] + TOL >= table.own[t] and _audit_favours_truth(table))
 
 
 def compute_thresholds(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID) -> ThresholdReport:

@@ -37,7 +37,9 @@ from peerspot import (
     Distribution,
     Effort,
     EnumerationBudgetExceeded,
+    Environment,
     InvalidDistribution,
+    LabelSpace,
     LOGARITHMIC,
     MechanismKind,
     MechanismSpec,
@@ -71,7 +73,7 @@ from peerspot import (
 from peerspot import equilibrium, strategies
 from peerspot.acceptance import _random_acceptance_environments
 from peerspot.equilibrium import MIN_GRID, NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
-from peerspot.harness import DEFAULT_EFFORT_COSTS, generate_environments, parse_config, run_experiment
+from peerspot.harness import DEFAULT_EFFORT_COSTS, ExperimentConfig, generate_environments, parse_config, run_experiment
 from peerspot.mechanisms import KINDS
 
 from conftest import E1_COST, TERNARY_COST, random_costed_environment, random_environment, spec_id, specs_for
@@ -356,6 +358,7 @@ class TestSeparableCertification:
         "gain_lines": lambda table, bases: table.gain_lines(0.1, bases),
         "kinked_gains": lambda table, bases: table.kinked_gains(bases),
         "certify": lambda table, bases: table.certify(0.2, 0.1, bases),
+        "certify at probes": lambda table, bases: table.certify(np.full((4, len(bases)), 0.2), 0.1, bases),
     }
 
     @pytest.mark.parametrize("call", BASE_CALLS)
@@ -366,9 +369,16 @@ class TestSeparableCertification:
         with pytest.raises(ShapeMismatch, match=r"^bases must be strategy indices from 0 to 7, got "):
             self.BASE_CALLS[call](table, bases)
 
-    @pytest.mark.parametrize("call", BASE_CALLS)
+    EMPTY_CALLS = {
+        **BASE_CALLS,
+        "_certified_intervals": lambda table, bases: _certified_intervals(
+            table, 0.1, np.linspace(0.0, 1.0, 1001), np.asarray(bases, dtype=int)
+        ),
+    }
+
+    @pytest.mark.parametrize("call", EMPTY_CALLS)
     def test_no_bases_give_empty_results(self, env, call):
-        result = self.BASE_CALLS[call](compute_payoff_table(OA, env), [])
+        result = self.EMPTY_CALLS[call](compute_payoff_table(OA, env), [])
         assert all(np.size(x) == 0 for x in (result if isinstance(result, tuple) else (result,)))
 
     @pytest.mark.parametrize("call", BASE_CALLS)
@@ -380,11 +390,12 @@ class TestSeparableCertification:
             assert all(np.array_equal(x, y) for x, y in zip(result, expected))
 
 
-# Every term is zero but the full-effort deviant's unchecked reward against the coordination
-# base on observation 0, so that base's largest deviation gain at p = 0 and cost 0 is 2**-32:
-# certified at TOL = 1e-9 and not at TOL = 0.  Every other base gains 0 and the two profiles
-# earn 0, so the flag turns on the base alone.
-SMALL_GAIN = _against_coordination([[2.0**-32, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
+# Every unchecked term is zero but the full-effort deviant's against the coordination base on
+# observation 0, so that base's largest deviation gain at p = 0 and cost 0 is 2**-32: certified
+# at TOL = 1e-9 and not at TOL = 0.  Every other base gains 0 at p = 0, the two profiles earn 0,
+# and the audit pays a truthful report 1/2 on each observation and any other report 0, so it
+# favours truth by 1/2 over the next full-effort map, and the flag turns on the base alone.
+SMALL_GAIN = _against_coordination([[2.0**-32, 0.0], [0.0, 0.0]], 0.5 * np.eye(2))
 
 
 class TestOneTolerance:
@@ -420,17 +431,33 @@ class TestKinkedGains:
     def test_slope_sums_are_best_responses(self, table):
         assert_slope_sums_are_best_responses(table, np.arange(len(table.strategies)))
 
-    def test_pieces_once_per_table_and_one_interval_pass_per_row(self, monkeypatch):
+    def test_pieces_once_per_table_and_two_interval_passes_at_most_per_row(self, monkeypatch):
         # Every base's pieces come from one _report_kinks call, whichever base is read first,
-        # and solve_p_pareto finds every base's interval in one _certified_intervals call.
+        # and solve_p_pareto makes one _certified_intervals call for truthful and one for the
+        # bases whose utility could beat it.
         table = compute_payoff_table(OA, generate_environments(3, 1, seed=3, prefix="bench")[0])
         calls = dict.fromkeys(("_report_kinks", "_certified_intervals"), 0)
         for name in calls:
             monkeypatch.setattr(equilibrium, name, counting(calls, name, getattr(equilibrium, name)))
         check_pareto_bound_condition(table)
-        for row, cost in enumerate(DEFAULT_EFFORT_COSTS, start=1):
+        for cost in DEFAULT_EFFORT_COSTS:
+            before = calls["_certified_intervals"]
             compute_thresholds(table, cost)
-            assert calls == {"_report_kinks": 1, "_certified_intervals": row}
+            assert calls["_report_kinks"] == 1 and 1 <= calls["_certified_intervals"] - before <= 2
+
+    def test_no_base_gets_a_second_interval_search_on_the_peer_insensitive_sweep_table(self, monkeypatch):
+        # Every base's lead over truthful misses by more than its slack at both ends of
+        # truthful's span, so only truthful's interval is searched, and the answer is the scan's:
+        # the span's first point.
+        table = compute_payoff_table(PI, generate_environments(4, 1, seed=3, prefix="bench")[0])
+        searched, intervals = [], equilibrium._certified_intervals
+        monkeypatch.setattr(
+            equilibrium, "_certified_intervals", lambda *args: searched.append(args[3].tolist()) or intervals(*args)
+        )
+        for cost in DEFAULT_EFFORT_COSTS:
+            searched.clear()
+            assert repr(solve_p_pareto(table, cost)) == repr(scan_p_pareto(table, cost))
+            assert searched == [[table.truthful]]
 
     @pytest.mark.parametrize("labels", [2, 3, 4, 5])
     def test_slope_sums_on_the_sweep_environment(self, labels):
@@ -564,6 +591,59 @@ class TestDominantStrategyThreshold:
                     assert isinstance(bisected, NotAttained)
                 else:
                     assert bisected == pytest.approx(closed, abs=1e-8)
+
+    @pytest.mark.parametrize("labels", [2, 3, 4])
+    def test_bisection_agrees_when_the_trusted_channel_is_not_aligned(self, labels):
+        # Such a channel can pay a full-effort map more at audit than truthful, and then no p
+        # makes truthful effort dominant; the closed form once answered from the no-effort gap.
+        rng = np.random.default_rng(7)
+        beaten = 0
+        for _ in range(40):
+            env = unaligned_environment(rng, labels)
+            table = compute_payoff_table(PI, env)
+            full = table.efforts == strategies.FULL_EFFORT
+            beaten += table.spot[full].max() > table.spot[table.truthful] + equilibrium.TOL
+            for cost in (0.0, 0.05, 0.1):
+                closed, bisected = solve_p_ds(table, cost), solve_p_ds_bisection(env, cost)
+                if isinstance(bisected, NotAttained):
+                    assert closed is bisected
+                else:
+                    assert closed == pytest.approx(bisected, abs=1e-8)
+        assert beaten or labels == 2  # the seeds reach the case at k = 3 and 4
+
+    @pytest.mark.parametrize("labels", [2, 3, 4])
+    def test_experiment_completes_when_the_trusted_channel_is_not_aligned(self, labels):
+        # The bound p_pareto >= p_ds - grid assumes an audit that favours truth.  Where it does not,
+        # p_ds is not_achievable while truthful can still be a Pareto-best equilibrium, so the flag
+        # is off and run_experiment's bound check passes the row over instead of aborting the run.
+        rng = np.random.default_rng(7)
+        environments = [unaligned_environment(rng, labels) for _ in range(40)]
+        rows = run_experiment(ExperimentConfig(environments=environments, mechanisms=[OA, PI]))
+        assert not any(row.error for row in rows)
+        below = [row for row in rows if threshold_float(row.p_pareto) < threshold_float(row.p_ds) - row.grid]
+        assert below and not any(row.pareto_bound_condition for row in below)
+
+
+def unaligned_environment(rng: np.random.Generator, labels: int) -> Environment:
+    """A random environment whose channel rows are Dirichlet draws plus s times the identity,
+    renormalised: s = 2 for the high channel, s from U(0.3, 2) for the trusted channel and
+    s = 0 for the low one, so the trusted channel's likeliest label need not be the quality."""
+    space = LabelSpace.of(tuple(range(labels)))
+
+    def channel(s: float) -> Channel:
+        rows = rng.dirichlet(np.ones(labels), size=labels) + s * np.eye(labels)
+        return Channel.from_matrix(space, rows / rows.sum(axis=1, keepdims=True))
+
+    return Environment(
+        q_space=space,
+        prior=Distribution.from_array(space, rng.dirichlet(np.ones(labels))),
+        high_channel=channel(2.0),
+        trusted_channel=channel(rng.uniform(0.3, 2.0)),
+        low_channel=channel(0.0),
+        n_agents=3,
+        n_objects=2,
+        env_id=f"unaligned-q{labels}",
+    )
 
 
 class TestEliminationThreshold:
@@ -813,9 +893,12 @@ class TestParetoBoundCondition:
     @example(table=ZERO_PLATEAU, tolerance=0.0)
     @example(table=COINCIDENT_KINKS, tolerance=0.0)
     def test_flag_is_the_dense_rows(self, table, tolerance):
-        # The coordination base's equilibrium is decided by ``certify``, as the dense row decides it.
+        # The coordination base's equilibrium is decided by ``certify``, as the dense row decides it,
+        # and the flag also asks that truth beat the no-effort audit value and no full-effort map beat truth's.
         t, g = table.truthful, table.best_no_effort
         dense = dense_gains(table, g, 0.0, 0.0).max() <= tolerance and table.own[g] + tolerance >= table.own[t]
+        full = table.spot[table.efforts == strategies.FULL_EFFORT]
+        dense = dense and table.spot[t] - table.spot[g] > tolerance and bool((full <= table.spot[t] + tolerance).all())
         with mock.patch.object(equilibrium, "TOL", tolerance):
             assert check_pareto_bound_condition(table) == dense
 
