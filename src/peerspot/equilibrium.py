@@ -16,13 +16,13 @@ report per observation, so each effort's best gain is convex and piecewise
 linear in p.  That gain is built once per table, for every base at once, from its
 kinks, merged over observations, and a running sum of slope times step
 (``PayoffTable.kinked_gains``), and every certification reads it through
-``PayoffTable.certify``, at given points and at the probes that confirm each
-base's interval of certified p.  A gain within a stated rounding slack of
-``TOL`` is decided by the base's dense row instead, so every decision equals
-the dense row's.  ``p_pareto`` is solved from those intervals, truthful's first
-and then only the intervals of the bases whose utility could beat truthful's
-there, and reported at the grid point a dense scan would find; ``p_el`` still
-scans one dense row over the grid for its bracket before bisecting.
+``PayoffTable.certify``: at given points, at the probes that confirm each base's
+interval of certified p, and at every grid point for a base whose probes miss.  A
+gain within a stated rounding slack of ``TOL`` is decided by the base's dense row
+instead, so every decision equals the dense row's.  ``p_pareto`` is solved from
+those intervals, truthful's first and then only the intervals of the bases whose
+utility could beat truthful's there, and reported at the grid point a dense scan
+would find; ``p_el`` still scans one dense row over the grid before bisecting.
 
 A threshold grid is 1/n for an integer n from 1 to 1 / ``MIN_GRID``: ``GRID`` states
 the rule once, as ``signals.COST`` does the cost's, and ``_grid_points`` checks it before
@@ -61,7 +61,10 @@ TOL = 1e-9  # a profile is certified when no deviation gains more; read at each 
 DEFAULT_GRID = 1e-3
 # The finest threshold grid.  The p_el scan walks 1 / grid + 1 points in Python and p_pareto
 # allocates as many per row: one compute_thresholds on the bundled e1 output-agreement table
-# took 0.1 s at grid 1e-3, 1.0 s at 1e-5 and 13 s at 1e-6.
+# took 0.1 s at grid 1e-3, 1.0 s at 1e-5 and 13 s at 1e-6.  A base whose interval probes miss
+# is read at every point, in one array of (1 / grid + 1) x 2 x K floats, K <= k (k - 1) + 2:
+# at 1e-5 and k=5 at most 35 MB.  On the seed-3 k=5 output-agreement table (K = 7) one such
+# read measured 11 MB, a 22 MB tracemalloc peak and 14 ms.
 MIN_GRID = 1e-5
 REFINE = 1e-6  # width of the bracket at which the p_el bisection stops
 DS_REFINE = 1e-9  # width of the bracket at which the p_ds bisection stops; gate C1 compares at 1e-8
@@ -307,7 +310,7 @@ def _report_kinks(level: np.ndarray, rise: np.ndarray) -> tuple:
     level, rise = level.reshape(k, -1), rise.reshape(k, -1)
     cols = np.arange(level.shape[1])
     start = level.max(axis=0)
-    line = _first_argmax(np.where(level == start, rise, -np.inf))
+    line = np.where(level == start, rise, -np.inf).argmax(axis=0)
     slope = first_slope = rise[line, cols]
     kinks, turns = [], []
     for _ in range(k - 1):
@@ -315,26 +318,13 @@ def _report_kinks(level: np.ndarray, rise: np.ndarray) -> tuple:
             meet = np.where(rise > slope, (level[line, cols] - level) / (rise - slope), np.inf)
         first = meet.min(axis=0)
         bends = first < 1.0
-        line = np.where(bends, _first_argmax(np.where(meet == first, rise, -np.inf)), line)
+        line = np.where(bends, np.where(meet == first, rise, -np.inf).argmax(axis=0), line)
         kinks.append(np.where(bends, np.maximum(first, 0.0), 1.0))
         bent = rise[line, cols]
         turns.append(bent - slope)
         slope = bent
     kinks, turns = np.reshape(kinks, (k - 1,) + shape), np.reshape(turns, (k - 1,) + shape)
     return kinks, start.reshape(shape), first_slope.reshape(shape), turns
-
-
-def _first_argmax(rows: np.ndarray) -> np.ndarray:
-    """``rows.argmax(axis=0)`` for NaN-free rows: how many rows come before each column's
-    first largest entry, counted row by row, which is faster than numpy's reduction along
-    a short leading axis."""
-    best = rows.max(axis=0)
-    found = rows[0] == best
-    index = np.zeros(rows.shape[1], dtype=int)
-    for row in rows[1:]:
-        index += ~found
-        found |= row == best
-    return index
 
 
 def _gain_at(p, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
@@ -362,8 +352,8 @@ def is_symmetric_equilibrium(table: PayoffTable, strategy: Strategy, p: float, c
     """Certify a symmetric profile: no pure deviation improves by more than ``TOL``."""
     base_index = table.index_of(strategy)
     (max_gain,), (certified,) = table.certify(p, cost, [base_index])
-    utility = float(table.utilities(p, cost)[base_index])
-    return EquilibriumRecord(strategy, utility, float(max_gain), certified=bool(certified))
+    (utility,) = table.utilities(p, cost, [base_index])
+    return EquilibriumRecord(strategy, float(utility), float(max_gain), certified=bool(certified))
 
 
 def enumerate_symmetric_pure_equilibria(table: PayoffTable, p: float, cost: float) -> list:
@@ -610,9 +600,9 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, co
     slack of ``PayoffTable.certify``, so a zero plateau read a few ulps high
     still gives its interval.  The ends are rounded onto the grid and confirmed
     by ``PayoffTable.certify`` at each end and one point outside it, so every
-    decision is the dense row's.  The few bases where rounding
-    misplaced an end are settled by probing single grid points the same way
-    (``_settle_interval``).
+    decision is the dense row's.  A base where rounding misplaced an end gets
+    its interval from one ``certify`` read at every grid point: its first and
+    last certified points.
     """
     cols = np.asarray(cols)
     n = len(points) - 1
@@ -643,29 +633,9 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, co
     certified = table.certify(points[np.clip(probes, 0, n)], cost, cols)[1]
     misplaced = (certified != expected) & (probes >= 0) & (probes <= n)
     for j in np.flatnonzero(misplaced.any(axis=0)):
-        decide = lambda i: bool(table.certify(points[i], cost, cols[[j]])[1][0])
-        lo[j], hi[j] = _settle_interval(decide, int(lo[j]), int(hi[j]), n)
+        dense = np.flatnonzero(table.certify(points[:, None], cost, cols[[j]])[1])
+        lo[j], hi[j] = (dense[0], dense[-1]) if dense.size else (1, 0)
     return lo, hi
-
-
-def _settle_interval(certified, lo: int, hi: int, n: int) -> tuple:
-    """The interval of grid points where ``certified`` holds, from a guess [lo, hi]
-    that is off by rounding: find a certified point near the guess, then bisect
-    for each end.  Returns (1, 0) when no point near the guess is certified."""
-    near = (lo, hi, lo - 1, hi + 1, lo + 1, hi - 1)
-    seed = next((i for i in near if 0 <= i <= n and certified(i)), None)
-    if seed is None:
-        return 1, 0
-    a, b = 0, seed
-    while a < b:
-        mid = (a + b) // 2
-        a, b = (a, mid) if certified(mid) else (mid + 1, b)
-    first = a
-    a, b = seed, n
-    while a < b:
-        mid = (a + b + 1) // 2
-        a, b = (mid, b) if certified(mid) else (a, mid - 1)
-    return first, a
 
 
 def check_pareto_bound_condition(table: PayoffTable) -> bool:

@@ -308,11 +308,8 @@ def _row_for_triple(
         row.utility_truthful_p0, row.utility_gl_p0 = map(float, table.utilities(0.0, cost, [t, g]))
         row.worthwhile_effort = check_worthwhile_effort(table, cost)
         for p in config.p_values:
-            utilities = table.utilities(p, cost)
-            row.utilities_at_p[repr(float(p))] = {
-                "truthful": float(utilities[t]),
-                "best_no_effort": float(utilities[g]),
-            }
+            truthful, best_no_effort = map(float, table.utilities(p, cost, [t, g]))
+            row.utilities_at_p[repr(float(p))] = {"truthful": truthful, "best_no_effort": best_no_effort}
     except Exception as exc:
         return _empty_row(env, mechanism, cost, config, exc)
     return row

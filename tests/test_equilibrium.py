@@ -12,7 +12,8 @@ mismatches for each threshold, after the measured layers at each k from 2 to
 5: each kind's payoff-table build in ms with its tracemalloc peak, the ms per
 row of ``solve_p_el`` and ``solve_p_pareto``, the dense ``gain_lines`` rows a
 row's thresholds build outside ``solve_p_el``, the ``_report_kinks`` calls per
-table and the ``_certified_intervals`` calls per row.
+table, and the ``_certified_intervals`` calls and its full-grid interval reads
+per row.
 """
 
 import dataclasses
@@ -505,6 +506,21 @@ class TestKinkedGains:
             with mock.patch.object(equilibrium, "TOL", tolerance):
                 _certified_intervals(table, 0.1, points, np.arange(len(table.strategies)))
             assert (len(calls) > 0) is near
+
+    def test_a_misplaced_end_is_read_from_every_grid_point_once(self, monkeypatch):
+        # Robust BTS under the log rule carries the scoring rule's sentinel into V, so
+        # truthful's magnitude (1.7e8) gives a rounding slack of about 2e-4, and its gain at
+        # p = 1 (1.44e-4) lies inside it: the dense row leaves p = 1 uncertified, so the
+        # guessed interval [0, 1000] is misplaced and is read at every grid point instead.
+        spec = MechanismSpec(MechanismKind.ROBUST_BTS, rule=LOGARITHMIC)
+        table = compute_payoff_table(spec, ORACLE_ENVS["acc-q2-s101-8"])
+        t, points = table.truthful, np.linspace(0.0, 1.0, 1001)
+        dense = np.flatnonzero(_gain_at(points[:, None], *table.gain_lines(0.2, [t])).max(axis=1) <= equilibrium.TOL)
+        calls = {"full-grid reads": 0}
+        monkeypatch.setattr(PayoffTable, "certify", counting_full_grid_reads(calls, points.size))
+        (lo,), (hi,) = _certified_intervals(table, 0.2, points, np.array([t]))
+        assert (lo, hi) == (dense[0], dense[-1]) == (0, 999) and dense.size == 1000
+        assert calls["full-grid reads"] == 1
 
     def test_five_label_intervals_are_the_dense_rows_at_every_grid_point(self):
         # The S x S oracle would take about 1 GB at k=5 and certify decides as the intervals
@@ -1107,12 +1123,28 @@ def counting(calls: dict, name: str, function):
     return counted
 
 
+def counting_full_grid_reads(calls: dict, size: int):
+    """``PayoffTable.certify``, adding one to ``calls["full-grid reads"]`` at each call that reads
+    one base at every one of ``size`` grid points, as ``_certified_intervals`` does for a base
+    whose probes disagree with its guessed interval."""
+    certify = PayoffTable.certify
+
+    def counted(self, p, cost, bases):
+        calls["full-grid reads"] += np.shape(p) == (size, 1)
+        return certify(self, p, cost, bases)
+
+    return counted
+
+
 def calls_outside_p_el(tables: list, costs) -> dict:
     """Calls made by every threshold of each (table, cost) row but ``p_el``, whose scan reads
-    one dense row by design: ``gain_lines`` (the others read the kinked gain), ``_report_kinks``
-    and ``_certified_intervals``.  Fresh tables count each table's one kink build."""
-    calls = dict.fromkeys(("gain_lines", "_report_kinks", "_certified_intervals"), 0)
+    one dense row by design: ``gain_lines`` (the others read the kinked gain), ``_report_kinks``,
+    ``_certified_intervals`` and its full-grid ``certify`` reads on the default grid.  Fresh
+    tables count each table's one kink build."""
+    calls = dict.fromkeys(("gain_lines", "_report_kinks", "_certified_intervals", "full-grid reads"), 0)
+    grid_size = equilibrium._grid_points(equilibrium.DEFAULT_GRID).size
     with (
+        mock.patch.object(PayoffTable, "certify", counting_full_grid_reads(calls, grid_size)),
         mock.patch.object(PayoffTable, "gain_lines", counting(calls, "gain_lines", PayoffTable.gain_lines)),
         mock.patch.object(equilibrium, "_report_kinks", counting(calls, "_report_kinks", equilibrium._report_kinks)),
         mock.patch.object(
@@ -1131,9 +1163,10 @@ def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
     tracemalloc peak of one build, then ms per row of ``solve_p_el`` and ``solve_p_pareto``
     (best of ``repeats``), over every kind but the logarithmic rules at the default costs,
     on the seed-3 environment the benchmark's sweeps generate, then, on fresh tables, the
-    dense rows per row outside ``p_el``, the ``_report_kinks`` calls per table and the
-    ``_certified_intervals`` calls per row.  Each repeat solves fresh tables, so
-    ``p_pareto`` pays for each table's kink pieces once, as a sweep does."""
+    dense rows per row outside ``p_el``, the ``_report_kinks`` calls per table, and the
+    ``_certified_intervals`` calls and its full-grid interval reads per row.  Each repeat
+    solves fresh tables, so ``p_pareto`` pays for each table's kink pieces once, as a sweep
+    does."""
     for k in labels:
         env = generate_environments(k, 1, seed=3, prefix="bench")[0]
         specs = [spec for spec in specs_for(env) if spec.rule is not LOGARITHMIC]
@@ -1166,7 +1199,8 @@ def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
         print(
             f"gain_lines k={k}: {calls['gain_lines'] / rows:.2f} calls per row outside solve_p_el; "
             f"_report_kinks {calls['_report_kinks'] / len(specs):.2f} calls per table; "
-            f"_certified_intervals {calls['_certified_intervals'] / rows:.2f} calls per row"
+            f"_certified_intervals {calls['_certified_intervals'] / rows:.2f} calls per row, "
+            f"{calls['full-grid reads'] / rows:.2f} full-grid interval reads per row"
         )
 
 
