@@ -66,6 +66,7 @@ from .equilibrium import (
     check_pareto_bound_condition,
     check_worthwhile_effort,
     compute_payoff_table,
+    compute_threshold_sweep,
     compute_thresholds,
     construct_dominated_environment,
     enumerate_symmetric_pure_equilibria,
@@ -75,6 +76,7 @@ from .equilibrium import (
     solve_p_el,
     solve_p_ex,
     solve_p_pareto,
+    solve_p_pareto_sweep,
     threshold_float,
 )
 from .harness import (

@@ -27,7 +27,7 @@ from .equilibrium import (
     enumerate_symmetric_pure_equilibria,
     solve_p_ds,
     solve_p_ds_bisection,
-    solve_p_pareto,
+    solve_p_pareto_sweep,
     threshold_float,
 )
 from ._sampling import simulate_utilities
@@ -161,9 +161,9 @@ def check_pareto_threshold_bound() -> tuple:
     failures = []
     checked = 0
     for mech, env, table in _gate_tables():
-        for cost in DEFAULT_EFFORT_COSTS:
+        sweep = solve_p_pareto_sweep(table, DEFAULT_EFFORT_COSTS, DEFAULT_GRID)
+        for cost, p_pareto in zip(DEFAULT_EFFORT_COSTS, sweep):
             p_ds = threshold_float(solve_p_ds(table, cost))
-            p_pareto = solve_p_pareto(table, cost, grid=DEFAULT_GRID)
             checked += 1
             if threshold_float(p_pareto) < p_ds - DEFAULT_GRID:
                 failures.append(

@@ -2,7 +2,10 @@
 
 Every solver takes one payoff table per (mechanism, environment) plus an
 effort cost, and no table entry depends on the cost, so one table serves a
-whole cost sweep.  A deviant is an effort plus one report per observed value,
+whole cost sweep: ``compute_threshold_sweep`` solves it in one pass, with the
+flag computed once and ``p_pareto`` at every cost from one interval search
+(``solve_p_pareto_sweep``), and ``compute_thresholds`` is that pass at one
+cost.  A deviant is an effort plus one report per observed value,
 and both rewards are sums of per-observation terms, so the table holds those
 terms (O(S k^2) numbers, not an S x S matrix) plus each symmetric profile's own
 unchecked reward and each strategy's audit reward.  Every entry is an exact
@@ -22,7 +25,10 @@ gain within a stated rounding slack of ``TOL`` is decided by the base's dense ro
 instead, so every decision equals the dense row's.  ``p_pareto`` is solved from
 those intervals, truthful's first and then only the intervals of the bases whose
 utility could beat truthful's there, and reported at the grid point a dense scan
-would find; ``p_el`` still scans one dense row over the grid before bisecting.
+would find.  A sweep searches every cost's intervals together, each (cost, base)
+column with its own cost in the same expressions, so each answer is the one
+that cost gives alone; ``p_el`` still scans one dense row over the grid per cost
+before bisecting.
 
 A threshold grid is 1/n for an integer n from 1 to 1 / ``MIN_GRID``: ``GRID`` states
 the rule once, as ``signals.COST`` does the cost's, and ``_grid_points`` checks it before
@@ -68,7 +74,11 @@ DEFAULT_GRID = 1e-3
 MIN_GRID = 1e-5
 REFINE = 1e-6  # width of the bracket at which the p_el bisection stops
 DS_REFINE = 1e-9  # width of the bracket at which the p_ds bisection stops; gate C1 compares at 1e-8
-PARETO_BLOCK = 64  # bases per block compared point by point in the Pareto threshold search
+PARETO_BLOCK = 64  # (cost, base) rivals per block compared point by point in the Pareto threshold search
+# Elements a Pareto sweep holds at a time: a block of costs holds at most this many (cost,
+# base or grid point) entries, and an interval search reads the pieces of at most this many
+# (base, piece) columns at a time, 2 K per base.
+SWEEP_BLOCK = 2**16
 # Relative bound on the rounding gap between an effort's best deviation gain read from
 # ``PayoffTable.kinked_gains`` at p and the largest matching entry of the dense gain row.
 # The row rounds at most 2k + 12 times, each time by at most 2**-53 of a term no larger
@@ -230,10 +240,13 @@ class PayoffTable:
         definition of a deviation gain, and every certification agrees with it.  A cost
         outside ``signals.COST`` is refused, and so are bases that are not strategy indices."""
         _check(COST, "effort_cost", cost)
+        return self._gain_lines(cost, self._bases(bases))
+
+    def _gain_lines(self, cost, bases: np.ndarray) -> tuple:
+        """``gain_lines`` unchecked, at one cost or one per base."""
         spot, full, own = self.spot, self.full_effort, self.own
-        bases = self._bases(bases)
         z = strategy_rewards(self.unchecked_terms[bases], self.efforts, self.maps)
-        effort = cost * (full[None, :] - full[bases][:, None])
+        effort = np.asarray(cost)[..., None] * (full[None, :] - full[bases][:, None])
         g0 = (z - own[bases][:, None]) - effort
         g1 = (spot[None, :] - spot[bases][:, None]) - effort
         return g0, g1
@@ -286,8 +299,12 @@ class PayoffTable:
         """
         p = np.atleast_1d(_check_p(p))
         _check(COST, "effort_cost", cost)
-        bases = self._bases(bases)
-        kinks, gains, slopes = self.kinked_gains(bases)
+        return self._certify(p, cost, self._bases(bases))
+
+    def _certify(self, p: np.ndarray, cost, bases: np.ndarray) -> tuple:
+        """``certify`` unchecked, for p of at least one dimension and at one cost or one per
+        base: every expression is the same on each (cost, base) column."""
+        kinks, gains, slopes = self._pieces[..., bases]
         costs = cost * (EFFORT_COST[:, None] - self.full_effort[bases])[:, None]
         lines = gains + slopes * (p[..., None, None, :] - kinks) - costs
         # Both efforts' pieces on one axis, reduced in one pass; sizes, not -1, so no base gives no gain.
@@ -296,7 +313,8 @@ class PayoffTable:
         unsure = np.nonzero(np.abs(gain - TOL) <= VERIFY_SLACK * (self.magnitude[bases] + cost))
         if unsure[0].size:
             at = np.broadcast_to(p, gain.shape)[unsure][:, None]
-            gain[unsure] = _gain_at(at, *self.gain_lines(cost, bases[unsure[-1]])).max(axis=1)
+            cost = np.broadcast_to(cost, bases.shape)[unsure[-1]]
+            gain[unsure] = _gain_at(at, *self._gain_lines(cost, bases[unsure[-1]])).max(axis=1)
         return gain, gain <= TOL
 
 
@@ -497,57 +515,80 @@ def solve_p_ex(table: PayoffTable, cost: float):
 def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID):
     """Smallest grid probability at which the truthful profile is a certified
     equilibrium and weakly best among all certified symmetric pure equilibria,
-    or NOT_FOUND.
+    or NOT_FOUND: ``solve_p_pareto_sweep`` at the one cost."""
+    (p,) = solve_p_pareto_sweep(table, [cost], grid)
+    return p
 
-    ``_certified_intervals`` finds truthful's interval of certified grid points,
-    the span searched.  A point of the span fails when another base certified
-    there has a utility above the truthful utility plus ``TOL``; the answer is
-    the first point that none rules out (``_ruled_out``).  Only the bases whose
-    lead over the truthful utility plus TOL (``_lead``) is above minus its
-    rounding slack (``_lead_slack``) at an end of the span get a second
-    interval search.  A lead is affine in p, so one at or below minus the slack
-    at both ends stays below it, up to a few roundings far inside the slack, at
-    every grid point between, and rules none out.  Certification at ``TOL`` is
-    the dense gain row's decision and utilities at a grid point are compared
-    with the dense scan's expressions, so the answer is the grid point that
-    scan returns.
+
+def solve_p_pareto_sweep(table: PayoffTable, costs, grid: float = DEFAULT_GRID) -> list:
+    """``solve_p_pareto`` at each effort cost of ``costs``, in order, every cost checked by
+    ``signals.COST`` before the grid is read.
+
+    ``_certified_intervals`` finds truthful's interval of certified grid points at
+    every cost in one search; each is the span searched at its cost.  A point of a
+    span fails when another base certified there has a utility above the truthful
+    utility plus ``TOL``; the answer is the first point that none rules out
+    (``_ruled_out``).  Only the (cost, base) pairs whose lead over the truthful
+    utility plus TOL (``_lead``) is above minus its rounding slack (``_lead_slack``)
+    at an end of that cost's span get a second interval search, all in one call.  A
+    lead is affine in p, so one at or below minus the slack at both ends stays below
+    it, up to a few roundings far inside the slack, at every grid point between, and
+    rules none out.  Certification at ``TOL`` is the dense gain row's decision and
+    utilities at a grid point are compared with the dense scan's expressions, each
+    (cost, base) column with its own cost, so the answer at each cost is the grid
+    point that scan returns.  Costs are solved ``SWEEP_BLOCK`` elements at a time.
     """
-    _check(COST, "effort_cost", cost)
-    t = table.truthful
+    costs = list(costs)
+    for cost in costs:
+        _check(COST, "effort_cost", cost)
     points = _grid_points(grid)
-    (t_lo,), (t_hi,) = _certified_intervals(table, cost, points, np.array([t]))
-    if t_lo > t_hi:
-        return NOT_FOUND
-    ends = points[[t_lo, t_hi]][:, None]
-    near = (_lead(table, cost, ends, slice(None)) > -_lead_slack(table, cost, slice(None))).any(axis=0)
-    near[t] = False
-    candidates = np.flatnonzero(near)
-    if not candidates.size:
-        return float(points[t_lo])
-    lo, hi = _certified_intervals(table, cost, points, candidates)
-    meets = (lo <= hi) & (lo <= t_hi) & (hi >= t_lo)
-    windows = np.maximum(lo[meets], t_lo), np.minimum(hi[meets], t_hi)
-    free = np.flatnonzero(~_ruled_out(table, cost, points, candidates[meets], windows, (t_lo, t_hi)))
-    if not free.size:
-        return NOT_FOUND
-    return float(points[t_lo + free[0]])
+    costs, step = np.array(costs, dtype=float), max(1, SWEEP_BLOCK // (len(table.own) + len(points)))
+    return [p for i in range(0, len(costs), step) for p in _pareto_block(table, costs[i : i + step], points)]
 
 
-def _lead(table: PayoffTable, cost: float, p, bases) -> np.ndarray:
-    """Each base's utility at p less the truthful utility plus ``TOL``: > 0 exactly where
-    the dense scan finds the base beats truthful."""
+def _pareto_block(table: PayoffTable, costs: np.ndarray, points: np.ndarray) -> list:
+    """``solve_p_pareto_sweep`` at the checked ``costs`` on the grid ``points``."""
+    t = table.truthful
+    t_lo, t_hi = _certified_intervals(table, costs, points, np.full(len(costs), t))
+    live = np.flatnonzero(t_lo <= t_hi)  # the costs at which truthful is certified somewhere
+    first, last, cost = t_lo[live], t_hi[live], costs[live]
+    ends, every = points[np.stack([first, last])][..., None], slice(None)
+    near = (_lead(table, cost[:, None], ends, every) > -_lead_slack(table, cost[:, None], every)).any(axis=0)
+    near[:, t] = False
+    owner, candidates = np.nonzero(near)  # (span, base) pairs, by span and then by base
+    span = last - first + 1
+    ruled = np.zeros(span.sum(), dtype=bool)  # every span's points, laid end to end
+    if candidates.size:
+        lo, hi = _certified_intervals(table, cost[owner], points, candidates)
+        meets = (lo <= hi) & (lo <= last[owner]) & (hi >= first[owner])
+        owner = owner[meets]
+        windows = np.maximum(lo[meets], first[owner]), np.minimum(hi[meets], last[owner])
+        shifts = (np.cumsum(span) - span - first)[owner]
+        ruled = _ruled_out(table, cost[owner], points, candidates[meets], windows, shifts, len(ruled))
+    answers = [NOT_FOUND] * len(costs)
+    for i, at, segment in zip(live, first, np.split(ruled, np.cumsum(span)[:-1])):
+        free = segment.argmin()  # the first point no base rules out, unless every one is
+        if not segment[free]:
+            answers[i] = float(points[at + free])
+    return answers
+
+
+def _lead(table: PayoffTable, cost, p, bases) -> np.ndarray:
+    """Each base's utility at p less the truthful utility plus ``TOL``, at one cost or one per
+    column: > 0 exactly where the dense scan finds the base beats truthful."""
     return table._utility(p, cost, bases) - (table._utility(p, cost, table.truthful) + TOL)
 
 
-def _lead_slack(table: PayoffTable, cost: float, bases) -> np.ndarray:
+def _lead_slack(table: PayoffTable, cost, bases) -> np.ndarray:
     """Bound on the rounding in each base's ``_lead``, from the terms of both utilities."""
     return VERIFY_SLACK * (table.magnitude[bases] + table.magnitude[table.truthful] + 2.0 * cost)
 
 
-def _ruled_out(table: PayoffTable, cost: float, points, rivals, windows: tuple, span: tuple):
-    """Which grid points of ``span`` = (first, last) some base in ``rivals`` rules out:
-    it is certified there (its window, from ``windows`` = (first, last) per base) and its
-    utility beats the truthful one plus ``TOL`` by the dense scan's comparison.
+def _ruled_out(table: PayoffTable, costs, points, rivals, windows: tuple, shifts, size: int):
+    """Which of ``size`` points, spans of grid points laid end to end, some base in ``rivals``
+    rules out: rival i, at effort cost ``costs[i]``, rules out grid index j at position
+    ``j + shifts[i]`` where it is certified (its window, from ``windows`` = (first, last) per
+    rival) and its utility beats the truthful one plus ``TOL`` by the dense scan's comparison.
 
     A base's lead over the truthful utility plus TOL is affine in p.  Where it clears the
     rounding slack ``VERIFY_SLACK * (magnitude[b] + magnitude[t] + 2 * cost)`` at both window
@@ -555,12 +596,11 @@ def _ruled_out(table: PayoffTable, cost: float, points, rivals, windows: tuple, 
     Otherwise the lead crosses zero once: the part of the window past the crossing by more
     than the slack is ruled out whole, and the grid points within the slack of it are
     compared one by one (all of them, for a lead too flat to place the crossing),
-    ``PARETO_BLOCK`` bases at a time.
+    ``PARETO_BLOCK`` rivals at a time.
     """
-    slack = _lead_slack(table, cost, rivals)
-    first, last = span
+    slack = _lead_slack(table, costs, rivals)
     a, b = windows
-    at_a, at_b = _lead(table, cost, points[a], rivals), _lead(table, cost, points[b], rivals)
+    at_a, at_b = _lead(table, costs, points[a], rivals), _lead(table, costs, points[b], rivals)
     whole = (at_a > slack) & (at_b > slack)
     crossing = np.flatnonzero(~whole & ~((at_a < -slack) & (at_b < -slack)))
     a_c, b_c, at_a, at_b = a[crossing], b[crossing], at_a[crossing], at_b[crossing]
@@ -572,26 +612,28 @@ def _ruled_out(table: PayoffTable, cost: float, points, rivals, windows: tuple, 
     rising = at_b > at_a
 
     # Whole windows and the parts past a crossing, as intervals.
-    starts = np.concatenate([a[whole], np.where(rising, zone_hi + 1, a_c)])
-    stops = np.concatenate([b[whole], np.where(rising, b_c, zone_lo - 1)])
-    keep, size = starts <= stops, last - first + 2
-    counts = np.bincount(starts[keep] - first, minlength=size) - np.bincount(stops[keep] - first + 1, minlength=size)
+    starts = np.concatenate([a[whole] + shifts[whole], np.where(rising, zone_hi + 1, a_c) + shifts[crossing]])
+    stops = np.concatenate([b[whole] + shifts[whole], np.where(rising, b_c, zone_lo - 1) + shifts[crossing]])
+    keep = starts <= stops
+    counts = np.bincount(starts[keep], minlength=size + 1) - np.bincount(stops[keep] + 1, minlength=size + 1)
     ruled = np.cumsum(counts[:-1]) > 0
 
     # Grid points near a crossing, one by one.
     for start in range(0, len(crossing), PARETO_BLOCK):
         block = slice(start, start + PARETO_BLOCK)
+        rows = crossing[block]
         width = np.maximum(zone_hi[block] - zone_lo[block] + 1, 0)
         offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
         index = np.repeat(zone_lo[block], width) + offset
-        cols = np.repeat(rivals[crossing[block]], width)
-        ruled[index[_lead(table, cost, points[index], cols) > 0] - first] = True
+        lead = _lead(table, np.repeat(costs[rows], width), points[index], np.repeat(rivals[rows], width))
+        ruled[(index + np.repeat(shifts[rows], width))[lead > 0]] = True
     return ruled
 
 
-def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, cols: np.ndarray):
+def _certified_intervals(table: PayoffTable, cost, points: np.ndarray, cols: np.ndarray):
     """Grid-index interval [lo, hi] on which each base in ``cols`` is a certified
-    symmetric equilibrium; lo > hi when it is certified at no grid point.
+    symmetric equilibrium, at one effort cost or one per column; lo > hi when it is
+    certified at no grid point.
 
     Each effort's best deviation gain is convex and piecewise linear in p
     (``PayoffTable.kinked_gains``), so it stays within ``TOL`` on one interval,
@@ -605,8 +647,17 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, co
     last certified points.
     """
     cols = np.asarray(cols)
+    cost = np.broadcast_to(np.asarray(cost, dtype=float), cols.shape)
+    step = max(1, SWEEP_BLOCK // (2 * table._pieces.shape[2]))
+    blocks = range(0, max(len(cols), 1), step)  # no columns make one empty block
+    lo, hi = zip(*(_interval_block(table, cost[i : i + step], points, cols[i : i + step]) for i in blocks))
+    return np.concatenate(lo), np.concatenate(hi)
+
+
+def _interval_block(table: PayoffTable, cost: np.ndarray, points: np.ndarray, cols: np.ndarray):
+    """``_certified_intervals`` over one block of columns, each with its cost."""
     n = len(points) - 1
-    kinks, gains, slopes = table.kinked_gains(cols)
+    kinks, gains, slopes = table._pieces[..., cols]
     excess = gains - (TOL + cost * (EFFORT_COST[:, None] - table.full_effort[cols]))[:, None]  # <= 0 within TOL
     slack = VERIFY_SLACK * (table.magnitude[cols] + cost)
     within = excess <= slack
@@ -630,10 +681,10 @@ def _certified_intervals(table: PayoffTable, cost: float, points: np.ndarray, co
 
     probes = np.array((lo - 1, lo, hi, hi + 1))
     expected = (lo <= probes) & (probes <= hi)
-    certified = table.certify(points[np.clip(probes, 0, n)], cost, cols)[1]
+    certified = table._certify(points[np.clip(probes, 0, n)], cost, cols)[1]
     misplaced = (certified != expected) & (probes >= 0) & (probes <= n)
     for j in np.flatnonzero(misplaced.any(axis=0)):
-        dense = np.flatnonzero(table.certify(points[:, None], cost, cols[[j]])[1])
+        dense = np.flatnonzero(table._certify(points[:, None], cost[[j]], cols[[j]])[1])
         lo[j], hi[j] = (dense[0], dense[-1]) if dense.size else (1, 0)
     return lo, hi
 
@@ -650,17 +701,36 @@ def check_pareto_bound_condition(table: PayoffTable) -> bool:
 
 
 def compute_thresholds(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID) -> ThresholdReport:
-    """All four thresholds plus the sufficient-condition flag at one effort cost, checked by
-    ``signals.COST``, on a grid checked by ``GRID``, certified at ``TOL``.  The solvers
-    check both, ``solve_p_ds`` the cost before any grid is read."""
-    return ThresholdReport(
-        p_ds=solve_p_ds(table, cost),
-        p_el=solve_p_el(table, cost, grid=grid),
-        p_ex=solve_p_ex(table, cost),
-        p_pareto=solve_p_pareto(table, cost, grid=grid),
-        grid=grid,
-        pareto_bound_condition=check_pareto_bound_condition(table),
-    )
+    """All four thresholds plus the sufficient-condition flag at one effort cost:
+    ``compute_threshold_sweep`` at that cost."""
+    (report,) = compute_threshold_sweep(table, [cost], grid)
+    return report
+
+
+def compute_threshold_sweep(table: PayoffTable, costs, grid: float = DEFAULT_GRID) -> list:
+    """One ``ThresholdReport`` per effort cost of ``costs``, in order: all four thresholds
+    plus the sufficient-condition flag, certified at ``TOL``.  Every cost is checked by
+    ``signals.COST`` before the grid is checked by ``GRID`` and its points are built.
+
+    No table entry depends on the cost, so the flag is computed once and ``p_pareto``
+    at every cost in one ``solve_p_pareto_sweep``; ``p_ds``, ``p_el`` and ``p_ex`` are
+    solved per cost."""
+    costs = list(costs)
+    p_pareto = solve_p_pareto_sweep(table, costs, grid)
+    if not costs:  # no report reads the flag, whose certify would build every base's pieces
+        return []
+    flag = check_pareto_bound_condition(table)
+    return [
+        ThresholdReport(
+            p_ds=solve_p_ds(table, cost),
+            p_el=solve_p_el(table, cost, grid=grid),
+            p_ex=solve_p_ex(table, cost),
+            p_pareto=pareto,
+            grid=grid,
+            pareto_bound_condition=flag,
+        )
+        for cost, pareto in zip(costs, p_pareto)
+    ]
 
 
 def construct_dominated_environment(mechanism: MechanismSpec, candidates: list, cost: float):

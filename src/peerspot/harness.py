@@ -1,15 +1,17 @@
 """Experiment orchestration: config ingestion, threshold sweeps, and report emission.
 
 A run crosses every environment with every mechanism and every effort-cost
-value of the sweep (an environment holds no cost; ``compute_thresholds``
-checks each one), computes the four audit-probability thresholds plus the
-sufficient-condition flag per triple, and writes flat CSV / JSON / plot-data
-files.  ``ResultRow`` defines a row once: its fields are the CSV columns in
-order, and JSON is the same fields plus a timestamp and the utilities at the
-swept audit probabilities.  ``REPORTS`` lists each report format once with its
-file and emitter.  A config's ``grid`` is read by ``equilibrium.GRID``, the rule
-the threshold solvers check.  Identical config and seed reproduce identical CSV
-bytes; errors in one triple are recorded in its row and never abort the sweep.
+value of the sweep (an environment holds no cost; each row checks its own),
+computes the four audit-probability thresholds plus the sufficient-condition
+flag per triple, and writes flat CSV / JSON / plot-data files.  No payoff-table
+entry depends on the cost, so one ``compute_threshold_sweep`` call per table
+solves every cost its rows left valid.  ``ResultRow`` defines a row once: its
+fields are the CSV columns in order, and JSON is the same fields plus a
+timestamp and the utilities at the swept audit probabilities.  ``REPORTS``
+lists each report format once with its file and emitter.  A config's ``grid``
+is read by ``equilibrium.GRID``, the rule the threshold solvers check.
+Identical config and seed reproduce identical CSV bytes; errors in one triple
+are recorded in its row and never abort the sweep.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import DEFAULT_GRID, GRID, PayoffTable, check_worthwhile_effort, compute_payoff_table, compute_thresholds
+from .equilibrium import DEFAULT_GRID, GRID, PayoffTable, check_worthwhile_effort, compute_payoff_table, compute_threshold_sweep
 from .equilibrium import threshold_float
 from .errors import ConfigError, PeerSpotError
 from .mechanisms import MechanismSpec
@@ -75,7 +77,11 @@ class ResultRow:
         return {name: _cell(getattr(self, name)) for name in CSV_COLUMNS}
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order, as ``dataclasses.asdict`` gives them: ``utilities_at_p`` is
+        copied with each of its dicts, and every other field holds an immutable value."""
+        doc = {name: getattr(self, name) for name in _ROW_FIELDS}
+        doc["utilities_at_p"] = {p: dict(values) for p, values in self.utilities_at_p.items()}
+        return doc
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ResultRow":
@@ -292,18 +298,17 @@ def _empty_row(env: Environment, mechanism: MechanismSpec, cost: float, config, 
     )
 
 
-def _row_for_triple(
+def _row_at_cost(
     env: Environment,
     mechanism: MechanismSpec,
     cost: float,
     config: ExperimentConfig,
     table: PayoffTable,
 ) -> ResultRow:
+    """A row's own steps at one cost, all but its thresholds: the utilities and the effort
+    check, which refuse a bad cost, so such a cost fails in its own row."""
     row = _empty_row(env, mechanism, cost, config)
     try:
-        report = compute_thresholds(table, cost, grid=config.grid)  # rejects negative and non-finite costs
-        for name, value in report.to_json_dict().items():
-            setattr(row, name, value)
         t, g = table.truthful, table.best_no_effort
         row.utility_truthful_p0, row.utility_gl_p0 = map(float, table.utilities(0.0, cost, [t, g]))
         row.worthwhile_effort = check_worthwhile_effort(table, cost)
@@ -315,12 +320,31 @@ def _row_for_triple(
     return row
 
 
+def _rows_for_table(env: Environment, mechanism: MechanismSpec, config: ExperimentConfig, table: PayoffTable) -> list:
+    """One row per cost of the sweep: each row's own steps, then the thresholds of every row
+    they left without an error from one ``compute_threshold_sweep`` call.  A sweep that
+    raises records its exception in each of those rows."""
+    rows = [_row_at_cost(env, mechanism, cost, config, table) for cost in config.effort_costs]
+    swept = [i for i, row in enumerate(rows) if not row.error]
+    try:
+        reports = compute_threshold_sweep(table, [rows[i].effort_cost for i in swept], grid=config.grid)
+    except Exception as exc:
+        for i in swept:
+            rows[i] = _empty_row(env, mechanism, rows[i].effort_cost, config, exc)
+        return rows
+    for i, report in zip(swept, reports):
+        for name, value in report.to_json_dict().items():
+            setattr(rows[i], name, value)
+    return rows
+
+
 def run_experiment(config: ExperimentConfig) -> list:
     """All (environment, mechanism, effort cost) rows, deterministically ordered.
 
-    The payoff table for each (environment, mechanism) pair is cost-independent
-    and shared across the cost sweep.  Any exception in a table build or a
-    triple is recorded in the affected rows and leaves every other row intact.
+    The payoff table for each (environment, mechanism) pair is cost-independent,
+    and one ``compute_threshold_sweep`` solves its whole cost sweep.  Any exception
+    in a table build, a sweep or a row's own steps is recorded in the affected rows
+    and leaves every other row intact.
     """
     rows = []
     for env in config.environments:
@@ -330,8 +354,7 @@ def run_experiment(config: ExperimentConfig) -> list:
             except Exception as exc:
                 rows.extend(_empty_row(env, mechanism, cost, config, exc) for cost in config.effort_costs)
                 continue
-            for cost in config.effort_costs:
-                rows.append(_row_for_triple(env, mechanism, cost, config, table))
+            rows.extend(_rows_for_table(env, mechanism, config, table))
     assert_threshold_consistency(rows)
     return rows
 

@@ -7,13 +7,14 @@ tables.  The oracles read the dense (deviant, base) matrix gathered from the
 table's per-observation terms.  ``python tests/test_equilibrium.py`` runs the
 full comparison: the 32 sweep-k3 families, the bundled config, the acceptance
 environments, and four k=4 environments (``p_pareto`` against the
-point-by-point scan).  It prints the number of rows compared and of
-mismatches for each threshold, after the measured layers at each k from 2 to
-5: each kind's payoff-table build in ms with its tracemalloc peak, the ms per
-row of ``solve_p_el`` and ``solve_p_pareto``, the dense ``gain_lines`` rows a
-row's thresholds build outside ``solve_p_el``, the ``_report_kinks`` calls per
-table, and the ``_certified_intervals`` calls and its full-grid interval reads
-per row.
+point-by-point scan), and on every such table one ``compute_threshold_sweep``
+against each cost solved alone, field by field.  It prints the number of rows
+compared and of mismatches for each threshold and for the sweep, after the
+measured layers at each k from 2 to 5: each kind's payoff-table build in ms
+with its tracemalloc peak, the ms per row of ``solve_p_el``, ``solve_p_pareto``
+and ``solve_p_pareto_sweep``, the dense ``gain_lines`` rows a sweep's
+thresholds build outside ``solve_p_el``, the ``_report_kinks`` calls per table,
+and the ``_certified_intervals`` calls and its full-grid interval reads per row.
 """
 
 import dataclasses
@@ -53,6 +54,7 @@ from peerspot import (
     check_pareto_bound_condition,
     check_worthwhile_effort,
     compute_payoff_table,
+    compute_threshold_sweep,
     compute_thresholds,
     construct_dominated_environment,
     enumerate_pure_strategies,
@@ -68,6 +70,7 @@ from peerspot import (
     solve_p_el,
     solve_p_ex,
     solve_p_pareto,
+    solve_p_pareto_sweep,
     threshold_float,
     truthful_strategy,
 )
@@ -501,8 +504,8 @@ class TestKinkedGains:
         env = generate_environments(4, 1, seed=3, prefix="bench")[0]
         for table, tolerance, near in ((compute_payoff_table(OA, env), 1e-9, False), (COINCIDENT_KINKS, 0.0, True)):
             calls = []
-            gain_lines = table.gain_lines
-            monkeypatch.setattr(table, "gain_lines", lambda cost, bases: calls.append(bases) or gain_lines(cost, bases))
+            gain_lines = table._gain_lines
+            monkeypatch.setattr(table, "_gain_lines", lambda cost, bases: calls.append(bases) or gain_lines(cost, bases))
             with mock.patch.object(equilibrium, "TOL", tolerance):
                 _certified_intervals(table, 0.1, points, np.arange(len(table.strategies)))
             assert (len(calls) > 0) is near
@@ -517,7 +520,7 @@ class TestKinkedGains:
         t, points = table.truthful, np.linspace(0.0, 1.0, 1001)
         dense = np.flatnonzero(_gain_at(points[:, None], *table.gain_lines(0.2, [t])).max(axis=1) <= equilibrium.TOL)
         calls = {"full-grid reads": 0}
-        monkeypatch.setattr(PayoffTable, "certify", counting_full_grid_reads(calls, points.size))
+        monkeypatch.setattr(PayoffTable, "_certify", counting_full_grid_reads(calls, points.size))
         (lo,), (hi,) = _certified_intervals(table, 0.2, points, np.array([t]))
         assert (lo, hi) == (dense[0], dense[-1]) == (0, 999) and dense.size == 1000
         assert calls["full-grid reads"] == 1
@@ -1104,6 +1107,84 @@ class TestGridBoundary:
             assert p_pareto == pytest.approx(math.ceil(0.56 * n - 1e-9) / n, abs=1e-12)
 
 
+def report_fields(report) -> tuple:
+    """Every field of a ``ThresholdReport`` by ``repr``, so a status, a float's bits and a flag all count."""
+    return tuple(repr(getattr(report, f.name)) for f in dataclasses.fields(report))
+
+
+def sweep_mismatches(label: str, table, costs) -> list:
+    """Costs at which one ``compute_threshold_sweep`` over ``costs`` and ``compute_thresholds``
+    at that cost alone give reports that differ in any field."""
+    swept = compute_threshold_sweep(table, costs)
+    return [
+        f"{label} cost={cost!r}: sweep {report!r}, alone {alone!r}"
+        for cost, report in zip(costs, swept)
+        if report_fields(report) != report_fields(alone := compute_thresholds(table, cost))
+    ]
+
+
+class TestCostSweep:
+    """``compute_threshold_sweep`` solves a table's whole cost sweep in one pass, and each of its
+    reports is, field by field, the one ``compute_thresholds`` gives at that cost alone."""
+
+    @settings(max_examples=100)
+    @given(
+        table=eighths_tables(),
+        costs=st.lists(st.sampled_from([0.0, 0.1, 0.125, 0.25, 0.5]), min_size=1, max_size=6),
+        tolerance=st.sampled_from([0.0, 1e-9]),
+        grid=st.sampled_from([1e-3, 0.1, 0.125]),
+    )
+    @example(table=TIE_AT_THREE_TENTHS, costs=[0.25, 0.125, 0.0, 0.125], tolerance=0.0, grid=1e-3)
+    @example(table=ZERO_PLATEAU, costs=[0.0], tolerance=0.0, grid=1e-3)
+    @example(table=COINCIDENT_KINKS, costs=[0.125, 0.0, 0.0], tolerance=0.0, grid=0.125)
+    def test_sweep_is_each_cost_alone(self, table, costs, tolerance, grid):
+        with mock.patch.object(equilibrium, "TOL", tolerance):
+            swept = compute_threshold_sweep(table, costs, grid)
+            alone = [compute_thresholds(table, cost, grid) for cost in costs]
+        assert [report_fields(r) for r in swept] == [report_fields(r) for r in alone]
+
+    @pytest.mark.parametrize("labels", [3, 4])
+    def test_blocks_of_any_size_give_the_same_answers(self, monkeypatch, labels):
+        # One cost per block, as on some k=5 tables, and every cost in one block, as at k <= 4.
+        table = compute_payoff_table(OA, generate_environments(labels, 1, seed=3, prefix="bench")[0])
+        costs = [0.2, 0.0, 0.05, 0.1, 0.05]
+        answers = {}
+        for block in (1, 2**30):
+            monkeypatch.setattr(equilibrium, "SWEEP_BLOCK", block)
+            answers[block] = [repr(p) for p in solve_p_pareto_sweep(table, costs)]
+        assert answers[1] == answers[2**30]
+        if labels == 3:  # the scan takes seconds at k=4
+            assert answers[1] == [repr(scan_p_pareto(table, cost)) for cost in costs]
+
+    @pytest.mark.parametrize("labels", [2, 3, 4])
+    def test_one_flag_and_two_interval_searches_per_sweep(self, monkeypatch, labels):
+        # The flag reads no cost, and each interval search takes every cost at once.
+        env = generate_environments(labels, 1, seed=3, prefix="bench")[0]
+        for spec in (OA, MechanismSpec(MechanismKind.CORRELATED_AGREEMENT), PI):
+            table = compute_payoff_table(spec, env)
+            calls = dict.fromkeys(("check_pareto_bound_condition", "certify", "_certified_intervals", "_grid_points"), 0)
+            for name in ("check_pareto_bound_condition", "_certified_intervals", "_grid_points"):
+                monkeypatch.setattr(equilibrium, name, counting(calls, name, getattr(equilibrium, name)))
+            monkeypatch.setattr(PayoffTable, "certify", counting(calls, "certify", PayoffTable.certify))
+            compute_threshold_sweep(table, DEFAULT_EFFORT_COSTS)
+            monkeypatch.undo()
+            assert calls["check_pareto_bound_condition"] == calls["certify"] == 1  # the flag's one read
+            assert 1 <= calls["_certified_intervals"] <= 2
+            assert calls["_grid_points"] == 1 + len(DEFAULT_EFFORT_COSTS)  # the sweep's, and each p_el walk's
+
+    def test_costs_are_checked_before_the_grid(self, env, monkeypatch):
+        built = []
+        monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: built.append(args))
+        with pytest.raises(InvalidDistribution, match="^effort_cost must be finite and nonnegative, got -0.1$"):
+            compute_threshold_sweep(compute_payoff_table(OA, env), [0.1, -0.1], grid=0.3)
+        assert built == []
+
+    def test_no_costs_give_no_reports_and_build_no_pieces(self, env):
+        table = compute_payoff_table(OA, env)
+        assert compute_threshold_sweep(table, []) == [] and solve_p_pareto_sweep(table, ()) == []
+        assert "_pieces" not in vars(table)
+
+
 class TestReportAssembly:
     def test_compute_thresholds_bundle(self, env):
         report = compute_thresholds(compute_payoff_table(PI, env), E1_COST)
@@ -1124,10 +1205,11 @@ def counting(calls: dict, name: str, function):
 
 
 def counting_full_grid_reads(calls: dict, size: int):
-    """``PayoffTable.certify``, adding one to ``calls["full-grid reads"]`` at each call that reads
-    one base at every one of ``size`` grid points, as ``_certified_intervals`` does for a base
-    whose probes disagree with its guessed interval."""
-    certify = PayoffTable.certify
+    """``PayoffTable._certify``, the unchecked ``certify`` that the solvers call, adding one to
+    ``calls["full-grid reads"]`` at each call that reads one base at every one of ``size`` grid
+    points, as ``_certified_intervals`` does for a base whose probes disagree with its guessed
+    interval."""
+    certify = PayoffTable._certify
 
     def counted(self, p, cost, bases):
         calls["full-grid reads"] += np.shape(p) == (size, 1)
@@ -1137,15 +1219,15 @@ def counting_full_grid_reads(calls: dict, size: int):
 
 
 def calls_outside_p_el(tables: list, costs) -> dict:
-    """Calls made by every threshold of each (table, cost) row but ``p_el``, whose scan reads
+    """Calls made by every threshold of each table's cost sweep but ``p_el``, whose scan reads
     one dense row by design: ``gain_lines`` (the others read the kinked gain), ``_report_kinks``,
     ``_certified_intervals`` and its full-grid ``certify`` reads on the default grid.  Fresh
     tables count each table's one kink build."""
     calls = dict.fromkeys(("gain_lines", "_report_kinks", "_certified_intervals", "full-grid reads"), 0)
     grid_size = equilibrium._grid_points(equilibrium.DEFAULT_GRID).size
     with (
-        mock.patch.object(PayoffTable, "certify", counting_full_grid_reads(calls, grid_size)),
-        mock.patch.object(PayoffTable, "gain_lines", counting(calls, "gain_lines", PayoffTable.gain_lines)),
+        mock.patch.object(PayoffTable, "_certify", counting_full_grid_reads(calls, grid_size)),
+        mock.patch.object(PayoffTable, "_gain_lines", counting(calls, "gain_lines", PayoffTable._gain_lines)),
         mock.patch.object(equilibrium, "_report_kinks", counting(calls, "_report_kinks", equilibrium._report_kinks)),
         mock.patch.object(
             equilibrium, "_certified_intervals", counting(calls, "_certified_intervals", equilibrium._certified_intervals)
@@ -1153,37 +1235,42 @@ def calls_outside_p_el(tables: list, costs) -> dict:
     ):
         for table in tables:
             for cost in costs:
-                solve_p_ds(table, cost), solve_p_ex(table, cost), solve_p_pareto(table, cost)
-                check_pareto_bound_condition(table)
+                solve_p_ds(table, cost), solve_p_ex(table, cost)
+            solve_p_pareto_sweep(table, costs)
+            check_pareto_bound_condition(table)
     return calls
 
 
 def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
     """Print, per k, each kind's payoff-table build in ms (best of ``repeats``) with the
-    tracemalloc peak of one build, then ms per row of ``solve_p_el`` and ``solve_p_pareto``
-    (best of ``repeats``), over every kind but the logarithmic rules at the default costs,
-    on the seed-3 environment the benchmark's sweeps generate, then, on fresh tables, the
-    dense rows per row outside ``p_el``, the ``_report_kinks`` calls per table, and the
-    ``_certified_intervals`` calls and its full-grid interval reads per row.  Each repeat
-    solves fresh tables, so ``p_pareto`` pays for each table's kink pieces once, as a sweep
-    does."""
+    tracemalloc peak of one build, then ms per row of ``solve_p_el``, ``solve_p_pareto`` one
+    cost at a time and ``solve_p_pareto_sweep`` over each table's costs (best of ``repeats``),
+    over every kind but the logarithmic rules at the default costs, on the seed-3
+    environment the benchmark's sweeps generate, then, on fresh tables, the dense rows per
+    row outside ``p_el``, the ``_report_kinks`` calls per table, and the
+    ``_certified_intervals`` calls and its full-grid interval reads per row.  Each solver
+    solves fresh tables in each repeat, so both ``p_pareto`` routes pay for each table's
+    kink pieces once, as a sweep does."""
     for k in labels:
         env = generate_environments(k, 1, seed=3, prefix="bench")[0]
         specs = [spec for spec in specs_for(env) if spec.rule is not LOGARITHMIC]
         rows = len(specs) * len(DEFAULT_EFFORT_COSTS)
         builds = [math.inf] * len(specs)
-        best = {solve_p_el: math.inf, solve_p_pareto: math.inf}
+        best = {solve_p_el: math.inf, solve_p_pareto: math.inf, solve_p_pareto_sweep: math.inf}
         for _ in range(repeats):
-            tables = []
             for i, spec in enumerate(specs):
                 start = time.perf_counter()
-                tables.append(compute_payoff_table(spec, env))
+                compute_payoff_table(spec, env)
                 builds[i] = min(builds[i], time.perf_counter() - start)
             for solver in best:
+                tables = [compute_payoff_table(spec, env) for spec in specs]
                 start = time.perf_counter()
                 for table in tables:
-                    for cost in DEFAULT_EFFORT_COSTS:
-                        solver(table, cost)
+                    if solver is solve_p_pareto_sweep:
+                        solver(table, DEFAULT_EFFORT_COSTS)
+                    else:
+                        for cost in DEFAULT_EFFORT_COSTS:
+                            solver(table, cost)
                 best[solver] = min(best[solver], time.perf_counter() - start)
         for spec, seconds in zip(specs, builds):
             tracemalloc.start()
@@ -1205,7 +1292,8 @@ def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
 
 
 def full_gate() -> int:
-    """The solvers against their grid oracles on every gate row; prints the counts per threshold."""
+    """The solvers against their grid oracles on every gate row, and each table's one cost sweep
+    against its costs solved alone; prints the counts per threshold and for the sweep."""
     cases = []  # (label, spec, environment, costs, p_pareto oracle)
     for seed in range(32):  # the benchmark's sweep-k3 families
         env = generate_environments(3, 1, seed=seed, prefix="bench")[0]
@@ -1221,13 +1309,14 @@ def full_gate() -> int:
         k4 = generate_environments(4, 1, seed=seed, prefix="bench")[0]
         for spec in (OA, MechanismSpec(MechanismKind.CORRELATED_AGREEMENT), PI):
             cases.append((spec_id(spec), spec, k4, DEFAULT_EFFORT_COSTS, scan_p_pareto))
-    rows, found = 0, {"p_pareto": [], "p_el": []}
+    rows, found = 0, {"p_pareto": [], "p_el": [], "sweep": []}
     for label, spec, env, costs, pareto_oracle in cases:
         rows += len(costs)
         table = compute_payoff_table(spec, env)
         label = f"{env.env_id} {label}"
         found["p_pareto"] += solver_mismatches(label, table, costs, solve_p_pareto, pareto_oracle)
         found["p_el"] += solver_mismatches(label, table, costs, solve_p_el, scan_p_el)
+        found["sweep"] += sweep_mismatches(label, table, list(costs))
     for name, lines in found.items():
         for line in lines:
             print("MISMATCH " + line)

@@ -1,5 +1,6 @@
 """Config ingestion, experiment sweeps, report emission, and the CLI."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -410,30 +411,50 @@ class TestRunExperiment:
         assert by_mech["output_agreement"].p_ds > 0
 
     def test_any_exception_is_recorded_in_its_rows(self, monkeypatch):
+        # A table build or a cost sweep that raises fails every row it covers; a row's own step
+        # that raises fails that row alone, which leaves it out of its table's one sweep.
         from peerspot import harness
 
-        build, solve = harness.compute_payoff_table, harness.compute_thresholds
+        build, sweep, worthwhile = harness.compute_payoff_table, harness.compute_threshold_sweep, harness.check_worthwhile_effort
+        kinds, swept = {}, []
 
         def failing_build(mechanism, env):
             if mechanism.kind.value == "peer_insensitive":
                 raise RuntimeError("table build failed")
-            return build(mechanism, env)
+            table = build(mechanism, env)
+            kinds[id(table)] = mechanism.kind.value
+            return table
 
-        def failing_solve(table, cost, **kwargs):
-            if cost == 0.1:
+        def failing_sweep(table, costs, **kwargs):
+            swept.append((kinds[id(table)], list(costs)))
+            if kinds[id(table)] == "output_agreement":
                 raise MemoryError("solver ran out of memory")
-            return solve(table, cost, **kwargs)
+            return sweep(table, costs, **kwargs)
+
+        def failing_check(table, cost):
+            if cost == 0.1:
+                raise ValueError("effort check failed")
+            return worthwhile(table, cost)
 
         monkeypatch.setattr(harness, "compute_payoff_table", failing_build)
-        monkeypatch.setattr(harness, "compute_thresholds", failing_solve)
-        rows = run_experiment(parse_config(tiny_config_doc()))
-        errors = {(r.mechanism, r.effort_cost): r.error for r in rows}
-        assert errors[("peer_insensitive", 0.0)] == "RuntimeError: table build failed"
-        assert errors[("peer_insensitive", 0.1)] == "RuntimeError: table build failed"
-        assert errors[("output_agreement", 0.1)] == "MemoryError: solver ran out of memory"
-        assert errors[("output_agreement", 0.0)] == ""
-        failed = next(r for r in rows if r.mechanism == "output_agreement" and r.effort_cost == 0.1)
-        assert failed.p_ds is None and failed.grid is None and failed.utility_truthful_p0 is None
+        monkeypatch.setattr(harness, "compute_threshold_sweep", failing_sweep)
+        monkeypatch.setattr(harness, "check_worthwhile_effort", failing_check)
+        mechanisms = [{"kind": "peer_insensitive", "W": 1.0}, {"kind": "output_agreement"}, {"kind": "correlated_agreement"}]
+        rows = run_experiment(parse_config(tiny_config_doc(mechanisms=mechanisms)))
+        assert {(r.mechanism, r.effort_cost): r.error for r in rows} == {
+            ("peer_insensitive", 0.0): "RuntimeError: table build failed",
+            ("peer_insensitive", 0.1): "RuntimeError: table build failed",
+            ("output_agreement", 0.0): "MemoryError: solver ran out of memory",
+            ("output_agreement", 0.1): "ValueError: effort check failed",
+            ("correlated_agreement", 0.0): "",
+            ("correlated_agreement", 0.1): "ValueError: effort check failed",
+        }
+        assert swept == [("output_agreement", [0.0]), ("correlated_agreement", [0.0])]
+        for failed in rows[:4] + rows[5:]:
+            assert failed.p_ds is None and failed.grid is None and failed.utility_truthful_p0 is None
+        monkeypatch.undo()
+        clean = run_experiment(parse_config(tiny_config_doc(mechanisms=mechanisms)))
+        assert rows[4].csv_record() == clean[4].csv_record()
 
     def test_library_costs_are_checked_per_row(self):
         # A config built in code skips the config reader; each row checks its own cost.
@@ -544,6 +565,23 @@ class TestReports:
         rows = run_experiment(parse_config(tiny_config_doc(sweeps={"effort_cost": [0.1], "p": [0.5]})))
         assert rows[0].utilities_at_p
         assert [ResultRow.from_json_dict(json.loads(json.dumps(r.to_json_dict()))) for r in rows] == rows
+
+    def test_row_json_is_asdict_and_a_copy(self, tmp_path):
+        # The same keys, order and values as dataclasses.asdict, so results.json keeps its bytes,
+        # and nothing in it is shared with the row.
+        doc = tiny_config_doc(sweeps={"effort_cost": [0.0, 0.1], "p": [0.25, 0.5]})
+        rows = run_experiment(parse_config(doc)) + [ResultRow("e", "m", 0.0, error="ValueError: x")]
+        expected = json.dumps([dataclasses.asdict(r) for r in rows], indent=2, sort_keys=True)
+        assert emit_json(rows, tmp_path / "results.json").read_text() == expected
+        for row in rows:
+            before = dataclasses.asdict(row)
+            got = row.to_json_dict()
+            assert got == before and list(got) == list(before)
+            for values in got["utilities_at_p"].values():
+                values["truthful"] = None
+            got["utilities_at_p"]["1.0"] = {}
+            got["env_id"] = None
+            assert dataclasses.asdict(row) == before
 
     def test_json_round_trips_through_report_cli(self, rows, tmp_path):
         json_path = emit_json(rows, tmp_path / "rows.json")
