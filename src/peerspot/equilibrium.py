@@ -25,10 +25,11 @@ gain within a stated rounding slack of ``TOL`` is decided by the base's dense ro
 instead, so every decision equals the dense row's.  ``p_pareto`` is solved from
 those intervals, truthful's first and then only the intervals of the bases whose
 utility could beat truthful's there, and reported at the grid point a dense scan
-would find.  A sweep searches every cost's intervals together, each (cost, base)
-column with its own cost in the same expressions, so each answer is the one
-that cost gives alone; ``p_el`` still scans one dense row over the grid per cost
-before bisecting.
+would find.  A sweep searches every cost's intervals together and rules grid points
+out in one (cost, grid point) matrix, each (cost, base) column with its own cost in
+the same expressions, so each answer is the one that cost gives alone; its cost
+blocks, interval reads and zone comparisons share the one budget ``SWEEP_BLOCK``.
+``p_el`` still scans one dense row over the grid per cost before bisecting.
 
 A threshold grid is 1/n for an integer n from 1 to 1 / ``MIN_GRID``: ``GRID`` states
 the rule once, as ``signals.COST`` does the cost's, and ``_grid_points`` checks it before
@@ -51,6 +52,7 @@ Thresholds solved here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -74,10 +76,10 @@ DEFAULT_GRID = 1e-3
 MIN_GRID = 1e-5
 REFINE = 1e-6  # width of the bracket at which the p_el bisection stops
 DS_REFINE = 1e-9  # width of the bracket at which the p_ds bisection stops; gate C1 compares at 1e-8
-PARETO_BLOCK = 64  # (cost, base) rivals per block compared point by point in the Pareto threshold search
-# Elements a Pareto sweep holds at a time: a block of costs holds at most this many (cost,
-# base or grid point) entries, and an interval search reads the pieces of at most this many
-# (base, piece) columns at a time, 2 K per base.
+# Elements a Pareto sweep holds at a time, in each of its three reads: a block of costs holds
+# at most this many (cost, base or grid point) entries, its ruled-out matrix among them; an
+# interval search reads the pieces of at most this many (base, piece) columns, 2 K per base;
+# and ``_ruled_out`` compares at most this many zone points at once.
 SWEEP_BLOCK = 2**16
 # Relative bound on the rounding gap between an effort's best deviation gain read from
 # ``PayoffTable.kinked_gains`` at p and the largest matching entry of the dense gain row.
@@ -139,8 +141,8 @@ def _grid_points(grid) -> np.ndarray:
 
 
 def threshold_float(x) -> float:
-    """Numeric view of a threshold or of its row cell; unattained ones compare as +inf."""
-    return float(x) if isinstance(x, (int, float)) else math.inf
+    """Numeric view of a threshold or its row cell: any real number, numpy's too, as its value, else +inf."""
+    return float(x) if isinstance(x, numbers.Real) else math.inf
 
 
 @dataclass(frozen=True)
@@ -525,18 +527,19 @@ def solve_p_pareto_sweep(table: PayoffTable, costs, grid: float = DEFAULT_GRID) 
     ``signals.COST`` before the grid is read.
 
     ``_certified_intervals`` finds truthful's interval of certified grid points at
-    every cost in one search; each is the span searched at its cost.  A point of a
-    span fails when another base certified there has a utility above the truthful
-    utility plus ``TOL``; the answer is the first point that none rules out
-    (``_ruled_out``).  Only the (cost, base) pairs whose lead over the truthful
-    utility plus TOL (``_lead``) is above minus its rounding slack (``_lead_slack``)
-    at an end of that cost's span get a second interval search, all in one call.  A
-    lead is affine in p, so one at or below minus the slack at both ends stays below
-    it, up to a few roundings far inside the slack, at every grid point between, and
-    rules none out.  Certification at ``TOL`` is the dense gain row's decision and
-    utilities at a grid point are compared with the dense scan's expressions, each
-    (cost, base) column with its own cost, so the answer at each cost is the grid
-    point that scan returns.  Costs are solved ``SWEEP_BLOCK`` elements at a time.
+    every cost in one search.  A boolean matrix, one row per cost and one column per
+    grid point, marks the points outside it, and ``_ruled_out`` marks each point where
+    another base certified there has a utility above the truthful utility plus ``TOL``;
+    a row's first unmarked point is its answer, NOT_FOUND where none is.  Only the
+    (cost, base) pairs whose lead over the truthful utility plus TOL (``_lead``) is
+    above minus its rounding slack (``_lead_slack``) at an end of truthful's interval
+    get a second interval search, all in one call.  A lead is affine in p, so one at or
+    below minus the slack at both ends stays below it, up to a few roundings far inside
+    the slack, at every grid point between, and rules none out.  Certification at
+    ``TOL`` is the dense gain row's decision and utilities at a grid point are compared
+    with the dense scan's expressions, each (cost, base) column with its own cost, so
+    the answer at each cost is the grid point that scan returns.  Costs are solved in
+    blocks of at most ``SWEEP_BLOCK`` (cost, base or grid point) entries.
     """
     costs = list(costs)
     for cost in costs:
@@ -550,27 +553,21 @@ def _pareto_block(table: PayoffTable, costs: np.ndarray, points: np.ndarray) -> 
     """``solve_p_pareto_sweep`` at the checked ``costs`` on the grid ``points``."""
     t = table.truthful
     t_lo, t_hi = _certified_intervals(table, costs, points, np.full(len(costs), t))
-    live = np.flatnonzero(t_lo <= t_hi)  # the costs at which truthful is certified somewhere
-    first, last, cost = t_lo[live], t_hi[live], costs[live]
-    ends, every = points[np.stack([first, last])][..., None], slice(None)
-    near = (_lead(table, cost[:, None], ends, every) > -_lead_slack(table, cost[:, None], every)).any(axis=0)
+    grid = np.arange(len(points))
+    ruled = (grid < t_lo[:, None]) | (grid > t_hi[:, None])  # (cost, grid point): outside truthful's interval
+    ends, every = points[np.clip([t_lo, t_hi], 0, len(points) - 1)][..., None], slice(None)
+    near = (_lead(table, costs[:, None], ends, every) > -_lead_slack(table, costs[:, None], every)).any(axis=0)
     near[:, t] = False
-    owner, candidates = np.nonzero(near)  # (span, base) pairs, by span and then by base
-    span = last - first + 1
-    ruled = np.zeros(span.sum(), dtype=bool)  # every span's points, laid end to end
+    near[t_lo > t_hi] = False  # a cost where truthful is certified nowhere is a row of True already
+    row, candidates = np.nonzero(near)  # (cost, base) pairs, by cost and then by base
     if candidates.size:
-        lo, hi = _certified_intervals(table, cost[owner], points, candidates)
-        meets = (lo <= hi) & (lo <= last[owner]) & (hi >= first[owner])
-        owner = owner[meets]
-        windows = np.maximum(lo[meets], first[owner]), np.minimum(hi[meets], last[owner])
-        shifts = (np.cumsum(span) - span - first)[owner]
-        ruled = _ruled_out(table, cost[owner], points, candidates[meets], windows, shifts, len(ruled))
-    answers = [NOT_FOUND] * len(costs)
-    for i, at, segment in zip(live, first, np.split(ruled, np.cumsum(span)[:-1])):
-        free = segment.argmin()  # the first point no base rules out, unless every one is
-        if not segment[free]:
-            answers[i] = float(points[at + free])
-    return answers
+        lo, hi = _certified_intervals(table, costs[row], points, candidates)
+        first, last = t_lo[row], t_hi[row]
+        meets = (lo <= hi) & (lo <= last) & (hi >= first)
+        windows = np.maximum(lo, first)[meets], np.minimum(hi, last)[meets]
+        _ruled_out(table, costs[row[meets]], points, candidates[meets], windows, ruled, row[meets])
+    free = ruled.argmin(axis=1)  # each cost's first point no base rules out, unless every one is
+    return [NOT_FOUND if ruled[i, j] else float(points[j]) for i, j in enumerate(free)]
 
 
 def _lead(table: PayoffTable, cost, p, bases) -> np.ndarray:
@@ -584,19 +581,19 @@ def _lead_slack(table: PayoffTable, cost, bases) -> np.ndarray:
     return VERIFY_SLACK * (table.magnitude[bases] + table.magnitude[table.truthful] + 2.0 * cost)
 
 
-def _ruled_out(table: PayoffTable, costs, points, rivals, windows: tuple, shifts, size: int):
-    """Which of ``size`` points, spans of grid points laid end to end, some base in ``rivals``
-    rules out: rival i, at effort cost ``costs[i]``, rules out grid index j at position
-    ``j + shifts[i]`` where it is certified (its window, from ``windows`` = (first, last) per
+def _ruled_out(table: PayoffTable, costs, points, rivals, windows: tuple, ruled: np.ndarray, rows) -> None:
+    """Mark in ``ruled``, one row per cost and one column per grid point, the points some base
+    in ``rivals`` rules out: rival i, at effort cost ``costs[i]``, rules out grid index j of
+    row ``rows[i]`` where it is certified (its window, from ``windows`` = (first, last) per
     rival) and its utility beats the truthful one plus ``TOL`` by the dense scan's comparison.
 
     A base's lead over the truthful utility plus TOL is affine in p.  Where it clears the
     rounding slack ``VERIFY_SLACK * (magnitude[b] + magnitude[t] + 2 * cost)`` at both window
     ends, the base rules out its whole window, and where it misses by more at both, nothing.
     Otherwise the lead crosses zero once: the part of the window past the crossing by more
-    than the slack is ruled out whole, and the grid points within the slack of it are
-    compared one by one (all of them, for a lead too flat to place the crossing),
-    ``PARETO_BLOCK`` rivals at a time.
+    than the slack is ruled out whole, and the grid points within the slack of it, its zone,
+    are compared one by one (its whole window, for a lead too flat to place the crossing).
+    Every zone's points form one flat list, compared ``SWEEP_BLOCK`` points at a time.
     """
     slack = _lead_slack(table, costs, rivals)
     a, b = windows
@@ -611,23 +608,23 @@ def _ruled_out(table: PayoffTable, costs, points, rivals, windows: tuple, shifts
     zone_hi = np.fmin(np.floor(middle + half), b_c).astype(int)
     rising = at_b > at_a
 
-    # Whole windows and the parts past a crossing, as intervals.
-    starts = np.concatenate([a[whole] + shifts[whole], np.where(rising, zone_hi + 1, a_c) + shifts[crossing]])
-    stops = np.concatenate([b[whole] + shifts[whole], np.where(rising, b_c, zone_lo - 1) + shifts[crossing]])
+    # Whole windows and the parts past a crossing, as intervals of the flat view.
+    flat, shift = ruled.reshape(-1), rows * ruled.shape[1]
+    starts = np.concatenate([a[whole] + shift[whole], np.where(rising, zone_hi + 1, a_c) + shift[crossing]])
+    stops = np.concatenate([b[whole] + shift[whole], np.where(rising, b_c, zone_lo - 1) + shift[crossing]])
     keep = starts <= stops
-    counts = np.bincount(starts[keep], minlength=size + 1) - np.bincount(stops[keep] + 1, minlength=size + 1)
-    ruled = np.cumsum(counts[:-1]) > 0
+    counts = np.bincount(starts[keep], minlength=flat.size + 1) - np.bincount(stops[keep] + 1, minlength=flat.size + 1)
+    flat |= np.cumsum(counts[:-1]) > 0
 
-    # Grid points near a crossing, one by one.
-    for start in range(0, len(crossing), PARETO_BLOCK):
-        block = slice(start, start + PARETO_BLOCK)
-        rows = crossing[block]
-        width = np.maximum(zone_hi[block] - zone_lo[block] + 1, 0)
-        offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-        index = np.repeat(zone_lo[block], width) + offset
-        lead = _lead(table, np.repeat(costs[rows], width), points[index], np.repeat(rivals[rows], width))
-        ruled[(index + np.repeat(shifts[rows], width))[lead > 0]] = True
-    return ruled
+    # Zone points, one by one; each maps back to its rival by the offset of its zone.
+    width = np.maximum(zone_hi - zone_lo + 1, 0)
+    offsets, total = np.cumsum(width) - width, width.sum()
+    for start in range(0, total, SWEEP_BLOCK):
+        at = np.arange(start, min(start + SWEEP_BLOCK, total))
+        zone = np.searchsorted(offsets, at, side="right") - 1
+        index, i = zone_lo[zone] + (at - offsets[zone]), crossing[zone]
+        lead = _lead(table, costs[i], points[index], rivals[i])
+        flat[(index + shift[i])[lead > 0]] = True
 
 
 def _certified_intervals(table: PayoffTable, cost, points: np.ndarray, cols: np.ndarray):

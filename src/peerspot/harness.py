@@ -286,13 +286,21 @@ def example_config_path() -> Path:
     return Path(__file__).parent / "configs" / "e1.json"
 
 
+def _python(value):
+    """A numpy scalar as the Python value it holds (``np.float64(0.1)`` as ``0.1``), anything
+    else as given.  A config built in code may hold numpy costs, grid or seed; a row reads
+    each through this where it first takes it, so its cells, its JSON and every solver see
+    what the equal Python value gives, and a row's own check refuses the rest."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _empty_row(env: Environment, mechanism: MechanismSpec, cost: float, config, exc=None) -> ResultRow:
     """A row without results; a failed triple's row names the exception that ended it."""
     return ResultRow(
         env_id=env.env_id,
         mechanism=mechanism.describe(),
-        effort_cost=cost,
-        seed=config.seed,
+        effort_cost=_python(cost),
+        seed=_python(config.seed),
         timestamp=time.time(),
         error="" if exc is None else f"{type(exc).__name__}: {exc}",
     )
@@ -308,6 +316,7 @@ def _row_at_cost(
     """A row's own steps at one cost, all but its thresholds: the utilities and the effort
     check, which refuse a bad cost, so such a cost fails in its own row."""
     row = _empty_row(env, mechanism, cost, config)
+    cost = row.effort_cost
     try:
         t, g = table.truthful, table.best_no_effort
         row.utility_truthful_p0, row.utility_gl_p0 = map(float, table.utilities(0.0, cost, [t, g]))
@@ -327,7 +336,7 @@ def _rows_for_table(env: Environment, mechanism: MechanismSpec, config: Experime
     rows = [_row_at_cost(env, mechanism, cost, config, table) for cost in config.effort_costs]
     swept = [i for i, row in enumerate(rows) if not row.error]
     try:
-        reports = compute_threshold_sweep(table, [rows[i].effort_cost for i in swept], grid=config.grid)
+        reports = compute_threshold_sweep(table, [rows[i].effort_cost for i in swept], grid=_python(config.grid))
     except Exception as exc:
         for i in swept:
             rows[i] = _empty_row(env, mechanism, rows[i].effort_cost, config, exc)
@@ -370,7 +379,8 @@ def assert_threshold_consistency(rows: list) -> None:
         if threshold_float(row.p_pareto) < threshold_float(row.p_ds) - row.grid:
             violations.append(row)
     if violations:
-        dump = "\n".join(json.dumps(v.to_json_dict(), sort_keys=True) for v in violations)
+        # repr for what JSON cannot hold, so a hand-built row's numpy scalar still shows.
+        dump = "\n".join(json.dumps(v.to_json_dict(), sort_keys=True, default=repr) for v in violations)
         raise HarnessAssertionError(
             f"{len(violations)} row(s) violate p_pareto >= p_ds - grid:\n{dump}"
         )

@@ -152,6 +152,23 @@ COINCIDENT_KINKS = _against_coordination([[-0.5, -0.25], [-0.5, -0.25]], [[0.5, 
 # There it earns max(p / 4, -p / 4) + max(0, (p - 1) / 4) = p / 4: the first observation's
 # lines cross at p = 0 and the second's at p = 1.
 ENDPOINT_KINKS = _against_coordination([[0.0, 0.0], [0.0, -0.25]], [[0.25, -0.25], [0.0, 0.0]])
+
+
+def _flat_lead() -> PayoffTable:
+    """Binary terms under which, at cost 0, truthful and the no-effort identity (index 4) are
+    both certified exactly from p = 1/3 on, where the no-effort map (1, 0) gains
+    (1 - p) / 8 - p / 4 against each, and the identity's utility beats truthful's by
+    (1 - p) * 2**-46.  At TOL = 0 that lead is within the rounding slack at both ends of the
+    identity's window, too flat to place its crossing, so the whole window is compared point
+    by point and every point of it but p = 1 is ruled out."""
+    terms, audit = np.zeros((8, 2, 2, 2)), np.zeros((2, 2, 2))
+    terms[4, 1, 0, 0] = 2.0**-46
+    terms[4, 1, 0, 1] = terms[strategies.TRUTHFUL, 1, 0, 1] = 0.125
+    audit[1, 0, 1] = -0.25
+    return PayoffTable(terms, audit)
+
+
+FLAT_LEAD = _flat_lead()
 # The rounding bound that the comment at ``VERIFY_SLACK`` states for the kinked gain against
 # the dense row, relative to ``PayoffTable.magnitude``: the slope-summed kink values round at
 # most 6K + 3k + 13 times more than the separable oracle, which is within 3e-15 of that row.
@@ -1123,6 +1140,20 @@ def sweep_mismatches(label: str, table, costs) -> list:
     ]
 
 
+def budget_mismatches(label: str, table, costs) -> list:
+    """Costs at which ``solve_p_pareto_sweep`` over ``costs`` with ``SWEEP_BLOCK`` patched to 3,
+    so its cost blocks, interval reads and zone comparisons split at every few elements,
+    answers otherwise than at the default budget."""
+    default = solve_p_pareto_sweep(table, costs)
+    with mock.patch.object(equilibrium, "SWEEP_BLOCK", 3):
+        small = solve_p_pareto_sweep(table, costs)
+    return [
+        f"{label} cost={cost!r}: SWEEP_BLOCK=3 {p!r}, default {q!r}"
+        for cost, p, q in zip(costs, small, default)
+        if repr(p) != repr(q)
+    ]
+
+
 class TestCostSweep:
     """``compute_threshold_sweep`` solves a table's whole cost sweep in one pass, and each of its
     reports is, field by field, the one ``compute_thresholds`` gives at that cost alone."""
@@ -1145,16 +1176,28 @@ class TestCostSweep:
 
     @pytest.mark.parametrize("labels", [3, 4])
     def test_blocks_of_any_size_give_the_same_answers(self, monkeypatch, labels):
-        # One cost per block, as on some k=5 tables, and every cost in one block, as at k <= 4.
+        # One cost per block and one zone point per comparison, zones of two points split
+        # across blocks of 3, and every cost, interval and zone in one block, as at k <= 4.
         table = compute_payoff_table(OA, generate_environments(labels, 1, seed=3, prefix="bench")[0])
         costs = [0.2, 0.0, 0.05, 0.1, 0.05]
         answers = {}
-        for block in (1, 2**30):
+        for block in (1, 3, 2**30):
             monkeypatch.setattr(equilibrium, "SWEEP_BLOCK", block)
             answers[block] = [repr(p) for p in solve_p_pareto_sweep(table, costs)]
-        assert answers[1] == answers[2**30]
+        assert answers[1] == answers[3] == answers[2**30]
         if labels == 3:  # the scan takes seconds at k=4
             assert answers[1] == [repr(scan_p_pareto(table, cost)) for cost in costs]
+
+    def test_a_lead_flat_within_the_slack_is_compared_over_its_whole_window(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "TOL", 0.0)
+        ends = equilibrium._lead(FLAT_LEAD, 0.0, np.array([1 / 3, 1.0]), 4)
+        assert (np.abs(ends) <= equilibrium._lead_slack(FLAT_LEAD, 0.0, 4)).all() and ends[0] > 0
+        costs = [0.0, 0.125, 0.0]
+        expected = [grid_p_pareto(FLAT_LEAD, cost, tol=0.0) for cost in costs]
+        assert expected == [1.0, NOT_FOUND, 1.0]
+        for block in (1, 2**30):  # one zone point at a time, and both zones at once
+            monkeypatch.setattr(equilibrium, "SWEEP_BLOCK", block)
+            assert solve_p_pareto_sweep(FLAT_LEAD, costs) == expected
 
     @pytest.mark.parametrize("labels", [2, 3, 4])
     def test_one_flag_and_two_interval_searches_per_sweep(self, monkeypatch, labels):
@@ -1292,8 +1335,9 @@ def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
 
 
 def full_gate() -> int:
-    """The solvers against their grid oracles on every gate row, and each table's one cost sweep
-    against its costs solved alone; prints the counts per threshold and for the sweep."""
+    """The solvers against their grid oracles on every gate row, each table's one cost sweep
+    against its costs solved alone, and its ``p_pareto`` sweep at ``SWEEP_BLOCK = 3`` against
+    the default budget's; prints the counts per threshold, for the sweep and for the budget."""
     cases = []  # (label, spec, environment, costs, p_pareto oracle)
     for seed in range(32):  # the benchmark's sweep-k3 families
         env = generate_environments(3, 1, seed=seed, prefix="bench")[0]
@@ -1309,7 +1353,7 @@ def full_gate() -> int:
         k4 = generate_environments(4, 1, seed=seed, prefix="bench")[0]
         for spec in (OA, MechanismSpec(MechanismKind.CORRELATED_AGREEMENT), PI):
             cases.append((spec_id(spec), spec, k4, DEFAULT_EFFORT_COSTS, scan_p_pareto))
-    rows, found = 0, {"p_pareto": [], "p_el": [], "sweep": []}
+    rows, found = 0, {"p_pareto": [], "p_el": [], "sweep": [], "budget": []}
     for label, spec, env, costs, pareto_oracle in cases:
         rows += len(costs)
         table = compute_payoff_table(spec, env)
@@ -1317,6 +1361,7 @@ def full_gate() -> int:
         found["p_pareto"] += solver_mismatches(label, table, costs, solve_p_pareto, pareto_oracle)
         found["p_el"] += solver_mismatches(label, table, costs, solve_p_el, scan_p_el)
         found["sweep"] += sweep_mismatches(label, table, list(costs))
+        found["budget"] += budget_mismatches(label, table, list(costs))
     for name, lines in found.items():
         for line in lines:
             print("MISMATCH " + line)

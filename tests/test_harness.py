@@ -468,6 +468,28 @@ class TestRunExperiment:
         assert rows[0].p_ds is None and rows[0].worthwhile_effort is None
         assert rows[2].p_ds == pytest.approx(0.3125, abs=1e-9) and rows[2].worthwhile_effort
 
+    def test_numpy_costs_grid_and_seed_write_what_python_values_write(self, tmp_path):
+        # Rows read numpy scalars as the Python values they hold, so no cell reads np.float64(...).
+        specs = [MechanismSpec(MechanismKind.OUTPUT_AGREEMENT), MechanismSpec(MechanismKind.PEER_INSENSITIVE)]
+        written = []
+        for cost, grid, seed in ((0.1, 1e-3, 0), (np.float64(0.1), np.float64(1e-3), np.int64(0))):
+            config = ExperimentConfig([reference_environment()], specs, (0.0, cost), p_values=(0.5,), seed=seed, grid=grid)
+            rows = run_experiment(config)
+            for row in rows:
+                row.timestamp = 0.0
+            out = tmp_path / str(len(written))
+            written.append((emit_csv(rows, out / "r.csv").read_bytes(), emit_json(rows, out / "r.json").read_bytes()))
+        assert written[0] == written[1]
+        assert b"np." not in written[1][0] and b",true," in written[1][0]
+
+    def test_a_float32_cost_completes_its_row_without_a_warning(self, tmp_path):
+        # float32 is read as the float it holds: no overflow in the cost rule, no float32 p_ds.
+        specs = [MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)]
+        (row,) = run_experiment(ExperimentConfig([reference_environment()], specs, effort_costs=(np.float32(0.1),)))
+        emit_json([row], tmp_path / "r.json")
+        assert row.error == "" and row.effort_cost == float(np.float32(0.1))
+        assert type(row.p_ds) is float and row.worthwhile_effort is True
+
     def test_config_without_costs_gives_no_rows(self):
         config = parse_config(tiny_config_doc())
         config.effort_costs = ()
@@ -520,6 +542,13 @@ class TestRunExperiment:
             timestamp=0.0,
         )
         assert_threshold_consistency([row])
+
+    def test_numpy_thresholds_are_read_as_their_values(self):
+        # A float32 p_ds once read as +inf and made this consistent row a violation.
+        row = ResultRow("x", "output_agreement", 0.1, p_ds=np.float32(0.5), p_pareto=0.5, grid=1e-3, pareto_bound_condition=True)
+        assert_threshold_consistency([row])
+        with pytest.raises(HarnessAssertionError, match="p_pareto"):
+            assert_threshold_consistency([dataclasses.replace(row, p_ds=0.5, p_pareto=np.float32(0.25))])
 
 
 class TestReports:
