@@ -67,15 +67,12 @@ from .equilibrium import (
     check_worthwhile_effort,
     compute_payoff_table,
     compute_threshold_sweep,
-    compute_thresholds,
     construct_dominated_environment,
     enumerate_symmetric_pure_equilibria,
-    is_symmetric_equilibrium,
     solve_p_ds,
     solve_p_ds_bisection,
     solve_p_el,
     solve_p_ex,
-    solve_p_pareto,
     solve_p_pareto_sweep,
     threshold_float,
 )

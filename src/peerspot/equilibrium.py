@@ -1,16 +1,14 @@
 """Symmetric pure-equilibrium search and minimum spot-check probability solvers.
 
-Every solver takes one payoff table per (mechanism, environment) plus an
-effort cost, and no table entry depends on the cost, so one table serves a
-whole cost sweep: ``compute_threshold_sweep`` solves it in one pass, with the
-flag computed once and ``p_pareto`` at every cost from one interval search
-(``solve_p_pareto_sweep``), and ``compute_thresholds`` is that pass at one
-cost.  A deviant is an effort plus one report per observed value,
-and both rewards are sums of per-observation terms, so the table holds those
-terms (O(S k^2) numbers, not an S x S matrix) plus each symmetric profile's own
-unchecked reward and each strategy's audit reward.  Every entry is an exact
-expectation, so an equilibrium is certified when no deviation gains more than
-``TOL``.
+Every solver takes one payoff table per (mechanism, environment) plus an effort cost, and
+no table entry depends on the cost, so one table serves a whole cost sweep:
+``compute_threshold_sweep`` solves it in one pass, with the flag computed once and
+``p_pareto`` at every cost from one interval search (``solve_p_pareto_sweep``).  A deviant
+is an effort plus one report per observed value, and both rewards are sums of
+per-observation terms, so the table holds those terms (O(S k^2) numbers, not an S x S
+matrix) plus each symmetric profile's own unchecked reward and each strategy's audit
+reward.  Every entry is an exact expectation, so an equilibrium is certified when no
+deviation gains more than ``TOL``.
 
 ``PayoffTable.gain_lines`` is the one definition of a deviation gain: a dense
 row of lines in p over every deviant.  Combined utilities p * E[y] + (1 - p) *
@@ -63,12 +61,12 @@ from ._expectations import audit_rewards, strategy_rewards
 from .mechanisms import MechanismSpec, unchecked_rewards
 from .signals import COST, Environment
 from .strategies import EFFORT_COST, NO_EFFORT, TRUTHFUL, Strategy, enumerate_pure_strategies, low_identity_index
-from .strategies import FULL_EFFORT, pure_strategy_arrays, strategy_arrays
+from .strategies import FULL_EFFORT, pure_strategy_arrays
 
 TOL = 1e-9  # a profile is certified when no deviation gains more; read at each call
 DEFAULT_GRID = 1e-3
 # The finest threshold grid.  The p_el scan walks 1 / grid + 1 points in Python and p_pareto
-# allocates as many per row: one compute_thresholds on the bundled e1 output-agreement table
+# allocates as many per row: the thresholds at one cost on the bundled e1 output-agreement table
 # took 0.1 s at grid 1e-3, 1.0 s at 1e-5 and 13 s at 1e-6.  A base whose interval probes miss
 # is read at every point, in one array of (1 / grid + 1) x 2 x K floats, K <= k (k - 1) + 2:
 # at 1e-5 and k=5 at most 35 MB.  On the seed-3 k=5 output-agreement table (K = 7) one such
@@ -119,10 +117,14 @@ def _is_grid(x) -> bool:
 GRID = (_is_grid, f"1/n for an integer n from 1 to {round(1.0 / MIN_GRID)}")
 
 
-def _check(rule, name: str, value) -> None:
-    """Raise InvalidDistribution unless ``value`` passes ``rule`` (``COST`` or ``GRID``)."""
-    if not rule[0](value):
+def _check(rule, name: str, value) -> float:
+    """``value`` as the Python float it holds, refused with InvalidDistribution unless it is a real
+    number passing ``rule`` (``COST`` or ``GRID``): numpy's too, an int as itself, never a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidDistribution(f"{name} must be {rule[1]}, got {value!r}")
+    if not rule[0](value if isinstance(value, numbers.Integral) else float(value)):
         raise InvalidDistribution(f"{name} must be {rule[1]}, got {value}")
+    return float(value)
 
 
 def _check_p(p) -> np.ndarray:
@@ -136,7 +138,7 @@ def _check_p(p) -> np.ndarray:
 
 def _grid_points(grid) -> np.ndarray:
     """The audit probabilities 0, 1/n, ..., 1 of the grid 1/n, checked before any is built."""
-    _check(GRID, "grid", grid)
+    grid = _check(GRID, "grid", grid)
     return np.linspace(0.0, 1.0, int(round(1.0 / grid)) + 1)
 
 
@@ -150,7 +152,6 @@ class EquilibriumRecord:
     strategy: Strategy
     utility: float
     max_deviation_gain: float
-    certified: bool
 
 
 @dataclass
@@ -213,10 +214,6 @@ class PayoffTable:
         """Every pure strategy as a ``Strategy``, in table order; built on first use."""
         return enumerate_pure_strategies(self.maps.shape[1])
 
-    def index_of(self, strategy: Strategy) -> int:
-        efforts, maps = strategy_arrays([strategy], self.maps.shape[1])
-        return int(np.flatnonzero((self.efforts == efforts[0]) & (self.maps == maps[0]).all(axis=1))[0])
-
     def _bases(self, bases) -> np.ndarray:
         """``bases`` as an index array, refused with ShapeMismatch unless each is an integer in [0, S)."""
         bases = np.asarray(bases)
@@ -228,7 +225,7 @@ class PayoffTable:
         """Utility of each symmetric profile in ``bases`` (all by default) at audit probability p,
         refusing p, the cost and the bases as ``certify`` does."""
         _check_p(p)
-        _check(COST, "effort_cost", cost)
+        cost = _check(COST, "effort_cost", cost)
         return self._utility(p, cost, slice(None) if bases is None else self._bases(bases))
 
     def _utility(self, p, cost: float, bases) -> np.ndarray:
@@ -241,7 +238,7 @@ class PayoffTable:
         The gain at p is ``(1 - p) * g0 + p * g1`` (``_gain_at``); this is the one
         definition of a deviation gain, and every certification agrees with it.  A cost
         outside ``signals.COST`` is refused, and so are bases that are not strategy indices."""
-        _check(COST, "effort_cost", cost)
+        cost = _check(COST, "effort_cost", cost)
         return self._gain_lines(cost, self._bases(bases))
 
     def _gain_lines(self, cost, bases: np.ndarray) -> tuple:
@@ -300,7 +297,7 @@ class PayoffTable:
         decision is the dense row's ``max <= TOL`` at every p.
         """
         p = np.atleast_1d(_check_p(p))
-        _check(COST, "effort_cost", cost)
+        cost = _check(COST, "effort_cost", cost)
         return self._certify(p, cost, self._bases(bases))
 
     def _certify(self, p: np.ndarray, cost, bases: np.ndarray) -> tuple:
@@ -368,20 +365,12 @@ def _best_no_effort_index(efforts, spot, k: int) -> int:
     return best
 
 
-def is_symmetric_equilibrium(table: PayoffTable, strategy: Strategy, p: float, cost: float) -> EquilibriumRecord:
-    """Certify a symmetric profile: no pure deviation improves by more than ``TOL``."""
-    base_index = table.index_of(strategy)
-    (max_gain,), (certified,) = table.certify(p, cost, [base_index])
-    (utility,) = table.utilities(p, cost, [base_index])
-    return EquilibriumRecord(strategy, float(utility), float(max_gain), certified=bool(certified))
-
-
 def enumerate_symmetric_pure_equilibria(table: PayoffTable, p: float, cost: float) -> list:
     """All symmetric pure equilibria certified at ``TOL``, sorted by utility descending."""
     max_gains, certified = table.certify(p, cost, np.arange(len(table.own)))
     utilities = table.utilities(p, cost)
     records = [
-        EquilibriumRecord(table.strategies[b], float(utilities[b]), float(max_gains[b]), certified=True)
+        EquilibriumRecord(table.strategies[b], float(utilities[b]), float(max_gains[b]))
         for b in np.flatnonzero(certified)
     ]
     records.sort(key=lambda r: -r.utility)
@@ -411,7 +400,7 @@ def solve_p_ds(table: PayoffTable, cost: float):
     finds, where the audit does not favour truth (``_audit_favours_truth``) or
     the value is above 1.  Only the table's audit rewards enter, so any
     mechanism's table for the environment gives the same value."""
-    _check(COST, "effort_cost", cost)
+    cost = _check(COST, "effort_cost", cost)
     if not _audit_favours_truth(table):
         return NOT_ACHIEVABLE
     p = cost / (float(table.spot[table.truthful]) - float(table.spot[table.best_no_effort]))
@@ -423,7 +412,7 @@ def solve_p_ds(table: PayoffTable, cost: float):
 def check_worthwhile_effort(table: PayoffTable, cost: float) -> bool:
     """True iff the audited value of a truthful high signal, less ``cost``, beats the best
     no-effort audit value; both audit values are read from the payoff table ``table``."""
-    _check(COST, "effort_cost", cost)
+    cost = _check(COST, "effort_cost", cost)
     truthful = float(table.spot[table.truthful])
     return truthful - cost > float(table.spot[table.best_no_effort])
 
@@ -435,7 +424,7 @@ def solve_p_ds_bisection(env: Environment, cost: float):
     p * spot(truth) - cost minus the best competing p * spot(s) - cost(s).
     It computes its own audit rewards and reads no payoff table.
     """
-    _check(COST, "effort_cost", cost)
+    cost = _check(COST, "effort_cost", cost)
     efforts, maps = pure_strategy_arrays(len(env.q_space))
     spots = strategy_rewards(audit_rewards(env), efforts, maps)
     costs = cost * EFFORT_COST[efforts]
@@ -468,7 +457,7 @@ def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID):
     convex, so the first sign change found on the grid brackets the unique
     boundary and bisection refines it to ``REFINE``.
     """
-    _check(COST, "effort_cost", cost)
+    cost = _check(COST, "effort_cost", cost)
     points = _grid_points(grid)
     (g0,), (g1,) = table.gain_lines(cost, [table.best_no_effort])
 
@@ -498,7 +487,7 @@ def solve_p_el(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID):
 def solve_p_ex(table: PayoffTable, cost: float):
     """Audit probability at which the truthful profile's utility overtakes the
     report-the-shared-draw profile's, solved from the affine indifference."""
-    _check(COST, "effort_cost", cost)
+    cost = _check(COST, "effort_cost", cost)
     t, g = table.truthful, table.best_no_effort
     z_tt = table.own[t]
     z_gg = table.own[g]
@@ -514,17 +503,10 @@ def solve_p_ex(table: PayoffTable, cost: float):
     return min(p, 1.0)
 
 
-def solve_p_pareto(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID):
-    """Smallest grid probability at which the truthful profile is a certified
-    equilibrium and weakly best among all certified symmetric pure equilibria,
-    or NOT_FOUND: ``solve_p_pareto_sweep`` at the one cost."""
-    (p,) = solve_p_pareto_sweep(table, [cost], grid)
-    return p
-
-
 def solve_p_pareto_sweep(table: PayoffTable, costs, grid: float = DEFAULT_GRID) -> list:
-    """``solve_p_pareto`` at each effort cost of ``costs``, in order, every cost checked by
-    ``signals.COST`` before the grid is read.
+    """Per effort cost of ``costs``, in order, the least grid probability at which truthful is a
+    certified equilibrium weakly best among all certified symmetric pure equilibria, else
+    NOT_FOUND; every cost is checked by ``signals.COST`` before the grid is read.
 
     ``_certified_intervals`` finds truthful's interval of certified grid points at
     every cost in one search.  A boolean matrix, one row per cost and one column per
@@ -541,9 +523,7 @@ def solve_p_pareto_sweep(table: PayoffTable, costs, grid: float = DEFAULT_GRID) 
     the answer at each cost is the grid point that scan returns.  Costs are solved in
     blocks of at most ``SWEEP_BLOCK`` (cost, base or grid point) entries.
     """
-    costs = list(costs)
-    for cost in costs:
-        _check(COST, "effort_cost", cost)
+    costs = [_check(COST, "effort_cost", cost) for cost in costs]
     points = _grid_points(grid)
     costs, step = np.array(costs, dtype=float), max(1, SWEEP_BLOCK // (len(table.own) + len(points)))
     return [p for i in range(0, len(costs), step) for p in _pareto_block(table, costs[i : i + step], points)]
@@ -555,8 +535,9 @@ def _pareto_block(table: PayoffTable, costs: np.ndarray, points: np.ndarray) -> 
     t_lo, t_hi = _certified_intervals(table, costs, points, np.full(len(costs), t))
     grid = np.arange(len(points))
     ruled = (grid < t_lo[:, None]) | (grid > t_hi[:, None])  # (cost, grid point): outside truthful's interval
-    ends, every = points[np.clip([t_lo, t_hi], 0, len(points) - 1)][..., None], slice(None)
-    near = (_lead(table, costs[:, None], ends, every) > -_lead_slack(table, costs[:, None], every)).any(axis=0)
+    ends = points[np.clip([t_lo, t_hi], 0, len(points) - 1)][..., None]
+    lead = _lead(table, costs[:, None], ends, slice(None))
+    near = (lead > -_lead_slack(table, costs[:, None], slice(None))).any(axis=0)
     near[:, t] = False
     near[t_lo > t_hi] = False  # a cost where truthful is certified nowhere is a row of True already
     row, candidates = np.nonzero(near)  # (cost, base) pairs, by cost and then by base
@@ -697,21 +678,13 @@ def check_pareto_bound_condition(table: PayoffTable) -> bool:
     return bool(equilibrium and table.own[g] + TOL >= table.own[t] and _audit_favours_truth(table))
 
 
-def compute_thresholds(table: PayoffTable, cost: float, grid: float = DEFAULT_GRID) -> ThresholdReport:
-    """All four thresholds plus the sufficient-condition flag at one effort cost:
-    ``compute_threshold_sweep`` at that cost."""
-    (report,) = compute_threshold_sweep(table, [cost], grid)
-    return report
-
-
 def compute_threshold_sweep(table: PayoffTable, costs, grid: float = DEFAULT_GRID) -> list:
     """One ``ThresholdReport`` per effort cost of ``costs``, in order: all four thresholds
     plus the sufficient-condition flag, certified at ``TOL``.  Every cost is checked by
-    ``signals.COST`` before the grid is checked by ``GRID`` and its points are built.
+    ``signals.COST`` before the grid is checked by ``GRID``, each read as the float it holds.
 
-    No table entry depends on the cost, so the flag is computed once and ``p_pareto``
-    at every cost in one ``solve_p_pareto_sweep``; ``p_ds``, ``p_el`` and ``p_ex`` are
-    solved per cost."""
+    No table entry depends on the cost, so the flag is computed once and ``p_pareto`` at every
+    cost in one ``solve_p_pareto_sweep``; ``p_ds``, ``p_el`` and ``p_ex`` are solved per cost."""
     costs = list(costs)
     p_pareto = solve_p_pareto_sweep(table, costs, grid)
     if not costs:  # no report reads the flag, whose certify would build every base's pieces
@@ -723,7 +696,7 @@ def compute_threshold_sweep(table: PayoffTable, costs, grid: float = DEFAULT_GRI
             p_el=solve_p_el(table, cost, grid=grid),
             p_ex=solve_p_ex(table, cost),
             p_pareto=pareto,
-            grid=grid,
+            grid=float(grid),
             pareto_bound_condition=flag,
         )
         for cost, pareto in zip(costs, p_pareto)
@@ -740,7 +713,7 @@ def construct_dominated_environment(mechanism: MechanismSpec, candidates: list, 
     the costly signal buys nothing the shared draw does not already provide.
     Returns NOT_FOUND when no elicitable ordered pair qualifies.  Certifies at ``TOL``.
     """
-    _check(COST, "effort_cost", cost)
+    cost = _check(COST, "effort_cost", cost)
     elicitable = []
     for env in candidates:
         table = compute_payoff_table(mechanism, env)

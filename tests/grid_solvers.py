@@ -9,9 +9,9 @@ bit for bit.
 ``solve_p_pareto`` here is the package's former solver.  It builds the
 (points, S, S) deviation-gain array and the (points, S) utility array and
 takes the first grid point where the truthful profile is certified and no
-certified base beats it.  ``peerspot.equilibrium.solve_p_pareto`` derives the
-same grid point from per-base equilibrium intervals, and must return exactly
-what this one returns.
+certified base beats it.  ``peerspot.equilibrium.solve_p_pareto_sweep`` derives
+the same grid point at each cost from per-base equilibrium intervals, and must
+return exactly what this one returns.
 
 It allocates three arrays of 1001·S² floats: about 70 MB at k=3 (S=54) and
 6 GB at k=4 (S=512).  At k=4 use ``scan_p_pareto``, which visits the same

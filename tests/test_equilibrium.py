@@ -1,8 +1,8 @@
 """Deviation gains, equilibrium enumeration, and the four threshold solvers.
 
-``solve_p_pareto`` is compared here with the dense grid solver in
-``grid_solvers``, and ``solve_p_el`` with the former solver's scan there, on
-e1 and the 20 acceptance environments; ``solve_p_pareto`` also on synthetic
+``solve_p_pareto_sweep`` at each cost alone is compared here with the dense grid
+solver in ``grid_solvers``, and ``solve_p_el`` with the former solver's scan
+there, on e1 and the 20 acceptance environments; ``p_pareto`` also on synthetic
 tables.  The oracles read the dense (deviant, base) matrix gathered from the
 table's per-observation terms.  ``python tests/test_equilibrium.py`` runs the
 full comparison: the 32 sweep-k3 families, the bundled config, the acceptance
@@ -11,10 +11,11 @@ point-by-point scan), and on every such table one ``compute_threshold_sweep``
 against each cost solved alone, field by field.  It prints the number of rows
 compared and of mismatches for each threshold and for the sweep, after the
 measured layers at each k from 2 to 5: each kind's payoff-table build in ms
-with its tracemalloc peak, the ms per row of ``solve_p_el``, ``solve_p_pareto``
-and ``solve_p_pareto_sweep``, the dense ``gain_lines`` rows a sweep's
-thresholds build outside ``solve_p_el``, the ``_report_kinks`` calls per table,
-and the ``_certified_intervals`` calls and its full-grid interval reads per row.
+with its tracemalloc peak, the ms per row of ``solve_p_el`` and of
+``solve_p_pareto_sweep`` one cost at a time and over each table's costs, the
+dense ``gain_lines`` rows a sweep's thresholds build outside ``solve_p_el``, the
+``_report_kinks`` calls per table, and the ``_certified_intervals`` calls and
+its full-grid interval reads per row.
 """
 
 import dataclasses
@@ -25,6 +26,7 @@ import re
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -55,13 +57,11 @@ from peerspot import (
     check_worthwhile_effort,
     compute_payoff_table,
     compute_threshold_sweep,
-    compute_thresholds,
     construct_dominated_environment,
     enumerate_pure_strategies,
     enumerate_symmetric_pure_equilibria,
     example_config_path,
     expected_spot_reward,
-    is_symmetric_equilibrium,
     load_config,
     low_identity_strategy,
     reference_environment,
@@ -69,14 +69,13 @@ from peerspot import (
     solve_p_ds_bisection,
     solve_p_el,
     solve_p_ex,
-    solve_p_pareto,
     solve_p_pareto_sweep,
     threshold_float,
     truthful_strategy,
 )
 from peerspot import equilibrium, strategies
 from peerspot.acceptance import _random_acceptance_environments
-from peerspot.equilibrium import MIN_GRID, NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
+from peerspot.equilibrium import DEFAULT_GRID, MIN_GRID, NOT_APPLICABLE, NOT_FOUND, _certified_intervals, _gain_at
 from peerspot.harness import DEFAULT_EFFORT_COSTS, ExperimentConfig, generate_environments, parse_config, run_experiment
 from peerspot.mechanisms import KINDS
 
@@ -190,6 +189,12 @@ def assert_slope_sums_are_best_responses(table: PayoffTable, bases) -> None:
     assert np.all(np.abs(reached - gains[:, 1:]) <= SLOPE_SUM_BOUND * table.magnitude[bases])
 
 
+def p_pareto_alone(table: PayoffTable, cost, grid=DEFAULT_GRID):
+    """``p_pareto`` from ``solve_p_pareto_sweep`` over the one cost ``cost``."""
+    (p,) = solve_p_pareto_sweep(table, [cost], grid)
+    return p
+
+
 def correlated_low_env(env, accuracy=0.8):
     return replace(env, low_channel=Channel.symmetric_noise(env.q_space, accuracy))
 
@@ -242,7 +247,7 @@ class TestPayoffTableIndices:
 class TestDeviationGains:
     def test_full_audit_forces_truth(self, env):
         table = compute_payoff_table(PI, env)
-        lazy = table.index_of(low_identity_strategy(2))
+        lazy = table.strategies.index(low_identity_strategy(2))
         gains = dense_gains(table, lazy, 1.0, E1_COST)
         best = int(np.argmax(gains))
         assert table.strategies[best] == truthful_strategy(2)
@@ -269,21 +274,20 @@ class TestDeviationGains:
 class TestEquilibriumCertification:
     def test_coordination_equilibrium(self, env):
         table = compute_payoff_table(OA, env)
-        record = is_symmetric_equilibrium(table, low_identity_strategy(2), 0.0, 0.0)
-        assert record.certified and record.utility == pytest.approx(1.0)
+        g = table.strategies.index(low_identity_strategy(2))
+        (_,), (certified,) = table.certify(0.0, 0.0, [g])
+        assert certified and table.utilities(0.0, 0.0, [g])[0] == pytest.approx(1.0)
 
     def test_wasted_effort_breaks_truthful_profile(self, env):
         table = compute_payoff_table(PI, env)
-        record = is_symmetric_equilibrium(table, truthful_strategy(2), 0.0, E1_COST)
-        assert not record.certified
-        assert record.max_deviation_gain == pytest.approx(0.1, abs=1e-12)
+        (gain,), (certified,) = table.certify(0.0, E1_COST, [table.strategies.index(truthful_strategy(2))])
+        assert not certified
+        assert gain == pytest.approx(0.1, abs=1e-12)
 
     def test_fixed_point_has_zero_gain(self, env):
         table = compute_payoff_table(OA, env)
-        for strategy in table.strategies:
-            rec = is_symmetric_equilibrium(table, strategy, 0.3, E1_COST)
-            if rec.certified:
-                assert rec.max_deviation_gain <= 1e-9
+        gains, certified = table.certify(0.3, E1_COST, np.arange(len(table.strategies)))
+        assert certified.any() and (gains[certified] <= 1e-9).all()
 
 
 class TestSeparableCertification:
@@ -349,7 +353,7 @@ class TestSeparableCertification:
         # The kinked gain is recorded on [0, 1] only; past 1 it would miss kinks.
         table = compute_payoff_table(OA, env)
         with pytest.raises(PeerSpotError, match=r"p must lie in \[0, 1\]"):
-            is_symmetric_equilibrium(table, truthful_strategy(2), p, 0.0)
+            enumerate_symmetric_pure_equilibria(table, p, 0.0)
 
     @pytest.mark.parametrize("p, cost", [(-0.1, 0.0), (0.5, -0.1), (math.nan, math.nan)])
     def test_certify_refuses_p_and_cost_before_reading_a_gain(self, env, monkeypatch, p, cost):
@@ -425,7 +429,7 @@ class TestOneTolerance:
 
     DECISIONS = {
         "PayoffTable.certify": lambda table: bool(table.certify(0.0, 0.0, [4])[1][0]),
-        "is_symmetric_equilibrium": lambda table: is_symmetric_equilibrium(table, table.strategies[4], 0.0, 0.0).certified,
+        "compute_threshold_sweep": lambda table: compute_threshold_sweep(table, [0.0])[0].pareto_bound_condition,
         "enumerate_symmetric_pure_equilibria": lambda table: table.strategies[4]
         in [r.strategy for r in enumerate_symmetric_pure_equilibria(table, 0.0, 0.0)],
         "check_pareto_bound_condition": check_pareto_bound_condition,
@@ -454,8 +458,8 @@ class TestKinkedGains:
 
     def test_pieces_once_per_table_and_two_interval_passes_at_most_per_row(self, monkeypatch):
         # Every base's pieces come from one _report_kinks call, whichever base is read first,
-        # and solve_p_pareto makes one _certified_intervals call for truthful and one for the
-        # bases whose utility could beat it.
+        # and a sweep over one cost makes one _certified_intervals call for truthful and one
+        # for the bases whose utility could beat it.
         table = compute_payoff_table(OA, generate_environments(3, 1, seed=3, prefix="bench")[0])
         calls = dict.fromkeys(("_report_kinks", "_certified_intervals"), 0)
         for name in calls:
@@ -463,7 +467,7 @@ class TestKinkedGains:
         check_pareto_bound_condition(table)
         for cost in DEFAULT_EFFORT_COSTS:
             before = calls["_certified_intervals"]
-            compute_thresholds(table, cost)
+            compute_threshold_sweep(table, [cost])
             assert calls["_report_kinks"] == 1 and 1 <= calls["_certified_intervals"] - before <= 2
 
     def test_no_base_gets_a_second_interval_search_on_the_peer_insensitive_sweep_table(self, monkeypatch):
@@ -477,7 +481,7 @@ class TestKinkedGains:
         )
         for cost in DEFAULT_EFFORT_COSTS:
             searched.clear()
-            assert repr(solve_p_pareto(table, cost)) == repr(scan_p_pareto(table, cost))
+            assert repr(p_pareto_alone(table, cost)) == repr(scan_p_pareto(table, cost))
             assert searched == [[table.truthful]]
 
     @pytest.mark.parametrize("labels", [2, 3, 4, 5])
@@ -576,22 +580,28 @@ class TestEnumeration:
         assert all(not r.strategy.is_full_effort for r in records)
         assert all(r.utility == pytest.approx(1.0) for r in records)
 
+    @staticmethod
+    def assert_records_are_the_certified_bases(table: PayoffTable, p: float, cost: float) -> None:
+        """The records are the bases that ``certify`` certifies over every base, which are the
+        bases whose dense ``gain_lines`` row gains at most ``TOL``, by utility descending (ties in
+        table order), each with its utility and its dense row's largest gain."""
+        bases = np.arange(len(table.strategies))
+        _, certified = table.certify(p, cost, bases)
+        dense = _gain_at(p, *table.gain_lines(cost, bases)).max(axis=1)
+        assert np.array_equal(certified, dense <= equilibrium.TOL) and certified.any()
+        utilities = table.utilities(p, cost)
+        expected = sorted(np.flatnonzero(certified), key=lambda b: -utilities[b])
+        records = enumerate_symmetric_pure_equilibria(table, p, cost)
+        assert [table.strategies.index(r.strategy) for r in records] == expected
+        assert [r.utility for r in records] == [float(utilities[b]) for b in expected]
+        assert [r.max_deviation_gain for r in records] == pytest.approx(dense[expected], abs=1e-12)
+
     def test_records_agree_with_single_checks(self, env):
-        table = compute_payoff_table(OA, env)
-        records = enumerate_symmetric_pure_equilibria(table, 0.2, E1_COST)
-        for rec in records:
-            single = is_symmetric_equilibrium(table, rec.strategy, 0.2, E1_COST)
-            assert single.certified
-            assert single.utility == pytest.approx(rec.utility, abs=1e-12)
+        self.assert_records_are_the_certified_bases(compute_payoff_table(OA, env), 0.2, E1_COST)
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
     def test_matches_per_strategy_certification_on_k3(self, ternary_env, p):
-        table = compute_payoff_table(OA, ternary_env)
-        cost = TERNARY_COST
-        singles = [is_symmetric_equilibrium(table, s, p, cost) for s in table.strategies]
-        expected = sorted((r for r in singles if r.certified), key=lambda r: -r.utility)
-        assert expected
-        assert enumerate_symmetric_pure_equilibria(table, p, cost) == expected
+        self.assert_records_are_the_certified_bases(compute_payoff_table(OA, ternary_env), p, TERNARY_COST)
 
     def test_label_budget(self):
         # Two strategies' terms over six labels: the budget reads the labels ahead of the
@@ -746,12 +756,12 @@ class TestOvertakeThreshold:
 class TestParetoThreshold:
     def test_constant_reward_reference(self, env):
         table = compute_payoff_table(PI, env)
-        p = solve_p_pareto(table, E1_COST, grid=1e-3)
+        p = p_pareto_alone(table, E1_COST, grid=1e-3)
         assert p == pytest.approx(0.313, abs=1e-12)
-        assert is_symmetric_equilibrium(table, truthful_strategy(2), p, E1_COST).certified
+        assert table.certify(p, E1_COST, [table.truthful])[1][0]
 
     def test_output_agreement_meets_lower_bound(self, env):
-        p = solve_p_pareto(compute_payoff_table(OA, env), E1_COST, grid=1e-3)
+        p = p_pareto_alone(compute_payoff_table(OA, env), E1_COST, grid=1e-3)
         assert p >= 0.3125 - 1e-3
         assert p == pytest.approx(0.56, abs=1e-3 + 1e-12)
 
@@ -769,7 +779,7 @@ class TestParetoThreshold:
             n_agents=3,
             n_objects=2,
         )
-        assert solve_p_pareto(compute_payoff_table(OA, e), 0.0, grid=1e-3) == 0.0
+        assert p_pareto_alone(compute_payoff_table(OA, e), 0.0, grid=1e-3) == 0.0
 
 
 ORACLE_ENVS = {env.env_id: env for env in [reference_environment()] + _random_acceptance_environments()}
@@ -797,7 +807,7 @@ class TestParetoAgainstGridSolver:
     def test_acceptance_environment(self, env_id):
         mismatches = []
         for label, table in oracle_tables(env_id):
-            mismatches += solver_mismatches(label, table, DEFAULT_EFFORT_COSTS, solve_p_pareto, grid_p_pareto)
+            mismatches += solver_mismatches(label, table, DEFAULT_EFFORT_COSTS, p_pareto_alone, grid_p_pareto)
         assert not mismatches
 
     @settings(max_examples=300)
@@ -811,7 +821,7 @@ class TestParetoAgainstGridSolver:
         # Entries in eighths put gain crossings on grid points and make ties,
         # zero gains and flat deviants common.
         with mock.patch.object(equilibrium, "TOL", tolerance):
-            p_pareto = solve_p_pareto(table, cost, grid)
+            p_pareto = p_pareto_alone(table, cost, grid)
         assert repr(p_pareto) == repr(grid_p_pareto(table, cost, grid, tolerance))
 
     def test_scan_oracle_matches_the_dense_one(self, ternary_env):
@@ -859,7 +869,7 @@ class TestFourLabels:
         size = len(table.strategies)
         tracemalloc.start()
         try:
-            solve_p_pareto(table, 0.1)
+            solve_p_pareto_sweep(table, [0.1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -906,7 +916,7 @@ class TestThresholdOrdering:
             p_ds = threshold_float(solve_p_ds(table, cost))
             p_el = threshold_float(solve_p_el(table, cost))
             p_ex = threshold_float(solve_p_ex(table, cost))
-            p_par = threshold_float(solve_p_pareto(table, cost))
+            p_par = threshold_float(p_pareto_alone(table, cost))
             assert p_el >= p_ds - grid
             assert p_ex >= p_ds - 1e-9
             assert p_par >= p_ds - grid
@@ -919,7 +929,7 @@ class TestThresholdOrdering:
                 table = compute_payoff_table(MechanismSpec(kind), e)
                 assert check_pareto_bound_condition(table)
                 p_ds = threshold_float(solve_p_ds(table, 0.1))
-                p_par = threshold_float(solve_p_pareto(table, 0.1))
+                p_par = threshold_float(p_pareto_alone(table, 0.1))
                 assert p_par >= p_ds - grid
 
 
@@ -946,8 +956,8 @@ class TestParetoBoundCondition:
         # Both profiles earn alpha + beta, so dominance holds with equality.
         mech = MechanismSpec(MechanismKind.PEER_TRUTH_SERUM, alpha=0.3, beta=0.7)
         table = compute_payoff_table(mech, env)
-        t = table.index_of(truthful_strategy(2))
-        g = table.index_of(low_identity_strategy(2))
+        t = table.strategies.index(truthful_strategy(2))
+        g = table.strategies.index(low_identity_strategy(2))
         assert table.own[t] == pytest.approx(table.own[g], abs=1e-12)
         assert check_pareto_bound_condition(table)
 
@@ -957,7 +967,7 @@ class TestDominatedEnvironment:
         composed = construct_dominated_environment(OA, [env], E1_COST)
         assert not isinstance(composed, NotAttained)
         table = compute_payoff_table(OA, composed)
-        t = table.index_of(truthful_strategy(2))
+        t = table.strategies.index(truthful_strategy(2))
         records = enumerate_symmetric_pure_equilibria(table, 0.0, E1_COST)
         best = records[0]
         assert not best.strategy.is_full_effort
@@ -970,7 +980,7 @@ class TestDominatedEnvironment:
         composed = construct_dominated_environment(OA, [env], 0.0)
         assert not isinstance(composed, NotAttained)
         table = compute_payoff_table(OA, composed)
-        t = table.index_of(truthful_strategy(2))
+        t = table.strategies.index(truthful_strategy(2))
         records = enumerate_symmetric_pure_equilibria(table, 0.0, 0.0)
         assert records[0].utility > table.own[t] + 1e-9
 
@@ -1017,9 +1027,7 @@ class TestDominatedEnvironment:
             "ternary": replace(generate_environments(labels=3, count=1, seed=5)[0], env_id="ternary"),
         }
         elicits = {
-            name: is_symmetric_equilibrium(
-                compute_payoff_table(OA, c), truthful_strategy(len(c.q_space)), 0.0, 0.0
-            ).certified
+            name: bool(compute_payoff_table(OA, c).certify(0.0, 0.0, [strategies.TRUTHFUL])[1][0])
             for name, c in candidates.items()
         }
         assert elicits == {"e1": True, "sharp": True, "skewed": False, "ternary": True}
@@ -1033,9 +1041,10 @@ class TestDominatedEnvironment:
         assert replace(composed, low_channel=host.low_channel) == host
         table = compute_payoff_table(OA, composed)
         g = table.best_no_effort
-        record = is_symmetric_equilibrium(table, table.strategies[g], 0.0, 0.0)
-        assert record.certified and not record.strategy.is_full_effort
-        assert record.utility > table.utilities(0.0, 0.0)[strategies.TRUTHFUL] + equilibrium.TOL
+        (_,), (certified,) = table.certify(0.0, 0.0, [g])
+        assert certified and not table.strategies[g].is_full_effort
+        utilities = table.utilities(0.0, 0.0)
+        assert utilities[g] > utilities[strategies.TRUTHFUL] + equilibrium.TOL
 
 
 class TestMonotonicity:
@@ -1043,8 +1052,8 @@ class TestMonotonicity:
         # Truthful-versus-coordination utility gap grows linearly at the audit
         # value difference 0.32.
         table = compute_payoff_table(PI, env)
-        t = table.index_of(truthful_strategy(2))
-        g = table.index_of(low_identity_strategy(2))
+        t = table.strategies.index(truthful_strategy(2))
+        g = table.strategies.index(low_identity_strategy(2))
         gaps = []
         for p in (0.2, 0.5, 0.9):
             u = table.utilities(p, E1_COST)
@@ -1059,20 +1068,18 @@ class TestCostBoundary:
     one, with the message a failed row carries; an int too large for a float is not finite."""
 
     CALLS = {
-        "compute_thresholds": lambda env, cost: compute_thresholds(compute_payoff_table(PI, env), cost),
+        "compute_threshold_sweep": lambda env, cost: compute_threshold_sweep(compute_payoff_table(PI, env), [cost]),
         "solve_p_ds_bisection": solve_p_ds_bisection,
         "construct_dominated_environment": lambda env, cost: construct_dominated_environment(OA, [env], cost),
         "enumerate_symmetric_pure_equilibria": lambda env, cost: enumerate_symmetric_pure_equilibria(
             compute_payoff_table(OA, env), 0.0, cost
         ),
-        "is_symmetric_equilibrium": lambda env, cost: is_symmetric_equilibrium(
-            compute_payoff_table(OA, env), truthful_strategy(2), 0.0, cost
-        ),
+        "PayoffTable.utilities": lambda env, cost: compute_payoff_table(OA, env).utilities(0.0, cost),
         "PayoffTable.certify": lambda env, cost: compute_payoff_table(OA, env).certify(0.0, cost, [strategies.TRUTHFUL]),
         "solve_p_ds": lambda env, cost: solve_p_ds(compute_payoff_table(OA, env), cost),
         "solve_p_el": lambda env, cost: solve_p_el(compute_payoff_table(OA, env), cost),
         "solve_p_ex": lambda env, cost: solve_p_ex(compute_payoff_table(OA, env), cost),
-        "solve_p_pareto": lambda env, cost: solve_p_pareto(compute_payoff_table(OA, env), cost),
+        "solve_p_pareto_sweep": lambda env, cost: solve_p_pareto_sweep(compute_payoff_table(OA, env), [cost]),
         "check_worthwhile_effort": lambda env, cost: check_worthwhile_effort(compute_payoff_table(OA, env), cost),
     }
 
@@ -1084,10 +1091,28 @@ class TestCostBoundary:
         with pytest.raises(InvalidDistribution, match=f"^effort_cost must be finite and nonnegative, got {re.escape(str(cost))}$"):
             self.CALLS[call](env, cost)
 
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("cost", ["0.1", None, True, np.True_], ids=repr)
+    def test_non_numbers_are_refused_with_the_field_named(self, env, call, cost):
+        # A string once reached the rule's comparison and raised TypeError, and a bool was read as 0 or 1.
+        with pytest.raises(InvalidDistribution, match=f"^effort_cost must be finite and nonnegative, got {re.escape(repr(cost))}$"):
+            self.CALLS[call](env, cost)
+
     @pytest.mark.parametrize("cost", [0, 0.0, 0.2])
     def test_zero_and_positive_costs_are_taken(self, env, cost):
-        assert compute_thresholds(compute_payoff_table(PI, env), cost).p_ds == pytest.approx(cost / 0.32, abs=1e-12)
+        assert compute_threshold_sweep(compute_payoff_table(PI, env), [cost])[0].p_ds == pytest.approx(cost / 0.32, abs=1e-12)
         assert solve_p_ds_bisection(env, cost) == pytest.approx(cost / 0.32, abs=1e-8)
+
+    def test_a_float32_cost_gives_the_sweep_at_the_float_it_holds(self, env):
+        # The cost rule once compared float32 with the largest float and warned of an overflow in
+        # the cast, and p_ds and p_ex were computed in float32.
+        table = compute_payoff_table(OA, env)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (got,) = compute_threshold_sweep(table, [np.float32(0.1)])
+        (want,) = compute_threshold_sweep(table, [float(np.float32(0.1))])
+        assert report_fields(got) == report_fields(want)
+        assert all(type(x) is float for x in (got.p_ds, got.p_el, got.p_ex, got.p_pareto))
 
 
 class TestGridBoundary:
@@ -1096,9 +1121,9 @@ class TestGridBoundary:
     rounding keeps from being exactly 1/n (1 / 1e-5 is 99999.99999999999) is taken."""
 
     CALLS = {
-        "compute_thresholds": lambda table, grid: compute_thresholds(table, E1_COST, grid),
+        "compute_threshold_sweep": lambda table, grid: compute_threshold_sweep(table, [E1_COST], grid)[0],
         "solve_p_el": lambda table, grid: solve_p_el(table, E1_COST, grid),
-        "solve_p_pareto": lambda table, grid: solve_p_pareto(table, E1_COST, grid),
+        "solve_p_pareto_sweep": lambda table, grid: solve_p_pareto_sweep(table, [E1_COST], grid)[0],
     }
 
     @pytest.mark.parametrize("call", CALLS)
@@ -1119,9 +1144,20 @@ class TestGridBoundary:
         if call == "solve_p_el":  # bisected past the grid's bracket
             assert result == pytest.approx(0.7317076, abs=1e-6)
         else:  # the first grid point at or past the 0.56 found on the default grid
-            p_pareto = result.p_pareto if call == "compute_thresholds" else result
+            p_pareto = result.p_pareto if call == "compute_threshold_sweep" else result
             n = round(1 / grid)
             assert p_pareto == pytest.approx(math.ceil(0.56 * n - 1e-9) / n, abs=1e-12)
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("grid", ["0.001", None, True], ids=repr)
+    def test_non_number_grids_are_refused_with_the_field_named(self, env, call, grid):
+        # True once passed as the grid 1.
+        with pytest.raises(InvalidDistribution, match=f"^grid must be 1/n for an integer n from 1 to 100000, got {re.escape(repr(grid))}$"):
+            self.CALLS[call](compute_payoff_table(OA, env), grid)
+
+    def test_a_numpy_grid_is_reported_as_the_float_it_holds(self, env):
+        (report,) = compute_threshold_sweep(compute_payoff_table(OA, env), [E1_COST], np.float64(0.001))
+        assert type(report.grid) is float and report.grid == 0.001
 
 
 def report_fields(report) -> tuple:
@@ -1130,13 +1166,13 @@ def report_fields(report) -> tuple:
 
 
 def sweep_mismatches(label: str, table, costs) -> list:
-    """Costs at which one ``compute_threshold_sweep`` over ``costs`` and ``compute_thresholds``
-    at that cost alone give reports that differ in any field."""
+    """Costs at which one ``compute_threshold_sweep`` over ``costs`` and the sweep over that
+    cost alone give reports that differ in any field."""
     swept = compute_threshold_sweep(table, costs)
     return [
         f"{label} cost={cost!r}: sweep {report!r}, alone {alone!r}"
         for cost, report in zip(costs, swept)
-        if report_fields(report) != report_fields(alone := compute_thresholds(table, cost))
+        if report_fields(report) != report_fields(alone := compute_threshold_sweep(table, [cost])[0])
     ]
 
 
@@ -1156,7 +1192,7 @@ def budget_mismatches(label: str, table, costs) -> list:
 
 class TestCostSweep:
     """``compute_threshold_sweep`` solves a table's whole cost sweep in one pass, and each of its
-    reports is, field by field, the one ``compute_thresholds`` gives at that cost alone."""
+    reports is, field by field, the one the sweep over that cost alone gives."""
 
     @settings(max_examples=100)
     @given(
@@ -1171,7 +1207,7 @@ class TestCostSweep:
     def test_sweep_is_each_cost_alone(self, table, costs, tolerance, grid):
         with mock.patch.object(equilibrium, "TOL", tolerance):
             swept = compute_threshold_sweep(table, costs, grid)
-            alone = [compute_thresholds(table, cost, grid) for cost in costs]
+            alone = [compute_threshold_sweep(table, [cost], grid)[0] for cost in costs]
         assert [report_fields(r) for r in swept] == [report_fields(r) for r in alone]
 
     @pytest.mark.parametrize("labels", [3, 4])
@@ -1229,8 +1265,8 @@ class TestCostSweep:
 
 
 class TestReportAssembly:
-    def test_compute_thresholds_bundle(self, env):
-        report = compute_thresholds(compute_payoff_table(PI, env), E1_COST)
+    def test_report_bundle(self, env):
+        (report,) = compute_threshold_sweep(compute_payoff_table(PI, env), [E1_COST])
         assert report.p_ds == pytest.approx(0.3125, abs=1e-9)
         assert report.pareto_bound_condition
         doc = report.to_json_dict()
@@ -1286,8 +1322,8 @@ def calls_outside_p_el(tables: list, costs) -> dict:
 
 def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
     """Print, per k, each kind's payoff-table build in ms (best of ``repeats``) with the
-    tracemalloc peak of one build, then ms per row of ``solve_p_el``, ``solve_p_pareto`` one
-    cost at a time and ``solve_p_pareto_sweep`` over each table's costs (best of ``repeats``),
+    tracemalloc peak of one build, then ms per row of ``solve_p_el``, ``solve_p_pareto_sweep``
+    one cost at a time (``p_pareto_alone``) and over each table's costs (best of ``repeats``),
     over every kind but the logarithmic rules at the default costs, on the seed-3
     environment the benchmark's sweeps generate, then, on fresh tables, the dense rows per
     row outside ``p_el``, the ``_report_kinks`` calls per table, and the
@@ -1299,7 +1335,7 @@ def layer_timings(labels=(2, 3, 4, 5), repeats: int = 3) -> None:
         specs = [spec for spec in specs_for(env) if spec.rule is not LOGARITHMIC]
         rows = len(specs) * len(DEFAULT_EFFORT_COSTS)
         builds = [math.inf] * len(specs)
-        best = {solve_p_el: math.inf, solve_p_pareto: math.inf, solve_p_pareto_sweep: math.inf}
+        best = {solve_p_el: math.inf, p_pareto_alone: math.inf, solve_p_pareto_sweep: math.inf}
         for _ in range(repeats):
             for i, spec in enumerate(specs):
                 start = time.perf_counter()
@@ -1358,7 +1394,7 @@ def full_gate() -> int:
         rows += len(costs)
         table = compute_payoff_table(spec, env)
         label = f"{env.env_id} {label}"
-        found["p_pareto"] += solver_mismatches(label, table, costs, solve_p_pareto, pareto_oracle)
+        found["p_pareto"] += solver_mismatches(label, table, costs, p_pareto_alone, pareto_oracle)
         found["p_el"] += solver_mismatches(label, table, costs, solve_p_el, scan_p_el)
         found["sweep"] += sweep_mismatches(label, table, list(costs))
         found["budget"] += budget_mismatches(label, table, list(costs))

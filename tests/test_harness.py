@@ -490,6 +490,14 @@ class TestRunExperiment:
         assert row.error == "" and row.effort_cost == float(np.float32(0.1))
         assert type(row.p_ds) is float and row.worthwhile_effort is True
 
+    @pytest.mark.parametrize("cost", ["0.1", True], ids=repr)
+    def test_a_non_number_cost_fails_its_row_with_the_field_named(self, cost):
+        # A string once failed with TypeError from the rule's comparison, and True ran as the cost 1.
+        specs = [MechanismSpec(MechanismKind.OUTPUT_AGREEMENT)]
+        rows = run_experiment(ExperimentConfig([reference_environment()], specs, effort_costs=(0.1, cost)))
+        assert rows[0].error == "" and rows[0].p_ds == pytest.approx(0.3125, abs=1e-9)
+        assert rows[1].error == f"InvalidDistribution: effort_cost must be finite and nonnegative, got {cost!r}"
+
     def test_config_without_costs_gives_no_rows(self):
         config = parse_config(tiny_config_doc())
         config.effort_costs = ()

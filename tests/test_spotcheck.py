@@ -112,7 +112,7 @@ class TestCombinedUtility:
     @staticmethod
     def utility(spec, env, strategy, p):
         table = compute_payoff_table(spec, env)
-        return table.utilities(p, E1_COST)[table.index_of(strategy)]
+        return table.utilities(p, E1_COST)[table.strategies.index(strategy)]
 
     def test_peer_insensitive_truthful(self, env):
         spec = MechanismSpec(MechanismKind.PEER_INSENSITIVE, constant_reward=1.0)

@@ -17,10 +17,8 @@ from peerspot import (
     Strategy,
     StrategyProfile,
     analytic_unchecked_value,
-    compute_payoff_table,
     enumerate_pure_strategies,
     expected_spot_reward,
-    is_symmetric_equilibrium,
     low_identity_strategy,
     simulate_utilities,
     truthful_strategy,
@@ -152,16 +150,6 @@ class TestReportMapsMatchTheLabels:
         for profile in (StrategyProfile.with_deviant(truthful_strategy(2), bad), StrategyProfile.symmetric(bad)):
             with pytest.raises(ShapeMismatch):
                 simulate_utilities(self.OA, env, profile, trials=100, seed=1)
-
-    @pytest.mark.parametrize("report_map", BAD_MAPS)
-    def test_payoff_table_index_of(self, env, report_map):
-        table = compute_payoff_table(self.OA, env)
-        bad = Strategy(Effort.FULL, report_map)
-        with pytest.raises(ShapeMismatch):
-            table.index_of(bad)
-        with pytest.raises(ShapeMismatch):
-            is_symmetric_equilibrium(table, bad, 0.0, 0.0)
-        assert table.index_of(Strategy(Effort.NONE, (1, 0))) == 6
 
 
 class TestRealizeReport:

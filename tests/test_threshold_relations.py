@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from peerspot import MechanismKind, MechanismSpec, compute_payoff_table, compute_thresholds
+from peerspot import MechanismKind, MechanismSpec, compute_payoff_table, compute_threshold_sweep
 from peerspot.equilibrium import DEFAULT_GRID, NOT_APPLICABLE, NOT_FOUND, REFINE, NotAttained
 
 from conftest import random_environment, spec_id, specs_for
@@ -51,7 +51,7 @@ def environment(labels: int, seed: int):
 def reports(spec: MechanismSpec, env) -> tuple:
     """The threshold report at every cost of ``COSTS``."""
     table = compute_payoff_table(spec, env)
-    return tuple(compute_thresholds(table, cost) for cost in COSTS)
+    return tuple(compute_threshold_sweep(table, COSTS))
 
 
 def assert_within_rounding(got, want, where: str) -> None:
